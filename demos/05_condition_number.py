@@ -1,8 +1,9 @@
-"""Condition-number bound selection by shrinking-step search.
+"""Condition-number bound selection as a bracketed root solve.
 
 The LR of the condition-bounded estimate increases monotonically with the
-bound until the constraint stops binding, so a coordinate walk from the ML
-bound with a shrinking step finds the unique match to the reference level.
+bound until the constraint stops binding, so matching the reference level
+is a one-dimensional root problem on ``log kmax`` between 1 and the ML
+bound, solved by safeguarded regula falsi.
 """
 
 import math
@@ -43,7 +44,7 @@ lr0 = math.exp(0.6 * math.log(lr_top) + 0.4 * math.log(lr_value(cncml(stats, 1.0
 sel = select_kmax(stats, lr0)
 est = cncml(stats, sel.kmax_hat)
 print(f"\ntarget lr0 = {lr0:.6f}")
-print(f"walk evaluated {len(sel.visited)} bounds, final step {sel.final_step:.2e}")
+print(f"root solve evaluated {len(sel.visited)} bounds, final bracket {sel.final_step:.2e}")
 print(f"selected bound  : {sel.kmax_hat:.4f}")
 print(f"lr at selection : {lr_value(est.lambdas, d):.6f}")
 print(f"condition number: {condition_number(est):.4f}")

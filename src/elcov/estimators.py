@@ -208,23 +208,27 @@ def cncml_objective(u, dbar: np.ndarray, kmax: float):
     return vals if np.ndim(u) else float(vals[0])
 
 
-def _objective_slope(u: float, dbar: np.ndarray, kmax: float) -> float:
-    """Derivative of the separable objective, piecewise per eigenvalue."""
-    small = dbar <= 1.0
-    big = ~small
-    total = 0.0
-    if np.any(small):
-        # below 1/kmax the small-eigenvalue terms still slope, flat after
-        if u <= 1.0 / kmax:
-            total += np.sum(kmax * dbar[small] - 1.0 / u)
-    db = dbar[big]
-    lo = 1.0 / (kmax * db)
-    hi = 1.0 / db
-    sloped_low = u <= lo
-    sloped_high = u >= hi
-    total += np.sum(kmax * db[sloped_low] - 1.0 / u)
-    total += np.sum(db[sloped_high] - 1.0 / u)
-    return float(total)
+def _interior_u(dbar: np.ndarray, kmax: float) -> float:
+    """Stationary point of the separable objective on ``[1/dbar_1, 1/kmax]``.
+
+    Between breakpoints ``1/dbar_i`` and ``1/(kmax dbar_i)`` the slope is
+    ``A - m/u`` (``p`` top and ``n - q`` bottom terms slope); it is continuous
+    and non-decreasing, so the root is ``m/A`` on the first segment whose
+    right end has a non-negative slope.
+    """
+    n = len(dbar)
+    lo, hi = 1.0 / dbar[0], 1.0 / kmax
+    inv_d = 1.0 / dbar[dbar > 0]
+    bps = np.concatenate(([lo, hi], inv_d, inv_d / kmax))
+    bps = np.unique(bps[(bps >= lo) & (bps <= hi)])
+    mid = 0.5 * (bps[:-1] + bps[1:])
+    p = n - np.searchsorted(dbar[::-1], 1.0 / mid, side="right")
+    q = n - np.searchsorted(dbar[::-1], 1.0 / (kmax * mid), side="right")
+    csum = np.concatenate(([0.0], np.cumsum(dbar)))
+    a = csum[p] + kmax * (csum[n] - csum[q])
+    m = p + (n - q)
+    j = int(np.argmax(a * bps[1:] >= m))
+    return float(min(max(m[j] / a[j], bps[j]), bps[j + 1]))
 
 
 def cncml_u_star(stats: SampleStats, kmax: float) -> CnCaseResult:
@@ -236,8 +240,9 @@ def cncml_u_star(stats: SampleStats, kmax: float) -> CnCaseResult:
     2. ``1 < dbar_1 <= kmax``: the FML estimate, ``u* = 1/dbar_1``.
     3. ``dbar_1 > kmax`` with the slope at ``1/kmax`` non-positive:
        ``u* = 1/kmax`` (constraint boundary).
-    4. otherwise an interior stationary point, found by bisection of the
-       monotone piecewise slope on ``(1/dbar_1, 1/kmax)``.
+    4. otherwise an interior stationary point on ``(1/dbar_1, 1/kmax)``,
+       solved exactly on the segment between breakpoints where the
+       piecewise slope ``A - m/u`` changes sign.
     """
     if not kmax >= 1:
         raise InputError("condition-number bound kmax must be at least 1")
@@ -255,16 +260,7 @@ def cncml_u_star(stats: SampleStats, kmax: float) -> CnCaseResult:
         if kmax >= np.sum(dbar[:p_guard]) / slack:
             case, u = CnCase.BOUNDARY_U, 1.0 / kmax
         else:
-            case = CnCase.INTERIOR_U
-            lo, hi = 1.0 / dbar[0], 1.0 / kmax
-            # slope is continuous and non-decreasing: < 0 at lo, > 0 at hi
-            while hi - lo > 1e-12:
-                mid = 0.5 * (lo + hi)
-                if _objective_slope(mid, dbar, kmax) < 0.0:
-                    lo = mid
-                else:
-                    hi = mid
-            u = 0.5 * (lo + hi)
+            case, u = CnCase.INTERIOR_U, _interior_u(dbar, kmax)
 
     p = int(np.count_nonzero(dbar * u > 1.0))
     q = int(np.count_nonzero(dbar * (u * kmax) > 1.0))

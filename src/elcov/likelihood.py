@@ -53,14 +53,15 @@ def log_lr_value(est_lambdas, sample_lambdas) -> float:
     d = np.asarray(sample_lambdas, dtype=float)
     if lam.shape != d.shape or lam.ndim != 1:
         raise InputError("eigenvalue vectors must be 1-D and of equal length")
-    if np.any(lam <= 0):
+    # array methods: the reductions of np.any / np.sum with less call overhead
+    if (lam <= 0).any():
         raise InputError("estimate eigenvalues must be strictly positive")
-    if np.any(d < 0):
+    if (d < 0).any():
         raise InputError("sample eigenvalues must be non-negative")
     rho = d / lam
     with np.errstate(divide="ignore"):
         log_rho = np.log(rho)
-    return float(np.sum(log_rho) + len(d) - np.sum(rho))
+    return float(log_rho.sum() + len(d) - rho.sum())
 
 
 def lr_value(est_lambdas, sample_lambdas) -> float:

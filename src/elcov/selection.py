@@ -10,6 +10,7 @@ the one-dimensional searches globally optimal.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -238,7 +239,7 @@ def select_rank_sigma(
 
 @dataclass
 class KmaxSelection:
-    """Outcome of the condition-number walk."""
+    """Root-solve outcome; ``final_step`` is the final bracket width on ``kmax``."""
 
     kmax_hat: float
     visited: list[tuple[float, float]]
@@ -246,105 +247,106 @@ class KmaxSelection:
     constraint_active: bool = True
 
 
-def select_kmax(stats: SampleStats, lr0: float) -> KmaxSelection:
-    """Tune the condition-number bound by shrinking-step coordinate search.
+_KMAX_XTOL = 1e-9  # relative bracket on kmax
+_LOADING_TOL, _LOADING_MAX_EVALS = 1e-9, 60  # log-LR mismatch, evaluation cap
 
-    Starts from the ML condition number ``d_1 / sigma2`` (clamped to at
-    least 1), walks with step ``kmax/100`` in the improving direction of
-    the log-LR mismatch ``|log lr - log lr0|``, divides the step by 10 on
-    every direction reversal and stops once the step magnitude falls below
-    ``1e-4``.  When the top eigenvalue sits at or below the noise floor
-    the LR does not depend on the bound at all and the ML value is
-    returned unchanged with ``constraint_active=False``.
+
+def select_kmax(stats: SampleStats, lr0: float) -> KmaxSelection:
+    """Tune the condition-number bound so the estimate's LR matches ``lr0``.
+
+    The LR is non-decreasing in ``kmax``.  The ML bound ``d_1 / sigma2``
+    (at least 1) is returned when its LR is at or below ``lr0``, flagged
+    ``constraint_active=False`` when ``d_1 <= sigma2``; 1 is returned when
+    its LR reaches ``lr0``.  Otherwise Illinois regula falsi on
+    ``log kmax``, each point pulled toward the midpoint just enough to reach
+    a relative bracket of ``1e-9`` within ``ceil(log2(log k_ml / 1e-9)) + 6``
+    steps, returns the evaluated bound with the smallest log-LR mismatch.
     """
     if not 0 < lr0 <= 1:
         raise InputError("lr0 must lie in (0, 1]")
     d = stats.d
     log_lr0 = math.log(lr0)
     k_ml = max(float(d[0] / stats.sigma2), 1.0)
-
-    cache: dict[float, float] = {}
     visited: list[tuple[float, float]] = []
 
-    def loglr(km: float) -> float:
-        if km not in cache:
-            val = log_lr_value(cncml(stats, km).lambdas, d)
-            cache[km] = val
-            visited.append((km, math.exp(val)))
-        return cache[km]
+    def mismatch(km: float) -> float:
+        val = log_lr_value(cncml(stats, km).lambdas, d)
+        visited.append((km, math.exp(val)))
+        return val - log_lr0
 
-    def err(km: float) -> float:
-        return abs(loglr(km) - log_lr0)
+    fb = mismatch(k_ml)
+    if fb <= 0.0 or d[0] <= stats.sigma2:
+        return KmaxSelection(k_ml, visited, 0.0, constraint_active=bool(d[0] > stats.sigma2))
+    fa = mismatch(1.0)
+    if fa >= 0.0:
+        return KmaxSelection(1.0, visited, 0.0)
 
-    if d[0] <= stats.sigma2:
-        loglr(k_ml)
-        return KmaxSelection(
-            kmax_hat=k_ml, visited=visited, final_step=0.0, constraint_active=False
-        )
-
-    k = k_ml
-    delta = k_ml / 100.0
-    while delta >= 1e-4:
-        # probe both neighbours at this scale, then walk the improving way
-        step = 0.0
-        if err(max(k + delta, 1.0)) < err(k):
-            step = delta
-        elif err(max(k - delta, 1.0)) < err(k):
-            step = -delta
-        while step:
-            candidate = max(k + step, 1.0)
-            if candidate == k or err(candidate) >= err(k):
-                break
-            k = candidate
-        delta /= 10.0
-    return KmaxSelection(
-        kmax_hat=k, visited=visited, final_step=delta, constraint_active=True
-    )
+    a, b, last = 0.0, math.log(k_ml), 0.0
+    best_f, best = (fa, a) if -fa <= fb else (fb, b)
+    n_max = math.ceil(math.log2(b / _KMAX_XTOL)) + 6  # six steps of slack over bisection
+    for j in range(n_max):
+        if b - a <= _KMAX_XTOL:
+            break
+        # projecting into [mid - r, mid + r] reaches the tolerance within n_max steps
+        mid = 0.5 * (a + b)
+        r = _KMAX_XTOL * 2.0 ** (n_max - j - 1) - 0.5 * (b - a)
+        c = min(max((a * fb - b * fa) / (fb - fa), mid - r), mid + r)
+        fc = mismatch(math.exp(c))
+        if abs(fc) < abs(best_f):
+            best_f, best = fc, c
+        # Illinois: halve the kept end's value when the same side moves twice
+        if fc < 0.0:
+            a, fa, fb = c, fc, fb * (0.5 if last < 0.0 else 1.0)
+        else:
+            b, fb, fa = c, fc, fa * (0.5 if last > 0.0 else 1.0)
+        last = fc
+    return KmaxSelection(math.exp(best), visited, math.exp(b) - math.exp(a))
 
 
 def select_loading(stats: SampleStats, lr0: float) -> float:
     """Diagonal loading factor whose loaded-sample LR matches ``lr0``.
 
-    The LR of ``beta I + S`` starts at 1 for ``beta = 0`` and decreases
-    monotonically toward 0, so a bracketing bisection applies; the bracket
-    is grown geometrically and monotonicity is checked on the samples seen
-    along the way.
+    On ``x = log beta`` the log LR of ``beta I + S`` is decreasing and
+    concave, with slope ``-sum t_i^2`` and curvature ``-2 sum t_i^2 (1 - t_i)``
+    for ``t_i = beta / (d_i + beta)``.  Halley steps on ``x`` start at a
+    closed-form lower bound of the root, bisect whenever a step leaves the
+    bracket and stop at ``|log lr - log lr0| <= 1e-9``.  Raises
+    :class:`NoRootError` for a singular sample covariance or when no finite
+    loading reaches ``lr0``.
     """
     if not 0 < lr0 < 1:
         raise InputError("lr0 must lie strictly inside (0, 1) for loading selection")
     d = stats.d
     if d[-1] <= 0:
-        raise NoRootError(
-            "sample covariance is singular; the loaded LR is identically zero"
-        )
+        raise NoRootError("sample covariance is singular; the loaded LR is identically zero")
     log_lr0 = math.log(lr0)
-
-    def loglr(beta: float) -> float:
-        return log_lr_value(d + beta, d)
-
-    lo, log_lo = 0.0, 0.0
-    hi = max(float(d[0]), stats.sigma2)
-    log_hi = loglr(hi)
-    expansions = [(lo, log_lo), (hi, log_hi)]
-    for _ in range(200):
-        if log_hi <= log_lr0:
-            break
-        hi *= 4.0
-        log_hi = loglr(hi)
-        expansions.append((hi, log_hi))
-    else:
-        raise NoRootError(f"no loading factor reaches lr0={lr0} after geometric expansion")
-    for (_, f_prev), (_, f_next) in zip(expansions, expansions[1:]):
-        if f_next > f_prev + 1e-12:
+    a, n, log_d_min, ratio = -log_lr0, len(d), math.log(d[-1]), d[-1] / d
+    # -log lr <= min(beta^2 sum(d_i^-2) / 2, N log(1 + beta / d_N)) bounds the
+    # root below and log lr <= N (1 - log beta) + sum(log d_i) above; x_hi has
+    # a spare nat so that a step onto a tight bound (flat d) stays inside
+    x_lo = max(
+        log_d_min + 0.5 * math.log(2.0 * a / float(ratio @ ratio)),
+        log_d_min + a / n + math.log(-math.expm1(-a / n)),
+    )
+    if x_lo > math.log(sys.float_info.max):
+        raise NoRootError(f"no finite loading factor reaches lr0={lr0}")
+    x_hi = min(2.0 + (float(np.log(d).sum()) + a) / n, math.log(sys.float_info.max))
+    x = x_lo
+    for _ in range(_LOADING_MAX_EVALS):
+        beta = math.exp(x)
+        f = log_lr_value(d + beta, d) - log_lr0
+        if abs(f) <= _LOADING_TOL:
+            return beta
+        if f > 0.0:
+            x_lo = x
+        elif x == x_lo:  # only the first point, the lower bound, can sit on x_lo
             raise NumericalError("loaded LR is not monotone in the loading factor")
-
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        log_mid = loglr(mid)
-        if abs(math.exp(log_mid) - lr0) <= 1e-8:
-            return mid
-        if log_mid > log_lr0:
-            lo = mid
         else:
-            hi = mid
-    raise NumericalError("loading bisection failed to reach the LR tolerance")
+            x_hi = x
+        t = beta / (d + beta)
+        tt = t * t
+        slope = -float(tt.sum())
+        den = 2.0 * slope * slope - 2.0 * f * (slope + float(tt @ t))
+        x_new = x - 2.0 * f * slope / den if den > 0.0 else math.nan
+        x = x_new if x_lo < x_new < x_hi else 0.5 * (x_lo + x_hi)
+    raise NumericalError("loading search failed to reach the log-LR tolerance")

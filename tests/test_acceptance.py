@@ -301,7 +301,7 @@ def test_criterion_08_kmax_monotone_and_walk_matches_grid():
         sel = select_kmax(stats, math.exp(log_lr0))
         km_star = float(grid[int(np.argmin(np.abs(logs - log_lr0)))])
         ok &= abs(sel.kmax_hat - km_star) <= 2e-3
-    report(8, "LR non-decreasing in the bound; walk matches grid argmin", ok, started)
+    report(8, "LR non-decreasing in the bound; selection matches grid argmin", ok, started)
     assert ok
 
 

@@ -207,6 +207,62 @@ class TestCnRandomized:
                     assert u2 <= u1 + 1e-12
 
 
+def bisect_u_oracle(dbar, kmax):
+    """Case and ``u*`` for ``dbar_1 > kmax``, bisecting the objective's slope.
+
+    The slope is differentiated term by term from the cap map and bisected
+    on ``[1/dbar_1, 1/kmax]`` until the midpoint no longer splits the bracket.
+    """
+
+    def slope(u):
+        lam = cn_lambda_map(u, dbar, kmax)
+        dlam = np.where(lam == kmax * u, kmax, np.where(lam == u, 1.0, 0.0))
+        return float(np.sum((dbar - 1.0 / lam) * dlam))
+
+    lo, hi = 1.0 / dbar[0], 1.0 / kmax
+    if slope(hi) <= 0.0:
+        return CnCase.BOUNDARY_U, hi
+    while lo < 0.5 * (lo + hi) < hi:
+        mid = 0.5 * (lo + hi)
+        if slope(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    best = min((lo, hi), key=lambda u: cncml_objective(u, dbar, kmax))
+    return CnCase.INTERIOR_U, best
+
+
+@pytest.mark.parametrize("n", [20, 64, 128, 256])
+def test_interior_u_matches_bisection_oracle_at_large_n(rng, n):
+    pinned = 0
+    for i in range(60):
+        sigma2 = float(rng.uniform(0.3, 3.0))
+        if i % 4 == 0:
+            # every dbar_i above dbar_1/kmax: no lower cap, root pinned at 1/dbar_1
+            kmax = float(rng.uniform(1.5, 20.0))
+            top = float(np.exp(rng.uniform(np.log(2.0 * kmax), np.log(1e4))))
+            dbar = np.concatenate([[top], rng.uniform(1.01 * top / kmax, top, n - 1)])
+        else:
+            n_hi = int(rng.integers(1, 8))
+            head = np.exp(rng.uniform(np.log(2.0), np.log(1e5), n_hi))
+            tail = rng.gamma(4.0, 0.25, n - n_hi)
+            dbar = np.concatenate([head, tail])
+            kmax = float(np.exp(rng.uniform(np.log(1.2), np.log(dbar.max()))))
+        dbar = np.sort(dbar)[::-1]
+        stats = stats_from_spectrum(dbar * sigma2, sigma2=sigma2)
+        res = cncml_u_star(stats, kmax)
+        case, u_oracle = bisect_u_oracle(stats.d / sigma2, kmax)
+        assert res.case_id is case
+        dbar = stats.d / sigma2
+        val_oracle = cncml_objective(u_oracle, dbar, kmax)
+        assert cncml_objective(res.u_star, dbar, kmax) <= val_oracle + 1e-12 * abs(val_oracle)
+        lam_oracle = sigma2 / cn_lambda_map(u_oracle, dbar, kmax)
+        lam = cncml(stats, kmax).lambdas
+        assert np.max(np.abs(lam - lam_oracle) / lam_oracle) <= 1e-9
+        pinned += res.u_star == 1.0 / dbar[0]
+    assert pinned >= 10
+
+
 class TestLsmi:
     def test_adds_loading(self):
         stats = stats_from_spectrum([3.0, 1.0])

@@ -10,6 +10,7 @@ from elcov import (
     InputError,
     NoRootError,
     SampleStats,
+    cncml,
     derive_rng,
     log_lr_value,
     lr_rcml,
@@ -265,6 +266,17 @@ class TestSelectKmax:
         with pytest.raises(InputError):
             select_kmax(stats_from_spectrum([2.0, 1.0]), 1.5)
 
+    def test_plateau_above_noise_floor_reaches_root(self):
+        # d_N > sigma2: the LR is flat at 1 for kmax in [d_1/d_N, d_1/sigma2],
+        # so the ML bound 8 has log LR 0 and the root lies below the plateau
+        stats = stats_from_spectrum([8.0, 2.0, 1.5])
+        sel = select_kmax(stats, 0.5)
+        log_lr = log_lr_value(cncml(stats, sel.kmax_hat).lambdas, stats.d)
+        assert sel.kmax_hat == pytest.approx(1.1668, abs=1e-4)
+        assert abs(log_lr - math.log(0.5)) <= 1e-9
+        assert sel.constraint_active
+        assert sel.final_step <= 1e-9 * sel.kmax_hat
+
 
 class TestSelectLoading:
     def test_zero_loading_is_unit_lr(self):
@@ -296,3 +308,71 @@ class TestSelectLoading:
         stats = stats_from_spectrum([2.0, 1.0])
         with pytest.raises(InputError):
             select_loading(stats, 1.0)
+
+    def test_log_domain_tolerance_at_n64(self):
+        # lr0 = 1e-9 lies below any linear-domain tolerance of 1e-8, so the
+        # match must be made on log lr
+        n, k = 64, 128
+        z = sample_training(np.eye(n, dtype=complex), k, derive_rng(64, "white"))
+        stats = SampleStats.from_sample_covariance(sample_covariance(z), k, sigma2=1.0)
+        beta = select_loading(stats, 1e-9)
+        assert abs(log_lr_value(stats.d + beta, stats.d) - math.log(1e-9)) <= 1e-9
+
+
+def _spectrum(rng, n, sigma2):
+    """Random descending spectrum: spread, tied, above the floor, or flat."""
+    kind = int(rng.integers(0, 4))
+    if kind == 0:
+        d = np.exp(rng.uniform(np.log(1e-3), np.log(1e4), n)) * sigma2
+    elif kind == 1:
+        d = rng.choice(np.exp(rng.uniform(np.log(0.05), np.log(1e3), 3)), n) * sigma2
+    elif kind == 2:
+        d = np.exp(rng.uniform(np.log(1.01), np.log(1e3), n)) * sigma2
+    else:
+        d = np.full(n, float(rng.uniform(0.1, 10.0)) * sigma2)
+    return np.sort(d)[::-1]
+
+
+def test_root_selectors_never_raise_and_stay_bounded(rng, monkeypatch):
+    """Valid spectra (N = 2..256, ties, d_N on either side of sigma2) and lr0
+    from 1e-300 to 1 - 1e-12: no error, at most 60 LR evaluations per call,
+    and the LR matched; only a singular covariance raises, in loading."""
+    import elcov.selection as selection
+
+    evals = [0]
+
+    def counting(est_lambdas, sample_lambdas):
+        evals[0] += 1
+        return log_lr_value(est_lambdas, sample_lambdas)
+
+    monkeypatch.setattr(selection, "log_lr_value", counting)
+    log_lr0s = [math.log(1e-300), math.log1p(-1e-12)] + list(
+        -(10.0 ** rng.uniform(-12.0, math.log10(690.0), 298))
+    )
+    for i, log_lr0 in enumerate(log_lr0s):
+        n = int(rng.integers(2, 257))
+        sigma2 = float(rng.uniform(0.1, 10.0))
+        d = _spectrum(rng, n, sigma2)
+        stats = stats_from_spectrum(d, sigma2=sigma2)
+        lr0 = math.exp(log_lr0)
+
+        evals[0] = 0
+        sel = select_kmax(stats, lr0)
+        assert evals[0] <= 60
+        k_ml = max(d[0] / sigma2, 1.0)
+        assert 1.0 <= sel.kmax_hat <= k_ml * (1.0 + 1e-12)
+        if 1.0 < sel.kmax_hat < k_ml:
+            log_lr = log_lr_value(cncml(stats, sel.kmax_hat).lambdas, d)
+            assert abs(log_lr - log_lr0) <= 1e-6
+
+        evals[0] = 0
+        beta = select_loading(stats, lr0)
+        assert evals[0] <= 60
+        assert beta > 0.0
+        assert abs(log_lr_value(d + beta, d) - log_lr0) <= 1e-9
+
+        if i % 10 == 0:
+            singular = stats_from_spectrum(np.concatenate([d[:-1], [0.0]]), sigma2=sigma2)
+            select_kmax(singular, lr0)
+            with pytest.raises(NoRootError):
+                select_loading(singular, lr0)
