@@ -41,7 +41,7 @@ training = generate_training(r_true, k, None, derive_rng(3, "training"))
 stats = SampleStats.from_sample_covariance(sample_covariance(training.z), k, 1.0)
 
 lr0 = lr0_reference(scenario.n, k, trials=20000, seed=1).lr0
-r_hat = select_rank(stats, scenario.jammer_count, lr0).r_hat
+r_hat = select_rank(stats, lr0).r_hat
 estimates = [("SMI", smi(stats)), ("FML", fml(stats)), (f"RCML r={r_hat}", rcml(stats, r_hat))]
 
 angles = np.arange(-80.0, 90.0, 20.0)

@@ -15,10 +15,10 @@ import io
 import math
 import sys
 
-from .estimators import SampleStats, cncml, condition_number, fml, rcml, smi
+from .estimators import SampleStats, condition_number
 from .exceptions import InputError, NumericalError
-from .harness import load_experiment_config, run_experiment
-from .likelihood import log_lr_value, lr0_load, lr0_reference, lr0_store
+from .harness import EstimatorSpec, build_estimate, load_experiment_config, run_experiment
+from .likelihood import log_lr_value, lr0_lookup, lr0_reference, lr0_store
 from .metrics import normalized_sinr
 from .scenario import matrix_load, read_cmat, steering_vector
 from .selection import select_kmax, select_loading, select_rank, select_rank_sigma
@@ -65,25 +65,25 @@ def _require_sigma2(args, context: str) -> None:
         raise InputError(f"--sigma2 is required for {context}")
 
 
+# --method -> (estimator name, option holding its parameter)
+_METHODS = {
+    "smi": ("SMI", None),
+    "fml": ("FML", None),
+    "rcml": ("RCML_FIXED", "rank"),
+    "cncml": ("CNCML_FIXED", "kmax"),
+}
+
+
 def _cmd_estimate(args) -> int:
     method = args.method
     if method != "smi":
         _require_sigma2(args, f"method {method}")
     stats = _load_stats(args)
-    if method == "smi":
-        est = smi(stats)
-    elif method == "fml":
-        est = fml(stats)
-    elif method == "rcml":
-        if args.rank is None:
-            raise InputError("--rank is required for method rcml")
-        est = rcml(stats, args.rank)
-    elif method == "cncml":
-        if args.kmax is None:
-            raise InputError("--kmax is required for method cncml")
-        est = cncml(stats, args.kmax)
-    else:
-        raise InputError(f"unknown method {method!r}")
+    name, option = _METHODS[method]
+    param = getattr(args, option) if option else None
+    if option and param is None:
+        raise InputError(f"--{option} is required for method {method}")
+    est = build_estimate(EstimatorSpec(name, param), stats)
     log_lr = log_lr_value(est.lambdas, stats.d)
     pairs = [("method", method), ("n", stats.n), ("k", stats.k)]
     con = est.constraints
@@ -101,32 +101,19 @@ def _cmd_estimate(args) -> int:
     return 0
 
 
-def _resolve_lr0(args, n: int) -> float:
-    if args.lr0 is not None:
-        return args.lr0
-    if args.lr0_table is not None:
-        ref = lr0_load(n, args.k, args.lr0_table)
-        if ref is not None:
-            return ref.lr0
-        if args.no_autocompute:
-            raise InputError(
-                f"no lr0 table entry for (n={n}, k={args.k}) and autocompute is disabled"
-            )
-        ref = lr0_reference(n, args.k, trials=args.lr0_trials, seed=args.seed)
-        lr0_store(ref, args.lr0_table)
-        return ref.lr0
-    raise InputError("provide --lr0 or --lr0-table")
-
-
 def _cmd_select(args) -> int:
     mode = args.mode
     if mode in ("rank", "kmax"):
         _require_sigma2(args, f"mode {mode}")
     stats = _load_stats(args)
-    lr0 = _resolve_lr0(args, stats.n)
+    if args.lr0 is None and args.lr0_table is None:
+        raise InputError("provide --lr0 or --lr0-table")
+    lr0 = args.lr0 if args.lr0 is not None else lr0_lookup(
+        stats.n, args.k, args.lr0_table, args.lr0_trials, args.seed, not args.no_autocompute
+    )
     pairs = [("mode", mode), ("n", stats.n), ("k", stats.k), ("lr0", f"{lr0:.12g}")]
     if mode == "rank":
-        sel = select_rank(stats, args.r_init, lr0)
+        sel = select_rank(stats, lr0)
         pairs.append(("r_hat", sel.r_hat))
         pairs.append(("visited_r", ",".join(str(r) for r, _ in sel.visited)))
         pairs.append(("visited_lr", _float_list(lr for _, lr in sel.visited)))
@@ -211,7 +198,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sel.add_argument("--k", type=int, required=True)
     p_sel.add_argument("--mode", required=True, choices=("rank", "rank-sigma", "kmax", "loading"))
     p_sel.add_argument("--sigma2", type=float, default=None)
-    p_sel.add_argument("--r-init", type=int, default=0, help="initial rank guess")
+    p_sel.add_argument("--r-init", type=int, default=0, help="initial rank for rank-sigma")
     p_sel.add_argument("--lr0", type=float, default=None, help="reference LR value")
     p_sel.add_argument("--lr0-table", default=None, help="LR0TABLE file for lookup")
     p_sel.add_argument("--lr0-trials", type=int, default=20000)

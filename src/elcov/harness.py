@@ -14,15 +14,16 @@ import configparser
 import csv
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .estimators import SampleStats, cncml, fml, lsmi, rcml, smi
+from .estimators import CovarianceEstimate, SampleStats, cncml, fml, lsmi, rcml, smi
 from .exceptions import InputError
 from .hermitian import derive_rng, eig_hermitian, sample_covariance
-from .likelihood import lr0_load, lr0_reference, lr0_store
+from .likelihood import lr0_lookup
 from .metrics import apply_inverse
 from .scenario import (
     CorruptionSpec,
@@ -37,14 +38,39 @@ __all__ = [
     "EstimatorSpec",
     "ExperimentConfig",
     "TrialRecord",
+    "build_estimate",
     "default_steering_grid",
     "load_experiment_config",
     "run_experiment",
 ]
 
-_PLAIN_ESTIMATORS = ("SMI", "FML", "RCML_EL", "RCML_EL_SIGMA", "CNCML_ML", "CNCML_EL", "LSMI_EL")
-_PARAM_ESTIMATORS = ("RCML_FIXED", "CNCML_FIXED")
-_NEEDS_LR0 = ("RCML_EL", "RCML_EL_SIGMA", "CNCML_EL", "LSMI_EL")
+
+class _Estimator(NamedTuple):
+    takes_param: bool
+    needs_lr0: bool
+    build: Callable[..., CovarianceEstimate]  # (stats, param, lr0, joint)
+
+
+def _rcml_el_sigma(stats, param, lr0, joint):
+    r_init, training, nmf_steering = joint
+    sel = select_rank_sigma(stats.s_eig, stats.k, r_init, lr0, training, nmf_steering)
+    return rcml(replace(stats, sigma2=sel.sigma2_hat), sel.r_hat)
+
+
+# the one estimator dispatch; the CLI's estimate command uses it too
+_ESTIMATORS = {
+    "SMI": _Estimator(False, False, lambda s, p, lr0, j: smi(s)),
+    "FML": _Estimator(False, False, lambda s, p, lr0, j: fml(s)),
+    "RCML_FIXED": _Estimator(True, False, lambda s, p, lr0, j: rcml(s, int(p))),
+    "RCML_EL": _Estimator(False, True, lambda s, p, lr0, j: rcml(s, select_rank(s, lr0).r_hat)),
+    "RCML_EL_SIGMA": _Estimator(False, True, _rcml_el_sigma),
+    "CNCML_ML": _Estimator(
+        False, False, lambda s, p, lr0, j: cncml(s, max(float(s.d[0] / s.sigma2), 1.0))
+    ),
+    "CNCML_FIXED": _Estimator(True, False, lambda s, p, lr0, j: cncml(s, float(p))),
+    "CNCML_EL": _Estimator(False, True, lambda s, p, lr0, j: select_kmax(s, lr0).estimate),
+    "LSMI_EL": _Estimator(False, True, lambda s, p, lr0, j: lsmi(s, select_loading(s, lr0))),
+}
 
 
 @dataclass(frozen=True)
@@ -67,15 +93,13 @@ class EstimatorSpec:
             except ValueError as exc:
                 raise InputError(f"malformed estimator parameter in {text!r}") from exc
         name = token.strip().upper()
-        if name in _PARAM_ESTIMATORS:
-            if param is None:
-                raise InputError(f"estimator {name} requires a parameter, e.g. {name}(5)")
-        elif name in _PLAIN_ESTIMATORS:
-            if param is not None:
-                raise InputError(f"estimator {name} takes no parameter")
-        else:
-            known = ", ".join(_PLAIN_ESTIMATORS + _PARAM_ESTIMATORS)
-            raise InputError(f"unknown estimator {text!r}; known: {known}")
+        if name not in _ESTIMATORS:
+            raise InputError(f"unknown estimator {text!r}; known: {', '.join(_ESTIMATORS)}")
+        takes_param = _ESTIMATORS[name].takes_param
+        if takes_param and param is None:
+            raise InputError(f"estimator {name} requires a parameter, e.g. {name}(5)")
+        if not takes_param and param is not None:
+            raise InputError(f"estimator {name} takes no parameter")
         return cls(name=name, param=param)
 
     def __str__(self) -> str:
@@ -152,44 +176,12 @@ def _lr0_seed(master_seed: int, n: int, k: int) -> int:
     return int(ss.generate_state(1)[0])
 
 
-def _ensure_lr0(cfg: ExperimentConfig, n: int, k: int) -> float:
-    if cfg.lr0_table_path is not None:
-        ref = lr0_load(n, k, cfg.lr0_table_path)
-        if ref is not None:
-            return ref.lr0
-    if not cfg.autocompute_lr0:
-        raise InputError(
-            f"no lr0 table entry for (n={n}, k={k}) and autocompute is disabled"
-        )
-    ref = lr0_reference(n, k, trials=cfg.lr0_trials, seed=_lr0_seed(cfg.master_seed, n, k))
-    if cfg.lr0_table_path is not None:
-        lr0_store(ref, cfg.lr0_table_path)
-    return ref.lr0
-
-
-def _build_estimate(spec, eig, k, sigma2, lr0, r_init, training, nmf_steering):
-    stats = SampleStats(n=eig.n, k=k, s_eig=eig, sigma2=sigma2)
-    if spec.name == "SMI":
-        return smi(stats)
-    if spec.name == "FML":
-        return fml(stats)
-    if spec.name == "RCML_FIXED":
-        return rcml(stats, int(spec.param))
-    if spec.name == "RCML_EL":
-        return rcml(stats, select_rank(stats, r_init, lr0).r_hat)
-    if spec.name == "RCML_EL_SIGMA":
-        joint = select_rank_sigma(eig, k, r_init, lr0, training, nmf_steering)
-        joint_stats = SampleStats(n=eig.n, k=k, s_eig=eig, sigma2=joint.sigma2_hat)
-        return rcml(joint_stats, joint.r_hat)
-    if spec.name == "CNCML_ML":
-        return cncml(stats, max(float(stats.d[0] / sigma2), 1.0))
-    if spec.name == "CNCML_FIXED":
-        return cncml(stats, float(spec.param))
-    if spec.name == "CNCML_EL":
-        return cncml(stats, select_kmax(stats, lr0).kmax_hat)
-    if spec.name == "LSMI_EL":
-        return lsmi(stats, select_loading(stats, lr0))
-    raise InputError(f"unknown estimator {spec.name}")
+def build_estimate(
+    spec: EstimatorSpec, stats: SampleStats, lr0=None, joint=None
+) -> CovarianceEstimate:
+    """Estimate named by ``spec``; ``lr0`` feeds the selectors and ``joint``,
+    ``(r_init, training, nmf_steering)``, feeds ``RCML_EL_SIGMA`` only."""
+    return _ESTIMATORS[spec.name].build(stats, spec.param, lr0, joint)
 
 
 def _mean_sinr_db(est, r_true, steer, den_true) -> float:
@@ -215,10 +207,13 @@ def run_experiment(cfg: ExperimentConfig) -> list[TrialRecord]:
     steer = np.column_stack([steering_vector(n, a) for a in angles])
     den_true = np.abs(np.sum(steer.conj() * apply_inverse(r_true, steer), axis=0))
 
-    lr0_by_k: dict[int, float | None] = {}
-    needs_lr0 = any(spec.name in _NEEDS_LR0 for spec in cfg.estimators)
-    for k in cfg.k_list:
-        lr0_by_k[k] = _ensure_lr0(cfg, n, k) if needs_lr0 else None
+    needs_lr0 = any(_ESTIMATORS[spec.name].needs_lr0 for spec in cfg.estimators)
+    lr0_by_k = {
+        k: lr0_lookup(n, k, cfg.lr0_table_path, cfg.lr0_trials,
+                      _lr0_seed(cfg.master_seed, n, k), cfg.autocompute_lr0)
+        if needs_lr0 else None
+        for k in cfg.k_list
+    }
 
     r_init = cfg.r_init if cfg.r_init is not None else scenario.jammer_count
     nmf_steering = steering_vector(n, cfg.nmf_angle)
@@ -229,12 +224,11 @@ def run_experiment(cfg: ExperimentConfig) -> list[TrialRecord]:
             rng = derive_rng(cfg.master_seed, "trial", k, trial)
             training = generate_training(r_true, k, cfg.corruption, rng)
             eig = eig_hermitian(sample_covariance(training.z))
+            stats = SampleStats(n=n, k=k, s_eig=eig, sigma2=scenario.noise_power)
+            joint = (r_init, training.z, nmf_steering)
             for spec in cfg.estimators:
                 start = time.perf_counter()
-                est = _build_estimate(
-                    spec, eig, k, scenario.noise_power, lr0_by_k[k],
-                    r_init, training.z, nmf_steering,
-                )
+                est = build_estimate(spec, stats, lr0_by_k[k], joint)
                 sinr_db = _mean_sinr_db(est, r_true, steer, den_true)
                 elapsed = time.perf_counter() - start
                 con = est.constraints

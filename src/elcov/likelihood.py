@@ -33,6 +33,7 @@ __all__ = [
     "log_lr_rcml",
     "log_lr_value",
     "lr0_load",
+    "lr0_lookup",
     "lr0_reference",
     "lr0_store",
     "lr_matrix",
@@ -250,6 +251,25 @@ def lr0_load(n: int, k: int, path) -> LRReference | None:
             stacklevel=2,
         )
     return matches[-1]
+
+
+def lr0_lookup(n: int, k: int, table, trials: int, seed: int, autocompute: bool = True) -> float:
+    """Reference median for ``(n, k)``: loaded from ``table``, else computed.
+
+    A missing entry is simulated with ``trials`` and ``seed`` and appended
+    to ``table``; with no table it is simulated and not stored.  Raises
+    :class:`InputError` instead of simulating when ``autocompute`` is off.
+    """
+    if table is not None:
+        ref = lr0_load(n, k, table)
+        if ref is not None:
+            return ref.lr0
+    if not autocompute:
+        raise InputError(f"no lr0 table entry for (n={n}, k={k}) and autocompute is disabled")
+    ref = lr0_reference(n, k, trials=trials, seed=seed)
+    if table is not None:
+        lr0_store(ref, table)
+    return ref.lr0
 
 
 class LambertBranch(enum.Enum):

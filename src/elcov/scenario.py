@@ -14,7 +14,7 @@ appear in practice; the unnormalized form is the default.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -159,11 +159,10 @@ class CorruptionSpec:
 
 @dataclass
 class TrainingSet:
-    """Training matrix plus bookkeeping about how it was produced."""
+    """Training matrix plus the indices of its corrupted columns."""
 
     z: np.ndarray
     corrupted_indices: tuple[int, ...]
-    scenario: dict = field(default_factory=dict)
 
 
 def generate_training(
@@ -187,12 +186,7 @@ def generate_training(
             picks = np.sort(rng.choice(k, size=count, replace=False))
             z[:, picks] += corruption.amplitude * corruption.steering[:, None]
             corrupted = tuple(int(i) for i in picks)
-    provenance = {
-        "k": k,
-        "corrupted": len(corrupted),
-        "amplitude": corruption.amplitude if corruption is not None else 0.0,
-    }
-    return TrainingSet(z=z, corrupted_indices=corrupted, scenario=provenance)
+    return TrainingSet(z=z, corrupted_indices=corrupted)
 
 
 _CMAT_HEADER = "CMAT v1"

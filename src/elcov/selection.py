@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import SampleStats, cncml, rcml
+from .estimators import CovarianceEstimate, SampleStats, cncml, rcml
 from .exceptions import ConvergenceError, InputError, NoRootError, NumericalError
 from .hermitian import EigenDecomposition
 from .likelihood import (
@@ -44,63 +44,34 @@ __all__ = [
 
 @dataclass
 class RankSelection:
-    """Outcome of the rank walk: best rank plus the evaluated trail."""
+    """Selected rank plus the LR at every rank ``0..p`` (``p = #{d_i > sigma2}``)."""
 
     r_hat: int
     visited: list[tuple[int, float]]
     lr0: float
 
 
-def select_rank(stats: SampleStats, r_init: int, lr0: float) -> RankSelection:
+def select_rank(stats: SampleStats, lr0: float) -> RankSelection:
     """Pick the rank whose constrained-estimate LR is closest to ``lr0``.
 
-    The matching distance is ``|log lr(r) - log lr0|``: the LR changes by
-    orders of magnitude per rank step around the effective rank, so the
-    ratio to the reference is the meaningful scale (raw differences
-    ``|lr - lr0|`` saturate at ``lr0`` on the undershoot side and would
-    always prefer it).  Because the LR is non-decreasing in the rank,
-    stepping toward the ``lr(r) = lr0`` crossing and comparing its two
-    neighbours yields the global optimum.  Ties, including equal-estimate
-    plateaus, resolve to the smallest rank.
+    Ranks at or above ``p = #{d_i > sigma2}`` all give the FML estimate.  For
+    ``r <= p`` the log LR is the suffix sum
+    ``sum_{i >= r} [log(d_i/sigma2) + 1 - d_i/sigma2]`` (the tail profile at
+    ``t = sigma2``), so every rank is scored at once and the first argmin of
+    ``|log lr(r) - log lr0|`` over ``0..p`` is the global optimum with ties,
+    including equal-estimate plateaus, resolved to the smallest rank.  The
+    mismatch is taken on log LR because the LR changes by orders of
+    magnitude per rank step around the effective rank.
     """
     if not 0 < lr0 <= 1:
         raise InputError("lr0 must lie in (0, 1]")
-    n = stats.n
-    if not 0 <= r_init <= n:
-        raise InputError(f"initial rank {r_init} outside [0, {n}]")
-    log_lr0 = math.log(lr0)
-    cache: dict[int, float] = {}
-
-    def loglr(r: int) -> float:
-        if r not in cache:
-            cache[r] = log_lr_rcml(stats, r)
-        return cache[r]
-
-    def err(r: int) -> float:
-        return abs(loglr(r) - log_lr0)
-
-    r = r_init
-    if loglr(r) < log_lr0:
-        # climb while strictly below the target and the LR still grows
-        while r < n and loglr(r) < log_lr0 and loglr(r + 1) > loglr(r):
-            r += 1
-        if loglr(r) < log_lr0:
-            # topped out on the terminal plateau; slide to its smallest rank
-            while r > 0 and loglr(r - 1) == loglr(r):
-                r -= 1
-            r_hat = r
-        else:
-            r_hat = min((r - 1, r), key=lambda rr: (err(rr), rr))
-    elif loglr(r) > log_lr0:
-        while r > 0 and loglr(r) > log_lr0:
-            r -= 1
-        if loglr(r) > log_lr0:
-            r_hat = 0
-        else:
-            r_hat = min((r, r + 1), key=lambda rr: (err(rr), rr))
-    else:
-        r_hat = r
-    visited = [(rank, math.exp(cache[rank])) for rank in sorted(cache)]
+    x = stats.d / stats.sigma2
+    p = int(np.count_nonzero(x > 1.0))
+    with np.errstate(divide="ignore"):
+        terms = np.log(x) + 1.0 - x
+    log_lr = np.append(np.cumsum(terms[::-1])[::-1], 0.0)[: p + 1]
+    r_hat = int(np.argmin(np.abs(log_lr - math.log(lr0))))
+    visited = [(r, math.exp(v)) for r, v in enumerate(log_lr.tolist())]
     return RankSelection(r_hat=r_hat, visited=visited, lr0=lr0)
 
 
@@ -180,11 +151,14 @@ def select_rank_sigma(
 ) -> JointSelection:
     """Alternating selection of rank and noise power.
 
-    Repeats: raise the rank until noise-power roots exist, set the noise
-    power to the trailing mean, re-select the rank at that noise power.
-    Converges when the rank repeats; then the noise-power candidates (the
-    ML value plus up to two matching roots) are scored by the mean matched
-    filter statistic over the target-free training columns and the
+    Each rank is climbed to the smallest rank at or above it whose noise
+    power roots exist (at most ``n - 1``).  Starting from the climbed
+    ``r_init`` it repeats: set the noise power to the trailing mean,
+    re-select the rank at that noise power and climb it.  Converges when the
+    climbed rank repeats, so a lower rank without roots climbs back to the
+    current one and ends the alternation there.  The noise-power candidates
+    (the ML value plus up to two matching roots) are then scored by the mean
+    matched filter statistic over the target-free training columns and the
     smallest mean wins.  Needs dimension at least 2 so the trailing mean
     stays defined.
     """
@@ -201,27 +175,27 @@ def select_rank_sigma(
     if steering.shape != (n,) or abs(np.linalg.norm(steering) - 1.0) > 1e-6:
         raise InputError("steering must be a unit-norm length-n vector")
 
-    r = min(max(int(r_init), 0), n - 1)
-    trajectory: list[tuple[int, float, int]] = []
-    iterations = 0
-    converged = False
-    for iterations in range(1, max_iter + 1):
-        while r < n - 1 and sigma_el_roots(d, r, lr0).count == 0:
+    def climb(r: int) -> tuple[int, NoiseRoots]:
+        roots = sigma_el_roots(d, r, lr0)
+        while r < n - 1 and roots.count == 0:
             r += 1
-        sig = sigma_ml(d, r)
-        stats = SampleStats(n=n, k=k, s_eig=s_eig, sigma2=sig)
-        r_new = min(select_rank(stats, r, lr0).r_hat, n - 1)
-        trajectory.append((r, sig, r_new))
+            roots = sigma_el_roots(d, r, lr0)
+        return r, roots
+
+    r, roots = climb(min(max(int(r_init), 0), n - 1))
+    trajectory: list[tuple[int, float, int]] = []
+    for iterations in range(1, max_iter + 1):
+        stats = SampleStats(n=n, k=k, s_eig=s_eig, sigma2=roots.sigma_ml)
+        r_new, roots_new = climb(min(select_rank(stats, lr0).r_hat, n - 1))
+        trajectory.append((r, roots.sigma_ml, r_new))
         if r_new == r:
-            converged = True
             break
-        r = r_new
-    if not converged:
+        r, roots = r_new, roots_new
+    else:
         raise ConvergenceError(
             f"rank did not stabilize within {max_iter} iterations", trajectory=trajectory
         )
 
-    roots = sigma_el_roots(d, r, lr0)
     candidates = [("ML", roots.sigma_ml)]
     if roots.count == 2:
         candidates.append(("EL1", roots.roots[0]))
@@ -239,9 +213,13 @@ def select_rank_sigma(
 
 @dataclass
 class KmaxSelection:
-    """Root-solve outcome; ``final_step`` is the final bracket width on ``kmax``."""
+    """Root-solve outcome; ``final_step`` is the final bracket width on ``kmax``.
+
+    ``estimate`` is the condition-number estimate built at ``kmax_hat``.
+    """
 
     kmax_hat: float
+    estimate: CovarianceEstimate
     visited: list[tuple[float, float]]
     final_step: float
     constraint_active: bool = True
@@ -269,20 +247,21 @@ def select_kmax(stats: SampleStats, lr0: float) -> KmaxSelection:
     k_ml = max(float(d[0] / stats.sigma2), 1.0)
     visited: list[tuple[float, float]] = []
 
-    def mismatch(km: float) -> float:
-        val = log_lr_value(cncml(stats, km).lambdas, d)
+    def mismatch(km: float) -> tuple[float, float, CovarianceEstimate]:
+        est = cncml(stats, km)
+        val = log_lr_value(est.lambdas, d)
         visited.append((km, math.exp(val)))
-        return val - log_lr0
+        return val - log_lr0, km, est
 
-    fb = mismatch(k_ml)
+    fb, _, est_b = top = mismatch(k_ml)
     if fb <= 0.0 or d[0] <= stats.sigma2:
-        return KmaxSelection(k_ml, visited, 0.0, constraint_active=bool(d[0] > stats.sigma2))
-    fa = mismatch(1.0)
+        return KmaxSelection(k_ml, est_b, visited, 0.0, bool(d[0] > stats.sigma2))
+    fa, _, est_a = bottom = mismatch(1.0)
     if fa >= 0.0:
-        return KmaxSelection(1.0, visited, 0.0)
+        return KmaxSelection(1.0, est_a, visited, 0.0)
 
     a, b, last = 0.0, math.log(k_ml), 0.0
-    best_f, best = (fa, a) if -fa <= fb else (fb, b)
+    best = bottom if -fa <= fb else top
     n_max = math.ceil(math.log2(b / _KMAX_XTOL)) + 6  # six steps of slack over bisection
     for j in range(n_max):
         if b - a <= _KMAX_XTOL:
@@ -291,16 +270,17 @@ def select_kmax(stats: SampleStats, lr0: float) -> KmaxSelection:
         mid = 0.5 * (a + b)
         r = _KMAX_XTOL * 2.0 ** (n_max - j - 1) - 0.5 * (b - a)
         c = min(max((a * fb - b * fa) / (fb - fa), mid - r), mid + r)
-        fc = mismatch(math.exp(c))
-        if abs(fc) < abs(best_f):
-            best_f, best = fc, c
+        point = mismatch(math.exp(c))
+        fc = point[0]
+        if abs(fc) < abs(best[0]):
+            best = point
         # Illinois: halve the kept end's value when the same side moves twice
         if fc < 0.0:
             a, fa, fb = c, fc, fb * (0.5 if last < 0.0 else 1.0)
         else:
             b, fb, fa = c, fc, fa * (0.5 if last > 0.0 else 1.0)
         last = fc
-    return KmaxSelection(math.exp(best), visited, math.exp(b) - math.exp(a))
+    return KmaxSelection(best[1], best[2], visited, math.exp(b) - math.exp(a))
 
 
 def select_loading(stats: SampleStats, lr0: float) -> float:

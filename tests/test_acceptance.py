@@ -314,12 +314,12 @@ def test_criterion_09_rank_selection_optimality():
         d = np.sort(rng.gamma(1.5, 3.0, n))[::-1]
         stats = stats_of(d, 2 * n, float(rng.uniform(0.3, 3.0)))
         lr0 = float(rng.uniform(1e-6, 1.0))
-        r_init = int(rng.integers(0, n + 1))
-        sel = select_rank(stats, r_init, lr0)
+        rng.integers(0, n + 1)  # the former start rank; keeps the drawn cases unchanged
+        sel = select_rank(stats, lr0)
         log_lr0 = math.log(lr0)
         errs = [abs(log_lr_rcml(stats, r) - log_lr0) for r in range(n + 1)]
         ok &= sel.r_hat == int(np.argmin(errs))
-    report(9, "stepwise rank selection equals exhaustive scan", ok, started)
+    report(9, "closed-form rank selection equals exhaustive scan", ok, started)
     assert ok
 
 
@@ -335,7 +335,7 @@ def test_criterion_10_planted_rank_recovery(scenario):
         stats = SampleStats.from_sample_covariance(
             sample_covariance(training.z), 40, scenario.noise_power
         )
-        r_hat = select_rank(stats, scenario.jammer_count, lr0).r_hat
+        r_hat = select_rank(stats, lr0).r_hat
         hits += int(3 <= r_hat <= 7)
     ok = hits >= 90
     report(10, "selected rank stays in the planted window", ok, started, f"{hits}/100 in [3,7]")

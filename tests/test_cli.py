@@ -92,7 +92,7 @@ class TestSelectCommand:
         path, d = sample_cov
         stats = stats_from_spectrum(d, k=8)
         lr0 = 0.4
-        expected = select_rank(stats, 0, lr0).r_hat
+        expected = select_rank(stats, lr0).r_hat
         code = cli(["select", "--input", str(path), "--k", "8", "--mode", "rank",
                     "--sigma2", "1.0", "--r-init", "0", "--lr0", str(lr0)])
         assert code == 0

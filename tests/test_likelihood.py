@@ -24,7 +24,7 @@ from elcov import (
     rcml,
     sqrt_factor,
 )
-from elcov.likelihood import LRReference, log_tail_lr
+from elcov.likelihood import LRReference, log_tail_lr, lr0_lookup
 
 BRANCH_POINT = -1.0 / math.e
 
@@ -243,6 +243,15 @@ class TestLr0Table:
         )
         lr0_store(ref, path)
         assert lr0_load(2, 4, path).lr0 == ref.lr0
+
+    def test_lookup_computes_once_then_loads(self, tmp_path):
+        path = tmp_path / "table.txt"
+        with pytest.raises(InputError, match="autocompute is disabled"):
+            lr0_lookup(3, 8, path, trials=500, seed=4, autocompute=False)
+        lr0 = lr0_lookup(3, 8, path, trials=500, seed=4)
+        assert lr0 == lr0_reference(3, 8, trials=500, seed=4).lr0
+        assert lr0_lookup(3, 8, path, trials=500, seed=5, autocompute=False) == lr0
+        assert lr0_lookup(3, 8, None, trials=500, seed=4) == lr0
 
 
 class TestLambertW:

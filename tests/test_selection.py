@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import stats_from_spectrum
+from conftest import reference_scenario, stats_from_spectrum
 from elcov import (
     ConvergenceError,
     EigenDecomposition,
@@ -12,7 +12,11 @@ from elcov import (
     SampleStats,
     cncml,
     derive_rng,
+    eig_hermitian,
+    generate_training,
+    jammer_covariance,
     log_lr_value,
+    lr0_reference,
     lr_rcml,
     sample_covariance,
     sample_training,
@@ -39,12 +43,11 @@ class TestSelectRank:
     def test_boundary_clamp_low(self):
         stats = stats_from_spectrum([5.0, 3.0, 0.5])
         tiny = 0.5 * lr_rcml(stats, 0)
-        assert select_rank(stats, 2, tiny).r_hat == 0
+        assert select_rank(stats, tiny).r_hat == 0
 
     def test_plateau_picks_smallest(self):
         stats = stats_from_spectrum([5.0, 3.0, 0.5, 0.2])
-        for r_init in range(5):
-            assert select_rank(stats, r_init, 1.0).r_hat == 2
+        assert select_rank(stats, 1.0).r_hat == 2
 
     def test_matches_exhaustive_oracle(self, rng):
         for _ in range(200):
@@ -52,8 +55,8 @@ class TestSelectRank:
             d = np.sort(rng.gamma(1.5, 3.0, n))[::-1]
             stats = stats_from_spectrum(d, sigma2=float(rng.uniform(0.3, 3.0)))
             lr0 = float(rng.uniform(1e-6, 1.0))
-            r_init = int(rng.integers(0, n + 1))
-            sel = select_rank(stats, r_init, lr0)
+            rng.integers(0, n + 1)  # the former start rank; keeps the drawn cases unchanged
+            sel = select_rank(stats, lr0)
             log_lr0 = math.log(lr0)
             errs = [abs(log_lr_rank(stats, r) - log_lr0) for r in range(n + 1)]
             assert sel.r_hat == int(np.argmin(errs))
@@ -61,7 +64,7 @@ class TestSelectRank:
     def test_visited_invariant(self, rng):
         d = np.sort(rng.gamma(1.5, 3.0, 10))[::-1]
         stats = stats_from_spectrum(d)
-        sel = select_rank(stats, 5, 0.3)
+        sel = select_rank(stats, 0.3)
         best = abs(math.log(max(sel.visited[0][1], 1e-300)) - math.log(0.3))
         for r, lr in sel.visited:
             err = abs(math.log(max(lr, 1e-300)) - math.log(0.3))
@@ -70,22 +73,33 @@ class TestSelectRank:
         for r, lr in sel.visited:
             assert best <= abs(math.log(max(lr, 1e-300)) - math.log(0.3)) + 1e-12
 
+    def test_visited_scores_every_rank_up_to_fml(self, rng):
+        d = np.sort(rng.gamma(1.5, 3.0, 12))[::-1]
+        stats = stats_from_spectrum(d, sigma2=1.5)
+        p = int(np.count_nonzero(d > 1.5))
+        sel = select_rank(stats, 0.3)
+        assert [r for r, _ in sel.visited] == list(range(p + 1))
+        for r, lr in sel.visited:
+            assert lr == pytest.approx(math.exp(log_lr_rank(stats, r)), rel=1e-9)
+
+    def test_singular_sample_picks_rank_zero(self):
+        # every rank has LR 0 (log LR -inf); the tie resolves to the smallest rank
+        assert select_rank(stats_from_spectrum([3.0, 2.0, 0.0]), 0.5).r_hat == 0
+
     def test_input_validation(self):
         stats = stats_from_spectrum([2.0, 1.0])
         with pytest.raises(InputError):
-            select_rank(stats, 0, 0.0)
-        with pytest.raises(InputError):
-            select_rank(stats, 5, 0.5)
+            select_rank(stats, 0.0)
 
     def test_large_dimension_stays_in_log_domain(self):
-        # at N = 352 the raw LR underflows doubles; the log-domain walk
-        # must still see finite mismatches and terminate quickly
+        # at N = 352 the raw LR underflows doubles; the log-domain scores
+        # must still see finite mismatches
         n, k = 352, 704
         gen = derive_rng(9, "large-dim")
         z = (gen.standard_normal((n, k)) + 1j * gen.standard_normal((n, k))) * np.sqrt(0.5)
         stats = SampleStats.from_sample_covariance(sample_covariance(z), k, 1.0)
         assert math.isfinite(log_lr_value(np.full(n, 1.0), stats.d))
-        sel = select_rank(stats, 42, math.exp(-60.0))
+        sel = select_rank(stats, math.exp(-60.0))
         assert 0 <= sel.r_hat <= n
 
 
@@ -219,6 +233,20 @@ class TestSelectRankSigma:
         with pytest.raises(InputError, match="unit-norm"):
             select_rank_sigma(eig, 32, 1, 0.5, z, np.ones(8, dtype=complex))
 
+    def test_lower_rank_without_roots_climbs_back(self):
+        # reference scenario, K = 20, trial 121: at sigma_ML(6) the rank
+        # selector returns 5, which has no noise-power roots, so the climb
+        # lands on 6 again and the alternation ends there instead of cycling
+        scenario = reference_scenario()
+        lr0 = lr0_reference(20, 20, trials=20000, seed=1).lr0
+        rng = derive_rng(7, "trial", 20, 121)
+        z = generate_training(jammer_covariance(scenario), 20, None, rng).z
+        eig = eig_hermitian(sample_covariance(z))
+        assert sigma_el_roots(eig.eigenvalues, 5, lr0).count == 0
+        joint = select_rank_sigma(eig, 20, 3, lr0, z, steering_vector(20, 0.0))
+        assert joint.r_hat == 6
+        assert joint.iterations == 1
+
     def test_convergence_error_carries_trajectory(self, rng):
         d, eig, z = self._planted(rng)
         s = steering_vector(8, 10.0)
@@ -265,6 +293,14 @@ class TestSelectKmax:
     def test_rejects_bad_lr0(self):
         with pytest.raises(InputError):
             select_kmax(stats_from_spectrum([2.0, 1.0]), 1.5)
+
+    @pytest.mark.parametrize("lr0", [1e-6, 0.3, 0.999])
+    def test_estimate_is_built_at_kmax_hat(self, rng, lr0):
+        d = np.sort(rng.gamma(1.5, 3.0, 10))[::-1]
+        stats = stats_from_spectrum(d, sigma2=0.5)
+        sel = select_kmax(stats, lr0)
+        assert sel.estimate.constraints.kmax == sel.kmax_hat
+        np.testing.assert_array_equal(sel.estimate.lambdas, cncml(stats, sel.kmax_hat).lambdas)
 
     def test_plateau_above_noise_floor_reaches_root(self):
         # d_N > sigma2: the LR is flat at 1 for kmax in [d_1/d_N, d_1/sigma2],
