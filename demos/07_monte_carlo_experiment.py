@@ -11,9 +11,10 @@ from pathlib import Path
 
 from elcov import load_experiment_config, run_experiment
 
-workdir = Path(tempfile.mkdtemp())
-config_path = workdir / "experiment.cfg"
-config_path.write_text(f"""\
+with tempfile.TemporaryDirectory() as tmp:
+    workdir = Path(tmp)
+    config_path = workdir / "experiment.cfg"
+    config_path.write_text(f"""\
 [scenario]
 n = 12
 noise_power = 1.0
@@ -32,19 +33,19 @@ r_init = 2
 output = {workdir / "results"}
 """)
 
-print(f"experiment config written to {config_path}\n")
-cfg = load_experiment_config(config_path)
-records = run_experiment(cfg)
-print(f"ran {len(records)} (k, trial, estimator) cells; outputs in {cfg.output_path}\n")
+    print(f"experiment config written to {config_path}\n")
+    cfg = load_experiment_config(config_path)
+    records = run_experiment(cfg)
+    print(f"ran {len(records)} (k, trial, estimator) cells; outputs in {cfg.output_path}\n")
 
-with open(Path(cfg.output_path) / "summary.csv") as fh:
-    rows = list(csv.DictReader(fh))
-print("    k   estimator      trials   mean SINR (dB)")
-for row in rows:
-    print(f"  {row['k']:>3s}   {row['estimator']:<12s} {row['trials']:>5s}   {float(row['mean_sinr_db']):10.3f}")
+    with open(Path(cfg.output_path) / "summary.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    print("    k   estimator      trials   mean SINR (dB)")
+    for row in rows:
+        print(f"  {row['k']:>3s}   {row['estimator']:<12s} {row['trials']:>5s}   {float(row['mean_sinr_db']):10.3f}")
 
-print("\nan example per-trial record (trials.csv):")
-with open(Path(cfg.output_path) / "trials.csv") as fh:
-    lines = fh.read().splitlines()
-print("  " + lines[0])
-print("  " + lines[1])
+    print("\nan example per-trial record (trials.csv):")
+    with open(Path(cfg.output_path) / "trials.csv") as fh:
+        lines = fh.read().splitlines()
+    print("  " + lines[0])
+    print("  " + lines[1])

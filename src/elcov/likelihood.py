@@ -6,10 +6,10 @@ a function of the eigenvalue ratios ``rho_i = d_i / lambda_i``::
     lr = prod(rho_i) * exp(N) / exp(sum(rho_i)) <= 1
 
 For the true covariance the distribution of ``lr`` depends only on the
-matrix dimension ``N`` and the sample count ``K``, so its median ``lr0``
-can be simulated once per ``(N, K)`` and cached in a small text table.
-All arithmetic runs in the log domain; at large ``N`` the raw ratio
-underflows double precision.
+matrix dimension ``N`` and the sample count ``K``, so its median ``lr0`` is
+drawn once per ``(N, K)`` from the Bartlett factors (Goodman 1963) and
+cached in a small text table.  All arithmetic runs in the log domain; at
+large ``N`` the raw ratio underflows double precision.
 """
 
 from __future__ import annotations
@@ -131,16 +131,18 @@ class LRReference:
     quantiles: list[tuple[float, float]]
 
 
-_LR0_CHUNK = 1024  # fixed so the draw order never depends on trial count
-
-
 def lr0_reference(n: int, k: int, trials: int = 20000, seed: int = 0) -> LRReference:
-    """Simulate the invariant LR distribution and return its median.
+    """Draw the invariant LR distribution and return its median.
 
-    Draws ``S = Z Z^H / K`` with ``Z`` unit circular complex Gaussian and
-    evaluates ``lr = |S| exp(N) / exp(tr S)`` per trial.  The distribution
-    depends only on ``(n, k)``; quantiles at 5/25/50/75/95 percent are
-    stored alongside the median.
+    For ``S = Z Z^H / K`` with ``Z`` unit circular complex Gaussian, the
+    complex Bartlett decomposition (Goodman 1963) gives ``K S = L L^H`` with
+    independent ``|L_ii|^2 = g_i ~ Gamma(K - i)``, ``i = 0 .. N-1``, and the
+    off-diagonal ``|L_ij|^2`` summing to one ``h ~ Gamma(N(N-1)/2)``.  So
+    ``lr = |S| exp(N) / exp(tr S)`` is drawn exactly, with no matrix, as
+    ``log lr = sum_i log(g_i / K) + N - (sum_i g_i + h) / K``.  Trials are
+    rows of one C-order draw, so the first ``t`` trials of any run equal a
+    ``t``-trial run.  Quantiles at 5/25/50/75/95 percent are stored
+    alongside the median.
     """
     if n < 1 or k < 1:
         raise InputError("n and k must be positive")
@@ -152,18 +154,11 @@ def lr0_reference(n: int, k: int, trials: int = 20000, seed: int = 0) -> LRRefer
             "and every LR value is zero",
             stacklevel=2,
         )
-    logs = np.empty(trials)
-    for chunk_index, start in enumerate(range(0, trials, _LR0_CHUNK)):
-        stop = min(start + _LR0_CHUNK, trials)
-        m = stop - start
-        rng = derive_rng(seed, "lr0-chunk", chunk_index)
-        z = rng.standard_normal((m, n, k)) + 1j * rng.standard_normal((m, n, k))
-        z *= np.sqrt(0.5)
-        s = z @ z.conj().transpose(0, 2, 1) / k
-        sign, logdet = np.linalg.slogdet(s)
-        trace = np.einsum("tii->t", s).real
-        with np.errstate(divide="ignore"):
-            logs[start:stop] = np.where(sign.real > 0, logdet.real, -np.inf) + n - trace
+    # a zero shape draws 0, so at k < n the determinant and every LR are 0
+    shapes = np.append(np.maximum(k - np.arange(n), 0), n * (n - 1) / 2)
+    g = derive_rng(seed, "lr0-bartlett").standard_gamma(shapes, size=(trials, n + 1))
+    with np.errstate(divide="ignore"):
+        logs = np.log(g[:, :n] / k).sum(axis=1) + n - g.sum(axis=1) / k
     lr = np.exp(logs)
     quantiles = [(p, float(np.quantile(lr, p))) for p in QUANTILE_PROBS]
     return LRReference(
@@ -256,9 +251,9 @@ def lr0_load(n: int, k: int, path) -> LRReference | None:
 def lr0_lookup(n: int, k: int, table, trials: int, seed: int, autocompute: bool = True) -> float:
     """Reference median for ``(n, k)``: loaded from ``table``, else computed.
 
-    A missing entry is simulated with ``trials`` and ``seed`` and appended
-    to ``table``; with no table it is simulated and not stored.  Raises
-    :class:`InputError` instead of simulating when ``autocompute`` is off.
+    A missing entry is drawn with ``trials`` and ``seed`` and appended to
+    ``table``; with no table it is drawn and not stored.  Raises
+    :class:`InputError` instead of drawing when ``autocompute`` is off.
     """
     if table is not None:
         ref = lr0_load(n, k, table)

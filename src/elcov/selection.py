@@ -22,7 +22,6 @@ from .likelihood import (
     LambertBranch,
     _BRANCH_POINT,
     lambert_w,
-    log_lr_rcml,
     log_lr_value,
     log_tail_lr,
 )

@@ -246,10 +246,12 @@ def lr_kmax_grid(d, sigma2, km):
         rest = ~case2
         if np.any(rest):
             kr = km[rest]
-            p_guard = np.array([int(np.count_nonzero(dbar > k)) for k in kr])
-            thr = np.array(
-                [np.sum(dbar[:p]) / (p - np.sum(dbar[nbar:] - 1.0)) for p in p_guard]
+            p_guard = np.count_nonzero(dbar[None, :] > kr[:, None], axis=1)
+            # every kr lies below dbar[0], so p_guard >= 1: one threshold per p
+            thr_p = np.array(
+                [np.sum(dbar[:p]) / (p - np.sum(dbar[nbar:] - 1.0)) for p in range(1, n + 1)]
             )
+            thr = thr_p[p_guard - 1]
             ur = np.where(thr <= kr, 1.0 / kr, np.nan)
             interior = ~(kr >= thr)
             if np.any(interior):

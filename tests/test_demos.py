@@ -21,3 +21,5 @@ def test_demo_exits_zero(demo, tmp_path):
         capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
+    # tmp_path is the demo's TMPDIR and cwd: a demo must leave nothing behind
+    assert list(tmp_path.iterdir()) == []

@@ -29,6 +29,28 @@ from elcov.likelihood import LRReference, log_tail_lr, lr0_lookup
 BRANCH_POINT = -1.0 / math.e
 
 
+def gram_log_lr(gen, n, k, trials, chunk):
+    """Brute-force oracle: log LR of the identity against ``S = Z Z^H / K``.
+
+    Forms each sample covariance from a unit circular complex Gaussian
+    ``Z`` and takes ``log|S| + N - tr S``, ``chunk`` trials per draw.
+    """
+    logs = np.empty(trials)
+    for start in range(0, trials, chunk):
+        m = min(chunk, trials - start)
+        z = (gen.standard_normal((m, n, k)) + 1j * gen.standard_normal((m, n, k)))
+        z *= np.sqrt(0.5)
+        s = z @ z.conj().transpose(0, 2, 1) / k
+        sign, logdet = np.linalg.slogdet(s)
+        logs[start:start + m] = logdet.real + n - np.einsum("tii->t", s).real
+    return logs
+
+
+def median_se(iqr, count):
+    """Normal-approximation standard error of a sample median (criterion 13)."""
+    return 1.2533 * (iqr / 1.349) / math.sqrt(count)
+
+
 class TestLrValue:
     def test_equal_vectors_give_one(self, rng):
         d = np.sort(rng.gamma(2.0, 1.0, 6))[::-1]
@@ -165,18 +187,27 @@ class TestLr0Reference:
         from scipy.special import digamma
 
         n, k, trials = 6, 12, 20_000
-        logs = np.empty(trials)
-        gen = derive_rng(5, "digamma-check")
-        for start in range(0, trials, 2000):
-            m = min(2000, trials - start)
-            z = (gen.standard_normal((m, n, k)) + 1j * gen.standard_normal((m, n, k)))
-            z *= np.sqrt(0.5)
-            s = z @ z.conj().transpose(0, 2, 1) / k
-            sign, logdet = np.linalg.slogdet(s)
-            logs[start:start + m] = logdet.real + n - np.einsum("tii->t", s).real
+        logs = gram_log_lr(derive_rng(5, "digamma-check"), n, k, trials, chunk=2000)
         analytic = float(np.sum(digamma(k - np.arange(n)))) - n * math.log(k)
         se = logs.std() / math.sqrt(trials)
         assert abs(float(logs.mean()) - analytic) <= 4.0 * se
+
+    @pytest.mark.parametrize(
+        "n, k, oracle_trials",
+        [(1, 4, 4000), (4, 4, 4000), (20, 20, 4000), (20, 40, 4000), (64, 128, 2000)],
+    )
+    def test_log_median_matches_gram_oracle(self, n, k, oracle_trials):
+        # the Bartlett draw against Gram matrices built from Gaussian samples;
+        # (4, 4) has K = N, where the last diagonal gamma shape is 1
+        trials = 20_000
+        ref = lr0_reference(n, k, trials=trials, seed=131)
+        qmap = dict(ref.quantiles)
+        se_ref = median_se(math.log(qmap[0.75]) - math.log(qmap[0.25]), trials)
+        logs = gram_log_lr(derive_rng(131, "gram-oracle", n, k), n, k, oracle_trials, chunk=250)
+        iqr = float(np.quantile(logs, 0.75) - np.quantile(logs, 0.25))
+        se_oracle = median_se(iqr, oracle_trials)
+        diff = math.log(ref.lr0) - float(np.median(logs))
+        assert abs(diff) <= 3.0 * math.sqrt(se_ref**2 + se_oracle**2)
 
     def test_invariance_small(self, rng):
         # medians from a random PD truth match the identity-based reference

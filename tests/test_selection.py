@@ -16,7 +16,6 @@ from elcov import (
     generate_training,
     jammer_covariance,
     log_lr_value,
-    lr0_reference,
     lr_rcml,
     sample_covariance,
     sample_training,
@@ -238,7 +237,9 @@ class TestSelectRankSigma:
         # selector returns 5, which has no noise-power roots, so the climb
         # lands on 6 again and the alternation ends there instead of cycling
         scenario = reference_scenario()
-        lr0 = lr0_reference(20, 20, trials=20000, seed=1).lr0
+        # lr0_reference(20, 20, trials=20000, seed=1).lr0 as drawn by the
+        # former Gram-matrix sampler, kept so the test replays that exact case
+        lr0 = 3.83391595215512e-09
         rng = derive_rng(7, "trial", 20, 121)
         z = generate_training(jammer_covariance(scenario), 20, None, rng).z
         eig = eig_hermitian(sample_covariance(z))
