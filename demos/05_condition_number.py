@@ -1,9 +1,11 @@
-"""Condition-number bound selection as a bracketed root solve.
+"""Condition-number bound selection on the exact LR path.
 
 The LR of the condition-bounded estimate increases monotonically with the
-bound until the constraint stops binding, so matching the reference level
-is a one-dimensional root problem on ``log kmax`` between 1 and the ML
-bound, solved by safeguarded regula falsi.
+bound until the constraint stops binding.  Between the path's breakpoints,
+where a clip level crosses a sample eigenvalue, its log LR is closed form,
+so the selector scores every breakpoint in one vector pass, picks the
+segment that crosses the reference level and finishes with a few Newton
+steps on ``log kmax`` there.
 """
 
 import math
@@ -42,9 +44,9 @@ for km in np.linspace(1.0, k_ml, 8):
 lr_top = lr_value(cncml(stats, k_ml).lambdas, d)
 lr0 = math.exp(0.6 * math.log(lr_top) + 0.4 * math.log(lr_value(cncml(stats, 1.0).lambdas, d)))
 sel = select_kmax(stats, lr0)
-est = cncml(stats, sel.kmax_hat)
+est = sel.estimate
 print(f"\ntarget lr0 = {lr0:.6f}")
-print(f"root solve evaluated {len(sel.visited)} bounds, final bracket {sel.final_step:.2e}")
+print(f"path: {len(sel.visited) - 1} breakpoints plus the root, last Newton step {sel.final_step:.2e}")
 print(f"selected bound  : {sel.kmax_hat:.4f}")
 print(f"lr at selection : {lr_value(est.lambdas, d):.6f}")
 print(f"condition number: {condition_number(est):.4f}")

@@ -15,6 +15,7 @@ only in how they reshape its eigenvalues ``d_1 >= ... >= d_N``:
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -208,27 +209,70 @@ def cncml_objective(u, dbar: np.ndarray, kmax: float):
     return vals if np.ndim(u) else float(vals[0])
 
 
-def _interior_u(dbar: np.ndarray, kmax: float) -> float:
+class _TailSums:
+    """Prefix sums over the largest and the smallest entries of a spectrum.
+
+    For the descending ``x``, ``top[p]`` sums the ``p`` largest entries and
+    ``bottom[c]`` the ``c`` smallest (``log_top`` and ``log_bottom`` do the
+    same for ``log x``); :meth:`above` and :meth:`below` count the entries
+    strictly above or below a level.  Tied entries need no special care: an
+    entry equal to a clip level contributes nothing on either side.
+    """
+
+    def __init__(self, x: np.ndarray):
+        self.n = len(x)
+        self.asc = x[::-1]
+        self.top = np.concatenate(([0.0], x.cumsum()))
+        self.bottom = np.concatenate(([0.0], self.asc.cumsum()))
+
+    @functools.cached_property
+    def _log_asc(self) -> np.ndarray:
+        with np.errstate(divide="ignore"):
+            return np.log(self.asc)
+
+    @functools.cached_property
+    def log_top(self) -> np.ndarray:
+        return np.concatenate(([0.0], self._log_asc[::-1].cumsum()))
+
+    @functools.cached_property
+    def log_bottom(self) -> np.ndarray:
+        return np.concatenate(([0.0], self._log_asc.cumsum()))
+
+    def above(self, level):
+        return self.n - np.searchsorted(self.asc, level, side="right")
+
+    def below(self, level):
+        return np.searchsorted(self.asc, level, side="left")
+
+
+def _interior_u(sums: _TailSums, kmax: float) -> float:
     """Stationary point of the separable objective on ``[1/dbar_1, 1/kmax]``.
 
     Between breakpoints ``1/dbar_i`` and ``1/(kmax dbar_i)`` the slope is
-    ``A - m/u`` (``p`` top and ``n - q`` bottom terms slope); it is continuous
-    and non-decreasing, so the root is ``m/A`` on the first segment whose
-    right end has a non-negative slope.
+    ``A - m/u`` with ``A = S_top + kmax S_bot`` summed over the ``p`` entries
+    above ``1/u`` and the ``c`` entries below ``1/(kmax u)``, ``m = p + c``.
+    It is continuous and non-decreasing, so the root is ``m/A`` clamped to
+    the segment that follows the last breakpoint with a negative slope.  No
+    sort is needed, and when rounding makes every breakpoint slope negative
+    the clamp lands on ``1/kmax``, next to the boundary case.
     """
-    n = len(dbar)
-    lo, hi = 1.0 / dbar[0], 1.0 / kmax
-    inv_d = 1.0 / dbar[dbar > 0]
-    bps = np.concatenate(([lo, hi], inv_d, inv_d / kmax))
-    bps = np.unique(bps[(bps >= lo) & (bps <= hi)])
-    mid = 0.5 * (bps[:-1] + bps[1:])
-    p = n - np.searchsorted(dbar[::-1], 1.0 / mid, side="right")
-    q = n - np.searchsorted(dbar[::-1], 1.0 / (kmax * mid), side="right")
-    csum = np.concatenate(([0.0], np.cumsum(dbar)))
-    a = csum[p] + kmax * (csum[n] - csum[q])
-    m = p + (n - q)
-    j = int(np.argmax(a * bps[1:] >= m))
-    return float(min(max(m[j] / a[j], bps[j]), bps[j + 1]))
+    lo, hi = 1.0 / sums.asc[-1], 1.0 / kmax
+    with np.errstate(divide="ignore"):
+        inv = 1.0 / sums.asc
+    bps = np.concatenate((inv, inv / kmax))
+    bps = bps[(bps > lo) & (bps < hi)]
+
+    def slope_terms(u):
+        p, c = sums.above(1.0 / u), sums.below(1.0 / (kmax * u))
+        return sums.top[p] + kmax * sums.bottom[c], p + c
+
+    a, m = slope_terms(bps)
+    u_lo = float(bps[a * bps < m].max(initial=lo))
+    u_hi = float(bps[bps > u_lo].min(initial=hi))
+    a, m = slope_terms(0.5 * (u_lo + u_hi))
+    if m == 0:  # a segment one ulp wide: its midpoint rounds onto an end
+        return u_lo
+    return min(max(float(m / a), u_lo), u_hi)
 
 
 def cncml_u_star(stats: SampleStats, kmax: float) -> CnCaseResult:
@@ -256,11 +300,11 @@ def cncml_u_star(stats: SampleStats, kmax: float) -> CnCaseResult:
         case, u = CnCase.FML_EQUIVALENT, 1.0 / dbar[0]
     else:
         p_guard = int(np.count_nonzero(dbar > kmax))
-        slack = p_guard - np.sum(dbar[nbar:] - 1.0)
-        if kmax >= np.sum(dbar[:p_guard]) / slack:
+        slack = p_guard - (dbar[nbar:] - 1.0).sum()
+        if kmax >= dbar[:p_guard].sum() / slack:
             case, u = CnCase.BOUNDARY_U, 1.0 / kmax
         else:
-            case, u = CnCase.INTERIOR_U, _interior_u(dbar, kmax)
+            case, u = CnCase.INTERIOR_U, _interior_u(_TailSums(dbar), kmax)
 
     p = int(np.count_nonzero(dbar * u > 1.0))
     q = int(np.count_nonzero(dbar * (u * kmax) > 1.0))

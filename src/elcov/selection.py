@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import CovarianceEstimate, SampleStats, cncml, rcml
+from .estimators import CovarianceEstimate, SampleStats, _TailSums, cncml, rcml
 from .exceptions import ConvergenceError, InputError, NoRootError, NumericalError
 from .hermitian import EigenDecomposition
 from .likelihood import (
@@ -212,9 +212,13 @@ def select_rank_sigma(
 
 @dataclass
 class KmaxSelection:
-    """Root-solve outcome; ``final_step`` is the final bracket width on ``kmax``.
+    """Condition-number bound whose LR matches the reference.
 
-    ``estimate`` is the condition-number estimate built at ``kmax_hat``.
+    ``visited`` holds the breakpoints of the exact LR path plus the root, as
+    ``(kmax, lr)`` in descending ``kmax``.  ``final_step`` is the last Newton
+    step on ``kmax``; it is 0 when the bound is ``k_ml`` or 1, which are
+    returned in closed form.  ``estimate`` is the condition-number estimate
+    built at ``kmax_hat``.
     """
 
     kmax_hat: float
@@ -224,62 +228,148 @@ class KmaxSelection:
     constraint_active: bool = True
 
 
-_KMAX_XTOL = 1e-9  # relative bracket on kmax
+_NEWTON_RTOL, _NEWTON_MAX_STEPS = 1e-12, 60  # last relative step on kmax, step cap
 _LOADING_TOL, _LOADING_MAX_EVALS = 1e-9, 60  # log-LR mismatch, evaluation cap
+
+
+def _clip_log_lr(top, bottom, p, c, tau, u, log=np.log):
+    """Log LR of ``clip(x, tau, u)``: ``top = (sum log x, sum x)`` over the
+    ``p`` entries above ``u``, ``bottom`` likewise over the ``c`` entries
+    below ``tau``; the entries in between contribute nothing."""
+    return top[0] - p * log(u) + p - top[1] / u + bottom[0] - c * log(tau) + c - bottom[1] / tau
+
+
+@dataclass
+class _KmaxPath:
+    """Breakpoints of the condition-number path in descending ``kmax``.
+
+    ``top``/``bottom`` count the entries clipped from above and below on the
+    segment just under each breakpoint; segments under ``kmax_b`` are
+    interior (lower clip above 1), the rest are on the boundary.
+    """
+
+    kmax: np.ndarray
+    log_lr: np.ndarray
+    top: np.ndarray
+    bottom: np.ndarray
+    kmax_b: float
+
+
+def _kmax_path(sums: _TailSums) -> _KmaxPath:
+    """Every breakpoint of the CN path and its log LR, in one vector pass.
+
+    With ``x = d/sigma2`` the estimate is ``clip(x, tau, U)``, ``U = kmax tau``.
+    Let ``g(U) = sum max(x/U - 1, 0)`` and ``h(tau) = sum max(1 - x/tau, 0)``.
+    On the boundary, ``kmax >= kmax_b`` where ``g(kmax_b) = h(1)``, ``tau`` is 1
+    and the breakpoints are the distinct ``x`` above ``kmax_b``.  Below it
+    ``g(U) = h(tau) = s`` with ``s`` rising from ``h(1)`` to ``h(mean x)`` (at
+    ``kmax = 1``), so the breakpoints are the values ``h`` and ``g`` take at
+    the distinct ``x``, and on each segment ``tau = S_bot/(c - s)`` and
+    ``U = S_top/(s + p)``.  When ``mean x <= 1`` the whole path is boundary.
+    """
+    n, asc = sums.n, sums.asc
+    c1 = int(sums.below(1.0))
+    h1 = c1 - sums.bottom[c1]
+    mean = sums.top[n] / n
+    starts = np.flatnonzero(np.concatenate(([True], asc[1:] > asc[:-1])))
+    a = asc[starts]
+    if mean > 1.0:
+        ends = np.append(starts[1:], n)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            h = starts - sums.bottom[starts] / a
+            g = sums.top[n - ends] / a - (n - ends)
+        h[0] = 0.0  # nothing lies below the smallest entry, even a zero one
+        cm = int(sums.below(mean))
+        s_max = max(cm - sums.bottom[cm] / mean, h1)  # equal for a flat spectrum
+        s = np.concatenate((h, g))
+        last = [s_max] if s_max > h1 else []  # a flat spectrum has one point
+        s = np.concatenate(([h1], np.sort(s[(s > h1) & (s < s_max)]), last))
+        bot_in = ends[np.searchsorted(h, s, side="right") - 1]
+        top_in = n - starts[len(g) - np.searchsorted(g[::-1], s, side="right")]
+        tau_in = sums.bottom[bot_in] / (bot_in - s)
+        u_in = sums.top[top_in] / (s + top_in)
+        kmax_in = np.maximum(u_in / tau_in, 1.0)
+        kmax_in[-1] = 1.0  # U = tau = mean x there, whatever U/tau rounds to
+        kmax_b = float(kmax_in[0])
+    else:
+        kmax_b = 1.0
+    # on the boundary tau = 1 and U = kmax; h(1) = 0 means no entry lies
+    # below 1, so the path is flat from k_ml down to x_1/x_N instead
+    j = len(a) if h1 == 0.0 else int(np.searchsorted(a, kmax_b, side="right"))
+    if j < len(a):
+        kmax_bd, top_bd = a[j:][::-1], n - starts[j:][::-1]
+    else:  # one point at k_ml, with nothing clipped from above beneath it
+        kmax_bd, top_bd = np.array([max(float(asc[-1]), 1.0)]), np.zeros(1, dtype=int)
+    pieces = [(kmax_bd, top_bd, np.full(len(kmax_bd), c1), np.ones(len(kmax_bd)), kmax_bd)]
+    if mean > 1.0:
+        pieces.append((kmax_in, top_in, bot_in, tau_in, u_in))
+    elif kmax_bd[-1] > 1.0:  # the boundary reaches kmax = 1, where U = tau = 1
+        pieces.append(([1.0], [n - c1], [c1], [1.0], [1.0]))
+    kmax, top, bottom, tau, u = (np.concatenate(col) for col in zip(*pieces))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_lr = _clip_log_lr(
+            (sums.log_top[top], sums.top[top]), (sums.log_bottom[bottom], sums.bottom[bottom]),
+            top, bottom, tau, u,
+        )
+    return _KmaxPath(kmax, log_lr, top, bottom, kmax_b)
 
 
 def select_kmax(stats: SampleStats, lr0: float) -> KmaxSelection:
     """Tune the condition-number bound so the estimate's LR matches ``lr0``.
 
-    The LR is non-decreasing in ``kmax``.  The ML bound ``d_1 / sigma2``
+    The LR is non-decreasing in ``kmax``.  The ML bound ``k_ml = d_1 / sigma2``
     (at least 1) is returned when its LR is at or below ``lr0``, flagged
     ``constraint_active=False`` when ``d_1 <= sigma2``; 1 is returned when
-    its LR reaches ``lr0``.  Otherwise Illinois regula falsi on
-    ``log kmax``, each point pulled toward the midpoint just enough to reach
-    a relative bracket of ``1e-9`` within ``ceil(log2(log k_ml / 1e-9)) + 6``
-    steps, returns the evaluated bound with the smallest log-LR mismatch.
+    its LR reaches ``lr0``.  Otherwise the root lies on one segment of the
+    exact path (:func:`_kmax_path`), where the log LR is closed form:
+    ``sum_top [log(x/kmax) + 1 - x/kmax] + const`` on the boundary and
+    ``sum_{top,bot} log x + c log kmax - m log((S_top + kmax S_bot)/m)``
+    inside (``p`` top and ``c`` bottom entries, ``m = p + c``).  Both are
+    concave and increasing in ``log kmax``, with slope ``g(U)``, so Newton
+    steps from the segment's lower end rise monotonically to the root; they
+    stop once a step is below ``1e-12`` relative.  The estimate is built
+    once, at the selected bound.
     """
     if not 0 < lr0 <= 1:
         raise InputError("lr0 must lie in (0, 1]")
-    d = stats.d
     log_lr0 = math.log(lr0)
-    k_ml = max(float(d[0] / stats.sigma2), 1.0)
-    visited: list[tuple[float, float]] = []
+    x = stats.d / stats.sigma2
+    sums = _TailSums(x)
+    path = _kmax_path(sums)
+    visited = list(zip(path.kmax.tolist(), np.exp(path.log_lr).tolist()))
+    if x[0] <= 1.0 or path.log_lr[0] <= log_lr0:
+        k_ml = float(path.kmax[0])
+        return KmaxSelection(k_ml, cncml(stats, k_ml), visited, 0.0, bool(x[0] > 1.0))
+    if path.log_lr[-1] >= log_lr0:
+        return KmaxSelection(1.0, cncml(stats, 1.0), visited, 0.0)
 
-    def mismatch(km: float) -> tuple[float, float, CovarianceEstimate]:
-        est = cncml(stats, km)
-        val = log_lr_value(est.lambdas, d)
-        visited.append((km, math.exp(val)))
-        return val - log_lr0, km, est
+    i = int(np.argmax(path.log_lr <= log_lr0))  # the root lies in [kmax[i], kmax[i-1]]
+    k_lo, k_hi = float(path.kmax[i]), float(path.kmax[i - 1])
+    p, c = int(path.top[i - 1]), int(path.bottom[i - 1])
+    top = float(sums.log_top[p]), float(sums.top[p])
+    bottom = float(sums.log_bottom[c]), float(sums.bottom[c])
+    interior = k_lo < path.kmax_b
 
-    fb, _, est_b = top = mismatch(k_ml)
-    if fb <= 0.0 or d[0] <= stats.sigma2:
-        return KmaxSelection(k_ml, est_b, visited, 0.0, bool(d[0] > stats.sigma2))
-    fa, _, est_a = bottom = mismatch(1.0)
-    if fa >= 0.0:
-        return KmaxSelection(1.0, est_a, visited, 0.0)
+    def log_lr_slope(km: float) -> tuple[float, float]:
+        """Log LR on this segment and its slope ``g(U)`` in ``log kmax``."""
+        u = (top[1] + km * bottom[1]) / (p + c) if interior else km
+        tau = u / km if interior else 1.0
+        return _clip_log_lr(top, bottom, p, c, tau, u, math.log), top[1] / u - p
 
-    a, b, last = 0.0, math.log(k_ml), 0.0
-    best = bottom if -fa <= fb else top
-    n_max = math.ceil(math.log2(b / _KMAX_XTOL)) + 6  # six steps of slack over bisection
-    for j in range(n_max):
-        if b - a <= _KMAX_XTOL:
+    km, step, t_hi = k_lo, 0.0, math.log(k_hi)
+    for _ in range(_NEWTON_MAX_STEPS):
+        val, slope = log_lr_slope(km)
+        if val >= log_lr0 or slope <= 0.0:
             break
-        # projecting into [mid - r, mid + r] reaches the tolerance within n_max steps
-        mid = 0.5 * (a + b)
-        r = _KMAX_XTOL * 2.0 ** (n_max - j - 1) - 0.5 * (b - a)
-        c = min(max((a * fb - b * fa) / (fb - fa), mid - r), mid + r)
-        point = mismatch(math.exp(c))
-        fc = point[0]
-        if abs(fc) < abs(best[0]):
-            best = point
-        # Illinois: halve the kept end's value when the same side moves twice
-        if fc < 0.0:
-            a, fa, fb = c, fc, fb * (0.5 if last < 0.0 else 1.0)
-        else:
-            b, fb, fa = c, fc, fa * (0.5 if last > 0.0 else 1.0)
-        last = fc
-    return KmaxSelection(best[1], best[2], visited, math.exp(b) - math.exp(a))
+        dt = min((log_lr0 - val) / slope, t_hi - math.log(km))
+        km_new = km * math.exp(dt)
+        step, km = km_new - km, km_new
+        if dt <= _NEWTON_RTOL:
+            break
+    kmax_hat = min(max(km, 1.0), float(path.kmax[0]))
+    if k_lo < kmax_hat < k_hi:
+        visited.insert(i, (kmax_hat, math.exp(log_lr_slope(kmax_hat)[0])))
+    return KmaxSelection(kmax_hat, cncml(stats, kmax_hat), visited, step)
 
 
 def select_loading(stats: SampleStats, lr0: float) -> float:

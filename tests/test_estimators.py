@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from elcov import (
     cncml_u_star,
     condition_number,
     fml,
+    log_lr_value,
     lr_value,
     lsmi,
     rcml,
@@ -130,6 +133,23 @@ class TestCnCaseSplit:
         assert condition_number(est) == pytest.approx(4.0, abs=1e-9)
         lam_grid = 1.0 / cn_lambda_map(u_grid, stats.d, 4.0)
         assert np.max(np.abs(est.lambdas - lam_grid) / lam_grid) <= 1e-4
+
+    def test_interior_one_ulp_below_boundary_threshold(self):
+        # the boundary case starts at kmax = 42.61083743842364; one ulp below
+        # it every breakpoint slope can round negative, and the root is 1/kmax
+        stats = stats_from_spectrum([86.5, 3.36, 1.97, 0.73, 0.24])
+        threshold = 42.61083743842364
+        kmax = math.nextafter(threshold, 0.0)
+        assert cncml_u_star(stats, threshold).case_id is CnCase.BOUNDARY_U
+        res = cncml_u_star(stats, kmax)
+        assert res.case_id is CnCase.INTERIOR_U
+        assert res.u_star == pytest.approx(1.0 / kmax, rel=1e-12)
+        at_bound = cncml_objective(1.0 / kmax, stats.d, kmax)
+        assert cncml_objective(res.u_star, stats.d, kmax) <= at_bound + 1e-12
+        log_lr = log_lr_value(cncml(stats, kmax).lambdas, stats.d)
+        assert log_lr == pytest.approx(
+            log_lr_value(cncml(stats, threshold).lambdas, stats.d), abs=1e-9
+        )
 
     def test_rejects_bad_kmax(self):
         stats = stats_from_spectrum([2.0, 1.0])
@@ -261,6 +281,32 @@ def test_interior_u_matches_bisection_oracle_at_large_n(rng, n):
         assert np.max(np.abs(lam - lam_oracle) / lam_oracle) <= 1e-9
         pinned += res.u_star == 1.0 / dbar[0]
     assert pinned >= 10
+
+
+def test_interior_u_just_below_boundary_threshold(rng):
+    """One to three ulps below the kmax where the boundary case takes over,
+    the interior root must stay next to ``1/kmax``, not fall back to the
+    first breakpoint segment."""
+    probes = 0
+    for _ in range(300):
+        n = int(rng.integers(3, 40))
+        n_hi = int(rng.integers(1, n))
+        head = np.exp(rng.uniform(np.log(2.0), np.log(1e3), n_hi))
+        dbar = np.sort(np.concatenate([head, rng.uniform(0.05, 0.95, n - n_hi)]))[::-1]
+        h1 = float(np.sum(1.0 - dbar[n_hi:]))
+        thresholds = [np.sum(dbar[:p]) / (p + h1) for p in range(1, n_hi + 1)]
+        ok = [t for p, t in enumerate(thresholds, 1) if dbar[p] <= t < dbar[p - 1] and t >= 1.0]
+        if not ok:
+            continue
+        stats = stats_from_spectrum(dbar)
+        kmax = float(ok[0])
+        for _ in range(3):
+            kmax = math.nextafter(kmax, 0.0)
+            res = cncml_u_star(stats, kmax)
+            if res.case_id is CnCase.INTERIOR_U:
+                assert res.u_star * kmax == pytest.approx(1.0, rel=1e-9)
+                probes += 1
+    assert probes >= 100
 
 
 class TestLsmi:

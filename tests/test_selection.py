@@ -28,7 +28,8 @@ from elcov import (
     sqrt_factor,
     steering_vector,
 )
-from elcov.likelihood import log_tail_lr
+from elcov.likelihood import log_tail_lr, lr0_reference
+from elcov.selection import _kmax_path, _TailSums
 
 
 def log_lr_rank(stats, r):
@@ -413,3 +414,131 @@ def test_root_selectors_never_raise_and_stay_bounded(rng, monkeypatch):
             select_kmax(singular, lr0)
             with pytest.raises(NoRootError):
                 select_loading(singular, lr0)
+
+
+def illinois_kmax(stats, lr0):
+    """Oracle: the former root search on ``log kmax``, one estimate per point.
+
+    Illinois regula falsi, each point projected toward the bracket midpoint
+    so that a relative bracket of 1e-9 is reached within
+    ``ceil(log2(log k_ml / 1e-9)) + 6`` steps; returns the evaluated bound
+    with the smallest log-LR mismatch.
+    """
+    xtol, d, log_lr0 = 1e-9, stats.d, math.log(lr0)
+    k_ml = max(float(d[0] / stats.sigma2), 1.0)
+
+    def mismatch(km):
+        return log_lr_value(cncml(stats, km).lambdas, d) - log_lr0, km
+
+    fb, _ = top = mismatch(k_ml)
+    if fb <= 0.0 or d[0] <= stats.sigma2:
+        return k_ml
+    fa, _ = bottom = mismatch(1.0)
+    if fa >= 0.0:
+        return 1.0
+    a, b, last = 0.0, math.log(k_ml), 0.0
+    best = bottom if -fa <= fb else top
+    n_max = math.ceil(math.log2(b / xtol)) + 6
+    for j in range(n_max):
+        if b - a <= xtol:
+            break
+        mid = 0.5 * (a + b)
+        r = xtol * 2.0 ** (n_max - j - 1) - 0.5 * (b - a)
+        c = min(max((a * fb - b * fa) / (fb - fa), mid - r), mid + r)
+        point = mismatch(math.exp(c))
+        fc = point[0]
+        if abs(fc) < abs(best[0]):
+            best = point
+        if fc < 0.0:
+            a, fa, fb = c, fc, fb * (0.5 if last < 0.0 else 1.0)
+        else:
+            b, fb, fa = c, fc, fa * (0.5 if last > 0.0 else 1.0)
+        last = fc
+    return best[1]
+
+
+def _interior_lr0(rng, stats):
+    """A reference strictly between the LR at kmax = 1 and at k_ml, or None
+    when that range is rounding noise (a flat spectrum) or underflows lr0."""
+    k_ml = max(float(stats.d[0] / stats.sigma2), 1.0)
+    lo = max(log_lr_value(cncml(stats, 1.0).lambdas, stats.d), -700.0)
+    hi = log_lr_value(cncml(stats, k_ml).lambdas, stats.d)
+    if not hi - lo > 1e-9:
+        return None
+    return math.exp(lo + float(rng.uniform(0.02, 0.98)) * (hi - lo))
+
+
+class TestKmaxPath:
+    def test_breakpoints_match_estimate_lr_and_fall_with_kmax(self, rng):
+        for _ in range(200):
+            n = int(rng.integers(2, 257))
+            sigma2 = float(rng.uniform(0.1, 10.0))
+            d = _spectrum(rng, n, sigma2)
+            stats = stats_from_spectrum(d, sigma2=sigma2)
+            path = _kmax_path(_TailSums(d / sigma2))
+            assert path.kmax[0] == max(d[0] / sigma2, 1.0)
+            assert path.kmax[-1] == 1.0
+            assert np.all(np.diff(path.kmax) <= 0.0)
+            for km, val in zip(path.kmax.tolist(), path.log_lr.tolist()):
+                assert abs(val - log_lr_value(cncml(stats, km).lambdas, d)) <= 1e-9
+            assert np.all(np.diff(path.log_lr) <= 1e-9)
+
+    def test_matches_illinois_oracle_on_random_spectra(self, rng):
+        roots = 0
+        while roots < 2000:
+            n = int(rng.integers(2, 65))
+            sigma2 = float(rng.uniform(0.1, 10.0))
+            stats = stats_from_spectrum(_spectrum(rng, n, sigma2), sigma2=sigma2)
+            lr0 = _interior_lr0(rng, stats)
+            if lr0 is None:
+                continue
+            assert select_kmax(stats, lr0).kmax_hat == pytest.approx(
+                illinois_kmax(stats, lr0), rel=1e-9
+            )
+            roots += 1
+
+    @pytest.mark.parametrize("k", [20, 30, 40])
+    def test_matches_illinois_oracle_on_reference_scenario(self, k):
+        scenario = reference_scenario()
+        lr0 = lr0_reference(scenario.n, k, trials=4000, seed=5).lr0
+        r_true = jammer_covariance(scenario)
+        for t in range(100):
+            z = generate_training(r_true, k, None, derive_rng(31, "kmax-oracle", k, t)).z
+            stats = SampleStats.from_sample_covariance(sample_covariance(z), k, 1.0)
+            assert select_kmax(stats, lr0).kmax_hat == pytest.approx(
+                illinois_kmax(stats, lr0), rel=1e-9
+            )
+
+    def test_one_estimate_and_no_lr_evaluation_per_call(self, rng, monkeypatch):
+        import elcov.selection as selection
+
+        calls = {"cncml": 0, "log_lr_value": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(selection, "cncml", counted("cncml", cncml))
+        monkeypatch.setattr(selection, "log_lr_value", counted("log_lr_value", log_lr_value))
+        for lr0 in (1e-12, 0.3, 1.0):
+            for _ in range(20):
+                n = int(rng.integers(2, 65))
+                stats = stats_from_spectrum(_spectrum(rng, n, 1.0))
+                calls.update(cncml=0, log_lr_value=0)
+                select_kmax(stats, lr0)
+                assert calls == {"cncml": 1, "log_lr_value": 0}
+
+    def test_visited_is_the_path_plus_the_root(self, rng):
+        d = np.sort(rng.gamma(1.5, 3.0, 12))[::-1]
+        stats = stats_from_spectrum(d, sigma2=0.5)
+        lr0 = _interior_lr0(rng, stats)
+        sel = select_kmax(stats, lr0)
+        path = _kmax_path(_TailSums(d / 0.5))
+        kmaxes = [k for k, _ in sel.visited]
+        assert kmaxes == sorted(kmaxes, reverse=True)
+        assert sorted(set(kmaxes) - set(path.kmax.tolist())) == [sel.kmax_hat]
+        assert dict(sel.visited)[sel.kmax_hat] == pytest.approx(lr0, rel=1e-9)
+        assert 0.0 < sel.final_step <= 1e-9 * sel.kmax_hat
