@@ -1,4 +1,4 @@
-"""Tour of the four eigenvalue-map estimators on one toy spectrum.
+"""Tour of the five eigenvalue-map estimators on one toy spectrum.
 
 Every estimator shares the eigenvectors of the sample covariance and only
 reshapes its eigenvalues; this script prints the reshaped spectra side by

@@ -23,7 +23,6 @@ from .estimators import (
     smi,
 )
 from .exceptions import (
-    ConvergenceError,
     ElcovError,
     FormatError,
     InputError,

@@ -1,15 +1,16 @@
 """Covariance estimators expressed as eigenvalue maps on the sample basis.
 
-All four estimators (SMI, FML, rank-constrained ML, condition-number
-constrained ML) share the eigenvectors of the sample covariance and differ
-only in how they reshape its eigenvalues ``d_1 >= ... >= d_N``:
+All five estimators (SMI, FML, rank-constrained ML, condition-number
+constrained ML, diagonal loading) share the eigenvectors of the sample
+covariance and differ only in how they reshape its eigenvalues
+``d_1 >= ... >= d_N``:
 
 * SMI keeps ``d`` unchanged.
 * FML clips at the noise floor: ``max(d_i, sigma2)``.
 * RCML keeps the top ``r`` (clipped at ``sigma2``) and floors the rest.
-* CNCML caps the spread so the output condition number never exceeds
-  ``kmax``; its closed form splits into four cases driven by the scalar
-  ``u`` that solves a one-dimensional convex problem.
+* CNCML clips ``x = d / sigma2`` to ``[tau, kmax tau]``, so the condition
+  number is at most ``kmax``; one breakpoint table solves it for every ``kmax``.
+* LSMI adds a loading factor: ``d_i + beta``.
 """
 
 from __future__ import annotations
@@ -214,9 +215,8 @@ class _TailSums:
 
     For the descending ``x``, ``top[p]`` sums the ``p`` largest entries and
     ``bottom[c]`` the ``c`` smallest (``log_top`` and ``log_bottom`` do the
-    same for ``log x``); :meth:`above` and :meth:`below` count the entries
-    strictly above or below a level.  Tied entries need no special care: an
-    entry equal to a clip level contributes nothing on either side.
+    same for ``log x``).  Tied entries need no special care: an entry equal
+    to a clip level contributes nothing on either side.
     """
 
     def __init__(self, x: np.ndarray):
@@ -238,41 +238,122 @@ class _TailSums:
     def log_bottom(self) -> np.ndarray:
         return np.concatenate(([0.0], self._log_asc.cumsum()))
 
-    def above(self, level):
-        return self.n - np.searchsorted(self.asc, level, side="right")
 
-    def below(self, level):
-        return np.searchsorted(self.asc, level, side="left")
+class _CnPath:
+    """The condition-number solution for every ``kmax``, as a breakpoint table.
 
+    With ``x = d/sigma2`` the estimate is ``clip(x, tau, U)``, ``U = kmax tau``.
+    Let ``g(U) = sum max(x/U - 1, 0)`` and ``h(tau) = sum max(1 - x/tau, 0)``.
+    On the boundary, ``kmax >= kmax_b`` where ``g(kmax_b) = h(1)``, ``tau`` is 1
+    and the breakpoints are the distinct ``x`` above ``kmax_b``.  Below it
+    ``g(U) = h(tau) = s`` with ``s`` rising from ``h(1)`` to ``h(mean x)`` (at
+    ``kmax = 1``).  Each entry has two breakpoints there: at ``s = h(x)`` the
+    lower clip reaches it (``tau = x``) and at ``s = g(x)`` the upper clip
+    does (``U = x``).  Between breakpoints, with ``p`` entries clipped from
+    above and ``c`` from below, ``tau = S_bot/(c - s)``, ``U = S_top/(s + p)``
+    and ``U = (S_top + kmax S_bot)/(p + c)``.
 
-def _interior_u(sums: _TailSums, kmax: float) -> float:
-    """Stationary point of the separable objective on ``[1/dbar_1, 1/kmax]``.
-
-    Between breakpoints ``1/dbar_i`` and ``1/(kmax dbar_i)`` the slope is
-    ``A - m/u`` with ``A = S_top + kmax S_bot`` summed over the ``p`` entries
-    above ``1/u`` and the ``c`` entries below ``1/(kmax u)``, ``m = p + c``.
-    It is continuous and non-decreasing, so the root is ``m/A`` clamped to
-    the segment that follows the last breakpoint with a negative slope.  No
-    sort is needed, and when rounding makes every breakpoint slope negative
-    the clamp lands on ``1/kmax``, next to the boundary case.
+    ``kmax_b = S_top/(p + h(1))`` over the ``p`` entries above it is the one
+    boundary/interior switch.  It is 1 when ``mean x <= 1``, where the whole
+    path is boundary, and ``x_1`` when no entry is below 1, where the path is
+    flat (nothing is clipped) from ``x_1`` down to ``x_1/x_N``.
     """
-    lo, hi = 1.0 / sums.asc[-1], 1.0 / kmax
-    with np.errstate(divide="ignore"):
-        inv = 1.0 / sums.asc
-    bps = np.concatenate((inv, inv / kmax))
-    bps = bps[(bps > lo) & (bps < hi)]
 
-    def slope_terms(u):
-        p, c = sums.above(1.0 / u), sums.below(1.0 / (kmax * u))
-        return sums.top[p] + kmax * sums.bottom[c], p + c
+    def __init__(self, sums: _TailSums):
+        self.sums = sums
+        n, asc = sums.n, sums.asc
+        x = asc[::-1]
+        # per entry (ascending): its tie group spans [lo, hi)
+        lo, hi = asc.searchsorted(asc, "left"), asc.searchsorted(asc, "right")
+        with np.errstate(divide="ignore", invalid="ignore"):
+            self.h = lo - sums.bottom[lo] / asc
+            self.h[: hi[0]] = 0.0  # nothing lies below the smallest entry, even a zero one
+            self.g = sums.top[n - hi] / asc - (n - hi)
+        self.c1 = c1 = int(asc.searchsorted(1.0))
+        self.h1 = h1 = float((1.0 - x[n - c1 :]).sum())
+        p = int(self.g[::-1].searchsorted(h1, "right"))
+        self.kmax_b = max(float(x[:p].sum() / (p + h1)), 1.0)
 
-    a, m = slope_terms(bps)
-    u_lo = float(bps[a * bps < m].max(initial=lo))
-    u_hi = float(bps[bps > u_lo].min(initial=hi))
-    a, m = slope_terms(0.5 * (u_lo + u_hi))
-    if m == 0:  # a segment one ulp wide: its midpoint rounds onto an end
-        return u_lo
-    return min(max(float(m / a), u_lo), u_hi)
+    def rows(self, s: np.ndarray):
+        """Counts clipped from the top and the bottom just above each ``s``
+        (just under it in ``kmax``), and ``tau``, ``U`` and ``kmax`` at ``s``."""
+        top = self.g[::-1].searchsorted(s, "right")
+        bottom = self.h.searchsorted(s, "right")
+        with np.errstate(divide="ignore", invalid="ignore"):
+            tau = self.sums.bottom[bottom] / (bottom - s)
+            u = self.sums.top[top] / (s + top)
+            kmax = np.maximum(u / tau, 1.0)
+        return top, bottom, tau, u, kmax
+
+    def segment(self, kmax: float) -> tuple[int, int]:
+        """Counts clipped from the top and the bottom at ``kmax < kmax_b``.
+
+        An entry is clipped from below once ``kmax`` falls under its ``h``
+        breakpoint and from above once it falls under its ``g`` breakpoint,
+        so the counts are masks over the table, with no sort.  Only entries
+        in ``[1, x_1/kmax)`` and in ``(kmax, U(h(1))]`` are looked up: the
+        others are clipped on every interior segment or on none at ``kmax``.
+        ``(0, 0)`` is the flat segment.
+        """
+        asc, g_desc, c1 = self.sums.asc, self.g[::-1], self.c1
+        c_max = int(asc.searchsorted(asc[-1] / kmax))
+        p0 = int(g_desc.searchsorted(self.h1))
+        p_max = self.sums.n - int(asc.searchsorted(kmax, "right"))
+        k = self.rows(np.concatenate((self.h[c1:c_max], g_desc[p0:p_max])))[4] > kmax
+        m = c_max - c1  # not negative: x_1/kmax > 1
+        return p0 + int(np.count_nonzero(k[m:])), c1 + int(np.count_nonzero(k[:m]))
+
+    def breakpoints(self):
+        """The whole path in descending ``kmax``: ``kmax`` and the columns of
+        :meth:`rows` at each breakpoint."""
+        sums, asc, h1, c1 = self.sums, self.sums.asc, self.h1, self.c1
+        n = sums.n
+        a, starts = np.unique(asc, return_index=True)
+        # h(1) = 0 means no entry lies below 1, so the path is flat from k_ml
+        # down to x_1/x_N instead of reaching a boundary breakpoint
+        j = len(a) if h1 == 0.0 else int(np.searchsorted(a, self.kmax_b, side="right"))
+        if j < len(a):
+            kmax_bd, top_bd = a[j:][::-1], n - starts[j:][::-1]
+        else:  # one point at k_ml, with nothing clipped from above beneath it
+            kmax_bd, top_bd = np.array([max(float(a[-1]), 1.0)]), np.zeros(1, dtype=int)
+        pieces = [(kmax_bd, top_bd, np.full(len(kmax_bd), c1), np.ones(len(kmax_bd)), kmax_bd)]
+        if self.kmax_b > 1.0:
+            mean = sums.top[n] / n
+            cm = int(asc.searchsorted(mean))
+            s_max = max(cm - sums.bottom[cm] / mean, h1)  # equal for a flat spectrum
+            s = np.concatenate((self.h, self.g))
+            last = [s_max] if s_max > h1 else []  # a flat spectrum has one point
+            top, bottom, tau, u, kmax = self.rows(
+                np.concatenate(([h1], np.unique(s[(s > h1) & (s < s_max)]), last))
+            )
+            if h1 > 0.0:  # the boundary meets the interior at tau = 1
+                tau[0], u[0], kmax[0] = 1.0, self.kmax_b, self.kmax_b
+            kmax[-1] = 1.0  # U = tau = mean x there, whatever U/tau rounds to
+            pieces.append((kmax, top, bottom, tau, u))
+        elif kmax_bd[-1] > 1.0:  # the boundary reaches kmax = 1, where U = tau = 1
+            pieces.append(([1.0], [n - c1], [c1], [1.0], [1.0]))
+        return tuple(np.concatenate(col) for col in zip(*pieces))
+
+
+def _cn_solution(stats: SampleStats, kmax: float) -> tuple[CnCase, float, int, int]:
+    """Case, ``u*`` and the counts clipped from the top and the bottom."""
+    if not kmax >= 1:
+        raise InputError("condition-number bound kmax must be at least 1")
+    x = stats.d / stats.sigma2
+    if x[0] <= 1.0:
+        return CnCase.SCALED_IDENTITY, 1.0 / kmax, 0, int(x[::-1].searchsorted(1.0))
+    if x[0] <= kmax:  # the boundary tie x_1 == kmax lands here; the profiles coincide
+        return CnCase.FML_EQUIVALENT, 1.0 / x[0], 0, int(x[::-1].searchsorted(1.0))
+    path = _CnPath(_TailSums(x))
+    if kmax >= path.kmax_b:
+        p = int(np.count_nonzero(x * (1.0 / kmax) > 1.0))
+        return CnCase.BOUNDARY_U, 1.0 / kmax, p, path.c1
+    p, c = path.segment(kmax)
+    if p + c == 0:  # the flat segment: nothing is clipped
+        return CnCase.INTERIOR_U, 1.0 / x[0], 0, 0
+    u = (p + c) / (path.sums.top[p] + kmax * path.sums.bottom[c])
+    # the lower cap 1/(u kmax) stays at or above 1 where rounding crosses it
+    return CnCase.INTERIOR_U, min(float(u), 1.0 / kmax), p, c
 
 
 def cncml_u_star(stats: SampleStats, kmax: float) -> CnCaseResult:
@@ -282,65 +363,47 @@ def cncml_u_star(stats: SampleStats, kmax: float) -> CnCaseResult:
 
     1. ``dbar_1 <= 1``: scaled identity, ``u* = 1/kmax``.
     2. ``1 < dbar_1 <= kmax``: the FML estimate, ``u* = 1/dbar_1``.
-    3. ``dbar_1 > kmax`` with the slope at ``1/kmax`` non-positive:
-       ``u* = 1/kmax`` (constraint boundary).
-    4. otherwise an interior stationary point on ``(1/dbar_1, 1/kmax)``,
-       solved exactly on the segment between breakpoints where the
-       piecewise slope ``A - m/u`` changes sign.
+    3. ``dbar_1 > kmax >= kmax_b``: the constraint boundary, ``u* = 1/kmax``.
+    4. otherwise an interior point ``u* = 1/U = m/A`` read off the breakpoint
+       table (:class:`_CnPath`), with ``A = S_top + kmax S_bot`` over the
+       ``m`` entries clipped at ``kmax``; ``u* = 1/dbar_1`` on the flat
+       segment, where nothing is clipped.
     """
-    if not kmax >= 1:
-        raise InputError("condition-number bound kmax must be at least 1")
+    case, u, _, _ = _cn_solution(stats, kmax)
     dbar = stats.d / stats.sigma2
     nbar = int(np.count_nonzero(dbar >= 1.0))
-
-    if dbar[0] <= 1.0:
-        case, u = CnCase.SCALED_IDENTITY, 1.0 / kmax
-    elif dbar[0] <= kmax:
-        # boundary tie dbar_1 == kmax lands here; the profiles coincide
-        case, u = CnCase.FML_EQUIVALENT, 1.0 / dbar[0]
-    else:
-        p_guard = int(np.count_nonzero(dbar > kmax))
-        slack = p_guard - (dbar[nbar:] - 1.0).sum()
-        if kmax >= dbar[:p_guard].sum() / slack:
-            case, u = CnCase.BOUNDARY_U, 1.0 / kmax
-        else:
-            case, u = CnCase.INTERIOR_U, _interior_u(_TailSums(dbar), kmax)
-
     p = int(np.count_nonzero(dbar * u > 1.0))
     q = int(np.count_nonzero(dbar * (u * kmax) > 1.0))
     return CnCaseResult(case_id=case, u_star=u, p=p, q=q, nbar=nbar)
 
 
-def cncml(stats: SampleStats, kmax: float) -> CovarianceEstimate:
-    """Condition-number constrained ML estimate.
-
-    The eigenvalue profile follows the case split of :func:`cncml_u_star`;
-    the resulting condition number is exactly 1, ``d_1/sigma2``, ``kmax``
-    and ``kmax`` in the four cases respectively.
+def _cn_estimate(stats: SampleStats, kmax: float, p: int, c: int, u: float | None = None):
+    """The condition-number estimate as one cap map: the ``p`` largest sample
+    eigenvalues take the upper cap, the ``c`` smallest the lower cap, and the
+    rest keep ``d``.  The caps are ``sigma2/u`` and ``sigma2/(u kmax)`` inside
+    (``u = 1/U``) and ``sigma2 kmax`` and ``sigma2`` otherwise (``u`` None).
     """
-    res = cncml_u_star(stats, kmax)
-    d = stats.d
     s2 = stats.sigma2
-    n = stats.n
-    if res.case_id is CnCase.SCALED_IDENTITY:
-        lam = np.full(n, float(s2))
-    elif res.case_id is CnCase.FML_EQUIVALENT:
-        lam = np.maximum(d, s2)
-    elif res.case_id is CnCase.BOUNDARY_U:
-        lam = np.full(n, float(s2))
-        lam[: res.p] = s2 * kmax
-        lam[res.p : res.nbar] = d[res.p : res.nbar]
-    else:
-        u = res.u_star
-        lam = np.full(n, s2 / (u * kmax))
-        lam[: res.p] = s2 / u
-        lam[res.p : res.q] = d[res.p : res.q]
+    lam = stats.d.copy()
+    lam[:p] = s2 * kmax if u is None else s2 / u
+    lam[stats.n - c :] = s2 if u is None else s2 / (u * kmax)
     return CovarianceEstimate(
         lambdas=lam,
         basis=stats.s_eig.eigenvectors,
         kind="CNCML",
         constraints=ConstraintRecord(sigma2=s2, kmax=float(kmax)),
     )
+
+
+def cncml(stats: SampleStats, kmax: float) -> CovarianceEstimate:
+    """Condition-number constrained ML estimate.
+
+    The cap map of the solution behind :func:`cncml_u_star`; the resulting
+    condition number is exactly 1, ``d_1/sigma2``, ``kmax`` and ``kmax`` in
+    its four cases respectively.
+    """
+    case, u, p, c = _cn_solution(stats, kmax)
+    return _cn_estimate(stats, kmax, p, c, u if case is CnCase.INTERIOR_U else None)
 
 
 def condition_number(est: CovarianceEstimate) -> float:

@@ -46,14 +46,3 @@ class SingularMatrixError(NumericalError):
 
 class NoRootError(NumericalError):
     """A bracketing root search found no sign change."""
-
-
-class ConvergenceError(NumericalError):
-    """An iterative search exceeded its iteration cap.
-
-    The ``trajectory`` attribute records the visited states for diagnosis.
-    """
-
-    def __init__(self, message, trajectory=None):
-        super().__init__(message)
-        self.trajectory = list(trajectory) if trajectory is not None else []

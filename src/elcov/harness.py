@@ -100,6 +100,8 @@ class EstimatorSpec:
             raise InputError(f"estimator {name} requires a parameter, e.g. {name}(5)")
         if not takes_param and param is not None:
             raise InputError(f"estimator {name} takes no parameter")
+        if name == "RCML_FIXED" and not param.is_integer():
+            raise InputError(f"rank in {text!r} must be a finite whole number")
         return cls(name=name, param=param)
 
     def __str__(self) -> str:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 import math
+import os
 import warnings
 from dataclasses import dataclass
 
@@ -178,18 +179,17 @@ def lr0_store(ref: LRReference, path) -> None:
     qmap = dict(ref.quantiles)
     fields = [str(ref.n), str(ref.k), str(ref.trials), str(ref.seed), f"{ref.lr0:.17g}"]
     fields += [f"{qmap[p]:.17g}" for p in QUANTILE_PROBS]
-    line = " ".join(fields)
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            content = fh.read()
-    except FileNotFoundError:
-        content = ""
-    with open(path, "w", encoding="utf-8") as fh:
-        if not content:
-            fh.write(_TABLE_HEADER + "\n")
+    line = " ".join(fields) + "\n"
+    # append in place: stored records are never rewritten, so a failed write
+    # can lose at most the record being added
+    with open(path, "ab+") as fh:
+        if fh.seek(0, os.SEEK_END) == 0:
+            line = _TABLE_HEADER + "\n" + line
         else:
-            fh.write(content if content.endswith("\n") else content + "\n")
-        fh.write(line + "\n")
+            fh.seek(-1, os.SEEK_END)
+            if fh.read(1) != b"\n":
+                line = "\n" + line
+        fh.write(line.encode("utf-8"))
 
 
 def _parse_table(path):

@@ -3,8 +3,8 @@
 Each selector tunes one imperfectly known constraint (clutter rank, noise
 power, condition-number bound, or diagonal loading) so the likelihood ratio
 of the resulting estimate lands as close as possible to the precomputed
-invariant median ``lr0``.  Monotonicity of the LR in each constraint makes
-the one-dimensional searches globally optimal.
+invariant median ``lr0``.  The LR is monotone in each constraint, so each
+match is a closed form or one bracketed root.
 """
 
 from __future__ import annotations
@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import CovarianceEstimate, SampleStats, _TailSums, cncml, rcml
-from .exceptions import ConvergenceError, InputError, NoRootError, NumericalError
+from .estimators import CovarianceEstimate, SampleStats, _CnPath, _TailSums, _cn_estimate, rcml
+from .exceptions import InputError, NoRootError, NumericalError
 from .hermitian import EigenDecomposition
 from .likelihood import (
     LambertBranch,
@@ -146,16 +146,16 @@ def select_rank_sigma(
     lr0: float,
     training: np.ndarray,
     steering: np.ndarray,
-    max_iter: int = 50,
 ) -> JointSelection:
     """Alternating selection of rank and noise power.
 
     Each rank is climbed to the smallest rank at or above it whose noise
     power roots exist (at most ``n - 1``).  Starting from the climbed
     ``r_init`` it repeats: set the noise power to the trailing mean,
-    re-select the rank at that noise power and climb it.  Converges when the
-    climbed rank repeats, so a lower rank without roots climbs back to the
-    current one and ends the alternation there.  The noise-power candidates
+    re-select the rank at that noise power and climb it, until the climbed
+    rank stops falling.  It cannot rise (a climbed rank has roots, so its LR
+    reaches ``lr0`` and the re-selected rank is at most it), so this takes
+    at most ``n`` passes.  The noise-power candidates
     (the ML value plus up to two matching roots) are then scored by the mean
     matched filter statistic over the target-free training columns and the
     smallest mean wins.  Needs dimension at least 2 so the trailing mean
@@ -182,18 +182,12 @@ def select_rank_sigma(
         return r, roots
 
     r, roots = climb(min(max(int(r_init), 0), n - 1))
-    trajectory: list[tuple[int, float, int]] = []
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, n + 1):
         stats = SampleStats(n=n, k=k, s_eig=s_eig, sigma2=roots.sigma_ml)
         r_new, roots_new = climb(min(select_rank(stats, lr0).r_hat, n - 1))
-        trajectory.append((r, roots.sigma_ml, r_new))
-        if r_new == r:
+        if r_new >= r:
             break
         r, roots = r_new, roots_new
-    else:
-        raise ConvergenceError(
-            f"rank did not stabilize within {max_iter} iterations", trajectory=trajectory
-        )
 
     candidates = [("ML", roots.sigma_ml)]
     if roots.count == 2:
@@ -241,12 +235,8 @@ def _clip_log_lr(top, bottom, p, c, tau, u, log=np.log):
 
 @dataclass
 class _KmaxPath:
-    """Breakpoints of the condition-number path in descending ``kmax``.
-
-    ``top``/``bottom`` count the entries clipped from above and below on the
-    segment just under each breakpoint; segments under ``kmax_b`` are
-    interior (lower clip above 1), the rest are on the boundary.
-    """
+    """The columns of :meth:`_CnPath.breakpoints` that :func:`select_kmax`
+    reads, with the log LR of the estimate at each breakpoint."""
 
     kmax: np.ndarray
     log_lr: np.ndarray
@@ -256,62 +246,15 @@ class _KmaxPath:
 
 
 def _kmax_path(sums: _TailSums) -> _KmaxPath:
-    """Every breakpoint of the CN path and its log LR, in one vector pass.
-
-    With ``x = d/sigma2`` the estimate is ``clip(x, tau, U)``, ``U = kmax tau``.
-    Let ``g(U) = sum max(x/U - 1, 0)`` and ``h(tau) = sum max(1 - x/tau, 0)``.
-    On the boundary, ``kmax >= kmax_b`` where ``g(kmax_b) = h(1)``, ``tau`` is 1
-    and the breakpoints are the distinct ``x`` above ``kmax_b``.  Below it
-    ``g(U) = h(tau) = s`` with ``s`` rising from ``h(1)`` to ``h(mean x)`` (at
-    ``kmax = 1``), so the breakpoints are the values ``h`` and ``g`` take at
-    the distinct ``x``, and on each segment ``tau = S_bot/(c - s)`` and
-    ``U = S_top/(s + p)``.  When ``mean x <= 1`` the whole path is boundary.
-    """
-    n, asc = sums.n, sums.asc
-    c1 = int(sums.below(1.0))
-    h1 = c1 - sums.bottom[c1]
-    mean = sums.top[n] / n
-    starts = np.flatnonzero(np.concatenate(([True], asc[1:] > asc[:-1])))
-    a = asc[starts]
-    if mean > 1.0:
-        ends = np.append(starts[1:], n)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            h = starts - sums.bottom[starts] / a
-            g = sums.top[n - ends] / a - (n - ends)
-        h[0] = 0.0  # nothing lies below the smallest entry, even a zero one
-        cm = int(sums.below(mean))
-        s_max = max(cm - sums.bottom[cm] / mean, h1)  # equal for a flat spectrum
-        s = np.concatenate((h, g))
-        last = [s_max] if s_max > h1 else []  # a flat spectrum has one point
-        s = np.concatenate(([h1], np.sort(s[(s > h1) & (s < s_max)]), last))
-        bot_in = ends[np.searchsorted(h, s, side="right") - 1]
-        top_in = n - starts[len(g) - np.searchsorted(g[::-1], s, side="right")]
-        tau_in = sums.bottom[bot_in] / (bot_in - s)
-        u_in = sums.top[top_in] / (s + top_in)
-        kmax_in = np.maximum(u_in / tau_in, 1.0)
-        kmax_in[-1] = 1.0  # U = tau = mean x there, whatever U/tau rounds to
-        kmax_b = float(kmax_in[0])
-    else:
-        kmax_b = 1.0
-    # on the boundary tau = 1 and U = kmax; h(1) = 0 means no entry lies
-    # below 1, so the path is flat from k_ml down to x_1/x_N instead
-    j = len(a) if h1 == 0.0 else int(np.searchsorted(a, kmax_b, side="right"))
-    if j < len(a):
-        kmax_bd, top_bd = a[j:][::-1], n - starts[j:][::-1]
-    else:  # one point at k_ml, with nothing clipped from above beneath it
-        kmax_bd, top_bd = np.array([max(float(asc[-1]), 1.0)]), np.zeros(1, dtype=int)
-    pieces = [(kmax_bd, top_bd, np.full(len(kmax_bd), c1), np.ones(len(kmax_bd)), kmax_bd)]
-    if mean > 1.0:
-        pieces.append((kmax_in, top_in, bot_in, tau_in, u_in))
-    elif kmax_bd[-1] > 1.0:  # the boundary reaches kmax = 1, where U = tau = 1
-        pieces.append(([1.0], [n - c1], [c1], [1.0], [1.0]))
-    kmax, top, bottom, tau, u = (np.concatenate(col) for col in zip(*pieces))
+    """Every breakpoint of the CN path and its log LR, in one vector pass."""
+    path = _CnPath(sums)
+    kmax, top, bottom, tau, u = path.breakpoints()
     with np.errstate(divide="ignore", invalid="ignore"):
         log_lr = _clip_log_lr(
             (sums.log_top[top], sums.top[top]), (sums.log_bottom[bottom], sums.bottom[bottom]),
             top, bottom, tau, u,
         )
-    return _KmaxPath(kmax, log_lr, top, bottom, kmax_b)
+    return _KmaxPath(kmax, log_lr, top, bottom, path.kmax_b)
 
 
 def select_kmax(stats: SampleStats, lr0: float) -> KmaxSelection:
@@ -327,8 +270,8 @@ def select_kmax(stats: SampleStats, lr0: float) -> KmaxSelection:
     inside (``p`` top and ``c`` bottom entries, ``m = p + c``).  Both are
     concave and increasing in ``log kmax``, with slope ``g(U)``, so Newton
     steps from the segment's lower end rise monotonically to the root; they
-    stop once a step is below ``1e-12`` relative.  The estimate is built
-    once, at the selected bound.
+    stop once a step is below ``1e-12`` relative.  The estimate is the cap
+    map of the selected bound's segment; nothing is solved a second time.
     """
     if not 0 < lr0 <= 1:
         raise InputError("lr0 must lie in (0, 1]")
@@ -339,16 +282,17 @@ def select_kmax(stats: SampleStats, lr0: float) -> KmaxSelection:
     visited = list(zip(path.kmax.tolist(), np.exp(path.log_lr).tolist()))
     if x[0] <= 1.0 or path.log_lr[0] <= log_lr0:
         k_ml = float(path.kmax[0])
-        return KmaxSelection(k_ml, cncml(stats, k_ml), visited, 0.0, bool(x[0] > 1.0))
-    if path.log_lr[-1] >= log_lr0:
-        return KmaxSelection(1.0, cncml(stats, 1.0), visited, 0.0)
+        estimate = _cn_estimate(stats, k_ml, 0, int(path.bottom[0]))
+        return KmaxSelection(k_ml, estimate, visited, 0.0, bool(x[0] > 1.0))
 
-    i = int(np.argmax(path.log_lr <= log_lr0))  # the root lies in [kmax[i], kmax[i-1]]
+    at_one = bool(path.log_lr[-1] >= log_lr0)
+    # the root lies in [kmax[i], kmax[i-1]]; at kmax = 1 it is the last segment
+    i = len(path.kmax) - 1 if at_one else int(np.argmax(path.log_lr <= log_lr0))
     k_lo, k_hi = float(path.kmax[i]), float(path.kmax[i - 1])
     p, c = int(path.top[i - 1]), int(path.bottom[i - 1])
     top = float(sums.log_top[p]), float(sums.top[p])
     bottom = float(sums.log_bottom[c]), float(sums.bottom[c])
-    interior = k_lo < path.kmax_b
+    interior = k_lo < path.kmax_b and p + c > 0  # the flat segment clips nothing
 
     def log_lr_slope(km: float) -> tuple[float, float]:
         """Log LR on this segment and its slope ``g(U)`` in ``log kmax``."""
@@ -357,7 +301,7 @@ def select_kmax(stats: SampleStats, lr0: float) -> KmaxSelection:
         return _clip_log_lr(top, bottom, p, c, tau, u, math.log), top[1] / u - p
 
     km, step, t_hi = k_lo, 0.0, math.log(k_hi)
-    for _ in range(_NEWTON_MAX_STEPS):
+    for _ in range(0 if at_one else _NEWTON_MAX_STEPS):
         val, slope = log_lr_slope(km)
         if val >= log_lr0 or slope <= 0.0:
             break
@@ -369,7 +313,9 @@ def select_kmax(stats: SampleStats, lr0: float) -> KmaxSelection:
     kmax_hat = min(max(km, 1.0), float(path.kmax[0]))
     if k_lo < kmax_hat < k_hi:
         visited.insert(i, (kmax_hat, math.exp(log_lr_slope(kmax_hat)[0])))
-    return KmaxSelection(kmax_hat, cncml(stats, kmax_hat), visited, step)
+    a = sums.top[p] + kmax_hat * sums.bottom[c]
+    u = min((p + c) / a, 1.0 / kmax_hat) if interior else None
+    return KmaxSelection(kmax_hat, _cn_estimate(stats, kmax_hat, p, c, u), visited, step)
 
 
 def select_loading(stats: SampleStats, lr0: float) -> float:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from elcov import EigenDecomposition, SampleStats, ScenarioConfig
+from elcov import CnCase, EigenDecomposition, SampleStats, ScenarioConfig
 
 
 def random_hermitian(rng, n, scale=1.0):
@@ -58,6 +58,43 @@ def cn_objective_grid(dbar, kmax, step=1e-6, chunk=250_000):
         if vals[i] < best_val:
             best_val, best_u = float(vals[i]), float(uu[i, 0])
     return best_u, best_val
+
+
+def bisect_u_oracle(dbar, kmax):
+    """Case and ``u*`` for ``dbar_1 > kmax``, bisecting the objective's slope.
+
+    The slope is differentiated term by term from the cap map and bisected
+    on ``[1/dbar_1, 1/kmax]`` until the midpoint no longer splits the bracket.
+    An array of bounds is bisected at once, each on its own bracket, and
+    gives arrays of cases and ``u*``.
+    """
+    k = np.atleast_1d(np.asarray(kmax, dtype=float))[:, None]
+
+    def cap_map(u):
+        return cn_lambda_map(u[:, None], dbar, k)
+
+    def slope(u):
+        lam = cap_map(u)
+        dlam = np.where(lam == k * u[:, None], k, np.where(lam == u[:, None], 1.0, 0.0))
+        return np.sum((dbar - 1.0 / lam) * dlam, axis=1)
+
+    def objective(u):
+        lam = cap_map(u)
+        return np.sum(dbar * lam - np.log(lam), axis=1)
+
+    lo, hi = np.full(len(k), 1.0 / dbar[0]), 1.0 / k[:, 0]
+    boundary = slope(hi) <= 0.0
+    while True:
+        mid = 0.5 * (lo + hi)
+        split = (lo < mid) & (mid < hi) & ~boundary
+        if not split.any():
+            break
+        negative = slope(mid) < 0.0
+        lo = np.where(split & negative, mid, lo)
+        hi = np.where(split & ~negative, mid, hi)
+    u = np.where(boundary, hi, np.where(objective(lo) <= objective(hi), lo, hi))
+    cases = np.where(boundary, CnCase.BOUNDARY_U, CnCase.INTERIOR_U)
+    return (cases[0], float(u[0])) if np.ndim(kmax) == 0 else (cases, u)
 
 
 def reference_scenario():

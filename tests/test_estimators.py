@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import cn_lambda_map, cn_objective_grid, stats_from_spectrum
+from conftest import bisect_u_oracle, cn_lambda_map, cn_objective_grid, stats_from_spectrum
 from elcov import (
     CnCase,
     InputError,
@@ -225,31 +225,6 @@ class TestCnRandomized:
             for (u1, u2, i1, i2) in zip(us, us[1:], interior, interior[1:]):
                 if i1 and i2:
                     assert u2 <= u1 + 1e-12
-
-
-def bisect_u_oracle(dbar, kmax):
-    """Case and ``u*`` for ``dbar_1 > kmax``, bisecting the objective's slope.
-
-    The slope is differentiated term by term from the cap map and bisected
-    on ``[1/dbar_1, 1/kmax]`` until the midpoint no longer splits the bracket.
-    """
-
-    def slope(u):
-        lam = cn_lambda_map(u, dbar, kmax)
-        dlam = np.where(lam == kmax * u, kmax, np.where(lam == u, 1.0, 0.0))
-        return float(np.sum((dbar - 1.0 / lam) * dlam))
-
-    lo, hi = 1.0 / dbar[0], 1.0 / kmax
-    if slope(hi) <= 0.0:
-        return CnCase.BOUNDARY_U, hi
-    while lo < 0.5 * (lo + hi) < hi:
-        mid = 0.5 * (lo + hi)
-        if slope(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    best = min((lo, hi), key=lambda u: cncml_objective(u, dbar, kmax))
-    return CnCase.INTERIOR_U, best
 
 
 @pytest.mark.parametrize("n", [20, 64, 128, 256])

@@ -45,6 +45,14 @@ class TestEstimatorSpec:
         with pytest.raises(InputError):
             EstimatorSpec.parse("SMI(3)")
 
+    @pytest.mark.parametrize("rank", ["2.7", "1e400", "-inf", "nan"])
+    def test_rejects_non_integer_and_non_finite_rank(self, rank):
+        with pytest.raises(InputError, match="whole number"):
+            EstimatorSpec.parse(f"RCML_FIXED({rank})")
+
+    def test_accepts_integer_valued_rank(self):
+        assert EstimatorSpec.parse("RCML_FIXED(5.0)") == EstimatorSpec("RCML_FIXED", 5.0)
+
 
 class TestSteeringGrid:
     def test_default_19_when_unobstructed(self):

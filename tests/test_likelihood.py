@@ -252,6 +252,20 @@ class TestLr0Table:
             loaded = lr0_load(3, 12, path)
         assert loaded == second
 
+    def test_store_appends_without_rewriting(self, tmp_path):
+        path = tmp_path / "table.txt"
+        ref = lr0_reference(3, 12, trials=2000, seed=2)
+        lr0_store(ref, path)
+        record = path.read_bytes().split(b"\n", 1)[1]
+        assert path.read_bytes() == b"LR0TABLE v1\n" + record
+        # stored bytes stay as they are, and a missing final newline is added once
+        path.write_bytes(b"LR0TABLE v1\r\n" + record.rstrip(b"\n"))
+        lr0_store(ref, path)
+        assert path.read_bytes() == b"LR0TABLE v1\r\n" + record + record
+        lr0_store(ref, path)
+        assert path.read_bytes() == b"LR0TABLE v1\r\n" + record * 3
+        assert lr0_load(3, 12, path) == ref
+
     def test_malformed_header(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("NOT A TABLE\n")

@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import reference_scenario, stats_from_spectrum
+from conftest import bisect_u_oracle, cn_lambda_map, reference_scenario, stats_from_spectrum
 from elcov import (
-    ConvergenceError,
     EigenDecomposition,
     InputError,
     NoRootError,
@@ -249,13 +248,38 @@ class TestSelectRankSigma:
         assert joint.r_hat == 6
         assert joint.iterations == 1
 
-    def test_convergence_error_carries_trajectory(self, rng):
-        d, eig, z = self._planted(rng)
-        s = steering_vector(8, 10.0)
-        lr0 = 0.9 * math.exp(log_tail_lr(d, 3, 1.0))
-        with pytest.raises(ConvergenceError) as err:
-            select_rank_sigma(eig, 32, 1, lr0, z, s, max_iter=0)
-        assert err.value.trajectory == []
+    def test_climbed_ranks_never_rise(self, rng, monkeypatch):
+        # the climbed rank of each pass (the last rank the climb asks for
+        # roots) never exceeds the one before, and the loop stops as soon as
+        # it stops falling
+        import elcov.selection as selection
+
+        log = []
+
+        def roots(d, r, lr0):
+            log.append(r)
+            return sigma_el_roots(d, r, lr0)
+
+        def rank(stats, lr0):
+            log.append(None)
+            return select_rank(stats, lr0)
+
+        monkeypatch.setattr(selection, "sigma_el_roots", roots)
+        monkeypatch.setattr(selection, "select_rank", rank)
+        for _ in range(300):
+            n = int(rng.integers(2, 65))
+            d = np.sort(np.exp(rng.uniform(np.log(0.05), np.log(1e3), n)))[::-1]
+            eig = EigenDecomposition(eigenvalues=d, eigenvectors=np.eye(n, dtype=complex))
+            z = sample_training(np.diag(np.sqrt(d)).astype(complex), 2 * n, rng)
+            lr0 = math.exp(-float(10 ** rng.uniform(-3.0, 2.0)))
+            log.clear()
+            r_init = int(rng.integers(0, n))
+            joint = select_rank_sigma(eig, 2 * n, r_init, lr0, z, steering_vector(n, 0.0))
+            climbed = [log[i - 1] for i, e in enumerate(log) if e is None] + [log[-1]]
+            assert all(b <= a for a, b in zip(climbed, climbed[1:]))
+            assert all(b < a for a, b in zip(climbed[:-1], climbed[1:-1]))
+            assert joint.iterations == len(climbed) - 1
+            assert joint.r_hat == climbed[-2]
 
 
 class TestSelectKmax:
@@ -475,12 +499,18 @@ class TestKmaxPath:
             sigma2 = float(rng.uniform(0.1, 10.0))
             d = _spectrum(rng, n, sigma2)
             stats = stats_from_spectrum(d, sigma2=sigma2)
-            path = _kmax_path(_TailSums(d / sigma2))
-            assert path.kmax[0] == max(d[0] / sigma2, 1.0)
+            dbar = d / sigma2
+            path = _kmax_path(_TailSums(dbar))
+            assert path.kmax[0] == max(dbar[0], 1.0)
             assert path.kmax[-1] == 1.0
             assert np.all(np.diff(path.kmax) <= 0.0)
-            for km, val in zip(path.kmax.tolist(), path.log_lr.tolist()):
-                assert abs(val - log_lr_value(cncml(stats, km).lambdas, d)) <= 1e-9
+            # an independent estimate at every breakpoint: the bisected u*, or
+            # u = 1/kmax where dbar_1 <= kmax and the cap map gives max(dbar, 1)
+            _, u = bisect_u_oracle(dbar, path.kmax)
+            u = np.where(dbar[0] <= path.kmax, 1.0 / path.kmax, u)
+            for km, u_km, val in zip(path.kmax.tolist(), u.tolist(), path.log_lr.tolist()):
+                lam = sigma2 / cn_lambda_map(u_km, dbar, km)
+                assert abs(val - log_lr_value(lam, d)) <= 1e-9
             assert np.all(np.diff(path.log_lr) <= 1e-9)
 
     def test_matches_illinois_oracle_on_random_spectra(self, rng):
@@ -510,9 +540,10 @@ class TestKmaxPath:
             )
 
     def test_one_estimate_and_no_lr_evaluation_per_call(self, rng, monkeypatch):
+        import elcov.estimators as estimators
         import elcov.selection as selection
 
-        calls = {"cncml": 0, "log_lr_value": 0}
+        calls = {"estimate": 0, "cn_solve": 0, "log_lr_value": 0}
 
         def counted(name, fn):
             def wrapper(*args):
@@ -521,15 +552,18 @@ class TestKmaxPath:
 
             return wrapper
 
-        monkeypatch.setattr(selection, "cncml", counted("cncml", cncml))
+        # the estimate comes from the shared cap map, with no second CN solve
+        estimate, solve = estimators._cn_estimate, estimators._cn_solution
+        monkeypatch.setattr(selection, "_cn_estimate", counted("estimate", estimate))
+        monkeypatch.setattr(estimators, "_cn_solution", counted("cn_solve", solve))
         monkeypatch.setattr(selection, "log_lr_value", counted("log_lr_value", log_lr_value))
         for lr0 in (1e-12, 0.3, 1.0):
             for _ in range(20):
                 n = int(rng.integers(2, 65))
                 stats = stats_from_spectrum(_spectrum(rng, n, 1.0))
-                calls.update(cncml=0, log_lr_value=0)
+                calls.update(estimate=0, cn_solve=0, log_lr_value=0)
                 select_kmax(stats, lr0)
-                assert calls == {"cncml": 1, "log_lr_value": 0}
+                assert calls == {"estimate": 1, "cn_solve": 0, "log_lr_value": 0}
 
     def test_visited_is_the_path_plus_the_root(self, rng):
         d = np.sort(rng.gamma(1.5, 3.0, 12))[::-1]
