@@ -25,6 +25,7 @@ __all__ = [
     "CorruptionSpec",
     "ScenarioConfig",
     "TrainingSet",
+    "draw_training",
     "generate_training",
     "jammer_covariance",
     "matrix_load",
@@ -165,17 +166,14 @@ class TrainingSet:
     corrupted_indices: tuple[int, ...]
 
 
-def generate_training(
-    r_true, k: int, corruption: CorruptionSpec | None, rng: np.random.Generator
+def draw_training(
+    factor, k: int, corruption: CorruptionSpec | None, rng: np.random.Generator
 ) -> TrainingSet:
-    """Draw ``k`` training snapshots from the true covariance.
+    """Draw ``k`` training snapshots from a factor ``F F^H`` of the true covariance.
 
     With a corruption spec, exactly ``round(fraction * k)`` columns (chosen
     by the generator, half-up rounding) receive the target-like component.
     """
-    if k < 1:
-        raise InputError("sample count k must be at least 1")
-    factor = sqrt_factor(r_true)
     z = sample_training(factor, k, rng)
     corrupted: tuple[int, ...] = ()
     if corruption is not None and corruption.fraction > 0:
@@ -187,6 +185,13 @@ def generate_training(
             z[:, picks] += corruption.amplitude * corruption.steering[:, None]
             corrupted = tuple(int(i) for i in picks)
     return TrainingSet(z=z, corrupted_indices=corrupted)
+
+
+def generate_training(
+    r_true, k: int, corruption: CorruptionSpec | None, rng: np.random.Generator
+) -> TrainingSet:
+    """:func:`draw_training` from the :func:`sqrt_factor` of ``r_true``."""
+    return draw_training(sqrt_factor(r_true), k, corruption, rng)
 
 
 _CMAT_HEADER = "CMAT v1"

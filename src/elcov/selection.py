@@ -25,7 +25,6 @@ from .likelihood import (
     log_lr_value,
     log_tail_lr,
 )
-from .metrics import nmf_statistic
 
 __all__ = [
     "JointSelection",
@@ -129,6 +128,21 @@ def sigma_el_roots(sample_lambdas, r: int, lr0: float) -> NoiseRoots:
     return NoiseRoots(count=2, roots=roots, sigma_ml=s_ml)
 
 
+def _nmf_scorer(s_eig: EigenDecomposition, steering, training):
+    """Mean matched filter statistic over the ``training`` columns of any
+    estimate on the basis ``V`` of ``s_eig``, as a function of its eigenvalues;
+    ``V^H s`` and ``V^H Z`` are projected once for all of them."""
+    v_h = s_eig.eigenvectors.conj().T
+    ws, w = v_h @ steering, v_h @ training
+    ws2, w2 = np.abs(ws) ** 2, np.abs(w) ** 2
+
+    def mean_nmf(lambdas) -> float:
+        q = 1.0 / lambdas
+        return float(np.mean(np.abs((q * ws).conj() @ w) ** 2 / ((q @ ws2) * (q @ w2))))
+
+    return mean_nmf
+
+
 @dataclass
 class JointSelection:
     """Jointly selected rank and noise power."""
@@ -170,6 +184,8 @@ def select_rank_sigma(
     training = np.asarray(training, dtype=np.complex128)
     if training.ndim != 2 or training.shape[0] != n or training.shape[1] < 1:
         raise InputError("training must be an n-by-k matrix with at least one column")
+    if not np.all(np.any(training, axis=0)):
+        raise InputError("training columns must be nonzero")
     steering = np.asarray(steering, dtype=np.complex128)
     if steering.shape != (n,) or abs(np.linalg.norm(steering) - 1.0) > 1e-6:
         raise InputError("steering must be a unit-norm length-n vector")
@@ -193,10 +209,10 @@ def select_rank_sigma(
     if roots.count == 2:
         candidates.append(("EL1", roots.roots[0]))
         candidates.append(("EL2", roots.roots[1]))
+    mean_nmf = _nmf_scorer(s_eig, steering, training)
     best_label, best_sigma, best_score = None, None, math.inf
     for label, sig in candidates:
-        est = rcml(SampleStats(n=n, k=k, s_eig=s_eig, sigma2=sig), r)
-        score = float(np.mean(nmf_statistic(est, steering, training)))
+        score = mean_nmf(rcml(SampleStats(n=n, k=k, s_eig=s_eig, sigma2=sig), r).lambdas)
         if score < best_score:
             best_label, best_sigma, best_score = label, sig, score
     return JointSelection(

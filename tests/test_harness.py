@@ -3,16 +3,31 @@ import csv
 import numpy as np
 import pytest
 
-from conftest import reference_scenario
+import elcov.harness as harness
+import elcov.scenario as scenario_module
+from conftest import random_hermitian, random_psd, reference_scenario
 from elcov import (
+    EigenDecomposition,
     EstimatorSpec,
     ExperimentConfig,
     InputError,
+    SampleStats,
     ScenarioConfig,
+    SingularMatrixError,
+    cncml,
     default_steering_grid,
+    eig_hermitian,
+    fml,
     load_experiment_config,
+    lsmi,
+    normalized_sinr,
+    rcml,
     run_experiment,
+    smi,
+    steering_vector,
 )
+from elcov.cli import cli
+from elcov.harness import _sinr_scorer
 
 
 def noise_only_config(tmp_path, **overrides):
@@ -249,3 +264,92 @@ class TestConfigFile:
         path.write_text("[scenario]\nn = 4\n[experiment]\ntrials = 1\n")
         with pytest.raises(InputError, match="k_list"):
             load_experiment_config(path)
+
+    @pytest.mark.parametrize(
+        "spec",
+        ["RCML_FIXED(9)", "RCML_FIXED(-1)", "CNCML_FIXED(0.5)", "CNCML_FIXED(nan)",
+         "CNCML_FIXED(inf)"],
+    )
+    def test_bad_fixed_parameter_fails_before_lr0_or_csv(self, tmp_path, spec):
+        # n = 4: ranks outside [0, 4] and bounds that are not finite and >= 1
+        # used to fail mid-sweep, after the lr0 table was computed
+        table, out = tmp_path / "lr0.txt", tmp_path / "out"
+        path = tmp_path / "exp.cfg"
+        path.write_text(
+            f"[scenario]\nn = 4\n[experiment]\nk_list = 8\ntrials = 2\nmaster_seed = 1\n"
+            f"estimators = RCML_EL, {spec}\noutput = {out}\nlr0_table = {table}\n"
+            f"lr0_trials = 200\n"
+        )
+        with pytest.raises(InputError, match=r"outside \[0, 4\]|finite and at least 1"):
+            load_experiment_config(path)
+        assert cli(["simulate", "--config", str(path)]) == 1
+        assert not table.exists() and not out.exists()
+
+    @pytest.mark.parametrize("spec", ["RCML_FIXED(0)", "RCML_FIXED(4)", "CNCML_FIXED(1)"])
+    def test_fixed_parameter_limits_accepted(self, tmp_path, spec):
+        noise_only_config(tmp_path, estimators=(EstimatorSpec.parse(spec),))
+
+
+class TestHoistedFactor:
+    def test_one_sqrt_factor_per_sweep(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(module):
+            inner = module.sqrt_factor
+            monkeypatch.setattr(module, "sqrt_factor", lambda h: calls.append(1) or inner(h))
+
+        counted(harness)
+        counted(scenario_module)
+        cfg = noise_only_config(
+            tmp_path,
+            scenario=reference_scenario(),
+            k_list=(20, 30),
+            trials=3,
+            estimators=(EstimatorSpec.parse("SMI"), EstimatorSpec.parse("FML")),
+        )
+        assert len(run_experiment(cfg)) == 12
+        assert len(calls) == 1
+
+
+def _random_estimates(rng, n):
+    """One estimate of every kind on a random spectrum and a random basis."""
+    d = np.sort(np.exp(rng.normal(0.0, 2.0, n)))[::-1]
+    basis = eig_hermitian(random_hermitian(rng, n)).eigenvectors
+    eig = EigenDecomposition(eigenvalues=d, eigenvectors=basis)
+    stats = SampleStats(n=n, k=2 * n, s_eig=eig, sigma2=float(d[rng.integers(n)]))
+    return basis, [
+        smi(stats),
+        fml(stats),
+        rcml(stats, int(rng.integers(n + 1))),
+        cncml(stats, float(1.0 + 100.0 * rng.random())),
+        lsmi(stats, float(rng.random())),
+    ]
+
+
+class TestSinrScorer:
+    def _steering(self, rng, n):
+        s = rng.standard_normal((n, 5)) + 1j * rng.standard_normal((n, 5))
+        grid = np.column_stack([steering_vector(n, a) for a in (-60.0, 0.0, 25.0)])
+        return np.column_stack([s / np.linalg.norm(s, axis=0), grid])
+
+    def test_matches_normalized_sinr_oracle(self, rng):
+        for _ in range(60):
+            n = int(rng.integers(2, 65))
+            basis, estimates = _random_estimates(rng, n)
+            r_true = random_psd(rng, n) + 0.1 * np.eye(n)
+            steer = self._steering(rng, n)
+            den_true = np.abs(np.sum(steer.conj() * np.linalg.solve(r_true, steer), axis=0))
+            mean_sinr_db = _sinr_scorer(basis, r_true, steer, den_true)
+            for est in estimates:
+                oracle = np.mean(
+                    [10.0 * np.log10(normalized_sinr(est, r_true, s)) for s in steer.T]
+                )
+                assert mean_sinr_db(est.lambdas) == pytest.approx(oracle, abs=1e-10)
+
+    @pytest.mark.parametrize("bad", [0.0, -1e-3])
+    def test_non_positive_eigenvalue_is_singular(self, rng, bad):
+        basis = eig_hermitian(random_hermitian(rng, 3)).eigenvectors
+        steer = self._steering(rng, 3)
+        mean_sinr_db = _sinr_scorer(basis, np.eye(3), steer, np.ones(steer.shape[1]))
+        with pytest.raises(SingularMatrixError):
+            mean_sinr_db(np.array([2.0, 1.0, bad]))

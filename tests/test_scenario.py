@@ -14,8 +14,10 @@ from elcov import (
     matrix_save,
     read_cmat,
     steering_vector,
+    sqrt_factor,
     write_cmat,
 )
+from elcov.scenario import draw_training
 
 
 class TestScenarioConfig:
@@ -197,3 +199,17 @@ class TestMatrixIo:
         with pytest.raises(FormatError) as err:
             read_cmat(path)
         assert err.value.line == 2 and err.value.column == 2
+
+
+class TestDrawTraining:
+    @pytest.mark.parametrize("fraction", [0.0, 0.4])
+    def test_bit_identical_to_generate_training(self, rng, fraction):
+        n, k = 6, 25
+        r_true = random_hermitian(rng, n)
+        r_true = r_true @ r_true.conj().T + np.eye(n)
+        spec = CorruptionSpec(fraction=fraction, amplitude=3.0, steering=steering_vector(n, 20.0))
+        a = generate_training(r_true, k, spec, derive_rng(4, "draw", k))
+        b = draw_training(sqrt_factor(r_true), k, spec, derive_rng(4, "draw", k))
+        assert np.array_equal(a.z, b.z)
+        assert a.corrupted_indices == b.corrupted_indices
+        assert len(b.corrupted_indices) == round(fraction * k)

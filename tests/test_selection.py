@@ -3,7 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from conftest import bisect_u_oracle, cn_lambda_map, reference_scenario, stats_from_spectrum
+from conftest import (
+    bisect_u_oracle,
+    cn_lambda_map,
+    random_hermitian,
+    reference_scenario,
+    stats_from_spectrum,
+)
 from elcov import (
     EigenDecomposition,
     InputError,
@@ -16,6 +22,8 @@ from elcov import (
     jammer_covariance,
     log_lr_value,
     lr_rcml,
+    nmf_statistic,
+    rcml,
     sample_covariance,
     sample_training,
     select_kmax,
@@ -28,7 +36,7 @@ from elcov import (
     steering_vector,
 )
 from elcov.likelihood import log_tail_lr, lr0_reference
-from elcov.selection import _kmax_path, _TailSums
+from elcov.selection import _kmax_path, _nmf_scorer, _TailSums
 
 
 def log_lr_rank(stats, r):
@@ -280,6 +288,54 @@ class TestSelectRankSigma:
             assert all(b < a for a, b in zip(climbed[:-1], climbed[1:-1]))
             assert joint.iterations == len(climbed) - 1
             assert joint.r_hat == climbed[-2]
+
+    def test_nmf_scores_match_nmf_statistic_oracle(self, rng):
+        for _ in range(100):
+            n = int(rng.integers(2, 65))
+            d = np.sort(np.exp(rng.uniform(np.log(0.05), np.log(1e3), n)))[::-1]
+            eig = EigenDecomposition(
+                eigenvalues=d, eigenvectors=eig_hermitian(random_hermitian(rng, n)).eigenvectors
+            )
+            k = int(rng.integers(1, 3 * n))
+            z = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
+            s = steering_vector(n, float(rng.uniform(-90.0, 90.0)))
+            mean_nmf = _nmf_scorer(eig, s, z)
+            for sigma2 in rng.uniform(0.05, 2.0, 3):
+                est = rcml(SampleStats(n=n, k=k, s_eig=eig, sigma2=float(sigma2)),
+                           int(rng.integers(n + 1)))
+                oracle = float(np.mean(nmf_statistic(est, s, z)))
+                assert mean_nmf(est.lambdas) == pytest.approx(oracle, rel=1e-12)
+
+    def test_chooses_the_oracle_nmf_minimum(self, rng):
+        for _ in range(50):
+            n = int(rng.integers(2, 33))
+            d = np.sort(np.exp(rng.uniform(np.log(0.05), np.log(1e3), n)))[::-1]
+            eig = EigenDecomposition(
+                eigenvalues=d, eigenvectors=eig_hermitian(random_hermitian(rng, n)).eigenvectors
+            )
+            z = sample_training((eig.eigenvectors * np.sqrt(d)).astype(complex), 2 * n, rng)
+            s = steering_vector(n, 10.0)
+            lr0 = math.exp(-float(10 ** rng.uniform(-3.0, 2.0)))
+            joint = select_rank_sigma(eig, 2 * n, 0, lr0, z, s)
+            roots = sigma_el_roots(d, joint.r_hat, lr0)
+            two = roots.count == 2
+            labels = ["ML", "EL1", "EL2"] if two else ["ML"]
+            sigmas = [roots.sigma_ml, *roots.roots] if two else [roots.sigma_ml]
+            scores = [
+                float(np.mean(nmf_statistic(
+                    rcml(SampleStats(n=n, k=2 * n, s_eig=eig, sigma2=sig), joint.r_hat), s, z)))
+                for sig in sigmas
+            ]
+            # equal estimates (r = 0 is sigma2 I at every sigma2) tie up to rounding
+            chosen = sigmas.index(joint.sigma2_hat)
+            assert joint.chosen_from == labels[chosen]
+            assert scores[chosen] <= min(scores) * (1.0 + 1e-12)
+
+    def test_zero_training_column_rejected(self, rng):
+        d, eig, z = self._planted(rng)
+        z[:, 5] = 0.0
+        with pytest.raises(InputError, match="nonzero"):
+            select_rank_sigma(eig, 32, 1, 0.5, z, steering_vector(8, 0.0))
 
 
 class TestSelectKmax:
