@@ -58,7 +58,6 @@ from .likelihood import (
     lr0_load,
     lr0_reference,
     lr0_store,
-    lr_matrix,
     lr_rcml,
     lr_value,
 )

@@ -248,3 +248,7 @@ def cli(argv) -> int:
 
 def main() -> None:
     sys.exit(cli(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

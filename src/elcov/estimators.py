@@ -95,7 +95,6 @@ class CovarianceEstimate:
 
     lambdas: np.ndarray
     basis: np.ndarray
-    kind: str
     constraints: ConstraintRecord = field(default_factory=ConstraintRecord)
 
     @property
@@ -113,7 +112,6 @@ def smi(stats: SampleStats) -> CovarianceEstimate:
     return CovarianceEstimate(
         lambdas=stats.d.copy(),
         basis=stats.s_eig.eigenvectors,
-        kind="SMI",
         constraints=ConstraintRecord(),
     )
 
@@ -129,7 +127,6 @@ def fml(stats: SampleStats) -> CovarianceEstimate:
     return CovarianceEstimate(
         lambdas=lam,
         basis=stats.s_eig.eigenvectors,
-        kind="FML",
         constraints=ConstraintRecord(r=implied_rank, sigma2=stats.sigma2),
     )
 
@@ -148,7 +145,6 @@ def rcml(stats: SampleStats, r: int) -> CovarianceEstimate:
     return CovarianceEstimate(
         lambdas=lam,
         basis=stats.s_eig.eigenvectors,
-        kind="RCML",
         constraints=ConstraintRecord(r=int(r), sigma2=stats.sigma2),
     )
 
@@ -160,7 +156,6 @@ def lsmi(stats: SampleStats, beta: float) -> CovarianceEstimate:
     return CovarianceEstimate(
         lambdas=stats.d + beta,
         basis=stats.s_eig.eigenvectors,
-        kind="LSMI",
         constraints=ConstraintRecord(beta=float(beta)),
     )
 
@@ -390,7 +385,6 @@ def _cn_estimate(stats: SampleStats, kmax: float, p: int, c: int, u: float | Non
     return CovarianceEstimate(
         lambdas=lam,
         basis=stats.s_eig.eigenvectors,
-        kind="CNCML",
         constraints=ConstraintRecord(sigma2=s2, kmax=float(kmax)),
     )
 

@@ -37,7 +37,6 @@ __all__ = [
     "lr0_lookup",
     "lr0_reference",
     "lr0_store",
-    "lr_matrix",
     "lr_rcml",
     "lr_value",
 ]
@@ -88,10 +87,6 @@ def log_lr_matrix(r, s) -> float:
     if sign == 0:
         return -math.inf
     return float(logdet.real + n - np.trace(x).real)
-
-
-def lr_matrix(r, s) -> float:
-    return math.exp(log_lr_matrix(r, s))
 
 
 def log_lr_rcml(stats: SampleStats, r: int) -> float:

@@ -164,16 +164,19 @@ def select_rank_sigma(
     """Alternating selection of rank and noise power.
 
     Each rank is climbed to the smallest rank at or above it whose noise
-    power roots exist (at most ``n - 1``).  Starting from the climbed
-    ``r_init`` it repeats: set the noise power to the trailing mean,
+    power roots exist (at most ``n - 1``): those whose tail-profile peak
+    ``sum_{i >= r} log d_i - (n - r) log sigma_ml(r)`` reaches ``log lr0``,
+    found for every rank in one pass over the tail sums.  Starting from the
+    climbed ``r_init`` it repeats: set the noise power to the trailing mean,
     re-select the rank at that noise power and climb it, until the climbed
     rank stops falling.  It cannot rise (a climbed rank has roots, so its LR
     reaches ``lr0`` and the re-selected rank is at most it), so this takes
     at most ``n`` passes.  The noise-power candidates
     (the ML value plus up to two matching roots) are then scored by the mean
     matched filter statistic over the target-free training columns and the
-    smallest mean wins.  Needs dimension at least 2 so the trailing mean
-    stays defined.
+    smallest mean wins; at rank 0 every candidate is ``sigma2 I``, so the ML
+    value is the only one.  Needs dimension at least 2 so the trailing mean
+    stays defined, and a positive spectrum.
     """
     n = s_eig.n
     d = s_eig.eigenvalues
@@ -189,26 +192,28 @@ def select_rank_sigma(
     steering = np.asarray(steering, dtype=np.complex128)
     if steering.shape != (n,) or abs(np.linalg.norm(steering) - 1.0) > 1e-6:
         raise InputError("steering must be a unit-norm length-n vector")
+    if not d[-1] > 0:
+        raise InputError("sample eigenvalues must be positive; noise power is unidentifiable")
 
-    def climb(r: int) -> tuple[int, NoiseRoots]:
-        roots = sigma_el_roots(d, r, lr0)
-        while r < n - 1 and roots.count == 0:
-            r += 1
-            roots = sigma_el_roots(d, r, lr0)
-        return r, roots
+    sums = _TailSums(d)
+    m = np.arange(n, 0, -1)
+    peak = sums.log_bottom[m] - m * np.log(sums.bottom[m] / m)
+    # sigma_el_roots' own test for roots; rank n - 1 has them, its peak being 0
+    first = np.where(peak >= math.log(lr0) - 1e-10, np.arange(n), n - 1)
+    climbed = np.minimum.accumulate(first[::-1])[::-1]
 
-    r, roots = climb(min(max(int(r_init), 0), n - 1))
+    r = int(climbed[min(max(int(r_init), 0), n - 1)])
     for iterations in range(1, n + 1):
-        stats = SampleStats(n=n, k=k, s_eig=s_eig, sigma2=roots.sigma_ml)
-        r_new, roots_new = climb(min(select_rank(stats, lr0).r_hat, n - 1))
+        stats = SampleStats(n=n, k=k, s_eig=s_eig, sigma2=sigma_ml(d, r))
+        r_new = int(climbed[min(select_rank(stats, lr0).r_hat, n - 1)])
         if r_new >= r:
             break
-        r, roots = r_new, roots_new
+        r = r_new
 
+    roots = sigma_el_roots(d, r, lr0)
     candidates = [("ML", roots.sigma_ml)]
-    if roots.count == 2:
-        candidates.append(("EL1", roots.roots[0]))
-        candidates.append(("EL2", roots.roots[1]))
+    if roots.count == 2 and r > 0:
+        candidates += [("EL1", roots.roots[0]), ("EL2", roots.roots[1])]
     mean_nmf = _nmf_scorer(s_eig, steering, training)
     best_label, best_sigma, best_score = None, None, math.inf
     for label, sig in candidates:

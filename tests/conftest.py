@@ -46,17 +46,22 @@ def cn_lambda_map(u, dbar, kmax):
 def cn_objective_grid(dbar, kmax, step=1e-6, chunk=250_000):
     """Brute-force scan of the condition-number objective over u in (0, 1].
 
-    Returns (u_min, value_min) of the grid argmin.
+    Returns (u_min, value_min) of the grid argmin.  The objective is summed
+    one eigenvalue column at a time, in index order.
     """
     u = np.arange(step, 1.0 + 0.5 * step, step)
     best_u, best_val = None, np.inf
     for start in range(0, len(u), chunk):
-        uu = u[start : start + chunk][:, None]
-        lam = cn_lambda_map(uu, dbar[None, :], kmax)
-        vals = np.sum(dbar[None, :] * lam, axis=1) - np.log(np.prod(lam, axis=1))
+        uu = u[start : start + chunk]
+        lam = cn_lambda_map(uu, dbar[0], kmax)
+        total, prod = dbar[0] * lam, lam
+        for d_j in dbar[1:]:
+            lam = cn_lambda_map(uu, d_j, kmax)
+            total, prod = total + d_j * lam, prod * lam
+        vals = total - np.log(prod)
         i = int(np.argmin(vals))
         if vals[i] < best_val:
-            best_val, best_u = float(vals[i]), float(uu[i, 0])
+            best_val, best_u = float(vals[i]), float(uu[i])
     return best_u, best_val
 
 

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -49,6 +53,19 @@ class TestLr0Command:
         assert code == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0] == "key,value"
+
+    def test_module_entry_point_writes_table(self, tmp_path):
+        # ``python -m elcov.cli`` runs the command, not just the import
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+        proc = subprocess.run(
+            [sys.executable, "-m", "elcov.cli", "lr0", "--n", "2", "--k", "4",
+             "--trials", "10", "--table", "t"],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert lr0_load(2, 4, tmp_path / "t") is not None
 
 
 class TestEstimateCommand:

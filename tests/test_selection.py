@@ -13,6 +13,7 @@ from conftest import (
 from elcov import (
     EigenDecomposition,
     InputError,
+    JointSelection,
     NoRootError,
     SampleStats,
     cncml,
@@ -203,6 +204,42 @@ class TestSigmaElRoots:
         assert np.all(np.diff(vals[peak:]) <= 1e-12)
 
 
+def climb_rank_sigma(s_eig, k, r_init, lr0, training, steering):
+    """Oracle: the former joint selection, which climbs rank by rank.
+
+    Each climb asks :func:`sigma_el_roots` for roots at every rank from its
+    start until some exist (at most ``n - 1``).  Returns the climbed rank of
+    every pass, the last one being the pass that stopped the loop, and the
+    selection, scoring the candidates as :func:`select_rank_sigma` does.
+    """
+    n, d = s_eig.n, s_eig.eigenvalues
+
+    def climb(r):
+        roots = sigma_el_roots(d, r, lr0)
+        while r < n - 1 and roots.count == 0:
+            r += 1
+            roots = sigma_el_roots(d, r, lr0)
+        return r, roots
+
+    r, roots = climb(min(max(r_init, 0), n - 1))
+    climbed = [r]
+    for iterations in range(1, n + 1):
+        stats = SampleStats(n=n, k=k, s_eig=s_eig, sigma2=roots.sigma_ml)
+        r_new, roots_new = climb(min(select_rank(stats, lr0).r_hat, n - 1))
+        climbed.append(r_new)
+        if r_new >= r:
+            break
+        r, roots = r_new, roots_new
+    sigmas = {"ML": roots.sigma_ml}
+    if roots.count == 2 and r > 0:
+        sigmas.update(EL1=roots.roots[0], EL2=roots.roots[1])
+    mean_nmf = _nmf_scorer(s_eig, steering, training)
+    scores = {label: mean_nmf(rcml(SampleStats(n=n, k=k, s_eig=s_eig, sigma2=sig), r).lambdas)
+              for label, sig in sigmas.items()}
+    label = min(scores, key=scores.get)
+    return climbed, JointSelection(r, sigmas[label], label, iterations)
+
+
 class TestSelectRankSigma:
     def _planted(self, rng, n=8, r_true=3, floor=1.0):
         d = np.concatenate([np.array([50.0, 20.0, 10.0])[:r_true], np.full(n - r_true, floor)])
@@ -256,38 +293,92 @@ class TestSelectRankSigma:
         assert joint.r_hat == 6
         assert joint.iterations == 1
 
-    def test_climbed_ranks_never_rise(self, rng, monkeypatch):
-        # the climbed rank of each pass (the last rank the climb asks for
-        # roots) never exceeds the one before, and the loop stops as soon as
-        # it stops falling
+    def test_climbed_ranks_never_rise(self, rng):
+        # on the per-rank climb's trajectory the climbed rank of each pass
+        # never exceeds the one before, and the loop stops as soon as it
+        # stops falling; the closed-form climb returns the same selection
+        multi_pass = 0
+        for i in range(300):
+            n = int(rng.integers(2, 65))
+            if i % 4 == 0:  # tied spectrum
+                d = rng.choice(np.exp(rng.uniform(np.log(0.05), np.log(1e3), 3)), n)
+            else:
+                d = np.exp(rng.uniform(np.log(0.05), np.log(1e3), n))
+            d = np.sort(d)[::-1]
+            eig = EigenDecomposition(eigenvalues=d, eigenvectors=np.eye(n, dtype=complex))
+            z = sample_training(np.diag(np.sqrt(d)).astype(complex), 2 * n, rng)
+            lr0 = math.exp(-float(10 ** rng.uniform(-3.0, 2.0)))
+            args = (eig, 2 * n, int(rng.integers(0, n)), lr0, z, steering_vector(n, 0.0))
+            climbed, oracle = climb_rank_sigma(*args)
+            assert all(b <= a for a, b in zip(climbed, climbed[1:]))
+            assert all(b < a for a, b in zip(climbed[:-1], climbed[1:-1]))
+            assert oracle.iterations == len(climbed) - 1
+            assert oracle.r_hat == climbed[-2]
+            assert select_rank_sigma(*args) == oracle
+            multi_pass += oracle.iterations > 1
+        assert multi_pass >= 30
+
+    def test_reference_at_a_peak_has_roots_there(self, rng):
+        # lr0 at rank r's peak gives one root (within 1e-10 in log LR), so
+        # the climb from r stops at r as the per-rank climb does
+        for _ in range(200):
+            n = int(rng.integers(2, 33))
+            d = np.sort(np.exp(rng.uniform(np.log(0.5), np.log(20.0), n)))[::-1]
+            eig = EigenDecomposition(eigenvalues=d, eigenvectors=np.eye(n, dtype=complex))
+            z = sample_training(np.diag(np.sqrt(d)).astype(complex), 2 * n, rng)
+            r = int(rng.integers(0, n - 1))
+            lr0 = math.exp(log_tail_lr(d, r, sigma_ml(d, r)))
+            args = (eig, 2 * n, r, lr0, z, steering_vector(n, 0.0))
+            climbed, oracle = climb_rank_sigma(*args)
+            assert climbed[0] == r
+            assert select_rank_sigma(*args) == oracle
+
+    def test_one_root_solve_per_selection(self, rng, monkeypatch):
         import elcov.selection as selection
 
-        log = []
+        calls = []
 
         def roots(d, r, lr0):
-            log.append(r)
+            calls.append(r)
             return sigma_el_roots(d, r, lr0)
 
-        def rank(stats, lr0):
-            log.append(None)
-            return select_rank(stats, lr0)
-
         monkeypatch.setattr(selection, "sigma_el_roots", roots)
-        monkeypatch.setattr(selection, "select_rank", rank)
-        for _ in range(300):
+        for _ in range(100):
             n = int(rng.integers(2, 65))
             d = np.sort(np.exp(rng.uniform(np.log(0.05), np.log(1e3), n)))[::-1]
             eig = EigenDecomposition(eigenvalues=d, eigenvectors=np.eye(n, dtype=complex))
             z = sample_training(np.diag(np.sqrt(d)).astype(complex), 2 * n, rng)
             lr0 = math.exp(-float(10 ** rng.uniform(-3.0, 2.0)))
-            log.clear()
-            r_init = int(rng.integers(0, n))
-            joint = select_rank_sigma(eig, 2 * n, r_init, lr0, z, steering_vector(n, 0.0))
-            climbed = [log[i - 1] for i, e in enumerate(log) if e is None] + [log[-1]]
-            assert all(b <= a for a, b in zip(climbed, climbed[1:]))
-            assert all(b < a for a, b in zip(climbed[:-1], climbed[1:-1]))
-            assert joint.iterations == len(climbed) - 1
-            assert joint.r_hat == climbed[-2]
+            calls.clear()
+            joint = select_rank_sigma(eig, 2 * n, int(rng.integers(0, n)), lr0, z,
+                                      steering_vector(n, 0.0))
+            assert calls == [joint.r_hat]
+
+    def test_rank_zero_scores_only_the_ml_noise_power(self, rng):
+        # at rank 0 every candidate is sigma2 I, so two roots add nothing
+        found = 0
+        for _ in range(200):
+            n = int(rng.integers(2, 17))
+            d = np.sort(np.exp(rng.uniform(np.log(0.5), np.log(2.0), n)))[::-1]
+            eig = EigenDecomposition(
+                eigenvalues=d, eigenvectors=eig_hermitian(random_hermitian(rng, n)).eigenvectors
+            )
+            z = sample_training((eig.eigenvectors * np.sqrt(d)).astype(complex), 2 * n, rng)
+            lr0 = math.exp(-float(10 ** rng.uniform(-1.0, 1.5)))
+            joint = select_rank_sigma(eig, 2 * n, 0, lr0, z, steering_vector(n, 10.0))
+            if joint.r_hat == 0 and sigma_el_roots(d, 0, lr0).count == 2:
+                found += 1
+                assert joint.chosen_from == "ML"
+                assert joint.sigma2_hat == sigma_ml(d, 0)
+        assert found >= 20
+
+    def test_rejects_a_spectrum_without_positive_floor(self, rng):
+        d, eig, z = self._planted(rng)
+        for last in (0.0, -1e-15):
+            d_low = np.concatenate([d[:-1], [last]])
+            eig_low = EigenDecomposition(eigenvalues=d_low, eigenvectors=eig.eigenvectors)
+            with pytest.raises(InputError, match="sample eigenvalues must be positive"):
+                select_rank_sigma(eig_low, 32, 1, 0.5, z, steering_vector(8, 0.0))
 
     def test_nmf_scores_match_nmf_statistic_oracle(self, rng):
         for _ in range(100):
