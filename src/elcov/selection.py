@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import CovarianceEstimate, SampleStats, _CnPath, _TailSums, _cn_estimate, rcml
+from .estimators import CovarianceEstimate, SampleStats, _CnPath, _TailSums, _cn_estimate
 from .exceptions import InputError, NoRootError, NumericalError
 from .hermitian import EigenDecomposition
 from .likelihood import (
@@ -23,7 +23,6 @@ from .likelihood import (
     _BRANCH_POINT,
     lambert_w,
     log_lr_value,
-    log_tail_lr,
 )
 
 __all__ = [
@@ -49,6 +48,16 @@ class RankSelection:
     lr0: float
 
 
+def _rank_log_lr(d: np.ndarray, sigma2: float) -> np.ndarray:
+    """Log LR of the rank-``r`` estimate at noise power ``sigma2`` for every
+    ``r`` in ``0..p`` (``p = #{d_i > sigma2}``), as suffix sums."""
+    x = d / sigma2
+    p = int(np.count_nonzero(x > 1.0))
+    with np.errstate(divide="ignore"):
+        terms = np.log(x) + 1.0 - x
+    return np.append(np.cumsum(terms[::-1])[::-1], 0.0)[: p + 1]
+
+
 def select_rank(stats: SampleStats, lr0: float) -> RankSelection:
     """Pick the rank whose constrained-estimate LR is closest to ``lr0``.
 
@@ -63,11 +72,7 @@ def select_rank(stats: SampleStats, lr0: float) -> RankSelection:
     """
     if not 0 < lr0 <= 1:
         raise InputError("lr0 must lie in (0, 1]")
-    x = stats.d / stats.sigma2
-    p = int(np.count_nonzero(x > 1.0))
-    with np.errstate(divide="ignore"):
-        terms = np.log(x) + 1.0 - x
-    log_lr = np.append(np.cumsum(terms[::-1])[::-1], 0.0)[: p + 1]
+    log_lr = _rank_log_lr(stats.d, stats.sigma2)
     r_hat = int(np.argmin(np.abs(log_lr - math.log(lr0))))
     visited = [(r, math.exp(v)) for r, v in enumerate(log_lr.tolist())]
     return RankSelection(r_hat=r_hat, visited=visited, lr0=lr0)
@@ -100,25 +105,32 @@ def sigma_el_roots(sample_lambdas, r: int, lr0: float) -> NoiseRoots:
 
     The tail-profile LR peaks at the trailing-mean noise power; when two
     roots exist they are obtained from the two real Lambert W branches of
-    the transformed equation.
+    the transformed equation.  The trailing eigenvalues ``d[r:]`` must be
+    non-negative; a zero among them sends the peak to ``-inf`` (no roots).
     """
     if not 0 < lr0 <= 1:
         raise InputError("lr0 must lie in (0, 1]")
     d = np.asarray(sample_lambdas, dtype=float)
-    s_ml = sigma_ml(d, r)
+    if not 0 <= r < len(d):
+        raise InputError(f"rank {r} outside [0, {len(d) - 1}]; the trailing mean needs r < N")
+    tail = d[r:]
+    m = len(tail)
+    if (tail < 0).any():
+        raise InputError("trailing eigenvalues must be non-negative")
+    b = float(tail.sum())
+    s_ml = b / m
     if not s_ml > 0:
         raise InputError("trailing eigenvalues sum to zero; noise power is unidentifiable")
-    log_peak = log_tail_lr(d, r, s_ml)
+    with np.errstate(divide="ignore"):
+        log_peak = float(np.log(tail / s_ml).sum() + m - b / s_ml)
     log_lr0 = math.log(lr0)
     if abs(log_lr0 - log_peak) <= 1e-10:
         return NoiseRoots(count=1, roots=(s_ml,), sigma_ml=s_ml)
     if log_lr0 > log_peak:
         return NoiseRoots(count=0, roots=(), sigma_ml=s_ml)
 
-    n = len(d)
-    a = float(r - n)
-    b = float(np.sum(d[r:]))
-    c = log_lr0 - float(np.sum(np.log(d[r:]))) + a
+    a = float(-m)
+    c = log_lr0 - float(np.log(tail).sum()) + a
     z = (b / a) * math.exp(-c / a)
     # rounding can push z a hair below the branch point when lr0 ~ peak
     z = max(z, _BRANCH_POINT)
@@ -131,14 +143,17 @@ def sigma_el_roots(sample_lambdas, r: int, lr0: float) -> NoiseRoots:
 def _nmf_scorer(s_eig: EigenDecomposition, steering, training):
     """Mean matched filter statistic over the ``training`` columns of any
     estimate on the basis ``V`` of ``s_eig``, as a function of its eigenvalues;
-    ``V^H s`` and ``V^H Z`` are projected once for all of them."""
+    ``V^H s`` and ``V^H Z`` are projected once for all of them.  A ``(C, N)``
+    stack of eigenvalue rows is scored in one product, giving ``C`` means."""
     v_h = s_eig.eigenvectors.conj().T
     ws, w = v_h @ steering, v_h @ training
-    ws2, w2 = np.abs(ws) ** 2, np.abs(w) ** 2
+    ws_conj, ws2, w2 = ws.conj(), np.abs(ws) ** 2, np.abs(w) ** 2
 
-    def mean_nmf(lambdas) -> float:
+    def mean_nmf(lambdas):
         q = 1.0 / lambdas
-        return float(np.mean(np.abs((q * ws).conj() @ w) ** 2 / ((q @ ws2) * (q @ w2))))
+        nmf = np.abs((q * ws_conj) @ w) ** 2 / ((q @ ws2)[..., None] * (q @ w2))
+        means = np.mean(nmf, axis=-1)
+        return float(means) if means.ndim == 0 else means
 
     return mean_nmf
 
@@ -161,33 +176,46 @@ def select_rank_sigma(
     training: np.ndarray,
     steering: np.ndarray,
 ) -> JointSelection:
-    """Alternating selection of rank and noise power.
+    """Alternating selection of rank and noise power, in one pass.
+
+    The inputs are checked once, up front: dimension at least 2 so the
+    trailing mean stays defined, ``k >= 1``, a descending and positive
+    spectrum, nonzero training columns and a unit-norm steering vector.
 
     Each rank is climbed to the smallest rank at or above it whose noise
     power roots exist (at most ``n - 1``): those whose tail-profile peak
     ``sum_{i >= r} log d_i - (n - r) log sigma_ml(r)`` reaches ``log lr0``,
-    found for every rank in one pass over the tail sums.  Starting from the
-    climbed ``r_init`` it repeats: set the noise power to the trailing mean,
-    re-select the rank at that noise power and climb it, until the climbed
-    rank stops falling.  It cannot rise (a climbed rank has roots, so its LR
+    found for every rank in one pass over the tail prefix sums.  Starting
+    from the climbed ``r_init`` it repeats: set the noise power to the
+    trailing mean, re-select the rank at that noise power with
+    :func:`select_rank`'s suffix sums and climb it, until the climbed rank
+    stops falling.  It cannot rise (a climbed rank has roots, so its LR
     reaches ``lr0`` and the re-selected rank is at most it), so this takes
-    at most ``n`` passes.  The noise-power candidates
-    (the ML value plus up to two matching roots) are then scored by the mean
-    matched filter statistic over the target-free training columns and the
-    smallest mean wins; at rank 0 every candidate is ``sigma2 I``, so the ML
-    value is the only one.  Needs dimension at least 2 so the trailing mean
-    stays defined, and a positive spectrum.
+    at most ``n`` passes.
+
+    :func:`sigma_el_roots` then runs once, at the final rank.  The
+    noise-power candidates (the ML value plus up to two matching roots) are
+    scored by the mean matched filter statistic over the target-free
+    training columns: the RCML eigenvalues of every candidate form one
+    ``(C, N)`` stack, scored in one product against ``V^H Z``, which is
+    projected once.  The smallest mean wins, ties going to the earlier of
+    ML, EL1, EL2; at rank 0 every candidate is ``sigma2 I``, so the ML value
+    is the only one.
     """
     n = s_eig.n
     d = s_eig.eigenvalues
     if n < 2:
         raise InputError("joint rank and noise selection needs dimension >= 2")
+    if k < 1:
+        raise InputError("sample count k must be at least 1")
     if not 0 < lr0 <= 1:
         raise InputError("lr0 must lie in (0, 1]")
+    if (d[1:] > d[:-1]).any():
+        raise InputError("sample eigenvalues must be sorted descending")
     training = np.asarray(training, dtype=np.complex128)
     if training.ndim != 2 or training.shape[0] != n or training.shape[1] < 1:
         raise InputError("training must be an n-by-k matrix with at least one column")
-    if not np.all(np.any(training, axis=0)):
+    if not training.any(axis=0).all():
         raise InputError("training columns must be nonzero")
     steering = np.asarray(steering, dtype=np.complex128)
     if steering.shape != (n,) or abs(np.linalg.norm(steering) - 1.0) > 1e-6:
@@ -195,33 +223,37 @@ def select_rank_sigma(
     if not d[-1] > 0:
         raise InputError("sample eigenvalues must be positive; noise power is unidentifiable")
 
-    sums = _TailSums(d)
-    m = np.arange(n, 0, -1)
-    peak = sums.log_bottom[m] - m * np.log(sums.bottom[m] / m)
+    log_lr0 = math.log(lr0)
+    # over the m = n - r smallest entries, for r = 0..n-1
+    asc, m = d[::-1], np.arange(n, 0, -1)
+    peak = np.log(asc).cumsum()[::-1] - m * np.log(asc.cumsum()[::-1] / m)
     # sigma_el_roots' own test for roots; rank n - 1 has them, its peak being 0
-    first = np.where(peak >= math.log(lr0) - 1e-10, np.arange(n), n - 1)
+    first = np.where(peak >= log_lr0 - 1e-10, np.arange(n), n - 1)
     climbed = np.minimum.accumulate(first[::-1])[::-1]
 
     r = int(climbed[min(max(int(r_init), 0), n - 1)])
     for iterations in range(1, n + 1):
-        stats = SampleStats(n=n, k=k, s_eig=s_eig, sigma2=sigma_ml(d, r))
-        r_new = int(climbed[min(select_rank(stats, lr0).r_hat, n - 1)])
+        # the trailing mean, as sigma_ml computes it
+        r_hat = int(np.argmin(np.abs(_rank_log_lr(d, float(d[r:].mean())) - log_lr0)))
+        r_new = int(climbed[min(r_hat, n - 1)])
         if r_new >= r:
             break
         r = r_new
 
     roots = sigma_el_roots(d, r, lr0)
-    candidates = [("ML", roots.sigma_ml)]
+    labels, sigmas = ["ML"], [roots.sigma_ml]
     if roots.count == 2 and r > 0:
-        candidates += [("EL1", roots.roots[0]), ("EL2", roots.roots[1])]
-    mean_nmf = _nmf_scorer(s_eig, steering, training)
-    best_label, best_sigma, best_score = None, None, math.inf
-    for label, sig in candidates:
-        score = mean_nmf(rcml(SampleStats(n=n, k=k, s_eig=s_eig, sigma2=sig), r).lambdas)
-        if score < best_score:
-            best_label, best_sigma, best_score = label, sig, score
+        labels += ["EL1", "EL2"]
+        sigmas += roots.roots
+    sig = np.array(sigmas)[:, None]
+    if not np.all(sig > 0):  # the check SampleStats made on each candidate
+        raise InputError("noise power sigma2 must be positive")
+    # the rcml eigenvalues at every candidate noise power
+    lambdas = np.repeat(sig, n, axis=1)
+    lambdas[:, :r] = np.maximum(d[:r], sig)
+    best = int(np.argmin(_nmf_scorer(s_eig, steering, training)(lambdas)))
     return JointSelection(
-        r_hat=r, sigma2_hat=best_sigma, chosen_from=best_label, iterations=iterations
+        r_hat=r, sigma2_hat=sigmas[best], chosen_from=labels[best], iterations=iterations
     )
 
 

@@ -121,6 +121,18 @@ def reference_scenario():
     )
 
 
+
+def six_jammer_scenario(n):
+    """Six band-limited jammers at -47 to 58 degrees on an ``n``-element array
+    (the ``large-n`` benchmark scenario at ``n = 64``)."""
+    return ScenarioConfig(
+        n=n,
+        jammer_powers=(10.0, 30.0, 100.0, 300.0, 1000.0, 3000.0),
+        jammer_angles=(-47.0, -25.0, -8.0, 12.0, 33.0, 58.0),
+        jammer_bandwidths=(0.05, 0.1, 0.15, 0.2, 0.25, 0.3),
+        noise_power=1.0,
+    )
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260810)

@@ -8,6 +8,7 @@ from conftest import (
     cn_lambda_map,
     random_hermitian,
     reference_scenario,
+    six_jammer_scenario,
     stats_from_spectrum,
 )
 from elcov import (
@@ -192,6 +193,20 @@ class TestSigmaElRoots:
             assert roots.roots[0] == pytest.approx(left, rel=1e-9)
             assert roots.roots[1] == pytest.approx(right, rel=1e-9)
 
+    @pytest.mark.filterwarnings("error")
+    def test_negative_trailing_eigenvalue_rejected_before_any_log(self):
+        with pytest.raises(InputError, match="non-negative"):
+            sigma_el_roots([5.0, 1.0, -1e-15], 0, 0.5)
+        with pytest.raises(InputError, match="non-negative"):
+            sigma_el_roots([5.0, 1.0, 0.5, -1e-15], 2, 0.5)
+
+    @pytest.mark.filterwarnings("error")
+    def test_zero_trailing_eigenvalue_gives_no_roots(self):
+        roots = sigma_el_roots([5.0, 1.0, 0.0], 0, 0.5)
+        assert roots.count == 0
+        assert roots.roots == ()
+        assert roots.sigma_ml == 2.0
+
     def test_unimodal_profile(self, rng):
         # increasing below the trailing mean, decreasing above
         d = np.sort(rng.gamma(2.0, 2.0, 8))[::-1]
@@ -354,6 +369,60 @@ class TestSelectRankSigma:
                                       steering_vector(n, 0.0))
             assert calls == [joint.r_hat]
 
+    def test_one_pass_of_work_per_selection(self, rng, monkeypatch):
+        # no SampleStats, no rcml, one root solve, one projection of the
+        # training matrix onto the eigenbasis and one scoring product
+        import elcov.estimators as estimators
+        import elcov.selection as selection
+
+        calls = {"stats": 0, "rcml": 0, "roots": 0, "project": 0, "score": []}
+        post_init, scorer = SampleStats.__post_init__, selection._nmf_scorer
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        def counted_scorer(s_eig, steering, training):
+            mean_nmf = scorer(s_eig, steering, training)
+
+            def score(lambdas):
+                calls["score"].append(np.shape(lambdas))
+                return mean_nmf(lambdas)
+
+            return score
+
+        class Basis(np.ndarray):
+            """Eigenvectors that count their products with the training matrix."""
+
+            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+                if ufunc is np.matmul and any(x is z for x in inputs):
+                    calls["project"] += 1
+                out = getattr(ufunc, method)(*(np.asarray(x) for x in inputs), **kwargs)
+                return out.view(Basis) if ufunc is np.conjugate else out
+
+        monkeypatch.setattr(SampleStats, "__post_init__", counted("stats", post_init))
+        monkeypatch.setattr(estimators, "rcml", counted("rcml", rcml))
+        monkeypatch.setattr(selection, "rcml", estimators.rcml, raising=False)
+        monkeypatch.setattr(selection, "sigma_el_roots", counted("roots", sigma_el_roots))
+        monkeypatch.setattr(selection, "_nmf_scorer", counted_scorer)
+        for _ in range(60):
+            n = int(rng.integers(2, 65))
+            d = np.sort(np.exp(rng.uniform(np.log(0.05), np.log(1e3), n)))[::-1]
+            z = sample_training(np.diag(np.sqrt(d)).astype(complex), 2 * n, rng)
+            basis = eig_hermitian(random_hermitian(rng, n)).eigenvectors.view(Basis)
+            eig = EigenDecomposition(eigenvalues=d, eigenvectors=basis)
+            lr0 = math.exp(-float(10 ** rng.uniform(-3.0, 2.0)))
+            calls.update(stats=0, rcml=0, roots=0, project=0, score=[])
+            joint = select_rank_sigma(eig, 2 * n, int(rng.integers(0, n)), lr0, z,
+                                      steering_vector(n, 0.0))
+            scored = calls.pop("score")
+            assert calls == {"stats": 0, "rcml": 0, "roots": 1, "project": 1}
+            roots = sigma_el_roots(d, joint.r_hat, lr0)
+            assert scored == [(3 if roots.count == 2 and joint.r_hat > 0 else 1, n)]
+
     def test_rank_zero_scores_only_the_ml_noise_power(self, rng):
         # at rank 0 every candidate is sigma2 I, so two roots add nothing
         found = 0
@@ -396,6 +465,37 @@ class TestSelectRankSigma:
                            int(rng.integers(n + 1)))
                 oracle = float(np.mean(nmf_statistic(est, s, z)))
                 assert mean_nmf(est.lambdas) == pytest.approx(oracle, rel=1e-12)
+
+    def test_batched_nmf_scores_match_row_by_row(self, rng):
+        for _ in range(100):
+            n = int(rng.integers(2, 65))
+            eig = eig_hermitian(random_hermitian(rng, n))
+            k = int(rng.integers(1, 3 * n))
+            z = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
+            mean_nmf = _nmf_scorer(eig, steering_vector(n, float(rng.uniform(-90.0, 90.0))), z)
+            lambdas = np.exp(rng.uniform(np.log(0.05), np.log(1e3), (int(rng.integers(1, 4)), n)))
+            batched = mean_nmf(lambdas)
+            assert batched.shape == (len(lambdas),)
+            for row, score in zip(lambdas, batched):
+                one = mean_nmf(row)
+                assert isinstance(one, float)
+                assert score == pytest.approx(one, rel=1e-12)
+
+    @pytest.mark.parametrize("n, k, draws", [
+        (20, 20, 200), (20, 30, 200), (20, 40, 200), (64, 128, 60), (128, 256, 30),
+    ])
+    def test_matches_per_rank_climb_on_scenario_draws(self, n, k, draws):
+        # the reference scenario at N = 20, the six-jammer one above it;
+        # the oracle scores the candidates one at a time
+        scenario = reference_scenario() if n == 20 else six_jammer_scenario(n)
+        r_true = jammer_covariance(scenario)
+        lr0 = lr0_reference(n, k, trials=2000, seed=1).lr0
+        steering = steering_vector(n, 0.0)
+        r_init = len(scenario.jammer_powers)
+        for i in range(draws):
+            z = generate_training(r_true, k, None, derive_rng(7, "joint-oracle", k, i)).z
+            args = (eig_hermitian(sample_covariance(z)), k, r_init, lr0, z, steering)
+            assert select_rank_sigma(*args) == climb_rank_sigma(*args)[1]
 
     def test_chooses_the_oracle_nmf_minimum(self, rng):
         for _ in range(50):
