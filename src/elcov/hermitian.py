@@ -74,22 +74,21 @@ class EigenDecomposition:
         return (v * self.eigenvalues) @ v.conj().T
 
 
-def _fix_phases(v: np.ndarray) -> np.ndarray:
-    v = v.copy()
-    anchor = np.argmax(np.abs(v), axis=0)
-    pivots = v[anchor, np.arange(v.shape[1])]
-    mags = np.abs(pivots)
+def _eigh_desc(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``eigh`` of a stack ``(..., N, N)`` of Hermitian matrices, eigenvalues
+    descending and phases pinned as in :class:`EigenDecomposition`."""
+    w, v = np.linalg.eigh(h)
+    # anchors are found before the columns are reversed, on contiguous data;
+    # the reversal moves columns, so each column keeps its anchor row
+    anchor = np.argmax(np.abs(v), axis=-2)[..., np.newaxis, :]
+    pivots = np.take_along_axis(v, anchor, axis=-2)
     # eigh columns are unit norm, so the anchors cannot vanish
-    v *= (mags / pivots)[np.newaxis, :]
-    return v
+    return w[..., ::-1].copy(), v[..., ::-1] * (np.abs(pivots) / pivots)[..., ::-1]
 
 
 def eig_hermitian(h) -> EigenDecomposition:
     """Eigendecomposition of a Hermitian matrix, eigenvalues descending."""
-    h = as_hermitian(h)
-    w, v = np.linalg.eigh(h)
-    w = w[::-1].copy()
-    v = _fix_phases(v[:, ::-1])
+    w, v = _eigh_desc(as_hermitian(h))
     return EigenDecomposition(eigenvalues=w, eigenvectors=v)
 
 
@@ -147,12 +146,16 @@ def sample_training(factor: np.ndarray, k: int, rng: np.random.Generator) -> np.
 
 
 def sample_covariance(z) -> np.ndarray:
-    """Sample covariance ``S = Z Z^H / K`` of training columns."""
+    """Sample covariance ``S = Z Z^H / K`` of training columns.
+
+    A stack ``(..., N, K)`` of training matrices gives the stack of their
+    sample covariances, each equal to the one of its own matrix.
+    """
     z = np.asarray(z, dtype=np.complex128)
-    if z.ndim != 2 or z.shape[1] < 1:
-        raise InputError("training matrix must be 2-D with at least one column")
+    if z.ndim < 2 or z.shape[-1] < 1:
+        raise InputError("training matrix must be at least 2-D with at least one column")
     if not np.all(np.isfinite(z)):
         raise InputError("training entries must be finite")
-    k = z.shape[1]
-    s = z @ z.conj().T / k
-    return 0.5 * (s + s.conj().T)
+    k = z.shape[-1]
+    s = z @ z.conj().swapaxes(-1, -2) / k
+    return 0.5 * (s + s.conj().swapaxes(-1, -2))

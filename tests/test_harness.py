@@ -7,6 +7,7 @@ import elcov.harness as harness
 import elcov.scenario as scenario_module
 from conftest import random_hermitian, random_psd, reference_scenario
 from elcov import (
+    CorruptionSpec,
     EigenDecomposition,
     EstimatorSpec,
     ExperimentConfig,
@@ -16,18 +17,25 @@ from elcov import (
     SingularMatrixError,
     cncml,
     default_steering_grid,
+    derive_rng,
     eig_hermitian,
     fml,
+    jammer_covariance,
     load_experiment_config,
+    lr0_load,
     lsmi,
     normalized_sinr,
     rcml,
     run_experiment,
+    sample_covariance,
     smi,
+    sqrt_factor,
     steering_vector,
 )
 from elcov.cli import cli
-from elcov.harness import _sinr_scorer
+from elcov.harness import _eigenbasis_projections, _sinr_scorer, build_estimate
+from elcov.metrics import apply_inverse
+from elcov.scenario import draw_training
 
 
 def noise_only_config(tmp_path, **overrides):
@@ -285,6 +293,40 @@ class TestConfigFile:
         assert cli(["simulate", "--config", str(path)]) == 1
         assert not table.exists() and not out.exists()
 
+    @pytest.mark.parametrize(
+        "k_list, estimators, message",
+        [
+            ("20, 20", "SMI", "k_list repeats 20"),
+            ("8, 20, 8", "SMI", "k_list repeats 8"),
+            ("0, 20", "RCML_EL", "at least 1, got 0"),
+            ("-3", "SMI", "at least 1, got -3"),
+            ("20", "SMI, FML, smi", "estimator list repeats SMI"),
+            ("20", "RCML_FIXED(2), RCML_FIXED(2.0)", r"estimator list repeats RCML_FIXED\(2\)"),
+        ],
+    )
+    def test_repeated_or_bad_sample_counts_and_specs_fail_at_load(
+        self, tmp_path, k_list, estimators, message
+    ):
+        # a repeated cell would write duplicate trials.csv rows and double its
+        # summary count; k < 1 must fail here, not in the lr0 lookup
+        table, out = tmp_path / "lr0.txt", tmp_path / "out"
+        path = tmp_path / "exp.cfg"
+        path.write_text(
+            f"[scenario]\nn = 4\n[experiment]\nk_list = {k_list}\ntrials = 2\n"
+            f"master_seed = 1\nestimators = {estimators}\noutput = {out}\n"
+            f"lr0_table = {table}\nlr0_trials = 200\n"
+        )
+        with pytest.raises(InputError, match=message):
+            load_experiment_config(path)
+        assert cli(["simulate", "--config", str(path)]) == 1
+        assert not table.exists() and not out.exists()
+
+    def test_repeats_rejected_when_built_directly(self, tmp_path):
+        with pytest.raises(InputError, match="k_list repeats 4"):
+            noise_only_config(tmp_path, k_list=(4, 4))
+        with pytest.raises(InputError, match="estimator list repeats FML"):
+            noise_only_config(tmp_path, estimators=(EstimatorSpec("FML"), EstimatorSpec("FML")))
+
     @pytest.mark.parametrize("spec", ["RCML_FIXED(0)", "RCML_FIXED(4)", "CNCML_FIXED(1)"])
     def test_fixed_parameter_limits_accepted(self, tmp_path, spec):
         noise_only_config(tmp_path, estimators=(EstimatorSpec.parse(spec),))
@@ -311,6 +353,80 @@ class TestHoistedFactor:
         assert len(calls) == 1
 
 
+class TestTrialBlocks:
+    def test_blocked_sweep_equals_per_trial_oracle(self, tmp_path, monkeypatch):
+        n, k_list, trials = 6, (12, 9), 8
+        # 3 trials per block at k = 12 (blocks 3, 3, 2) and 4 at k = 9 (4, 4)
+        monkeypatch.setattr(harness, "_BLOCK_ELEMENTS", 3 * n * 12)
+        assert [harness._block_size(n, k) for k in k_list] == [3, 4]
+        scenario = ScenarioConfig(n=n, jammer_powers=(40.0, 150.0), jammer_angles=(10.0, -35.0),
+                                  jammer_bandwidths=(0.0, 0.1), noise_power=1.0)
+        corruption = CorruptionSpec(fraction=0.5, amplitude=50.0,
+                                    steering=steering_vector(n, 0.0))
+        specs = tuple(EstimatorSpec.parse(t) for t in ("RCML_EL_SIGMA", "CNCML_EL", "LSMI_EL"))
+        table = str(tmp_path / "lr0.txt")
+        cfg = noise_only_config(
+            tmp_path, scenario=scenario, k_list=k_list, trials=trials, estimators=specs,
+            lr0_table_path=table, lr0_trials=2000, r_init=2, corruption=corruption,
+        )
+        records = run_experiment(cfg)
+
+        r_true = jammer_covariance(scenario)
+        factor = sqrt_factor(r_true)
+        steer = np.column_stack([steering_vector(n, a) for a in default_steering_grid(scenario)])
+        den_true = np.abs(np.sum(steer.conj() * apply_inverse(r_true, steer), axis=0))
+        nmf = steering_vector(n, 0.0)
+        oracle = []
+        for k in k_list:
+            lr0 = lr0_load(n, k, table).lr0
+            for t in range(trials):
+                z = draw_training(factor, k, corruption, derive_rng(1, "trial", k, t)).z
+                eig = eig_hermitian(sample_covariance(z))
+                stats = SampleStats(n=n, k=k, s_eig=eig, sigma2=1.0)
+                args = (*_eigenbasis_projections(eig.eigenvectors, r_true, steer), den_true)
+                for spec in specs:
+                    est = build_estimate(spec, stats, lr0, (2, z, nmf))
+                    con = est.constraints
+                    sinr = _sinr_scorer(est.lambdas[np.newaxis], *args)[0]
+                    oracle.append((k, t, str(spec), con.r, con.sigma2, con.kmax, con.beta, sinr))
+        got = [(r.k, r.trial_index, r.estimator, r.r_hat, r.sigma2_hat, r.kmax_hat, r.beta_hat,
+                r.sinr_db) for r in records]
+        assert got == oracle
+
+    def test_one_stacked_eigh_per_block_and_one_score_per_trial(self, tmp_path, monkeypatch):
+        eigh_stacks, scored = [], []
+        eigh_inner, score_inner = harness._eigh_desc, harness._sinr_scorer
+
+        def eigh(h):
+            eigh_stacks.append(h.shape)
+            return eigh_inner(h)
+
+        def score(lambdas, *args):
+            scored.append(lambdas.shape)
+            return score_inner(lambdas, *args)
+
+        monkeypatch.setattr(harness, "_eigh_desc", eigh)
+        monkeypatch.setattr(harness, "_sinr_scorer", score)
+        n, k_list, trials = 20, (20, 40), 45
+        cfg = noise_only_config(
+            tmp_path,
+            scenario=reference_scenario(),
+            k_list=k_list,
+            trials=trials,
+            estimators=(EstimatorSpec.parse("SMI"), EstimatorSpec.parse("FML")),
+        )
+        assert len(run_experiment(cfg)) == 2 * len(k_list) * trials
+        expected = []
+        for k in k_list:
+            block = harness._block_size(n, k)
+            assert 1 < block < trials
+            sizes = [block] * (trials // block) + ([trials % block] if trials % block else [])
+            assert len(sizes) == -(-trials // block)
+            expected += [(b, n, n) for b in sizes]
+        assert eigh_stacks == expected
+        assert scored == [(2, n)] * (len(k_list) * trials)
+
+
 def _random_estimates(rng, n):
     """One estimate of every kind on a random spectrum and a random basis."""
     d = np.sort(np.exp(rng.normal(0.0, 2.0, n)))[::-1]
@@ -332,24 +448,53 @@ class TestSinrScorer:
         grid = np.column_stack([steering_vector(n, a) for a in (-60.0, 0.0, 25.0)])
         return np.column_stack([s / np.linalg.norm(s, axis=0), grid])
 
+    def _inputs(self, rng, n):
+        basis, estimates = _random_estimates(rng, n)
+        r_true = random_psd(rng, n) + 0.1 * np.eye(n)
+        steer = self._steering(rng, n)
+        den_true = np.abs(np.sum(steer.conj() * np.linalg.solve(r_true, steer), axis=0))
+        w0, g = _eigenbasis_projections(basis, r_true, steer)
+        lambdas = np.stack([est.lambdas for est in estimates])
+        return estimates, r_true, steer, (w0, g, den_true), lambdas
+
     def test_matches_normalized_sinr_oracle(self, rng):
         for _ in range(60):
             n = int(rng.integers(2, 65))
-            basis, estimates = _random_estimates(rng, n)
-            r_true = random_psd(rng, n) + 0.1 * np.eye(n)
-            steer = self._steering(rng, n)
-            den_true = np.abs(np.sum(steer.conj() * np.linalg.solve(r_true, steer), axis=0))
-            mean_sinr_db = _sinr_scorer(basis, r_true, steer, den_true)
-            for est in estimates:
+            estimates, r_true, steer, args, lambdas = self._inputs(rng, n)
+            scores = _sinr_scorer(lambdas, *args)
+            assert scores.shape == (len(estimates),)
+            for est, score in zip(estimates, scores):
                 oracle = np.mean(
                     [10.0 * np.log10(normalized_sinr(est, r_true, s)) for s in steer.T]
                 )
-                assert mean_sinr_db(est.lambdas) == pytest.approx(oracle, abs=1e-10)
+                assert score == pytest.approx(oracle, abs=1e-10)
+
+    def test_stack_equals_one_row_stacks(self, rng):
+        for _ in range(30):
+            n = int(rng.integers(2, 40))
+            _, _, _, args, lambdas = self._inputs(rng, n)
+            rows = [_sinr_scorer(lambdas[e : e + 1], *args)[0] for e in range(len(lambdas))]
+            assert np.array_equal(_sinr_scorer(lambdas, *args), rows)
+
+    def test_stacked_projections_equal_each_basis(self, rng):
+        n = 7
+        bases = np.stack([eig_hermitian(random_hermitian(rng, n)).eigenvectors for _ in range(5)])
+        r_true, steer = random_psd(rng, n), self._steering(rng, n)
+        w0, g = _eigenbasis_projections(bases, r_true, steer)
+        for basis, w0_i, g_i in zip(bases, w0, g):
+            one_w0, one_g = _eigenbasis_projections(basis, r_true, steer)
+            assert np.array_equal(w0_i, one_w0) and np.array_equal(g_i, one_g)
+            assert np.array_equal(g_i, g_i.conj().T)
 
     @pytest.mark.parametrize("bad", [0.0, -1e-3])
     def test_non_positive_eigenvalue_is_singular(self, rng, bad):
         basis = eig_hermitian(random_hermitian(rng, 3)).eigenvectors
         steer = self._steering(rng, 3)
-        mean_sinr_db = _sinr_scorer(basis, np.eye(3), steer, np.ones(steer.shape[1]))
-        with pytest.raises(SingularMatrixError):
-            mean_sinr_db(np.array([2.0, 1.0, bad]))
+        args = (*_eigenbasis_projections(basis, np.eye(3), steer), np.ones(steer.shape[1]))
+        good = np.array([[3.0, 2.0, 1.0], [2.0, 1.5, 0.5], [4.0, 2.0, 1.0]])
+        assert np.isfinite(_sinr_scorer(good, *args)).all()
+        for row in range(len(good)):
+            lambdas = good.copy()
+            lambdas[row, -1] = bad
+            with pytest.raises(SingularMatrixError):
+                _sinr_scorer(lambdas, *args)

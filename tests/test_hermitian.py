@@ -14,6 +14,7 @@ from elcov import (
     sqrt_factor,
     ScenarioConfig,
 )
+from elcov.hermitian import _eigh_desc
 
 
 class TestAsHermitian:
@@ -167,6 +168,56 @@ class TestSampleCovariance:
         z = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
         w = np.linalg.eigvalsh(sample_covariance(z))
         assert w[0] >= -1e-10 * max(w[-1], 0.0)
+
+
+class TestStackedKernels:
+    """The stacked forms behind the sweep's trial blocks must equal the
+    per-matrix functions bit for bit, on ties and rank deficiency too."""
+
+    N = 6
+
+    def _training_stack(self, rng):
+        n = self.N
+        z = rng.standard_normal((12, n, 4)) + 1j * rng.standard_normal((12, n, 4))
+        z[3] = np.sqrt(4) * np.eye(n, 4)  # exactly tied eigenvalues and zeros
+        z[4] = 0.0  # the zero matrix: all eigenvalues tied at 0
+        z[5, :, 1:] = z[5, :, :1]  # rank one
+        return z
+
+    def _matrix_stack(self, rng):
+        n = self.N
+        basis = eig_hermitian(random_hermitian(rng, n)).eigenvectors
+        spectra = (
+            [3.0, 3.0, 3.0, 1.0, 1.0, 0.5],  # tied
+            [2.0, 2.0 + 1e-14, 1.0, 1.0 - 1e-15, 0.3, 0.3 + 1e-13],  # near-degenerate
+            [5.0, 1.0, 0.0, 0.0, 0.0, 0.0],  # rank-deficient PSD
+        )
+        mats = [as_hermitian((basis * np.array(d)) @ basis.conj().T) for d in spectra]
+        mats += [np.eye(n, dtype=complex), as_hermitian(random_psd(rng, n))]
+        mats += [as_hermitian(random_hermitian(rng, n)) for _ in range(3)]
+        return np.stack(mats)
+
+    def test_sample_covariance_stack_matches_each_matrix(self, rng):
+        z = self._training_stack(rng)
+        s = sample_covariance(z)
+        assert s.shape == (len(z), self.N, self.N)
+        for zi, si in zip(z, s):
+            assert np.array_equal(si, sample_covariance(zi))
+
+    def test_eigh_desc_stack_matches_eig_hermitian(self, rng):
+        h = np.concatenate([self._matrix_stack(rng), sample_covariance(self._training_stack(rng))])
+        w, v = _eigh_desc(h)
+        assert w.shape == (len(h), self.N) and v.shape == h.shape
+        for hi, wi, vi in zip(h, w, v):
+            eig = eig_hermitian(hi)
+            assert np.array_equal(wi, eig.eigenvalues)
+            assert np.array_equal(vi, eig.eigenvectors)
+
+    def test_rejects_non_finite_training_stack(self, rng):
+        z = self._training_stack(rng)
+        z[7, 2, 1] = np.inf
+        with pytest.raises(InputError, match="finite"):
+            sample_covariance(z)
 
 
 class TestDeriveRng:
