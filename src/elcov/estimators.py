@@ -60,8 +60,8 @@ class SampleStats:
             raise InputError("dimension n must be at least 1")
         if self.k < 1:
             raise InputError("sample count k must be at least 1")
-        if not self.sigma2 > 0:
-            raise InputError("noise power sigma2 must be positive")
+        if not 0 < self.sigma2 < np.inf:
+            raise InputError("noise power sigma2 must be positive and finite")
         d = self.s_eig.eigenvalues
         if len(d) != self.n:
             raise InputError("eigenvalue count does not match n")
@@ -234,6 +234,13 @@ class _TailSums:
         return np.concatenate(([0.0], self._log_asc.cumsum()))
 
 
+def _clip_log_lr(top, bottom, p, c, tau, u, log=np.log):
+    """Log LR of ``clip(x, tau, u)``: ``top = (sum log x, sum x)`` over the
+    ``p`` entries above ``u``, ``bottom`` likewise over the ``c`` entries
+    below ``tau``; the entries in between contribute nothing."""
+    return top[0] - p * log(u) + p - top[1] / u + bottom[0] - c * log(tau) + c - bottom[1] / tau
+
+
 class _CnPath:
     """The condition-number solution for every ``kmax``, as a breakpoint table.
 
@@ -252,12 +259,20 @@ class _CnPath:
     boundary/interior switch.  It is 1 when ``mean x <= 1``, where the whole
     path is boundary, and ``x_1`` when no entry is below 1, where the path is
     flat (nothing is clipped) from ``x_1`` down to ``x_1/x_N``.
+
+    Zero entries add 1 to ``h`` at every ``tau``.  When they are the only
+    entries below 1, ``h`` stays at ``h(1)`` up to the smallest positive
+    entry, whose lower-clip breakpoint then shares ``s = h(1)`` with the
+    switch; it gets its own row, and the switch row does not count it.
+
+    The table, built once, lists in descending ``kmax`` each breakpoint's
+    ``kmax``, the counts ``top`` and ``bottom`` clipped just under it and the
+    log LR ``log_lr`` at it; rows from ``switch`` on open interior segments.
     """
 
-    def __init__(self, sums: _TailSums):
-        self.sums = sums
+    def __init__(self, x: np.ndarray):
+        self.sums = sums = _TailSums(x)
         n, asc = sums.n, sums.asc
-        x = asc[::-1]
         # per entry (ascending): its tie group spans [lo, hi)
         lo, hi = asc.searchsorted(asc, "left"), asc.searchsorted(asc, "right")
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -268,39 +283,10 @@ class _CnPath:
         self.h1 = h1 = float((1.0 - x[n - c1 :]).sum())
         p = int(self.g[::-1].searchsorted(h1, "right"))
         self.kmax_b = max(float(x[:p].sum() / (p + h1)), 1.0)
-
-    def rows(self, s: np.ndarray):
-        """Counts clipped from the top and the bottom just above each ``s``
-        (just under it in ``kmax``), and ``tau``, ``U`` and ``kmax`` at ``s``."""
-        top = self.g[::-1].searchsorted(s, "right")
-        bottom = self.h.searchsorted(s, "right")
-        with np.errstate(divide="ignore", invalid="ignore"):
-            tau = self.sums.bottom[bottom] / (bottom - s)
-            u = self.sums.top[top] / (s + top)
-            kmax = np.maximum(u / tau, 1.0)
-        return top, bottom, tau, u, kmax
-
-    def segment(self, kmax: float) -> tuple[int, int]:
-        """Counts clipped from the top and the bottom at ``kmax < kmax_b``.
-
-        An entry is clipped from below once ``kmax`` falls under its ``h``
-        breakpoint and from above once it falls under its ``g`` breakpoint,
-        so the counts are masks over the table, with no sort.  Only entries
-        in ``[1, x_1/kmax)`` and in ``(kmax, U(h(1))]`` are looked up: the
-        others are clipped on every interior segment or on none at ``kmax``.
-        ``(0, 0)`` is the flat segment.
-        """
-        asc, g_desc, c1 = self.sums.asc, self.g[::-1], self.c1
-        c_max = int(asc.searchsorted(asc[-1] / kmax))
-        p0 = int(g_desc.searchsorted(self.h1))
-        p_max = self.sums.n - int(asc.searchsorted(kmax, "right"))
-        k = self.rows(np.concatenate((self.h[c1:c_max], g_desc[p0:p_max])))[4] > kmax
-        m = c_max - c1  # not negative: x_1/kmax > 1
-        return p0 + int(np.count_nonzero(k[m:])), c1 + int(np.count_nonzero(k[:m]))
+        self.kmax, self.top, self.bottom, self.log_lr, self.switch = self.breakpoints()
 
     def breakpoints(self):
-        """The whole path in descending ``kmax``: ``kmax`` and the columns of
-        :meth:`rows` at each breakpoint."""
+        """The table's columns, in descending ``kmax``, and its ``switch``."""
         sums, asc, h1, c1 = self.sums, self.sums.asc, self.h1, self.c1
         n = sums.n
         a, starts = np.unique(asc, return_index=True)
@@ -317,17 +303,51 @@ class _CnPath:
             cm = int(asc.searchsorted(mean))
             s_max = max(cm - sums.bottom[cm] / mean, h1)  # equal for a flat spectrum
             s = np.concatenate((self.h, self.g))
-            last = [s_max] if s_max > h1 else []  # a flat spectrum has one point
-            top, bottom, tau, u, kmax = self.rows(
-                np.concatenate(([h1], np.unique(s[(s > h1) & (s < s_max)]), last))
-            )
+            # entries above 1 whose lower-clip breakpoint is h(1), as only zeros allow
+            lifted = np.count_nonzero((self.h == h1) & (asc > 1.0)) if asc[0] == 0.0 else 0
+            s = np.concatenate((
+                [h1], [h1] if lifted and s_max > h1 else [],
+                np.unique(s[(s > h1) & (s < s_max)]),
+                [s_max] if s_max > 0.0 else [],  # a flat spectrum has one point
+            ))
+            # the counts clipped from the top and the bottom just above each s
+            # (just under it in kmax), and tau, U and kmax at s
+            top = self.g[::-1].searchsorted(s, "right")
+            bottom = self.h.searchsorted(s, "right")
+            with np.errstate(divide="ignore", invalid="ignore"):
+                tau = sums.bottom[bottom] / (bottom - s)
+                u = sums.top[top] / (s + top)
+                kmax = np.maximum(u / tau, 1.0)
             if h1 > 0.0:  # the boundary meets the interior at tau = 1
                 tau[0], u[0], kmax[0] = 1.0, self.kmax_b, self.kmax_b
+                bottom[0] -= lifted
             kmax[-1] = 1.0  # U = tau = mean x there, whatever U/tau rounds to
             pieces.append((kmax, top, bottom, tau, u))
         elif kmax_bd[-1] > 1.0:  # the boundary reaches kmax = 1, where U = tau = 1
             pieces.append(([1.0], [n - c1], [c1], [1.0], [1.0]))
-        return tuple(np.concatenate(col) for col in zip(*pieces))
+        kmax, top, bottom, tau, u = (np.concatenate(col) for col in zip(*pieces))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_lr = _clip_log_lr(
+                (sums.log_top[top], sums.top[top]), (sums.log_bottom[bottom], sums.bottom[bottom]),
+                top, bottom, tau, u,
+            )
+        return kmax, top, bottom, log_lr, len(kmax_bd) if h1 > 0.0 else 0
+
+    def solve(self, kmax: float) -> tuple[CnCase, float, int, int]:
+        """Case, ``u*`` and the counts clipped from the top and the bottom at
+        ``kmax``, read off the last row above it, whose segment holds it.  At
+        ``k_ml`` (row 0) and above, nothing is clipped from above."""
+        if kmax >= self.kmax[0]:
+            return CnCase.FML_EQUIVALENT, 1.0 / self.kmax[0], 0, self.c1
+        i = int(np.argmax(self.kmax <= kmax)) - 1
+        p, c = int(self.top[i]), int(self.bottom[i])
+        if i < self.switch:
+            return CnCase.BOUNDARY_U, 1.0 / kmax, p, c
+        if p + c == 0:  # the flat segment: nothing is clipped
+            return CnCase.INTERIOR_U, 1.0 / self.kmax[0], 0, 0
+        u = (p + c) / (self.sums.top[p] + kmax * self.sums.bottom[c])
+        # the lower cap 1/(u kmax) stays at or above 1 where rounding crosses it
+        return CnCase.INTERIOR_U, min(float(u), 1.0 / kmax), p, c
 
 
 def _cn_solution(stats: SampleStats, kmax: float) -> tuple[CnCase, float, int, int]:
@@ -339,16 +359,7 @@ def _cn_solution(stats: SampleStats, kmax: float) -> tuple[CnCase, float, int, i
         return CnCase.SCALED_IDENTITY, 1.0 / kmax, 0, int(x[::-1].searchsorted(1.0))
     if x[0] <= kmax:  # the boundary tie x_1 == kmax lands here; the profiles coincide
         return CnCase.FML_EQUIVALENT, 1.0 / x[0], 0, int(x[::-1].searchsorted(1.0))
-    path = _CnPath(_TailSums(x))
-    if kmax >= path.kmax_b:
-        p = int(np.count_nonzero(x * (1.0 / kmax) > 1.0))
-        return CnCase.BOUNDARY_U, 1.0 / kmax, p, path.c1
-    p, c = path.segment(kmax)
-    if p + c == 0:  # the flat segment: nothing is clipped
-        return CnCase.INTERIOR_U, 1.0 / x[0], 0, 0
-    u = (p + c) / (path.sums.top[p] + kmax * path.sums.bottom[c])
-    # the lower cap 1/(u kmax) stays at or above 1 where rounding crosses it
-    return CnCase.INTERIOR_U, min(float(u), 1.0 / kmax), p, c
+    return _CnPath(x).solve(kmax)
 
 
 def cncml_u_star(stats: SampleStats, kmax: float) -> CnCaseResult:
@@ -359,10 +370,13 @@ def cncml_u_star(stats: SampleStats, kmax: float) -> CnCaseResult:
     1. ``dbar_1 <= 1``: scaled identity, ``u* = 1/kmax``.
     2. ``1 < dbar_1 <= kmax``: the FML estimate, ``u* = 1/dbar_1``.
     3. ``dbar_1 > kmax >= kmax_b``: the constraint boundary, ``u* = 1/kmax``.
-    4. otherwise an interior point ``u* = 1/U = m/A`` read off the breakpoint
-       table (:class:`_CnPath`), with ``A = S_top + kmax S_bot`` over the
-       ``m`` entries clipped at ``kmax``; ``u* = 1/dbar_1`` on the flat
-       segment, where nothing is clipped.
+    4. otherwise an interior point ``u* = 1/U = m/A``, with ``A = S_top +
+       kmax S_bot`` over the ``m`` entries clipped at ``kmax``; ``u* =
+       1/dbar_1`` on the flat segment, where nothing is clipped.
+
+    Cases 3 and 4 and the clipped counts are read off the row of the
+    breakpoint table (:class:`_CnPath`) whose segment holds ``kmax``, the
+    table that :func:`select_kmax` walks.
     """
     case, u, _, _ = _cn_solution(stats, kmax)
     dbar = stats.d / stats.sigma2
@@ -372,16 +386,16 @@ def cncml_u_star(stats: SampleStats, kmax: float) -> CnCaseResult:
     return CnCaseResult(case_id=case, u_star=u, p=p, q=q, nbar=nbar)
 
 
-def _cn_estimate(stats: SampleStats, kmax: float, p: int, c: int, u: float | None = None):
+def _cn_estimate(stats: SampleStats, kmax: float, case: CnCase, u: float, p: int, c: int):
     """The condition-number estimate as one cap map: the ``p`` largest sample
     eigenvalues take the upper cap, the ``c`` smallest the lower cap, and the
-    rest keep ``d``.  The caps are ``sigma2/u`` and ``sigma2/(u kmax)`` inside
-    (``u = 1/U``) and ``sigma2 kmax`` and ``sigma2`` otherwise (``u`` None).
+    rest keep ``d``.  The caps are ``sigma2/u`` and ``sigma2/(u kmax)`` in the
+    interior case (``u = 1/U``) and ``sigma2 kmax`` and ``sigma2`` otherwise.
     """
-    s2 = stats.sigma2
+    s2, inside = stats.sigma2, case is CnCase.INTERIOR_U
     lam = stats.d.copy()
-    lam[:p] = s2 * kmax if u is None else s2 / u
-    lam[stats.n - c :] = s2 if u is None else s2 / (u * kmax)
+    lam[:p] = s2 / u if inside else s2 * kmax
+    lam[stats.n - c :] = s2 / (u * kmax) if inside else s2
     return CovarianceEstimate(
         lambdas=lam,
         basis=stats.s_eig.eigenvectors,
@@ -396,8 +410,7 @@ def cncml(stats: SampleStats, kmax: float) -> CovarianceEstimate:
     condition number is exactly 1, ``d_1/sigma2``, ``kmax`` and ``kmax`` in
     its four cases respectively.
     """
-    case, u, p, c = _cn_solution(stats, kmax)
-    return _cn_estimate(stats, kmax, p, c, u if case is CnCase.INTERIOR_U else None)
+    return _cn_estimate(stats, kmax, *_cn_solution(stats, kmax))
 
 
 def condition_number(est: CovarianceEstimate) -> float:

@@ -67,12 +67,14 @@ class ScenarioConfig:
         lengths = {len(self.jammer_powers), len(self.jammer_angles), len(self.jammer_bandwidths)}
         if len(lengths) != 1:
             raise InputError("jammer powers, angles and bandwidths must have equal lengths")
-        if any(p <= 0 for p in self.jammer_powers):
-            raise InputError("jammer powers must be positive")
+        if not all(0 < p < np.inf for p in self.jammer_powers):
+            raise InputError("jammer powers must be positive and finite")
+        if not np.isfinite(self.jammer_angles).all():
+            raise InputError("jammer angles must be finite")
         if any(not 0 <= b < 1 for b in self.jammer_bandwidths):
             raise InputError("fractional bandwidths must lie in [0, 1)")
-        if not self.noise_power > 0:
-            raise InputError("noise power must be positive")
+        if not 0 < self.noise_power < np.inf:
+            raise InputError("noise power must be positive and finite")
         if self.sinc_convention not in SINC_CONVENTIONS:
             raise InputError(f"sinc_convention must be one of {SINC_CONVENTIONS}")
         if self.angle_mode not in ANGLE_MODES:

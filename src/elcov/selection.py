@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import CovarianceEstimate, SampleStats, _CnPath, _TailSums, _cn_estimate
+from .estimators import CovarianceEstimate, SampleStats, _clip_log_lr, _CnPath, _cn_estimate
 from .exceptions import InputError, NoRootError, NumericalError
 from .hermitian import EigenDecomposition
 from .likelihood import (
@@ -180,7 +180,7 @@ def select_rank_sigma(
 
     The inputs are checked once, up front: dimension at least 2 so the
     trailing mean stays defined, ``k >= 1``, a descending and positive
-    spectrum, nonzero training columns and a unit-norm steering vector.
+    spectrum, nonzero finite training columns and a unit-norm steering vector.
 
     Each rank is climbed to the smallest rank at or above it whose noise
     power roots exist (at most ``n - 1``): those whose tail-profile peak
@@ -215,10 +215,10 @@ def select_rank_sigma(
     training = np.asarray(training, dtype=np.complex128)
     if training.ndim != 2 or training.shape[0] != n or training.shape[1] < 1:
         raise InputError("training must be an n-by-k matrix with at least one column")
-    if not training.any(axis=0).all():
-        raise InputError("training columns must be nonzero")
+    if not (training.any(axis=0).all() and np.isfinite(training).all()):
+        raise InputError("training columns must be nonzero and finite")
     steering = np.asarray(steering, dtype=np.complex128)
-    if steering.shape != (n,) or abs(np.linalg.norm(steering) - 1.0) > 1e-6:
+    if steering.shape != (n,) or not abs(np.linalg.norm(steering) - 1.0) <= 1e-6:
         raise InputError("steering must be a unit-norm length-n vector")
     if not d[-1] > 0:
         raise InputError("sample eigenvalues must be positive; noise power is unidentifiable")
@@ -246,8 +246,8 @@ def select_rank_sigma(
         labels += ["EL1", "EL2"]
         sigmas += roots.roots
     sig = np.array(sigmas)[:, None]
-    if not np.all(sig > 0):  # the check SampleStats made on each candidate
-        raise InputError("noise power sigma2 must be positive")
+    if not np.all((sig > 0) & (sig < np.inf)):  # the check SampleStats made on each candidate
+        raise InputError("noise power sigma2 must be positive and finite")
     # the rcml eigenvalues at every candidate noise power
     lambdas = np.repeat(sig, n, axis=1)
     lambdas[:, :r] = np.maximum(d[:r], sig)
@@ -279,37 +279,6 @@ _NEWTON_RTOL, _NEWTON_MAX_STEPS = 1e-12, 60  # last relative step on kmax, step 
 _LOADING_TOL, _LOADING_MAX_EVALS = 1e-9, 60  # log-LR mismatch, evaluation cap
 
 
-def _clip_log_lr(top, bottom, p, c, tau, u, log=np.log):
-    """Log LR of ``clip(x, tau, u)``: ``top = (sum log x, sum x)`` over the
-    ``p`` entries above ``u``, ``bottom`` likewise over the ``c`` entries
-    below ``tau``; the entries in between contribute nothing."""
-    return top[0] - p * log(u) + p - top[1] / u + bottom[0] - c * log(tau) + c - bottom[1] / tau
-
-
-@dataclass
-class _KmaxPath:
-    """The columns of :meth:`_CnPath.breakpoints` that :func:`select_kmax`
-    reads, with the log LR of the estimate at each breakpoint."""
-
-    kmax: np.ndarray
-    log_lr: np.ndarray
-    top: np.ndarray
-    bottom: np.ndarray
-    kmax_b: float
-
-
-def _kmax_path(sums: _TailSums) -> _KmaxPath:
-    """Every breakpoint of the CN path and its log LR, in one vector pass."""
-    path = _CnPath(sums)
-    kmax, top, bottom, tau, u = path.breakpoints()
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_lr = _clip_log_lr(
-            (sums.log_top[top], sums.top[top]), (sums.log_bottom[bottom], sums.bottom[bottom]),
-            top, bottom, tau, u,
-        )
-    return _KmaxPath(kmax, log_lr, top, bottom, path.kmax_b)
-
-
 def select_kmax(stats: SampleStats, lr0: float) -> KmaxSelection:
     """Tune the condition-number bound so the estimate's LR matches ``lr0``.
 
@@ -317,25 +286,27 @@ def select_kmax(stats: SampleStats, lr0: float) -> KmaxSelection:
     (at least 1) is returned when its LR is at or below ``lr0``, flagged
     ``constraint_active=False`` when ``d_1 <= sigma2``; 1 is returned when
     its LR reaches ``lr0``.  Otherwise the root lies on one segment of the
-    exact path (:func:`_kmax_path`), where the log LR is closed form:
+    breakpoint table (:class:`_CnPath`, the one :func:`cncml` reads), where
+    the log LR is closed form:
     ``sum_top [log(x/kmax) + 1 - x/kmax] + const`` on the boundary and
     ``sum_{top,bot} log x + c log kmax - m log((S_top + kmax S_bot)/m)``
     inside (``p`` top and ``c`` bottom entries, ``m = p + c``).  Both are
     concave and increasing in ``log kmax``, with slope ``g(U)``, so Newton
     steps from the segment's lower end rise monotonically to the root; they
     stop once a step is below ``1e-12`` relative.  The estimate is the cap
-    map of the selected bound's segment; nothing is solved a second time.
+    map at the selected bound, read off the table as :func:`cncml` reads it
+    (:meth:`_CnPath.solve`); nothing is solved a second time.
     """
     if not 0 < lr0 <= 1:
         raise InputError("lr0 must lie in (0, 1]")
     log_lr0 = math.log(lr0)
     x = stats.d / stats.sigma2
-    sums = _TailSums(x)
-    path = _kmax_path(sums)
+    path = _CnPath(x)
+    sums = path.sums
     visited = list(zip(path.kmax.tolist(), np.exp(path.log_lr).tolist()))
     if x[0] <= 1.0 or path.log_lr[0] <= log_lr0:
         k_ml = float(path.kmax[0])
-        estimate = _cn_estimate(stats, k_ml, 0, int(path.bottom[0]))
+        estimate = _cn_estimate(stats, k_ml, *path.solve(k_ml))
         return KmaxSelection(k_ml, estimate, visited, 0.0, bool(x[0] > 1.0))
 
     at_one = bool(path.log_lr[-1] >= log_lr0)
@@ -345,7 +316,7 @@ def select_kmax(stats: SampleStats, lr0: float) -> KmaxSelection:
     p, c = int(path.top[i - 1]), int(path.bottom[i - 1])
     top = float(sums.log_top[p]), float(sums.top[p])
     bottom = float(sums.log_bottom[c]), float(sums.bottom[c])
-    interior = k_lo < path.kmax_b and p + c > 0  # the flat segment clips nothing
+    interior = i > path.switch and p + c > 0  # the flat segment clips nothing
 
     def log_lr_slope(km: float) -> tuple[float, float]:
         """Log LR on this segment and its slope ``g(U)`` in ``log kmax``."""
@@ -366,9 +337,8 @@ def select_kmax(stats: SampleStats, lr0: float) -> KmaxSelection:
     kmax_hat = min(max(km, 1.0), float(path.kmax[0]))
     if k_lo < kmax_hat < k_hi:
         visited.insert(i, (kmax_hat, math.exp(log_lr_slope(kmax_hat)[0])))
-    a = sums.top[p] + kmax_hat * sums.bottom[c]
-    u = min((p + c) / a, 1.0 / kmax_hat) if interior else None
-    return KmaxSelection(kmax_hat, _cn_estimate(stats, kmax_hat, p, c, u), visited, step)
+    estimate = _cn_estimate(stats, kmax_hat, *path.solve(kmax_hat))
+    return KmaxSelection(kmax_hat, estimate, visited, step)
 
 
 def select_loading(stats: SampleStats, lr0: float) -> float:

@@ -158,6 +158,19 @@ class TestSelectCommand:
         assert pairs["chosen_from"] in {"ML", "EL1", "EL2"}
         assert float(pairs["sigma2_hat"]) > 0
 
+    def test_rank_sigma_rejects_nan_training(self, tmp_path, capsys, rng):
+        d = np.array([40.0, 15.0, 1.05, 1.0, 0.95, 0.9])
+        s_path = tmp_path / "s.cmat"
+        matrix_save(np.diag(d).astype(complex), s_path)
+        z = (rng.standard_normal((6, 24)) + 1j * rng.standard_normal((6, 24))) / np.sqrt(2)
+        z[2, 5] = np.nan
+        z_path = tmp_path / "z.cmat"
+        write_cmat(z, z_path)
+        code = cli(["select", "--input", str(s_path), "--k", "24", "--mode", "rank-sigma",
+                    "--r-init", "2", "--lr0", "0.95", "--training", str(z_path)])
+        assert code == 1
+        assert "finite" in capsys.readouterr().err
+
     def test_requires_reference(self, sample_cov):
         path, _ = sample_cov
         assert cli(["select", "--input", str(path), "--k", "8", "--mode", "rank",
@@ -197,6 +210,27 @@ class TestSimulateCommand:
     def test_missing_config(self, tmp_path):
         assert cli(["simulate", "--config", str(tmp_path / "none.cfg")]) == 1
 
+    @pytest.mark.parametrize(
+        "scenario",
+        [
+            "noise_power = inf",
+            "jammer_powers = inf\njammer_angles = 10\njammer_bandwidths = 0",
+            "jammer_powers = 10\njammer_angles = inf\njammer_bandwidths = 0",
+        ],
+        ids=["noise", "jammer", "angle"],
+    )
+    def test_non_finite_scenario_is_input_error(self, tmp_path, capsys, scenario):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(
+            f"[scenario]\nn = 4\n{scenario}\n\n"
+            "[experiment]\nk_list = 4\ntrials = 2\nmaster_seed = 7\n"
+            f"estimators = SMI\noutput = {tmp_path / 'out'}\n"
+        )
+        assert cli(["simulate", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert "finite" in err
+
 
 class TestExitCodes:
     def test_unknown_flag(self, capsys):
@@ -209,6 +243,15 @@ class TestExitCodes:
     def test_help_exits_zero(self, capsys):
         assert cli(["--help"]) == 0
         assert "usage" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("sigma2", ["inf", "nan"])
+    def test_non_finite_sigma2_is_input_error(self, sample_cov, capsys, sigma2):
+        path, _ = sample_cov
+        assert cli(["estimate", "--input", str(path), "--k", "8", "--sigma2", sigma2,
+                    "--method", "fml"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "Traceback" not in captured.err
+        assert "eigenvalues" not in captured.out
 
     def test_missing_file_is_input_error(self, tmp_path):
         assert cli(["estimate", "--input", str(tmp_path / "nope.cmat"), "--k", "4",

@@ -284,6 +284,42 @@ def test_interior_u_just_below_boundary_threshold(rng):
     assert probes >= 100
 
 
+def test_zero_entries_match_bisection_oracle(rng):
+    """Spectra with zero entries.  Where the zeros are the only entries below
+    the floor, the breakpoint of the smallest positive entry lies on the same
+    ``s = h(1)`` as the boundary/interior switch; the estimate under the
+    switch must still clip that entry only once ``tau`` reaches it."""
+    interior = 0
+    for i in range(200):
+        n = int(rng.integers(3, 40))
+        zeros = int(rng.integers(1, n - 1))
+        low = 1.01 if i % 4 else 0.05  # mostly: every positive entry above the floor
+        positive = np.exp(rng.uniform(np.log([2.0] + [low] * (n - zeros - 1)), np.log(1e3)))
+        dbar = np.sort(np.concatenate([positive, np.zeros(zeros)]))[::-1]
+        sigma2 = float(rng.uniform(0.3, 3.0))
+        stats = stats_from_spectrum(dbar * sigma2, sigma2=sigma2)
+        dbar = stats.d / sigma2
+        kmaxes = np.exp(rng.uniform(0.0, np.log(dbar[0]), 20))
+        with np.errstate(divide="ignore"):
+            cases, u_oracle = bisect_u_oracle(dbar, kmaxes)
+        for kmax, case, u in zip(kmaxes.tolist(), cases, u_oracle.tolist()):
+            res = cncml_u_star(stats, kmax)
+            assert res.case_id is case
+            assert res.u_star == pytest.approx(u, rel=1e-9)
+            with np.errstate(divide="ignore"):
+                lam_oracle = sigma2 / cn_lambda_map(u, dbar, kmax)
+            lam = cncml(stats, kmax).lambdas
+            assert np.max(np.abs(lam - lam_oracle) / lam_oracle) <= 1e-9
+            interior += case is CnCase.INTERIOR_U
+    assert interior >= 1000
+
+
+@pytest.mark.parametrize("sigma2", [math.inf, math.nan, 0.0])
+def test_sample_stats_rejects_noise_power_not_positive_and_finite(sigma2):
+    with pytest.raises(InputError, match="sigma2"):
+        stats_from_spectrum([2.0, 1.0], sigma2=sigma2)
+
+
 class TestLsmi:
     def test_adds_loading(self):
         stats = stats_from_spectrum([3.0, 1.0])

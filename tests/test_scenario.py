@@ -34,6 +34,17 @@ class TestScenarioConfig:
         with pytest.raises(InputError):
             ScenarioConfig(n=4, sinc_convention="other")
 
+    @pytest.mark.parametrize("power", [np.inf, np.nan])
+    def test_rejects_non_finite_powers_and_angles(self, power):
+        with pytest.raises(InputError, match="finite"):
+            ScenarioConfig(n=4, noise_power=power)
+        with pytest.raises(InputError, match="finite"):
+            ScenarioConfig(n=4, jammer_powers=(power,), jammer_angles=(0.1,),
+                           jammer_bandwidths=(0.0,))
+        with pytest.raises(InputError, match="finite"):
+            ScenarioConfig(n=4, jammer_powers=(1.0,), jammer_angles=(power,),
+                           jammer_bandwidths=(0.0,))
+
 
 class TestJammerCovariance:
     def test_no_jammers_scaled_identity(self):

@@ -37,8 +37,9 @@ from elcov import (
     sqrt_factor,
     steering_vector,
 )
+from elcov.estimators import _CnPath
 from elcov.likelihood import log_tail_lr, lr0_reference
-from elcov.selection import _kmax_path, _nmf_scorer, _TailSums
+from elcov.selection import _nmf_scorer
 
 
 def log_lr_rank(stats, r):
@@ -522,6 +523,20 @@ class TestSelectRankSigma:
             assert joint.chosen_from == labels[chosen]
             assert scores[chosen] <= min(scores) * (1.0 + 1e-12)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_non_finite_training_rejected(self, rng, bad):
+        d, eig, z = self._planted(rng)
+        z[3, 7] = bad
+        with pytest.raises(InputError, match="finite"):
+            select_rank_sigma(eig, 32, 1, 0.5, z, steering_vector(8, 0.0))
+
+    def test_non_finite_steering_rejected(self, rng):
+        d, eig, z = self._planted(rng)
+        steering = steering_vector(8, 0.0)
+        steering[2] = np.nan
+        with pytest.raises(InputError, match="unit-norm"):
+            select_rank_sigma(eig, 32, 1, 0.5, z, steering)
+
     def test_zero_training_column_rejected(self, rng):
         d, eig, z = self._planted(rng)
         z[:, 5] = 0.0
@@ -747,7 +762,7 @@ class TestKmaxPath:
             d = _spectrum(rng, n, sigma2)
             stats = stats_from_spectrum(d, sigma2=sigma2)
             dbar = d / sigma2
-            path = _kmax_path(_TailSums(dbar))
+            path = _CnPath(dbar)
             assert path.kmax[0] == max(dbar[0], 1.0)
             assert path.kmax[-1] == 1.0
             assert np.all(np.diff(path.kmax) <= 0.0)
@@ -786,6 +801,29 @@ class TestKmaxPath:
                 illinois_kmax(stats, lr0), rel=1e-9
             )
 
+    def test_estimate_equals_cncml_at_kmax_hat_on_random_spectra(self, rng):
+        """The selector's estimate and cncml at the selected bound read the same
+        table row, so they agree bit for bit (closed-form returns included)."""
+        for _ in range(300):
+            n = int(rng.integers(2, 129))
+            sigma2 = float(rng.uniform(0.1, 10.0))
+            stats = stats_from_spectrum(_spectrum(rng, n, sigma2), sigma2=sigma2)
+            for lr0 in (1e-300, 1.0, _interior_lr0(rng, stats) or 0.5):
+                sel = select_kmax(stats, lr0)
+                lam = cncml(stats, sel.kmax_hat).lambdas
+                np.testing.assert_array_equal(sel.estimate.lambdas, lam)
+
+    @pytest.mark.parametrize("k", [20, 40])
+    def test_estimate_equals_cncml_at_kmax_hat_on_reference_scenario(self, k):
+        scenario = reference_scenario()
+        lr0 = lr0_reference(scenario.n, k, trials=4000, seed=5).lr0
+        r_true = jammer_covariance(scenario)
+        for t in range(100):
+            z = generate_training(r_true, k, None, derive_rng(37, "kmax-cncml", k, t)).z
+            stats = SampleStats.from_sample_covariance(sample_covariance(z), k, 1.0)
+            sel = select_kmax(stats, lr0)
+            np.testing.assert_array_equal(sel.estimate.lambdas, cncml(stats, sel.kmax_hat).lambdas)
+
     def test_one_estimate_and_no_lr_evaluation_per_call(self, rng, monkeypatch):
         import elcov.estimators as estimators
         import elcov.selection as selection
@@ -817,7 +855,7 @@ class TestKmaxPath:
         stats = stats_from_spectrum(d, sigma2=0.5)
         lr0 = _interior_lr0(rng, stats)
         sel = select_kmax(stats, lr0)
-        path = _kmax_path(_TailSums(d / 0.5))
+        path = _CnPath(d / 0.5)
         kmaxes = [k for k, _ in sel.visited]
         assert kmaxes == sorted(kmaxes, reverse=True)
         assert sorted(set(kmaxes) - set(path.kmax.tolist())) == [sel.kmax_hat]
