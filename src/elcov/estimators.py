@@ -131,6 +131,14 @@ def fml(stats: SampleStats) -> CovarianceEstimate:
     )
 
 
+def _rcml_lambdas(d: np.ndarray, sigma2: float, r) -> np.ndarray:
+    """RCML eigenvalues of a spectrum, or of each row of a ``(B, N)`` stack:
+    the top ``r`` clipped at ``sigma2`` and the rest set to it.  ``r`` is one
+    rank, or one rank per row."""
+    keep = np.arange(d.shape[-1]) < np.asarray(r)[..., np.newaxis]
+    return np.where(keep, np.maximum(d, sigma2), float(sigma2))
+
+
 def rcml(stats: SampleStats, r: int) -> CovarianceEstimate:
     """Rank-constrained ML: keep the top ``r`` eigenvalues, floor the rest.
 
@@ -140,10 +148,8 @@ def rcml(stats: SampleStats, r: int) -> CovarianceEstimate:
     """
     if not 0 <= r <= stats.n:
         raise InputError(f"rank {r} outside [0, {stats.n}]")
-    lam = np.full(stats.n, float(stats.sigma2))
-    lam[:r] = np.maximum(stats.d[:r], stats.sigma2)
     return CovarianceEstimate(
-        lambdas=lam,
+        lambdas=_rcml_lambdas(stats.d, stats.sigma2, r),
         basis=stats.s_eig.eigenvectors,
         constraints=ConstraintRecord(r=int(r), sigma2=stats.sigma2),
     )
@@ -268,6 +274,7 @@ class _CnPath:
     The table, built once, lists in descending ``kmax`` each breakpoint's
     ``kmax``, the counts ``top`` and ``bottom`` clipped just under it and the
     log LR ``log_lr`` at it; rows from ``switch`` on open interior segments.
+    ``log_lr`` is computed on first use: only :func:`select_kmax` reads it.
     """
 
     def __init__(self, x: np.ndarray):
@@ -283,10 +290,11 @@ class _CnPath:
         self.h1 = h1 = float((1.0 - x[n - c1 :]).sum())
         p = int(self.g[::-1].searchsorted(h1, "right"))
         self.kmax_b = max(float(x[:p].sum() / (p + h1)), 1.0)
-        self.kmax, self.top, self.bottom, self.log_lr, self.switch = self.breakpoints()
+        self.kmax, self.top, self.bottom, self._tau, self._u, self.switch = self.breakpoints()
 
     def breakpoints(self):
-        """The table's columns, in descending ``kmax``, and its ``switch``."""
+        """The table's columns, in descending ``kmax``, ``tau`` and ``U`` at
+        each breakpoint, and its ``switch``."""
         sums, asc, h1, c1 = self.sums, self.sums.asc, self.h1, self.c1
         n = sums.n
         a, starts = np.unique(asc, return_index=True)
@@ -326,12 +334,16 @@ class _CnPath:
         elif kmax_bd[-1] > 1.0:  # the boundary reaches kmax = 1, where U = tau = 1
             pieces.append(([1.0], [n - c1], [c1], [1.0], [1.0]))
         kmax, top, bottom, tau, u = (np.concatenate(col) for col in zip(*pieces))
+        return kmax, top, bottom, tau, u, len(kmax_bd) if h1 > 0.0 else 0
+
+    @functools.cached_property
+    def log_lr(self) -> np.ndarray:
+        sums, top, bottom = self.sums, self.top, self.bottom
         with np.errstate(divide="ignore", invalid="ignore"):
-            log_lr = _clip_log_lr(
+            return _clip_log_lr(
                 (sums.log_top[top], sums.top[top]), (sums.log_bottom[bottom], sums.bottom[bottom]),
-                top, bottom, tau, u,
+                top, bottom, self._tau, self._u,
             )
-        return kmax, top, bottom, log_lr, len(kmax_bd) if h1 > 0.0 else 0
 
     def solve(self, kmax: float) -> tuple[CnCase, float, int, int]:
         """Case, ``u*`` and the counts clipped from the top and the bottom at

@@ -6,13 +6,15 @@ For each sample count the trials run in blocks of at most
 scenario's true covariance with the trial's own seeded stream, then makes
 one stacked pass for the whole block: the sample covariances, their
 descending ``eigh`` with pinned phases, and the projections onto each
-eigenbasis that SINR scoring needs.  Each trial then applies every
-estimator (running its constraint selector when the spec asks for one)
-and scores all its estimates in one call, by normalized SINR averaged over
-a steering grid in the trial's sample eigenbasis.  Every stacked result
-equals its per-trial form bit for bit, so blocking changes no output, and
-identical configuration and master seed reproduce the output CSVs byte for
-byte.
+eigenbasis that SINR scoring needs.  Most estimators, their constraint
+selectors included, then run as one stacked pass over the block's
+``(B, N)`` spectra; ``CNCML_EL``, ``CNCML_FIXED`` and ``RCML_EL_SIGMA``,
+whose work takes a different shape for each spectrum, run per trial.  Each
+trial scores all its estimates in one call, by normalized SINR averaged
+over a steering grid in the trial's sample eigenbasis.  Every stacked
+result equals its per-trial form bit for bit, so blocking changes no
+output, and identical configuration and master seed reproduce the output
+CSVs byte for byte.
 """
 
 from __future__ import annotations
@@ -27,8 +29,15 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .estimators import CovarianceEstimate, SampleStats, cncml, fml, lsmi, rcml, smi
-from .exceptions import InputError, SingularMatrixError
+from .estimators import (
+    ConstraintRecord,
+    CovarianceEstimate,
+    SampleStats,
+    _rcml_lambdas,
+    cncml,
+    rcml,
+)
+from .exceptions import ElcovError, InputError, SingularMatrixError
 from .hermitian import (
     EigenDecomposition,
     _eigh_desc,
@@ -45,7 +54,7 @@ from .scenario import (
     jammer_covariance,
     steering_vector,
 )
-from .selection import select_kmax, select_loading, select_rank, select_rank_sigma
+from .selection import _loading_rows, _rank_rows, select_kmax, select_rank_sigma
 
 __all__ = [
     "EstimatorSpec",
@@ -68,7 +77,46 @@ _BLOCK_ELEMENTS = 2**13
 class _Estimator(NamedTuple):
     takes_param: bool
     needs_lr0: bool
-    build: Callable[..., CovarianceEstimate]  # (stats, param, lr0, joint)
+    # (d, sigma2, param, lr0) -> (lambdas, constraints), for a (B, N) stack of
+    # spectra; None for the estimators built one spectrum at a time by ``build``
+    rows: Callable[..., tuple[np.ndarray, list[ConstraintRecord]]] | None
+    build: Callable[..., CovarianceEstimate] | None = None  # (stats, param, lr0, joint)
+
+
+def _smi_rows(d, sigma2, param, lr0):
+    return d.copy(), [ConstraintRecord() for _ in range(len(d))]
+
+
+def _fml_rows(d, sigma2, param, lr0):
+    ranks = (d > sigma2).sum(axis=1).tolist()
+    return np.maximum(d, sigma2), [ConstraintRecord(r=r, sigma2=sigma2) for r in ranks]
+
+
+def _rcml_rows(d, sigma2, ranks):
+    return _rcml_lambdas(d, sigma2, ranks), [ConstraintRecord(r=r, sigma2=sigma2) for r in ranks]
+
+
+def _rcml_fixed_rows(d, sigma2, param, lr0):
+    r = int(param)
+    if not 0 <= r <= d.shape[1]:
+        raise InputError(f"rank {r} outside [0, {d.shape[1]}]")
+    return _rcml_rows(d, sigma2, [r] * len(d))
+
+
+def _rcml_el_rows(d, sigma2, param, lr0):
+    return _rcml_rows(d, sigma2, _rank_rows(d, sigma2, lr0)[0].tolist())
+
+
+def _cncml_ml_rows(d, sigma2, param, lr0):
+    """At its ML bound ``max(d_1/sigma2, 1)`` the condition-number estimate
+    clips only from below, at ``sigma2``."""
+    kmaxes = np.maximum(d[:, 0] / sigma2, 1.0).tolist()
+    return np.maximum(d, sigma2), [ConstraintRecord(sigma2=sigma2, kmax=k) for k in kmaxes]
+
+
+def _lsmi_el_rows(d, sigma2, param, lr0):
+    betas, _ = _loading_rows(d, lr0)
+    return d + np.array(betas)[:, np.newaxis], [ConstraintRecord(beta=b) for b in betas]
 
 
 def _rcml_el_sigma(stats, param, lr0, joint):
@@ -79,17 +127,15 @@ def _rcml_el_sigma(stats, param, lr0, joint):
 
 # the one estimator dispatch; the CLI's estimate command uses it too
 _ESTIMATORS = {
-    "SMI": _Estimator(False, False, lambda s, p, lr0, j: smi(s)),
-    "FML": _Estimator(False, False, lambda s, p, lr0, j: fml(s)),
-    "RCML_FIXED": _Estimator(True, False, lambda s, p, lr0, j: rcml(s, int(p))),
-    "RCML_EL": _Estimator(False, True, lambda s, p, lr0, j: rcml(s, select_rank(s, lr0).r_hat)),
-    "RCML_EL_SIGMA": _Estimator(False, True, _rcml_el_sigma),
-    "CNCML_ML": _Estimator(
-        False, False, lambda s, p, lr0, j: cncml(s, max(float(s.d[0] / s.sigma2), 1.0))
-    ),
-    "CNCML_FIXED": _Estimator(True, False, lambda s, p, lr0, j: cncml(s, float(p))),
-    "CNCML_EL": _Estimator(False, True, lambda s, p, lr0, j: select_kmax(s, lr0).estimate),
-    "LSMI_EL": _Estimator(False, True, lambda s, p, lr0, j: lsmi(s, select_loading(s, lr0))),
+    "SMI": _Estimator(False, False, _smi_rows),
+    "FML": _Estimator(False, False, _fml_rows),
+    "RCML_FIXED": _Estimator(True, False, _rcml_fixed_rows),
+    "RCML_EL": _Estimator(False, True, _rcml_el_rows),
+    "RCML_EL_SIGMA": _Estimator(False, True, None, _rcml_el_sigma),
+    "CNCML_ML": _Estimator(False, False, _cncml_ml_rows),
+    "CNCML_FIXED": _Estimator(True, False, None, lambda s, p, lr0, j: cncml(s, float(p))),
+    "CNCML_EL": _Estimator(False, True, None, lambda s, p, lr0, j: select_kmax(s, lr0).estimate),
+    "LSMI_EL": _Estimator(False, True, _lsmi_el_rows),
 }
 
 
@@ -172,9 +218,11 @@ class TrialRecord:
     """Result of one (k, trial, estimator) cell.
 
     ``wall_time`` is the time to build the estimate plus an equal share of
-    its trial's one scoring call; the block's shared draw, ``eigh`` and
-    eigenbasis projections are not in it.  It is informational only and
-    kept out of the CSV files so reruns stay byte-identical.
+    its trial's one scoring call.  An estimator built in one stacked pass
+    over a block of ``B`` trials is charged that pass's time over ``B``.
+    The block's shared draw, ``eigh`` and eigenbasis projections are not in
+    it.  It is informational only and kept out of the CSV files so reruns
+    stay byte-identical.
     """
 
     trial_index: int
@@ -216,8 +264,13 @@ def build_estimate(
     spec: EstimatorSpec, stats: SampleStats, lr0=None, joint=None
 ) -> CovarianceEstimate:
     """Estimate named by ``spec``; ``lr0`` feeds the selectors and ``joint``,
-    ``(r_init, training, nmf_steering)``, feeds ``RCML_EL_SIGMA`` only."""
-    return _ESTIMATORS[spec.name].build(stats, spec.param, lr0, joint)
+    ``(r_init, training, nmf_steering)``, feeds ``RCML_EL_SIGMA`` only.
+    A stacked estimator is built as a stack of one spectrum."""
+    estimator = _ESTIMATORS[spec.name]
+    if estimator.rows is None:
+        return estimator.build(stats, spec.param, lr0, joint)
+    lambdas, (constraints,) = estimator.rows(stats.d[np.newaxis], stats.sigma2, spec.param, lr0)
+    return CovarianceEstimate(lambdas[0], stats.s_eig.eigenvectors, constraints)
 
 
 def _block_size(n: int, k: int) -> int:
@@ -280,7 +333,9 @@ def run_experiment(cfg: ExperimentConfig) -> list[TrialRecord]:
     nmf_steering = steering_vector(n, cfg.nmf_angle)
 
     records: list[TrialRecord] = []
+    sigma2 = scenario.noise_power
     for k in cfg.k_list:
+        lr0 = lr0_by_k[k]
         block = _block_size(n, k)
         for first in range(0, cfg.trials, block):
             trials = range(first, min(first + block, cfg.trials))
@@ -290,22 +345,40 @@ def run_experiment(cfg: ExperimentConfig) -> list[TrialRecord]:
             ]
             d, v = _eigh_desc(sample_covariance(np.stack([draw.z for draw in draws])))
             w0, g = _eigenbasis_projections(v, r_true, steer)
-            for i, trial in enumerate(trials):
-                eig = EigenDecomposition(eigenvalues=d[i], eigenvectors=v[i])
-                stats = SampleStats(n=n, k=k, s_eig=eig, sigma2=scenario.noise_power)
-                joint = (r_init, draws[i].z, nmf_steering)
-                estimates, builds = [], []
-                for spec in cfg.estimators:
+            # per estimator: (lambdas, constraints, seconds per trial) of its
+            # stacked pass, or None to build it trial by trial
+            stacked = []
+            for spec in cfg.estimators:
+                rows, built = _ESTIMATORS[spec.name].rows, None
+                if rows is not None:
                     start = time.perf_counter()
-                    estimates.append(build_estimate(spec, stats, lr0_by_k[k], joint))
+                    try:
+                        lambdas, constraints = rows(d, sigma2, spec.param, lr0)
+                        built = lambdas, constraints, (time.perf_counter() - start) / len(trials)
+                    except ElcovError:
+                        pass  # rebuilt per trial, which raises at the failing trial and estimator
+                stacked.append(built)
+            for i, trial in enumerate(trials):
+                stats = None
+                lambdas, constraints, builds = [], [], []
+                for spec, built in zip(cfg.estimators, stacked):
+                    if built is not None:
+                        lambdas.append(built[0][i])
+                        constraints.append(built[1][i])
+                        builds.append(built[2])
+                        continue
+                    if stats is None:
+                        eig = EigenDecomposition(eigenvalues=d[i], eigenvectors=v[i])
+                        stats = SampleStats(n=n, k=k, s_eig=eig, sigma2=sigma2)
+                    start = time.perf_counter()
+                    est = build_estimate(spec, stats, lr0, (r_init, draws[i].z, nmf_steering))
                     builds.append(time.perf_counter() - start)
+                    lambdas.append(est.lambdas)
+                    constraints.append(est.constraints)
                 start = time.perf_counter()
-                sinr_db = _sinr_scorer(
-                    np.stack([est.lambdas for est in estimates]), w0[i], g[i], den_true
-                )
-                score_share = (time.perf_counter() - start) / len(estimates)
-                for spec, est, build, sinr in zip(cfg.estimators, estimates, builds, sinr_db):
-                    con = est.constraints
+                sinr_db = _sinr_scorer(np.stack(lambdas), w0[i], g[i], den_true)
+                score_share = (time.perf_counter() - start) / len(lambdas)
+                for spec, con, build, sinr in zip(cfg.estimators, constraints, builds, sinr_db):
                     records.append(
                         TrialRecord(
                             trial_index=trial,

@@ -22,7 +22,6 @@ from .likelihood import (
     LambertBranch,
     _BRANCH_POINT,
     lambert_w,
-    log_lr_value,
 )
 
 __all__ = [
@@ -48,14 +47,23 @@ class RankSelection:
     lr0: float
 
 
-def _rank_log_lr(d: np.ndarray, sigma2: float) -> np.ndarray:
-    """Log LR of the rank-``r`` estimate at noise power ``sigma2`` for every
-    ``r`` in ``0..p`` (``p = #{d_i > sigma2}``), as suffix sums."""
+def _rank_rows(d: np.ndarray, sigma2: float, lr0: float):
+    """Rank selection for each row of a ``(B, N)`` stack of spectra at one
+    noise power: the selected ranks ``(B,)``, the log LR table ``(B, N + 1)``
+    whose column ``r`` is the rank-``r`` log LR, and ``p = #{d_i > sigma2}``
+    per row.  Columns past a row's ``p`` are not candidates."""
+    if not 0 < lr0 <= 1:
+        raise InputError("lr0 must lie in (0, 1]")
+    b, n = d.shape
     x = d / sigma2
-    p = int(np.count_nonzero(x > 1.0))
+    p = (x > 1.0).sum(axis=1)
     with np.errstate(divide="ignore"):
         terms = np.log(x) + 1.0 - x
-    return np.append(np.cumsum(terms[::-1])[::-1], 0.0)[: p + 1]
+    log_lr = np.zeros((b, n + 1))
+    log_lr[:, :n] = terms[:, ::-1].cumsum(axis=1)[:, ::-1]
+    miss = np.abs(log_lr - math.log(lr0))
+    miss[np.arange(n + 1) > p[:, np.newaxis]] = np.inf
+    return miss.argmin(axis=1), log_lr, p
 
 
 def select_rank(stats: SampleStats, lr0: float) -> RankSelection:
@@ -70,12 +78,9 @@ def select_rank(stats: SampleStats, lr0: float) -> RankSelection:
     mismatch is taken on log LR because the LR changes by orders of
     magnitude per rank step around the effective rank.
     """
-    if not 0 < lr0 <= 1:
-        raise InputError("lr0 must lie in (0, 1]")
-    log_lr = _rank_log_lr(stats.d, stats.sigma2)
-    r_hat = int(np.argmin(np.abs(log_lr - math.log(lr0))))
-    visited = [(r, math.exp(v)) for r, v in enumerate(log_lr.tolist())]
-    return RankSelection(r_hat=r_hat, visited=visited, lr0=lr0)
+    r_hat, log_lr, p = _rank_rows(stats.d[np.newaxis], stats.sigma2, lr0)
+    visited = [(r, math.exp(v)) for r, v in enumerate(log_lr[0, : p[0] + 1].tolist())]
+    return RankSelection(r_hat=int(r_hat[0]), visited=visited, lr0=lr0)
 
 
 def sigma_ml(sample_lambdas, r: int) -> float:
@@ -234,7 +239,7 @@ def select_rank_sigma(
     r = int(climbed[min(max(int(r_init), 0), n - 1)])
     for iterations in range(1, n + 1):
         # the trailing mean, as sigma_ml computes it
-        r_hat = int(np.argmin(np.abs(_rank_log_lr(d, float(d[r:].mean())) - log_lr0)))
+        r_hat = int(_rank_rows(d[np.newaxis], float(d[r:].mean()), lr0)[0][0])
         r_new = int(climbed[min(r_hat, n - 1)])
         if r_new >= r:
             break
@@ -341,50 +346,88 @@ def select_kmax(stats: SampleStats, lr0: float) -> KmaxSelection:
     return KmaxSelection(kmax_hat, estimate, visited, step)
 
 
-def select_loading(stats: SampleStats, lr0: float) -> float:
-    """Diagonal loading factor whose loaded-sample LR matches ``lr0``.
+def _loading_rows(d: np.ndarray, lr0: float) -> tuple[list[float], list[int]]:
+    """Diagonal loading factor for each row of a ``(B, N)`` stack of spectra,
+    and the number of LR evaluations each row took.
 
     On ``x = log beta`` the log LR of ``beta I + S`` is decreasing and
     concave, with slope ``-sum t_i^2`` and curvature ``-2 sum t_i^2 (1 - t_i)``
     for ``t_i = beta / (d_i + beta)``.  Halley steps on ``x`` start at a
     closed-form lower bound of the root, bisect whenever a step leaves the
-    bracket and stop at ``|log lr - log lr0| <= 1e-9``.  Raises
-    :class:`NoRootError` for a singular sample covariance or when no finite
-    loading reaches ``lr0``.
+    bracket and stop at ``|log lr - log lr0| <= 1e-9``.  Each step evaluates
+    the log LR and its derivatives for all unconverged rows in one stacked
+    pass; the bracket and the step itself are scalar per row.  Raises
+    :class:`NoRootError` when a row's sample covariance is singular or no
+    finite loading reaches ``lr0`` for it.
     """
     if not 0 < lr0 < 1:
         raise InputError("lr0 must lie strictly inside (0, 1) for loading selection")
-    d = stats.d
-    if d[-1] <= 0:
+    if not (d[:, -1] > 0).all():
         raise NoRootError("sample covariance is singular; the loaded LR is identically zero")
     log_lr0 = math.log(lr0)
-    a, n, log_d_min, ratio = -log_lr0, len(d), math.log(d[-1]), d[-1] / d
+    b, n = d.shape
+    a, x_max = -log_lr0, math.log(sys.float_info.max)
     # -log lr <= min(beta^2 sum(d_i^-2) / 2, N log(1 + beta / d_N)) bounds the
     # root below and log lr <= N (1 - log beta) + sum(log d_i) above; x_hi has
     # a spare nat so that a step onto a tight bound (flat d) stays inside
-    x_lo = max(
-        log_d_min + 0.5 * math.log(2.0 * a / float(ratio @ ratio)),
-        log_d_min + a / n + math.log(-math.expm1(-a / n)),
-    )
-    if x_lo > math.log(sys.float_info.max):
-        raise NoRootError(f"no finite loading factor reaches lr0={lr0}")
-    x_hi = min(2.0 + (float(np.log(d).sum()) + a) / n, math.log(sys.float_info.max))
-    x = x_lo
-    for _ in range(_LOADING_MAX_EVALS):
-        beta = math.exp(x)
-        f = log_lr_value(d + beta, d) - log_lr0
-        if abs(f) <= _LOADING_TOL:
-            return beta
-        if f > 0.0:
-            x_lo = x
-        elif x == x_lo:  # only the first point, the lower bound, can sit on x_lo
-            raise NumericalError("loaded LR is not monotone in the loading factor")
-        else:
-            x_hi = x
-        t = beta / (d + beta)
-        tt = t * t
-        slope = -float(tt.sum())
-        den = 2.0 * slope * slope - 2.0 * f * (slope + float(tt @ t))
-        x_new = x - 2.0 * f * slope / den if den > 0.0 else math.nan
-        x = x_new if x_lo < x_new < x_hi else 0.5 * (x_lo + x_hi)
+    # row-wise dot products as stacked matmuls, which round as a 1-D dot does
+    ratio = d[:, -1:] / d
+    ratio2 = (ratio[:, np.newaxis, :] @ ratio[:, :, np.newaxis]).ravel().tolist()
+    log_d_sum = np.log(d).sum(axis=1).tolist()
+    x_lo, x_hi = [], []
+    for d_min, r2, log_sum in zip(d[:, -1].tolist(), ratio2, log_d_sum):
+        log_d_min = math.log(d_min)
+        lo = max(
+            log_d_min + 0.5 * math.log(2.0 * a / r2),
+            log_d_min + a / n + math.log(-math.expm1(-a / n)),
+        )
+        if lo > x_max:
+            raise NoRootError(f"no finite loading factor reaches lr0={lr0}")
+        x_lo.append(lo)
+        x_hi.append(min(2.0 + (log_sum + a) / n, x_max))
+    x, beta, evals = list(x_lo), [0.0] * b, [0] * b
+    rows, d_rows = list(range(b)), d
+    with np.errstate(divide="ignore"):
+        for _ in range(_LOADING_MAX_EVALS):
+            # per row, as numpy's vector exp can differ from math.exp in the last bit
+            betas = [math.exp(x[i]) for i in rows]
+            column = np.array(betas)[:, np.newaxis]
+            loaded = d_rows + column
+            rho = d_rows / loaded
+            log_lr = (np.log(rho).sum(axis=1) + n - rho.sum(axis=1)).tolist()
+            f = [value - log_lr0 for value in log_lr]
+            left = [j for j, f_j in enumerate(f) if abs(f_j) > _LOADING_TOL]
+            for j, i in enumerate(rows):
+                evals[i] += 1
+                beta[i] = betas[j]  # final once the row leaves the search
+            if not left:
+                return beta, evals
+            t = column / loaded
+            tt = t * t
+            slopes = tt.sum(axis=1).tolist()
+            cubes = (tt[:, np.newaxis, :] @ t[:, :, np.newaxis]).ravel().tolist()
+            for j in left:
+                i, f_j = rows[j], f[j]
+                if f_j > 0.0:
+                    x_lo[i] = x[i]
+                elif x[i] == x_lo[i]:  # only the first point, the lower bound, can sit on x_lo
+                    raise NumericalError("loaded LR is not monotone in the loading factor")
+                else:
+                    x_hi[i] = x[i]
+                slope = -slopes[j]
+                den = 2.0 * slope * slope - 2.0 * f_j * (slope + cubes[j])
+                x_new = x[i] - 2.0 * f_j * slope / den if den > 0.0 else math.nan
+                x[i] = x_new if x_lo[i] < x_new < x_hi[i] else 0.5 * (x_lo[i] + x_hi[i])
+            if len(left) < len(rows):
+                rows, d_rows = [rows[j] for j in left], d_rows[left]
     raise NumericalError("loading search failed to reach the log-LR tolerance")
+
+
+def select_loading(stats: SampleStats, lr0: float) -> float:
+    """Diagonal loading factor whose loaded-sample LR matches ``lr0``.
+
+    The one-row case of the stacked Halley search :func:`_loading_rows`.
+    Raises :class:`NoRootError` for a singular sample covariance or when no
+    finite loading reaches ``lr0``.
+    """
+    return _loading_rows(stats.d[np.newaxis], lr0)[0][0]

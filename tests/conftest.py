@@ -1,9 +1,21 @@
 """Shared generators and brute-force oracles for the test suite."""
 
+import math
+import sys
+
 import numpy as np
 import pytest
 
-from elcov import CnCase, EigenDecomposition, SampleStats, ScenarioConfig
+from elcov import (
+    CnCase,
+    EigenDecomposition,
+    InputError,
+    NoRootError,
+    NumericalError,
+    SampleStats,
+    ScenarioConfig,
+    log_lr_value,
+)
 
 
 def random_hermitian(rng, n, scale=1.0):
@@ -39,7 +51,7 @@ def diag_log_lr(est_lambdas, sample_lambdas):
 
 def cn_lambda_map(u, dbar, kmax):
     """Normalized inverse-eigenvalue map of the condition-bounded solution."""
-    inv_d = np.where(dbar > 0, 1.0 / dbar, np.inf)
+    inv_d = np.divide(1.0, dbar, out=np.full(np.shape(dbar), np.inf), where=dbar > 0)
     return np.minimum(np.minimum(kmax * u, 1.0), np.maximum(u, inv_d))
 
 
@@ -100,6 +112,60 @@ def bisect_u_oracle(dbar, kmax):
     u = np.where(boundary, hi, np.where(objective(lo) <= objective(hi), lo, hi))
     cases = np.where(boundary, CnCase.BOUNDARY_U, CnCase.INTERIOR_U)
     return (cases[0], float(u[0])) if np.ndim(kmax) == 0 else (cases, u)
+
+
+def scalar_rank_oracle(d, sigma2, lr0):
+    """The former one-spectrum rank selection: ``(r_hat, visited)``.
+
+    The log LR of every rank ``0..p`` as a suffix sum on a 1-D spectrum,
+    and the first argmin of its mismatch to ``log lr0``.
+    """
+    if not 0 < lr0 <= 1:
+        raise InputError("lr0 must lie in (0, 1]")
+    x = d / sigma2
+    p = int(np.count_nonzero(x > 1.0))
+    with np.errstate(divide="ignore"):
+        terms = np.log(x) + 1.0 - x
+    log_lr = np.append(np.cumsum(terms[::-1])[::-1], 0.0)[: p + 1]
+    r_hat = int(np.argmin(np.abs(log_lr - math.log(lr0))))
+    return r_hat, [(r, math.exp(v)) for r, v in enumerate(log_lr.tolist())]
+
+
+def scalar_loading_oracle(d, lr0):
+    """The former one-spectrum Halley search for the loading factor:
+    ``(beta, evals)``, one :func:`log_lr_value` call per evaluation."""
+    if not 0 < lr0 < 1:
+        raise InputError("lr0 must lie strictly inside (0, 1) for loading selection")
+    if d[-1] <= 0:
+        raise NoRootError("sample covariance is singular; the loaded LR is identically zero")
+    log_lr0 = math.log(lr0)
+    a, n, log_d_min, ratio = -log_lr0, len(d), math.log(d[-1]), d[-1] / d
+    x_lo = max(
+        log_d_min + 0.5 * math.log(2.0 * a / float(ratio @ ratio)),
+        log_d_min + a / n + math.log(-math.expm1(-a / n)),
+    )
+    if x_lo > math.log(sys.float_info.max):
+        raise NoRootError(f"no finite loading factor reaches lr0={lr0}")
+    x_hi = min(2.0 + (float(np.log(d).sum()) + a) / n, math.log(sys.float_info.max))
+    x = x_lo
+    for evals in range(1, 61):
+        beta = math.exp(x)
+        f = log_lr_value(d + beta, d) - log_lr0
+        if abs(f) <= 1e-9:
+            return beta, evals
+        if f > 0.0:
+            x_lo = x
+        elif x == x_lo:
+            raise NumericalError("loaded LR is not monotone in the loading factor")
+        else:
+            x_hi = x
+        t = beta / (d + beta)
+        tt = t * t
+        slope = -float(tt.sum())
+        den = 2.0 * slope * slope - 2.0 * f * (slope + float(tt @ t))
+        x_new = x - 2.0 * f * slope / den if den > 0.0 else math.nan
+        x = x_new if x_lo < x_new < x_hi else 0.5 * (x_lo + x_hi)
+    raise NumericalError("loading search failed to reach the log-LR tolerance")
 
 
 def reference_scenario():

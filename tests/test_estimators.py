@@ -300,14 +300,12 @@ def test_zero_entries_match_bisection_oracle(rng):
         stats = stats_from_spectrum(dbar * sigma2, sigma2=sigma2)
         dbar = stats.d / sigma2
         kmaxes = np.exp(rng.uniform(0.0, np.log(dbar[0]), 20))
-        with np.errstate(divide="ignore"):
-            cases, u_oracle = bisect_u_oracle(dbar, kmaxes)
+        cases, u_oracle = bisect_u_oracle(dbar, kmaxes)
         for kmax, case, u in zip(kmaxes.tolist(), cases, u_oracle.tolist()):
             res = cncml_u_star(stats, kmax)
             assert res.case_id is case
             assert res.u_star == pytest.approx(u, rel=1e-9)
-            with np.errstate(divide="ignore"):
-                lam_oracle = sigma2 / cn_lambda_map(u, dbar, kmax)
+            lam_oracle = sigma2 / cn_lambda_map(u, dbar, kmax)
             lam = cncml(stats, kmax).lambdas
             assert np.max(np.abs(lam - lam_oracle) / lam_oracle) <= 1e-9
             interior += case is CnCase.INTERIOR_U

@@ -5,13 +5,21 @@ import pytest
 
 import elcov.harness as harness
 import elcov.scenario as scenario_module
-from conftest import random_hermitian, random_psd, reference_scenario
+from conftest import (
+    random_hermitian,
+    random_psd,
+    reference_scenario,
+    scalar_loading_oracle,
+    scalar_rank_oracle,
+)
 from elcov import (
     CorruptionSpec,
+    CovarianceEstimate,
     EigenDecomposition,
     EstimatorSpec,
     ExperimentConfig,
     InputError,
+    NoRootError,
     SampleStats,
     ScenarioConfig,
     SingularMatrixError,
@@ -425,6 +433,91 @@ class TestTrialBlocks:
             expected += [(b, n, n) for b in sizes]
         assert eigh_stacks == expected
         assert scored == [(2, n)] * (len(k_list) * trials)
+
+    @pytest.mark.parametrize("corrupted", [False, True])
+    def test_block_size_changes_no_output(self, tmp_path, monkeypatch, corrupted):
+        n, k_list, trials = 20, (20, 40), 23  # blocks of 20 + 3 and 10 + 10 + 3
+        names = ("SMI", "FML", "RCML_EL", "RCML_EL_SIGMA", "RCML_FIXED(5)", "CNCML_ML",
+                 "CNCML_FIXED(8)", "CNCML_EL", "LSMI_EL")
+        assert {EstimatorSpec.parse(t).name for t in names} == set(harness._ESTIMATORS)
+        corruption = CorruptionSpec(fraction=0.5, amplitude=50.0,
+                                    steering=steering_vector(n, 0.0)) if corrupted else None
+        outputs = []
+        for budget in (1, harness._BLOCK_ELEMENTS):
+            monkeypatch.setattr(harness, "_BLOCK_ELEMENTS", budget)
+            out = tmp_path / f"out{budget}"
+            cfg = noise_only_config(
+                tmp_path, scenario=reference_scenario(), k_list=k_list, trials=trials,
+                estimators=tuple(EstimatorSpec.parse(t) for t in names), output_path=str(out),
+                lr0_table_path=str(tmp_path / "lr0.txt"), lr0_trials=2000, r_init=3,
+                corruption=corruption,
+            )
+            assert [harness._block_size(n, k) for k in k_list] == ([1, 1] if budget == 1
+                                                                   else [20, 10])
+            run_experiment(cfg)
+            outputs.append([(out / name).read_bytes() for name in ("trials.csv", "summary.csv")])
+        assert outputs[0] == outputs[1]
+
+    def test_failed_stacked_pass_raises_at_its_trial(self, tmp_path, monkeypatch):
+        # trial 1 of the block has a singular sample covariance, so LSMI_EL's
+        # stacked pass fails; trial 0 is still built and scored before the
+        # per-trial build raises at trial 1
+        eigh_inner, score_inner, scored = harness._eigh_desc, harness._sinr_scorer, []
+
+        def eigh(h):
+            d, v = eigh_inner(h)
+            d[1, -1] = 0.0
+            return d, v
+
+        def score(lambdas, *args):
+            scored.append(lambdas.shape)
+            return score_inner(lambdas, *args)
+
+        monkeypatch.setattr(harness, "_eigh_desc", eigh)
+        monkeypatch.setattr(harness, "_sinr_scorer", score)
+        cfg = noise_only_config(
+            tmp_path, scenario=reference_scenario(), k_list=(30,), trials=4,
+            estimators=(EstimatorSpec.parse("SMI"), EstimatorSpec.parse("LSMI_EL")),
+            lr0_table_path=str(tmp_path / "lr0.txt"), lr0_trials=2000,
+        )
+        with pytest.raises(NoRootError, match="singular"):
+            run_experiment(cfg)
+        assert scored == [(2, 20)]
+
+
+class TestStackedEstimators:
+    def test_builds_equal_per_spectrum_estimators(self, rng):
+        """Each stacked estimator, built on one spectrum and row by row in a
+        stack, equals the library estimator it replaces, bit for bit."""
+        lr0 = 0.02
+        for _ in range(40):
+            n, b = int(rng.integers(2, 40)), int(rng.integers(1, 8))
+            sigma2 = float(rng.uniform(0.2, 5.0))
+            d = np.sort(np.exp(rng.normal(0.0, 2.0, (b, n))) * sigma2, axis=1)[:, ::-1].copy()
+            d[:, n - n // 3 :] = d[:, -1:]  # tied tails
+            r = int(rng.integers(n + 1))
+            specs = [EstimatorSpec.parse(t)
+                     for t in ("SMI", "FML", f"RCML_FIXED({r})", "RCML_EL", "CNCML_ML", "LSMI_EL")]
+            for spec in specs:
+                rows = harness._ESTIMATORS[spec.name].rows
+                lambdas, constraints = rows(d, sigma2, spec.param, lr0)
+                for i, row in enumerate(d):
+                    basis = eig_hermitian(random_hermitian(rng, n)).eigenvectors
+                    eig = EigenDecomposition(eigenvalues=row.copy(), eigenvectors=basis)
+                    stats = SampleStats(n=n, k=2 * n, s_eig=eig, sigma2=sigma2)
+                    expected = {
+                        "SMI": lambda: smi(stats),
+                        "FML": lambda: fml(stats),
+                        "RCML_FIXED": lambda: rcml(stats, r),
+                        "RCML_EL": lambda: rcml(stats, scalar_rank_oracle(row, sigma2, lr0)[0]),
+                        "CNCML_ML": lambda: cncml(stats, max(float(row[0] / sigma2), 1.0)),
+                        "LSMI_EL": lambda: lsmi(stats, scalar_loading_oracle(row, lr0)[0]),
+                    }[spec.name]()
+                    one = build_estimate(spec, stats, lr0)
+                    for est in (one, CovarianceEstimate(lambdas[i], basis, constraints[i])):
+                        assert est.lambdas.tobytes() == expected.lambdas.tobytes()
+                        assert repr(est.constraints) == repr(expected.constraints)
+                        assert est.basis is basis
 
 
 def _random_estimates(rng, n):

@@ -8,6 +8,8 @@ from conftest import (
     cn_lambda_map,
     random_hermitian,
     reference_scenario,
+    scalar_loading_oracle,
+    scalar_rank_oracle,
     six_jammer_scenario,
     stats_from_spectrum,
 )
@@ -39,7 +41,7 @@ from elcov import (
 )
 from elcov.estimators import _CnPath
 from elcov.likelihood import log_tail_lr, lr0_reference
-from elcov.selection import _nmf_scorer
+from elcov.selection import _loading_rows, _nmf_scorer, _rank_rows
 
 
 def log_lr_rank(stats, r):
@@ -660,7 +662,8 @@ def _spectrum(rng, n, sigma2):
 def test_root_selectors_never_raise_and_stay_bounded(rng, monkeypatch):
     """Valid spectra (N = 2..256, ties, d_N on either side of sigma2) and lr0
     from 1e-300 to 1 - 1e-12: no error, at most 60 LR evaluations per call,
-    and the LR matched; only a singular covariance raises, in loading."""
+    and the LR matched; only a singular covariance raises, in loading.  The
+    loading search evaluates the LR inline and reports its own count."""
     import elcov.selection as selection
 
     evals = [0]
@@ -669,7 +672,8 @@ def test_root_selectors_never_raise_and_stay_bounded(rng, monkeypatch):
         evals[0] += 1
         return log_lr_value(est_lambdas, sample_lambdas)
 
-    monkeypatch.setattr(selection, "log_lr_value", counting)
+    # counts any LR evaluation a selector makes through log_lr_value
+    monkeypatch.setattr(selection, "log_lr_value", counting, raising=False)
     log_lr0s = [math.log(1e-300), math.log1p(-1e-12)] + list(
         -(10.0 ** rng.uniform(-12.0, math.log10(690.0), 298))
     )
@@ -692,6 +696,9 @@ def test_root_selectors_never_raise_and_stay_bounded(rng, monkeypatch):
         evals[0] = 0
         beta = select_loading(stats, lr0)
         assert evals[0] <= 60
+        (row_beta,), (row_evals,) = _loading_rows(d[np.newaxis], lr0)
+        assert row_beta == beta
+        assert 1 <= row_evals <= 60
         assert beta > 0.0
         assert abs(log_lr_value(d + beta, d) - log_lr0) <= 1e-9
 
@@ -700,6 +707,61 @@ def test_root_selectors_never_raise_and_stay_bounded(rng, monkeypatch):
             select_kmax(singular, lr0)
             with pytest.raises(NoRootError):
                 select_loading(singular, lr0)
+
+
+def _outcome(fn, *args):
+    """``fn(*args)``, or the class and message of what it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
+class TestStackedCores:
+    """The stacked rank and loading cores return, row for row, exactly what
+    the former one-spectrum code returns (``tests/conftest.py`` keeps it)."""
+
+    def _stacks(self, rng, count):
+        """``(d, sigma2, lr0s)``: ``(B, N)`` stacks of N = 2..256 (B = 1 in a
+        quarter of them) mixing the kinds of ``_spectrum``, and lr0 from 1e-300
+        to 1 - 1e-12."""
+        for i in range(count):
+            n = int(rng.integers(2, 257))
+            b = 1 if i % 4 == 0 else int(rng.integers(2, 13))
+            sigma2 = float(rng.uniform(0.1, 10.0))
+            d = np.array([_spectrum(rng, n, sigma2) for _ in range(b)])
+            if i % 10 == 5:
+                d[-1, -1] = 0.0  # a singular row
+            lr0s = [1e-300, 1.0 - 1e-12, math.exp(-(10.0 ** rng.uniform(-12.0, 2.8)))]
+            yield d, sigma2, lr0s
+
+    def test_rank_rows_match_scalar_oracle(self, rng):
+        for d, sigma2, lr0s in self._stacks(rng, 80):
+            for lr0 in lr0s + [1.0]:
+                r_hat, log_lr, p = _rank_rows(d, sigma2, lr0)
+                for i, row in enumerate(d):
+                    scored = log_lr[i, : p[i] + 1].tolist()
+                    visited = [(r, math.exp(v)) for r, v in enumerate(scored)]
+                    oracle = scalar_rank_oracle(row, sigma2, lr0)
+                    assert repr((int(r_hat[i]), visited)) == repr(oracle)
+                    if len(d) == 1:
+                        sel = select_rank(stats_from_spectrum(row, sigma2=sigma2), lr0)
+                        assert repr((sel.r_hat, sel.visited)) == repr(oracle)
+
+    def test_loading_rows_match_scalar_oracle(self, rng):
+        for d, sigma2, lr0s in self._stacks(rng, 80):
+            for lr0 in lr0s:
+                oracles = [_outcome(scalar_loading_oracle, row, lr0) for row in d]
+                got = _outcome(_loading_rows, d, lr0)
+                failed = [out for out in oracles if not isinstance(out[0], float)]
+                if failed:  # a stack raises the failure of one of its rows
+                    assert got in failed
+                else:
+                    assert repr(list(zip(*got))) == repr(oracles)
+                if len(d) == 1:
+                    stats = stats_from_spectrum(d[0], sigma2=sigma2)
+                    beta = _outcome(select_loading, stats, lr0)
+                    assert repr(beta) == repr(failed[0] if failed else oracles[0][0])
 
 
 def illinois_kmax(stats, lr0):
@@ -841,7 +903,9 @@ class TestKmaxPath:
         estimate, solve = estimators._cn_estimate, estimators._cn_solution
         monkeypatch.setattr(selection, "_cn_estimate", counted("estimate", estimate))
         monkeypatch.setattr(estimators, "_cn_solution", counted("cn_solve", solve))
-        monkeypatch.setattr(selection, "log_lr_value", counted("log_lr_value", log_lr_value))
+        monkeypatch.setattr(
+            selection, "log_lr_value", counted("log_lr_value", log_lr_value), raising=False
+        )
         for lr0 in (1e-12, 0.3, 1.0):
             for _ in range(20):
                 n = int(rng.integers(2, 65))
