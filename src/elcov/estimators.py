@@ -107,13 +107,28 @@ class CovarianceEstimate:
         return (v * self.lambdas) @ v.conj().T
 
 
+# Each map below works on a ``(B, N)`` stack of spectra, one estimate per row,
+# so a sweep builds a block of trials in one pass; the public estimators are
+# its one-row case.
+
+
+def _one_row(stats: SampleStats, lambdas: np.ndarray, constraints: list) -> CovarianceEstimate:
+    """The estimate on ``stats``'s eigenbasis from a map of the stack ``stats.d[None]``."""
+    return CovarianceEstimate(lambdas[0], stats.s_eig.eigenvectors, constraints[0])
+
+
+def _smi_rows(d: np.ndarray):
+    return d.copy(), [ConstraintRecord() for _ in range(len(d))]
+
+
 def smi(stats: SampleStats) -> CovarianceEstimate:
     """Sample covariance itself; the unconstrained ML estimate."""
-    return CovarianceEstimate(
-        lambdas=stats.d.copy(),
-        basis=stats.s_eig.eigenvectors,
-        constraints=ConstraintRecord(),
-    )
+    return _one_row(stats, *_smi_rows(stats.d[np.newaxis]))
+
+
+def _fml_rows(d: np.ndarray, sigma2: float):
+    ranks = (d > sigma2).sum(axis=1).tolist()
+    return np.maximum(d, sigma2), [ConstraintRecord(r=r, sigma2=sigma2) for r in ranks]
 
 
 def fml(stats: SampleStats) -> CovarianceEstimate:
@@ -122,21 +137,17 @@ def fml(stats: SampleStats) -> CovarianceEstimate:
     Equivalent to RCML with rank equal to the number of eigenvalues above
     ``sigma2``; that implied rank is recorded in the constraints.
     """
-    lam = np.maximum(stats.d, stats.sigma2)
-    implied_rank = int(np.count_nonzero(stats.d > stats.sigma2))
-    return CovarianceEstimate(
-        lambdas=lam,
-        basis=stats.s_eig.eigenvectors,
-        constraints=ConstraintRecord(r=implied_rank, sigma2=stats.sigma2),
-    )
+    return _one_row(stats, *_fml_rows(stats.d[np.newaxis], stats.sigma2))
 
 
-def _rcml_lambdas(d: np.ndarray, sigma2: float, r) -> np.ndarray:
-    """RCML eigenvalues of a spectrum, or of each row of a ``(B, N)`` stack:
-    the top ``r`` clipped at ``sigma2`` and the rest set to it.  ``r`` is one
-    rank, or one rank per row."""
-    keep = np.arange(d.shape[-1]) < np.asarray(r)[..., np.newaxis]
-    return np.where(keep, np.maximum(d, sigma2), float(sigma2))
+def _rcml_rows(d: np.ndarray, sigma2: float, ranks: list):
+    n = d.shape[1]
+    for r in ranks:
+        if not 0 <= r <= n:
+            raise InputError(f"rank {r} outside [0, {n}]")
+    keep = np.arange(n) < np.array(ranks)[:, np.newaxis]
+    lambdas = np.where(keep, np.maximum(d, sigma2), float(sigma2))
+    return lambdas, [ConstraintRecord(r=int(r), sigma2=sigma2) for r in ranks]
 
 
 def rcml(stats: SampleStats, r: int) -> CovarianceEstimate:
@@ -146,24 +157,19 @@ def rcml(stats: SampleStats, r: int) -> CovarianceEstimate:
     count of eigenvalues above the floor all produce the same estimate.
     ``r = 0`` is allowed and returns ``sigma2 * I``.
     """
-    if not 0 <= r <= stats.n:
-        raise InputError(f"rank {r} outside [0, {stats.n}]")
-    return CovarianceEstimate(
-        lambdas=_rcml_lambdas(stats.d, stats.sigma2, r),
-        basis=stats.s_eig.eigenvectors,
-        constraints=ConstraintRecord(r=int(r), sigma2=stats.sigma2),
-    )
+    return _one_row(stats, *_rcml_rows(stats.d[np.newaxis], stats.sigma2, [r]))
+
+
+def _lsmi_rows(d: np.ndarray, betas: list):
+    for beta in betas:
+        if beta < 0:
+            raise InputError("loading factor beta must be non-negative")
+    return d + np.array(betas)[:, np.newaxis], [ConstraintRecord(beta=float(b)) for b in betas]
 
 
 def lsmi(stats: SampleStats, beta: float) -> CovarianceEstimate:
     """Diagonally loaded sample covariance ``beta * I + S``."""
-    if beta < 0:
-        raise InputError("loading factor beta must be non-negative")
-    return CovarianceEstimate(
-        lambdas=stats.d + beta,
-        basis=stats.s_eig.eigenvectors,
-        constraints=ConstraintRecord(beta=float(beta)),
-    )
+    return _one_row(stats, *_lsmi_rows(stats.d[np.newaxis], [beta]))
 
 
 class CnCase(enum.Enum):
@@ -423,6 +429,17 @@ def cncml(stats: SampleStats, kmax: float) -> CovarianceEstimate:
     its four cases respectively.
     """
     return _cn_estimate(stats, kmax, *_cn_solution(stats, kmax))
+
+
+def _cncml_ml_rows(d: np.ndarray, sigma2: float):
+    """:func:`cncml` at each row's ML bound ``kmax = max(d_1/sigma2, 1)``.
+
+    That bound is case 1 or 2 of :func:`cncml_u_star`, where only the lower
+    cap binds: the FML map, recorded with its ``kmax``.
+    """
+    lambdas, _ = _fml_rows(d, sigma2)
+    kmaxes = np.maximum(d[:, 0] / sigma2, 1.0).tolist()
+    return lambdas, [ConstraintRecord(sigma2=sigma2, kmax=k) for k in kmaxes]
 
 
 def condition_number(est: CovarianceEstimate) -> float:

@@ -33,7 +33,12 @@ from .estimators import (
     ConstraintRecord,
     CovarianceEstimate,
     SampleStats,
-    _rcml_lambdas,
+    _cncml_ml_rows,
+    _fml_rows,
+    _lsmi_rows,
+    _one_row,
+    _rcml_rows,
+    _smi_rows,
     cncml,
     rcml,
 )
@@ -83,42 +88,6 @@ class _Estimator(NamedTuple):
     build: Callable[..., CovarianceEstimate] | None = None  # (stats, param, lr0, joint)
 
 
-def _smi_rows(d, sigma2, param, lr0):
-    return d.copy(), [ConstraintRecord() for _ in range(len(d))]
-
-
-def _fml_rows(d, sigma2, param, lr0):
-    ranks = (d > sigma2).sum(axis=1).tolist()
-    return np.maximum(d, sigma2), [ConstraintRecord(r=r, sigma2=sigma2) for r in ranks]
-
-
-def _rcml_rows(d, sigma2, ranks):
-    return _rcml_lambdas(d, sigma2, ranks), [ConstraintRecord(r=r, sigma2=sigma2) for r in ranks]
-
-
-def _rcml_fixed_rows(d, sigma2, param, lr0):
-    r = int(param)
-    if not 0 <= r <= d.shape[1]:
-        raise InputError(f"rank {r} outside [0, {d.shape[1]}]")
-    return _rcml_rows(d, sigma2, [r] * len(d))
-
-
-def _rcml_el_rows(d, sigma2, param, lr0):
-    return _rcml_rows(d, sigma2, _rank_rows(d, sigma2, lr0)[0].tolist())
-
-
-def _cncml_ml_rows(d, sigma2, param, lr0):
-    """At its ML bound ``max(d_1/sigma2, 1)`` the condition-number estimate
-    clips only from below, at ``sigma2``."""
-    kmaxes = np.maximum(d[:, 0] / sigma2, 1.0).tolist()
-    return np.maximum(d, sigma2), [ConstraintRecord(sigma2=sigma2, kmax=k) for k in kmaxes]
-
-
-def _lsmi_el_rows(d, sigma2, param, lr0):
-    betas, _ = _loading_rows(d, lr0)
-    return d + np.array(betas)[:, np.newaxis], [ConstraintRecord(beta=b) for b in betas]
-
-
 def _rcml_el_sigma(stats, param, lr0, joint):
     r_init, training, nmf_steering = joint
     sel = select_rank_sigma(stats.s_eig, stats.k, r_init, lr0, training, nmf_steering)
@@ -127,15 +96,21 @@ def _rcml_el_sigma(stats, param, lr0, joint):
 
 # the one estimator dispatch; the CLI's estimate command uses it too
 _ESTIMATORS = {
-    "SMI": _Estimator(False, False, _smi_rows),
-    "FML": _Estimator(False, False, _fml_rows),
-    "RCML_FIXED": _Estimator(True, False, _rcml_fixed_rows),
-    "RCML_EL": _Estimator(False, True, _rcml_el_rows),
+    "SMI": _Estimator(False, False, lambda d, s2, p, lr0: _smi_rows(d)),
+    "FML": _Estimator(False, False, lambda d, s2, p, lr0: _fml_rows(d, s2)),
+    "RCML_FIXED": _Estimator(
+        True, False, lambda d, s2, p, lr0: _rcml_rows(d, s2, [int(p)] * len(d))
+    ),
+    "RCML_EL": _Estimator(
+        False, True, lambda d, s2, p, lr0: _rcml_rows(d, s2, _rank_rows(d, s2, lr0)[0].tolist())
+    ),
     "RCML_EL_SIGMA": _Estimator(False, True, None, _rcml_el_sigma),
-    "CNCML_ML": _Estimator(False, False, _cncml_ml_rows),
+    "CNCML_ML": _Estimator(False, False, lambda d, s2, p, lr0: _cncml_ml_rows(d, s2)),
     "CNCML_FIXED": _Estimator(True, False, None, lambda s, p, lr0, j: cncml(s, float(p))),
     "CNCML_EL": _Estimator(False, True, None, lambda s, p, lr0, j: select_kmax(s, lr0).estimate),
-    "LSMI_EL": _Estimator(False, True, _lsmi_el_rows),
+    "LSMI_EL": _Estimator(
+        False, True, lambda d, s2, p, lr0: _lsmi_rows(d, _loading_rows(d, lr0)[0])
+    ),
 }
 
 
@@ -269,8 +244,7 @@ def build_estimate(
     estimator = _ESTIMATORS[spec.name]
     if estimator.rows is None:
         return estimator.build(stats, spec.param, lr0, joint)
-    lambdas, (constraints,) = estimator.rows(stats.d[np.newaxis], stats.sigma2, spec.param, lr0)
-    return CovarianceEstimate(lambdas[0], stats.s_eig.eigenvectors, constraints)
+    return _one_row(stats, *estimator.rows(stats.d[np.newaxis], stats.sigma2, spec.param, lr0))
 
 
 def _block_size(n: int, k: int) -> int:
