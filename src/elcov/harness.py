@@ -6,15 +6,15 @@ For each sample count the trials run in blocks of at most
 scenario's true covariance with the trial's own seeded stream, then makes
 one stacked pass for the whole block: the sample covariances, their
 descending ``eigh`` with pinned phases, and the projections onto each
-eigenbasis that SINR scoring needs.  Most estimators, their constraint
-selectors included, then run as one stacked pass over the block's
-``(B, N)`` spectra; ``CNCML_EL``, ``CNCML_FIXED`` and ``RCML_EL_SIGMA``,
-whose work takes a different shape for each spectrum, run per trial.  Each
-trial scores all its estimates in one call, by normalized SINR averaged
-over a steering grid in the trial's sample eigenbasis.  Every stacked
-result equals its per-trial form bit for bit, so blocking changes no
-output, and identical configuration and master seed reproduce the output
-CSVs byte for byte.
+eigenbasis that SINR scoring needs.  The estimators, their constraint
+selectors included, then run as one stacked pass over the ``(B, N)``
+spectra of several blocks (:func:`_passes`); only ``RCML_EL_SIGMA``, which
+reads each trial's training, runs per trial.  Each trial scores all its
+estimates in one call, by normalized SINR averaged over a steering grid in
+the trial's sample eigenbasis.  Every stacked result equals its per-trial
+form bit for bit, so neither blocks nor passes change any output, and
+identical configuration and master seed reproduce the output CSVs byte
+for byte.
 """
 
 from __future__ import annotations
@@ -34,12 +34,12 @@ from .estimators import (
     CovarianceEstimate,
     SampleStats,
     _cncml_ml_rows,
+    _cncml_rows,
     _fml_rows,
     _lsmi_rows,
     _one_row,
     _rcml_rows,
     _smi_rows,
-    cncml,
     rcml,
 )
 from .exceptions import ElcovError, InputError, SingularMatrixError
@@ -59,7 +59,7 @@ from .scenario import (
     jammer_covariance,
     steering_vector,
 )
-from .selection import _loading_rows, _rank_rows, select_kmax, select_rank_sigma
+from .selection import _kmax_rows, _loading_rows, _rank_rows, select_rank_sigma
 
 __all__ = [
     "EstimatorSpec",
@@ -77,13 +77,19 @@ __all__ = [
 # their arrays (about 128 KB each) fit in memory the process holds anyway,
 # so blocking does not raise the peak RSS.
 _BLOCK_ELEMENTS = 2**13
+# Elements of the N x N eigenbasis projections that one stacked estimator
+# pass keeps until its trials are scored.  A pass spans whole blocks, so
+# that where a block holds one trial (N = 64, K = 128) the passes still
+# share their fixed numpy cost: 8 trials at N = 64, about 80 at N = 20.
+_PASS_ELEMENTS = 2**15
 
 
 class _Estimator(NamedTuple):
     takes_param: bool
     needs_lr0: bool
     # (d, sigma2, param, lr0) -> (lambdas, constraints), for a (B, N) stack of
-    # spectra; None for the estimators built one spectrum at a time by ``build``
+    # spectra; None for RCML_EL_SIGMA, which needs each trial's training and is
+    # built one spectrum at a time by ``build``
     rows: Callable[..., tuple[np.ndarray, list[ConstraintRecord]]] | None
     build: Callable[..., CovarianceEstimate] | None = None  # (stats, param, lr0, joint)
 
@@ -92,6 +98,11 @@ def _rcml_el_sigma(stats, param, lr0, joint):
     r_init, training, nmf_steering = joint
     sel = select_rank_sigma(stats.s_eig, stats.k, r_init, lr0, training, nmf_steering)
     return rcml(replace(stats, sigma2=sel.sigma2_hat), sel.r_hat)
+
+
+def _cncml_el_rows(d, sigma2, lr0):
+    sel = _kmax_rows(d, sigma2, lr0)
+    return sel.lambdas, [ConstraintRecord(sigma2=sigma2, kmax=k) for k in sel.kmax_hat.tolist()]
 
 
 # the one estimator dispatch; the CLI's estimate command uses it too
@@ -106,8 +117,8 @@ _ESTIMATORS = {
     ),
     "RCML_EL_SIGMA": _Estimator(False, True, None, _rcml_el_sigma),
     "CNCML_ML": _Estimator(False, False, lambda d, s2, p, lr0: _cncml_ml_rows(d, s2)),
-    "CNCML_FIXED": _Estimator(True, False, None, lambda s, p, lr0, j: cncml(s, float(p))),
-    "CNCML_EL": _Estimator(False, True, None, lambda s, p, lr0, j: select_kmax(s, lr0).estimate),
+    "CNCML_FIXED": _Estimator(True, False, lambda d, s2, p, lr0: _cncml_rows(d, s2, float(p))),
+    "CNCML_EL": _Estimator(False, True, lambda d, s2, p, lr0: _cncml_el_rows(d, s2, lr0)),
     "LSMI_EL": _Estimator(
         False, True, lambda d, s2, p, lr0: _lsmi_rows(d, _loading_rows(d, lr0)[0])
     ),
@@ -194,10 +205,10 @@ class TrialRecord:
 
     ``wall_time`` is the time to build the estimate plus an equal share of
     its trial's one scoring call.  An estimator built in one stacked pass
-    over a block of ``B`` trials is charged that pass's time over ``B``.
-    The block's shared draw, ``eigh`` and eigenbasis projections are not in
-    it.  It is informational only and kept out of the CSV files so reruns
-    stay byte-identical.
+    over ``B`` trials is charged that pass's time over ``B``.  The blocks'
+    shared draw, ``eigh`` and eigenbasis projections are not in it.  It is
+    informational only and kept out of the CSV files so reruns stay
+    byte-identical.
     """
 
     trial_index: int
@@ -250,6 +261,17 @@ def build_estimate(
 def _block_size(n: int, k: int) -> int:
     """Trials per block: as many ``N x max(N, K)`` matrices as fit the budget."""
     return max(1, _BLOCK_ELEMENTS // (n * max(n, k)))
+
+
+def _passes(n: int, k: int, trials: int) -> list[range]:
+    """The first trials of the blocks of each stacked estimator pass.  A pass
+    takes whole blocks, as many as keep their ``N x N`` projections within
+    the budget (at least one), and the passes split the blocks evenly."""
+    block = _block_size(n, k)
+    firsts = range(0, trials, block)
+    count = -(-len(firsts) // max(1, _PASS_ELEMENTS // (n * n * block)))
+    bounds = [len(firsts) * j // count for j in range(count + 1)]
+    return [firsts[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
 
 def _eigenbasis_projections(v, r_true, steer):
@@ -308,17 +330,30 @@ def run_experiment(cfg: ExperimentConfig) -> list[TrialRecord]:
 
     records: list[TrialRecord] = []
     sigma2 = scenario.noise_power
+    # the per-trial build needs each trial's eigenbasis and training
+    per_trial = any(_ESTIMATORS[spec.name].rows is None for spec in cfg.estimators)
     for k in cfg.k_list:
         lr0 = lr0_by_k[k]
         block = _block_size(n, k)
-        for first in range(0, cfg.trials, block):
-            trials = range(first, min(first + block, cfg.trials))
-            draws = [
-                draw_training(factor, k, cfg.corruption, derive_rng(cfg.master_seed, "trial", k, t))
-                for t in trials
-            ]
-            d, v = _eigh_desc(sample_covariance(np.stack([draw.z for draw in draws])))
-            w0, g = _eigenbasis_projections(v, r_true, steer)
+        for firsts in _passes(n, k, cfg.trials):
+            trials = range(firsts[0], min(firsts[-1] + block, cfg.trials))
+            d = np.empty((len(trials), n))
+            w0 = np.empty((len(trials), n, steer.shape[1]), dtype=complex)
+            g = np.empty((len(trials), n, n), dtype=complex)
+            bases, training = [], []
+            for first in firsts:
+                part = slice(first - trials.start, min(first + block, trials.stop) - trials.start)
+                draws = [
+                    draw_training(
+                        factor, k, cfg.corruption, derive_rng(cfg.master_seed, "trial", k, t)
+                    )
+                    for t in trials[part]
+                ]
+                d[part], v = _eigh_desc(sample_covariance(np.stack([draw.z for draw in draws])))
+                w0[part], g[part] = _eigenbasis_projections(v, r_true, steer)
+                if per_trial:
+                    bases.extend(v)
+                    training.extend(draw.z for draw in draws)
             # per estimator: (lambdas, constraints, seconds per trial) of its
             # stacked pass, or None to build it trial by trial
             stacked = []
@@ -330,7 +365,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[TrialRecord]:
                         lambdas, constraints = rows(d, sigma2, spec.param, lr0)
                         built = lambdas, constraints, (time.perf_counter() - start) / len(trials)
                     except ElcovError:
-                        pass  # rebuilt per trial, which raises at the failing trial and estimator
+                        pass  # rerun per trial, which raises at the failing trial and estimator
                 stacked.append(built)
             for i, trial in enumerate(trials):
                 stats = None
@@ -341,14 +376,21 @@ def run_experiment(cfg: ExperimentConfig) -> list[TrialRecord]:
                         constraints.append(built[1][i])
                         builds.append(built[2])
                         continue
-                    if stats is None:
-                        eig = EigenDecomposition(eigenvalues=d[i], eigenvectors=v[i])
-                        stats = SampleStats(n=n, k=k, s_eig=eig, sigma2=sigma2)
+                    estimator = _ESTIMATORS[spec.name]
                     start = time.perf_counter()
-                    est = build_estimate(spec, stats, lr0, (r_init, draws[i].z, nmf_steering))
+                    if estimator.rows is not None:  # a failed pass, rerun on this trial's row
+                        lam, con = estimator.rows(d[i : i + 1], sigma2, spec.param, lr0)
+                        lam, con = lam[0], con[0]
+                    else:
+                        if stats is None:
+                            eig = EigenDecomposition(eigenvalues=d[i], eigenvectors=bases[i])
+                            stats = SampleStats(n=n, k=k, s_eig=eig, sigma2=sigma2)
+                        joint = r_init, training[i], nmf_steering
+                        est = estimator.build(stats, spec.param, lr0, joint)
+                        lam, con = est.lambdas, est.constraints
                     builds.append(time.perf_counter() - start)
-                    lambdas.append(est.lambdas)
-                    constraints.append(est.constraints)
+                    lambdas.append(lam)
+                    constraints.append(con)
                 start = time.perf_counter()
                 sinr_db = _sinr_scorer(np.stack(lambdas), w0[i], g[i], den_true)
                 score_share = (time.perf_counter() - start) / len(lambdas)

@@ -12,10 +12,19 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .estimators import CovarianceEstimate, SampleStats, _clip_log_lr, _CnPath, _cn_estimate
+from .estimators import (
+    ConstraintRecord,
+    CovarianceEstimate,
+    SampleStats,
+    _clip_log_lr,
+    _cn_caps,
+    _CnTable,
+    _one_row,
+)
 from .exceptions import InputError, NoRootError, NumericalError
 from .hermitian import EigenDecomposition
 from .likelihood import (
@@ -284,6 +293,92 @@ _NEWTON_RTOL, _NEWTON_MAX_STEPS = 1e-12, 60  # last relative step on kmax, step 
 _LOADING_TOL, _LOADING_MAX_EVALS = 1e-9, 60  # log-LR mismatch, evaluation cap
 
 
+class _KmaxRows(NamedTuple):
+    """What :func:`_kmax_rows` selects for each row of a ``(B, N)`` stack."""
+
+    kmax_hat: np.ndarray  # (B,) the selected bounds
+    log_lr: np.ndarray  # (B,) the log LR at them
+    steps: np.ndarray  # (B,) Newton steps taken, 0 for a closed form
+    lambdas: np.ndarray  # (B, N) the condition-number estimates at them
+    table: _CnTable
+    segment: list[int]  # table row that ends the root's segment, 0 at k_ml
+    final_step: list[float]  # the last Newton step on kmax, 0 for a closed form
+
+
+def _segment_log_lr(km, interior, p, c, top, bottom) -> tuple[float, float]:
+    """Log LR at ``km`` on a segment that clips ``p`` entries from the top and
+    ``c`` from the bottom, and its slope ``g(U)`` in ``log kmax``; ``top`` and
+    ``bottom`` are those entries' ``(sum log x, sum x)``."""
+    u = (top[1] + km * bottom[1]) / (p + c) if interior else km
+    tau = u / km if interior else 1.0
+    return _clip_log_lr(top, bottom, p, c, tau, u, math.log), top[1] / u - p
+
+
+def _kmax_rows(d: np.ndarray, sigma2: float, lr0: float) -> _KmaxRows:
+    """Condition-number bound selection for each row of a ``(B, N)`` stack of
+    spectra at one noise power, from one breakpoint table for the stack.
+
+    Each row's closed forms (``k_ml`` or 1) and root segment come from masked
+    passes over the table's log-LR column.  The Newton steps stay scalar per
+    row, with ``math.log`` and ``math.exp``, as numpy's vector ``log`` and
+    ``exp`` can differ from them in the last bit.  The estimates are one cap
+    map at the selected bounds, read off the same table.
+    """
+    if not 0 < lr0 <= 1:
+        raise InputError("lr0 must lie in (0, 1]")
+    log_lr0 = math.log(lr0)
+    x = d / sigma2
+    table = _CnTable(x)
+    log_lr, valid, cell_at = table.log_lr.ravel(), table.valid, table.cell_at
+    first, last = valid.argmax(axis=1) + cell_at, table.prior[:, -1] + cell_at
+    closed = (x[:, 0] <= 1.0) | (log_lr.take(first) <= log_lr0)
+    at_one = ~closed & (log_lr.take(last) >= log_lr0)
+    # the root lies in [kmax[i], kmax[i-1]]; at kmax = 1 it is the last segment.
+    # A closed form's row is the first, which is also where no row is at or
+    # below lr0.
+    below = valid & (table.log_lr <= log_lr0)
+    i = below.argmax(axis=1) + cell_at
+    i = np.where(at_one, last, np.where(below.ravel().take(i), i, first))
+    segment = table.rank.ravel().take(i)
+    # the row above i; the first row's is the last, as a list wraps index -1
+    above = np.where(segment > 0, table.prior.ravel().take(i - 1) + cell_at, last)
+    kmax = table.kmax.ravel()
+    p, c = table.top.ravel().take(above), table.bottom.ravel().take(above)
+    kmax_hat = np.minimum(np.maximum(kmax.take(i), 1.0), table.k_ml)
+    hat_lr = log_lr.take(i)
+    steps, final_step = np.zeros(len(x), dtype=int), [0.0] * len(x)
+
+    newton = np.flatnonzero(~closed & ~at_one)
+    if len(newton):
+        # this segment's ends and counts, the flat one clipping nothing, and
+        # its [sum log x, sum x] over the top and the bottom entries
+        interior = (segment > table.switch) & (p + c > 0)
+        top, bottom = table.sums(p[:, np.newaxis], c[:, np.newaxis])
+        columns = np.stack((kmax.take(i), kmax.take(above), table.k_ml, interior, p, c,
+                            top[0, :, 0], top[1, :, 0], bottom[0, :, 0], bottom[1, :, 0]), axis=1)
+        hat, lr = kmax_hat.tolist(), hat_lr.tolist()
+        for j, row in zip(newton.tolist(), columns[newton].tolist()):
+            km, k_top, k_cap, inside, p_j, c_j, *sums = row
+            top, bottom = sums[:2], sums[2:]
+            step, t_hi = 0.0, math.log(k_top)
+            for _ in range(_NEWTON_MAX_STEPS):
+                val, slope = _segment_log_lr(km, inside, p_j, c_j, top, bottom)
+                if val >= log_lr0 or slope <= 0.0:
+                    break
+                dt = min((log_lr0 - val) / slope, t_hi - math.log(km))
+                km_new = km * math.exp(dt)
+                step, km = km_new - km, km_new
+                steps[j] += 1
+                if dt <= _NEWTON_RTOL:
+                    break
+            hat[j] = min(max(km, 1.0), k_cap)
+            lr[j] = _segment_log_lr(hat[j], inside, p_j, c_j, top, bottom)[0]
+            final_step[j] = step
+        kmax_hat, hat_lr = np.array(hat), np.array(lr)
+    lambdas = _cn_caps(d, sigma2, kmax_hat, *table.solve(kmax_hat))
+    return _KmaxRows(kmax_hat, hat_lr, steps, lambdas, table, segment.tolist(), final_step)
+
+
 def select_kmax(stats: SampleStats, lr0: float) -> KmaxSelection:
     """Tune the condition-number bound so the estimate's LR matches ``lr0``.
 
@@ -291,7 +386,7 @@ def select_kmax(stats: SampleStats, lr0: float) -> KmaxSelection:
     (at least 1) is returned when its LR is at or below ``lr0``, flagged
     ``constraint_active=False`` when ``d_1 <= sigma2``; 1 is returned when
     its LR reaches ``lr0``.  Otherwise the root lies on one segment of the
-    breakpoint table (:class:`_CnPath`, the one :func:`cncml` reads), where
+    breakpoint table (:class:`_CnTable`, the one :func:`cncml` reads), where
     the log LR is closed form:
     ``sum_top [log(x/kmax) + 1 - x/kmax] + const`` on the boundary and
     ``sum_{top,bot} log x + c log kmax - m log((S_top + kmax S_bot)/m)``
@@ -299,51 +394,21 @@ def select_kmax(stats: SampleStats, lr0: float) -> KmaxSelection:
     concave and increasing in ``log kmax``, with slope ``g(U)``, so Newton
     steps from the segment's lower end rise monotonically to the root; they
     stop once a step is below ``1e-12`` relative.  The estimate is the cap
-    map at the selected bound, read off the table as :func:`cncml` reads it
-    (:meth:`_CnPath.solve`); nothing is solved a second time.
+    map at the selected bound, read off the table as :func:`cncml` reads it;
+    nothing is solved a second time.
+
+    This is the one-row case of the stacked :func:`_kmax_rows`; only this
+    function lists the path in ``visited``.
     """
-    if not 0 < lr0 <= 1:
-        raise InputError("lr0 must lie in (0, 1]")
-    log_lr0 = math.log(lr0)
-    x = stats.d / stats.sigma2
-    path = _CnPath(x)
-    sums = path.sums
-    visited = list(zip(path.kmax.tolist(), np.exp(path.log_lr).tolist()))
-    if x[0] <= 1.0 or path.log_lr[0] <= log_lr0:
-        k_ml = float(path.kmax[0])
-        estimate = _cn_estimate(stats, k_ml, *path.solve(k_ml))
-        return KmaxSelection(k_ml, estimate, visited, 0.0, bool(x[0] > 1.0))
-
-    at_one = bool(path.log_lr[-1] >= log_lr0)
-    # the root lies in [kmax[i], kmax[i-1]]; at kmax = 1 it is the last segment
-    i = len(path.kmax) - 1 if at_one else int(np.argmax(path.log_lr <= log_lr0))
-    k_lo, k_hi = float(path.kmax[i]), float(path.kmax[i - 1])
-    p, c = int(path.top[i - 1]), int(path.bottom[i - 1])
-    top = float(sums.log_top[p]), float(sums.top[p])
-    bottom = float(sums.log_bottom[c]), float(sums.bottom[c])
-    interior = i > path.switch and p + c > 0  # the flat segment clips nothing
-
-    def log_lr_slope(km: float) -> tuple[float, float]:
-        """Log LR on this segment and its slope ``g(U)`` in ``log kmax``."""
-        u = (top[1] + km * bottom[1]) / (p + c) if interior else km
-        tau = u / km if interior else 1.0
-        return _clip_log_lr(top, bottom, p, c, tau, u, math.log), top[1] / u - p
-
-    km, step, t_hi = k_lo, 0.0, math.log(k_hi)
-    for _ in range(0 if at_one else _NEWTON_MAX_STEPS):
-        val, slope = log_lr_slope(km)
-        if val >= log_lr0 or slope <= 0.0:
-            break
-        dt = min((log_lr0 - val) / slope, t_hi - math.log(km))
-        km_new = km * math.exp(dt)
-        step, km = km_new - km, km_new
-        if dt <= _NEWTON_RTOL:
-            break
-    kmax_hat = min(max(km, 1.0), float(path.kmax[0]))
-    if k_lo < kmax_hat < k_hi:
-        visited.insert(i, (kmax_hat, math.exp(log_lr_slope(kmax_hat)[0])))
-    estimate = _cn_estimate(stats, kmax_hat, *path.solve(kmax_hat))
-    return KmaxSelection(kmax_hat, estimate, visited, step)
+    sel = _kmax_rows(stats.d[np.newaxis], stats.sigma2, lr0)
+    kmaxes, log_lr = sel.table.row(0)
+    visited = list(zip(kmaxes.tolist(), np.exp(log_lr).tolist()))
+    kmax_hat, i = float(sel.kmax_hat[0]), sel.segment[0]
+    if 0 < i and kmaxes[i] < kmax_hat < kmaxes[i - 1]:
+        visited.insert(i, (kmax_hat, math.exp(sel.log_lr[0])))
+    estimate = _one_row(stats, sel.lambdas, [ConstraintRecord(sigma2=stats.sigma2, kmax=kmax_hat)])
+    active = bool(sel.table.x[0, 0] > 1.0)
+    return KmaxSelection(kmax_hat, estimate, visited, sel.final_step[0], active)
 
 
 def _loading_rows(d: np.ndarray, lr0: float) -> tuple[list[float], list[int]]:

@@ -1,5 +1,6 @@
 """Shared generators and brute-force oracles for the test suite."""
 
+import functools
 import math
 import sys
 
@@ -8,6 +9,8 @@ import pytest
 
 from elcov import (
     CnCase,
+    ConstraintRecord,
+    CovarianceEstimate,
     EigenDecomposition,
     InputError,
     NoRootError,
@@ -16,6 +19,7 @@ from elcov import (
     ScenarioConfig,
     log_lr_value,
 )
+from elcov.selection import KmaxSelection
 
 
 def random_hermitian(rng, n, scale=1.0):
@@ -166,6 +170,267 @@ def scalar_loading_oracle(d, lr0):
         x_new = x - 2.0 * f * slope / den if den > 0.0 else math.nan
         x = x_new if x_lo < x_new < x_hi else 0.5 * (x_lo + x_hi)
     raise NumericalError("loading search failed to reach the log-LR tolerance")
+
+
+# The one-spectrum condition-number code that the stacked table replaced,
+# kept verbatim as the per-row oracle of ``estimators._CnTable``,
+# ``estimators._cncml_rows`` and ``selection._kmax_rows``.
+_NEWTON_RTOL, _NEWTON_MAX_STEPS = 1e-12, 60  # last relative step on kmax, step cap
+
+
+class _TailSums:
+    """Prefix sums over the largest and the smallest entries of a spectrum.
+
+    For the descending ``x``, ``top[p]`` sums the ``p`` largest entries and
+    ``bottom[c]`` the ``c`` smallest (``log_top`` and ``log_bottom`` do the
+    same for ``log x``).  Tied entries need no special care: an entry equal
+    to a clip level contributes nothing on either side.
+    """
+
+    def __init__(self, x: np.ndarray):
+        self.n = len(x)
+        self.asc = x[::-1]
+        self.top = np.concatenate(([0.0], x.cumsum()))
+        self.bottom = np.concatenate(([0.0], self.asc.cumsum()))
+
+    @functools.cached_property
+    def _log_asc(self) -> np.ndarray:
+        with np.errstate(divide="ignore"):
+            return np.log(self.asc)
+
+    @functools.cached_property
+    def log_top(self) -> np.ndarray:
+        return np.concatenate(([0.0], self._log_asc[::-1].cumsum()))
+
+    @functools.cached_property
+    def log_bottom(self) -> np.ndarray:
+        return np.concatenate(([0.0], self._log_asc.cumsum()))
+
+
+def _clip_log_lr(top, bottom, p, c, tau, u, log=np.log):
+    """Log LR of ``clip(x, tau, u)``: ``top = (sum log x, sum x)`` over the
+    ``p`` entries above ``u``, ``bottom`` likewise over the ``c`` entries
+    below ``tau``; the entries in between contribute nothing."""
+    return top[0] - p * log(u) + p - top[1] / u + bottom[0] - c * log(tau) + c - bottom[1] / tau
+
+
+class _CnPath:
+    """The condition-number solution for every ``kmax``, as a breakpoint table.
+
+    With ``x = d/sigma2`` the estimate is ``clip(x, tau, U)``, ``U = kmax tau``.
+    Let ``g(U) = sum max(x/U - 1, 0)`` and ``h(tau) = sum max(1 - x/tau, 0)``.
+    On the boundary, ``kmax >= kmax_b`` where ``g(kmax_b) = h(1)``, ``tau`` is 1
+    and the breakpoints are the distinct ``x`` above ``kmax_b``.  Below it
+    ``g(U) = h(tau) = s`` with ``s`` rising from ``h(1)`` to ``h(mean x)`` (at
+    ``kmax = 1``).  Each entry has two breakpoints there: at ``s = h(x)`` the
+    lower clip reaches it (``tau = x``) and at ``s = g(x)`` the upper clip
+    does (``U = x``).  Between breakpoints, with ``p`` entries clipped from
+    above and ``c`` from below, ``tau = S_bot/(c - s)``, ``U = S_top/(s + p)``
+    and ``U = (S_top + kmax S_bot)/(p + c)``.
+
+    ``kmax_b = S_top/(p + h(1))`` over the ``p`` entries above it is the one
+    boundary/interior switch.  It is 1 when ``mean x <= 1``, where the whole
+    path is boundary, and ``x_1`` when no entry is below 1, where the path is
+    flat (nothing is clipped) from ``x_1`` down to ``x_1/x_N``.
+
+    Zero entries add 1 to ``h`` at every ``tau``.  When they are the only
+    entries below 1, ``h`` stays at ``h(1)`` up to the smallest positive
+    entry, whose lower-clip breakpoint then shares ``s = h(1)`` with the
+    switch; it gets its own row, and the switch row does not count it.
+
+    The table, built once, lists in descending ``kmax`` each breakpoint's
+    ``kmax``, the counts ``top`` and ``bottom`` clipped just under it and the
+    log LR ``log_lr`` at it; rows from ``switch`` on open interior segments.
+    ``log_lr`` is computed on first use: only :func:`select_kmax` reads it.
+    """
+
+    def __init__(self, x: np.ndarray):
+        self.sums = sums = _TailSums(x)
+        n, asc = sums.n, sums.asc
+        # per entry (ascending): its tie group spans [lo, hi)
+        lo, hi = asc.searchsorted(asc, "left"), asc.searchsorted(asc, "right")
+        with np.errstate(divide="ignore", invalid="ignore"):
+            self.h = lo - sums.bottom[lo] / asc
+            self.h[: hi[0]] = 0.0  # nothing lies below the smallest entry, even a zero one
+            self.g = sums.top[n - hi] / asc - (n - hi)
+        self.c1 = c1 = int(asc.searchsorted(1.0))
+        self.h1 = h1 = float((1.0 - x[n - c1 :]).sum())
+        p = int(self.g[::-1].searchsorted(h1, "right"))
+        self.kmax_b = max(float(x[:p].sum() / (p + h1)), 1.0)
+        self.kmax, self.top, self.bottom, self._tau, self._u, self.switch = self.breakpoints()
+
+    def breakpoints(self):
+        """The table's columns, in descending ``kmax``, ``tau`` and ``U`` at
+        each breakpoint, and its ``switch``."""
+        sums, asc, h1, c1 = self.sums, self.sums.asc, self.h1, self.c1
+        n = sums.n
+        a, starts = np.unique(asc, return_index=True)
+        # h(1) = 0 means no entry lies below 1, so the path is flat from k_ml
+        # down to x_1/x_N instead of reaching a boundary breakpoint
+        j = len(a) if h1 == 0.0 else int(np.searchsorted(a, self.kmax_b, side="right"))
+        if j < len(a):
+            kmax_bd, top_bd = a[j:][::-1], n - starts[j:][::-1]
+        else:  # one point at k_ml, with nothing clipped from above beneath it
+            kmax_bd, top_bd = np.array([max(float(a[-1]), 1.0)]), np.zeros(1, dtype=int)
+        pieces = [(kmax_bd, top_bd, np.full(len(kmax_bd), c1), np.ones(len(kmax_bd)), kmax_bd)]
+        if self.kmax_b > 1.0:
+            mean = sums.top[n] / n
+            cm = int(asc.searchsorted(mean))
+            s_max = max(cm - sums.bottom[cm] / mean, h1)  # equal for a flat spectrum
+            s = np.concatenate((self.h, self.g))
+            # entries above 1 whose lower-clip breakpoint is h(1), as only zeros allow
+            lifted = np.count_nonzero((self.h == h1) & (asc > 1.0)) if asc[0] == 0.0 else 0
+            s = np.concatenate((
+                [h1], [h1] if lifted and s_max > h1 else [],
+                np.unique(s[(s > h1) & (s < s_max)]),
+                [s_max] if s_max > 0.0 else [],  # a flat spectrum has one point
+            ))
+            # the counts clipped from the top and the bottom just above each s
+            # (just under it in kmax), and tau, U and kmax at s
+            top = self.g[::-1].searchsorted(s, "right")
+            bottom = self.h.searchsorted(s, "right")
+            with np.errstate(divide="ignore", invalid="ignore"):
+                tau = sums.bottom[bottom] / (bottom - s)
+                u = sums.top[top] / (s + top)
+                kmax = np.maximum(u / tau, 1.0)
+            if h1 > 0.0:  # the boundary meets the interior at tau = 1
+                tau[0], u[0], kmax[0] = 1.0, self.kmax_b, self.kmax_b
+                bottom[0] -= lifted
+            kmax[-1] = 1.0  # U = tau = mean x there, whatever U/tau rounds to
+            pieces.append((kmax, top, bottom, tau, u))
+        elif kmax_bd[-1] > 1.0:  # the boundary reaches kmax = 1, where U = tau = 1
+            pieces.append(([1.0], [n - c1], [c1], [1.0], [1.0]))
+        kmax, top, bottom, tau, u = (np.concatenate(col) for col in zip(*pieces))
+        return kmax, top, bottom, tau, u, len(kmax_bd) if h1 > 0.0 else 0
+
+    @functools.cached_property
+    def log_lr(self) -> np.ndarray:
+        sums, top, bottom = self.sums, self.top, self.bottom
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return _clip_log_lr(
+                (sums.log_top[top], sums.top[top]), (sums.log_bottom[bottom], sums.bottom[bottom]),
+                top, bottom, self._tau, self._u,
+            )
+
+    def solve(self, kmax: float) -> tuple[CnCase, float, int, int]:
+        """Case, ``u*`` and the counts clipped from the top and the bottom at
+        ``kmax``, read off the last row above it, whose segment holds it.  At
+        ``k_ml`` (row 0) and above, nothing is clipped from above."""
+        if kmax >= self.kmax[0]:
+            return CnCase.FML_EQUIVALENT, 1.0 / self.kmax[0], 0, self.c1
+        i = int(np.argmax(self.kmax <= kmax)) - 1
+        p, c = int(self.top[i]), int(self.bottom[i])
+        if i < self.switch:
+            return CnCase.BOUNDARY_U, 1.0 / kmax, p, c
+        if p + c == 0:  # the flat segment: nothing is clipped
+            return CnCase.INTERIOR_U, 1.0 / self.kmax[0], 0, 0
+        u = (p + c) / (self.sums.top[p] + kmax * self.sums.bottom[c])
+        # the lower cap 1/(u kmax) stays at or above 1 where rounding crosses it
+        return CnCase.INTERIOR_U, min(float(u), 1.0 / kmax), p, c
+
+
+def _cn_solution(stats: SampleStats, kmax: float) -> tuple[CnCase, float, int, int]:
+    """Case, ``u*`` and the counts clipped from the top and the bottom."""
+    if not kmax >= 1:
+        raise InputError("condition-number bound kmax must be at least 1")
+    x = stats.d / stats.sigma2
+    if x[0] <= 1.0:
+        return CnCase.SCALED_IDENTITY, 1.0 / kmax, 0, int(x[::-1].searchsorted(1.0))
+    if x[0] <= kmax:  # the boundary tie x_1 == kmax lands here; the profiles coincide
+        return CnCase.FML_EQUIVALENT, 1.0 / x[0], 0, int(x[::-1].searchsorted(1.0))
+    return _CnPath(x).solve(kmax)
+
+
+def _cn_estimate(stats: SampleStats, kmax: float, case: CnCase, u: float, p: int, c: int):
+    """The condition-number estimate as one cap map: the ``p`` largest sample
+    eigenvalues take the upper cap, the ``c`` smallest the lower cap, and the
+    rest keep ``d``.  The caps are ``sigma2/u`` and ``sigma2/(u kmax)`` in the
+    interior case (``u = 1/U``) and ``sigma2 kmax`` and ``sigma2`` otherwise.
+    """
+    s2, inside = stats.sigma2, case is CnCase.INTERIOR_U
+    lam = stats.d.copy()
+    lam[:p] = s2 / u if inside else s2 * kmax
+    lam[stats.n - c :] = s2 / (u * kmax) if inside else s2
+    return CovarianceEstimate(
+        lambdas=lam,
+        basis=stats.s_eig.eigenvectors,
+        constraints=ConstraintRecord(sigma2=s2, kmax=float(kmax)),
+    )
+
+
+scalar_cn_solution_oracle = _cn_solution
+
+
+def scalar_cncml_oracle(stats: SampleStats, kmax: float) -> CovarianceEstimate:
+    """Condition-number constrained ML estimate.
+
+    The cap map of the solution behind :func:`cncml_u_star`; the resulting
+    condition number is exactly 1, ``d_1/sigma2``, ``kmax`` and ``kmax`` in
+    its four cases respectively.
+    """
+    return _cn_estimate(stats, kmax, *_cn_solution(stats, kmax))
+
+
+def scalar_kmax_oracle(stats: SampleStats, lr0: float) -> KmaxSelection:
+    """Tune the condition-number bound so the estimate's LR matches ``lr0``.
+
+    The LR is non-decreasing in ``kmax``.  The ML bound ``k_ml = d_1 / sigma2``
+    (at least 1) is returned when its LR is at or below ``lr0``, flagged
+    ``constraint_active=False`` when ``d_1 <= sigma2``; 1 is returned when
+    its LR reaches ``lr0``.  Otherwise the root lies on one segment of the
+    breakpoint table (:class:`_CnPath`, the one :func:`cncml` reads), where
+    the log LR is closed form:
+    ``sum_top [log(x/kmax) + 1 - x/kmax] + const`` on the boundary and
+    ``sum_{top,bot} log x + c log kmax - m log((S_top + kmax S_bot)/m)``
+    inside (``p`` top and ``c`` bottom entries, ``m = p + c``).  Both are
+    concave and increasing in ``log kmax``, with slope ``g(U)``, so Newton
+    steps from the segment's lower end rise monotonically to the root; they
+    stop once a step is below ``1e-12`` relative.  The estimate is the cap
+    map at the selected bound, read off the table as :func:`cncml` reads it
+    (:meth:`_CnPath.solve`); nothing is solved a second time.
+    """
+    if not 0 < lr0 <= 1:
+        raise InputError("lr0 must lie in (0, 1]")
+    log_lr0 = math.log(lr0)
+    x = stats.d / stats.sigma2
+    path = _CnPath(x)
+    sums = path.sums
+    visited = list(zip(path.kmax.tolist(), np.exp(path.log_lr).tolist()))
+    if x[0] <= 1.0 or path.log_lr[0] <= log_lr0:
+        k_ml = float(path.kmax[0])
+        estimate = _cn_estimate(stats, k_ml, *path.solve(k_ml))
+        return KmaxSelection(k_ml, estimate, visited, 0.0, bool(x[0] > 1.0))
+
+    at_one = bool(path.log_lr[-1] >= log_lr0)
+    # the root lies in [kmax[i], kmax[i-1]]; at kmax = 1 it is the last segment
+    i = len(path.kmax) - 1 if at_one else int(np.argmax(path.log_lr <= log_lr0))
+    k_lo, k_hi = float(path.kmax[i]), float(path.kmax[i - 1])
+    p, c = int(path.top[i - 1]), int(path.bottom[i - 1])
+    top = float(sums.log_top[p]), float(sums.top[p])
+    bottom = float(sums.log_bottom[c]), float(sums.bottom[c])
+    interior = i > path.switch and p + c > 0  # the flat segment clips nothing
+
+    def log_lr_slope(km: float) -> tuple[float, float]:
+        """Log LR on this segment and its slope ``g(U)`` in ``log kmax``."""
+        u = (top[1] + km * bottom[1]) / (p + c) if interior else km
+        tau = u / km if interior else 1.0
+        return _clip_log_lr(top, bottom, p, c, tau, u, math.log), top[1] / u - p
+
+    km, step, t_hi = k_lo, 0.0, math.log(k_hi)
+    for _ in range(0 if at_one else _NEWTON_MAX_STEPS):
+        val, slope = log_lr_slope(km)
+        if val >= log_lr0 or slope <= 0.0:
+            break
+        dt = min((log_lr0 - val) / slope, t_hi - math.log(km))
+        km_new = km * math.exp(dt)
+        step, km = km_new - km, km_new
+        if dt <= _NEWTON_RTOL:
+            break
+    kmax_hat = min(max(km, 1.0), float(path.kmax[0]))
+    if k_lo < kmax_hat < k_hi:
+        visited.insert(i, (kmax_hat, math.exp(log_lr_slope(kmax_hat)[0])))
+    estimate = _cn_estimate(stats, kmax_hat, *path.solve(kmax_hat))
+    return KmaxSelection(kmax_hat, estimate, visited, step)
 
 
 def reference_scenario():

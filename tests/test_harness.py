@@ -9,6 +9,8 @@ from conftest import (
     random_hermitian,
     random_psd,
     reference_scenario,
+    scalar_cncml_oracle,
+    scalar_kmax_oracle,
     scalar_loading_oracle,
     scalar_rank_oracle,
 )
@@ -434,6 +436,50 @@ class TestTrialBlocks:
         assert eigh_stacks == expected
         assert scored == [(2, n)] * (len(k_list) * trials)
 
+    def test_one_kmax_pass_per_pass_and_no_per_trial_stats(self, tmp_path, monkeypatch):
+        # without RCML_EL_SIGMA every estimator is a stacked pass: the kmax core
+        # and the fixed-bound map run once per pass of whole blocks, eigh once
+        # per block, and no trial builds a SampleStats
+        n, k, trials = 20, 30, 14
+        monkeypatch.setattr(harness, "_BLOCK_ELEMENTS", 3 * n * k)
+        monkeypatch.setattr(harness, "_PASS_ELEMENTS", 2 * 3 * n * n)
+        # blocks of 3 trials, at most 2 blocks per pass, the 5 blocks split 1, 2, 2
+        assert harness._block_size(n, k) == 3
+        assert harness._passes(n, k, trials) == [range(0, 3, 3), range(3, 9, 3), range(9, 14, 3)]
+        eigh_stacks, kmax_stacks, fixed_stacks, stats_built = [], [], [], []
+        eigh_inner, kmax_inner, fixed_inner, stats_inner = (
+            harness._eigh_desc, harness._kmax_rows, harness._cncml_rows, harness.SampleStats)
+
+        def eigh(h):
+            eigh_stacks.append(len(h))
+            return eigh_inner(h)
+
+        def kmax_rows(d, sigma2, lr0):
+            kmax_stacks.append(d.shape)
+            return kmax_inner(d, sigma2, lr0)
+
+        def cncml_rows(d, sigma2, kmax):
+            fixed_stacks.append(d.shape)
+            return fixed_inner(d, sigma2, kmax)
+
+        def sample_stats(*args, **kwargs):
+            stats_built.append(args)
+            return stats_inner(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "_eigh_desc", eigh)
+        monkeypatch.setattr(harness, "_kmax_rows", kmax_rows)
+        monkeypatch.setattr(harness, "_cncml_rows", cncml_rows)
+        monkeypatch.setattr(harness, "SampleStats", sample_stats)
+        specs = tuple(EstimatorSpec.parse(t) for t in ("SMI", "CNCML_EL", "CNCML_FIXED(8)"))
+        cfg = noise_only_config(
+            tmp_path, scenario=reference_scenario(), k_list=(k,), trials=trials,
+            estimators=specs, lr0_table_path=str(tmp_path / "lr0.txt"), lr0_trials=2000,
+        )
+        assert len(run_experiment(cfg)) == len(specs) * trials
+        assert eigh_stacks == [3, 3, 3, 3, 2]
+        assert kmax_stacks == fixed_stacks == [(3, n), (6, n), (5, n)]
+        assert stats_built == []
+
     @pytest.mark.parametrize("corrupted", [False, True])
     def test_block_size_changes_no_output(self, tmp_path, monkeypatch, corrupted):
         n, k_list, trials = 20, (20, 40), 23  # blocks of 20 + 3 and 10 + 10 + 3
@@ -443,9 +489,11 @@ class TestTrialBlocks:
         corruption = CorruptionSpec(fraction=0.5, amplitude=50.0,
                                     steering=steering_vector(n, 0.0)) if corrupted else None
         outputs = []
-        for budget in (1, harness._BLOCK_ELEMENTS):
+        for budget, passes in ((1, harness._PASS_ELEMENTS), (harness._BLOCK_ELEMENTS, 1),
+                               (harness._BLOCK_ELEMENTS, harness._PASS_ELEMENTS)):
             monkeypatch.setattr(harness, "_BLOCK_ELEMENTS", budget)
-            out = tmp_path / f"out{budget}"
+            monkeypatch.setattr(harness, "_PASS_ELEMENTS", passes)
+            out = tmp_path / f"out{budget}-{passes}"
             cfg = noise_only_config(
                 tmp_path, scenario=reference_scenario(), k_list=k_list, trials=trials,
                 estimators=tuple(EstimatorSpec.parse(t) for t in names), output_path=str(out),
@@ -456,7 +504,7 @@ class TestTrialBlocks:
                                                                    else [20, 10])
             run_experiment(cfg)
             outputs.append([(out / name).read_bytes() for name in ("trials.csv", "summary.csv")])
-        assert outputs[0] == outputs[1]
+        assert outputs[0] == outputs[1] == outputs[2]
 
     def test_failed_stacked_pass_raises_at_its_trial(self, tmp_path, monkeypatch):
         # trial 1 of the block has a singular sample covariance, so LSMI_EL's
@@ -484,6 +532,39 @@ class TestTrialBlocks:
             run_experiment(cfg)
         assert scored == [(2, 20)]
 
+    def test_failed_kmax_pass_raises_at_its_trial(self, tmp_path, monkeypatch):
+        # as above for CNCML_EL, whose kmax core is made to reject the
+        # singular trial 1 (it takes singular spectra): trial 0 is still built
+        # and scored before the per-trial rerun raises at trial 1
+        eigh_inner, score_inner, kmax_inner, scored = (
+            harness._eigh_desc, harness._sinr_scorer, harness._kmax_rows, [])
+
+        def eigh(h):
+            d, v = eigh_inner(h)
+            d[1, -1] = 0.0
+            return d, v
+
+        def score(lambdas, *args):
+            scored.append(lambdas.shape)
+            return score_inner(lambdas, *args)
+
+        def kmax_rows(d, sigma2, lr0):
+            if not (d[:, -1] > 0).all():
+                raise NoRootError("sample covariance is singular")
+            return kmax_inner(d, sigma2, lr0)
+
+        monkeypatch.setattr(harness, "_eigh_desc", eigh)
+        monkeypatch.setattr(harness, "_sinr_scorer", score)
+        monkeypatch.setattr(harness, "_kmax_rows", kmax_rows)
+        cfg = noise_only_config(
+            tmp_path, scenario=reference_scenario(), k_list=(30,), trials=4,
+            estimators=(EstimatorSpec.parse("SMI"), EstimatorSpec.parse("CNCML_EL")),
+            lr0_table_path=str(tmp_path / "lr0.txt"), lr0_trials=2000,
+        )
+        with pytest.raises(NoRootError, match="singular"):
+            run_experiment(cfg)
+        assert scored == [(2, 20)]
+
 
 class TestStackedEstimators:
     def test_builds_equal_per_spectrum_estimators(self, rng):
@@ -496,8 +577,10 @@ class TestStackedEstimators:
             d = np.sort(np.exp(rng.normal(0.0, 2.0, (b, n))) * sigma2, axis=1)[:, ::-1].copy()
             d[:, n - n // 3 :] = d[:, -1:]  # tied tails
             r = int(rng.integers(n + 1))
+            kmax = float(np.exp(rng.uniform(0.0, 8.0)))
             specs = [EstimatorSpec.parse(t)
-                     for t in ("SMI", "FML", f"RCML_FIXED({r})", "RCML_EL", "CNCML_ML", "LSMI_EL")]
+                     for t in ("SMI", "FML", f"RCML_FIXED({r})", "RCML_EL", "CNCML_ML", "LSMI_EL",
+                               "CNCML_EL", f"CNCML_FIXED({kmax!r})")]
             for spec in specs:
                 rows = harness._ESTIMATORS[spec.name].rows
                 lambdas, constraints = rows(d, sigma2, spec.param, lr0)
@@ -512,6 +595,8 @@ class TestStackedEstimators:
                         "RCML_EL": lambda: rcml(stats, scalar_rank_oracle(row, sigma2, lr0)[0]),
                         "CNCML_ML": lambda: cncml(stats, max(float(row[0] / sigma2), 1.0)),
                         "LSMI_EL": lambda: lsmi(stats, scalar_loading_oracle(row, lr0)[0]),
+                        "CNCML_EL": lambda: scalar_kmax_oracle(stats, lr0).estimate,
+                        "CNCML_FIXED": lambda: scalar_cncml_oracle(stats, kmax),
                     }[spec.name]()
                     one = build_estimate(spec, stats, lr0)
                     for est in (one, CovarianceEstimate(lambdas[i], basis, constraints[i])):

@@ -4,10 +4,14 @@ import numpy as np
 import pytest
 
 from conftest import (
+    _CnPath,
     bisect_u_oracle,
     cn_lambda_map,
     random_hermitian,
     reference_scenario,
+    scalar_cn_solution_oracle,
+    scalar_cncml_oracle,
+    scalar_kmax_oracle,
     scalar_loading_oracle,
     scalar_rank_oracle,
     six_jammer_scenario,
@@ -39,9 +43,9 @@ from elcov import (
     sqrt_factor,
     steering_vector,
 )
-from elcov.estimators import _CnPath
+from elcov.estimators import _cn_solution, _cncml_rows, _CnTable
 from elcov.likelihood import log_tail_lr, lr0_reference
-from elcov.selection import _loading_rows, _nmf_scorer, _rank_rows
+from elcov.selection import _kmax_rows, _loading_rows, _nmf_scorer, _rank_rows
 
 
 def log_lr_rank(stats, r):
@@ -718,8 +722,9 @@ def _outcome(fn, *args):
 
 
 class TestStackedCores:
-    """The stacked rank and loading cores return, row for row, exactly what
-    the former one-spectrum code returns (``tests/conftest.py`` keeps it)."""
+    """The stacked rank, loading and condition-number cores return, row for
+    row, exactly what the former one-spectrum code returns
+    (``tests/conftest.py`` keeps it)."""
 
     def _stacks(self, rng, count):
         """``(d, sigma2, lr0s)``: ``(B, N)`` stacks of N = 2..256 (B = 1 in a
@@ -762,6 +767,99 @@ class TestStackedCores:
                     stats = stats_from_spectrum(d[0], sigma2=sigma2)
                     beta = _outcome(select_loading, stats, lr0)
                     assert repr(beta) == repr(failed[0] if failed else oracles[0][0])
+
+    def _cn_stacks(self, rng, count):
+        """``_stacks`` with condition-number edge rows mixed in: spectra wholly
+        at or below the noise floor, with several zero entries, tied at
+        values whose reciprocals round (49, 3), or ending in tiny entries of
+        either sign, as eigh returns for a singular sample covariance."""
+        for i, (d, sigma2, lr0s) in enumerate(self._stacks(rng, count)):
+            b, n = d.shape
+            for row in rng.choice(b, int(rng.integers(0, b + 1)), replace=False):
+                kind = int(rng.integers(0, 4))
+                if kind == 0:
+                    d[row] *= float(rng.uniform(0.05, 1.0)) * sigma2 / d[row, 0]
+                elif kind == 1:
+                    d[row, rng.integers(0, n, int(rng.integers(1, n + 1)))] = 0.0
+                elif kind == 2:
+                    d[row] = rng.choice([0.0, 1.0, 3.0, 49.0], n) * sigma2
+                else:
+                    tail = int(rng.integers(1, n))
+                    d[row, -tail:] = rng.normal(0.0, 1e-12, tail) * sigma2
+                d[row] = np.sort(d[row])[::-1]
+            yield d, sigma2, lr0s
+
+    def test_kmax_rows_match_scalar_oracle(self, rng):
+        for d, sigma2, lr0s in self._cn_stacks(rng, 60):
+            for lr0 in lr0s + [1.0]:
+                sel = _kmax_rows(d, sigma2, lr0)
+                table = sel.table
+                for i, row in enumerate(d):
+                    # the table itself, down to the log prefix sums
+                    path, cells = _CnPath(row / sigma2), table.valid[i]
+                    assert table.kmax[i, cells].tobytes() == path.kmax.tobytes()
+                    assert table.log_lr[i, cells].tobytes() == path.log_lr.tobytes()
+                    assert table.top[i, cells].tolist() == path.top.tolist()
+                    assert table.bottom[i, cells].tolist() == path.bottom.tolist()
+                    assert table.switch[i] == path.switch
+                    assert table.log_top[i].tobytes() == path.sums.log_top.tobytes()
+                    assert table.log_bottom[i].tobytes() == path.sums.log_bottom.tobytes()
+                    stats = stats_from_spectrum(row, sigma2=sigma2)
+                    oracle = scalar_kmax_oracle(stats, lr0)
+                    kmax_hat = float(sel.kmax_hat[i])
+                    assert repr((kmax_hat, sel.final_step[i])) == repr(
+                        (oracle.kmax_hat, oracle.final_step)
+                    )
+                    assert sel.lambdas[i].tobytes() == oracle.estimate.lambdas.tobytes()
+                    assert sel.steps[i] > 0 or oracle.final_step == 0.0
+                    # the LR at the bound, wherever the oracle lists it
+                    lr_hat = dict(oracle.visited).get(kmax_hat)
+                    if lr_hat is not None and lr_hat > 1e-300:  # not subnormal
+                        assert abs(sel.log_lr[i] - math.log(lr_hat)) <= 1e-9
+                    if len(d) == 1:
+                        one = select_kmax(stats, lr0)
+                        assert repr(
+                            (one.kmax_hat, one.visited, one.final_step, one.constraint_active,
+                             one.estimate.constraints)
+                        ) == repr(
+                            (oracle.kmax_hat, oracle.visited, oracle.final_step,
+                             oracle.constraint_active, oracle.estimate.constraints)
+                        )
+                        assert one.estimate.lambdas.tobytes() == oracle.estimate.lambdas.tobytes()
+
+    def test_table_logs_round_as_the_one_row_table(self, rng):
+        """numpy can take a contiguous log (its SIMD loop) and a strided one
+        (libm) a last bit apart.  The stacked table's log sums equal the one-row
+        table's on such entries, placed as the largest and the smallest entry."""
+        v = np.exp(rng.uniform(-7.0, 9.0, 200_000))
+        split = v[np.log(v[::-1])[::-1] != np.log(v)][:30]
+        assert len(split) > 0
+        d = np.concatenate((split[:, np.newaxis] * [1.0, 0.5, 0.3, 0.2],
+                            split[:, np.newaxis] * [7.0, 5.0, 3.0, 1.0]))
+        table = _CnTable(d / 1.0)
+        table.log_lr
+        for i, row in enumerate(d):
+            sums = _CnPath(row / 1.0).sums
+            assert table.log_top[i].tobytes() == sums.log_top.tobytes()
+            assert table.log_bottom[i].tobytes() == sums.log_bottom.tobytes()
+
+    def test_cncml_rows_match_scalar_oracle(self, rng):
+        for d, sigma2, _ in self._cn_stacks(rng, 60):
+            x = d / sigma2
+            bounds = [1.0, float(np.exp(rng.uniform(0.0, 10.0))), float(x[0, 0]), float(x[-1, 0]),
+                      float(rng.choice(x[0]))]
+            for kmax in [k for k in bounds if k >= 1.0]:
+                lambdas, constraints = _cncml_rows(d, sigma2, kmax)
+                for i, row in enumerate(d):
+                    stats = stats_from_spectrum(row, sigma2=sigma2)
+                    oracle = scalar_cncml_oracle(stats, kmax)
+                    assert lambdas[i].tobytes() == oracle.lambdas.tobytes()
+                    assert repr(constraints[i]) == repr(oracle.constraints)
+                    if len(d) == 1:
+                        case, u, p, c = _cn_solution(stats, kmax)
+                        o_case, o_u, o_p, o_c = scalar_cn_solution_oracle(stats, kmax)
+                        assert repr((case, u, p, c)) == repr((o_case, float(o_u), o_p, o_c))
+                        assert cncml(stats, kmax).lambdas.tobytes() == oracle.lambdas.tobytes()
 
 
 def illinois_kmax(stats, lr0):
@@ -824,7 +922,7 @@ class TestKmaxPath:
             d = _spectrum(rng, n, sigma2)
             stats = stats_from_spectrum(d, sigma2=sigma2)
             dbar = d / sigma2
-            path = _CnPath(dbar)
+            path = _CnTable(dbar[np.newaxis]).row(0)
             assert path.kmax[0] == max(dbar[0], 1.0)
             assert path.kmax[-1] == 1.0
             assert np.all(np.diff(path.kmax) <= 0.0)
@@ -900,9 +998,9 @@ class TestKmaxPath:
             return wrapper
 
         # the estimate comes from the shared cap map, with no second CN solve
-        estimate, solve = estimators._cn_estimate, estimators._cn_solution
-        monkeypatch.setattr(selection, "_cn_estimate", counted("estimate", estimate))
-        monkeypatch.setattr(estimators, "_cn_solution", counted("cn_solve", solve))
+        estimate, solve = estimators._cn_caps, estimators._cn_rows
+        monkeypatch.setattr(selection, "_cn_caps", counted("estimate", estimate))
+        monkeypatch.setattr(estimators, "_cn_rows", counted("cn_solve", solve))
         monkeypatch.setattr(
             selection, "log_lr_value", counted("log_lr_value", log_lr_value), raising=False
         )
@@ -919,7 +1017,7 @@ class TestKmaxPath:
         stats = stats_from_spectrum(d, sigma2=0.5)
         lr0 = _interior_lr0(rng, stats)
         sel = select_kmax(stats, lr0)
-        path = _CnPath(d / 0.5)
+        path = _CnTable((d / 0.5)[np.newaxis]).row(0)
         kmaxes = [k for k, _ in sel.visited]
         assert kmaxes == sorted(kmaxes, reverse=True)
         assert sorted(set(kmaxes) - set(path.kmax.tolist())) == [sel.kmax_hat]
