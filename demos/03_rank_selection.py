@@ -37,7 +37,7 @@ true_strong = int(np.sum(np.linalg.eigvalsh(r_true) > 10.0))
 print(f"true covariance: N={scenario.n}, eigenvalues >10x noise: {true_strong}\n")
 
 k = 40
-lr0 = lr0_reference(scenario.n, k, trials=20000, seed=1).lr0
+lr0 = lr0_reference(scenario.n, k).lr0
 print(f"reference median lr0(N={scenario.n}, K={k}) = {lr0:.3e}\n")
 
 training = generate_training(r_true, k, None, derive_rng(42, "demo-trial"))

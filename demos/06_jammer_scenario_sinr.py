@@ -40,7 +40,7 @@ k = 20  # starved training: K equals the dimension
 training = generate_training(r_true, k, None, derive_rng(3, "training"))
 stats = SampleStats.from_sample_covariance(sample_covariance(training.z), k, 1.0)
 
-lr0 = lr0_reference(scenario.n, k, trials=20000, seed=1).lr0
+lr0 = lr0_reference(scenario.n, k).lr0
 r_hat = select_rank(stats, lr0).r_hat
 estimates = [("SMI", smi(stats)), ("FML", fml(stats)), (f"RCML r={r_hat}", rcml(stats, r_hat))]
 

@@ -44,7 +44,7 @@ def _float_list(values) -> str:
 
 
 def _cmd_lr0(args) -> int:
-    ref = lr0_reference(args.n, args.k, trials=args.trials, seed=args.seed)
+    ref = lr0_reference(args.n, args.k)
     lr0_store(ref, args.table)
     pairs = [("n", ref.n), ("k", ref.k), ("trials", ref.trials), ("seed", ref.seed),
              ("lr0", f"{ref.lr0:.12g}")]
@@ -109,7 +109,7 @@ def _cmd_select(args) -> int:
     if args.lr0 is None and args.lr0_table is None:
         raise InputError("provide --lr0 or --lr0-table")
     lr0 = args.lr0 if args.lr0 is not None else lr0_lookup(
-        stats.n, args.k, args.lr0_table, args.lr0_trials, args.seed, not args.no_autocompute
+        stats.n, args.k, args.lr0_table, not args.no_autocompute
     )
     pairs = [("mode", mode), ("n", stats.n), ("k", stats.k), ("lr0", f"{lr0:.12g}")]
     if mode == "rank":
@@ -169,6 +169,9 @@ def _cmd_sinr(args) -> int:
     return 0
 
 
+_DEPRECATED = "deprecated and ignored: the lr0 reference is exact"
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="elcov",
@@ -179,8 +182,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_lr0 = sub.add_parser("lr0", help="compute and store an invariant LR reference")
     p_lr0.add_argument("--n", type=int, required=True)
     p_lr0.add_argument("--k", type=int, required=True)
-    p_lr0.add_argument("--trials", type=int, default=20000)
-    p_lr0.add_argument("--seed", type=int, default=0)
+    p_lr0.add_argument("--trials", type=int, default=0, help=_DEPRECATED)
+    p_lr0.add_argument("--seed", type=int, default=0, help=_DEPRECATED)
     p_lr0.add_argument("--table", required=True, help="LR0TABLE file to append to")
     p_lr0.set_defaults(func=_cmd_lr0)
 
@@ -201,8 +204,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sel.add_argument("--r-init", type=int, default=0, help="initial rank for rank-sigma")
     p_sel.add_argument("--lr0", type=float, default=None, help="reference LR value")
     p_sel.add_argument("--lr0-table", default=None, help="LR0TABLE file for lookup")
-    p_sel.add_argument("--lr0-trials", type=int, default=20000)
-    p_sel.add_argument("--seed", type=int, default=0, help="seed for lr0 autocompute")
+    p_sel.add_argument("--lr0-trials", type=int, default=0, help=_DEPRECATED)
+    p_sel.add_argument("--seed", type=int, default=0, help=_DEPRECATED)
     p_sel.add_argument("--no-autocompute", action="store_true")
     p_sel.add_argument("--training", default=None, help="CMAT file with training columns")
     p_sel.add_argument("--angle", type=float, default=0.0, help="steering angle in degrees")

@@ -171,7 +171,6 @@ class ExperimentConfig:
     estimators: tuple[EstimatorSpec, ...]
     output_path: str
     lr0_table_path: str | None = None
-    lr0_trials: int = 20000
     autocompute_lr0: bool = True
     steering_grid: tuple[float, ...] | None = None
     nmf_angle: float = 0.0
@@ -239,11 +238,6 @@ def default_steering_grid(scenario: ScenarioConfig) -> tuple[float, ...]:
         ]
     keep = [a for a in grid if all(abs(a - j) > 1.0 for j in jam_arrivals)]
     return tuple(float(a) for a in keep)
-
-
-def _lr0_seed(master_seed: int, n: int, k: int) -> int:
-    ss = np.random.SeedSequence([int(master_seed), 0x6C7230, int(n), int(k)])
-    return int(ss.generate_state(1)[0])
 
 
 def build_estimate(
@@ -319,9 +313,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[TrialRecord]:
 
     needs_lr0 = any(_ESTIMATORS[spec.name].needs_lr0 for spec in cfg.estimators)
     lr0_by_k = {
-        k: lr0_lookup(n, k, cfg.lr0_table_path, cfg.lr0_trials,
-                      _lr0_seed(cfg.master_seed, n, k), cfg.autocompute_lr0)
-        if needs_lr0 else None
+        k: lr0_lookup(n, k, cfg.lr0_table_path, cfg.autocompute_lr0) if needs_lr0 else None
         for k in cfg.k_list
     }
 
@@ -457,6 +449,7 @@ _CONFIG_SCHEMA = {
         "n", "noise_power", "jammer_powers", "jammer_angles", "jammer_bandwidths",
         "sinc_convention", "angle_mode",
     },
+    # lr0_trials is deprecated and ignored: the lr0 reference is exact
     "experiment": {
         "k_list", "trials", "master_seed", "estimators", "output", "lr0_table",
         "lr0_trials", "autocompute", "steering_grid", "nmf_angle", "r_init",
@@ -523,7 +516,6 @@ def load_experiment_config(path) -> ExperimentConfig:
             estimators=estimators,
             output_path=ex["output"],
             lr0_table_path=ex.get("lr0_table", None),
-            lr0_trials=ex.getint("lr0_trials", 20000),
             autocompute_lr0=ex.getboolean("autocompute", True),
             steering_grid=steering,
             nmf_angle=ex.getfloat("nmf_angle", 0.0),

@@ -433,6 +433,26 @@ def scalar_kmax_oracle(stats: SampleStats, lr0: float) -> KmaxSelection:
     return KmaxSelection(kmax_hat, estimate, visited, step)
 
 
+def bartlett_log_lr(gen, n, k, trials):
+    """Exact draw of ``log lr`` at the true covariance (K >= N).
+
+    For ``S = Z Z^H / K`` with ``Z`` unit circular complex Gaussian, the
+    complex Bartlett decomposition (Goodman 1963) gives ``K S = L L^H`` with
+    independent ``|L_ii|^2 = g_i ~ Gamma(K - i)``, ``i < N``, and the
+    off-diagonal ``|L_ij|^2`` summing to one ``h ~ Gamma(N(N-1)/2)``, so
+    ``log lr = sum_i log(g_i / K) + N - (sum_i g_i + h) / K`` needs no
+    matrix.  Trials are drawn in chunks of about two million gammas.
+    """
+    shapes = np.append(k - np.arange(n), n * (n - 1) / 2)
+    chunk = max(1, 2_000_000 // (n + 1))
+    logs = np.empty(trials)
+    for start in range(0, trials, chunk):
+        m = min(chunk, trials - start)
+        g = gen.standard_gamma(shapes, size=(m, n + 1))
+        logs[start:start + m] = np.log(g[:, :n] / k).sum(axis=1) + n - g.sum(axis=1) / k
+    return logs
+
+
 def reference_scenario():
     """Three-jammer array scenario used by the Monte Carlo gates.
 

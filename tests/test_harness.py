@@ -140,7 +140,6 @@ class TestRunExperiment:
                 EstimatorSpec.parse("LSMI_EL"),
             ),
             lr0_table_path=str(tmp_path / "lr0.txt"),
-            lr0_trials=2000,
         )
         records = run_experiment(cfg)
         by_est = {rec.estimator: rec for rec in records}
@@ -162,7 +161,6 @@ class TestRunExperiment:
                 EstimatorSpec.parse("CNCML_EL"),
             ),
             lr0_table_path=str(tmp_path / "lr0.txt"),
-            lr0_trials=2000,
             r_init=2,
         )
         records = run_experiment(cfg)
@@ -211,7 +209,6 @@ class TestRunExperiment:
             k_list=(8,),
             estimators=(EstimatorSpec.parse("RCML_EL"),),
             lr0_table_path=str(table),
-            lr0_trials=2000,
         )
         run_experiment(cfg)
         assert table.exists()
@@ -377,7 +374,7 @@ class TestTrialBlocks:
         table = str(tmp_path / "lr0.txt")
         cfg = noise_only_config(
             tmp_path, scenario=scenario, k_list=k_list, trials=trials, estimators=specs,
-            lr0_table_path=table, lr0_trials=2000, r_init=2, corruption=corruption,
+            lr0_table_path=table, r_init=2, corruption=corruption,
         )
         records = run_experiment(cfg)
 
@@ -473,7 +470,7 @@ class TestTrialBlocks:
         specs = tuple(EstimatorSpec.parse(t) for t in ("SMI", "CNCML_EL", "CNCML_FIXED(8)"))
         cfg = noise_only_config(
             tmp_path, scenario=reference_scenario(), k_list=(k,), trials=trials,
-            estimators=specs, lr0_table_path=str(tmp_path / "lr0.txt"), lr0_trials=2000,
+            estimators=specs, lr0_table_path=str(tmp_path / "lr0.txt"),
         )
         assert len(run_experiment(cfg)) == len(specs) * trials
         assert eigh_stacks == [3, 3, 3, 3, 2]
@@ -497,7 +494,7 @@ class TestTrialBlocks:
             cfg = noise_only_config(
                 tmp_path, scenario=reference_scenario(), k_list=k_list, trials=trials,
                 estimators=tuple(EstimatorSpec.parse(t) for t in names), output_path=str(out),
-                lr0_table_path=str(tmp_path / "lr0.txt"), lr0_trials=2000, r_init=3,
+                lr0_table_path=str(tmp_path / "lr0.txt"), r_init=3,
                 corruption=corruption,
             )
             assert [harness._block_size(n, k) for k in k_list] == ([1, 1] if budget == 1
@@ -526,7 +523,7 @@ class TestTrialBlocks:
         cfg = noise_only_config(
             tmp_path, scenario=reference_scenario(), k_list=(30,), trials=4,
             estimators=(EstimatorSpec.parse("SMI"), EstimatorSpec.parse("LSMI_EL")),
-            lr0_table_path=str(tmp_path / "lr0.txt"), lr0_trials=2000,
+            lr0_table_path=str(tmp_path / "lr0.txt"),
         )
         with pytest.raises(NoRootError, match="singular"):
             run_experiment(cfg)
@@ -559,7 +556,7 @@ class TestTrialBlocks:
         cfg = noise_only_config(
             tmp_path, scenario=reference_scenario(), k_list=(30,), trials=4,
             estimators=(EstimatorSpec.parse("SMI"), EstimatorSpec.parse("CNCML_EL")),
-            lr0_table_path=str(tmp_path / "lr0.txt"), lr0_trials=2000,
+            lr0_table_path=str(tmp_path / "lr0.txt"),
         )
         with pytest.raises(NoRootError, match="singular"):
             run_experiment(cfg)

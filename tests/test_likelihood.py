@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import digamma, gammaln, polygamma
 from scipy.special import lambertw as scipy_lambertw
 
-from conftest import diag_log_lr, random_psd, stats_from_spectrum
+from conftest import bartlett_log_lr, diag_log_lr, random_psd, stats_from_spectrum
 from elcov import (
     FormatError,
     InputError,
@@ -24,7 +25,8 @@ from elcov import (
     rcml,
     sqrt_factor,
 )
-from elcov.likelihood import LRReference, log_tail_lr, lr0_lookup
+from elcov import likelihood
+from elcov.likelihood import QUANTILE_PROBS, LRReference, log_tail_lr, lr0_lookup
 
 BRANCH_POINT = -1.0 / math.e
 
@@ -176,16 +178,47 @@ class TestLr0Reference:
 
     def test_warns_when_undersampled(self):
         with pytest.warns(UserWarning, match="singular"):
-            lr0_reference(4, 2, trials=100, seed=0)
+            ref = lr0_reference(4, 2)
+        assert ref.lr0 == 0.0 and all(v == 0.0 for _, v in ref.quantiles)
 
-    def test_rejects_tiny_trials(self):
-        with pytest.raises(InputError):
-            lr0_reference(2, 4, trials=1, seed=0)
+    def test_rejects_nonpositive_dimensions(self):
+        for n, k in ((0, 4), (2, 0), (-1, 3)):
+            with pytest.raises(InputError):
+                lr0_reference(n, k)
+
+    def test_ignores_deprecated_trials_and_seed(self, tmp_path):
+        # the reference is exact, so the former draw's arguments change no byte
+        tables = []
+        for i, (trials, seed) in enumerate([(None, None), (1, 0), (20_000, 1), (500, 99)]):
+            path = tmp_path / f"t{i}.txt"
+            lr0_store(lr0_reference(20, 30, trials=trials, seed=seed), path)
+            tables.append(path.read_bytes())
+        assert tables[1:] == tables[:1] * 3
+        assert lr0_load(20, 30, tmp_path / "t0.txt").trials == 0
+
+    @pytest.mark.parametrize(
+        "n, k",
+        [(1, 4), (4, 4), (8, 32), (20, 20), (20, 30), (20, 40), (64, 128), (128, 256), (400, 400)],
+    )
+    def test_quantiles_match_bartlett_oracle(self, n, k):
+        # median and quartiles against the exact Bartlett draw, within three
+        # combined standard errors of the oracle and of a 20 000-trial draw
+        oracle_trials = 40_000 if n >= 400 else 200_000
+        gen = derive_rng(17, "bartlett-oracle", n, k)
+        logs = np.sort(bartlett_log_lr(gen, n, k, oracle_trials))
+        ref = lr0_reference(n, k)
+        assert ref.quantiles[2] == (0.5, ref.lr0)
+        for p, value in ref.quantiles:
+            # density at the quantile from the oracle's quantile spacing
+            h = 0.01
+            spacing = float(np.quantile(logs, p + h) - np.quantile(logs, p - h)) / (2 * h)
+            se_oracle, se_draw = (
+                math.sqrt(p * (1 - p) / m) * spacing for m in (oracle_trials, 20_000))
+            diff = math.log(value) - float(np.quantile(logs, p))
+            assert abs(diff) <= 3.0 * math.sqrt(se_oracle**2 + se_draw**2), (p, diff)
 
     def test_log_mean_matches_analytic(self):
         # independent closed form: E[log lr] = sum_i psi(k - i) - n log k
-        from scipy.special import digamma
-
         n, k, trials = 6, 12, 20_000
         logs = gram_log_lr(derive_rng(5, "digamma-check"), n, k, trials, chunk=2000)
         analytic = float(np.sum(digamma(k - np.arange(n)))) - n * math.log(k)
@@ -228,6 +261,68 @@ class TestLr0Reference:
         assert abs(med - ref.lr0) <= 3.0 * se * math.sqrt(2.0)
 
 
+class TestSaddlepointReference:
+    GRID = np.logspace(-2, 7, 361)
+
+    def test_series_functions_match_scipy(self):
+        # relative error, measured against max(|f|, 1) where f crosses zero
+        for x in self.GRID:
+            x = float(x)
+            for mine, ref in (
+                (math.lgamma(x), gammaln(x)),
+                (likelihood._digamma(x), digamma(x)),
+                *((likelihood._polygamma(n, x), polygamma(n, x)) for n in (1, 2, 3, 4, 5)),
+            ):
+                assert abs(mine - ref) <= 1e-13 * max(abs(ref), 1.0), (x, mine, ref)
+
+    @pytest.mark.parametrize("n, k", [(1, 1), (1, 4), (3, 3), (20, 40), (64, 128), (400, 400)])
+    def test_cgf_derivatives(self, n, k):
+        cgf = likelihood._BartlettCgf(n, k)
+        a = k - np.arange(n)
+        k0, k1, k2, k3 = cgf.derivatives(0.0, 3)
+        assert k0 == 0.0
+        # E[log lr] = sum_i psi(k - i) - n log k, and the variance and third
+        # cumulant from the trigamma and tetragamma sums
+        assert k1 == pytest.approx(float(np.sum(digamma(a))) - n * math.log(k), rel=1e-12)
+        assert k2 == pytest.approx(float(np.sum(polygamma(1, a))) - n / k, rel=1e-11)
+        assert k3 == pytest.approx(float(np.sum(polygamma(2, a))) + n / k**2, rel=1e-11)
+        t = 0.37 * cgf.m
+        k0, k1 = cgf.derivatives(t, 1)
+        direct = (n * t * (1 - math.log(k)) + float(np.sum(gammaln(a + t) - gammaln(a)))
+                  - n * (k + t) * math.log1p(t / k))
+        assert k0 == pytest.approx(direct, rel=1e-12)
+        assert k1 == pytest.approx(float(np.sum(digamma(a + t))) - n * math.log(k + t), rel=1e-12)
+
+    @pytest.mark.parametrize("n, k", [(2, 4), (20, 20), (64, 128), (400, 400)])
+    def test_cdf_is_continuous_at_the_series_switch(self, n, k):
+        sp = likelihood._Saddlepoint(likelihood._BartlettCgf(n, k))
+        l3 = sp.b_series[0] * 6
+        # at the mean the Lugannani-Rice CDF tends to 1/2 + l3 / (6 sqrt(2 pi))
+        assert sp(0.0)[0] == 0.5 + l3 / (6 * math.sqrt(2 * math.pi))
+        for edge in (-likelihood._NEAR_MEAN, likelihood._NEAR_MEAN):
+            inner, outer = (sp(edge * f / sp.scale) for f in (1 - 1e-9, 1 + 1e-9))
+            assert inner[0] == pytest.approx(outer[0], abs=1e-6)
+            assert inner[1] == pytest.approx(outer[1], rel=1e-4)
+
+    @pytest.mark.parametrize(
+        "n, k", [(1, 4), (2, 2), (20, 20), (128, 128), (128, 256), (400, 400)])
+    def test_newton_stays_in_domain_and_converges_fast(self, n, k):
+        cgf = likelihood._BartlettCgf(n, k)
+        cdf = likelihood._ScalarExact(cgf) if n == 1 else likelihood._Saddlepoint(cgf)
+        sd = math.sqrt(cgf.derivatives(0.0, 2)[2])
+        for p, z in zip(QUANTILE_PROBS, likelihood._NORMAL_QUANTILES):
+            seen = []
+
+            def counted(t):
+                seen.append(t)
+                return cdf(t)
+
+            t = likelihood._solve_quantile(counted, cgf.m, p, max(z / sd, -0.5 * cgf.m))
+            assert min(seen) > -cgf.m
+            assert len(seen) <= 40, (p, len(seen))
+            assert cdf(t)[0] == pytest.approx(p, abs=1e-9)
+
+
 class TestLr0Table:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "table.txt"
@@ -243,9 +338,13 @@ class TestLr0Table:
         assert lr0_load(3, 12, tmp_path / "missing.txt") is None
 
     def test_last_write_wins_with_warning(self, tmp_path):
+        # records as the former Monte Carlo reference wrote them, two seeds
         path = tmp_path / "table.txt"
-        first = lr0_reference(3, 12, trials=2000, seed=1)
-        second = lr0_reference(3, 12, trials=2000, seed=9)
+        first, second = (
+            LRReference(n=3, k=12, trials=2000, seed=seed, lr0=lr0,
+                        quantiles=[(p, lr0 * (0.5 + p)) for p in QUANTILE_PROBS])
+            for seed, lr0 in ((1, 0.31), (9, 0.32))
+        )
         lr0_store(first, path)
         lr0_store(second, path)
         with pytest.warns(UserWarning, match="differing seeds"):
@@ -292,11 +391,16 @@ class TestLr0Table:
     def test_lookup_computes_once_then_loads(self, tmp_path):
         path = tmp_path / "table.txt"
         with pytest.raises(InputError, match="autocompute is disabled"):
-            lr0_lookup(3, 8, path, trials=500, seed=4, autocompute=False)
-        lr0 = lr0_lookup(3, 8, path, trials=500, seed=4)
-        assert lr0 == lr0_reference(3, 8, trials=500, seed=4).lr0
-        assert lr0_lookup(3, 8, path, trials=500, seed=5, autocompute=False) == lr0
-        assert lr0_lookup(3, 8, None, trials=500, seed=4) == lr0
+            lr0_lookup(3, 8, path, autocompute=False)
+        lr0 = lr0_lookup(3, 8, path)
+        assert lr0 == lr0_reference(3, 8).lr0
+        assert lr0_load(3, 8, path) == lr0_reference(3, 8)
+        assert lr0_lookup(3, 8, path, autocompute=False) == lr0
+        assert lr0_lookup(3, 8, None) == lr0
+        # a stored record wins over the computed value
+        pinned = tmp_path / "pinned.txt"
+        lr0_store(LRReference(3, 8, 2000, 4, 0.25, [(p, 0.25) for p in QUANTILE_PROBS]), pinned)
+        assert lr0_lookup(3, 8, pinned, autocompute=False) == 0.25
 
 
 class TestLambertW:
