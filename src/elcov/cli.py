@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import math
 import sys
@@ -172,6 +173,7 @@ def _cmd_sinr(args) -> int:
 _DEPRECATED = "deprecated and ignored: the lr0 reference is exact"
 
 
+@functools.cache  # parse_args leaves the parser as it was, so one serves every call
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="elcov",

@@ -66,7 +66,7 @@ class SampleStats:
         d = self.s_eig.eigenvalues
         if len(d) != self.n:
             raise InputError("eigenvalue count does not match n")
-        if np.any(np.diff(d) > 0):
+        if (d[1:] > d[:-1]).any():
             raise InputError("sample eigenvalues must be sorted descending")
 
     @classmethod
@@ -186,9 +186,17 @@ class CnCase(enum.Enum):
 class CnCaseResult:
     """Solution of the condition-number inner problem.
 
-    ``u_star`` minimizes the separable objective on ``(0, 1]``; ``p`` and
-    ``q`` count eigenvalues pinned at the upper and above the lower cap,
-    ``nbar`` counts normalized eigenvalues at or above 1.
+    ``u_star`` minimizes the separable objective on ``(0, 1]``.  The counts
+    are over the normalized eigenvalues ``dbar = d / sigma2``:
+
+    * ``p`` counts ``dbar > 1/u*``, the entries above the upper cap.  This
+      can differ from the number the estimate pins at that cap: on ``[49, 3,
+      3, 3, 3, 3, 1, 1]`` at ``kmax = 1`` the caps coincide, every entry is
+      pinned, and ``p`` is 1.
+    * ``q`` counts ``dbar > 1/(u* kmax)``.  That threshold is the estimate's
+      lower cap only in the interior case; in the FML case, for one, the
+      lower cap is 1 but ``q`` counts ``dbar > dbar_1 / kmax``.
+    * ``nbar`` counts ``dbar >= 1``.
     """
 
     case_id: CnCase
@@ -494,10 +502,11 @@ def cncml_u_star(stats: SampleStats, kmax: float) -> CnCaseResult:
     Cases 3 and 4 are read off the row of the breakpoint table
     (:class:`_CnTable`) whose segment holds ``kmax``, the table that
     :func:`select_kmax` walks.  ``p``, ``q`` and ``nbar`` count the entries
-    with ``dbar u* > 1``, ``dbar u* kmax > 1`` and ``dbar >= 1``.  They are
-    counted here, not read off the table: ``1/(u* kmax)`` is the lower cap
-    only in case 4, and at ties the table's count clipped from the top can
-    differ from ``p``.
+    with ``dbar u* > 1``, ``dbar u* kmax > 1`` and ``dbar >= 1``, as
+    :class:`CnCaseResult` describes.  They are counted here, not read off
+    the table: ``q`` is measured against ``1/(u* kmax)``, which is the lower
+    cap only in case 4, and at ties the table's count clipped from the top
+    can differ from ``p``.
     """
     case, u, _, _ = _cn_solution(stats, kmax)
     dbar = stats.d / stats.sigma2

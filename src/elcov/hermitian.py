@@ -41,16 +41,21 @@ def as_hermitian(entries) -> np.ndarray:
         raise InputError(f"expected a square matrix, got shape {a.shape}")
     if a.shape[0] < 1:
         raise InputError("matrix dimension must be at least 1")
-    if not np.all(np.isfinite(a)):
-        raise InputError("matrix entries must be finite")
-    delta = a - a.conj().T
-    if np.max(np.abs(delta.real)) > HERMITIAN_TOL or np.max(np.abs(delta.imag)) > HERMITIAN_TOL:
+    a_h = a.conj().T
+    # a non-finite entry makes its component of delta inf or nan (inf - inf
+    # quietly), so one maximum over the components passes only finite,
+    # Hermitian input
+    with np.errstate(invalid="ignore"):
+        delta = np.subtract(a, a_h, order="C")
+    if not np.abs(delta.view(np.float64)).max() <= HERMITIAN_TOL:
+        if not np.all(np.isfinite(a)):
+            raise InputError("matrix entries must be finite")
         i, j = np.unravel_index(np.argmax(np.abs(delta)), delta.shape)
         raise InputError(
             f"matrix is not Hermitian: entry ({i}, {j}) differs from the "
             f"conjugate of ({j}, {i}) by {abs(delta[i, j]):.3e}"
         )
-    return 0.5 * (a + a.conj().T)
+    return 0.5 * (a + a_h)
 
 
 @dataclass
@@ -80,10 +85,13 @@ def _eigh_desc(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     w, v = np.linalg.eigh(h)
     # anchors are found before the columns are reversed, on contiguous data;
     # the reversal moves columns, so each column keeps its anchor row
-    anchor = np.argmax(np.abs(v), axis=-2)[..., np.newaxis, :]
-    pivots = np.take_along_axis(v, anchor, axis=-2)
+    n = v.shape[-1]
+    stack = v.reshape(-1, n, n)
+    anchor = np.abs(stack).argmax(axis=1)
+    pivots = stack[np.arange(len(stack))[:, np.newaxis], anchor, np.arange(n)]
+    phases = (np.abs(pivots) / pivots).reshape(v.shape[:-2] + (1, n))
     # eigh columns are unit norm, so the anchors cannot vanish
-    return w[..., ::-1].copy(), v[..., ::-1] * (np.abs(pivots) / pivots)[..., ::-1]
+    return w[..., ::-1].copy(), v[..., ::-1] * phases[..., ::-1]
 
 
 def eig_hermitian(h) -> EigenDecomposition:
@@ -154,7 +162,7 @@ def sample_covariance(z) -> np.ndarray:
     z = np.asarray(z, dtype=np.complex128)
     if z.ndim < 2 or z.shape[-1] < 1:
         raise InputError("training matrix must be at least 2-D with at least one column")
-    if not np.all(np.isfinite(z)):
+    if not np.isfinite(z).all():
         raise InputError("training entries must be finite")
     k = z.shape[-1]
     s = z @ z.conj().swapaxes(-1, -2) / k

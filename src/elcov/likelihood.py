@@ -529,8 +529,21 @@ def _branch_series(p: float) -> float:
     return -1.0 + p * (1.0 + p * (-1.0 / 3.0 + p * (11.0 / 72.0 + p * (-43.0 / 540.0))))
 
 
+_HALLEY_STEPS = 50
+
+
 def _halley(z: float, w: float, lower: bool) -> float:
-    for _ in range(50):
+    """Halley iteration on ``w exp(w) = z`` from ``w``, kept on one branch.
+
+    It stops once a step is within ``1e-16 (1 + |w|)``, after
+    ``_HALLEY_STEPS`` steps, or on a 2-cycle: where the stop rule lies below
+    one ulp, the iterates can alternate between two neighbours for good.  A
+    step depends on ``w`` alone, so such a cycle would repeat to the last
+    step, and the one of the two that the last step would return is
+    returned now.
+    """
+    back = math.nan
+    for i in range(_HALLEY_STEPS):
         ew = math.exp(w)
         f = w * ew - z
         wp1 = w + 1.0
@@ -546,7 +559,9 @@ def _halley(z: float, w: float, lower: bool) -> float:
             w_new = 0.5 * (w - 1.0)
         if abs(w_new - w) <= 1e-16 * (1.0 + abs(w_new)):
             return w_new
-        w = w_new
+        if w_new == back:  # iterate i + 1 repeats iterate i - 1
+            return w_new if (_HALLEY_STEPS - i) % 2 else w
+        back, w = w, w_new
     return w
 
 

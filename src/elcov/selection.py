@@ -9,6 +9,7 @@ match is a closed form or one bracketed root.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import sys
 from dataclasses import dataclass
@@ -129,13 +130,16 @@ def sigma_el_roots(sample_lambdas, r: int, lr0: float) -> NoiseRoots:
         raise InputError(f"rank {r} outside [0, {len(d) - 1}]; the trailing mean needs r < N")
     tail = d[r:]
     m = len(tail)
-    if (tail < 0).any():
+    low = tail.min()
+    if not low > 0 and (tail < 0).any():
         raise InputError("trailing eigenvalues must be non-negative")
     b = float(tail.sum())
     s_ml = b / m
     if not s_ml > 0:
         raise InputError("trailing eigenvalues sum to zero; noise power is unidentifiable")
-    with np.errstate(divide="ignore"):
+    # log warns on a zero ratio; division rounds monotonely, so tail / s_ml
+    # holds one iff low / s_ml is zero
+    with np.errstate(divide="ignore") if low / s_ml == 0 else contextlib.nullcontext():
         log_peak = float(np.log(tail / s_ml).sum() + m - b / s_ml)
     log_lr0 = math.log(lr0)
     if abs(log_lr0 - log_peak) <= 1e-10:
@@ -166,7 +170,7 @@ def _nmf_scorer(s_eig: EigenDecomposition, steering, training):
     def mean_nmf(lambdas):
         q = 1.0 / lambdas
         nmf = np.abs((q * ws_conj) @ w) ** 2 / ((q @ ws2)[..., None] * (q @ w2))
-        means = np.mean(nmf, axis=-1)
+        means = nmf.sum(axis=-1) / nmf.shape[-1]  # as np.mean rounds, with less overhead
         return float(means) if means.ndim == 0 else means
 
     return mean_nmf
@@ -243,13 +247,13 @@ def select_rank_sigma(
     peak = np.log(asc).cumsum()[::-1] - m * np.log(asc.cumsum()[::-1] / m)
     # sigma_el_roots' own test for roots; rank n - 1 has them, its peak being 0
     first = np.where(peak >= log_lr0 - 1e-10, np.arange(n), n - 1)
-    climbed = np.minimum.accumulate(first[::-1])[::-1]
+    climbed = np.minimum.accumulate(first[::-1])[::-1].tolist()
 
-    r = int(climbed[min(max(int(r_init), 0), n - 1)])
+    r = climbed[min(max(int(r_init), 0), n - 1)]
     for iterations in range(1, n + 1):
-        # the trailing mean, as sigma_ml computes it
-        r_hat = int(_rank_rows(d[np.newaxis], float(d[r:].mean()), lr0)[0][0])
-        r_new = int(climbed[min(r_hat, n - 1)])
+        # the trailing mean, rounded as sigma_ml's np.mean rounds it
+        r_hat = int(_rank_rows(d[np.newaxis], float(d[r:].sum()) / (n - r), lr0)[0][0])
+        r_new = climbed[min(r_hat, n - 1)]
         if r_new >= r:
             break
         r = r_new
@@ -259,12 +263,12 @@ def select_rank_sigma(
     if roots.count == 2 and r > 0:
         labels += ["EL1", "EL2"]
         sigmas += roots.roots
-    sig = np.array(sigmas)[:, None]
-    if not np.all((sig > 0) & (sig < np.inf)):  # the check SampleStats made on each candidate
+    if not all(0 < s < math.inf for s in sigmas):  # SampleStats' check on each candidate
         raise InputError("noise power sigma2 must be positive and finite")
     # the rcml eigenvalues at every candidate noise power
-    lambdas = np.repeat(sig, n, axis=1)
-    lambdas[:, :r] = np.maximum(d[:r], sig)
+    sig = np.array(sigmas)[:, np.newaxis]
+    lambdas = np.maximum(d, sig)
+    lambdas[:, r:] = sig
     best = int(np.argmin(_nmf_scorer(s_eig, steering, training)(lambdas)))
     return JointSelection(
         r_hat=r, sigma2_hat=sigmas[best], chosen_from=labels[best], iterations=iterations

@@ -13,13 +13,18 @@ from elcov import (
     CovarianceEstimate,
     EigenDecomposition,
     InputError,
+    JointSelection,
+    LambertBranch,
+    NoiseRoots,
     NoRootError,
     NumericalError,
     SampleStats,
     ScenarioConfig,
     log_lr_value,
 )
-from elcov.selection import KmaxSelection
+from elcov.hermitian import HERMITIAN_TOL
+from elcov.likelihood import _BRANCH_POINT, _branch_series
+from elcov.selection import KmaxSelection, _rank_rows
 
 
 def random_hermitian(rng, n, scale=1.0):
@@ -431,6 +436,208 @@ def scalar_kmax_oracle(stats: SampleStats, lr0: float) -> KmaxSelection:
         visited.insert(i, (kmax_hat, math.exp(log_lr_slope(kmax_hat)[0])))
     estimate = _cn_estimate(stats, kmax_hat, *path.solve(kmax_hat))
     return KmaxSelection(kmax_hat, estimate, visited, step)
+
+
+# The one-call joint selection path as it was before its overhead was cut,
+# kept verbatim as the oracle of ``hermitian.as_hermitian``,
+# ``hermitian._eigh_desc``, ``likelihood._halley``,
+# ``selection.sigma_el_roots``, ``selection._nmf_scorer`` and
+# ``selection.select_rank_sigma``: the lean code must match it bit for bit.
+
+
+def as_hermitian_oracle(entries) -> np.ndarray:
+    a = np.asarray(entries, dtype=np.complex128)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise InputError(f"expected a square matrix, got shape {a.shape}")
+    if a.shape[0] < 1:
+        raise InputError("matrix dimension must be at least 1")
+    if not np.all(np.isfinite(a)):
+        raise InputError("matrix entries must be finite")
+    delta = a - a.conj().T
+    if np.max(np.abs(delta.real)) > HERMITIAN_TOL or np.max(np.abs(delta.imag)) > HERMITIAN_TOL:
+        i, j = np.unravel_index(np.argmax(np.abs(delta)), delta.shape)
+        raise InputError(
+            f"matrix is not Hermitian: entry ({i}, {j}) differs from the "
+            f"conjugate of ({j}, {i}) by {abs(delta[i, j]):.3e}"
+        )
+    return 0.5 * (a + a.conj().T)
+
+
+def eigh_desc_oracle(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    w, v = np.linalg.eigh(h)
+    # anchors are found before the columns are reversed, on contiguous data;
+    # the reversal moves columns, so each column keeps its anchor row
+    anchor = np.argmax(np.abs(v), axis=-2)[..., np.newaxis, :]
+    pivots = np.take_along_axis(v, anchor, axis=-2)
+    # eigh columns are unit norm, so the anchors cannot vanish
+    return w[..., ::-1].copy(), v[..., ::-1] * (np.abs(pivots) / pivots)[..., ::-1]
+
+
+def halley_oracle(z: float, w: float, lower: bool) -> float:
+    """The Halley loop that runs all 50 steps when its iterates 2-cycle."""
+    for _ in range(50):
+        ew = math.exp(w)
+        f = w * ew - z
+        wp1 = w + 1.0
+        denom = ew * wp1 - (w + 2.0) * f / (2.0 * wp1)
+        if denom == 0.0:
+            break
+        step = f / denom
+        w_new = w - step
+        # keep iterates inside the branch half-plane
+        if lower and w_new > -1.0:
+            w_new = 0.5 * (w - 1.0)
+        elif not lower and w_new < -1.0:
+            w_new = 0.5 * (w - 1.0)
+        if abs(w_new - w) <= 1e-16 * (1.0 + abs(w_new)):
+            return w_new
+        w = w_new
+    return w
+
+
+def lambert_w_oracle(branch: LambertBranch, z: float) -> float:
+    """``likelihood.lambert_w`` on :func:`halley_oracle`."""
+    z = float(z)
+    if not math.isfinite(z):
+        raise InputError("lambert_w argument must be finite")
+    if z < _BRANCH_POINT:
+        raise InputError(f"z={z!r} is below the branch point -1/e")
+    if z == _BRANCH_POINT:
+        return -1.0
+    p2 = 2.0 * (math.e * z + 1.0)
+    p = math.sqrt(max(p2, 0.0))
+
+    if branch is LambertBranch.PRINCIPAL:
+        if z == 0.0:
+            return 0.0
+        if p < 1e-3:
+            return _branch_series(p)
+        w0 = _branch_series(p) if z < -0.32 else math.log1p(z)
+        return halley_oracle(z, w0, lower=False)
+
+    if branch is LambertBranch.LOWER:
+        if z >= 0.0:
+            raise InputError("lower branch requires -1/e <= z < 0")
+        if p < 1e-3:
+            return _branch_series(-p)
+        if z < -0.25:
+            w0 = _branch_series(-p)
+        else:
+            log_neg = math.log(-z)
+            w0 = log_neg - math.log(-log_neg)
+        return halley_oracle(z, w0, lower=True)
+
+    raise InputError(f"unknown Lambert branch {branch!r}")
+
+
+def sigma_el_roots_oracle(sample_lambdas, r: int, lr0: float) -> NoiseRoots:
+    if not 0 < lr0 <= 1:
+        raise InputError("lr0 must lie in (0, 1]")
+    d = np.asarray(sample_lambdas, dtype=float)
+    if not 0 <= r < len(d):
+        raise InputError(f"rank {r} outside [0, {len(d) - 1}]; the trailing mean needs r < N")
+    tail = d[r:]
+    m = len(tail)
+    if (tail < 0).any():
+        raise InputError("trailing eigenvalues must be non-negative")
+    b = float(tail.sum())
+    s_ml = b / m
+    if not s_ml > 0:
+        raise InputError("trailing eigenvalues sum to zero; noise power is unidentifiable")
+    with np.errstate(divide="ignore"):
+        log_peak = float(np.log(tail / s_ml).sum() + m - b / s_ml)
+    log_lr0 = math.log(lr0)
+    if abs(log_lr0 - log_peak) <= 1e-10:
+        return NoiseRoots(count=1, roots=(s_ml,), sigma_ml=s_ml)
+    if log_lr0 > log_peak:
+        return NoiseRoots(count=0, roots=(), sigma_ml=s_ml)
+
+    a = float(-m)
+    c = log_lr0 - float(np.log(tail).sum()) + a
+    z = (b / a) * math.exp(-c / a)
+    # rounding can push z a hair below the branch point when lr0 ~ peak
+    z = max(z, _BRANCH_POINT)
+    hi = math.exp(lambert_w_oracle(LambertBranch.PRINCIPAL, z) + c / a)
+    lo = math.exp(lambert_w_oracle(LambertBranch.LOWER, z) + c / a)
+    roots = (min(lo, hi), max(lo, hi))
+    return NoiseRoots(count=2, roots=roots, sigma_ml=s_ml)
+
+
+def nmf_scorer_oracle(s_eig: EigenDecomposition, steering, training):
+    v_h = s_eig.eigenvectors.conj().T
+    ws, w = v_h @ steering, v_h @ training
+    ws_conj, ws2, w2 = ws.conj(), np.abs(ws) ** 2, np.abs(w) ** 2
+
+    def mean_nmf(lambdas):
+        q = 1.0 / lambdas
+        nmf = np.abs((q * ws_conj) @ w) ** 2 / ((q @ ws2)[..., None] * (q @ w2))
+        means = np.mean(nmf, axis=-1)
+        return float(means) if means.ndim == 0 else means
+
+    return mean_nmf
+
+
+def select_rank_sigma_oracle(
+    s_eig: EigenDecomposition,
+    k: int,
+    r_init: int,
+    lr0: float,
+    training: np.ndarray,
+    steering: np.ndarray,
+) -> JointSelection:
+    n = s_eig.n
+    d = s_eig.eigenvalues
+    if n < 2:
+        raise InputError("joint rank and noise selection needs dimension >= 2")
+    if k < 1:
+        raise InputError("sample count k must be at least 1")
+    if not 0 < lr0 <= 1:
+        raise InputError("lr0 must lie in (0, 1]")
+    if (d[1:] > d[:-1]).any():
+        raise InputError("sample eigenvalues must be sorted descending")
+    training = np.asarray(training, dtype=np.complex128)
+    if training.ndim != 2 or training.shape[0] != n or training.shape[1] < 1:
+        raise InputError("training must be an n-by-k matrix with at least one column")
+    if not (training.any(axis=0).all() and np.isfinite(training).all()):
+        raise InputError("training columns must be nonzero and finite")
+    steering = np.asarray(steering, dtype=np.complex128)
+    if steering.shape != (n,) or not abs(np.linalg.norm(steering) - 1.0) <= 1e-6:
+        raise InputError("steering must be a unit-norm length-n vector")
+    if not d[-1] > 0:
+        raise InputError("sample eigenvalues must be positive; noise power is unidentifiable")
+
+    log_lr0 = math.log(lr0)
+    # over the m = n - r smallest entries, for r = 0..n-1
+    asc, m = d[::-1], np.arange(n, 0, -1)
+    peak = np.log(asc).cumsum()[::-1] - m * np.log(asc.cumsum()[::-1] / m)
+    # sigma_el_roots' own test for roots; rank n - 1 has them, its peak being 0
+    first = np.where(peak >= log_lr0 - 1e-10, np.arange(n), n - 1)
+    climbed = np.minimum.accumulate(first[::-1])[::-1]
+
+    r = int(climbed[min(max(int(r_init), 0), n - 1)])
+    for iterations in range(1, n + 1):
+        # the trailing mean, as sigma_ml computes it
+        r_hat = int(_rank_rows(d[np.newaxis], float(d[r:].mean()), lr0)[0][0])
+        r_new = int(climbed[min(r_hat, n - 1)])
+        if r_new >= r:
+            break
+        r = r_new
+
+    roots = sigma_el_roots_oracle(d, r, lr0)
+    labels, sigmas = ["ML"], [roots.sigma_ml]
+    if roots.count == 2 and r > 0:
+        labels += ["EL1", "EL2"]
+        sigmas += roots.roots
+    sig = np.array(sigmas)[:, None]
+    if not np.all((sig > 0) & (sig < np.inf)):  # the check SampleStats made on each candidate
+        raise InputError("noise power sigma2 must be positive and finite")
+    # the rcml eigenvalues at every candidate noise power
+    lambdas = np.repeat(sig, n, axis=1)
+    lambdas[:, :r] = np.maximum(d[:r], sig)
+    best = int(np.argmin(nmf_scorer_oracle(s_eig, steering, training)(lambdas)))
+    return JointSelection(
+        r_hat=r, sigma2_hat=sigmas[best], chosen_from=labels[best], iterations=iterations
+    )
 
 
 def bartlett_log_lr(gen, n, k, trials):

@@ -22,6 +22,25 @@ from elcov import (
 )
 
 
+class TestSampleStats:
+    def test_rejects_exactly_the_spectra_with_a_rise(self, rng):
+        # the order check rejects what the former np.any(np.diff(d) > 0) did,
+        # non-finite and tied entries included
+        pool = [3.0, 1.0, 1.0, 0.0, -0.0, -2.0, np.inf, -np.inf, np.nan, 5e-324, 1e308]
+        for _ in range(2000):
+            d = rng.choice(pool, int(rng.integers(1, 6)))
+            if rng.integers(2):
+                d = np.sort(d)[::-1]
+            with np.errstate(invalid="ignore"):  # inf - inf
+                rises = bool(np.any(np.diff(d) > 0))
+            try:
+                stats_from_spectrum(d)
+            except InputError as exc:
+                assert rises and str(exc) == "sample eigenvalues must be sorted descending"
+            else:
+                assert not rises
+
+
 class TestSmi:
     def test_identity_map(self):
         stats = stats_from_spectrum([3.0, 1.0, 0.2])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_hermitian, random_psd
+from conftest import as_hermitian_oracle, eigh_desc_oracle, random_hermitian, random_psd
 from elcov import (
     InputError,
     NotPositiveSemidefiniteError,
@@ -33,6 +33,68 @@ class TestAsHermitian:
         bad[0, 0] = np.nan
         with pytest.raises(InputError, match="finite"):
             as_hermitian(bad)
+
+
+class TestMatchesFormerCode:
+    """``as_hermitian`` and ``_eigh_desc`` return, byte for byte, what the
+    former code returns (``tests/conftest.py`` keeps it), and raise the same
+    errors with the same messages."""
+
+    @staticmethod
+    def _outcome(fn, *args):
+        try:
+            return fn(*args)
+        except InputError as exc:
+            return str(exc)
+
+    def _inputs(self, rng):
+        for n in (1, 2, 3, 8, 20, 33):
+            h = random_hermitian(rng, n, scale=float(rng.uniform(0.1, 100.0)))
+            yield h
+            yield random_psd(rng, n)
+            yield np.asfortranarray(h)
+            yield h.real
+            yield h.tolist()
+            for scale in (1e-13, 1e-12, 1.1e-12, 1e-6):
+                for part in (1.0, 1j):
+                    bumped = h.copy()
+                    bumped[0, n - 1] += scale * part
+                    yield bumped
+            yield np.pad(h, ((0, 0), (0, 1)))[:, :n]  # strided rows
+            for bad in (np.nan, np.inf, -np.inf, complex(1.0, np.inf), complex(np.nan, 0.0)):
+                for i, j in ((0, 0), (0, n - 1)):
+                    broken = h.copy()
+                    broken[i, j] = bad
+                    yield broken
+                    broken = broken.copy()
+                    broken[j, i] = bad  # the same entry on both sides
+                    yield broken
+        yield np.ones((2, 3), dtype=complex)
+        yield np.ones(3, dtype=complex)
+        yield np.ones((2, 2, 2), dtype=complex)
+        yield np.zeros((0, 0), dtype=complex)
+        yield np.array([[1.0, 2.0], [3.0, 1.0]], dtype=complex)
+
+    def test_as_hermitian(self, rng):
+        for entries in self._inputs(rng):
+            mine = self._outcome(as_hermitian, entries)
+            former = self._outcome(as_hermitian_oracle, entries)
+            if isinstance(former, str):
+                assert mine == former
+            else:
+                assert mine.tobytes() == former.tobytes()
+                assert mine.strides == former.strides
+
+    def test_eigh_desc(self, rng):
+        for shape in ((1,), (2,), (3,), (8,), (20,), (2, 20), (5, 3), (2, 3, 4), (0, 4)):
+            *stack, n = shape
+            mats = np.array([random_hermitian(rng, n) for _ in range(int(np.prod(stack, dtype=int)))])
+            h = mats.reshape(*stack, n, n)
+            w, v = _eigh_desc(h)
+            w_former, v_former = eigh_desc_oracle(h)
+            assert w.shape == w_former.shape and v.shape == v_former.shape
+            assert w.tobytes() == w_former.tobytes()
+            assert v.tobytes() == v_former.tobytes()
 
 
 class TestEig:

@@ -7,7 +7,13 @@ from hypothesis import strategies as st
 from scipy.special import digamma, gammaln, polygamma
 from scipy.special import lambertw as scipy_lambertw
 
-from conftest import bartlett_log_lr, diag_log_lr, random_psd, stats_from_spectrum
+from conftest import (
+    bartlett_log_lr,
+    diag_log_lr,
+    lambert_w_oracle,
+    random_psd,
+    stats_from_spectrum,
+)
 from elcov import (
     FormatError,
     InputError,
@@ -438,6 +444,44 @@ class TestLambertW:
             mine = lambert_w(LambertBranch.LOWER, float(z))
             ref = float(scipy_lambertw(complex(z), -1).real)
             assert mine == pytest.approx(ref, rel=1e-8, abs=1e-8)
+
+    @staticmethod
+    def _dense_grid(branch):
+        """20 001 points of ``(-1/e, 0)`` and, on the principal branch, as many
+        of ``(0, 1e300]``, log-spaced."""
+        zs = -np.exp(np.linspace(math.log(1e-300), -1.0, 20_001))
+        if branch is LambertBranch.PRINCIPAL:
+            zs = np.concatenate([zs, np.exp(np.linspace(math.log(1e-300), math.log(1e300), 20_001))])
+        return zs.tolist()
+
+    @pytest.mark.parametrize("branch", list(LambertBranch))
+    def test_matches_former_fifty_step_loop(self, branch):
+        # the loop now stops on a 2-cycle and returns the iterate the former
+        # loop returned after all 50 steps (tests/conftest.py keeps it)
+        for z in self._dense_grid(branch):
+            assert repr(lambert_w(branch, z)) == repr(lambert_w_oracle(branch, z))
+
+    @pytest.mark.parametrize("branch", list(LambertBranch))
+    def test_at_most_eight_halley_steps(self, branch, monkeypatch):
+        class CountingMath:
+            """``math`` whose ``exp``, called once per Halley step, counts."""
+
+            calls = 0
+
+            def __getattr__(self, name):
+                return getattr(math, name)
+
+            def exp(self, x):
+                CountingMath.calls += 1
+                return math.exp(x)
+
+        monkeypatch.setattr(likelihood, "math", CountingMath())
+        most = 0
+        for z in self._dense_grid(branch):
+            CountingMath.calls = 0
+            lambert_w(branch, z)
+            most = max(most, CountingMath.calls)
+        assert 1 <= most <= 8
 
     def test_domain_errors(self):
         with pytest.raises(InputError):

@@ -5,8 +5,10 @@ import pytest
 
 from conftest import (
     _CnPath,
+    as_hermitian_oracle,
     bisect_u_oracle,
     cn_lambda_map,
+    eigh_desc_oracle,
     random_hermitian,
     reference_scenario,
     scalar_cn_solution_oracle,
@@ -14,6 +16,8 @@ from conftest import (
     scalar_kmax_oracle,
     scalar_loading_oracle,
     scalar_rank_oracle,
+    select_rank_sigma_oracle,
+    sigma_el_roots_oracle,
     six_jammer_scenario,
     stats_from_spectrum,
 )
@@ -548,6 +552,129 @@ class TestSelectRankSigma:
         z[:, 5] = 0.0
         with pytest.raises(InputError, match="nonzero"):
             select_rank_sigma(eig, 32, 1, 0.5, z, steering_vector(8, 0.0))
+
+
+class TestMatchesFormerJointPath:
+    """The one-call joint path (``eig_hermitian``, ``select_rank_sigma`` with
+    ``sigma_el_roots``, ``rcml``) returns, repr for repr and byte for byte,
+    what the former code returns (``tests/conftest.py`` keeps it), and raises
+    the same errors with the same messages."""
+
+    @staticmethod
+    def _same(fn, oracle, *args):
+        mine = _outcome(fn, *args)
+        assert repr(mine) == repr(_outcome(oracle, *args))
+        return mine
+
+    def _joint(self, rng, d, k=None):
+        """Arguments of ``select_rank_sigma`` for the spectrum ``d`` on a random
+        basis: training drawn on it, a steering vector and random r_init, lr0."""
+        n = len(d)
+        basis = eig_hermitian(random_hermitian(rng, n)).eigenvectors
+        eig = EigenDecomposition(eigenvalues=d, eigenvectors=basis)
+        k = k or int(rng.integers(1, 3 * n + 1))
+        z = sample_training(basis * np.sqrt(np.maximum(d, 0.0)), k, rng)
+        lr0 = math.exp(-float(10 ** rng.uniform(-3.0, 2.5)))
+        steering = steering_vector(n, float(rng.uniform(-90.0, 90.0)))
+        return [eig, k, int(rng.integers(-2, n + 3)), lr0, z, steering]
+
+    def test_random_spectra(self, rng):
+        for i in range(150):
+            n = 2 + i % 127 if i < 127 else int(rng.integers(2, 129))
+            d = np.sort(np.exp(rng.uniform(np.log(0.05), np.log(1e3), n)))[::-1]
+            args = self._joint(rng, d)
+            for lr0 in (args[3], 1.0, 1e-300):
+                args[3] = lr0
+                joint = self._same(select_rank_sigma, select_rank_sigma_oracle, *args)
+                assert isinstance(joint, JointSelection)
+
+    def test_tie_heavy_spectra(self, rng):
+        for i in range(150):
+            n = int(rng.integers(2, 65))
+            levels = np.exp(rng.uniform(np.log(0.05), np.log(1e3), int(rng.integers(1, 4))))
+            d = np.sort(rng.choice(levels, n))[::-1]
+            self._same(select_rank_sigma, select_rank_sigma_oracle, *self._joint(rng, d))
+            for r in range(n):
+                lr0 = math.exp(log_tail_lr(d, r, sigma_ml(d, r)))  # a peak, up to rounding
+                self._same(sigma_el_roots, sigma_el_roots_oracle, d, r, lr0)
+
+    @pytest.mark.parametrize("k", [20, 30, 40])
+    def test_reference_draws(self, k):
+        r_true = jammer_covariance(reference_scenario())
+        lr0 = lr0_reference(20, k).lr0
+        steering = steering_vector(20, 0.0)
+        for i in range(100):
+            z = generate_training(r_true, k, None, derive_rng(2024, "joint-bits", k, i)).z
+            s = sample_covariance(z)
+            eig = eig_hermitian(s)
+            w, v = eigh_desc_oracle(as_hermitian_oracle(s))
+            assert eig.eigenvalues.tobytes() == w.tobytes()
+            assert eig.eigenvectors.tobytes() == v.tobytes()
+            joint = self._same(select_rank_sigma, select_rank_sigma_oracle,
+                               eig, k, 3, lr0, z, steering)
+            est = rcml(SampleStats(n=20, k=k, s_eig=eig, sigma2=joint.sigma2_hat), joint.r_hat)
+            expected = np.where(np.arange(20) < joint.r_hat,
+                                np.maximum(w, joint.sigma2_hat), joint.sigma2_hat)
+            assert est.lambdas.tobytes() == expected.tobytes()
+
+    def test_rejected_inputs(self, rng):
+        d = np.sort(np.exp(rng.uniform(np.log(0.05), np.log(1e3), 8)))[::-1]
+        eig, k, _, lr0, z, steering = self._joint(rng, d, k=16)
+        good = (eig, k, 1, lr0, z, steering)
+
+        def spectrum(values):
+            return EigenDecomposition(eigenvalues=np.array(values), eigenvectors=eig.eigenvectors)
+
+        cases = []
+        for bad in (np.nan, np.inf, -np.inf, complex(0.0, -np.inf), complex(np.nan, 1.0)):
+            z_bad = z.copy()
+            z_bad[3, 7] = bad
+            cases.append((eig, k, 1, lr0, z_bad, steering))
+        z_zero = z.copy()
+        z_zero[:, 5] = 0.0
+        cases.append((eig, k, 1, lr0, z_zero, steering))
+        for wrong in (z.T, z[:, :0], z[0], z[:4]):
+            cases.append((eig, k, 1, lr0, wrong, steering))
+        unsorted = d.copy()
+        unsorted[[2, 5]] = unsorted[[5, 2]]
+        cases.append((spectrum(unsorted), k, 1, lr0, z, steering))
+        for last in (0.0, -0.0, -1e-15, -1.0, np.nan):
+            cases.append((spectrum(np.append(d[:-1], last)), k, 1, lr0, z, steering))
+        for s_bad in (np.ones(8), 2.0 * steering, np.append(steering[:-1], np.nan),
+                      steering[:4], np.full(8, np.inf)):
+            cases.append((eig, k, 1, lr0, z, s_bad))
+        for lr0_bad in (0.0, -0.5, 1.5, np.nan):
+            cases.append((eig, k, 1, lr0_bad, z, steering))
+        cases.append((eig, 0, 1, lr0, z, steering))
+        cases.append((spectrum([2.0]), k, 0, lr0, z[:1], steering[:1]))
+        assert isinstance(_outcome(select_rank_sigma, *good), JointSelection)
+        for args in cases:
+            raised = self._same(select_rank_sigma, select_rank_sigma_oracle, *args)
+            assert raised[0] == "InputError"
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_noise_roots_on_edge_spectra(self, rng):
+        for i in range(300):
+            n = int(rng.integers(1, 33))
+            d = np.sort(np.exp(rng.uniform(np.log(0.05), np.log(1e3), n)))[::-1]
+            kind = i % 6
+            if kind == 1:
+                d[-int(rng.integers(1, n + 1)):] = 0.0
+            elif kind == 2:
+                d[-1] = -float(rng.choice([1e-15, 1.0]))
+            elif kind == 3:
+                d[int(rng.integers(n))] = np.nan
+            elif kind == 4:
+                d[int(rng.integers(n))] = np.inf
+            elif kind == 5:
+                d = rng.permutation(d)
+            for r in (int(rng.integers(n)), -1, n):
+                for lr0 in (math.exp(-float(10 ** rng.uniform(-3.0, 2.5))), 1.0, 0.0, 2.0):
+                    self._same(sigma_el_roots, sigma_el_roots_oracle, d, r, lr0)
+        # a ratio to the trailing mean that underflows to zero, or an overflowing sum
+        for d in ([1e300, 1e-30], [1e308, 1e308, 1.0], [5.0, 1.0, -0.0], [-0.0, -0.0]):
+            for lr0 in (1e-300, 0.5, 1.0):
+                self._same(sigma_el_roots, sigma_el_roots_oracle, d, 0, lr0)
 
 
 class TestSelectKmax:
