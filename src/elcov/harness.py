@@ -6,15 +6,15 @@ For each sample count the trials run in blocks of at most
 scenario's true covariance with the trial's own seeded stream, then makes
 one stacked pass for the whole block: the sample covariances, their
 descending ``eigh`` with pinned phases, and the projections onto each
-eigenbasis that SINR scoring needs.  The estimators, their constraint
-selectors included, then run as one stacked pass over the ``(B, N)``
-spectra of several blocks (:func:`_passes`); only ``RCML_EL_SIGMA``, which
-reads each trial's training, runs per trial.  Each trial scores all its
+eigenbasis that SINR scoring needs.  Every estimator, its constraint
+selector included, then runs as one map over a pass of several blocks
+(:func:`_passes`), which reads their ``(B, N)`` spectra and, for
+``RCML_EL_SIGMA``, their bases and training.  Each trial scores all its
 estimates in one call, by normalized SINR averaged over a steering grid in
-the trial's sample eigenbasis.  Every stacked result equals its per-trial
-form bit for bit, so neither blocks nor passes change any output, and
-identical configuration and master seed reproduce the output CSVs byte
-for byte.
+the trial's sample eigenbasis.  Every row of a pass equals the estimate
+built on its trial alone, bit for bit, so neither blocks nor passes change
+any output, and identical configuration and master seed reproduce the
+output CSVs byte for byte.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import configparser
 import csv
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -40,16 +40,9 @@ from .estimators import (
     _one_row,
     _rcml_rows,
     _smi_rows,
-    rcml,
 )
 from .exceptions import ElcovError, InputError, SingularMatrixError
-from .hermitian import (
-    EigenDecomposition,
-    _eigh_desc,
-    derive_rng,
-    sample_covariance,
-    sqrt_factor,
-)
+from .hermitian import EigenDecomposition, _eigh_desc, derive_rng, sample_covariance, sqrt_factor
 from .likelihood import lr0_lookup
 from .metrics import apply_inverse
 from .scenario import (
@@ -84,44 +77,63 @@ _BLOCK_ELEMENTS = 2**13
 _PASS_ELEMENTS = 2**15
 
 
+class _Pass(NamedTuple):
+    """What an estimator pass reads, one row per trial: the ``(B, N)``
+    spectra ``d``, their ``(B, N, N)`` bases ``v`` and ``(B, N, K)``
+    training ``z``, and the sweep's settings for the selectors."""
+
+    d: np.ndarray
+    v: np.ndarray
+    z: np.ndarray | None
+    k: int
+    sigma2: float
+    lr0: float | None
+    r_init: int | None
+    nmf_steering: np.ndarray | None
+
+
 class _Estimator(NamedTuple):
     takes_param: bool
     needs_lr0: bool
-    # (d, sigma2, param, lr0) -> (lambdas, constraints), for a (B, N) stack of
-    # spectra; None for RCML_EL_SIGMA, which needs each trial's training and is
-    # built one spectrum at a time by ``build``
-    rows: Callable[..., tuple[np.ndarray, list[ConstraintRecord]]] | None
-    build: Callable[..., CovarianceEstimate] | None = None  # (stats, param, lr0, joint)
+    # (pass, param) -> (lambdas, constraints), one row of each per trial
+    rows: Callable[[_Pass, float | None], tuple[np.ndarray, list[ConstraintRecord]]]
 
 
-def _rcml_el_sigma(stats, param, lr0, joint):
-    r_init, training, nmf_steering = joint
-    sel = select_rank_sigma(stats.s_eig, stats.k, r_init, lr0, training, nmf_steering)
-    return rcml(replace(stats, sigma2=sel.sigma2_hat), sel.r_hat)
+def _cncml_el_rows(p: _Pass):
+    sel = _kmax_rows(p.d, p.sigma2, p.lr0)
+    return sel.lambdas, [ConstraintRecord(sigma2=p.sigma2, kmax=k) for k in sel.kmax_hat.tolist()]
 
 
-def _cncml_el_rows(d, sigma2, lr0):
-    sel = _kmax_rows(d, sigma2, lr0)
-    return sel.lambdas, [ConstraintRecord(sigma2=sigma2, kmax=k) for k in sel.kmax_hat.tolist()]
+def _joint_rows(p: _Pass):
+    """RCML at each row's jointly selected rank and noise power, the joint
+    selector running row by row as its one-call public form."""
+    lambdas, constraints = np.empty_like(p.d), []
+    for i, (d, v, z) in enumerate(zip(p.d, p.v, p.z)):
+        sel = select_rank_sigma(EigenDecomposition(d, v), p.k, p.r_init, p.lr0, z, p.nmf_steering)
+        lam, con = _rcml_rows(d[np.newaxis], sel.sigma2_hat, [sel.r_hat])
+        lambdas[i] = lam[0]
+        constraints += con
+    return lambdas, constraints
 
 
 # the one estimator dispatch; the CLI's estimate command uses it too
 _ESTIMATORS = {
-    "SMI": _Estimator(False, False, lambda d, s2, p, lr0: _smi_rows(d)),
-    "FML": _Estimator(False, False, lambda d, s2, p, lr0: _fml_rows(d, s2)),
+    "SMI": _Estimator(False, False, lambda p, _: _smi_rows(p.d)),
+    "FML": _Estimator(False, False, lambda p, _: _fml_rows(p.d, p.sigma2)),
     "RCML_FIXED": _Estimator(
-        True, False, lambda d, s2, p, lr0: _rcml_rows(d, s2, [int(p)] * len(d))
+        True, False, lambda p, rank: _rcml_rows(p.d, p.sigma2, [int(rank)] * len(p.d))
     ),
     "RCML_EL": _Estimator(
-        False, True, lambda d, s2, p, lr0: _rcml_rows(d, s2, _rank_rows(d, s2, lr0)[0].tolist())
+        False, True,
+        lambda p, _: _rcml_rows(p.d, p.sigma2, _rank_rows(p.d, p.sigma2, p.lr0)[0].tolist()),
     ),
-    "RCML_EL_SIGMA": _Estimator(False, True, None, _rcml_el_sigma),
-    "CNCML_ML": _Estimator(False, False, lambda d, s2, p, lr0: _cncml_ml_rows(d, s2)),
-    "CNCML_FIXED": _Estimator(True, False, lambda d, s2, p, lr0: _cncml_rows(d, s2, float(p))),
-    "CNCML_EL": _Estimator(False, True, lambda d, s2, p, lr0: _cncml_el_rows(d, s2, lr0)),
-    "LSMI_EL": _Estimator(
-        False, True, lambda d, s2, p, lr0: _lsmi_rows(d, _loading_rows(d, lr0)[0])
+    "RCML_EL_SIGMA": _Estimator(False, True, lambda p, _: _joint_rows(p)),
+    "CNCML_ML": _Estimator(False, False, lambda p, _: _cncml_ml_rows(p.d, p.sigma2)),
+    "CNCML_FIXED": _Estimator(
+        True, False, lambda p, kmax: _cncml_rows(p.d, p.sigma2, float(kmax))
     ),
+    "CNCML_EL": _Estimator(False, True, lambda p, _: _cncml_el_rows(p)),
+    "LSMI_EL": _Estimator(False, True, lambda p, _: _lsmi_rows(p.d, _loading_rows(p.d, p.lr0)[0])),
 }
 
 
@@ -202,10 +214,11 @@ class ExperimentConfig:
 class TrialRecord:
     """Result of one (k, trial, estimator) cell.
 
-    ``wall_time`` is the time to build the estimate plus an equal share of
-    its trial's one scoring call.  An estimator built in one stacked pass
-    over ``B`` trials is charged that pass's time over ``B``.  The blocks'
-    shared draw, ``eigh`` and eigenbasis projections are not in it.  It is
+    ``wall_time`` is the estimator's share of its pass, that pass's time
+    over its ``B`` trials (or, where the pass raised, the time of the rerun
+    on this trial's row), plus an equal share of the trial's one scoring
+    call.  The blocks' shared draw, ``eigh`` and eigenbasis projections are
+    not in it.  It is
     informational only and kept out of the CSV files so reruns stay
     byte-identical.
     """
@@ -243,13 +256,21 @@ def default_steering_grid(scenario: ScenarioConfig) -> tuple[float, ...]:
 def build_estimate(
     spec: EstimatorSpec, stats: SampleStats, lr0=None, joint=None
 ) -> CovarianceEstimate:
-    """Estimate named by ``spec``; ``lr0`` feeds the selectors and ``joint``,
-    ``(r_init, training, nmf_steering)``, feeds ``RCML_EL_SIGMA`` only.
-    A stacked estimator is built as a stack of one spectrum."""
-    estimator = _ESTIMATORS[spec.name]
-    if estimator.rows is None:
-        return estimator.build(stats, spec.param, lr0, joint)
-    return _one_row(stats, *estimator.rows(stats.d[np.newaxis], stats.sigma2, spec.param, lr0))
+    """Estimate named by ``spec``, built as a pass of one trial; ``lr0``
+    feeds the selectors and ``joint``, ``(r_init, training, nmf_steering)``,
+    feeds ``RCML_EL_SIGMA`` only."""
+    r_init, z, nmf_steering = joint if joint is not None else (None, None, None)
+    one = _Pass(stats.d[np.newaxis], stats.s_eig.eigenvectors[np.newaxis],
+                None if z is None else np.asarray(z)[np.newaxis],
+                stats.k, stats.sigma2, lr0, r_init, nmf_steering)
+    return _one_row(stats, *_ESTIMATORS[spec.name].rows(one, spec.param))
+
+
+def _timed(spec: EstimatorSpec, p: _Pass):
+    """``spec``'s map over the pass ``p``, and its time per row."""
+    start = time.perf_counter()
+    lambdas, constraints = _ESTIMATORS[spec.name].rows(p, spec.param)
+    return lambdas, constraints, (time.perf_counter() - start) / len(p.d)
 
 
 def _block_size(n: int, k: int) -> int:
@@ -321,68 +342,41 @@ def run_experiment(cfg: ExperimentConfig) -> list[TrialRecord]:
     nmf_steering = steering_vector(n, cfg.nmf_angle)
 
     records: list[TrialRecord] = []
-    sigma2 = scenario.noise_power
-    # the per-trial build needs each trial's eigenbasis and training
-    per_trial = any(_ESTIMATORS[spec.name].rows is None for spec in cfg.estimators)
     for k in cfg.k_list:
-        lr0 = lr0_by_k[k]
         block = _block_size(n, k)
         for firsts in _passes(n, k, cfg.trials):
             trials = range(firsts[0], min(firsts[-1] + block, cfg.trials))
-            d = np.empty((len(trials), n))
-            w0 = np.empty((len(trials), n, steer.shape[1]), dtype=complex)
-            g = np.empty((len(trials), n, n), dtype=complex)
-            bases, training = [], []
+            b = len(trials)
+            p = _Pass(np.empty((b, n)), np.empty((b, n, n), dtype=complex),
+                      np.empty((b, n, k), dtype=complex), k, scenario.noise_power, lr0_by_k[k],
+                      r_init, nmf_steering)
+            w0 = np.empty((b, n, steer.shape[1]), dtype=complex)
+            g = np.empty((b, n, n), dtype=complex)
             for first in firsts:
                 part = slice(first - trials.start, min(first + block, trials.stop) - trials.start)
-                draws = [
-                    draw_training(
-                        factor, k, cfg.corruption, derive_rng(cfg.master_seed, "trial", k, t)
-                    )
-                    for t in trials[part]
-                ]
-                d[part], v = _eigh_desc(sample_covariance(np.stack([draw.z for draw in draws])))
-                w0[part], g[part] = _eigenbasis_projections(v, r_true, steer)
-                if per_trial:
-                    bases.extend(v)
-                    training.extend(draw.z for draw in draws)
+                for i in range(part.start, part.stop):
+                    rng = derive_rng(cfg.master_seed, "trial", k, trials[i])
+                    p.z[i] = draw_training(factor, k, cfg.corruption, rng).z
+                p.d[part], p.v[part] = _eigh_desc(sample_covariance(p.z[part]))
+                w0[part], g[part] = _eigenbasis_projections(p.v[part], r_true, steer)
             # per estimator: (lambdas, constraints, seconds per trial) of its
-            # stacked pass, or None to build it trial by trial
+            # pass, or None where the pass raised
             stacked = []
             for spec in cfg.estimators:
-                rows, built = _ESTIMATORS[spec.name].rows, None
-                if rows is not None:
-                    start = time.perf_counter()
-                    try:
-                        lambdas, constraints = rows(d, sigma2, spec.param, lr0)
-                        built = lambdas, constraints, (time.perf_counter() - start) / len(trials)
-                    except ElcovError:
-                        pass  # rerun per trial, which raises at the failing trial and estimator
-                stacked.append(built)
+                try:
+                    stacked.append(_timed(spec, p))
+                except ElcovError:
+                    stacked.append(None)  # rerun per trial, which raises at the failing trial
             for i, trial in enumerate(trials):
-                stats = None
                 lambdas, constraints, builds = [], [], []
                 for spec, built in zip(cfg.estimators, stacked):
-                    if built is not None:
-                        lambdas.append(built[0][i])
-                        constraints.append(built[1][i])
-                        builds.append(built[2])
-                        continue
-                    estimator = _ESTIMATORS[spec.name]
-                    start = time.perf_counter()
-                    if estimator.rows is not None:  # a failed pass, rerun on this trial's row
-                        lam, con = estimator.rows(d[i : i + 1], sigma2, spec.param, lr0)
-                        lam, con = lam[0], con[0]
-                    else:
-                        if stats is None:
-                            eig = EigenDecomposition(eigenvalues=d[i], eigenvectors=bases[i])
-                            stats = SampleStats(n=n, k=k, s_eig=eig, sigma2=sigma2)
-                        joint = r_init, training[i], nmf_steering
-                        est = estimator.build(stats, spec.param, lr0, joint)
-                        lam, con = est.lambdas, est.constraints
-                    builds.append(time.perf_counter() - start)
-                    lambdas.append(lam)
-                    constraints.append(con)
+                    row = i
+                    if built is None:  # a failed pass, rerun on this trial's row
+                        one = p._replace(d=p.d[i : i + 1], v=p.v[i : i + 1], z=p.z[i : i + 1])
+                        built, row = _timed(spec, one), 0
+                    lambdas.append(built[0][row])
+                    constraints.append(built[1][row])
+                    builds.append(built[2])
                 start = time.perf_counter()
                 sinr_db = _sinr_scorer(np.stack(lambdas), w0[i], g[i], den_true)
                 score_share = (time.perf_counter() - start) / len(lambdas)
@@ -400,6 +394,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[TrialRecord]:
                             wall_time=build + score_share,
                         )
                     )
+            del p, w0, g  # free this pass's arrays before the next pass allocates its own
     _write_outputs(cfg, records)
     return records
 

@@ -9,7 +9,6 @@ match is a closed form or one bracketed root.
 
 from __future__ import annotations
 
-import contextlib
 import math
 import sys
 from dataclasses import dataclass
@@ -121,7 +120,8 @@ def sigma_el_roots(sample_lambdas, r: int, lr0: float) -> NoiseRoots:
     The tail-profile LR peaks at the trailing-mean noise power; when two
     roots exist they are obtained from the two real Lambert W branches of
     the transformed equation.  The trailing eigenvalues ``d[r:]`` must be
-    non-negative; a zero among them sends the peak to ``-inf`` (no roots).
+    non-negative and finite, with a finite sum; a zero among them sends the
+    peak to ``-inf`` (no roots).
     """
     if not 0 < lr0 <= 1:
         raise InputError("lr0 must lie in (0, 1]")
@@ -133,13 +133,14 @@ def sigma_el_roots(sample_lambdas, r: int, lr0: float) -> NoiseRoots:
     low = tail.min()
     if not low > 0 and (tail < 0).any():
         raise InputError("trailing eigenvalues must be non-negative")
-    b = float(tail.sum())
-    s_ml = b / m
-    if not s_ml > 0:
-        raise InputError("trailing eigenvalues sum to zero; noise power is unidentifiable")
-    # log warns on a zero ratio; division rounds monotonely, so tail / s_ml
-    # holds one iff low / s_ml is zero
-    with np.errstate(divide="ignore") if low / s_ml == 0 else contextlib.nullcontext():
+    # the sum of a finite tail may overflow, and log warns on a zero ratio
+    with np.errstate(over="ignore", divide="ignore"):
+        b = float(tail.sum())
+        s_ml = b / m
+        if not s_ml < math.inf:  # NaN too
+            raise InputError("trailing eigenvalues and their sum must be finite")
+        if not s_ml > 0:
+            raise InputError("trailing eigenvalues sum to zero; noise power is unidentifiable")
         log_peak = float(np.log(tail / s_ml).sum() + m - b / s_ml)
     log_lr0 = math.log(lr0)
     if abs(log_lr0 - log_peak) <= 1e-10:

@@ -13,6 +13,7 @@ from conftest import (
     scalar_kmax_oracle,
     scalar_loading_oracle,
     scalar_rank_oracle,
+    select_rank_sigma_oracle,
 )
 from elcov import (
     CorruptionSpec,
@@ -38,6 +39,7 @@ from elcov import (
     rcml,
     run_experiment,
     sample_covariance,
+    sample_training,
     smi,
     sqrt_factor,
     steering_vector,
@@ -434,8 +436,8 @@ class TestTrialBlocks:
         assert scored == [(2, n)] * (len(k_list) * trials)
 
     def test_one_kmax_pass_per_pass_and_no_per_trial_stats(self, tmp_path, monkeypatch):
-        # without RCML_EL_SIGMA every estimator is a stacked pass: the kmax core
-        # and the fixed-bound map run once per pass of whole blocks, eigh once
+        # every estimator is a map over a pass: the kmax core, the fixed-bound
+        # map and the joint map run once per pass of whole blocks, eigh once
         # per block, and no trial builds a SampleStats
         n, k, trials = 20, 30, 14
         monkeypatch.setattr(harness, "_BLOCK_ELEMENTS", 3 * n * k)
@@ -443,9 +445,10 @@ class TestTrialBlocks:
         # blocks of 3 trials, at most 2 blocks per pass, the 5 blocks split 1, 2, 2
         assert harness._block_size(n, k) == 3
         assert harness._passes(n, k, trials) == [range(0, 3, 3), range(3, 9, 3), range(9, 14, 3)]
-        eigh_stacks, kmax_stacks, fixed_stacks, stats_built = [], [], [], []
-        eigh_inner, kmax_inner, fixed_inner, stats_inner = (
-            harness._eigh_desc, harness._kmax_rows, harness._cncml_rows, harness.SampleStats)
+        eigh_stacks, kmax_stacks, fixed_stacks, joint_stacks, stats_built = [], [], [], [], []
+        eigh_inner, kmax_inner, fixed_inner, joint_inner, stats_inner = (
+            harness._eigh_desc, harness._kmax_rows, harness._cncml_rows, harness._joint_rows,
+            SampleStats.__post_init__)
 
         def eigh(h):
             eigh_stacks.append(len(h))
@@ -459,22 +462,28 @@ class TestTrialBlocks:
             fixed_stacks.append(d.shape)
             return fixed_inner(d, sigma2, kmax)
 
-        def sample_stats(*args, **kwargs):
-            stats_built.append(args)
-            return stats_inner(*args, **kwargs)
+        def joint_rows(p):
+            joint_stacks.append(p.d.shape)
+            return joint_inner(p)
+
+        def post_init(stats):
+            stats_built.append(stats)
+            stats_inner(stats)
 
         monkeypatch.setattr(harness, "_eigh_desc", eigh)
         monkeypatch.setattr(harness, "_kmax_rows", kmax_rows)
         monkeypatch.setattr(harness, "_cncml_rows", cncml_rows)
-        monkeypatch.setattr(harness, "SampleStats", sample_stats)
-        specs = tuple(EstimatorSpec.parse(t) for t in ("SMI", "CNCML_EL", "CNCML_FIXED(8)"))
+        monkeypatch.setattr(harness, "_joint_rows", joint_rows)
+        monkeypatch.setattr(SampleStats, "__post_init__", post_init)
+        specs = tuple(EstimatorSpec.parse(t)
+                      for t in ("SMI", "CNCML_EL", "CNCML_FIXED(8)", "RCML_EL_SIGMA"))
         cfg = noise_only_config(
             tmp_path, scenario=reference_scenario(), k_list=(k,), trials=trials,
             estimators=specs, lr0_table_path=str(tmp_path / "lr0.txt"),
         )
         assert len(run_experiment(cfg)) == len(specs) * trials
         assert eigh_stacks == [3, 3, 3, 3, 2]
-        assert kmax_stacks == fixed_stacks == [(3, n), (6, n), (5, n)]
+        assert kmax_stacks == fixed_stacks == joint_stacks == [(3, n), (6, n), (5, n)]
         assert stats_built == []
 
     @pytest.mark.parametrize("corrupted", [False, True])
@@ -562,29 +571,66 @@ class TestTrialBlocks:
             run_experiment(cfg)
         assert scored == [(2, 20)]
 
+    def test_failed_joint_pass_raises_at_its_trial(self, tmp_path, monkeypatch):
+        # as above for RCML_EL_SIGMA, whose joint selector rejects the
+        # singular trial 1: trial 0 is still built and scored before the
+        # rerun on trial 1's row raises
+        eigh_inner, score_inner, scored = harness._eigh_desc, harness._sinr_scorer, []
+
+        def eigh(h):
+            d, v = eigh_inner(h)
+            d[1, -1] = 0.0
+            return d, v
+
+        def score(lambdas, *args):
+            scored.append(lambdas.shape)
+            return score_inner(lambdas, *args)
+
+        monkeypatch.setattr(harness, "_eigh_desc", eigh)
+        monkeypatch.setattr(harness, "_sinr_scorer", score)
+        cfg = noise_only_config(
+            tmp_path, scenario=reference_scenario(), k_list=(30,), trials=4,
+            estimators=(EstimatorSpec.parse("SMI"), EstimatorSpec.parse("RCML_EL_SIGMA")),
+            lr0_table_path=str(tmp_path / "lr0.txt"),
+        )
+        with pytest.raises(InputError, match="sample eigenvalues must be positive"):
+            run_experiment(cfg)
+        assert scored == [(2, 20)]
+
 
 class TestStackedEstimators:
     def test_builds_equal_per_spectrum_estimators(self, rng):
-        """Each stacked estimator, built on one spectrum and row by row in a
-        stack, equals the library estimator it replaces, bit for bit."""
+        """Each estimator, built on one spectrum and row by row in a pass,
+        equals the library estimator it replaces, bit for bit."""
         lr0 = 0.02
         for _ in range(40):
             n, b = int(rng.integers(2, 40)), int(rng.integers(1, 8))
+            k, r_init = 2 * n, int(rng.integers(n))
             sigma2 = float(rng.uniform(0.2, 5.0))
             d = np.sort(np.exp(rng.normal(0.0, 2.0, (b, n))) * sigma2, axis=1)[:, ::-1].copy()
             d[:, n - n // 3 :] = d[:, -1:]  # tied tails
             r = int(rng.integers(n + 1))
             kmax = float(np.exp(rng.uniform(0.0, 8.0)))
+            v = np.stack([eig_hermitian(random_hermitian(rng, n)).eigenvectors for _ in range(b)])
+            z = np.stack([sample_training(v_i * np.sqrt(d_i), k, rng) for v_i, d_i in zip(v, d)])
+            nmf = steering_vector(n, float(rng.uniform(-90.0, 90.0)))
             specs = [EstimatorSpec.parse(t)
                      for t in ("SMI", "FML", f"RCML_FIXED({r})", "RCML_EL", "CNCML_ML", "LSMI_EL",
-                               "CNCML_EL", f"CNCML_FIXED({kmax!r})")]
+                               "CNCML_EL", f"CNCML_FIXED({kmax!r})", "RCML_EL_SIGMA")]
             for spec in specs:
                 rows = harness._ESTIMATORS[spec.name].rows
-                lambdas, constraints = rows(d, sigma2, spec.param, lr0)
+                lambdas, constraints = rows(harness._Pass(d, v, z, k, sigma2, lr0, r_init, nmf),
+                                            spec.param)
                 for i, row in enumerate(d):
-                    basis = eig_hermitian(random_hermitian(rng, n)).eigenvectors
+                    basis = v[i]
                     eig = EigenDecomposition(eigenvalues=row.copy(), eigenvectors=basis)
-                    stats = SampleStats(n=n, k=2 * n, s_eig=eig, sigma2=sigma2)
+                    stats = SampleStats(n=n, k=k, s_eig=eig, sigma2=sigma2)
+
+                    def joint():
+                        sel = select_rank_sigma_oracle(eig, k, r_init, lr0, z[i], nmf)
+                        return rcml(SampleStats(n=n, k=k, s_eig=eig, sigma2=sel.sigma2_hat),
+                                    sel.r_hat)
+
                     expected = {
                         "SMI": lambda: smi(stats),
                         "FML": lambda: fml(stats),
@@ -594,8 +640,9 @@ class TestStackedEstimators:
                         "LSMI_EL": lambda: lsmi(stats, scalar_loading_oracle(row, lr0)[0]),
                         "CNCML_EL": lambda: scalar_kmax_oracle(stats, lr0).estimate,
                         "CNCML_FIXED": lambda: scalar_cncml_oracle(stats, kmax),
+                        "RCML_EL_SIGMA": joint,
                     }[spec.name]()
-                    one = build_estimate(spec, stats, lr0)
+                    one = build_estimate(spec, stats, lr0, (r_init, z[i], nmf))
                     for est in (one, CovarianceEstimate(lambdas[i], basis, constraints[i])):
                         assert est.lambdas.tobytes() == expected.lambdas.tobytes()
                         assert repr(est.constraints) == repr(expected.constraints)

@@ -652,7 +652,20 @@ class TestMatchesFormerJointPath:
             raised = self._same(select_rank_sigma, select_rank_sigma_oracle, *args)
             assert raised[0] == "InputError"
 
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def _roots(self, d, r, lr0):
+        """``sigma_el_roots`` against the oracle, except on a valid call whose
+        tail or its sum is not finite: that raises its own error, where the
+        oracle warned and then raised or returned an infinite noise power."""
+        tail = np.asarray(d, dtype=float)[r:] if 0 <= r < len(d) else None
+        if 0 < lr0 <= 1 and tail is not None and not (tail < 0).any():
+            with np.errstate(over="ignore"):
+                finite = float(tail.sum()) < math.inf
+            if not finite:
+                assert _outcome(sigma_el_roots, d, r, lr0) == (
+                    "InputError", "trailing eigenvalues and their sum must be finite")
+                return
+        self._same(sigma_el_roots, sigma_el_roots_oracle, d, r, lr0)
+
     def test_noise_roots_on_edge_spectra(self, rng):
         for i in range(300):
             n = int(rng.integers(1, 33))
@@ -670,11 +683,12 @@ class TestMatchesFormerJointPath:
                 d = rng.permutation(d)
             for r in (int(rng.integers(n)), -1, n):
                 for lr0 in (math.exp(-float(10 ** rng.uniform(-3.0, 2.5))), 1.0, 0.0, 2.0):
-                    self._same(sigma_el_roots, sigma_el_roots_oracle, d, r, lr0)
+                    self._roots(d, r, lr0)
         # a ratio to the trailing mean that underflows to zero, or an overflowing sum
-        for d in ([1e300, 1e-30], [1e308, 1e308, 1.0], [5.0, 1.0, -0.0], [-0.0, -0.0]):
+        for d in ([1e300, 1e-30], [1e308, 1e308, 1.0], [5.0, 1.0, -0.0], [-0.0, -0.0],
+                  [np.inf, 1.0], [3.0, np.nan]):
             for lr0 in (1e-300, 0.5, 1.0):
-                self._same(sigma_el_roots, sigma_el_roots_oracle, d, 0, lr0)
+                self._roots(d, 0, lr0)
 
 
 class TestSelectKmax:
