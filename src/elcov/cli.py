@@ -147,8 +147,6 @@ def _cmd_select(args) -> int:
 
 def _cmd_simulate(args) -> int:
     cfg = load_experiment_config(args.config)
-    if args.no_autocompute:
-        cfg.autocompute_lr0 = False
     records = run_experiment(cfg)
     pairs = [("records", len(records)), ("output", cfg.output_path)]
     _emit(args.format, pairs)
@@ -170,9 +168,6 @@ def _cmd_sinr(args) -> int:
     return 0
 
 
-_DEPRECATED = "deprecated and ignored: the lr0 reference is exact"
-
-
 @functools.cache  # parse_args leaves the parser as it was, so one serves every call
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -184,8 +179,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_lr0 = sub.add_parser("lr0", help="compute and store an invariant LR reference")
     p_lr0.add_argument("--n", type=int, required=True)
     p_lr0.add_argument("--k", type=int, required=True)
-    p_lr0.add_argument("--trials", type=int, default=0, help=_DEPRECATED)
-    p_lr0.add_argument("--seed", type=int, default=0, help=_DEPRECATED)
     p_lr0.add_argument("--table", required=True, help="LR0TABLE file to append to")
     p_lr0.set_defaults(func=_cmd_lr0)
 
@@ -206,16 +199,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sel.add_argument("--r-init", type=int, default=0, help="initial rank for rank-sigma")
     p_sel.add_argument("--lr0", type=float, default=None, help="reference LR value")
     p_sel.add_argument("--lr0-table", default=None, help="LR0TABLE file for lookup")
-    p_sel.add_argument("--lr0-trials", type=int, default=0, help=_DEPRECATED)
-    p_sel.add_argument("--seed", type=int, default=0, help=_DEPRECATED)
-    p_sel.add_argument("--no-autocompute", action="store_true")
+    p_sel.add_argument("--no-autocompute", action="store_true",
+                       help="fail on an (n, k) missing from --lr0-table instead of computing it")
     p_sel.add_argument("--training", default=None, help="CMAT file with training columns")
     p_sel.add_argument("--angle", type=float, default=0.0, help="steering angle in degrees")
     p_sel.set_defaults(func=_cmd_select)
 
     p_sim = sub.add_parser("simulate", help="run a Monte Carlo experiment from a config file")
     p_sim.add_argument("--config", required=True)
-    p_sim.add_argument("--no-autocompute", action="store_true")
     p_sim.set_defaults(func=_cmd_simulate)
 
     p_sinr = sub.add_parser("sinr", help="normalized SINR of one estimate vs the truth")

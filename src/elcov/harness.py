@@ -14,7 +14,10 @@ estimates in one call, by normalized SINR averaged over a steering grid in
 the trial's sample eigenbasis.  Every row of a pass equals the estimate
 built on its trial alone, bit for bit, so neither blocks nor passes change
 any output, and identical configuration and master seed reproduce the
-output CSVs byte for byte.
+output CSVs byte for byte.  For the same reason a pass raises exactly when
+one of its trials would raise alone; its error, from the first failing
+estimator in configuration order, ends the sweep before the pass is scored,
+and no CSV is written.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from .estimators import (
     _rcml_rows,
     _smi_rows,
 )
-from .exceptions import ElcovError, InputError, SingularMatrixError
+from .exceptions import InputError, SingularMatrixError
 from .hermitian import EigenDecomposition, _eigh_desc, derive_rng, sample_covariance, sqrt_factor
 from .likelihood import lr0_lookup
 from .metrics import apply_inverse
@@ -215,12 +218,10 @@ class TrialRecord:
     """Result of one (k, trial, estimator) cell.
 
     ``wall_time`` is the estimator's share of its pass, that pass's time
-    over its ``B`` trials (or, where the pass raised, the time of the rerun
-    on this trial's row), plus an equal share of the trial's one scoring
+    over its ``B`` trials, plus an equal share of the trial's one scoring
     call.  The blocks' shared draw, ``eigh`` and eigenbasis projections are
-    not in it.  It is
-    informational only and kept out of the CSV files so reruns stay
-    byte-identical.
+    not in it.  It is informational only and kept out of the CSV files so
+    reruns stay byte-identical.
     """
 
     trial_index: int
@@ -258,7 +259,12 @@ def build_estimate(
 ) -> CovarianceEstimate:
     """Estimate named by ``spec``, built as a pass of one trial; ``lr0``
     feeds the selectors and ``joint``, ``(r_init, training, nmf_steering)``,
-    feeds ``RCML_EL_SIGMA`` only."""
+    feeds ``RCML_EL_SIGMA`` only.  Raises :class:`InputError` when the
+    estimator needs either and it is missing."""
+    if lr0 is None and _ESTIMATORS[spec.name].needs_lr0:
+        raise InputError(f"estimator {spec} needs lr0")
+    if joint is None and spec.name == "RCML_EL_SIGMA":
+        raise InputError(f"estimator {spec} needs joint = (r_init, training, nmf_steering)")
     r_init, z, nmf_steering = joint if joint is not None else (None, None, None)
     one = _Pass(stats.d[np.newaxis], stats.s_eig.eigenvectors[np.newaxis],
                 None if z is None else np.asarray(z)[np.newaxis],
@@ -278,15 +284,15 @@ def _block_size(n: int, k: int) -> int:
     return max(1, _BLOCK_ELEMENTS // (n * max(n, k)))
 
 
-def _passes(n: int, k: int, trials: int) -> list[range]:
-    """The first trials of the blocks of each stacked estimator pass.  A pass
-    takes whole blocks, as many as keep their ``N x N`` projections within
-    the budget (at least one), and the passes split the blocks evenly."""
+def _passes(n: int, k: int, trials: int) -> list[list[range]]:
+    """The blocks of trials of each stacked estimator pass.  A pass takes
+    whole blocks, as many as keep their ``N x N`` projections within the
+    budget (at least one), and the passes split the blocks evenly."""
     block = _block_size(n, k)
-    firsts = range(0, trials, block)
-    count = -(-len(firsts) // max(1, _PASS_ELEMENTS // (n * n * block)))
-    bounds = [len(firsts) * j // count for j in range(count + 1)]
-    return [firsts[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    blocks = [range(first, min(first + block, trials)) for first in range(0, trials, block)]
+    count = -(-len(blocks) // max(1, _PASS_ELEMENTS // (n * n * block)))
+    bounds = [len(blocks) * j // count for j in range(count + 1)]
+    return [blocks[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
 
 def _eigenbasis_projections(v, r_true, steer):
@@ -343,44 +349,30 @@ def run_experiment(cfg: ExperimentConfig) -> list[TrialRecord]:
 
     records: list[TrialRecord] = []
     for k in cfg.k_list:
-        block = _block_size(n, k)
-        for firsts in _passes(n, k, cfg.trials):
-            trials = range(firsts[0], min(firsts[-1] + block, cfg.trials))
+        for blocks in _passes(n, k, cfg.trials):
+            trials = range(blocks[0].start, blocks[-1].stop)
             b = len(trials)
             p = _Pass(np.empty((b, n)), np.empty((b, n, n), dtype=complex),
                       np.empty((b, n, k), dtype=complex), k, scenario.noise_power, lr0_by_k[k],
                       r_init, nmf_steering)
             w0 = np.empty((b, n, steer.shape[1]), dtype=complex)
             g = np.empty((b, n, n), dtype=complex)
-            for first in firsts:
-                part = slice(first - trials.start, min(first + block, trials.stop) - trials.start)
-                for i in range(part.start, part.stop):
-                    rng = derive_rng(cfg.master_seed, "trial", k, trials[i])
-                    p.z[i] = draw_training(factor, k, cfg.corruption, rng).z
+            for block in blocks:
+                part = slice(block.start - trials.start, block.stop - trials.start)
+                for trial in block:
+                    rng = derive_rng(cfg.master_seed, "trial", k, trial)
+                    p.z[trial - trials.start] = draw_training(factor, k, cfg.corruption, rng).z
                 p.d[part], p.v[part] = _eigh_desc(sample_covariance(p.z[part]))
                 w0[part], g[part] = _eigenbasis_projections(p.v[part], r_true, steer)
-            # per estimator: (lambdas, constraints, seconds per trial) of its
-            # pass, or None where the pass raised
-            stacked = []
-            for spec in cfg.estimators:
-                try:
-                    stacked.append(_timed(spec, p))
-                except ElcovError:
-                    stacked.append(None)  # rerun per trial, which raises at the failing trial
+            # per estimator: (lambdas, constraints, seconds per trial) of its pass
+            built = [_timed(spec, p) for spec in cfg.estimators]
             for i, trial in enumerate(trials):
-                lambdas, constraints, builds = [], [], []
-                for spec, built in zip(cfg.estimators, stacked):
-                    row = i
-                    if built is None:  # a failed pass, rerun on this trial's row
-                        one = p._replace(d=p.d[i : i + 1], v=p.v[i : i + 1], z=p.z[i : i + 1])
-                        built, row = _timed(spec, one), 0
-                    lambdas.append(built[0][row])
-                    constraints.append(built[1][row])
-                    builds.append(built[2])
+                lambdas = [lam[i] for lam, _, _ in built]
                 start = time.perf_counter()
                 sinr_db = _sinr_scorer(np.stack(lambdas), w0[i], g[i], den_true)
                 score_share = (time.perf_counter() - start) / len(lambdas)
-                for spec, con, build, sinr in zip(cfg.estimators, constraints, builds, sinr_db):
+                for spec, (_, constraints, build), sinr in zip(cfg.estimators, built, sinr_db):
+                    con = constraints[i]
                     records.append(
                         TrialRecord(
                             trial_index=trial,

@@ -9,7 +9,10 @@ import pytest
 
 from conftest import stats_from_spectrum
 from elcov import (
+    LRReference,
     lr0_load,
+    lr0_reference,
+    lr0_store,
     matrix_save,
     normalized_sinr,
     select_rank,
@@ -17,6 +20,7 @@ from elcov import (
     write_cmat,
 )
 from elcov.cli import cli
+from elcov.likelihood import QUANTILE_PROBS
 
 
 def kv(capsys):
@@ -39,8 +43,7 @@ def sample_cov(tmp_path, rng):
 class TestLr0Command:
     def test_adds_table_row(self, tmp_path, capsys):
         table = tmp_path / "t.txt"
-        code = cli(["lr0", "--n", "4", "--k", "16", "--trials", "2000",
-                    "--seed", "1", "--table", str(table)])
+        code = cli(["lr0", "--n", "4", "--k", "16", "--table", str(table)])
         assert code == 0
         pairs = kv(capsys)
         ref = lr0_load(4, 16, table)
@@ -48,8 +51,8 @@ class TestLr0Command:
         assert float(pairs["lr0"]) == pytest.approx(ref.lr0, rel=1e-10)
 
     def test_csv_format(self, tmp_path, capsys):
-        code = cli(["lr0", "--n", "2", "--k", "8", "--trials", "1000",
-                    "--seed", "1", "--table", str(tmp_path / "t.txt"), "--format", "csv"])
+        code = cli(["lr0", "--n", "2", "--k", "8", "--table", str(tmp_path / "t.txt"),
+                    "--format", "csv"])
         assert code == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0] == "key,value"
@@ -60,8 +63,7 @@ class TestLr0Command:
         path = os.environ.get("PYTHONPATH")
         env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
         proc = subprocess.run(
-            [sys.executable, "-m", "elcov.cli", "lr0", "--n", "2", "--k", "4",
-             "--trials", "10", "--table", "t"],
+            [sys.executable, "-m", "elcov.cli", "lr0", "--n", "2", "--k", "4", "--table", "t"],
             cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr[-2000:]
@@ -121,10 +123,31 @@ class TestSelectCommand:
         path, _ = sample_cov
         table = tmp_path / "t.txt"
         code = cli(["select", "--input", str(path), "--k", "8", "--mode", "rank",
-                    "--sigma2", "1.0", "--lr0-table", str(table),
-                    "--lr0-trials", "2000", "--seed", "3"])
+                    "--sigma2", "1.0", "--lr0-table", str(table)])
         assert code == 0
         assert lr0_load(4, 8, table) is not None
+
+    def test_no_autocompute_fails_on_a_missing_entry(self, sample_cov, capsys, tmp_path):
+        path, _ = sample_cov
+        table = tmp_path / "t.txt"
+        lr0_store(lr0_reference(4, 16), table)
+        before = table.read_bytes()
+        code = cli(["select", "--input", str(path), "--k", "8", "--mode", "rank",
+                    "--sigma2", "1.0", "--lr0-table", str(table), "--no-autocompute"])
+        assert code == 1
+        assert "autocompute is disabled" in capsys.readouterr().err
+        assert table.read_bytes() == before
+
+    def test_no_autocompute_uses_the_stored_entry(self, sample_cov, capsys, tmp_path):
+        path, _ = sample_cov
+        table = tmp_path / "t.txt"
+        lr0_store(LRReference(4, 8, 0, 0, 0.25, [(q, 0.25) for q in QUANTILE_PROBS]), table)
+        before = table.read_bytes()
+        code = cli(["select", "--input", str(path), "--k", "8", "--mode", "rank",
+                    "--sigma2", "1.0", "--lr0-table", str(table), "--no-autocompute"])
+        assert code == 0
+        assert float(kv(capsys)["lr0"]) == 0.25
+        assert table.read_bytes() == before
 
     def test_kmax_mode(self, sample_cov, capsys):
         path, _ = sample_cov
@@ -236,6 +259,25 @@ class TestExitCodes:
     def test_unknown_flag(self, capsys):
         assert cli(["lr0", "--n", "2", "--k", "4", "--nope", "1"]) == 1
         assert "usage" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["lr0", "--n", "2", "--k", "4", "--table", "t", "--trials", "10"],
+            ["lr0", "--n", "2", "--k", "4", "--table", "t", "--seed", "1"],
+            ["select", "--input", "s.cmat", "--k", "8", "--mode", "loading", "--lr0", "0.5",
+             "--lr0-trials", "10"],
+            ["select", "--input", "s.cmat", "--k", "8", "--mode", "loading", "--lr0", "0.5",
+             "--seed", "1"],
+            ["simulate", "--config", "exp.cfg", "--no-autocompute"],
+        ],
+        ids=["lr0-trials", "lr0-seed", "select-lr0-trials", "select-seed", "simulate-no-autocompute"],
+    )
+    def test_removed_flags_are_unknown(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        assert cli(argv) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_unknown_command(self, capsys):
         assert cli(["frobnicate"]) == 1

@@ -444,7 +444,8 @@ class TestTrialBlocks:
         monkeypatch.setattr(harness, "_PASS_ELEMENTS", 2 * 3 * n * n)
         # blocks of 3 trials, at most 2 blocks per pass, the 5 blocks split 1, 2, 2
         assert harness._block_size(n, k) == 3
-        assert harness._passes(n, k, trials) == [range(0, 3, 3), range(3, 9, 3), range(9, 14, 3)]
+        assert harness._passes(n, k, trials) == [
+            [range(0, 3)], [range(3, 6), range(6, 9)], [range(9, 12), range(12, 14)]]
         eigh_stacks, kmax_stacks, fixed_stacks, joint_stacks, stats_built = [], [], [], [], []
         eigh_inner, kmax_inner, fixed_inner, joint_inner, stats_inner = (
             harness._eigh_desc, harness._kmax_rows, harness._cncml_rows, harness._joint_rows,
@@ -514,8 +515,7 @@ class TestTrialBlocks:
 
     def test_failed_stacked_pass_raises_at_its_trial(self, tmp_path, monkeypatch):
         # trial 1 of the block has a singular sample covariance, so LSMI_EL's
-        # stacked pass fails; trial 0 is still built and scored before the
-        # per-trial build raises at trial 1
+        # stacked pass raises its error, before any trial is scored
         eigh_inner, score_inner, scored = harness._eigh_desc, harness._sinr_scorer, []
 
         def eigh(h):
@@ -536,12 +536,12 @@ class TestTrialBlocks:
         )
         with pytest.raises(NoRootError, match="singular"):
             run_experiment(cfg)
-        assert scored == [(2, 20)]
+        assert scored == []
+        assert not (tmp_path / "out" / "trials.csv").exists()
 
     def test_failed_kmax_pass_raises_at_its_trial(self, tmp_path, monkeypatch):
         # as above for CNCML_EL, whose kmax core is made to reject the
-        # singular trial 1 (it takes singular spectra): trial 0 is still built
-        # and scored before the per-trial rerun raises at trial 1
+        # singular trial 1 (it takes singular spectra)
         eigh_inner, score_inner, kmax_inner, scored = (
             harness._eigh_desc, harness._sinr_scorer, harness._kmax_rows, [])
 
@@ -569,12 +569,12 @@ class TestTrialBlocks:
         )
         with pytest.raises(NoRootError, match="singular"):
             run_experiment(cfg)
-        assert scored == [(2, 20)]
+        assert scored == []
+        assert not (tmp_path / "out" / "trials.csv").exists()
 
     def test_failed_joint_pass_raises_at_its_trial(self, tmp_path, monkeypatch):
         # as above for RCML_EL_SIGMA, whose joint selector rejects the
-        # singular trial 1: trial 0 is still built and scored before the
-        # rerun on trial 1's row raises
+        # singular trial 1
         eigh_inner, score_inner, scored = harness._eigh_desc, harness._sinr_scorer, []
 
         def eigh(h):
@@ -595,7 +595,54 @@ class TestTrialBlocks:
         )
         with pytest.raises(InputError, match="sample eigenvalues must be positive"):
             run_experiment(cfg)
-        assert scored == [(2, 20)]
+        assert scored == []
+        assert not (tmp_path / "out" / "trials.csv").exists()
+
+    @pytest.mark.parametrize(
+        "names, error, match",
+        [(("LSMI_EL", "CNCML_EL"), NoRootError, "singular"),
+         (("CNCML_EL", "LSMI_EL"), InputError, "rejects row 1")],
+        ids=["LSMI_EL-first", "CNCML_EL-first"],
+    )
+    def test_first_failing_estimator_in_config_order_raises(
+        self, tmp_path, monkeypatch, names, error, match
+    ):
+        # one pass of 4 trials in which LSMI_EL fails on row 2 (singular) and
+        # the kmax core is made to reject row 1: the estimator listed first
+        # raises, whichever row it fails on, and no trial is scored
+        eigh_inner, kmax_inner, score_inner = (
+            harness._eigh_desc, harness._kmax_rows, harness._sinr_scorer)
+        rejected, scored = [], []
+
+        def eigh(h):
+            d, v = eigh_inner(h)
+            d[2, -1] = 0.0
+            rejected.append(d[1].copy())
+            return d, v
+
+        def kmax_rows(d, sigma2, lr0):
+            if any((row == rejected[0]).all() for row in d):
+                raise InputError("kmax core rejects row 1")
+            return kmax_inner(d, sigma2, lr0)
+
+        def score(lambdas, *args):
+            scored.append(lambdas.shape)
+            return score_inner(lambdas, *args)
+
+        monkeypatch.setattr(harness, "_eigh_desc", eigh)
+        monkeypatch.setattr(harness, "_kmax_rows", kmax_rows)
+        monkeypatch.setattr(harness, "_sinr_scorer", score)
+        cfg = noise_only_config(
+            tmp_path, scenario=reference_scenario(), k_list=(30,), trials=4,
+            estimators=tuple(EstimatorSpec.parse(t) for t in names),
+            lr0_table_path=str(tmp_path / "lr0.txt"),
+        )
+        assert harness._passes(20, 30, 4) == [[range(0, 4)]]
+        with pytest.raises(error, match=match):
+            run_experiment(cfg)
+        assert len(rejected) == 1
+        assert scored == []
+        assert not (tmp_path / "out" / "trials.csv").exists()
 
 
 class TestStackedEstimators:
@@ -647,6 +694,18 @@ class TestStackedEstimators:
                         assert est.lambdas.tobytes() == expected.lambdas.tobytes()
                         assert repr(est.constraints) == repr(expected.constraints)
                         assert est.basis is basis
+
+    @pytest.mark.parametrize("name", ["RCML_EL", "RCML_EL_SIGMA", "CNCML_EL", "LSMI_EL"])
+    def test_missing_lr0_or_joint_is_input_error(self, name):
+        d = np.array([9.0, 4.0, 0.6, 0.3])
+        eig = EigenDecomposition(eigenvalues=d, eigenvectors=np.eye(4, dtype=complex))
+        stats = SampleStats(n=4, k=8, s_eig=eig, sigma2=0.5)
+        spec = EstimatorSpec.parse(name)
+        with pytest.raises(InputError, match="needs lr0"):
+            build_estimate(spec, stats)
+        if name == "RCML_EL_SIGMA":
+            with pytest.raises(InputError, match="needs joint"):
+                build_estimate(spec, stats, 0.3)
 
 
 def _random_estimates(rng, n):
