@@ -5,6 +5,8 @@ reshapes its eigenvalues; this script prints the reshaped spectra side by
 side together with their likelihood ratios against the raw sample.
 """
 
+import math
+
 import numpy as np
 
 from elcov import (
@@ -13,7 +15,7 @@ from elcov import (
     cncml_u_star,
     condition_number,
     fml,
-    lr_value,
+    log_lr_value,
     lsmi,
     rcml,
     smi,
@@ -38,7 +40,7 @@ estimates = [
 ]
 
 for label, est in estimates:
-    lr = lr_value(est.lambdas, stats.d)
+    lr = math.exp(log_lr_value(est.lambdas, stats.d))
     cond = condition_number(est) if est.lambdas[-1] > 0 else float("inf")
     lam = ", ".join(f"{x:7.3f}" for x in est.lambdas)
     print(f"{label:18s} lr={lr:8.5f}  cond={cond:8.2f}  [{lam}]")

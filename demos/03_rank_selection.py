@@ -18,8 +18,8 @@ from elcov import (
     derive_rng,
     generate_training,
     jammer_covariance,
+    log_lr_rcml,
     lr0_reference,
-    lr_rcml,
     sample_covariance,
     select_rank,
 )
@@ -47,7 +47,7 @@ stats = SampleStats.from_sample_covariance(
 
 print("LR versus rank around the interesting region:")
 for r in range(2, 9):
-    lr = lr_rcml(stats, r)
+    lr = math.exp(log_lr_rcml(stats, r))
     mismatch = abs(math.log(max(lr, 1e-300)) - math.log(lr0))
     print(f"  r={r}:  lr = {lr:10.3e}   |log lr - log lr0| = {mismatch:7.2f}")
 

@@ -17,7 +17,7 @@ from elcov import (
     cncml,
     condition_number,
     derive_rng,
-    lr_value,
+    log_lr_value,
     sample_covariance,
     sample_training,
     select_kmax,
@@ -37,16 +37,16 @@ print("LR of the bounded estimate as the bound sweeps:")
 for km in np.linspace(1.0, k_ml, 8):
     est = cncml(stats, float(km))
     print(
-        f"  kmax = {km:7.2f}   lr = {lr_value(est.lambdas, d):9.6f}"
+        f"  kmax = {km:7.2f}   lr = {math.exp(log_lr_value(est.lambdas, d)):9.6f}"
         f"   achieved condition number = {condition_number(est):7.2f}"
     )
 
-lr_top = lr_value(cncml(stats, k_ml).lambdas, d)
-lr0 = math.exp(0.6 * math.log(lr_top) + 0.4 * math.log(lr_value(cncml(stats, 1.0).lambdas, d)))
+lr_top = math.exp(log_lr_value(cncml(stats, k_ml).lambdas, d))
+lr0 = math.exp(0.6 * math.log(lr_top) + 0.4 * log_lr_value(cncml(stats, 1.0).lambdas, d))
 sel = select_kmax(stats, lr0)
 est = sel.estimate
 print(f"\ntarget lr0 = {lr0:.6f}")
 print(f"path: {len(sel.visited) - 1} breakpoints plus the root, last Newton step {sel.final_step:.2e}")
 print(f"selected bound  : {sel.kmax_hat:.4f}")
-print(f"lr at selection : {lr_value(est.lambdas, d):.6f}")
+print(f"lr at selection : {math.exp(log_lr_value(est.lambdas, d)):.6f}")
 print(f"condition number: {condition_number(est):.4f}")

@@ -14,7 +14,6 @@ from .estimators import (
     CovarianceEstimate,
     SampleStats,
     cncml,
-    cncml_objective,
     cncml_u_star,
     condition_number,
     fml,
@@ -52,14 +51,11 @@ from .likelihood import (
     LambertBranch,
     LRReference,
     lambert_w,
-    log_lr_matrix,
     log_lr_rcml,
     log_lr_value,
     lr0_load,
     lr0_reference,
     lr0_store,
-    lr_rcml,
-    lr_value,
 )
 from .metrics import nmf_statistic, normalized_sinr
 from .scenario import (

@@ -107,11 +107,7 @@ def _cmd_select(args) -> int:
     if mode in ("rank", "kmax"):
         _require_sigma2(args, f"mode {mode}")
     stats = _load_stats(args)
-    if args.lr0 is None and args.lr0_table is None:
-        raise InputError("provide --lr0 or --lr0-table")
-    lr0 = args.lr0 if args.lr0 is not None else lr0_lookup(
-        stats.n, args.k, args.lr0_table, not args.no_autocompute
-    )
+    lr0 = args.lr0 if args.lr0 is not None else lr0_lookup(stats.n, args.k, args.lr0_table)
     pairs = [("mode", mode), ("n", stats.n), ("k", stats.k), ("lr0", f"{lr0:.12g}")]
     if mode == "rank":
         sel = select_rank(stats, lr0)
@@ -198,9 +194,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sel.add_argument("--sigma2", type=float, default=None)
     p_sel.add_argument("--r-init", type=int, default=0, help="initial rank for rank-sigma")
     p_sel.add_argument("--lr0", type=float, default=None, help="reference LR value")
-    p_sel.add_argument("--lr0-table", default=None, help="LR0TABLE file for lookup")
-    p_sel.add_argument("--no-autocompute", action="store_true",
-                       help="fail on an (n, k) missing from --lr0-table instead of computing it")
+    p_sel.add_argument("--lr0-table", default=None,
+                       help="LR0TABLE file for lookup; a missing (n, k) is computed and appended")
     p_sel.add_argument("--training", default=None, help="CMAT file with training columns")
     p_sel.add_argument("--angle", type=float, default=0.0, help="steering angle in degrees")
     p_sel.set_defaults(func=_cmd_select)

@@ -32,7 +32,6 @@ __all__ = [
     "CovarianceEstimate",
     "SampleStats",
     "cncml",
-    "cncml_objective",
     "cncml_u_star",
     "condition_number",
     "fml",
@@ -204,26 +203,6 @@ class CnCaseResult:
     p: int
     q: int
     nbar: int
-
-
-def _lambda_star(u: float, dbar: np.ndarray, kmax: float) -> np.ndarray:
-    """Inverse normalized eigenvalues of the CN-constrained solution at ``u``."""
-    with np.errstate(divide="ignore"):
-        inv_d = np.where(dbar > 0, 1.0 / dbar, np.inf)
-    return np.minimum(np.minimum(kmax * u, 1.0), np.maximum(u, inv_d))
-
-
-def cncml_objective(u, dbar: np.ndarray, kmax: float):
-    """Separable objective ``sum_i [-log lam_i(u) + dbar_i lam_i(u)]``.
-
-    ``u`` may be a scalar or an array; the value is the (normalized)
-    negative log-likelihood of the condition-number constrained solution
-    evaluated at that ``u``.  Exposed mainly so tests can scan it densely.
-    """
-    u_arr = np.atleast_1d(np.asarray(u, dtype=float))
-    lam = _lambda_star(u_arr[:, None], dbar[None, :], kmax)
-    vals = np.sum(dbar[None, :] * lam - np.log(lam), axis=1)
-    return vals if np.ndim(u) else float(vals[0])
 
 
 def _clip_log_lr(top, bottom, p, c, tau, u, log=np.log):

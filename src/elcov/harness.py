@@ -310,8 +310,8 @@ def _sinr_scorer(lambdas, w0, g, den_true) -> np.ndarray:
     With ``w0 = V^H s``, ``G = V^H R V`` and ``y = w0 / lambdas``, the filter
     ``x = V y`` has ``s^H x = sum |w0|^2 / lambdas`` and ``x^H R x = y^H G y``.
     """
-    if (lambdas <= 0).any():
-        raise SingularMatrixError("estimate has a non-positive eigenvalue")
+    if not (lambdas > 0).all():  # also catches NaN, for which `<= 0` is false
+        raise SingularMatrixError("estimate has a non-positive or NaN eigenvalue")
     q = 1.0 / lambdas
     w2 = np.abs(w0) ** 2
     # one matvec per row: a single (E, N) @ (N, S) product rounds differently
@@ -436,10 +436,9 @@ _CONFIG_SCHEMA = {
         "n", "noise_power", "jammer_powers", "jammer_angles", "jammer_bandwidths",
         "sinc_convention", "angle_mode",
     },
-    # lr0_trials is deprecated and ignored: the lr0 reference is exact
     "experiment": {
         "k_list", "trials", "master_seed", "estimators", "output", "lr0_table",
-        "lr0_trials", "autocompute", "steering_grid", "nmf_angle", "r_init",
+        "autocompute", "steering_grid", "nmf_angle", "r_init",
     },
     "corruption": {"fraction", "amplitude", "angle"},
 }

@@ -34,15 +34,12 @@ __all__ = [
     "LambertBranch",
     "LRReference",
     "lambert_w",
-    "log_lr_matrix",
     "log_lr_rcml",
     "log_lr_value",
     "lr0_load",
     "lr0_lookup",
     "lr0_reference",
     "lr0_store",
-    "lr_rcml",
-    "lr_value",
 ]
 
 QUANTILE_PROBS = (0.05, 0.25, 0.5, 0.75, 0.95)
@@ -70,37 +67,9 @@ def log_lr_value(est_lambdas, sample_lambdas) -> float:
     return float(log_rho.sum() + len(d) - rho.sum())
 
 
-def lr_value(est_lambdas, sample_lambdas) -> float:
-    """Likelihood ratio in linear scale; equals 1 iff all ratios are 1."""
-    return math.exp(log_lr_value(est_lambdas, sample_lambdas))
-
-
-def log_lr_matrix(r, s) -> float:
-    """Log likelihood ratio for a general (not co-aligned) estimate ``r``.
-
-    Computes ``log |r^-1 s| + N - tr(r^-1 s)`` via a linear solve, for use
-    when the estimate does not share the sample eigenbasis.
-    """
-    r = np.asarray(r, dtype=np.complex128)
-    s = np.asarray(s, dtype=np.complex128)
-    n = r.shape[0]
-    try:
-        x = np.linalg.solve(r, s)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"estimate matrix is singular: {exc}") from exc
-    sign, logdet = np.linalg.slogdet(x)
-    if sign == 0:
-        return -math.inf
-    return float(logdet.real + n - np.trace(x).real)
-
-
 def log_lr_rcml(stats: SampleStats, r: int) -> float:
     """Log LR of the rank-``r`` constrained estimate (non-decreasing in ``r``)."""
     return log_lr_value(rcml(stats, r).lambdas, stats.d)
-
-
-def lr_rcml(stats: SampleStats, r: int) -> float:
-    return math.exp(log_lr_rcml(stats, r))
 
 
 def log_tail_lr(sample_lambdas, r: int, t: float) -> float:

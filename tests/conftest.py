@@ -48,20 +48,47 @@ def stats_from_spectrum(d, k=None, sigma2=1.0):
     return SampleStats(n=n, k=k if k is not None else 2 * n, s_eig=eig, sigma2=sigma2)
 
 
+def log_lr_matrix(r, s) -> float:
+    """Log likelihood ratio for a general (not co-aligned) estimate ``r``.
+
+    Computes ``log |r^-1 s| + N - tr(r^-1 s)`` via a linear solve, for use
+    when the estimate does not share the sample eigenbasis.
+    """
+    r = np.asarray(r, dtype=np.complex128)
+    s = np.asarray(s, dtype=np.complex128)
+    n = r.shape[0]
+    try:
+        x = np.linalg.solve(r, s)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"estimate matrix is singular: {exc}") from exc
+    sign, logdet = np.linalg.slogdet(x)
+    if sign == 0:
+        return -math.inf
+    return float(logdet.real + n - np.trace(x).real)
+
+
 def diag_log_lr(est_lambdas, sample_lambdas):
     """Independent LR oracle: dense determinant/trace on diagonal matrices."""
-    r = np.diag(np.asarray(est_lambdas, dtype=complex))
-    s = np.diag(np.asarray(sample_lambdas, dtype=complex))
-    x = np.linalg.solve(r, s)
-    sign, logdet = np.linalg.slogdet(x)
-    n = len(est_lambdas)
-    return float(logdet.real + n - np.trace(x).real)
+    return log_lr_matrix(np.diag(est_lambdas), np.diag(sample_lambdas))
 
 
 def cn_lambda_map(u, dbar, kmax):
     """Normalized inverse-eigenvalue map of the condition-bounded solution."""
     inv_d = np.divide(1.0, dbar, out=np.full(np.shape(dbar), np.inf), where=dbar > 0)
     return np.minimum(np.minimum(kmax * u, 1.0), np.maximum(u, inv_d))
+
+
+def cncml_objective(u, dbar: np.ndarray, kmax: float):
+    """Separable objective ``sum_i [-log lam_i(u) + dbar_i lam_i(u)]``.
+
+    ``u`` may be a scalar or an array; the value is the (normalized)
+    negative log-likelihood of the condition-number constrained solution
+    evaluated at that ``u``.
+    """
+    u_arr = np.atleast_1d(np.asarray(u, dtype=float))
+    lam = cn_lambda_map(u_arr[:, None], dbar[None, :], kmax)
+    vals = np.sum(dbar[None, :] * lam - np.log(lam), axis=1)
+    return vals if np.ndim(u) else float(vals[0])
 
 
 def cn_objective_grid(dbar, kmax, step=1e-6, chunk=250_000):

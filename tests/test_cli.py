@@ -1,5 +1,6 @@
 import math
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -19,7 +20,7 @@ from elcov import (
     steering_vector,
     write_cmat,
 )
-from elcov.cli import cli
+from elcov.cli import _build_parser, cli
 from elcov.likelihood import QUANTILE_PROBS
 
 
@@ -127,24 +128,13 @@ class TestSelectCommand:
         assert code == 0
         assert lr0_load(4, 8, table) is not None
 
-    def test_no_autocompute_fails_on_a_missing_entry(self, sample_cov, capsys, tmp_path):
-        path, _ = sample_cov
-        table = tmp_path / "t.txt"
-        lr0_store(lr0_reference(4, 16), table)
-        before = table.read_bytes()
-        code = cli(["select", "--input", str(path), "--k", "8", "--mode", "rank",
-                    "--sigma2", "1.0", "--lr0-table", str(table), "--no-autocompute"])
-        assert code == 1
-        assert "autocompute is disabled" in capsys.readouterr().err
-        assert table.read_bytes() == before
-
-    def test_no_autocompute_uses_the_stored_entry(self, sample_cov, capsys, tmp_path):
+    def test_uses_the_stored_table_entry(self, sample_cov, capsys, tmp_path):
         path, _ = sample_cov
         table = tmp_path / "t.txt"
         lr0_store(LRReference(4, 8, 0, 0, 0.25, [(q, 0.25) for q in QUANTILE_PROBS]), table)
         before = table.read_bytes()
         code = cli(["select", "--input", str(path), "--k", "8", "--mode", "rank",
-                    "--sigma2", "1.0", "--lr0-table", str(table), "--no-autocompute"])
+                    "--sigma2", "1.0", "--lr0-table", str(table)])
         assert code == 0
         assert float(kv(capsys)["lr0"]) == 0.25
         assert table.read_bytes() == before
@@ -194,10 +184,13 @@ class TestSelectCommand:
         assert code == 1
         assert "finite" in capsys.readouterr().err
 
-    def test_requires_reference(self, sample_cov):
+    def test_computes_reference_without_lr0_or_table(self, sample_cov, capsys, monkeypatch):
         path, _ = sample_cov
+        monkeypatch.chdir(path.parent)
         assert cli(["select", "--input", str(path), "--k", "8", "--mode", "rank",
-                    "--sigma2", "1.0"]) == 1
+                    "--sigma2", "1.0"]) == 0
+        assert kv(capsys)["lr0"] == f"{lr0_reference(4, 8).lr0:.12g}"
+        assert list(path.parent.iterdir()) == [path]
 
 
 class TestSinrCommand:
@@ -269,9 +262,12 @@ class TestExitCodes:
              "--lr0-trials", "10"],
             ["select", "--input", "s.cmat", "--k", "8", "--mode", "loading", "--lr0", "0.5",
              "--seed", "1"],
+            ["select", "--input", "s.cmat", "--k", "8", "--mode", "rank", "--lr0-table", "t",
+             "--no-autocompute"],
             ["simulate", "--config", "exp.cfg", "--no-autocompute"],
         ],
-        ids=["lr0-trials", "lr0-seed", "select-lr0-trials", "select-seed", "simulate-no-autocompute"],
+        ids=["lr0-trials", "lr0-seed", "select-lr0-trials", "select-seed",
+             "select-no-autocompute", "simulate-no-autocompute"],
     )
     def test_removed_flags_are_unknown(self, tmp_path, monkeypatch, capsys, argv):
         monkeypatch.chdir(tmp_path)
@@ -305,3 +301,22 @@ class TestExitCodes:
         code = cli(["select", "--input", str(tmp_path / "s.cmat"), "--k", "2",
                     "--mode", "loading", "--lr0", "0.5"])
         assert code == 2
+
+
+def readme_commands():
+    """The ``elcov ...`` lines of the README's Command line block, continuations joined."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line, comments=True)[1:] for line in lines if line.startswith("elcov ")]
+
+
+class TestReadme:
+    def test_command_line_examples_parse(self):
+        commands = readme_commands()
+        assert {argv[0] for argv in commands} == {"lr0", "estimate", "select", "simulate", "sinr"}
+        for argv in commands:
+            try:
+                _build_parser().parse_args(argv)
+            except SystemExit:
+                pytest.fail(f"README command does not parse: elcov {shlex.join(argv)}")

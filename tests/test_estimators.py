@@ -5,17 +5,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import bisect_u_oracle, cn_lambda_map, cn_objective_grid, stats_from_spectrum
+from conftest import (
+    bisect_u_oracle,
+    cn_lambda_map,
+    cn_objective_grid,
+    cncml_objective,
+    stats_from_spectrum,
+)
 from elcov import (
     CnCase,
     InputError,
     cncml,
-    cncml_objective,
     cncml_u_star,
     condition_number,
     fml,
     log_lr_value,
-    lr_value,
     lsmi,
     rcml,
     smi,
@@ -53,7 +57,7 @@ class TestSmi:
     def test_lr_is_one(self):
         stats = stats_from_spectrum([4.0, 2.0, 0.5])
         est = smi(stats)
-        assert lr_value(est.lambdas, stats.d) == pytest.approx(1.0, abs=1e-12)
+        assert math.exp(log_lr_value(est.lambdas, stats.d)) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestFml:

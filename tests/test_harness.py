@@ -295,7 +295,6 @@ class TestConfigFile:
         path.write_text(
             f"[scenario]\nn = 4\n[experiment]\nk_list = 8\ntrials = 2\nmaster_seed = 1\n"
             f"estimators = RCML_EL, {spec}\noutput = {out}\nlr0_table = {table}\n"
-            f"lr0_trials = 200\n"
         )
         with pytest.raises(InputError, match=r"outside \[0, 4\]|finite and at least 1"):
             load_experiment_config(path)
@@ -323,7 +322,7 @@ class TestConfigFile:
         path.write_text(
             f"[scenario]\nn = 4\n[experiment]\nk_list = {k_list}\ntrials = 2\n"
             f"master_seed = 1\nestimators = {estimators}\noutput = {out}\n"
-            f"lr0_table = {table}\nlr0_trials = 200\n"
+            f"lr0_table = {table}\n"
         )
         with pytest.raises(InputError, match=message):
             load_experiment_config(path)
@@ -778,4 +777,16 @@ class TestSinrScorer:
             lambdas = good.copy()
             lambdas[row, -1] = bad
             with pytest.raises(SingularMatrixError):
+                _sinr_scorer(lambdas, *args)
+
+    def test_nan_eigenvalue_is_singular(self, rng):
+        # NaN fails every comparison, so a `<= 0` test would let it through
+        # and score the row as NaN dB
+        basis = eig_hermitian(random_hermitian(rng, 3)).eigenvectors
+        steer = self._steering(rng, 3)
+        args = (*_eigenbasis_projections(basis, np.eye(3), steer), np.ones(steer.shape[1]))
+        for col in range(3):
+            lambdas = np.array([[3.0, 2.0, 1.0], [2.0, 1.5, 0.5]])
+            lambdas[1, col] = np.nan
+            with pytest.raises(SingularMatrixError, match="NaN"):
                 _sinr_scorer(lambdas, *args)

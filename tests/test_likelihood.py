@@ -11,6 +11,7 @@ from conftest import (
     bartlett_log_lr,
     diag_log_lr,
     lambert_w_oracle,
+    log_lr_matrix,
     random_psd,
     stats_from_spectrum,
 )
@@ -20,14 +21,11 @@ from elcov import (
     LambertBranch,
     derive_rng,
     lambert_w,
-    log_lr_matrix,
     log_lr_rcml,
     log_lr_value,
     lr0_load,
     lr0_reference,
     lr0_store,
-    lr_rcml,
-    lr_value,
     rcml,
     sqrt_factor,
 )
@@ -62,15 +60,17 @@ def median_se(iqr, count):
 class TestLrValue:
     def test_equal_vectors_give_one(self, rng):
         d = np.sort(rng.gamma(2.0, 1.0, 6))[::-1]
-        assert lr_value(d, d) == pytest.approx(1.0, abs=1e-15)
+        assert math.exp(log_lr_value(d, d)) == pytest.approx(1.0, abs=1e-15)
 
     def test_scalar_half_ratio(self):
         # N=1 with d/lambda = 0.5: lr = 0.5 * e^{1 - 0.5} = 0.5 * e^{0.5}
-        assert lr_value([2.0], [1.0]) == pytest.approx(0.5 * math.exp(0.5), rel=1e-12)
+        lr = math.exp(log_lr_value([2.0], [1.0]))
+        assert lr == pytest.approx(0.5 * math.exp(0.5), rel=1e-12)
 
     def test_two_ratios(self):
         # ratios (2, 0.5): lr = 2*0.5 * e^2 / e^{2.5} = e^{-0.5}
-        assert lr_value([1.0, 2.0], [2.0, 1.0]) == pytest.approx(math.exp(-0.5), rel=1e-12)
+        lr = math.exp(log_lr_value([1.0, 2.0], [2.0, 1.0]))
+        assert lr == pytest.approx(math.exp(-0.5), rel=1e-12)
 
     def test_matches_dense_oracle(self, rng):
         for _ in range(25):
@@ -107,7 +107,7 @@ def test_lr_never_exceeds_one(ratios):
 class TestLrRcml:
     def test_full_rank_above_floor(self):
         stats = stats_from_spectrum([5.0, 3.0, 2.0])
-        assert lr_rcml(stats, 3) == pytest.approx(1.0, abs=1e-15)
+        assert math.exp(log_lr_rcml(stats, 3)) == pytest.approx(1.0, abs=1e-15)
 
     def test_consistent_with_profile(self, rng):
         for _ in range(20):
@@ -137,7 +137,7 @@ class TestLrRcml:
 
     def test_monotonicity_example(self):
         stats = stats_from_spectrum([5.0, 3.0, 0.5, 0.2])
-        assert lr_rcml(stats, 1) <= lr_rcml(stats, 2)
+        assert math.exp(log_lr_rcml(stats, 1)) <= math.exp(log_lr_rcml(stats, 2))
 
 
 class TestCoefficientBound:
