@@ -2,14 +2,16 @@
 
 A run sweeps sample counts and estimator specs over independent trials.
 For each sample count the trials run in blocks of at most
-:func:`_block_size` trials.  A block draws each trial's training from the
-scenario's true covariance with the trial's own seeded stream, then makes
-one stacked pass for the whole block: the sample covariances, their
-descending ``eigh`` with pinned phases, and the projections onto each
-eigenbasis that SINR scoring needs.  Every estimator, its constraint
-selector included, then runs as one map over a pass of several blocks
-(:func:`_passes`), which reads their ``(B, N)`` spectra and, for
-``RCML_EL_SIGMA``, their bases and training.  Each trial scores all its
+:func:`_block_size` trials.  A block draws its training from the scenario's
+true covariance in one stacked core: each trial's own seeded stream fills
+its row of the block's normals and picks its corrupted columns, and the
+scale, the product with the covariance's square-root factor and the
+corruption run once per block.  The block then makes one stacked pass: the
+sample covariances, their descending ``eigh`` with pinned phases, and the
+projections onto each eigenbasis that SINR scoring needs.  Every estimator,
+its constraint selector included, then runs as one map over a pass of
+several blocks (:func:`_passes`), which reads their ``(B, N)`` spectra and,
+for ``RCML_EL_SIGMA``, their bases and training.  Each trial scores all its
 estimates in one call, by normalized SINR averaged over a steering grid in
 the trial's sample eigenbasis.  Every row of a pass equals the estimate
 built on its trial alone, bit for bit, so neither blocks nor passes change
@@ -51,7 +53,7 @@ from .metrics import apply_inverse
 from .scenario import (
     CorruptionSpec,
     ScenarioConfig,
-    draw_training,
+    _draw_rows,
     jammer_covariance,
     steering_vector,
 )
@@ -211,6 +213,10 @@ class ExperimentConfig:
                 raise InputError(f"rank in {spec} outside [0, {self.scenario.n}]")
             if spec.name == "CNCML_FIXED" and not 1 <= spec.param < math.inf:
                 raise InputError(f"bound in {spec} must be finite and at least 1")
+        needing = [str(spec) for spec in self.estimators if _ESTIMATORS[spec.name].needs_lr0]
+        if needing and self.lr0_table_path is None and not self.autocompute_lr0:
+            raise InputError(f"{', '.join(needing)} need lr0, but autocompute is disabled "
+                             "and no lr0 table is set")
 
 
 @dataclass
@@ -220,8 +226,9 @@ class TrialRecord:
     ``wall_time`` is the estimator's share of its pass, that pass's time
     over its ``B`` trials, plus an equal share of the trial's one scoring
     call.  The blocks' shared draw, ``eigh`` and eigenbasis projections are
-    not in it.  It is informational only and kept out of the CSV files so
-    reruns stay byte-identical.
+    not in it, nor is stacking the pass's estimates for scoring, which is
+    done once per pass.  It is informational only and kept out of the CSV
+    files so reruns stay byte-identical.
     """
 
     trial_index: int
@@ -314,8 +321,9 @@ def _sinr_scorer(lambdas, w0, g, den_true) -> np.ndarray:
         raise SingularMatrixError("estimate has a non-positive or NaN eigenvalue")
     q = 1.0 / lambdas
     w2 = np.abs(w0) ** 2
-    # one matvec per row: a single (E, N) @ (N, S) product rounds differently
-    num = np.array([q_e @ w2 for q_e in q])
+    # a stack of (1, N) @ (N, S) products, one matvec per row: a single
+    # (E, N) @ (N, S) product rounds differently
+    num = (q[:, None, :] @ w2)[:, 0]
     y = w0 * q[:, :, None]
     den = (y.conj() * (g @ y)).sum(axis=1).real
     db = 10.0 * np.log10(num**2 / (den * den_true))
@@ -347,6 +355,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[TrialRecord]:
     r_init = cfg.r_init if cfg.r_init is not None else scenario.jammer_count
     nmf_steering = steering_vector(n, cfg.nmf_angle)
 
+    names = [str(spec) for spec in cfg.estimators]
     records: list[TrialRecord] = []
     for k in cfg.k_list:
         for blocks in _passes(n, k, cfg.trials):
@@ -359,34 +368,34 @@ def run_experiment(cfg: ExperimentConfig) -> list[TrialRecord]:
             g = np.empty((b, n, n), dtype=complex)
             for block in blocks:
                 part = slice(block.start - trials.start, block.stop - trials.start)
-                for trial in block:
-                    rng = derive_rng(cfg.master_seed, "trial", k, trial)
-                    p.z[trial - trials.start] = draw_training(factor, k, cfg.corruption, rng).z
+                rngs = [derive_rng(cfg.master_seed, "trial", k, trial) for trial in block]
+                _draw_rows(factor, k, cfg.corruption, rngs, out=p.z[part])
                 p.d[part], p.v[part] = _eigh_desc(sample_covariance(p.z[part]))
                 w0[part], g[part] = _eigenbasis_projections(p.v[part], r_true, steer)
             # per estimator: (lambdas, constraints, seconds per trial) of its pass
             built = [_timed(spec, p) for spec in cfg.estimators]
+            estimates = np.stack([lam for lam, _, _ in built], axis=1)  # (B, E, N)
             for i, trial in enumerate(trials):
-                lambdas = [lam[i] for lam, _, _ in built]
                 start = time.perf_counter()
-                sinr_db = _sinr_scorer(np.stack(lambdas), w0[i], g[i], den_true)
-                score_share = (time.perf_counter() - start) / len(lambdas)
-                for spec, (_, constraints, build), sinr in zip(cfg.estimators, built, sinr_db):
+                sinr_db = _sinr_scorer(estimates[i], w0[i], g[i], den_true).tolist()
+                score_share = (time.perf_counter() - start) / len(names)
+                for name, (_, constraints, build), sinr in zip(names, built, sinr_db):
                     con = constraints[i]
                     records.append(
                         TrialRecord(
                             trial_index=trial,
                             k=k,
-                            estimator=str(spec),
+                            estimator=name,
                             r_hat=con.r,
                             sigma2_hat=con.sigma2,
                             kmax_hat=con.kmax,
                             beta_hat=con.beta,
-                            sinr_db=float(sinr),
+                            sinr_db=sinr,
                             wall_time=build + score_share,
                         )
                     )
-            del p, w0, g  # free this pass's arrays before the next pass allocates its own
+            # free this pass's arrays before the next pass allocates its own
+            del p, w0, g, estimates
     _write_outputs(cfg, records)
     return records
 
@@ -405,19 +414,11 @@ def _write_outputs(cfg: ExperimentConfig, records: list[TrialRecord]) -> None:
     with open(out_dir / "trials.csv", "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["k", "trial", "estimator", "r", "sigma2", "kmax", "beta", "sinr_db"])
-        for rec in records:
-            writer.writerow(
-                [
-                    rec.k,
-                    rec.trial_index,
-                    rec.estimator,
-                    _fmt(rec.r_hat),
-                    _fmt(rec.sigma2_hat),
-                    _fmt(rec.kmax_hat),
-                    _fmt(rec.beta_hat),
-                    _fmt(rec.sinr_db),
-                ]
-            )
+        writer.writerows(
+            [rec.k, rec.trial_index, rec.estimator, _fmt(rec.r_hat), _fmt(rec.sigma2_hat),
+             _fmt(rec.kmax_hat), _fmt(rec.beta_hat), _fmt(rec.sinr_db)]
+            for rec in records
+        )
     with open(out_dir / "summary.csv", "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["k", "estimator", "trials", "mean_sinr_db"])

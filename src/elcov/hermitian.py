@@ -136,21 +136,36 @@ def derive_rng(master_seed: int, *keys) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(ints))
 
 
-def sample_training(factor: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw ``k`` columns ``z = F w`` with ``w`` unit-variance circular Gaussian.
+def _sample_rows(factor, k: int, rngs, out=None) -> np.ndarray:
+    """Training ``z = F w`` of each generator in ``rngs``, stacked ``(B, N, K)``
+    into ``out`` when given.
 
-    Real and imaginary parts of each ``w`` entry are independent
-    ``Normal(0, 1/2)``, so ``E[w w^H] = I`` and ``E[z z^H] = F F^H``.
+    Each generator fills its own row of one buffer with its real and then
+    its imaginary normals, and the scale and the ``F w`` product then run
+    once over the stack.  A row depends on its generator alone, bit for
+    bit, whatever the stack: the stacked product makes one ``gemm`` call
+    per row.  :func:`sample_training` is the one-row case.
     """
     factor = np.asarray(factor, dtype=np.complex128)
     if factor.ndim != 2:
         raise InputError("factor must be a matrix")
     if k < 1:
         raise InputError("sample count k must be at least 1")
-    n = factor.shape[1]
-    w = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
+    normals = np.empty((len(rngs), 2, factor.shape[1], k))
+    for row, rng in zip(normals, rngs):
+        rng.standard_normal(out=row)
+    w = normals[:, 0] + 1j * normals[:, 1]
     w *= np.sqrt(0.5)
-    return factor @ w
+    return np.matmul(factor, w, out=out)
+
+
+def sample_training(factor: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """Draw ``k`` columns ``z = F w`` with ``w`` unit-variance circular Gaussian.
+
+    Real and imaginary parts of each ``w`` entry are independent
+    ``Normal(0, 1/2)``, so ``E[w w^H] = I`` and ``E[z z^H] = F F^H``.
+    """
+    return _sample_rows(factor, k, [rng])[0]
 
 
 def sample_covariance(z) -> np.ndarray:

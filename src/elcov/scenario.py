@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import FormatError, InputError, NumericalError
-from .hermitian import as_hermitian, sample_training, sqrt_factor
+from .hermitian import _sample_rows, as_hermitian, sqrt_factor
 
 __all__ = [
     "CorruptionSpec",
@@ -105,12 +105,16 @@ def jammer_covariance(cfg: ScenarioConfig) -> np.ndarray:
     zero (within ``1e-9`` of the largest) are clamped with a logged
     warning; anything more negative is a modelling error and raises.
     """
-    idx = np.arange(cfg.n)
-    delta = idx[:, None] - idx[None, :]
-    r = np.zeros((cfg.n, cfg.n), dtype=np.complex128)
+    n = cfg.n
+    # entry (i, j) depends on the lag i - j only: build the 2N - 1 lags
+    # and gather the Toeplitz matrix
+    lags = np.arange(1 - n, n)
+    column = np.zeros(2 * n - 1, dtype=np.complex128)
     for power, phi, beta in zip(cfg.jammer_powers, cfg.phase_angles(), cfg.jammer_bandwidths):
-        envelope = _sinc(0.5 * beta * delta * phi, cfg.sinc_convention)
-        r += power * envelope * np.exp(1j * delta * phi)
+        envelope = _sinc(0.5 * beta * lags * phi, cfg.sinc_convention)
+        column += power * envelope * np.exp(1j * lags * phi)
+    idx = np.arange(n)
+    r = column[idx[:, None] - idx[None, :] + (n - 1)]
     r[idx, idx] += cfg.noise_power
     w = np.linalg.eigvalsh(r)
     lam_min, lam_max = float(w[0]), float(w[-1])
@@ -168,6 +172,28 @@ class TrainingSet:
     corrupted_indices: tuple[int, ...]
 
 
+def _draw_rows(factor, k: int, corruption: CorruptionSpec | None, rngs, out=None):
+    """Training of each generator in ``rngs``, stacked ``(B, N, K)`` into
+    ``out`` when given, and each row's sorted corrupted columns.
+
+    Each generator draws its normals and then picks its columns; the
+    corruption is added to all rows at once.  A row depends on its
+    generator alone, bit for bit, whatever the stack, and
+    :func:`draw_training` is the one-row case.
+    """
+    z = _sample_rows(factor, k, rngs, out)
+    picks = [np.empty(0, dtype=int)] * len(rngs)
+    if corruption is not None and corruption.fraction > 0:
+        if len(corruption.steering) != z.shape[1]:
+            raise InputError("corruption steering length does not match the scenario size")
+        count = int(np.floor(corruption.fraction * k + 0.5))
+        if count > 0:
+            picks = [np.sort(rng.choice(k, size=count, replace=False)) for rng in rngs]
+            rows = np.repeat(np.arange(len(rngs)), count)
+            z[rows, :, np.concatenate(picks)] += corruption.amplitude * corruption.steering
+    return z, picks
+
+
 def draw_training(
     factor, k: int, corruption: CorruptionSpec | None, rng: np.random.Generator
 ) -> TrainingSet:
@@ -176,17 +202,8 @@ def draw_training(
     With a corruption spec, exactly ``round(fraction * k)`` columns (chosen
     by the generator, half-up rounding) receive the target-like component.
     """
-    z = sample_training(factor, k, rng)
-    corrupted: tuple[int, ...] = ()
-    if corruption is not None and corruption.fraction > 0:
-        if len(corruption.steering) != z.shape[0]:
-            raise InputError("corruption steering length does not match the scenario size")
-        count = int(np.floor(corruption.fraction * k + 0.5))
-        if count > 0:
-            picks = np.sort(rng.choice(k, size=count, replace=False))
-            z[:, picks] += corruption.amplitude * corruption.steering[:, None]
-            corrupted = tuple(int(i) for i in picks)
-    return TrainingSet(z=z, corrupted_indices=corrupted)
+    z, picks = _draw_rows(factor, k, corruption, [rng])
+    return TrainingSet(z=z[0], corrupted_indices=tuple(picks[0].tolist()))
 
 
 def generate_training(

@@ -60,9 +60,13 @@ def _rank_rows(d: np.ndarray, sigma2: float, lr0: float):
     """Rank selection for each row of a ``(B, N)`` stack of spectra at one
     noise power: the selected ranks ``(B,)``, the log LR table ``(B, N + 1)``
     whose column ``r`` is the rank-``r`` log LR, and ``p = #{d_i > sigma2}``
-    per row.  Columns past a row's ``p`` are not candidates."""
+    per row.  Columns past a row's ``p`` are not candidates.  Raises
+    :class:`InputError` on a negative or NaN entry, whose log has no
+    meaning; zero entries are allowed."""
     if not 0 < lr0 <= 1:
         raise InputError("lr0 must lie in (0, 1]")
+    if not (d >= 0).all():  # also catches NaN, for which `< 0` is false
+        raise InputError("sample eigenvalues must be non-negative")
     b, n = d.shape
     x = d / sigma2
     p = (x > 1.0).sum(axis=1)

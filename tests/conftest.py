@@ -20,10 +20,12 @@ from elcov import (
     NumericalError,
     SampleStats,
     ScenarioConfig,
+    as_hermitian,
     log_lr_value,
 )
 from elcov.hermitian import HERMITIAN_TOL
 from elcov.likelihood import _BRANCH_POINT, _branch_series
+from elcov.scenario import _sinc
 from elcov.selection import KmaxSelection, _rank_rows
 
 
@@ -665,6 +667,47 @@ def select_rank_sigma_oracle(
     return JointSelection(
         r_hat=r, sigma2_hat=sigmas[best], chosen_from=labels[best], iterations=iterations
     )
+
+
+def draw_training_oracle(factor, k, corruption, rng):
+    """The former per-trial training draw: ``sample_training`` and then the
+    corruption of ``draw_training``, one trial at a time."""
+    factor = np.asarray(factor, dtype=np.complex128)
+    n = factor.shape[1]
+    w = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
+    w *= np.sqrt(0.5)
+    z = factor @ w
+    corrupted = ()
+    if corruption is not None and corruption.fraction > 0:
+        count = int(np.floor(corruption.fraction * k + 0.5))
+        if count > 0:
+            picks = np.sort(rng.choice(k, size=count, replace=False))
+            z[:, picks] += corruption.amplitude * corruption.steering[:, None]
+            corrupted = tuple(int(i) for i in picks)
+    return z, corrupted
+
+
+def jammer_covariance_oracle(cfg: ScenarioConfig) -> np.ndarray:
+    """The former element-wise build of ``jammer_covariance``: the sinc and
+    the complex exp taken per entry rather than per lag."""
+    idx = np.arange(cfg.n)
+    delta = idx[:, None] - idx[None, :]
+    r = np.zeros((cfg.n, cfg.n), dtype=np.complex128)
+    for power, phi, beta in zip(cfg.jammer_powers, cfg.phase_angles(), cfg.jammer_bandwidths):
+        envelope = _sinc(0.5 * beta * delta * phi, cfg.sinc_convention)
+        r += power * envelope * np.exp(1j * delta * phi)
+    r[idx, idx] += cfg.noise_power
+    w = np.linalg.eigvalsh(r)
+    lam_min, lam_max = float(w[0]), float(w[-1])
+    if lam_min < -1e-9 * lam_max:
+        raise NumericalError(
+            f"jammer covariance is not PSD: eigenvalue {lam_min:.6e} below "
+            f"-1e-9 * {lam_max:.6e}"
+        )
+    if lam_min < 0.0:
+        vals, vecs = np.linalg.eigh(r)
+        r = (vecs * np.clip(vals, 0.0, None)) @ vecs.conj().T
+    return as_hermitian(r)
 
 
 def bartlett_log_lr(gen, n, k, trials):

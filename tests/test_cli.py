@@ -226,6 +226,24 @@ class TestSimulateCommand:
     def test_missing_config(self, tmp_path):
         assert cli(["simulate", "--config", str(tmp_path / "none.cfg")]) == 1
 
+    def test_undersampled_rank_selection_fails_without_csv(self, tmp_path, capsys):
+        # README scenario at K = 10 < N = 20, lr0 pinned at 0.3: eigh leaves
+        # entries near -1e-16, which rank selection rejects instead of
+        # writing r = 0 for every trial
+        table, out = tmp_path / "lr0.txt", tmp_path / "out"
+        lr0_store(LRReference(20, 10, 0, 0, 0.3, [(q, 0.3) for q in QUANTILE_PROBS]), table)
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(
+            "[scenario]\nn = 20\nnoise_power = 1.0\njammer_powers = 10, 100, 1000\n"
+            "jammer_angles = 0.349, 0.698, 1.047\njammer_bandwidths = 0.2, 0, 0.3\n"
+            "angle_mode = radians\n\n"
+            "[experiment]\nk_list = 10\ntrials = 8\nmaster_seed = 2024\n"
+            f"estimators = RCML_EL\nlr0_table = {table}\noutput = {out}\n"
+        )
+        assert cli(["simulate", "--config", str(cfg)]) == 1
+        assert "sample eigenvalues must be non-negative" in capsys.readouterr().err
+        assert not (out / "trials.csv").exists() and not (out / "summary.csv").exists()
+
     @pytest.mark.parametrize(
         "scenario",
         [

@@ -329,6 +329,25 @@ class TestConfigFile:
         assert cli(["simulate", "--config", str(path)]) == 1
         assert not table.exists() and not out.exists()
 
+    def test_lr0_without_table_or_autocompute_fails_at_load(self, tmp_path):
+        out = tmp_path / "out"
+        path = tmp_path / "exp.cfg"
+        path.write_text(
+            f"[scenario]\nn = 4\n[experiment]\nk_list = 8\ntrials = 2\nmaster_seed = 1\n"
+            f"estimators = SMI, RCML_EL, LSMI_EL\noutput = {out}\nautocompute = false\n"
+        )
+        with pytest.raises(InputError, match="RCML_EL, LSMI_EL need lr0"):
+            load_experiment_config(path)
+        assert cli(["simulate", "--config", str(path)]) == 1
+        assert not out.exists()
+
+    def test_lr0_without_table_or_autocompute_rejected_when_built_directly(self, tmp_path):
+        with pytest.raises(InputError, match="CNCML_EL need lr0"):
+            noise_only_config(tmp_path, autocompute_lr0=False,
+                              estimators=(EstimatorSpec("SMI"), EstimatorSpec("CNCML_EL")))
+        # estimators that need no lr0 run without a table
+        assert len(run_experiment(noise_only_config(tmp_path, autocompute_lr0=False))) == 1
+
     def test_repeats_rejected_when_built_directly(self, tmp_path):
         with pytest.raises(InputError, match="k_list repeats 4"):
             noise_only_config(tmp_path, k_list=(4, 4))
@@ -338,6 +357,41 @@ class TestConfigFile:
     @pytest.mark.parametrize("spec", ["RCML_FIXED(0)", "RCML_FIXED(4)", "CNCML_FIXED(1)"])
     def test_fixed_parameter_limits_accepted(self, tmp_path, spec):
         noise_only_config(tmp_path, estimators=(EstimatorSpec.parse(spec),))
+
+
+class TestWriteOutputs:
+    def test_exact_bytes(self, tmp_path):
+        cfg = noise_only_config(
+            tmp_path, scenario=ScenarioConfig(n=8), k_list=(10,), trials=2,
+            estimators=tuple(EstimatorSpec.parse(t) for t in ("RCML_FIXED(5)", "CNCML_EL", "SMI")),
+        )
+        rec = harness.TrialRecord
+        records = [
+            rec(0, 10, "RCML_FIXED(5)", 5, 1.0, None, None, -3.14159265358979, 0.5),
+            rec(0, 10, "CNCML_EL", None, 0.123456789012345, 12.3456789012345, None,
+                -0.000123456789012345, 0.5),
+            rec(0, 10, "SMI", None, None, None, None, 1.5, 0.5),
+            rec(1, 10, "RCML_FIXED(5)", 0, 2.5, None, 0.25, -2.0, 0.5),
+            rec(1, 10, "CNCML_EL", None, 1e-05, 1.0, None, 2.00000000004, 0.5),
+            rec(1, 10, "SMI", None, None, None, None, -7.25, 0.5),
+        ]
+        harness._write_outputs(cfg, records)
+        out = tmp_path / "out"
+        assert (out / "trials.csv").read_bytes() == (
+            b"k,trial,estimator,r,sigma2,kmax,beta,sinr_db\n"
+            b"10,0,RCML_FIXED(5),5,1,,,-3.14159265359\n"
+            b"10,0,CNCML_EL,,0.123456789012,12.3456789012,,-0.000123456789012\n"
+            b"10,0,SMI,,,,,1.5\n"
+            b"10,1,RCML_FIXED(5),0,2.5,,0.25,-2\n"
+            b"10,1,CNCML_EL,,1e-05,1,,2.00000000004\n"
+            b"10,1,SMI,,,,,-7.25\n"
+        )
+        assert (out / "summary.csv").read_bytes() == (
+            b"k,estimator,trials,mean_sinr_db\n"
+            b"10,RCML_FIXED(5),2,-2.57079632679\n"
+            b"10,CNCML_EL,2,0.999938271625\n"
+            b"10,SMI,2,-2.875\n"
+        )
 
 
 class TestHoistedFactor:

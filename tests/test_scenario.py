@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from conftest import random_hermitian, reference_scenario
+from conftest import (
+    draw_training_oracle,
+    jammer_covariance_oracle,
+    random_hermitian,
+    reference_scenario,
+)
 from elcov import (
     CorruptionSpec,
     FormatError,
@@ -17,7 +22,7 @@ from elcov import (
     sqrt_factor,
     write_cmat,
 )
-from elcov.scenario import draw_training
+from elcov.scenario import _draw_rows, draw_training
 
 
 class TestScenarioConfig:
@@ -88,6 +93,23 @@ class TestJammerCovariance:
             assert np.max(np.abs(r - r.conj().T)) <= 1e-12
             w = np.linalg.eigvalsh(r)
             assert w[0] >= -1e-9 * w[-1]
+
+    @pytest.mark.parametrize("convention", ["unnormalized", "normalized"])
+    def test_lag_build_equals_elementwise_oracle(self, rng, convention):
+        for _ in range(150):
+            j = int(rng.integers(0, 7))
+            degrees = bool(rng.integers(0, 2))
+            cfg = ScenarioConfig(
+                n=int(rng.integers(2, 130)),
+                jammer_powers=tuple(float(p) for p in rng.uniform(0.5, 1e4, j)),
+                jammer_angles=tuple(float(a) for a in (rng.uniform(-80, 80, j) if degrees
+                                                       else rng.uniform(-3.0, 3.0, j))),
+                jammer_bandwidths=tuple(float(b) for b in rng.uniform(0.0, 0.9, j)),
+                noise_power=float(rng.uniform(0.1, 5.0)),
+                sinc_convention=convention,
+                angle_mode="degrees" if degrees else "radians",
+            )
+            assert jammer_covariance(cfg).tobytes() == jammer_covariance_oracle(cfg).tobytes()
 
     def test_toeplitz_exact(self):
         cfg = ScenarioConfig(n=10, jammer_powers=(100.0,), jammer_angles=(37.0,),
@@ -224,3 +246,20 @@ class TestDrawTraining:
         assert np.array_equal(a.z, b.z)
         assert a.corrupted_indices == b.corrupted_indices
         assert len(b.corrupted_indices) == round(fraction * k)
+
+    @pytest.mark.parametrize("fraction", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("k", [1, 6, 12])
+    @pytest.mark.parametrize("b", [1, 3, 20])
+    def test_stacked_core_equals_per_trial_oracle(self, rng, b, k, fraction):
+        n = 6
+        r_true = random_hermitian(rng, n)
+        factor = sqrt_factor(r_true @ r_true.conj().T + np.eye(n))
+        spec = CorruptionSpec(fraction=fraction, amplitude=3.0, steering=steering_vector(n, 20.0))
+        z, picks = _draw_rows(factor, k, spec, [derive_rng(4, "draw", k, t) for t in range(b)])
+        assert z.shape == (b, n, k) and len(picks) == b
+        for t in range(b):
+            z_t, corrupted = draw_training_oracle(factor, k, spec, derive_rng(4, "draw", k, t))
+            assert z[t].tobytes() == z_t.tobytes()
+            assert tuple(picks[t].tolist()) == corrupted
+            one = draw_training(factor, k, spec, derive_rng(4, "draw", k, t))
+            assert one.z.tobytes() == z_t.tobytes() and one.corrupted_indices == corrupted

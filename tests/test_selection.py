@@ -111,6 +111,13 @@ class TestSelectRank:
         with pytest.raises(InputError):
             select_rank(stats, 0.0)
 
+    @pytest.mark.parametrize("bad", [-1e-16, np.nan])
+    def test_negative_or_nan_eigenvalue_raises(self, bad):
+        # the log of such an entry used to fill every rank's log LR with NaN,
+        # and the argmin then picked rank 0
+        with pytest.raises(InputError, match="non-negative"):
+            select_rank(stats_from_spectrum([3.0, 2.0, bad]), 0.5)
+
     def test_large_dimension_stays_in_log_domain(self):
         # at N = 352 the raw LR underflows doubles; the log-domain scores
         # must still see finite mismatches
