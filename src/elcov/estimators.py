@@ -108,8 +108,8 @@ class CovarianceEstimate:
 
 
 # Each map below works on a ``(B, N)`` stack of spectra, one estimate per row,
-# so a sweep builds a block of trials in one pass; the public estimators are
-# its one-row case.
+# so a sweep builds all the trials of a pass in one call; the public
+# estimators are its one-row case.
 
 
 def _one_row(stats: SampleStats, lambdas: np.ndarray, constraints: list) -> CovarianceEstimate:

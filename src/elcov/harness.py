@@ -1,25 +1,25 @@
 """Monte Carlo experiment runner with seeded reproducibility and CSV output.
 
 A run sweeps sample counts and estimator specs over independent trials.
-For each sample count the trials run in blocks of at most
-:func:`_block_size` trials.  A block draws its training from the scenario's
-true covariance in one stacked core: each trial's own seeded stream fills
-its row of the block's normals and picks its corrupted columns, and the
-scale, the product with the covariance's square-root factor and the
-corruption run once per block.  The block then makes one stacked pass: the
-sample covariances, their descending ``eigh`` with pinned phases, and the
-projections onto each eigenbasis that SINR scoring needs.  Every estimator,
-its constraint selector included, then runs as one map over a pass of
-several blocks (:func:`_passes`), which reads their ``(B, N)`` spectra and,
-for ``RCML_EL_SIGMA``, their bases and training.  Each trial scores all its
+For each sample count the trials run in passes of at most :func:`_passes`
+trials, the one batching level.  A pass draws its training from the
+scenario's true covariance in one stacked core: each trial's own seeded
+stream fills its row of the pass's normals and picks its corrupted
+columns, and the scale, the product with the covariance's square-root
+factor and the corruption run once per pass.  The pass then computes, in
+one stacked call each, the sample covariances, their descending ``eigh``
+with pinned phases, and the projections onto each eigenbasis that SINR
+scoring needs.  Every estimator, its constraint selector included, runs
+as one map over the pass, which reads its ``(B, N)`` spectra and, for
+``RCML_EL_SIGMA``, its bases and training.  Each trial scores all its
 estimates in one call, by normalized SINR averaged over a steering grid in
 the trial's sample eigenbasis.  Every row of a pass equals the estimate
-built on its trial alone, bit for bit, so neither blocks nor passes change
-any output, and identical configuration and master seed reproduce the
-output CSVs byte for byte.  For the same reason a pass raises exactly when
-one of its trials would raise alone; its error, from the first failing
-estimator in configuration order, ends the sweep before the pass is scored,
-and no CSV is written.
+built on its trial alone, bit for bit, so the pass size changes no
+output, and identical configuration and master seed reproduce the output
+CSVs byte for byte.  For the same reason a pass raises exactly when one of
+its trials would raise alone; its error, from the first failing estimator
+in configuration order, ends the sweep before the pass is scored, and no
+CSV is written.
 """
 
 from __future__ import annotations
@@ -70,16 +70,11 @@ __all__ = [
 ]
 
 
-# Matrix elements per stacked block of trials, B * N * max(N, K).  Blocks of
-# 10 to 20 trials at N = 20 already pay for the per-block numpy calls, and
-# their arrays (about 128 KB each) fit in memory the process holds anyway,
-# so blocking does not raise the peak RSS.
-_BLOCK_ELEMENTS = 2**13
-# Elements of the N x N eigenbasis projections that one stacked estimator
-# pass keeps until its trials are scored.  A pass spans whole blocks, so
-# that where a block holds one trial (N = 64, K = 128) the passes still
-# share their fixed numpy cost: 8 trials at N = 64, about 80 at N = 20.
-_PASS_ELEMENTS = 2**15
+# Matrix elements of the (B, N, K) training and (B, N, N) bases that one
+# pass holds, B * N * (N + K): at most 81 to 54 trials a pass at N = 20 and
+# K = 20 to 40, 5 at N = 64 and K = 128 (so that the passes still share
+# numpy's fixed cost per call), and 16 at N = 4 and K = 1000.
+_PASS_ELEMENTS = 2**16
 
 
 class _Pass(NamedTuple):
@@ -225,10 +220,10 @@ class TrialRecord:
 
     ``wall_time`` is the estimator's share of its pass, that pass's time
     over its ``B`` trials, plus an equal share of the trial's one scoring
-    call.  The blocks' shared draw, ``eigh`` and eigenbasis projections are
-    not in it, nor is stacking the pass's estimates for scoring, which is
-    done once per pass.  It is informational only and kept out of the CSV
-    files so reruns stay byte-identical.
+    call.  The pass's shared draw, ``eigh`` and eigenbasis projections are
+    not in it, nor is stacking its estimates for scoring.  It is
+    informational only and kept out of the CSV files so reruns stay
+    byte-identical.
     """
 
     trial_index: int
@@ -286,20 +281,13 @@ def _timed(spec: EstimatorSpec, p: _Pass):
     return lambdas, constraints, (time.perf_counter() - start) / len(p.d)
 
 
-def _block_size(n: int, k: int) -> int:
-    """Trials per block: as many ``N x max(N, K)`` matrices as fit the budget."""
-    return max(1, _BLOCK_ELEMENTS // (n * max(n, k)))
-
-
-def _passes(n: int, k: int, trials: int) -> list[list[range]]:
-    """The blocks of trials of each stacked estimator pass.  A pass takes
-    whole blocks, as many as keep their ``N x N`` projections within the
-    budget (at least one), and the passes split the blocks evenly."""
-    block = _block_size(n, k)
-    blocks = [range(first, min(first + block, trials)) for first in range(0, trials, block)]
-    count = -(-len(blocks) // max(1, _PASS_ELEMENTS // (n * n * block)))
-    bounds = [len(blocks) * j // count for j in range(count + 1)]
-    return [blocks[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+def _passes(n: int, k: int, trials: int) -> list[range]:
+    """The trials of each pass: as many as keep the pass's training and
+    bases within the budget (at least one), the passes splitting the trials
+    evenly."""
+    count = -(-trials // max(1, _PASS_ELEMENTS // (n * (n + k))))
+    bounds = [trials * j // count for j in range(count + 1)]
+    return [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
 def _eigenbasis_projections(v, r_true, steer):
@@ -340,7 +328,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[TrialRecord]:
     n = scenario.n
     r_true = jammer_covariance(scenario)
     factor = sqrt_factor(r_true)
-    angles = cfg.steering_grid if cfg.steering_grid else default_steering_grid(scenario)
+    angles = default_steering_grid(scenario) if cfg.steering_grid is None else cfg.steering_grid
     if not angles:
         raise InputError("steering grid is empty")
     steer = np.column_stack([steering_vector(n, a) for a in angles])
@@ -358,20 +346,12 @@ def run_experiment(cfg: ExperimentConfig) -> list[TrialRecord]:
     names = [str(spec) for spec in cfg.estimators]
     records: list[TrialRecord] = []
     for k in cfg.k_list:
-        for blocks in _passes(n, k, cfg.trials):
-            trials = range(blocks[0].start, blocks[-1].stop)
-            b = len(trials)
-            p = _Pass(np.empty((b, n)), np.empty((b, n, n), dtype=complex),
-                      np.empty((b, n, k), dtype=complex), k, scenario.noise_power, lr0_by_k[k],
-                      r_init, nmf_steering)
-            w0 = np.empty((b, n, steer.shape[1]), dtype=complex)
-            g = np.empty((b, n, n), dtype=complex)
-            for block in blocks:
-                part = slice(block.start - trials.start, block.stop - trials.start)
-                rngs = [derive_rng(cfg.master_seed, "trial", k, trial) for trial in block]
-                _draw_rows(factor, k, cfg.corruption, rngs, out=p.z[part])
-                p.d[part], p.v[part] = _eigh_desc(sample_covariance(p.z[part]))
-                w0[part], g[part] = _eigenbasis_projections(p.v[part], r_true, steer)
+        for trials in _passes(n, k, cfg.trials):
+            rngs = [derive_rng(cfg.master_seed, "trial", k, trial) for trial in trials]
+            z, _ = _draw_rows(factor, k, cfg.corruption, rngs)
+            d, v = _eigh_desc(sample_covariance(z))
+            w0, g = _eigenbasis_projections(v, r_true, steer)
+            p = _Pass(d, v, z, k, scenario.noise_power, lr0_by_k[k], r_init, nmf_steering)
             # per estimator: (lambdas, constraints, seconds per trial) of its pass
             built = [_timed(spec, p) for spec in cfg.estimators]
             estimates = np.stack([lam for lam, _, _ in built], axis=1)  # (B, E, N)
@@ -395,7 +375,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[TrialRecord]:
                         )
                     )
             # free this pass's arrays before the next pass allocates its own
-            del p, w0, g, estimates
+            del p, z, d, v, w0, g, estimates
     _write_outputs(cfg, records)
     return records
 
@@ -490,14 +470,17 @@ def load_experiment_config(path) -> ExperimentConfig:
         if key not in ex:
             raise InputError(f"missing required key {key!r} in [experiment]")
     try:
-        k_list = tuple(int(v) for v in _floats(ex["k_list"]))
+        k_list = _floats(ex["k_list"])
+        for v in k_list:
+            if not v.is_integer():  # also false for inf and NaN
+                raise InputError(f"k_list entries must be finite whole numbers, got {v:g}")
         estimators = tuple(
             EstimatorSpec.parse(tok) for tok in ex["estimators"].split(",") if tok.strip()
         )
         steering = _floats(ex["steering_grid"]) if "steering_grid" in ex else None
         config = ExperimentConfig(
             scenario=scenario,
-            k_list=k_list,
+            k_list=tuple(int(v) for v in k_list),
             trials=ex.getint("trials"),
             master_seed=ex.getint("master_seed"),
             estimators=estimators,

@@ -136,9 +136,8 @@ def derive_rng(master_seed: int, *keys) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(ints))
 
 
-def _sample_rows(factor, k: int, rngs, out=None) -> np.ndarray:
-    """Training ``z = F w`` of each generator in ``rngs``, stacked ``(B, N, K)``
-    into ``out`` when given.
+def _sample_rows(factor, k: int, rngs) -> np.ndarray:
+    """Training ``z = F w`` of each generator in ``rngs``, stacked ``(B, N, K)``.
 
     Each generator fills its own row of one buffer with its real and then
     its imaginary normals, and the scale and the ``F w`` product then run
@@ -156,7 +155,7 @@ def _sample_rows(factor, k: int, rngs, out=None) -> np.ndarray:
         rng.standard_normal(out=row)
     w = normals[:, 0] + 1j * normals[:, 1]
     w *= np.sqrt(0.5)
-    return np.matmul(factor, w, out=out)
+    return factor @ w
 
 
 def sample_training(factor: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:

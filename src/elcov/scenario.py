@@ -172,16 +172,16 @@ class TrainingSet:
     corrupted_indices: tuple[int, ...]
 
 
-def _draw_rows(factor, k: int, corruption: CorruptionSpec | None, rngs, out=None):
-    """Training of each generator in ``rngs``, stacked ``(B, N, K)`` into
-    ``out`` when given, and each row's sorted corrupted columns.
+def _draw_rows(factor, k: int, corruption: CorruptionSpec | None, rngs):
+    """Training of each generator in ``rngs``, stacked ``(B, N, K)``, and
+    each row's sorted corrupted columns.
 
     Each generator draws its normals and then picks its columns; the
     corruption is added to all rows at once.  A row depends on its
     generator alone, bit for bit, whatever the stack, and
     :func:`draw_training` is the one-row case.
     """
-    z = _sample_rows(factor, k, rngs, out)
+    z = _sample_rows(factor, k, rngs)
     picks = [np.empty(0, dtype=int)] * len(rngs)
     if corruption is not None and corruption.fraction > 0:
         if len(corruption.steering) != z.shape[1]:

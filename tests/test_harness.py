@@ -1,4 +1,5 @@
 import csv
+import hashlib
 
 import numpy as np
 import pytest
@@ -308,6 +309,8 @@ class TestConfigFile:
             ("8, 20, 8", "SMI", "k_list repeats 8"),
             ("0, 20", "RCML_EL", "at least 1, got 0"),
             ("-3", "SMI", "at least 1, got -3"),
+            ("20.5", "SMI", "finite whole numbers, got 20.5"),
+            ("20, inf", "SMI", "finite whole numbers, got inf"),
             ("20", "SMI, FML, smi", "estimator list repeats SMI"),
             ("20", "RCML_FIXED(2), RCML_FIXED(2.0)", r"estimator list repeats RCML_FIXED\(2\)"),
         ],
@@ -326,6 +329,21 @@ class TestConfigFile:
         )
         with pytest.raises(InputError, match=message):
             load_experiment_config(path)
+        assert cli(["simulate", "--config", str(path)]) == 1
+        assert not table.exists() and not out.exists()
+
+    def test_empty_steering_grid_fails_before_lr0_or_csv(self, tmp_path):
+        # an empty grid is an input error, not a fall-back to the default grid
+        table, out = tmp_path / "lr0.txt", tmp_path / "out"
+        path = tmp_path / "exp.cfg"
+        path.write_text(
+            f"[scenario]\nn = 4\n[experiment]\nk_list = 8\ntrials = 2\nmaster_seed = 1\n"
+            f"estimators = SMI, RCML_EL\noutput = {out}\nlr0_table = {table}\n"
+            "steering_grid =\n"
+        )
+        assert load_experiment_config(path).steering_grid == ()
+        with pytest.raises(InputError, match="steering grid is empty"):
+            run_experiment(load_experiment_config(path))
         assert cli(["simulate", "--config", str(path)]) == 1
         assert not table.exists() and not out.exists()
 
@@ -394,6 +412,59 @@ class TestWriteOutputs:
         )
 
 
+GOLDEN_LR0_TABLE = (
+    "LR0TABLE v1\n"
+    "20 20 0 0 3.9091407407572326e-09 1.2833478922876895e-10 1.0775703112049912e-09 "
+    "3.9091407407572326e-09 1.2672553829686553e-08 5.889731075476079e-08\n"
+    "20 40 0 0 0.0021892422421553636 0.0010328203796812056 0.0016203938402552037 "
+    "0.0021892422421553636 0.00292894212482658 0.004377745420568691\n"
+)
+
+# sha256 of (trials.csv, summary.csv) for the golden sweep below.  They hold
+# for numpy 2.4.6 with OpenBLAS 0.3.31, which CI pins.  OpenBLAS picks its
+# kernels by CPU at run time and the two kernel families round differently,
+# so each case has one pair for the AVX-512 kernels (SkylakeX, Cooperlake,
+# SapphireRapids) and one for the AVX2 kernels (Haswell, Zen); a run must
+# match one pair whole.
+GOLDEN_DIGESTS = {
+    False: (
+        ("e5f01ef43fc1e6e0c1cc9bcedba8b984984705bff1aa648a0c723727ddb21028",
+         "f8e045d5ed3b6b95cf762a80313a7f9e931165ba387468bb668f1e59a9d45145"),
+        ("f7a0372ace1963841fd9b55812c9ce92f535659e124929531357a769fea43410",
+         "e8218029db531969d3d58664d08d7666eb6c4df316249c8718e11022578cebbb"),
+    ),
+    True: (
+        ("4e59e12880afcf917cd8eec4619024d8439f20e13b2cfb8a97f00e4f3ab6d4d1",
+         "55bd69375c850130e999bc08d9cd8f0d6355a51ad043f2a54b5cf40dd2221a16"),
+        ("c9e92579ace5edc8dad87e61b57fd8e9fcb224352ba0dd8921a20ae80f6700e1",
+         "922de37351cddca1882ce98d40e313618a380b11bfe9849d75da838ab12b4990"),
+    ),
+}
+
+
+class TestGoldenOutput:
+    @pytest.mark.parametrize("corrupted", [False, True], ids=["clean", "corrupted"])
+    def test_output_bytes_match_recorded_digests(self, tmp_path, corrupted):
+        # lr0 comes from a literal table, so the digests cover the draw,
+        # eigh, the selectors and scoring, not the lr0 computation
+        names = ("SMI", "FML", "RCML_EL", "RCML_EL_SIGMA", "RCML_FIXED(5)", "CNCML_ML",
+                 "CNCML_FIXED(8)", "CNCML_EL", "LSMI_EL")
+        table = tmp_path / "lr0.txt"
+        table.write_text(GOLDEN_LR0_TABLE)
+        corruption = CorruptionSpec(fraction=0.5, amplitude=50.0,
+                                    steering=steering_vector(20, 0.0)) if corrupted else None
+        cfg = noise_only_config(
+            tmp_path, scenario=reference_scenario(), k_list=(20, 40), trials=5,
+            master_seed=2024, estimators=tuple(EstimatorSpec.parse(t) for t in names),
+            lr0_table_path=str(table), autocompute_lr0=False, corruption=corruption,
+        )
+        run_experiment(cfg)
+        digests = tuple(hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
+                        for name in ("trials.csv", "summary.csv"))
+        assert digests in GOLDEN_DIGESTS[corrupted]
+        assert table.read_text() == GOLDEN_LR0_TABLE
+
+
 class TestHoistedFactor:
     def test_one_sqrt_factor_per_sweep(self, tmp_path, monkeypatch):
         calls = []
@@ -418,9 +489,10 @@ class TestHoistedFactor:
 class TestTrialBlocks:
     def test_blocked_sweep_equals_per_trial_oracle(self, tmp_path, monkeypatch):
         n, k_list, trials = 6, (12, 9), 8
-        # 3 trials per block at k = 12 (blocks 3, 3, 2) and 4 at k = 9 (4, 4)
-        monkeypatch.setattr(harness, "_BLOCK_ELEMENTS", 3 * n * 12)
-        assert [harness._block_size(n, k) for k in k_list] == [3, 4]
+        # at most 3 trials per pass at k = 12 (passes 2, 3, 3) and 4 at k = 9 (4, 4)
+        monkeypatch.setattr(harness, "_PASS_ELEMENTS", 4 * n * (n + 9))
+        assert [harness._passes(n, k, trials) for k in k_list] == [
+            [range(0, 2), range(2, 5), range(5, 8)], [range(0, 4), range(4, 8)]]
         scenario = ScenarioConfig(n=n, jammer_powers=(40.0, 150.0), jammer_angles=(10.0, -35.0),
                                   jammer_bandwidths=(0.0, 0.1), noise_power=1.0)
         corruption = CorruptionSpec(fraction=0.5, amplitude=50.0,
@@ -455,7 +527,7 @@ class TestTrialBlocks:
                 r.sinr_db) for r in records]
         assert got == oracle
 
-    def test_one_stacked_eigh_per_block_and_one_score_per_trial(self, tmp_path, monkeypatch):
+    def test_one_stacked_eigh_per_pass_and_one_score_per_trial(self, tmp_path, monkeypatch):
         eigh_stacks, scored = [], []
         eigh_inner, score_inner = harness._eigh_desc, harness._sinr_scorer
 
@@ -469,7 +541,7 @@ class TestTrialBlocks:
 
         monkeypatch.setattr(harness, "_eigh_desc", eigh)
         monkeypatch.setattr(harness, "_sinr_scorer", score)
-        n, k_list, trials = 20, (20, 40), 45
+        n, k_list, trials = 20, (20, 40), 120
         cfg = noise_only_config(
             tmp_path,
             scenario=reference_scenario(),
@@ -480,25 +552,22 @@ class TestTrialBlocks:
         assert len(run_experiment(cfg)) == 2 * len(k_list) * trials
         expected = []
         for k in k_list:
-            block = harness._block_size(n, k)
-            assert 1 < block < trials
-            sizes = [block] * (trials // block) + ([trials % block] if trials % block else [])
-            assert len(sizes) == -(-trials // block)
-            expected += [(b, n, n) for b in sizes]
+            passes = harness._passes(n, k, trials)
+            assert 1 < len(passes) < trials
+            assert [t for trial_range in passes for t in trial_range] == list(range(trials))
+            expected += [(len(trial_range), n, n) for trial_range in passes]
+        assert expected == [(60, n, n)] * 2 + [(40, n, n)] * 3
         assert eigh_stacks == expected
         assert scored == [(2, n)] * (len(k_list) * trials)
 
     def test_one_kmax_pass_per_pass_and_no_per_trial_stats(self, tmp_path, monkeypatch):
-        # every estimator is a map over a pass: the kmax core, the fixed-bound
-        # map and the joint map run once per pass of whole blocks, eigh once
-        # per block, and no trial builds a SampleStats
+        # every estimator is a map over a pass: eigh, the kmax core, the
+        # fixed-bound map and the joint map run once per pass, and no trial
+        # builds a SampleStats
         n, k, trials = 20, 30, 14
-        monkeypatch.setattr(harness, "_BLOCK_ELEMENTS", 3 * n * k)
-        monkeypatch.setattr(harness, "_PASS_ELEMENTS", 2 * 3 * n * n)
-        # blocks of 3 trials, at most 2 blocks per pass, the 5 blocks split 1, 2, 2
-        assert harness._block_size(n, k) == 3
-        assert harness._passes(n, k, trials) == [
-            [range(0, 3)], [range(3, 6), range(6, 9)], [range(9, 12), range(12, 14)]]
+        monkeypatch.setattr(harness, "_PASS_ELEMENTS", 5 * n * (n + k))
+        # at most 5 trials per pass, the 14 trials split 4, 5, 5
+        assert harness._passes(n, k, trials) == [range(0, 4), range(4, 9), range(9, 14)]
         eigh_stacks, kmax_stacks, fixed_stacks, joint_stacks, stats_built = [], [], [], [], []
         eigh_inner, kmax_inner, fixed_inner, joint_inner, stats_inner = (
             harness._eigh_desc, harness._kmax_rows, harness._cncml_rows, harness._joint_rows,
@@ -536,38 +605,64 @@ class TestTrialBlocks:
             estimators=specs, lr0_table_path=str(tmp_path / "lr0.txt"),
         )
         assert len(run_experiment(cfg)) == len(specs) * trials
-        assert eigh_stacks == [3, 3, 3, 3, 2]
-        assert kmax_stacks == fixed_stacks == joint_stacks == [(3, n), (6, n), (5, n)]
+        assert eigh_stacks == [4, 5, 5]
+        assert kmax_stacks == fixed_stacks == joint_stacks == [(4, n), (5, n), (5, n)]
         assert stats_built == []
 
     @pytest.mark.parametrize("corrupted", [False, True])
-    def test_block_size_changes_no_output(self, tmp_path, monkeypatch, corrupted):
-        n, k_list, trials = 20, (20, 40), 23  # blocks of 20 + 3 and 10 + 10 + 3
+    def test_pass_size_changes_no_output(self, tmp_path, monkeypatch, corrupted):
+        n, k_list, trials = 20, (20, 40), 60
         names = ("SMI", "FML", "RCML_EL", "RCML_EL_SIGMA", "RCML_FIXED(5)", "CNCML_ML",
                  "CNCML_FIXED(8)", "CNCML_EL", "LSMI_EL")
         assert {EstimatorSpec.parse(t).name for t in names} == set(harness._ESTIMATORS)
         corruption = CorruptionSpec(fraction=0.5, amplitude=50.0,
                                     steering=steering_vector(n, 0.0)) if corrupted else None
         outputs = []
-        for budget, passes in ((1, harness._PASS_ELEMENTS), (harness._BLOCK_ELEMENTS, 1),
-                               (harness._BLOCK_ELEMENTS, harness._PASS_ELEMENTS)):
-            monkeypatch.setattr(harness, "_BLOCK_ELEMENTS", budget)
-            monkeypatch.setattr(harness, "_PASS_ELEMENTS", passes)
-            out = tmp_path / f"out{budget}-{passes}"
+        # three budgets: passes of one trial; the default (one pass at k = 20,
+        # 30 + 30 at k = 40); and one pass per k
+        for budget, counts in ((1, [trials, trials]), (harness._PASS_ELEMENTS, [1, 2]),
+                               (trials * n * (n + max(k_list)), [1, 1])):
+            monkeypatch.setattr(harness, "_PASS_ELEMENTS", budget)
+            out = tmp_path / f"out{budget}"
             cfg = noise_only_config(
                 tmp_path, scenario=reference_scenario(), k_list=k_list, trials=trials,
                 estimators=tuple(EstimatorSpec.parse(t) for t in names), output_path=str(out),
                 lr0_table_path=str(tmp_path / "lr0.txt"), r_init=3,
                 corruption=corruption,
             )
-            assert [harness._block_size(n, k) for k in k_list] == ([1, 1] if budget == 1
-                                                                   else [20, 10])
+            assert [len(harness._passes(n, k, trials)) for k in k_list] == counts
             run_experiment(cfg)
             outputs.append([(out / name).read_bytes() for name in ("trials.csv", "summary.csv")])
         assert outputs[0] == outputs[1] == outputs[2]
 
+    def test_pass_budget_bounds_training_and_bases(self, tmp_path, monkeypatch):
+        # at N = 4, K = 1000 the training dwarfs the bases: every pass the
+        # sweep draws holds at most _PASS_ELEMENTS elements of both
+        n, k, trials = 4, 1000, 100
+        passes = harness._passes(n, k, 3000)
+        assert max(map(len, passes)) == 16
+        assert all(len(p) * n * (n + k) <= harness._PASS_ELEMENTS for p in passes)
+        draws, draw_inner = [], harness._draw_rows
+
+        def draw_rows(factor, k, corruption, rngs):
+            z, picks = draw_inner(factor, k, corruption, rngs)
+            draws.append(z.shape)
+            return z, picks
+
+        monkeypatch.setattr(harness, "_draw_rows", draw_rows)
+        cfg = noise_only_config(
+            tmp_path, scenario=ScenarioConfig(n=n, jammer_powers=(100.0,), jammer_angles=(20.0,),
+                                              jammer_bandwidths=(0.1,), noise_power=1.0),
+            k_list=(k,), trials=trials,
+            estimators=(EstimatorSpec.parse("SMI"), EstimatorSpec.parse("FML")),
+        )
+        assert len(run_experiment(cfg)) == 2 * trials
+        assert sum(b for b, _, _ in draws) == trials
+        assert all(shape[1:] == (n, k) for shape in draws)
+        assert all(b * n * (n + k) <= harness._PASS_ELEMENTS for b, _, _ in draws)
+
     def test_failed_stacked_pass_raises_at_its_trial(self, tmp_path, monkeypatch):
-        # trial 1 of the block has a singular sample covariance, so LSMI_EL's
+        # trial 1 of the pass has a singular sample covariance, so LSMI_EL's
         # stacked pass raises its error, before any trial is scored
         eigh_inner, score_inner, scored = harness._eigh_desc, harness._sinr_scorer, []
 
@@ -690,7 +785,7 @@ class TestTrialBlocks:
             estimators=tuple(EstimatorSpec.parse(t) for t in names),
             lr0_table_path=str(tmp_path / "lr0.txt"),
         )
-        assert harness._passes(20, 30, 4) == [[range(0, 4)]]
+        assert harness._passes(20, 30, 4) == [range(0, 4)]
         with pytest.raises(error, match=match):
             run_experiment(cfg)
         assert len(rejected) == 1

@@ -233,7 +233,7 @@ class TestSampleCovariance:
 
 
 class TestStackedKernels:
-    """The stacked forms behind the sweep's trial blocks must equal the
+    """The stacked forms behind the sweep's trial passes must equal the
     per-matrix functions bit for bit, on ties and rank deficiency too."""
 
     N = 6
