@@ -47,8 +47,7 @@ def _float_list(values) -> str:
 def _cmd_lr0(args) -> int:
     ref = lr0_reference(args.n, args.k)
     lr0_store(ref, args.table)
-    pairs = [("n", ref.n), ("k", ref.k), ("trials", ref.trials), ("seed", ref.seed),
-             ("lr0", f"{ref.lr0:.12g}")]
+    pairs = [("n", ref.n), ("k", ref.k), ("lr0", f"{ref.lr0:.12g}")]
     pairs += [(f"q{int(100 * p):02d}", f"{v:.12g}") for p, v in ref.quantiles]
     pairs.append(("table", args.table))
     _emit(args.format, pairs)

@@ -28,7 +28,7 @@ import configparser
 import csv
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -192,6 +192,12 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise InputError("trials must be at least 1")
+        if self.master_seed < 0:
+            raise InputError(f"master_seed must be non-negative, got {self.master_seed}")
+        if not math.isfinite(self.nmf_angle):
+            raise InputError(f"nmf_angle must be finite, got {self.nmf_angle}")
+        if self.steering_grid is not None and not all(map(math.isfinite, self.steering_grid)):
+            raise InputError("steering grid angles must be finite")
         if not self.k_list:
             raise InputError("k_list must not be empty")
         if not self.estimators:
@@ -361,19 +367,8 @@ def run_experiment(cfg: ExperimentConfig) -> list[TrialRecord]:
                 score_share = (time.perf_counter() - start) / len(names)
                 for name, (_, constraints, build), sinr in zip(names, built, sinr_db):
                     con = constraints[i]
-                    records.append(
-                        TrialRecord(
-                            trial_index=trial,
-                            k=k,
-                            estimator=name,
-                            r_hat=con.r,
-                            sigma2_hat=con.sigma2,
-                            kmax_hat=con.kmax,
-                            beta_hat=con.beta,
-                            sinr_db=sinr,
-                            wall_time=build + score_share,
-                        )
-                    )
+                    records.append(TrialRecord(trial, k, name, con.r, con.sigma2, con.kmax,
+                                               con.beta, sinr, build + score_share))
             # free this pass's arrays before the next pass allocates its own
             del p, z, d, v, w0, g, estimates
     _write_outputs(cfg, records)
@@ -412,22 +407,81 @@ def _write_outputs(cfg: ExperimentConfig, records: list[TrialRecord]) -> None:
                 writer.writerow([k, str(spec), len(cell), _fmt(mean)])
 
 
-_CONFIG_SCHEMA = {
-    "scenario": {
-        "n", "noise_power", "jammer_powers", "jammer_angles", "jammer_bandwidths",
-        "sinc_convention", "angle_mode",
-    },
-    "experiment": {
-        "k_list", "trials", "master_seed", "estimators", "output", "lr0_table",
-        "autocompute", "steering_grid", "nmf_angle", "r_init",
-    },
-    "corruption": {"fraction", "amplitude", "angle"},
-}
-
-
 def _floats(text: str) -> tuple[float, ...]:
     items = [tok.strip() for tok in text.split(",")]
     return tuple(float(tok) for tok in items if tok)
+
+
+def _sample_counts(text: str) -> tuple[int, ...]:
+    counts = _floats(text)
+    for v in counts:
+        if not v.is_integer():  # also false for inf and NaN
+            raise InputError(f"k_list entries must be finite whole numbers, got {v:g}")
+    return tuple(int(v) for v in counts)
+
+
+def _specs(text: str) -> tuple[EstimatorSpec, ...]:
+    return tuple(EstimatorSpec.parse(tok) for tok in text.split(",") if tok.strip())
+
+
+def _boolean(text: str) -> bool:
+    states = configparser.ConfigParser.BOOLEAN_STATES
+    if text.lower() not in states:
+        raise ValueError(f"Not a boolean: {text}")
+    return states[text.lower()]
+
+
+def _corruption(n: int, fraction: float, amplitude: float, **angle) -> CorruptionSpec:
+    """The ``[corruption]`` spec: its ``angle``, if set, is the arrival angle
+    in degrees of the ``steering`` field, as :func:`steering_vector` takes it."""
+    return CorruptionSpec(fraction, amplitude, steering_vector(n, **angle))
+
+
+# section -> key -> (the field it sets, its conversion from the file's text)
+_CONFIG_SCHEMA = {
+    "scenario": {
+        "n": ("n", int), "noise_power": ("noise_power", float),
+        "jammer_powers": ("jammer_powers", _floats), "jammer_angles": ("jammer_angles", _floats),
+        "jammer_bandwidths": ("jammer_bandwidths", _floats),
+        "sinc_convention": ("sinc_convention", str), "angle_mode": ("angle_mode", str),
+    },
+    "experiment": {
+        "k_list": ("k_list", _sample_counts), "trials": ("trials", int),
+        "master_seed": ("master_seed", int), "estimators": ("estimators", _specs),
+        "output": ("output_path", str), "lr0_table": ("lr0_table_path", str),
+        "autocompute": ("autocompute_lr0", _boolean), "steering_grid": ("steering_grid", _floats),
+        "nmf_angle": ("nmf_angle", float), "r_init": ("r_init", int),
+    },
+    # angle is no field: _corruption turns it into the steering vector
+    "corruption": {"fraction": ("fraction", float), "amplitude": ("amplitude", float),
+                   "angle": ("angle_deg", float)},
+}
+
+# the keys each section must set: those whose field has no default
+_REQUIRED = {
+    section: [key for key, (name, _) in _CONFIG_SCHEMA[section].items()
+              if any(f.name == name and f.default is MISSING and f.default_factory is MISSING
+                     for f in fields(cls))]
+    for section, cls in (("scenario", ScenarioConfig), ("experiment", ExperimentConfig),
+                         ("corruption", CorruptionSpec))
+}
+
+
+def _section(parser: configparser.ConfigParser, name: str, build, **given):
+    """``build(**given)`` plus the keys of ``[name]`` that the file sets, each
+    converted onto its field, so an absent key takes its field's default."""
+    section = parser[name]
+    for key in _REQUIRED[name]:
+        if key not in section:
+            raise InputError(f"missing required key {key!r} in [{name}]")
+    schema = _CONFIG_SCHEMA[name]
+    try:
+        for key, text in section.items():
+            field, convert = schema[key]
+            given[field] = convert(text)
+        return build(**given)
+    except ValueError as exc:
+        raise InputError(f"bad [{name}] value: {exc}") from exc
 
 
 def load_experiment_config(path) -> ExperimentConfig:
@@ -435,11 +489,13 @@ def load_experiment_config(path) -> ExperimentConfig:
 
     Sections are ``[scenario]``, ``[experiment]`` and optionally
     ``[corruption]``; unknown sections or keys are hard errors so sweep
-    typos fail fast rather than silently using defaults.
+    typos fail fast rather than silently using defaults.  Each key sets one
+    field of :class:`ScenarioConfig`, :class:`ExperimentConfig` or
+    :class:`CorruptionSpec` (``_CONFIG_SCHEMA``); a key the file leaves out
+    takes its field's default, and one whose field has none is required.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    read = parser.read(path)
-    if not read:
+    if not parser.read(path):
         raise InputError(f"config file {path!r} not found or unreadable")
     for section in parser.sections():
         if section not in _CONFIG_SCHEMA:
@@ -451,60 +507,8 @@ def load_experiment_config(path) -> ExperimentConfig:
         if required not in parser:
             raise InputError(f"missing required config section [{required}]")
 
-    sc = parser["scenario"]
-    try:
-        scenario = ScenarioConfig(
-            n=sc.getint("n"),
-            jammer_powers=_floats(sc.get("jammer_powers", "")),
-            jammer_angles=_floats(sc.get("jammer_angles", "")),
-            jammer_bandwidths=_floats(sc.get("jammer_bandwidths", "")),
-            noise_power=sc.getfloat("noise_power", 1.0),
-            sinc_convention=sc.get("sinc_convention", "unnormalized"),
-            angle_mode=sc.get("angle_mode", "degrees"),
-        )
-    except ValueError as exc:
-        raise InputError(f"bad [scenario] value: {exc}") from exc
-
-    ex = parser["experiment"]
-    for key in ("k_list", "trials", "master_seed", "estimators", "output"):
-        if key not in ex:
-            raise InputError(f"missing required key {key!r} in [experiment]")
-    try:
-        k_list = _floats(ex["k_list"])
-        for v in k_list:
-            if not v.is_integer():  # also false for inf and NaN
-                raise InputError(f"k_list entries must be finite whole numbers, got {v:g}")
-        estimators = tuple(
-            EstimatorSpec.parse(tok) for tok in ex["estimators"].split(",") if tok.strip()
-        )
-        steering = _floats(ex["steering_grid"]) if "steering_grid" in ex else None
-        config = ExperimentConfig(
-            scenario=scenario,
-            k_list=tuple(int(v) for v in k_list),
-            trials=ex.getint("trials"),
-            master_seed=ex.getint("master_seed"),
-            estimators=estimators,
-            output_path=ex["output"],
-            lr0_table_path=ex.get("lr0_table", None),
-            autocompute_lr0=ex.getboolean("autocompute", True),
-            steering_grid=steering,
-            nmf_angle=ex.getfloat("nmf_angle", 0.0),
-            r_init=ex.getint("r_init") if "r_init" in ex else None,
-        )
-    except ValueError as exc:
-        raise InputError(f"bad [experiment] value: {exc}") from exc
-
+    scenario = _section(parser, "scenario", ScenarioConfig)
+    config = _section(parser, "experiment", ExperimentConfig, scenario=scenario)
     if "corruption" in parser:
-        co = parser["corruption"]
-        for key in ("fraction", "amplitude"):
-            if key not in co:
-                raise InputError(f"missing required key {key!r} in [corruption]")
-        try:
-            config.corruption = CorruptionSpec(
-                fraction=co.getfloat("fraction"),
-                amplitude=co.getfloat("amplitude"),
-                steering=steering_vector(scenario.n, co.getfloat("angle", 0.0)),
-            )
-        except ValueError as exc:
-            raise InputError(f"bad [corruption] value: {exc}") from exc
+        config.corruption = _section(parser, "corruption", _corruption, n=scenario.n)
     return config

@@ -91,16 +91,11 @@ def log_tail_lr(sample_lambdas, r: int, t: float) -> float:
 
 @dataclass
 class LRReference:
-    """Invariant LR statistics for one ``(n, k)`` pair.
-
-    ``trials`` and ``seed`` are 0 for an exact reference; tables written by
-    the former Monte Carlo reference hold its trial count and seed there.
-    """
+    """Invariant LR statistics for one ``(n, k)`` pair: the median ``lr0``
+    and the ``(probability, value)`` pairs at ``QUANTILE_PROBS``."""
 
     n: int
     k: int
-    trials: int
-    seed: int
     lr0: float
     quantiles: list[tuple[float, float]]
 
@@ -360,9 +355,9 @@ def lr0_reference(
     (:class:`_BartlettCgf`).  Each quantile at 5/25/50/75/95 percent is the
     root of its Lugannani-Rice CDF; at ``N = 1`` it is the root of the exact
     CDF.  The median is ``lr0``.  The result is deterministic; ``trials``
-    and ``seed`` are deprecated, ignored, and stored as 0.
+    and ``seed``, the former draw's size and seed, are accepted and ignored.
     """
-    del trials, seed  # deprecated: the reference is exact
+    del trials, seed  # the reference is exact
     if n < 1 or k < 1:
         raise InputError("n and k must be positive")
     if k < n:
@@ -375,7 +370,7 @@ def lr0_reference(
     else:
         logs = _log_lr_quantiles(n, k)
     quantiles = [(p, math.exp(v)) for p, v in zip(QUANTILE_PROBS, logs)]
-    return LRReference(n=n, k=k, trials=0, seed=0, lr0=dict(quantiles)[0.5], quantiles=quantiles)
+    return LRReference(n=n, k=k, lr0=dict(quantiles)[0.5], quantiles=quantiles)
 
 
 _TABLE_HEADER = "LR0TABLE v1"
@@ -384,11 +379,13 @@ _TABLE_HEADER = "LR0TABLE v1"
 def lr0_store(ref: LRReference, path) -> None:
     """Append a reference record to a line-oriented table file.
 
-    Records are keyed by ``(n, k)``; duplicates are allowed in the file and
-    resolved last-write-wins at load time.
+    A record is ``n k trials seed lr0 q05 q25 q50 q75 q95``; ``trials`` and
+    ``seed`` are written as 0, columns kept from tables of the former Monte
+    Carlo reference.  Records are keyed by ``(n, k)``; duplicates are
+    allowed in the file and resolved last-write-wins at load time.
     """
     qmap = dict(ref.quantiles)
-    fields = [str(ref.n), str(ref.k), str(ref.trials), str(ref.seed), f"{ref.lr0:.17g}"]
+    fields = [str(ref.n), str(ref.k), "0", "0", f"{ref.lr0:.17g}"]
     fields += [f"{qmap[p]:.17g}" for p in QUANTILE_PROBS]
     line = " ".join(fields) + "\n"
     # append in place: stored records are never rewritten, so a failed write
@@ -424,39 +421,22 @@ def _parse_table(path):
                 line=lineno,
             )
         try:
-            n, k, trials, seed = (int(parts[i]) for i in range(4))
+            # trials and seed (parts 2 and 3) must parse but are not kept
+            n, k, _, _ = (int(parts[i]) for i in range(4))
             values = [float(v) for v in parts[4:]]
         except ValueError as exc:
             raise FormatError(f"unparseable numeric field: {exc}", path=path, line=lineno) from exc
-        records.append(
-            LRReference(
-                n=n,
-                k=k,
-                trials=trials,
-                seed=seed,
-                lr0=values[0],
-                quantiles=list(zip(QUANTILE_PROBS, values[1:])),
-            )
-        )
+        records.append(LRReference(n, k, values[0], list(zip(QUANTILE_PROBS, values[1:]))))
     return records
 
 
 def lr0_load(n: int, k: int, path) -> LRReference | None:
     """Look up the reference for ``(n, k)``; None when absent.
 
-    If the file holds several records for the key, the last one wins and a
-    warning is emitted when they disagree on the seed.
+    If the file holds several records for the key, the last one wins.
     """
     matches = [rec for rec in _parse_table(path) if rec.n == n and rec.k == k]
-    if not matches:
-        return None
-    if len(matches) > 1 and any(rec.seed != matches[-1].seed for rec in matches[:-1]):
-        warnings.warn(
-            f"lr0 table {path} holds {len(matches)} records for (n={n}, k={k}) "
-            "with differing seeds; using the last one",
-            stacklevel=2,
-        )
-    return matches[-1]
+    return matches[-1] if matches else None
 
 
 def lr0_lookup(n: int, k: int, table, autocompute: bool = True) -> float:

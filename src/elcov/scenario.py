@@ -133,10 +133,13 @@ def jammer_covariance(cfg: ScenarioConfig) -> np.ndarray:
     return as_hermitian(r)
 
 
-def steering_vector(n: int, angle_deg: float) -> np.ndarray:
-    """Unit-norm array steering vector for an arrival angle in degrees."""
+def steering_vector(n: int, angle_deg: float = 0.0) -> np.ndarray:
+    """Unit-norm array steering vector for an arrival angle in degrees,
+    broadside by default."""
     if n < 1:
         raise InputError("array size n must be at least 1")
+    if not np.isfinite(angle_deg):
+        raise InputError(f"steering angle must be finite, got {angle_deg}")
     m = np.arange(n)
     phase = np.pi * np.sin(np.deg2rad(angle_deg))
     return np.exp(1j * m * phase) / np.sqrt(n)
@@ -157,10 +160,12 @@ class CorruptionSpec:
     def __post_init__(self):
         if not 0 <= self.fraction <= 1:
             raise InputError("corruption fraction must lie in [0, 1]")
+        if not np.isfinite(self.amplitude):
+            raise InputError("corruption amplitude must be finite")
         self.steering = np.asarray(self.steering, dtype=np.complex128)
         if self.steering.ndim != 1:
             raise InputError("corruption steering must be a vector")
-        if abs(np.linalg.norm(self.steering) - 1.0) > 1e-6:
+        if not abs(np.linalg.norm(self.steering) - 1.0) <= 1e-6:  # also catches NaN
             raise InputError("corruption steering must have unit norm")
 
 

@@ -331,10 +331,14 @@ def _kmax_rows(d: np.ndarray, sigma2: float, lr0: float) -> _KmaxRows:
     passes over the table's log-LR column.  The Newton steps stay scalar per
     row, with ``math.log`` and ``math.exp``, as numpy's vector ``log`` and
     ``exp`` can differ from them in the last bit.  The estimates are one cap
-    map at the selected bounds, read off the same table.
+    map at the selected bounds, read off the same table.  Raises
+    :class:`InputError` on a negative or NaN entry, as :func:`_rank_rows`
+    does; zero entries are allowed.
     """
     if not 0 < lr0 <= 1:
         raise InputError("lr0 must lie in (0, 1]")
+    if not (d >= 0).all():  # also catches NaN, for which `< 0` is false
+        raise InputError("sample eigenvalues must be non-negative")
     log_lr0 = math.log(lr0)
     x = d / sigma2
     table = _CnTable(x)

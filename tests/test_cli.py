@@ -21,6 +21,7 @@ from elcov import (
     write_cmat,
 )
 from elcov.cli import _build_parser, cli
+from elcov.harness import _CONFIG_SCHEMA, load_experiment_config
 from elcov.likelihood import QUANTILE_PROBS
 
 
@@ -131,7 +132,7 @@ class TestSelectCommand:
     def test_uses_the_stored_table_entry(self, sample_cov, capsys, tmp_path):
         path, _ = sample_cov
         table = tmp_path / "t.txt"
-        lr0_store(LRReference(4, 8, 0, 0, 0.25, [(q, 0.25) for q in QUANTILE_PROBS]), table)
+        lr0_store(LRReference(4, 8, 0.25, [(q, 0.25) for q in QUANTILE_PROBS]), table)
         before = table.read_bytes()
         code = cli(["select", "--input", str(path), "--k", "8", "--mode", "rank",
                     "--sigma2", "1.0", "--lr0-table", str(table)])
@@ -208,6 +209,15 @@ class TestSinrCommand:
         assert float(pairs["eta"]) == pytest.approx(expected, rel=1e-9)
         assert float(pairs["sinr_db"]) == pytest.approx(10 * math.log10(expected), rel=1e-9)
 
+    @pytest.mark.parametrize("angle", ["nan", "inf"])
+    def test_non_finite_angle_is_input_error(self, tmp_path, capsys, angle):
+        pt = tmp_path / "t.cmat"
+        matrix_save(np.eye(4, dtype=complex), pt)
+        assert cli(["sinr", "--rhat", str(pt), "--rtrue", str(pt), "--angle", angle]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: steering angle must be finite")
+        assert captured.out == ""
+
 
 class TestSimulateCommand:
     def test_smoke(self, tmp_path, capsys):
@@ -231,7 +241,7 @@ class TestSimulateCommand:
         # entries near -1e-16, which rank selection rejects instead of
         # writing r = 0 for every trial
         table, out = tmp_path / "lr0.txt", tmp_path / "out"
-        lr0_store(LRReference(20, 10, 0, 0, 0.3, [(q, 0.3) for q in QUANTILE_PROBS]), table)
+        lr0_store(LRReference(20, 10, 0.3, [(q, 0.3) for q in QUANTILE_PROBS]), table)
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(
             "[scenario]\nn = 20\nnoise_power = 1.0\njammer_powers = 10, 100, 1000\n"
@@ -239,6 +249,23 @@ class TestSimulateCommand:
             "angle_mode = radians\n\n"
             "[experiment]\nk_list = 10\ntrials = 8\nmaster_seed = 2024\n"
             f"estimators = RCML_EL\nlr0_table = {table}\noutput = {out}\n"
+        )
+        assert cli(["simulate", "--config", str(cfg)]) == 1
+        assert "sample eigenvalues must be non-negative" in capsys.readouterr().err
+        assert not (out / "trials.csv").exists() and not (out / "summary.csv").exists()
+
+    def test_undersampled_kmax_selection_fails_without_csv(self, tmp_path, capsys):
+        # as above, for CNCML_EL: a kmax selected from those entries lies in
+        # the thousands and scores exactly as FML
+        table, out = tmp_path / "lr0.txt", tmp_path / "out"
+        lr0_store(LRReference(20, 10, 0.3, [(q, 0.3) for q in QUANTILE_PROBS]), table)
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(
+            "[scenario]\nn = 20\nnoise_power = 1.0\njammer_powers = 10, 100, 1000\n"
+            "jammer_angles = 0.349, 0.698, 1.047\njammer_bandwidths = 0.2, 0, 0.3\n"
+            "angle_mode = radians\n\n"
+            "[experiment]\nk_list = 10\ntrials = 8\nmaster_seed = 2024\n"
+            f"estimators = FML, CNCML_FIXED(50), CNCML_EL\nlr0_table = {table}\noutput = {out}\n"
         )
         assert cli(["simulate", "--config", str(cfg)]) == 1
         assert "sample eigenvalues must be non-negative" in capsys.readouterr().err
@@ -321,9 +348,12 @@ class TestExitCodes:
         assert code == 2
 
 
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
 def readme_commands():
     """The ``elcov ...`` lines of the README's Command line block, continuations joined."""
-    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    text = README.read_text(encoding="utf-8")
     block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
     lines = block.replace("\\\n", " ").splitlines()
     return [shlex.split(line, comments=True)[1:] for line in lines if line.startswith("elcov ")]
@@ -338,3 +368,19 @@ class TestReadme:
                 _build_parser().parse_args(argv)
             except SystemExit:
                 pytest.fail(f"README command does not parse: elcov {shlex.join(argv)}")
+
+    def test_config_example_loads(self, tmp_path):
+        block = README.read_text(encoding="utf-8").split("```ini\n", 1)[1].split("```", 1)[0]
+        path = tmp_path / "experiment.cfg"
+        path.write_text(block, encoding="utf-8")
+        cfg = load_experiment_config(path)
+        assert cfg.scenario.n == 20 and cfg.corruption is not None
+        # every key the loader knows is in the example, set or commented out
+        shown, section = {}, None
+        for line in block.splitlines():
+            line = line.lstrip("; ")
+            if line.startswith("["):
+                section = line[1:line.index("]")]
+            elif "=" in line:
+                shown.setdefault(section, set()).add(line.split("=", 1)[0].strip())
+        assert {name: set(keys) for name, keys in _CONFIG_SCHEMA.items()} == shown

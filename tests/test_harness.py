@@ -237,6 +237,16 @@ output = {out}
 """
 
 
+def write_config(tmp_path, sections):
+    """``exp.cfg`` holding ``{section: {key: value}}``."""
+    path = tmp_path / "exp.cfg"
+    path.write_text("".join(
+        f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+        for name, keys in sections.items()
+    ))
+    return path
+
+
 class TestConfigFile:
     def test_parse_round_trip(self, tmp_path):
         path = tmp_path / "exp.cfg"
@@ -331,6 +341,78 @@ class TestConfigFile:
             load_experiment_config(path)
         assert cli(["simulate", "--config", str(path)]) == 1
         assert not table.exists() and not out.exists()
+
+    @pytest.mark.parametrize(
+        "section, key, value, message",
+        [
+            ("experiment", "steering_grid", "0, nan", "steering grid angles must be finite"),
+            ("experiment", "steering_grid", "0, inf", "steering grid angles must be finite"),
+            ("experiment", "master_seed", "-5", "master_seed must be non-negative"),
+            ("experiment", "nmf_angle", "nan", "nmf_angle must be finite"),
+            ("corruption", "amplitude", "inf", "corruption amplitude must be finite"),
+            ("corruption", "amplitude", "nan", "corruption amplitude must be finite"),
+            ("corruption", "angle", "nan", "steering angle must be finite"),
+        ],
+    )
+    def test_bad_sweep_value_fails_before_lr0_or_csv(
+        self, tmp_path, capsys, section, key, value, message
+    ):
+        # past the load, each writes nan SINRs or fails after the lr0 table
+        # is computed
+        table, out = tmp_path / "lr0.txt", tmp_path / "out"
+        sections = {
+            "scenario": {"n": "6", "jammer_powers": "100", "jammer_angles": "20",
+                         "jammer_bandwidths": "0"},
+            "experiment": {"k_list": "12", "trials": "3", "master_seed": "1",
+                           "estimators": "SMI, RCML_EL", "lr0_table": table, "output": out},
+            "corruption": {"fraction": "0.5", "amplitude": "50", "angle": "0"},
+        }
+        sections[section][key] = value
+        path = write_config(tmp_path, sections)
+        with pytest.raises(InputError, match=message):
+            load_experiment_config(path)
+        assert cli(["simulate", "--config", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not table.exists() and not out.exists()
+
+    REQUIRED_ONLY = {
+        "scenario": {"n": "4"},
+        "experiment": {"k_list": "8, 12", "trials": "2", "master_seed": "3",
+                       "estimators": "SMI, RCML_FIXED(1)", "output": "out"},
+        "corruption": {"fraction": "0.25", "amplitude": "5"},
+    }
+
+    def test_required_keys_alone_leave_every_field_at_its_default(self, tmp_path):
+        # the loader has no defaults of its own; the dataclasses' defaults apply
+        cfg = load_experiment_config(write_config(tmp_path, self.REQUIRED_ONLY))
+        corruption, cfg.corruption = cfg.corruption, None
+        assert cfg == ExperimentConfig(
+            scenario=ScenarioConfig(n=4), k_list=(8, 12), trials=2, master_seed=3,
+            estimators=(EstimatorSpec("SMI"), EstimatorSpec("RCML_FIXED", 1.0)),
+            output_path="out",
+        )
+        assert (corruption.fraction, corruption.amplitude) == (0.25, 5.0)
+        assert corruption.steering.tobytes() == steering_vector(4, 0.0).tobytes()
+
+    @pytest.mark.parametrize(
+        "section, key",
+        [("scenario", "n"), ("experiment", "k_list"), ("experiment", "trials"),
+         ("experiment", "master_seed"), ("experiment", "estimators"), ("experiment", "output"),
+         ("corruption", "fraction"), ("corruption", "amplitude")],
+    )
+    def test_each_required_key_is_reported_missing(
+        self, tmp_path, monkeypatch, capsys, section, key
+    ):
+        monkeypatch.chdir(tmp_path)  # the relative output, were a sweep to run
+        sections = {name: dict(keys) for name, keys in self.REQUIRED_ONLY.items()}
+        del sections[section][key]
+        path = write_config(tmp_path, sections)
+        message = f"missing required key {key!r} in [{section}]"
+        with pytest.raises(InputError) as err:
+            load_experiment_config(path)
+        assert str(err.value) == message
+        assert cli(["simulate", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_empty_steering_grid_fails_before_lr0_or_csv(self, tmp_path):
         # an empty grid is an input error, not a fall-back to the default grid

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -200,7 +201,8 @@ class TestLr0Reference:
             lr0_store(lr0_reference(20, 30, trials=trials, seed=seed), path)
             tables.append(path.read_bytes())
         assert tables[1:] == tables[:1] * 3
-        assert lr0_load(20, 30, tmp_path / "t0.txt").trials == 0
+        # the table's trial-count and seed columns hold 0
+        assert tables[0].split(b"\n")[1].split()[2:4] == [b"0", b"0"]
 
     @pytest.mark.parametrize(
         "n, k",
@@ -343,17 +345,21 @@ class TestLr0Table:
         assert lr0_load(5, 12, path) is None
         assert lr0_load(3, 12, tmp_path / "missing.txt") is None
 
-    def test_last_write_wins_with_warning(self, tmp_path):
-        # records as the former Monte Carlo reference wrote them, two seeds
+    def test_last_write_wins(self, tmp_path):
+        # records as the former Monte Carlo reference wrote them, two seeds:
+        # the last one wins, and its trial count and seed are not read
         path = tmp_path / "table.txt"
         first, second = (
-            LRReference(n=3, k=12, trials=2000, seed=seed, lr0=lr0,
-                        quantiles=[(p, lr0 * (0.5 + p)) for p in QUANTILE_PROBS])
-            for seed, lr0 in ((1, 0.31), (9, 0.32))
+            LRReference(n=3, k=12, lr0=lr0, quantiles=[(p, lr0 * (0.5 + p)) for p in QUANTILE_PROBS])
+            for lr0 in (0.31, 0.32)
         )
-        lr0_store(first, path)
-        lr0_store(second, path)
-        with pytest.warns(UserWarning, match="differing seeds"):
+        record = "3 12 2000 {} {:.17g} " + " ".join("{:.17g}" for _ in QUANTILE_PROBS) + "\n"
+        path.write_text("LR0TABLE v1\n" + "".join(
+            record.format(seed, ref.lr0, *(v for _, v in ref.quantiles))
+            for seed, ref in ((1, first), (9, second))
+        ))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             loaded = lr0_load(3, 12, path)
         assert loaded == second
 
@@ -388,7 +394,7 @@ class TestLr0Table:
     def test_lossless_floats(self, tmp_path):
         path = tmp_path / "table.txt"
         ref = LRReference(
-            n=2, k=4, trials=10, seed=0, lr0=1.0 / 3.0,
+            n=2, k=4, lr0=1.0 / 3.0,
             quantiles=[(p, 1.0 / 7.0 + p) for p in (0.05, 0.25, 0.5, 0.75, 0.95)],
         )
         lr0_store(ref, path)
@@ -405,7 +411,7 @@ class TestLr0Table:
         assert lr0_lookup(3, 8, None) == lr0
         # a stored record wins over the computed value
         pinned = tmp_path / "pinned.txt"
-        lr0_store(LRReference(3, 8, 2000, 4, 0.25, [(p, 0.25) for p in QUANTILE_PROBS]), pinned)
+        lr0_store(LRReference(3, 8, 0.25, [(p, 0.25) for p in QUANTILE_PROBS]), pinned)
         assert lr0_lookup(3, 8, pinned, autocompute=False) == 0.25
 
 
