@@ -106,6 +106,8 @@ def _cmd_select(args) -> int:
     if mode in ("rank", "kmax"):
         _require_sigma2(args, f"mode {mode}")
     stats = _load_stats(args)
+    if mode == "rank-sigma" and not 0 <= args.r_init < stats.n:
+        raise InputError(f"--r-init {args.r_init} outside [0, {stats.n - 1}]")
     lr0 = args.lr0 if args.lr0 is not None else lr0_lookup(stats.n, args.k, args.lr0_table)
     pairs = [("mode", mode), ("n", stats.n), ("k", stats.k), ("lr0", f"{lr0:.12g}")]
     if mode == "rank":

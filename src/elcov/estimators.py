@@ -185,17 +185,10 @@ class CnCase(enum.Enum):
 class CnCaseResult:
     """Solution of the condition-number inner problem.
 
-    ``u_star`` minimizes the separable objective on ``(0, 1]``.  The counts
-    are over the normalized eigenvalues ``dbar = d / sigma2``:
-
-    * ``p`` counts ``dbar > 1/u*``, the entries above the upper cap.  This
-      can differ from the number the estimate pins at that cap: on ``[49, 3,
-      3, 3, 3, 3, 1, 1]`` at ``kmax = 1`` the caps coincide, every entry is
-      pinned, and ``p`` is 1.
-    * ``q`` counts ``dbar > 1/(u* kmax)``.  That threshold is the estimate's
-      lower cap only in the interior case; in the FML case, for one, the
-      lower cap is 1 but ``q`` counts ``dbar > dbar_1 / kmax``.
-    * ``nbar`` counts ``dbar >= 1``.
+    ``u_star`` minimizes the separable objective on ``(0, 1]``.  The estimate
+    pins its ``p`` largest entries at the upper cap and its ``N - q``
+    smallest at the lower cap, and the entries between keep ``d``; ``nbar``
+    counts ``d / sigma2 >= 1``.
     """
 
     case_id: CnCase
@@ -214,7 +207,7 @@ def _clip_log_lr(top, bottom, p, c, tau, u, log=np.log):
 
 # CnCase in enum order, indexed by the case codes that the stacked solves return
 _CN_CASES = tuple(CnCase)
-_SCALED, _FML, _BOUNDARY, _INTERIOR = range(4)
+_FML, _BOUNDARY, _INTERIOR = 1, 2, 3
 
 
 class _CnRow(NamedTuple):
@@ -255,8 +248,9 @@ class _CnTable:
     boundary row at each entry, the ``h(1)`` row twice, a row at each
     entry's two breakpoints, the ``h(mean x)`` row and a row at ``kmax = 1``.
     ``valid`` marks the cells that are rows, ``rank`` numbers them and
-    ``prior`` points at the last one at or before each cell.  ``log_lr`` is
-    computed on first use: only :func:`select_kmax` reads it.
+    ``prior`` points at the last one at or before each cell.  Every column
+    is filled in by the constructor except ``log_lr``, which is computed on
+    first use: only :func:`select_kmax` reads it.
 
     The stack is built in one pass: tie groups come from masks on the
     sorted rows, and the candidate breakpoints from one sort of each row's
@@ -270,11 +264,18 @@ class _CnTable:
         b, n = x.shape
         col, col1 = np.arange(n), np.arange(n + 1)
         # rows of [sum log x, sum x] over the p largest (top) and the c
-        # smallest (bottom) entries; the logs are filled in on first use
+        # smallest (bottom) entries
         self._pairs = pairs = np.zeros((2, 2, b, n + 1))
         self.log_top, self.top_sum, self.log_bottom, self.bottom_sum = pairs.reshape(4, b, n + 1)
         x.cumsum(axis=1, out=self.top_sum[:, 1:])
         x[:, ::-1].cumsum(axis=1, out=self.bottom_sum[:, 1:])
+        # row by row on the reversed view: numpy takes a negative-stride log
+        # through libm and a contiguous one through its SIMD loop, and the two
+        # can differ in the last bit
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_asc = np.array([np.log(r[::-1]) for r in x])
+            log_asc[:, ::-1].cumsum(axis=1, out=self.log_top[:, 1:])
+            log_asc.cumsum(axis=1, out=self.log_bottom[:, 1:])
         # offsets of each spectrum's row in the flattened sums, breakpoints and cells
         rows = np.arange(b)[:, np.newaxis]
         self._at = at = rows * (n + 1)
@@ -375,31 +376,19 @@ class _CnTable:
         self.bottom[:, : n + 1] = c1[:, np.newaxis]
         self.bottom[:, n + 1 : -1], self.bottom[:, -1] = bottom, c1
         self.switch = bd.sum(axis=1) * pin
-
-    @functools.cached_property
-    def rank(self) -> np.ndarray:
-        return self.valid.cumsum(axis=1) - 1
-
-    @functools.cached_property
-    def prior(self) -> np.ndarray:
-        cells = np.where(self.valid, np.arange(self.valid.shape[1]), -1)
-        return np.maximum.accumulate(cells, axis=1)
+        self.rank = self.valid.cumsum(axis=1) - 1
+        cells = np.where(self.valid, np.arange(3 * n + 5), -1)
+        self.prior = np.maximum.accumulate(cells, axis=1)
 
     def sums(self, top: np.ndarray, bottom: np.ndarray):
         """``[sum log x, sum x]`` over the ``top`` largest and the ``bottom``
-        smallest entries of each spectrum (log sums as filled in so far)."""
+        smallest entries of each spectrum."""
         pairs = self._pairs.reshape(2, 2, -1)
         return pairs[0].take(top + self._at, axis=1), pairs[1].take(bottom + self._at, axis=1)
 
     @functools.cached_property
     def log_lr(self) -> np.ndarray:
-        # row by row on the reversed view: numpy takes a negative-stride log
-        # through libm and a contiguous one through its SIMD loop, and the two
-        # can differ in the last bit
         with np.errstate(divide="ignore", invalid="ignore"):
-            log_asc = np.array([np.log(r[::-1]) for r in self.x])
-            log_asc[:, ::-1].cumsum(axis=1, out=self.log_top[:, 1:])
-            log_asc.cumsum(axis=1, out=self.log_bottom[:, 1:])
             # tau and U at each cell: 1 and kmax on the boundary and at kmax = 1
             n = self.x.shape[1]
             tau, u = np.ones((2,) + self.kmax.shape)
@@ -414,8 +403,9 @@ class _CnTable:
     def solve(self, kmax: np.ndarray):
         """Case codes, ``u*`` and the counts clipped from the top and the bottom
         at each spectrum's bound ``kmax >= 1``, read off the last row above it,
-        whose segment holds it.  At ``k_ml`` (row 0) and above, nothing is
-        clipped from above."""
+        whose segment holds it.  At ``k_ml`` (row 0) and above it is the FML
+        case: nothing is clipped from above, and the entries below 1 are
+        floored.  This is the one place a bound's case is decided."""
         at, cell_at = self._at[:, 0], self.cell_at
         under = self.valid & (self.kmax <= kmax[:, np.newaxis])
         below = under.argmax(axis=1)
@@ -440,30 +430,22 @@ class _CnTable:
         return case, u, np.where(fml, 0, p), np.where(fml, self.c1, c)
 
 
-def _cn_rows(x: np.ndarray, kmax: float):
-    """Case codes, ``u*`` and the counts clipped from the top and the bottom
-    for each row of a ``(B, N)`` stack ``x = d/sigma2`` at one bound ``kmax``;
-    only the rows with ``x_1 > kmax`` need the table."""
+def _cn_solve(x: np.ndarray, kmax: float):
+    """The table's solution for each row of a stack ``x = d/sigma2`` at one bound."""
     if not kmax >= 1:
         raise InputError("condition-number bound kmax must be at least 1")
-    x1 = x[:, 0]
-    # the boundary tie x_1 == kmax gives the FML case; the profiles coincide
-    case = np.where(x1 <= 1.0, _SCALED, _FML)
-    with np.errstate(divide="ignore"):
-        u = np.where(x1 <= 1.0, 1.0 / kmax, 1.0 / x1)
-    p, c = np.zeros(len(x), dtype=int), (x < 1.0).sum(axis=1)
-    solved = x1 > kmax
-    if solved.any():
-        bound = np.full(np.count_nonzero(solved), float(kmax))
-        for out, column in zip((case, u, p, c), _CnTable(x[solved]).solve(bound)):
-            out[solved] = column
-    return case, u, p, c
+    return _CnTable(x).solve(np.full(len(x), float(kmax)))
 
 
 def _cn_solution(stats: SampleStats, kmax: float) -> tuple[CnCase, float, int, int]:
-    """Case, ``u*`` and the counts clipped from the top and the bottom."""
-    case, u, p, c = _cn_rows(stats.d[np.newaxis] / stats.sigma2, kmax)
-    return _CN_CASES[case[0]], float(u[0]), int(p[0]), int(c[0])
+    """Case, ``u*`` and the counts clipped from the top and the bottom, off
+    the one-row table, which solves ``dbar_1 <= 1`` as the FML case; that is
+    reported as the scaled identity, ``u* = 1/kmax``, with the same cap map."""
+    x = stats.d / stats.sigma2
+    case, u, p, c = (column[0] for column in _cn_solve(x[np.newaxis], kmax))
+    if x[0] <= 1.0:
+        return CnCase.SCALED_IDENTITY, float(1.0 / kmax), int(p), int(c)
+    return _CN_CASES[case], float(u), int(p), int(c)
 
 
 def cncml_u_star(stats: SampleStats, kmax: float) -> CnCaseResult:
@@ -478,21 +460,12 @@ def cncml_u_star(stats: SampleStats, kmax: float) -> CnCaseResult:
        kmax S_bot`` over the ``m`` entries clipped at ``kmax``; ``u* =
        1/dbar_1`` on the flat segment, where nothing is clipped.
 
-    Cases 3 and 4 are read off the row of the breakpoint table
-    (:class:`_CnTable`) whose segment holds ``kmax``, the table that
-    :func:`select_kmax` walks.  ``p``, ``q`` and ``nbar`` count the entries
-    with ``dbar u* > 1``, ``dbar u* kmax > 1`` and ``dbar >= 1``, as
-    :class:`CnCaseResult` describes.  They are counted here, not read off
-    the table: ``q`` is measured against ``1/(u* kmax)``, which is the lower
-    cap only in case 4, and at ties the table's count clipped from the top
-    can differ from ``p``.
+    The case, ``u*`` and the clip counts are read off the breakpoint table
+    (:class:`_CnTable`) that :func:`cncml` and :func:`select_kmax` read.
     """
-    case, u, _, _ = _cn_solution(stats, kmax)
-    dbar = stats.d / stats.sigma2
-    nbar = int(np.count_nonzero(dbar >= 1.0))
-    p = int(np.count_nonzero(dbar * u > 1.0))
-    q = int(np.count_nonzero(dbar * (u * kmax) > 1.0))
-    return CnCaseResult(case_id=case, u_star=u, p=p, q=q, nbar=nbar)
+    case, u, p, c = _cn_solution(stats, kmax)
+    nbar = int(np.count_nonzero(stats.d / stats.sigma2 >= 1.0))
+    return CnCaseResult(case_id=case, u_star=u, p=p, q=stats.n - c, nbar=nbar)
 
 
 def _cn_caps(d: np.ndarray, sigma2: float, kmax, case, u, p, c) -> np.ndarray:
@@ -509,7 +482,9 @@ def _cn_caps(d: np.ndarray, sigma2: float, kmax, case, u, p, c) -> np.ndarray:
 
 
 def _cncml_rows(d: np.ndarray, sigma2: float, kmax: float):
-    lambdas = _cn_caps(d, sigma2, kmax, *_cn_rows(d / sigma2, kmax))
+    """:func:`cncml` for each row of a ``(B, N)`` stack: the cap map of the
+    stack's breakpoint table solved at ``kmax``, in every case."""
+    lambdas = _cn_caps(d, sigma2, kmax, *_cn_solve(d / sigma2, kmax))
     return lambdas, [ConstraintRecord(sigma2=sigma2, kmax=float(kmax)) for _ in range(len(d))]
 
 

@@ -214,6 +214,8 @@ class ExperimentConfig:
                 raise InputError(f"rank in {spec} outside [0, {self.scenario.n}]")
             if spec.name == "CNCML_FIXED" and not 1 <= spec.param < math.inf:
                 raise InputError(f"bound in {spec} must be finite and at least 1")
+        if self.r_init is not None and not 0 <= self.r_init < self.scenario.n:
+            raise InputError(f"r_init {self.r_init} outside [0, {self.scenario.n - 1}]")
         needing = [str(spec) for spec in self.estimators if _ESTIMATORS[spec.name].needs_lr0]
         if needing and self.lr0_table_path is None and not self.autocompute_lr0:
             raise InputError(f"{', '.join(needing)} need lr0, but autocompute is disabled "

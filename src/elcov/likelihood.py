@@ -444,12 +444,20 @@ def lr0_lookup(n: int, k: int, table, autocompute: bool = True) -> float:
 
     A missing entry is computed with :func:`lr0_reference` and appended to
     ``table``; with no table it is computed and not stored.  Raises
-    :class:`InputError` instead of computing when ``autocompute`` is off.
+    :class:`InputError` instead of computing when ``autocompute`` is off or
+    ``k < n``, where no reference is defined yet (a pinned entry is still
+    read), and on a loaded lr0 outside ``(0, 1]``.
     """
     if table is not None:
         ref = lr0_load(n, k, table)
         if ref is not None:
+            if not 0 < ref.lr0 <= 1:
+                raise InputError(f"lr0 table {table} holds lr0 = {ref.lr0:g} for (n={n}, k={k}), "
+                                 "outside (0, 1]")
             return ref.lr0
+    if k < n:
+        raise InputError(f"no lr0 for (n={n}, k={k}): k < n has no reference; "
+                         "pin one in an lr0 table")
     if not autocompute:
         raise InputError(f"no lr0 table entry for (n={n}, k={k}) and autocompute is disabled")
     ref = lr0_reference(n, k)

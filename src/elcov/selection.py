@@ -204,6 +204,8 @@ def select_rank_sigma(
     The inputs are checked once, up front: dimension at least 2 so the
     trailing mean stays defined, ``k >= 1``, a descending and positive
     spectrum, nonzero finite training columns and a unit-norm steering vector.
+    ``r_init`` is clamped into ``[0, n - 1]``, not checked; the config loader
+    and ``elcov select`` reject a value outside that range.
 
     Each rank is climbed to the smallest rank at or above it whose noise
     power roots exist (at most ``n - 1``): those whose tail-profile peak

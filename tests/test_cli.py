@@ -185,6 +185,19 @@ class TestSelectCommand:
         assert code == 1
         assert "finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("r_init", ["-1", "6"])
+    def test_rank_sigma_rejects_r_init_out_of_range(self, tmp_path, capsys, rng, r_init):
+        # select_rank_sigma clamps r_init into [0, n - 1]; the CLI rejects it
+        # before the lr0 lookup
+        s_path, z_path, table = tmp_path / "s.cmat", tmp_path / "z.cmat", tmp_path / "lr0.txt"
+        matrix_save(np.diag([40.0, 15.0, 1.05, 1.0, 0.95, 0.9]).astype(complex), s_path)
+        write_cmat(rng.standard_normal((6, 24)) + 1j * rng.standard_normal((6, 24)), z_path)
+        code = cli(["select", "--input", str(s_path), "--k", "24", "--mode", "rank-sigma",
+                    "--r-init", r_init, "--lr0-table", str(table), "--training", str(z_path)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: --r-init {r_init} outside [0, 5]")
+        assert not table.exists()
+
     def test_computes_reference_without_lr0_or_table(self, sample_cov, capsys, monkeypatch):
         path, _ = sample_cov
         monkeypatch.chdir(path.parent)
@@ -270,6 +283,23 @@ class TestSimulateCommand:
         assert cli(["simulate", "--config", str(cfg)]) == 1
         assert "sample eigenvalues must be non-negative" in capsys.readouterr().err
         assert not (out / "trials.csv").exists() and not (out / "summary.csv").exists()
+
+    def test_undersampled_sweep_stores_no_lr0_and_fails_without_csv(self, tmp_path, capsys):
+        # an lr0 reference for k < n is not defined: the lookup refuses to
+        # compute one, where it used to store an lr0 of 0 that every rerun
+        # read back
+        table, out = tmp_path / "lr0.txt", tmp_path / "out"
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(
+            "[scenario]\nn = 6\n\n[experiment]\nk_list = 12, 4\ntrials = 3\nmaster_seed = 1\n"
+            f"estimators = FML, RCML_EL\nlr0_table = {table}\noutput = {out}\n"
+        )
+        assert cli(["simulate", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: no lr0 for (n=6, k=4): k < n")
+        assert lr0_load(6, 12, table) is not None and lr0_load(6, 4, table) is None
+        assert len(table.read_text().splitlines()) == 2  # the header and (6, 12)
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "scenario",

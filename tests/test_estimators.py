@@ -335,6 +335,43 @@ def test_zero_entries_match_bisection_oracle(rng):
     assert interior >= 1000
 
 
+def test_counts_are_the_entries_the_estimate_clips(rng):
+    """``cncml_u_star``'s ``p`` entries sit at the upper cap, the entries from
+    ``q`` on at the lower cap, and those between keep ``d``, on tie-heavy,
+    zero-entry and FML-case spectra.  ``[10, 5, 0.8, 0.3]`` at ``kmax = 20``
+    floors 0.8, so ``q`` is 2 there."""
+    cases = [([10.0, 5.0, 0.8, 0.3], 1.0, 20.0), ([49.0, 3, 3, 3, 3, 3, 1, 1], 1.0, 1.0)]
+    for i in range(300):
+        n = int(rng.integers(2, 12))
+        sigma2 = float(rng.choice([0.5, 1.0, 2.0]))
+        if i % 3 == 0:  # ties, at the floor among others
+            x = rng.choice([0.25, 0.5, 1.0, 3.0, 8.0, 40.0], n)
+        elif i % 3 == 1:  # zero entries
+            x = np.concatenate([rng.gamma(1.5, 4.0, n - 1), np.zeros(1 + int(rng.integers(n)))])
+        else:
+            x = np.exp(rng.uniform(np.log(0.05), np.log(40.0), n))
+        x = np.sort(x)[::-1]
+        top = max(float(x[0]), 1.0)
+        for kmax in (1.0, float(rng.uniform(1.0, top)), float(rng.choice(np.maximum(x, 1.0))),
+                     top * float(rng.uniform(1.0, 2.0))):
+            cases.append((x * sigma2, sigma2, kmax))
+    fml_case = 0
+    for d, sigma2, kmax in cases:
+        stats = stats_from_spectrum(np.array(d), sigma2=sigma2)
+        res = cncml_u_star(stats, kmax)
+        inside = res.case_id is CnCase.INTERIOR_U
+        upper = sigma2 / res.u_star if inside else sigma2 * kmax
+        lower = sigma2 / (res.u_star * kmax) if inside else sigma2
+        lam = cncml(stats, kmax).lambdas
+        assert 0 <= res.p <= res.q <= stats.n
+        assert np.all(lam[: res.p] == upper)
+        assert np.all(lam[res.q :] == lower)
+        assert np.array_equal(lam[res.p : res.q], stats.d[res.p : res.q])
+        fml_case += res.case_id is CnCase.FML_EQUIVALENT
+    assert cncml_u_star(stats_from_spectrum([10.0, 5.0, 0.8, 0.3]), 20.0).q == 2
+    assert fml_case >= 300
+
+
 @pytest.mark.parametrize("sigma2", [math.inf, math.nan, 0.0])
 def test_sample_stats_rejects_noise_power_not_positive_and_finite(sigma2):
     with pytest.raises(InputError, match="sigma2"):

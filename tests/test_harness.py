@@ -352,6 +352,8 @@ class TestConfigFile:
             ("corruption", "amplitude", "inf", "corruption amplitude must be finite"),
             ("corruption", "amplitude", "nan", "corruption amplitude must be finite"),
             ("corruption", "angle", "nan", "steering angle must be finite"),
+            ("experiment", "r_init", "-1", r"r_init -1 outside \[0, 5\]"),
+            ("experiment", "r_init", "6", r"r_init 6 outside \[0, 5\]"),
         ],
     )
     def test_bad_sweep_value_fails_before_lr0_or_csv(

@@ -414,6 +414,22 @@ class TestLr0Table:
         lr0_store(LRReference(3, 8, 0.25, [(p, 0.25) for p in QUANTILE_PROBS]), pinned)
         assert lr0_lookup(3, 8, pinned, autocompute=False) == 0.25
 
+    def test_lookup_reads_but_never_computes_k_below_n(self, tmp_path):
+        path = tmp_path / "table.txt"
+        for table in (path, None):
+            with pytest.raises(InputError, match=r"\(n=6, k=4\): k < n"):
+                lr0_lookup(6, 4, table)
+        assert not path.exists()
+        lr0_store(LRReference(6, 4, 0.3, [(p, 0.3) for p in QUANTILE_PROBS]), path)
+        assert lr0_lookup(6, 4, path) == 0.3
+
+    @pytest.mark.parametrize("lr0", [0.0, 1.5, math.nan])
+    def test_lookup_rejects_a_stored_lr0_outside_unit_interval(self, tmp_path, lr0):
+        path = tmp_path / "table.txt"
+        lr0_store(LRReference(6, 4, lr0, [(p, lr0) for p in QUANTILE_PROBS]), path)
+        with pytest.raises(InputError, match=r"holds lr0 = .* for \(n=6, k=4\), outside \(0, 1\]"):
+            lr0_lookup(6, 4, path)
+
 
 class TestLambertW:
     def test_known_points(self):

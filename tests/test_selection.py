@@ -1143,7 +1143,7 @@ class TestKmaxPath:
         import elcov.estimators as estimators
         import elcov.selection as selection
 
-        calls = {"estimate": 0, "cn_solve": 0, "log_lr_value": 0}
+        calls = {"estimate": 0, "cn_table": 0, "log_lr_value": 0}
 
         def counted(name, fn):
             def wrapper(*args):
@@ -1152,10 +1152,12 @@ class TestKmaxPath:
 
             return wrapper
 
-        # the estimate comes from the shared cap map, with no second CN solve
-        estimate, solve = estimators._cn_caps, estimators._cn_rows
+        # the estimate comes from the shared cap map, and every CN solve reads
+        # a table: one table per call means no second CN solve
+        estimate, table = estimators._cn_caps, counted("cn_table", estimators._CnTable)
         monkeypatch.setattr(selection, "_cn_caps", counted("estimate", estimate))
-        monkeypatch.setattr(estimators, "_cn_rows", counted("cn_solve", solve))
+        monkeypatch.setattr(selection, "_CnTable", table)
+        monkeypatch.setattr(estimators, "_CnTable", table)
         monkeypatch.setattr(
             selection, "log_lr_value", counted("log_lr_value", log_lr_value), raising=False
         )
@@ -1163,9 +1165,9 @@ class TestKmaxPath:
             for _ in range(20):
                 n = int(rng.integers(2, 65))
                 stats = stats_from_spectrum(_spectrum(rng, n, 1.0))
-                calls.update(estimate=0, cn_solve=0, log_lr_value=0)
+                calls.update(estimate=0, cn_table=0, log_lr_value=0)
                 select_kmax(stats, lr0)
-                assert calls == {"estimate": 1, "cn_solve": 0, "log_lr_value": 0}
+                assert calls == {"estimate": 1, "cn_table": 1, "log_lr_value": 0}
 
     def test_visited_is_the_path_plus_the_root(self, rng):
         d = np.sort(rng.gamma(1.5, 3.0, 12))[::-1]
