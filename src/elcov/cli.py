@@ -114,7 +114,7 @@ def _cmd_select(args) -> int:
         sel = select_rank(stats, lr0)
         pairs.append(("r_hat", sel.r_hat))
         pairs.append(("visited_r", ",".join(str(r) for r, _ in sel.visited)))
-        pairs.append(("visited_lr", _float_list(lr for _, lr in sel.visited)))
+        pairs.append(("visited_log_lr", _float_list(log_lr for _, log_lr in sel.visited)))
     elif mode == "rank-sigma":
         if args.training is None:
             raise InputError("--training is required for mode rank-sigma")
@@ -131,7 +131,7 @@ def _cmd_select(args) -> int:
         pairs.append(("constraint_active", str(sel.constraint_active).lower()))
         pairs.append(("final_step", f"{sel.final_step:.12g}"))
         pairs.append(("visited_kmax", _float_list(k for k, _ in sel.visited)))
-        pairs.append(("visited_lr", _float_list(lr for _, lr in sel.visited)))
+        pairs.append(("visited_log_lr", _float_list(log_lr for _, log_lr in sel.visited)))
     elif mode == "loading":
         beta = select_loading(stats, lr0)
         pairs.append(("beta_hat", f"{beta:.12g}"))

@@ -47,7 +47,8 @@ class SampleStats:
 
     ``s_eig`` is the eigendecomposition of the sample covariance, ``k`` the
     number of training snapshots it was formed from, and ``sigma2`` the
-    white-noise power used for flooring and normalization.
+    white-noise power used for flooring and normalization.  The eigenvalues
+    must be sorted descending, and none may be NaN.
     """
 
     n: int
@@ -65,7 +66,11 @@ class SampleStats:
         d = self.s_eig.eigenvalues
         if len(d) != self.n:
             raise InputError("eigenvalue count does not match n")
-        if (d[1:] > d[:-1]).any():
+        # one comparison for both checks: `>=` is false on NaN, and the
+        # first entry's test against itself covers n = 1
+        if not ((d[:-1] >= d[1:]).all() and d[0] == d[0]):
+            if np.isnan(d).any():
+                raise InputError("sample eigenvalues must not be NaN")
             raise InputError("sample eigenvalues must be sorted descending")
 
     @classmethod

@@ -1,31 +1,36 @@
 """Monte Carlo experiment runner with seeded reproducibility and CSV output.
 
 A run sweeps sample counts and estimator specs over independent trials.
-For each sample count the trials run in passes of at most :func:`_passes`
-trials, the one batching level.  A pass draws its training from the
-scenario's true covariance in one stacked core: each trial's own seeded
-stream fills its row of the pass's normals and picks its corrupted
-columns, and the scale, the product with the covariance's square-root
-factor and the corruption run once per pass.  The pass then computes, in
-one stacked call each, the sample covariances, their descending ``eigh``
-with pinned phases, and the projections onto each eigenbasis that SINR
-scoring needs.  Every estimator, its constraint selector included, runs
-as one map over the pass, which reads its ``(B, N)`` spectra and, for
-``RCML_EL_SIGMA``, its bases and training.  Each trial scores all its
-estimates in one call, by normalized SINR averaged over a steering grid in
-the trial's sample eigenbasis.  Every row of a pass equals the estimate
-built on its trial alone, bit for bit, so the pass size changes no
-output, and identical configuration and master seed reproduce the output
-CSVs byte for byte.  For the same reason a pass raises exactly when one of
-its trials would raise alone; its error, from the first failing estimator
-in configuration order, ends the sweep before the pass is scored, and no
-CSV is written.
+Its ``(k, trial)`` cells, in output order, run in passes that
+:func:`_passes` fills under one memory budget, the one batching level; a
+pass can span sample counts.  Each run of one sample count in a pass draws
+its training from the scenario's true covariance in one stacked core: each
+trial's own seeded stream fills its row of the run's normals and picks its
+corrupted columns, and the scale, the product with the covariance's
+square-root factor, the corruption and the sample covariances run once
+per run.  The pass then computes, in one stacked call each, the
+descending ``eigh`` with pinned phases of all its sample covariances and
+the projections onto each eigenbasis that SINR scoring needs.  Every
+estimator, its constraint selector included, runs as one map over the
+pass, which reads its ``(B, N)`` spectra, each row's ``log lr0`` (taken
+once per sample count) and, for ``RCML_EL_SIGMA``, each row's basis,
+training, sample count and lr0.  Each cell scores all its estimates in one
+call, by normalized SINR averaged over a steering grid in the trial's
+sample eigenbasis.  Every row of a pass equals the estimate built on its
+trial alone, bit for bit, so the passes change no output, and identical
+configuration and master seed reproduce the output CSVs byte for byte.
+For the same reason a pass raises exactly when one of its cells would
+raise alone; its error, from the first failing estimator in configuration
+order, ends the sweep before the pass is scored, and no CSV is written.
+Since a pass can span sample counts, that estimator may fail at a later
+sample count than another estimator's failure.
 """
 
 from __future__ import annotations
 
 import configparser
 import csv
+import itertools
 import math
 import time
 from dataclasses import MISSING, dataclass, fields
@@ -57,7 +62,7 @@ from .scenario import (
     jammer_covariance,
     steering_vector,
 )
-from .selection import _kmax_rows, _loading_rows, _rank_rows, select_rank_sigma
+from .selection import _kmax_rows, _loading_rows, _log, _rank_rows, select_rank_sigma
 
 __all__ = [
     "EstimatorSpec",
@@ -70,24 +75,27 @@ __all__ = [
 ]
 
 
-# Matrix elements of the (B, N, K) training and (B, N, N) bases that one
-# pass holds, B * N * (N + K): at most 81 to 54 trials a pass at N = 20 and
+# Matrix elements of the training and bases that one pass holds, the sum of
+# N * (N + K) over its cells: at most 81 to 54 cells a pass at N = 20 and
 # K = 20 to 40, 5 at N = 64 and K = 128 (so that the passes still share
 # numpy's fixed cost per call), and 16 at N = 4 and K = 1000.
 _PASS_ELEMENTS = 2**16
 
 
 class _Pass(NamedTuple):
-    """What an estimator pass reads, one row per trial: the ``(B, N)``
-    spectra ``d``, their ``(B, N, N)`` bases ``v`` and ``(B, N, K)``
-    training ``z``, and the sweep's settings for the selectors."""
+    """What an estimator pass reads, one row per ``(k, trial)`` cell: the
+    ``(B, N)`` spectra ``d`` and their ``(B, N, N)`` bases ``v``; each row's
+    ``(N, K)`` training ``z``, sample count ``k`` and ``lr0``; ``log_lr0``,
+    a ``(B,)`` array of each row's, or one float for every row; and the
+    sweep's settings for the selectors."""
 
     d: np.ndarray
     v: np.ndarray
-    z: np.ndarray | None
-    k: int
+    z: list[np.ndarray] | None
+    k: list[int]
     sigma2: float
-    lr0: float | None
+    lr0: list[float] | None
+    log_lr0: np.ndarray | None
     r_init: int | None
     nmf_steering: np.ndarray | None
 
@@ -95,12 +103,12 @@ class _Pass(NamedTuple):
 class _Estimator(NamedTuple):
     takes_param: bool
     needs_lr0: bool
-    # (pass, param) -> (lambdas, constraints), one row of each per trial
+    # (pass, param) -> (lambdas, constraints), one row of each per cell
     rows: Callable[[_Pass, float | None], tuple[np.ndarray, list[ConstraintRecord]]]
 
 
 def _cncml_el_rows(p: _Pass):
-    sel = _kmax_rows(p.d, p.sigma2, p.lr0)
+    sel = _kmax_rows(p.d, p.sigma2, p.log_lr0)
     return sel.lambdas, [ConstraintRecord(sigma2=p.sigma2, kmax=k) for k in sel.kmax_hat.tolist()]
 
 
@@ -108,8 +116,8 @@ def _joint_rows(p: _Pass):
     """RCML at each row's jointly selected rank and noise power, the joint
     selector running row by row as its one-call public form."""
     lambdas, constraints = np.empty_like(p.d), []
-    for i, (d, v, z) in enumerate(zip(p.d, p.v, p.z)):
-        sel = select_rank_sigma(EigenDecomposition(d, v), p.k, p.r_init, p.lr0, z, p.nmf_steering)
+    for i, (d, v, z, k, lr0) in enumerate(zip(p.d, p.v, p.z, p.k, p.lr0)):
+        sel = select_rank_sigma(EigenDecomposition(d, v), k, p.r_init, lr0, z, p.nmf_steering)
         lam, con = _rcml_rows(d[np.newaxis], sel.sigma2_hat, [sel.r_hat])
         lambdas[i] = lam[0]
         constraints += con
@@ -125,7 +133,7 @@ _ESTIMATORS = {
     ),
     "RCML_EL": _Estimator(
         False, True,
-        lambda p, _: _rcml_rows(p.d, p.sigma2, _rank_rows(p.d, p.sigma2, p.lr0)[0].tolist()),
+        lambda p, _: _rcml_rows(p.d, p.sigma2, _rank_rows(p.d, p.sigma2, p.log_lr0)[0].tolist()),
     ),
     "RCML_EL_SIGMA": _Estimator(False, True, lambda p, _: _joint_rows(p)),
     "CNCML_ML": _Estimator(False, False, lambda p, _: _cncml_ml_rows(p.d, p.sigma2)),
@@ -133,7 +141,9 @@ _ESTIMATORS = {
         True, False, lambda p, kmax: _cncml_rows(p.d, p.sigma2, float(kmax))
     ),
     "CNCML_EL": _Estimator(False, True, lambda p, _: _cncml_el_rows(p)),
-    "LSMI_EL": _Estimator(False, True, lambda p, _: _lsmi_rows(p.d, _loading_rows(p.d, p.lr0)[0])),
+    "LSMI_EL": _Estimator(
+        False, True, lambda p, _: _lsmi_rows(p.d, _loading_rows(p.d, p.log_lr0)[0])
+    ),
 }
 
 
@@ -227,9 +237,10 @@ class TrialRecord:
     """Result of one (k, trial, estimator) cell.
 
     ``wall_time`` is the estimator's share of its pass, that pass's time
-    over its ``B`` trials, plus an equal share of the trial's one scoring
-    call.  The pass's shared draw, ``eigh`` and eigenbasis projections are
-    not in it, nor is stacking its estimates for scoring.  It is
+    over its ``B`` cells, whatever their sample counts, plus an equal share
+    of the cell's one scoring call.  The pass's shared draws, ``eigh`` and
+    eigenbasis projections are not in it, nor is stacking its estimates
+    for scoring.  It is
     informational only and kept out of the CSV files so reruns stay
     byte-identical.
     """
@@ -277,8 +288,9 @@ def build_estimate(
         raise InputError(f"estimator {spec} needs joint = (r_init, training, nmf_steering)")
     r_init, z, nmf_steering = joint if joint is not None else (None, None, None)
     one = _Pass(stats.d[np.newaxis], stats.s_eig.eigenvectors[np.newaxis],
-                None if z is None else np.asarray(z)[np.newaxis],
-                stats.k, stats.sigma2, lr0, r_init, nmf_steering)
+                None if z is None else [np.asarray(z)], [stats.k], stats.sigma2,
+                None if lr0 is None else [lr0], None if lr0 is None else _log(lr0),
+                r_init, nmf_steering)
     return _one_row(stats, *_ESTIMATORS[spec.name].rows(one, spec.param))
 
 
@@ -289,13 +301,19 @@ def _timed(spec: EstimatorSpec, p: _Pass):
     return lambdas, constraints, (time.perf_counter() - start) / len(p.d)
 
 
-def _passes(n: int, k: int, trials: int) -> list[range]:
-    """The trials of each pass: as many as keep the pass's training and
-    bases within the budget (at least one), the passes splitting the trials
-    evenly."""
-    count = -(-trials // max(1, _PASS_ELEMENTS // (n * (n + k))))
-    bounds = [trials * j // count for j in range(count + 1)]
-    return [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+def _passes(n: int, cells: list[tuple[int, int]]) -> list[list[tuple[int, int]]]:
+    """The ``(k, trial)`` cells in order, split into passes: each pass takes
+    cells while its training and bases, ``N (N + K)`` elements a cell, stay
+    within the budget, and takes at least one."""
+    passes, size = [], _PASS_ELEMENTS
+    for cell in cells:
+        elements = n * (n + cell[0])
+        if size + elements > _PASS_ELEMENTS:
+            passes.append([])
+            size = 0
+        passes[-1].append(cell)
+        size += elements
+    return passes
 
 
 def _eigenbasis_projections(v, r_true, steer):
@@ -347,32 +365,44 @@ def run_experiment(cfg: ExperimentConfig) -> list[TrialRecord]:
         k: lr0_lookup(n, k, cfg.lr0_table_path, cfg.autocompute_lr0) if needs_lr0 else None
         for k in cfg.k_list
     }
+    # one log per sample count, so every row of that k sees the same float
+    log_lr0_by_k = {k: math.log(lr0) for k, lr0 in lr0_by_k.items() if lr0 is not None}
 
     r_init = cfg.r_init if cfg.r_init is not None else scenario.jammer_count
     nmf_steering = steering_vector(n, cfg.nmf_angle)
 
     names = [str(spec) for spec in cfg.estimators]
     records: list[TrialRecord] = []
-    for k in cfg.k_list:
-        for trials in _passes(n, k, cfg.trials):
-            rngs = [derive_rng(cfg.master_seed, "trial", k, trial) for trial in trials]
+    cells = [(k, trial) for k in cfg.k_list for trial in range(cfg.trials)]
+    for cells_of_pass in _passes(n, cells):
+        # the pass's runs of one sample count: a training draw and its
+        # sample covariances each
+        zs, covariances = [], []
+        for k, run in itertools.groupby(cells_of_pass, key=lambda cell: cell[0]):
+            rngs = [derive_rng(cfg.master_seed, "trial", k, trial) for _, trial in run]
             z, _ = _draw_rows(factor, k, cfg.corruption, rngs)
-            d, v = _eigh_desc(sample_covariance(z))
-            w0, g = _eigenbasis_projections(v, r_true, steer)
-            p = _Pass(d, v, z, k, scenario.noise_power, lr0_by_k[k], r_init, nmf_steering)
-            # per estimator: (lambdas, constraints, seconds per trial) of its pass
-            built = [_timed(spec, p) for spec in cfg.estimators]
-            estimates = np.stack([lam for lam, _, _ in built], axis=1)  # (B, E, N)
-            for i, trial in enumerate(trials):
-                start = time.perf_counter()
-                sinr_db = _sinr_scorer(estimates[i], w0[i], g[i], den_true).tolist()
-                score_share = (time.perf_counter() - start) / len(names)
-                for name, (_, constraints, build), sinr in zip(names, built, sinr_db):
-                    con = constraints[i]
-                    records.append(TrialRecord(trial, k, name, con.r, con.sigma2, con.kmax,
-                                               con.beta, sinr, build + score_share))
-            # free this pass's arrays before the next pass allocates its own
-            del p, z, d, v, w0, g, estimates
+            zs += list(z)
+            covariances.append(sample_covariance(z))
+        d, v = _eigh_desc(np.concatenate(covariances))
+        w0, g = _eigenbasis_projections(v, r_true, steer)
+        ks = [k for k, _ in cells_of_pass]
+        p = _Pass(d, v, zs, ks, scenario.noise_power,
+                  [lr0_by_k[k] for k in ks] if needs_lr0 else None,
+                  np.array([log_lr0_by_k[k] for k in ks]) if needs_lr0 else None,
+                  r_init, nmf_steering)
+        # per estimator: (lambdas, constraints, seconds per cell) of its pass
+        built = [_timed(spec, p) for spec in cfg.estimators]
+        estimates = np.stack([lam for lam, _, _ in built], axis=1)  # (B, E, N)
+        for i, (k, trial) in enumerate(cells_of_pass):
+            start = time.perf_counter()
+            sinr_db = _sinr_scorer(estimates[i], w0[i], g[i], den_true).tolist()
+            score_share = (time.perf_counter() - start) / len(names)
+            for name, (_, constraints, build), sinr in zip(names, built, sinr_db):
+                con = constraints[i]
+                records.append(TrialRecord(trial, k, name, con.r, con.sigma2, con.kmax,
+                                           con.beta, sinr, build + score_share))
+        # free this pass's arrays before the next pass allocates its own
+        del p, zs, covariances, d, v, w0, g, estimates
     _write_outputs(cfg, records)
     return records
 

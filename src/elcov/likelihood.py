@@ -544,7 +544,14 @@ def lambert_w(branch: LambertBranch, z: float) -> float:
             return 0.0
         if p < 1e-3:
             return _branch_series(p)
-        w0 = _branch_series(p) if z < -0.32 else math.log1p(z)
+        if z < -0.32:
+            w0 = _branch_series(p)
+        elif z > math.e:
+            # the asymptotic start; log1p(z) is far from the root at large z
+            log_z = math.log(z)
+            w0 = log_z - math.log(log_z)
+        else:
+            w0 = math.log1p(z)
         return _halley(z, w0, lower=False)
 
     if branch is LambertBranch.LOWER:

@@ -4,7 +4,9 @@ Each selector tunes one imperfectly known constraint (clutter rank, noise
 power, condition-number bound, or diagonal loading) so the likelihood ratio
 of the resulting estimate lands as close as possible to the precomputed
 invariant median ``lr0``.  The LR is monotone in each constraint, so each
-match is a closed form or one bracketed root.
+match is a closed form or one bracketed root.  The public selectors take
+``lr0``; the stacked cores behind them take each row's ``log lr0``, so a
+stack may mix sample counts.
 """
 
 from __future__ import annotations
@@ -49,22 +51,48 @@ __all__ = [
 
 @dataclass
 class RankSelection:
-    """Selected rank plus the LR at every rank ``0..p`` (``p = #{d_i > sigma2}``)."""
+    """Selected rank plus the log LR at every rank ``0..p``
+    (``p = #{d_i > sigma2}``), as ``(r, log lr)``."""
 
     r_hat: int
     visited: list[tuple[int, float]]
     lr0: float
 
 
-def _rank_rows(d: np.ndarray, sigma2: float, lr0: float):
+def _log(lr0: float) -> float:
+    """A public selector's ``lr0`` as the cores take it, ``log lr0``; zero,
+    negative and NaN values map to ``-inf``, which the cores reject."""
+    return math.log(lr0) if lr0 > 0 else -math.inf
+
+
+def _log_lr0_rows(log_lr0, b: int, loading: bool = False):
+    """The ``b`` rows' ``log lr0``, given as one float for every row or a
+    ``(B,)`` array: shaped to broadcast against ``(B, M)`` tables (a float
+    stays a float, an array becomes a column), and as a list.  Each must lie
+    in ``(-inf, 0]``, as lr0 in ``(0, 1]``, and below 0 for ``loading``;
+    NaN fails every comparison."""
+    if isinstance(log_lr0, float):  # the one-row selectors' path, kept lean
+        column, rows = log_lr0, [log_lr0] * b
+        ok = -math.inf < log_lr0 < 0.0 or (log_lr0 == 0.0 and not loading)
+    else:
+        column, rows = log_lr0[:, np.newaxis], log_lr0.tolist()
+        ok = all(-math.inf < v < 0.0 or (v == 0.0 and not loading) for v in rows)
+    if not ok:
+        if loading:
+            raise InputError("lr0 must lie strictly inside (0, 1) for loading selection")
+        raise InputError("lr0 must lie in (0, 1]")
+    return column, rows
+
+
+def _rank_rows(d: np.ndarray, sigma2: float, log_lr0):
     """Rank selection for each row of a ``(B, N)`` stack of spectra at one
-    noise power: the selected ranks ``(B,)``, the log LR table ``(B, N + 1)``
+    noise power, against each row's ``log lr0`` (a float for every row, or
+    ``(B,)``): the selected ranks ``(B,)``, the log LR table ``(B, N + 1)``
     whose column ``r`` is the rank-``r`` log LR, and ``p = #{d_i > sigma2}``
     per row.  Columns past a row's ``p`` are not candidates.  Raises
     :class:`InputError` on a negative or NaN entry, whose log has no
     meaning; zero entries are allowed."""
-    if not 0 < lr0 <= 1:
-        raise InputError("lr0 must lie in (0, 1]")
+    column = _log_lr0_rows(log_lr0, len(d))[0]
     if not (d >= 0).all():  # also catches NaN, for which `< 0` is false
         raise InputError("sample eigenvalues must be non-negative")
     b, n = d.shape
@@ -74,7 +102,7 @@ def _rank_rows(d: np.ndarray, sigma2: float, lr0: float):
         terms = np.log(x) + 1.0 - x
     log_lr = np.zeros((b, n + 1))
     log_lr[:, :n] = terms[:, ::-1].cumsum(axis=1)[:, ::-1]
-    miss = np.abs(log_lr - math.log(lr0))
+    miss = np.abs(log_lr - column)
     miss[np.arange(n + 1) > p[:, np.newaxis]] = np.inf
     return miss.argmin(axis=1), log_lr, p
 
@@ -89,10 +117,11 @@ def select_rank(stats: SampleStats, lr0: float) -> RankSelection:
     ``|log lr(r) - log lr0|`` over ``0..p`` is the global optimum with ties,
     including equal-estimate plateaus, resolved to the smallest rank.  The
     mismatch is taken on log LR because the LR changes by orders of
-    magnitude per rank step around the effective rank.
+    magnitude per rank step around the effective rank; ``visited`` lists
+    it too, as it underflows the LR itself.
     """
-    r_hat, log_lr, p = _rank_rows(stats.d[np.newaxis], stats.sigma2, lr0)
-    visited = [(r, math.exp(v)) for r, v in enumerate(log_lr[0, : p[0] + 1].tolist())]
+    r_hat, log_lr, p = _rank_rows(stats.d[np.newaxis], stats.sigma2, _log(lr0))
+    visited = list(enumerate(log_lr[0, : p[0] + 1].tolist()))
     return RankSelection(r_hat=int(r_hat[0]), visited=visited, lr0=lr0)
 
 
@@ -259,7 +288,7 @@ def select_rank_sigma(
     r = climbed[min(max(int(r_init), 0), n - 1)]
     for iterations in range(1, n + 1):
         # the trailing mean, rounded as sigma_ml's np.mean rounds it
-        r_hat = int(_rank_rows(d[np.newaxis], float(d[r:].sum()) / (n - r), lr0)[0][0])
+        r_hat = int(_rank_rows(d[np.newaxis], float(d[r:].sum()) / (n - r), log_lr0)[0][0])
         r_new = climbed[min(r_hat, n - 1)]
         if r_new >= r:
             break
@@ -287,7 +316,7 @@ class KmaxSelection:
     """Condition-number bound whose LR matches the reference.
 
     ``visited`` holds the breakpoints of the exact LR path plus the root, as
-    ``(kmax, lr)`` in descending ``kmax``.  ``final_step`` is the last Newton
+    ``(kmax, log lr)`` in descending ``kmax``.  ``final_step`` is the last Newton
     step on ``kmax``; it is 0 when the bound is ``k_ml`` or 1, which are
     returned in closed form.  ``estimate`` is the condition-number estimate
     built at ``kmax_hat``.
@@ -325,9 +354,10 @@ def _segment_log_lr(km, interior, p, c, top, bottom) -> tuple[float, float]:
     return _clip_log_lr(top, bottom, p, c, tau, u, math.log), top[1] / u - p
 
 
-def _kmax_rows(d: np.ndarray, sigma2: float, lr0: float) -> _KmaxRows:
+def _kmax_rows(d: np.ndarray, sigma2: float, log_lr0) -> _KmaxRows:
     """Condition-number bound selection for each row of a ``(B, N)`` stack of
-    spectra at one noise power, from one breakpoint table for the stack.
+    spectra at one noise power, against each row's ``log lr0`` (a float for
+    every row, or ``(B,)``), from one breakpoint table for the stack.
 
     Each row's closed forms (``k_ml`` or 1) and root segment come from masked
     passes over the table's log-LR column.  The Newton steps stay scalar per
@@ -337,11 +367,9 @@ def _kmax_rows(d: np.ndarray, sigma2: float, lr0: float) -> _KmaxRows:
     :class:`InputError` on a negative or NaN entry, as :func:`_rank_rows`
     does; zero entries are allowed.
     """
-    if not 0 < lr0 <= 1:
-        raise InputError("lr0 must lie in (0, 1]")
+    column, targets = _log_lr0_rows(log_lr0, len(d))
     if not (d >= 0).all():  # also catches NaN, for which `< 0` is false
         raise InputError("sample eigenvalues must be non-negative")
-    log_lr0 = math.log(lr0)
     x = d / sigma2
     table = _CnTable(x)
     log_lr, valid, cell_at = table.log_lr.ravel(), table.valid, table.cell_at
@@ -351,7 +379,7 @@ def _kmax_rows(d: np.ndarray, sigma2: float, lr0: float) -> _KmaxRows:
     # the root lies in [kmax[i], kmax[i-1]]; at kmax = 1 it is the last segment.
     # A closed form's row is the first, which is also where no row is at or
     # below lr0.
-    below = valid & (table.log_lr <= log_lr0)
+    below = valid & (table.log_lr <= column)
     i = below.argmax(axis=1) + cell_at
     i = np.where(at_one, last, np.where(below.ravel().take(i), i, first))
     segment = table.rank.ravel().take(i)
@@ -374,13 +402,13 @@ def _kmax_rows(d: np.ndarray, sigma2: float, lr0: float) -> _KmaxRows:
         hat, lr = kmax_hat.tolist(), hat_lr.tolist()
         for j, row in zip(newton.tolist(), columns[newton].tolist()):
             km, k_top, k_cap, inside, p_j, c_j, *sums = row
-            top, bottom = sums[:2], sums[2:]
+            top, bottom, target = sums[:2], sums[2:], targets[j]
             step, t_hi = 0.0, math.log(k_top)
             for _ in range(_NEWTON_MAX_STEPS):
                 val, slope = _segment_log_lr(km, inside, p_j, c_j, top, bottom)
-                if val >= log_lr0 or slope <= 0.0:
+                if val >= target or slope <= 0.0:
                     break
-                dt = min((log_lr0 - val) / slope, t_hi - math.log(km))
+                dt = min((target - val) / slope, t_hi - math.log(km))
                 km_new = km * math.exp(dt)
                 step, km = km_new - km, km_new
                 steps[j] += 1
@@ -415,20 +443,21 @@ def select_kmax(stats: SampleStats, lr0: float) -> KmaxSelection:
     This is the one-row case of the stacked :func:`_kmax_rows`; only this
     function lists the path in ``visited``.
     """
-    sel = _kmax_rows(stats.d[np.newaxis], stats.sigma2, lr0)
+    sel = _kmax_rows(stats.d[np.newaxis], stats.sigma2, _log(lr0))
     kmaxes, log_lr = sel.table.row(0)
-    visited = list(zip(kmaxes.tolist(), np.exp(log_lr).tolist()))
+    visited = list(zip(kmaxes.tolist(), log_lr.tolist()))
     kmax_hat, i = float(sel.kmax_hat[0]), sel.segment[0]
     if 0 < i and kmaxes[i] < kmax_hat < kmaxes[i - 1]:
-        visited.insert(i, (kmax_hat, math.exp(sel.log_lr[0])))
+        visited.insert(i, (kmax_hat, float(sel.log_lr[0])))
     estimate = _one_row(stats, sel.lambdas, [ConstraintRecord(sigma2=stats.sigma2, kmax=kmax_hat)])
     active = bool(sel.table.x[0, 0] > 1.0)
     return KmaxSelection(kmax_hat, estimate, visited, sel.final_step[0], active)
 
 
-def _loading_rows(d: np.ndarray, lr0: float) -> tuple[list[float], list[int]]:
+def _loading_rows(d: np.ndarray, log_lr0) -> tuple[list[float], list[int]]:
     """Diagonal loading factor for each row of a ``(B, N)`` stack of spectra,
-    and the number of LR evaluations each row took.
+    against each row's ``log lr0`` (a float for every row, or ``(B,)``), and
+    the number of LR evaluations each row took.
 
     On ``x = log beta`` the log LR of ``beta I + S`` is decreasing and
     concave, with slope ``-sum t_i^2`` and curvature ``-2 sum t_i^2 (1 - t_i)``
@@ -438,15 +467,13 @@ def _loading_rows(d: np.ndarray, lr0: float) -> tuple[list[float], list[int]]:
     the log LR and its derivatives for all unconverged rows in one stacked
     pass; the bracket and the step itself are scalar per row.  Raises
     :class:`NoRootError` when a row's sample covariance is singular or no
-    finite loading reaches ``lr0`` for it.
+    finite loading reaches its lr0.
     """
-    if not 0 < lr0 < 1:
-        raise InputError("lr0 must lie strictly inside (0, 1) for loading selection")
+    targets = _log_lr0_rows(log_lr0, len(d), loading=True)[1]
     if not (d[:, -1] > 0).all():
         raise NoRootError("sample covariance is singular; the loaded LR is identically zero")
-    log_lr0 = math.log(lr0)
     b, n = d.shape
-    a, x_max = -log_lr0, math.log(sys.float_info.max)
+    x_max = math.log(sys.float_info.max)
     # -log lr <= min(beta^2 sum(d_i^-2) / 2, N log(1 + beta / d_N)) bounds the
     # root below and log lr <= N (1 - log beta) + sum(log d_i) above; x_hi has
     # a spare nat so that a step onto a tight bound (flat d) stays inside
@@ -455,14 +482,14 @@ def _loading_rows(d: np.ndarray, lr0: float) -> tuple[list[float], list[int]]:
     ratio2 = (ratio[:, np.newaxis, :] @ ratio[:, :, np.newaxis]).ravel().tolist()
     log_d_sum = np.log(d).sum(axis=1).tolist()
     x_lo, x_hi = [], []
-    for d_min, r2, log_sum in zip(d[:, -1].tolist(), ratio2, log_d_sum):
-        log_d_min = math.log(d_min)
+    for d_min, r2, log_sum, target in zip(d[:, -1].tolist(), ratio2, log_d_sum, targets):
+        log_d_min, a = math.log(d_min), -target
         lo = max(
             log_d_min + 0.5 * math.log(2.0 * a / r2),
             log_d_min + a / n + math.log(-math.expm1(-a / n)),
         )
         if lo > x_max:
-            raise NoRootError(f"no finite loading factor reaches lr0={lr0}")
+            raise NoRootError(f"no finite loading factor reaches log lr0={target}")
         x_lo.append(lo)
         x_hi.append(min(2.0 + (log_sum + a) / n, x_max))
     x, beta, evals = list(x_lo), [0.0] * b, [0] * b
@@ -475,7 +502,7 @@ def _loading_rows(d: np.ndarray, lr0: float) -> tuple[list[float], list[int]]:
             loaded = d_rows + column
             rho = d_rows / loaded
             log_lr = (np.log(rho).sum(axis=1) + n - rho.sum(axis=1)).tolist()
-            f = [value - log_lr0 for value in log_lr]
+            f = [value - targets[i] for value, i in zip(log_lr, rows)]
             left = [j for j, f_j in enumerate(f) if abs(f_j) > _LOADING_TOL]
             for j, i in enumerate(rows):
                 evals[i] += 1
@@ -510,4 +537,4 @@ def select_loading(stats: SampleStats, lr0: float) -> float:
     Raises :class:`NoRootError` for a singular sample covariance or when no
     finite loading reaches ``lr0``.
     """
-    return _loading_rows(stats.d[np.newaxis], lr0)[0][0]
+    return _loading_rows(stats.d[np.newaxis], _log(lr0))[0][0]

@@ -153,7 +153,8 @@ def bisect_u_oracle(dbar, kmax):
 
 
 def scalar_rank_oracle(d, sigma2, lr0):
-    """The former one-spectrum rank selection: ``(r_hat, visited)``.
+    """The former one-spectrum rank selection: ``(r_hat, visited)``, with
+    ``visited`` in log LRs.
 
     The log LR of every rank ``0..p`` as a suffix sum on a 1-D spectrum,
     and the first argmin of its mismatch to ``log lr0``.
@@ -166,7 +167,7 @@ def scalar_rank_oracle(d, sigma2, lr0):
         terms = np.log(x) + 1.0 - x
     log_lr = np.append(np.cumsum(terms[::-1])[::-1], 0.0)[: p + 1]
     r_hat = int(np.argmin(np.abs(log_lr - math.log(lr0))))
-    return r_hat, [(r, math.exp(v)) for r, v in enumerate(log_lr.tolist())]
+    return r_hat, list(enumerate(log_lr.tolist()))
 
 
 def scalar_loading_oracle(d, lr0):
@@ -183,7 +184,7 @@ def scalar_loading_oracle(d, lr0):
         log_d_min + a / n + math.log(-math.expm1(-a / n)),
     )
     if x_lo > math.log(sys.float_info.max):
-        raise NoRootError(f"no finite loading factor reaches lr0={lr0}")
+        raise NoRootError(f"no finite loading factor reaches log lr0={log_lr0}")
     x_hi = min(2.0 + (float(np.log(d).sum()) + a) / n, math.log(sys.float_info.max))
     x = x_lo
     for evals in range(1, 61):
@@ -429,7 +430,7 @@ def scalar_kmax_oracle(stats: SampleStats, lr0: float) -> KmaxSelection:
     x = stats.d / stats.sigma2
     path = _CnPath(x)
     sums = path.sums
-    visited = list(zip(path.kmax.tolist(), np.exp(path.log_lr).tolist()))
+    visited = list(zip(path.kmax.tolist(), path.log_lr.tolist()))
     if x[0] <= 1.0 or path.log_lr[0] <= log_lr0:
         k_ml = float(path.kmax[0])
         estimate = _cn_estimate(stats, k_ml, *path.solve(k_ml))
@@ -462,7 +463,7 @@ def scalar_kmax_oracle(stats: SampleStats, lr0: float) -> KmaxSelection:
             break
     kmax_hat = min(max(km, 1.0), float(path.kmax[0]))
     if k_lo < kmax_hat < k_hi:
-        visited.insert(i, (kmax_hat, math.exp(log_lr_slope(kmax_hat)[0])))
+        visited.insert(i, (kmax_hat, log_lr_slope(kmax_hat)[0]))
     estimate = _cn_estimate(stats, kmax_hat, *path.solve(kmax_hat))
     return KmaxSelection(kmax_hat, estimate, visited, step)
 
@@ -525,7 +526,7 @@ def halley_oracle(z: float, w: float, lower: bool) -> float:
 
 
 def lambert_w_oracle(branch: LambertBranch, z: float) -> float:
-    """``likelihood.lambert_w`` on :func:`halley_oracle`."""
+    """``likelihood.lambert_w``, starts included, on :func:`halley_oracle`."""
     z = float(z)
     if not math.isfinite(z):
         raise InputError("lambert_w argument must be finite")
@@ -541,7 +542,13 @@ def lambert_w_oracle(branch: LambertBranch, z: float) -> float:
             return 0.0
         if p < 1e-3:
             return _branch_series(p)
-        w0 = _branch_series(p) if z < -0.32 else math.log1p(z)
+        if z < -0.32:
+            w0 = _branch_series(p)
+        elif z > math.e:
+            log_z = math.log(z)
+            w0 = log_z - math.log(log_z)
+        else:
+            w0 = math.log1p(z)
         return halley_oracle(z, w0, lower=False)
 
     if branch is LambertBranch.LOWER:
@@ -646,7 +653,7 @@ def select_rank_sigma_oracle(
     r = int(climbed[min(max(int(r_init), 0), n - 1)])
     for iterations in range(1, n + 1):
         # the trailing mean, as sigma_ml computes it
-        r_hat = int(_rank_rows(d[np.newaxis], float(d[r:].mean()), lr0)[0][0])
+        r_hat = int(_rank_rows(d[np.newaxis], float(d[r:].mean()), log_lr0)[0][0])
         r_new = int(climbed[min(r_hat, n - 1)])
         if r_new >= r:
             break

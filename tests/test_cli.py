@@ -119,7 +119,7 @@ class TestSelectCommand:
         assert code == 0
         pairs = kv(capsys)
         assert int(pairs["r_hat"]) == expected
-        assert len(pairs["visited_r"].split(",")) == len(pairs["visited_lr"].split(","))
+        assert len(pairs["visited_r"].split(",")) == len(pairs["visited_log_lr"].split(","))
 
     def test_rank_with_table_autocompute(self, sample_cov, capsys, tmp_path):
         path, _ = sample_cov

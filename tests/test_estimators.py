@@ -29,7 +29,8 @@ from elcov import (
 class TestSampleStats:
     def test_rejects_exactly_the_spectra_with_a_rise(self, rng):
         # the order check rejects what the former np.any(np.diff(d) > 0) did,
-        # non-finite and tied entries included
+        # infinite and tied entries included, and also every spectrum with a
+        # NaN entry, which that test let through
         pool = [3.0, 1.0, 1.0, 0.0, -0.0, -2.0, np.inf, -np.inf, np.nan, 5e-324, 1e308]
         for _ in range(2000):
             d = rng.choice(pool, int(rng.integers(1, 6)))
@@ -37,12 +38,22 @@ class TestSampleStats:
                 d = np.sort(d)[::-1]
             with np.errstate(invalid="ignore"):  # inf - inf
                 rises = bool(np.any(np.diff(d) > 0))
+            nan = bool(np.isnan(d).any())
             try:
                 stats_from_spectrum(d)
             except InputError as exc:
-                assert rises and str(exc) == "sample eigenvalues must be sorted descending"
+                assert str(exc) == ("sample eigenvalues must not be NaN" if nan
+                                    else "sample eigenvalues must be sorted descending")
+                assert rises or nan
             else:
-                assert not rises
+                assert not (rises or nan)
+
+    @pytest.mark.parametrize("d", [[np.nan], [np.nan, 1.0], [1.0, np.nan], [3.0, np.nan, 1.0]])
+    def test_nan_eigenvalue_rejected(self, d):
+        # a NaN entry used to pass, and cncml_u_star then reported a made-up
+        # BOUNDARY_U case on [nan, 1] while fml and lsmi returned NaN
+        with pytest.raises(InputError, match="sample eigenvalues must not be NaN"):
+            stats_from_spectrum(d)
 
 
 class TestSmi:

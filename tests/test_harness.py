@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -573,10 +574,14 @@ class TestHoistedFactor:
 class TestTrialBlocks:
     def test_blocked_sweep_equals_per_trial_oracle(self, tmp_path, monkeypatch):
         n, k_list, trials = 6, (12, 9), 8
-        # at most 3 trials per pass at k = 12 (passes 2, 3, 3) and 4 at k = 9 (4, 4)
+        # 108 elements a cell at k = 12 and 90 at k = 9, at most 360 a pass:
+        # three k = 12 passes, the third ending on k = 9's trial 0, then 4 + 3
         monkeypatch.setattr(harness, "_PASS_ELEMENTS", 4 * n * (n + 9))
-        assert [harness._passes(n, k, trials) for k in k_list] == [
-            [range(0, 2), range(2, 5), range(5, 8)], [range(0, 4), range(4, 8)]]
+        cells = [(k, t) for k in k_list for t in range(trials)]
+        passes = harness._passes(n, cells)
+        assert [len(p) for p in passes] == [3, 3, 3, 4, 3]
+        assert sum(passes, []) == cells
+        assert passes[2] == [(12, 6), (12, 7), (9, 0)]
         scenario = ScenarioConfig(n=n, jammer_powers=(40.0, 150.0), jammer_angles=(10.0, -35.0),
                                   jammer_bandwidths=(0.0, 0.1), noise_power=1.0)
         corruption = CorruptionSpec(fraction=0.5, amplitude=50.0,
@@ -634,14 +639,14 @@ class TestTrialBlocks:
             estimators=(EstimatorSpec.parse("SMI"), EstimatorSpec.parse("FML")),
         )
         assert len(run_experiment(cfg)) == 2 * len(k_list) * trials
-        expected = []
-        for k in k_list:
-            passes = harness._passes(n, k, trials)
-            assert 1 < len(passes) < trials
-            assert [t for trial_range in passes for t in trial_range] == list(range(trials))
-            expected += [(len(trial_range), n, n) for trial_range in passes]
-        assert expected == [(60, n, n)] * 2 + [(40, n, n)] * 3
-        assert eigh_stacks == expected
+        # 81 cells of 800 elements fill a pass; the second takes k = 20's
+        # last 39 and k = 40's first 28, of 1 200; then 54 and 38
+        cells = [(k, t) for k in k_list for t in range(trials)]
+        passes = harness._passes(n, cells)
+        assert sum(passes, []) == cells
+        assert [len(p) for p in passes] == [81, 67, 54, 38]
+        assert {k for k, _ in passes[1]} == {20, 40}
+        assert eigh_stacks == [(len(p), n, n) for p in passes]
         assert scored == [(2, n)] * (len(k_list) * trials)
 
     def test_one_kmax_pass_per_pass_and_no_per_trial_stats(self, tmp_path, monkeypatch):
@@ -650,8 +655,8 @@ class TestTrialBlocks:
         # builds a SampleStats
         n, k, trials = 20, 30, 14
         monkeypatch.setattr(harness, "_PASS_ELEMENTS", 5 * n * (n + k))
-        # at most 5 trials per pass, the 14 trials split 4, 5, 5
-        assert harness._passes(n, k, trials) == [range(0, 4), range(4, 9), range(9, 14)]
+        # at most 5 trials per pass, the 14 trials split 5, 5, 4
+        assert [len(p) for p in harness._passes(n, [(k, t) for t in range(trials)])] == [5, 5, 4]
         eigh_stacks, kmax_stacks, fixed_stacks, joint_stacks, stats_built = [], [], [], [], []
         eigh_inner, kmax_inner, fixed_inner, joint_inner, stats_inner = (
             harness._eigh_desc, harness._kmax_rows, harness._cncml_rows, harness._joint_rows,
@@ -689,8 +694,8 @@ class TestTrialBlocks:
             estimators=specs, lr0_table_path=str(tmp_path / "lr0.txt"),
         )
         assert len(run_experiment(cfg)) == len(specs) * trials
-        assert eigh_stacks == [4, 5, 5]
-        assert kmax_stacks == fixed_stacks == joint_stacks == [(4, n), (5, n), (5, n)]
+        assert eigh_stacks == [5, 5, 4]
+        assert kmax_stacks == fixed_stacks == joint_stacks == [(5, n), (5, n), (4, n)]
         assert stats_built == []
 
     @pytest.mark.parametrize("corrupted", [False, True])
@@ -702,10 +707,11 @@ class TestTrialBlocks:
         corruption = CorruptionSpec(fraction=0.5, amplitude=50.0,
                                     steering=steering_vector(n, 0.0)) if corrupted else None
         outputs = []
-        # three budgets: passes of one trial; the default (one pass at k = 20,
-        # 30 + 30 at k = 40); and one pass per k
-        for budget, counts in ((1, [trials, trials]), (harness._PASS_ELEMENTS, [1, 2]),
-                               (trials * n * (n + max(k_list)), [1, 1])):
+        cells = [(k, t) for k in k_list for t in range(trials)]
+        # three budgets: passes of one cell; the default (k = 20's 60 cells
+        # and k = 40's first 14, then its last 46); and one pass for all
+        for budget, sizes in ((1, [1] * len(cells)), (harness._PASS_ELEMENTS, [74, 46]),
+                              (trials * n * (2 * n + sum(k_list)), [len(cells)])):
             monkeypatch.setattr(harness, "_PASS_ELEMENTS", budget)
             out = tmp_path / f"out{budget}"
             cfg = noise_only_config(
@@ -714,36 +720,55 @@ class TestTrialBlocks:
                 lr0_table_path=str(tmp_path / "lr0.txt"), r_init=3,
                 corruption=corruption,
             )
-            assert [len(harness._passes(n, k, trials)) for k in k_list] == counts
+            assert [len(p) for p in harness._passes(n, cells)] == sizes
             run_experiment(cfg)
             outputs.append([(out / name).read_bytes() for name in ("trials.csv", "summary.csv")])
         assert outputs[0] == outputs[1] == outputs[2]
 
     def test_pass_budget_bounds_training_and_bases(self, tmp_path, monkeypatch):
-        # at N = 4, K = 1000 the training dwarfs the bases: every pass the
-        # sweep draws holds at most _PASS_ELEMENTS elements of both
-        n, k, trials = 4, 1000, 100
-        passes = harness._passes(n, k, 3000)
-        assert max(map(len, passes)) == 16
-        assert all(len(p) * n * (n + k) <= harness._PASS_ELEMENTS for p in passes)
-        draws, draw_inner = [], harness._draw_rows
+        # at N = 4 and K = 1000 or 600 the training dwarfs the bases: every
+        # pass the sweep draws holds at most _PASS_ELEMENTS elements of both
+        n, k_list, trials = 4, (1000, 600), 100
+        budget = harness._PASS_ELEMENTS
+        cells = [(k, t) for k in k_list for t in range(3000)]
+        passes = harness._passes(n, cells)
+        assert max(map(len, passes)) == 27
+        assert len(passes[0]) == 16
+        assert all(sum(n * (n + k) for k, _ in p) <= budget for p in passes)
+        assert any(len({k for k, _ in p}) == 2 for p in passes)
+        draws, stacks = [], []
+        draw_inner, eigh_inner = harness._draw_rows, harness._eigh_desc
 
         def draw_rows(factor, k, corruption, rngs):
             z, picks = draw_inner(factor, k, corruption, rngs)
             draws.append(z.shape)
             return z, picks
 
+        def eigh(h):
+            stacks.append(len(h))
+            return eigh_inner(h)
+
         monkeypatch.setattr(harness, "_draw_rows", draw_rows)
+        monkeypatch.setattr(harness, "_eigh_desc", eigh)
         cfg = noise_only_config(
             tmp_path, scenario=ScenarioConfig(n=n, jammer_powers=(100.0,), jammer_angles=(20.0,),
                                               jammer_bandwidths=(0.1,), noise_power=1.0),
-            k_list=(k,), trials=trials,
+            k_list=k_list, trials=trials,
             estimators=(EstimatorSpec.parse("SMI"), EstimatorSpec.parse("FML")),
         )
-        assert len(run_experiment(cfg)) == 2 * trials
-        assert sum(b for b, _, _ in draws) == trials
-        assert all(shape[1:] == (n, k) for shape in draws)
-        assert all(b * n * (n + k) <= harness._PASS_ELEMENTS for b, _, _ in draws)
+        assert len(run_experiment(cfg)) == 2 * len(k_list) * trials
+        assert sum(b for b, _, _ in draws) == sum(stacks) == len(k_list) * trials
+        assert all(shape[1] == n for shape in draws)
+        # each pass's draws, one per run of a sample count, in order
+        runs = iter(draws)
+        for rows in stacks:
+            elements = 0
+            while rows > 0:
+                b, _, k = next(runs)
+                elements, rows = elements + b * n * (n + k), rows - b
+            assert rows == 0
+            assert elements <= budget
+        assert len(draws) > len(stacks)  # some pass spans both sample counts
 
     def test_failed_stacked_pass_raises_at_its_trial(self, tmp_path, monkeypatch):
         # trial 1 of the pass has a singular sample covariance, so LSMI_EL's
@@ -839,9 +864,10 @@ class TestTrialBlocks:
     def test_first_failing_estimator_in_config_order_raises(
         self, tmp_path, monkeypatch, names, error, match
     ):
-        # one pass of 4 trials in which LSMI_EL fails on row 2 (singular) and
-        # the kmax core is made to reject row 1: the estimator listed first
-        # raises, whichever row it fails on, and no trial is scored
+        # one pass of 4 cells over both sample counts, in which LSMI_EL fails
+        # on row 2 (k = 20, singular) and the kmax core is made to reject
+        # row 1 (k = 30): the estimator listed first raises, whichever row and
+        # sample count it fails on, and no cell is scored
         eigh_inner, kmax_inner, score_inner = (
             harness._eigh_desc, harness._kmax_rows, harness._sinr_scorer)
         rejected, scored = [], []
@@ -865,11 +891,12 @@ class TestTrialBlocks:
         monkeypatch.setattr(harness, "_kmax_rows", kmax_rows)
         monkeypatch.setattr(harness, "_sinr_scorer", score)
         cfg = noise_only_config(
-            tmp_path, scenario=reference_scenario(), k_list=(30,), trials=4,
+            tmp_path, scenario=reference_scenario(), k_list=(30, 20), trials=2,
             estimators=tuple(EstimatorSpec.parse(t) for t in names),
             lr0_table_path=str(tmp_path / "lr0.txt"),
         )
-        assert harness._passes(20, 30, 4) == [range(0, 4)]
+        cells = [(30, 0), (30, 1), (20, 0), (20, 1)]
+        assert harness._passes(20, cells) == [cells]
         with pytest.raises(error, match=match):
             run_experiment(cfg)
         assert len(rejected) == 1
@@ -879,28 +906,30 @@ class TestTrialBlocks:
 
 class TestStackedEstimators:
     def test_builds_equal_per_spectrum_estimators(self, rng):
-        """Each estimator, built on one spectrum and row by row in a pass,
-        equals the library estimator it replaces, bit for bit."""
-        lr0 = 0.02
+        """Each estimator, built on one spectrum and row by row in a pass
+        whose rows differ in sample count and lr0, equals the library
+        estimator it replaces, bit for bit."""
         for _ in range(40):
             n, b = int(rng.integers(2, 40)), int(rng.integers(1, 8))
-            k, r_init = 2 * n, int(rng.integers(n))
+            ks = [int(k) for k in rng.choice([2 * n, 3 * n], b)]
+            lr0s = [float(lr0) for lr0 in rng.choice([0.02, 0.3, 0.6], b)]
+            r_init = int(rng.integers(n))
             sigma2 = float(rng.uniform(0.2, 5.0))
             d = np.sort(np.exp(rng.normal(0.0, 2.0, (b, n))) * sigma2, axis=1)[:, ::-1].copy()
             d[:, n - n // 3 :] = d[:, -1:]  # tied tails
             r = int(rng.integers(n + 1))
             kmax = float(np.exp(rng.uniform(0.0, 8.0)))
             v = np.stack([eig_hermitian(random_hermitian(rng, n)).eigenvectors for _ in range(b)])
-            z = np.stack([sample_training(v_i * np.sqrt(d_i), k, rng) for v_i, d_i in zip(v, d)])
+            z = [sample_training(v_i * np.sqrt(d_i), k, rng) for v_i, d_i, k in zip(v, d, ks)]
             nmf = steering_vector(n, float(rng.uniform(-90.0, 90.0)))
+            one_pass = harness._Pass(d, v, z, ks, sigma2, lr0s,
+                                     np.array([math.log(lr0) for lr0 in lr0s]), r_init, nmf)
             specs = [EstimatorSpec.parse(t)
                      for t in ("SMI", "FML", f"RCML_FIXED({r})", "RCML_EL", "CNCML_ML", "LSMI_EL",
                                "CNCML_EL", f"CNCML_FIXED({kmax!r})", "RCML_EL_SIGMA")]
             for spec in specs:
-                rows = harness._ESTIMATORS[spec.name].rows
-                lambdas, constraints = rows(harness._Pass(d, v, z, k, sigma2, lr0, r_init, nmf),
-                                            spec.param)
-                for i, row in enumerate(d):
+                lambdas, constraints = harness._ESTIMATORS[spec.name].rows(one_pass, spec.param)
+                for i, (row, k, lr0) in enumerate(zip(d, ks, lr0s)):
                     basis = v[i]
                     eig = EigenDecomposition(eigenvalues=row.copy(), eigenvectors=basis)
                     stats = SampleStats(n=n, k=k, s_eig=eig, sigma2=sigma2)

@@ -483,11 +483,12 @@ class TestLambertW:
         for z in self._dense_grid(branch):
             assert repr(lambert_w(branch, z)) == repr(lambert_w_oracle(branch, z))
 
-    @pytest.mark.parametrize("branch", list(LambertBranch))
-    def test_at_most_eight_halley_steps(self, branch, monkeypatch):
-        class CountingMath:
-            """``math`` whose ``exp``, called once per Halley step, counts."""
+    @staticmethod
+    def _steps(monkeypatch):
+        """Counts Halley steps: ``likelihood.math`` becomes a ``math`` whose
+        ``exp``, called once per step, counts its calls."""
 
+        class CountingMath:
             calls = 0
 
             def __getattr__(self, name):
@@ -498,12 +499,29 @@ class TestLambertW:
                 return math.exp(x)
 
         monkeypatch.setattr(likelihood, "math", CountingMath())
+        return CountingMath
+
+    @pytest.mark.parametrize("branch", list(LambertBranch))
+    def test_at_most_eight_halley_steps(self, branch, monkeypatch):
+        counter = self._steps(monkeypatch)
         most = 0
         for z in self._dense_grid(branch):
-            CountingMath.calls = 0
+            counter.calls = 0
             lambert_w(branch, z)
-            most = max(most, CountingMath.calls)
+            most = max(most, counter.calls)
         assert 1 <= most <= 8
+
+    def test_large_z_starts_near_the_root(self, monkeypatch):
+        # started at log z - log log z, the principal branch takes 3 to 5
+        # steps above e; from log1p(z), 41 786 of these points took 7 or 8
+        zs = np.exp(np.linspace(math.log(1e-300), math.log(1e300), 100_001))
+        counter = self._steps(monkeypatch)
+        steps = []
+        for z in zs[zs > math.e].tolist():
+            counter.calls = 0
+            lambert_w(LambertBranch.PRINCIPAL, z)
+            steps.append(counter.calls)
+        assert 3 <= min(steps) and max(steps) <= 5
 
     def test_domain_errors(self):
         with pytest.raises(InputError):

@@ -85,13 +85,13 @@ class TestSelectRank:
         d = np.sort(rng.gamma(1.5, 3.0, 10))[::-1]
         stats = stats_from_spectrum(d)
         sel = select_rank(stats, 0.3)
-        best = abs(math.log(max(sel.visited[0][1], 1e-300)) - math.log(0.3))
-        for r, lr in sel.visited:
-            err = abs(math.log(max(lr, 1e-300)) - math.log(0.3))
+        best = abs(sel.visited[0][1] - math.log(0.3))
+        for r, log_lr in sel.visited:
+            err = abs(log_lr - math.log(0.3))
             if r == sel.r_hat:
                 best = err
-        for r, lr in sel.visited:
-            assert best <= abs(math.log(max(lr, 1e-300)) - math.log(0.3)) + 1e-12
+        for r, log_lr in sel.visited:
+            assert best <= abs(log_lr - math.log(0.3)) + 1e-12
 
     def test_visited_scores_every_rank_up_to_fml(self, rng):
         d = np.sort(rng.gamma(1.5, 3.0, 12))[::-1]
@@ -99,8 +99,8 @@ class TestSelectRank:
         p = int(np.count_nonzero(d > 1.5))
         sel = select_rank(stats, 0.3)
         assert [r for r, _ in sel.visited] == list(range(p + 1))
-        for r, lr in sel.visited:
-            assert lr == pytest.approx(math.exp(log_lr_rank(stats, r)), rel=1e-9)
+        for r, log_lr in sel.visited:
+            assert log_lr == pytest.approx(log_lr_rank(stats, r), abs=1e-9)
 
     def test_singular_sample_picks_rank_zero(self):
         # every rank has LR 0 (log LR -inf); the tie resolves to the smallest rank
@@ -114,9 +114,12 @@ class TestSelectRank:
     @pytest.mark.parametrize("bad", [-1e-16, np.nan])
     def test_negative_or_nan_eigenvalue_raises(self, bad):
         # the log of such an entry used to fill every rank's log LR with NaN,
-        # and the argmin then picked rank 0
-        with pytest.raises(InputError, match="non-negative"):
+        # and the argmin then picked rank 0; a NaN entry now fails where the
+        # stats are built, and the core rejects it too
+        with pytest.raises(InputError, match="NaN" if bad != bad else "non-negative"):
             select_rank(stats_from_spectrum([3.0, 2.0, bad]), 0.5)
+        with pytest.raises(InputError, match="non-negative"):
+            _rank_rows(np.array([[3.0, 2.0, bad]]), 1.0, math.log(0.5))
 
     def test_large_dimension_stays_in_log_domain(self):
         # at N = 352 the raw LR underflows doubles; the log-domain scores
@@ -846,7 +849,7 @@ def test_root_selectors_never_raise_and_stay_bounded(rng, monkeypatch):
         evals[0] = 0
         beta = select_loading(stats, lr0)
         assert evals[0] <= 60
-        (row_beta,), (row_evals,) = _loading_rows(d[np.newaxis], lr0)
+        (row_beta,), (row_evals,) = _loading_rows(d[np.newaxis], math.log(lr0))
         assert row_beta == beta
         assert 1 <= row_evals <= 60
         assert beta > 0.0
@@ -867,15 +870,24 @@ def _outcome(fn, *args):
         return type(exc).__name__, str(exc)
 
 
+def _log_rows(lr0, b):
+    """A core's ``log lr0`` argument for an ``lr0`` that is one float or a
+    list of one per row, and each of the ``b`` rows' lr0."""
+    if isinstance(lr0, float):
+        return math.log(lr0), [lr0] * b
+    return np.array([math.log(x) for x in lr0]), list(lr0)
+
+
 class TestStackedCores:
     """The stacked rank, loading and condition-number cores return, row for
     row, exactly what the former one-spectrum code returns
-    (``tests/conftest.py`` keeps it)."""
+    (``tests/conftest.py`` keeps it), whether the rows share one lr0 or each
+    has its own."""
 
     def _stacks(self, rng, count):
         """``(d, sigma2, lr0s)``: ``(B, N)`` stacks of N = 2..256 (B = 1 in a
         quarter of them) mixing the kinds of ``_spectrum``, and lr0 from 1e-300
-        to 1 - 1e-12."""
+        to 1 - 1e-12, the last a list of those three, one per row."""
         for i in range(count):
             n = int(rng.integers(2, 257))
             b = 1 if i % 4 == 0 else int(rng.integers(2, 13))
@@ -884,26 +896,27 @@ class TestStackedCores:
             if i % 10 == 5:
                 d[-1, -1] = 0.0  # a singular row
             lr0s = [1e-300, 1.0 - 1e-12, math.exp(-(10.0 ** rng.uniform(-12.0, 2.8)))]
-            yield d, sigma2, lr0s
+            yield d, sigma2, lr0s + [[float(lr0) for lr0 in rng.choice(lr0s, b)]]
 
     def test_rank_rows_match_scalar_oracle(self, rng):
         for d, sigma2, lr0s in self._stacks(rng, 80):
             for lr0 in lr0s + [1.0]:
-                r_hat, log_lr, p = _rank_rows(d, sigma2, lr0)
-                for i, row in enumerate(d):
-                    scored = log_lr[i, : p[i] + 1].tolist()
-                    visited = [(r, math.exp(v)) for r, v in enumerate(scored)]
-                    oracle = scalar_rank_oracle(row, sigma2, lr0)
+                log_lr0, rows_lr0 = _log_rows(lr0, len(d))
+                r_hat, log_lr, p = _rank_rows(d, sigma2, log_lr0)
+                for i, (row, row_lr0) in enumerate(zip(d, rows_lr0)):
+                    visited = list(enumerate(log_lr[i, : p[i] + 1].tolist()))
+                    oracle = scalar_rank_oracle(row, sigma2, row_lr0)
                     assert repr((int(r_hat[i]), visited)) == repr(oracle)
                     if len(d) == 1:
-                        sel = select_rank(stats_from_spectrum(row, sigma2=sigma2), lr0)
+                        sel = select_rank(stats_from_spectrum(row, sigma2=sigma2), row_lr0)
                         assert repr((sel.r_hat, sel.visited)) == repr(oracle)
 
     def test_loading_rows_match_scalar_oracle(self, rng):
         for d, sigma2, lr0s in self._stacks(rng, 80):
             for lr0 in lr0s:
-                oracles = [_outcome(scalar_loading_oracle, row, lr0) for row in d]
-                got = _outcome(_loading_rows, d, lr0)
+                log_lr0, rows_lr0 = _log_rows(lr0, len(d))
+                oracles = [_outcome(scalar_loading_oracle, row, x) for row, x in zip(d, rows_lr0)]
+                got = _outcome(_loading_rows, d, log_lr0)
                 failed = [out for out in oracles if not isinstance(out[0], float)]
                 if failed:  # a stack raises the failure of one of its rows
                     assert got in failed
@@ -911,7 +924,7 @@ class TestStackedCores:
                     assert repr(list(zip(*got))) == repr(oracles)
                 if len(d) == 1:
                     stats = stats_from_spectrum(d[0], sigma2=sigma2)
-                    beta = _outcome(select_loading, stats, lr0)
+                    beta = _outcome(select_loading, stats, rows_lr0[0])
                     assert repr(beta) == repr(failed[0] if failed else oracles[0][0])
 
     def _cn_stacks(self, rng, count):
@@ -944,12 +957,15 @@ class TestStackedCores:
             for lr0 in lr0s + [1.0]:
                 if negative.any():
                     with pytest.raises(InputError, match="sample eigenvalues must be non-negative"):
-                        _kmax_rows(stack, sigma2, lr0)
+                        _kmax_rows(stack, sigma2, _log_rows(lr0, len(stack))[0])
                 if not len(d):
                     continue
-                sel = _kmax_rows(d, sigma2, lr0)
+                if not isinstance(lr0, float):
+                    lr0 = [x for x, neg in zip(lr0, negative) if not neg]
+                log_lr0, rows_lr0 = _log_rows(lr0, len(d))
+                sel = _kmax_rows(d, sigma2, log_lr0)
                 table = sel.table
-                for i, row in enumerate(d):
+                for i, (row, row_lr0) in enumerate(zip(d, rows_lr0)):
                     # the table itself, down to the log prefix sums
                     path, cells = _CnPath(row / sigma2), table.valid[i]
                     assert table.kmax[i, cells].tobytes() == path.kmax.tobytes()
@@ -960,19 +976,19 @@ class TestStackedCores:
                     assert table.log_top[i].tobytes() == path.sums.log_top.tobytes()
                     assert table.log_bottom[i].tobytes() == path.sums.log_bottom.tobytes()
                     stats = stats_from_spectrum(row, sigma2=sigma2)
-                    oracle = scalar_kmax_oracle(stats, lr0)
+                    oracle = scalar_kmax_oracle(stats, row_lr0)
                     kmax_hat = float(sel.kmax_hat[i])
                     assert repr((kmax_hat, sel.final_step[i])) == repr(
                         (oracle.kmax_hat, oracle.final_step)
                     )
                     assert sel.lambdas[i].tobytes() == oracle.estimate.lambdas.tobytes()
                     assert sel.steps[i] > 0 or oracle.final_step == 0.0
-                    # the LR at the bound, wherever the oracle lists it
-                    lr_hat = dict(oracle.visited).get(kmax_hat)
-                    if lr_hat is not None and lr_hat > 1e-300:  # not subnormal
-                        assert abs(sel.log_lr[i] - math.log(lr_hat)) <= 1e-9
+                    # the log LR at the bound, wherever the oracle lists it
+                    log_hat = dict(oracle.visited).get(kmax_hat)
+                    if log_hat is not None and math.isfinite(log_hat):
+                        assert abs(sel.log_lr[i] - log_hat) <= 1e-9
                     if len(d) == 1:
-                        one = select_kmax(stats, lr0)
+                        one = select_kmax(stats, row_lr0)
                         assert repr(
                             (one.kmax_hat, one.visited, one.final_step, one.constraint_active,
                              one.estimate.constraints)
@@ -1178,5 +1194,5 @@ class TestKmaxPath:
         kmaxes = [k for k, _ in sel.visited]
         assert kmaxes == sorted(kmaxes, reverse=True)
         assert sorted(set(kmaxes) - set(path.kmax.tolist())) == [sel.kmax_hat]
-        assert dict(sel.visited)[sel.kmax_hat] == pytest.approx(lr0, rel=1e-9)
+        assert dict(sel.visited)[sel.kmax_hat] == pytest.approx(math.log(lr0), abs=1e-9)
         assert 0.0 < sel.final_step <= 1e-9 * sel.kmax_hat
