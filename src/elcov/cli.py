@@ -108,7 +108,7 @@ def _cmd_select(args) -> int:
     stats = _load_stats(args)
     if mode == "rank-sigma" and not 0 <= args.r_init < stats.n:
         raise InputError(f"--r-init {args.r_init} outside [0, {stats.n - 1}]")
-    lr0 = args.lr0 if args.lr0 is not None else lr0_lookup(stats.n, args.k, args.lr0_table)
+    lr0 = args.lr0 if args.lr0 is not None else lr0_lookup(stats.n, args.k, args.lr0_table).lr0
     pairs = [("mode", mode), ("n", stats.n), ("k", stats.k), ("lr0", f"{lr0:.12g}")]
     if mode == "rank":
         sel = select_rank(stats, lr0)

@@ -12,18 +12,18 @@ per run.  The pass then computes, in one stacked call each, the
 descending ``eigh`` with pinned phases of all its sample covariances and
 the projections onto each eigenbasis that SINR scoring needs.  Every
 estimator, its constraint selector included, runs as one map over the
-pass, which reads its ``(B, N)`` spectra, each row's ``log lr0`` (taken
-once per sample count) and, for ``RCML_EL_SIGMA``, each row's basis,
-training, sample count and lr0.  Each cell scores all its estimates in one
-call, by normalized SINR averaged over a steering grid in the trial's
-sample eigenbasis.  Every row of a pass equals the estimate built on its
-trial alone, bit for bit, so the passes change no output, and identical
-configuration and master seed reproduce the output CSVs byte for byte.
-For the same reason a pass raises exactly when one of its cells would
-raise alone; its error, from the first failing estimator in configuration
-order, ends the sweep before the pass is scored, and no CSV is written.
-Since a pass can span sample counts, that estimator may fail at a later
-sample count than another estimator's failure.
+pass, which reads its ``(B, N)`` spectra, each row's ``log lr0`` (its
+sample count's log median, the one form of lr0 a sweep holds) and, for
+``RCML_EL_SIGMA``, each row's basis and training.  Each cell scores all its
+estimates in one call, by normalized SINR averaged over a steering grid in
+the trial's sample eigenbasis.  Every row of a pass equals the estimate
+built on its trial alone, bit for bit, so the passes change no output, and
+identical configuration and master seed reproduce the output CSVs byte for
+byte.  For the same reason a pass raises exactly when one of its cells
+would raise alone; its error, from the first failing estimator in
+configuration order, ends the sweep before the pass is scored, and no CSV
+is written.  Since a pass can span sample counts, that estimator may fail
+at a later sample count than another estimator's failure.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from .estimators import (
     _smi_rows,
 )
 from .exceptions import InputError, SingularMatrixError
-from .hermitian import EigenDecomposition, _eigh_desc, derive_rng, sample_covariance, sqrt_factor
+from .hermitian import _eigh_desc, derive_rng, sample_covariance, sqrt_factor
 from .likelihood import lr0_lookup
 from .metrics import apply_inverse
 from .scenario import (
@@ -62,7 +62,7 @@ from .scenario import (
     jammer_covariance,
     steering_vector,
 )
-from .selection import _kmax_rows, _loading_rows, _log, _rank_rows, select_rank_sigma
+from .selection import _kmax_rows, _loading_rows, _log, _rank_rows, _rank_sigma_row
 
 __all__ = [
     "EstimatorSpec",
@@ -85,17 +85,15 @@ _PASS_ELEMENTS = 2**16
 class _Pass(NamedTuple):
     """What an estimator pass reads, one row per ``(k, trial)`` cell: the
     ``(B, N)`` spectra ``d`` and their ``(B, N, N)`` bases ``v``; each row's
-    ``(N, K)`` training ``z``, sample count ``k`` and ``lr0``; ``log_lr0``,
-    a ``(B,)`` array of each row's, or one float for every row; and the
-    sweep's settings for the selectors."""
+    ``(N, K)`` training ``z``; ``log_lr0``, a ``(B,)`` array of each row's,
+    or one float for every row; and the sweep's settings for the selectors.
+    ``RCML_EL_SIGMA`` reads each row's basis, training and ``log lr0``."""
 
     d: np.ndarray
     v: np.ndarray
     z: list[np.ndarray] | None
-    k: list[int]
     sigma2: float
-    lr0: list[float] | None
-    log_lr0: np.ndarray | None
+    log_lr0: np.ndarray | float | None
     r_init: int | None
     nmf_steering: np.ndarray | None
 
@@ -114,10 +112,11 @@ def _cncml_el_rows(p: _Pass):
 
 def _joint_rows(p: _Pass):
     """RCML at each row's jointly selected rank and noise power, the joint
-    selector running row by row as its one-call public form."""
+    core running row by row on the row's basis, training and log lr0."""
     lambdas, constraints = np.empty_like(p.d), []
-    for i, (d, v, z, k, lr0) in enumerate(zip(p.d, p.v, p.z, p.k, p.lr0)):
-        sel = select_rank_sigma(EigenDecomposition(d, v), k, p.r_init, lr0, z, p.nmf_steering)
+    log_lr0 = np.broadcast_to(p.log_lr0, len(p.d)).tolist()
+    for i, (d, v, z, row_lr0) in enumerate(zip(p.d, p.v, p.z, log_lr0)):
+        sel = _rank_sigma_row(d, v, p.r_init, row_lr0, z, p.nmf_steering)
         lam, con = _rcml_rows(d[np.newaxis], sel.sigma2_hat, [sel.r_hat])
         lambdas[i] = lam[0]
         constraints += con
@@ -280,17 +279,16 @@ def build_estimate(
 ) -> CovarianceEstimate:
     """Estimate named by ``spec``, built as a pass of one trial; ``lr0``
     feeds the selectors and ``joint``, ``(r_init, training, nmf_steering)``,
-    feeds ``RCML_EL_SIGMA`` only.  Raises :class:`InputError` when the
-    estimator needs either and it is missing."""
+    feeds ``RCML_EL_SIGMA`` only, taken as a sweep builds them.  Raises
+    :class:`InputError` when the estimator needs either and it is missing."""
     if lr0 is None and _ESTIMATORS[spec.name].needs_lr0:
         raise InputError(f"estimator {spec} needs lr0")
     if joint is None and spec.name == "RCML_EL_SIGMA":
         raise InputError(f"estimator {spec} needs joint = (r_init, training, nmf_steering)")
     r_init, z, nmf_steering = joint if joint is not None else (None, None, None)
     one = _Pass(stats.d[np.newaxis], stats.s_eig.eigenvectors[np.newaxis],
-                None if z is None else [np.asarray(z)], [stats.k], stats.sigma2,
-                None if lr0 is None else [lr0], None if lr0 is None else _log(lr0),
-                r_init, nmf_steering)
+                None if z is None else [np.asarray(z)], stats.sigma2,
+                None if lr0 is None else _log(lr0), r_init, nmf_steering)
     return _one_row(stats, *_ESTIMATORS[spec.name].rows(one, spec.param))
 
 
@@ -361,12 +359,9 @@ def run_experiment(cfg: ExperimentConfig) -> list[TrialRecord]:
     den_true = np.abs(np.sum(steer.conj() * apply_inverse(r_true, steer), axis=0))
 
     needs_lr0 = any(_ESTIMATORS[spec.name].needs_lr0 for spec in cfg.estimators)
-    lr0_by_k = {
-        k: lr0_lookup(n, k, cfg.lr0_table_path, cfg.autocompute_lr0) if needs_lr0 else None
-        for k in cfg.k_list
-    }
-    # one log per sample count, so every row of that k sees the same float
-    log_lr0_by_k = {k: math.log(lr0) for k, lr0 in lr0_by_k.items() if lr0 is not None}
+    # one log lr0 per sample count, so every row of that k sees the same float
+    log_lr0_by_k = {k: lr0_lookup(n, k, cfg.lr0_table_path, cfg.autocompute_lr0).log_lr0
+                    for k in cfg.k_list if needs_lr0}
 
     r_init = cfg.r_init if cfg.r_init is not None else scenario.jammer_count
     nmf_steering = steering_vector(n, cfg.nmf_angle)
@@ -385,10 +380,8 @@ def run_experiment(cfg: ExperimentConfig) -> list[TrialRecord]:
             covariances.append(sample_covariance(z))
         d, v = _eigh_desc(np.concatenate(covariances))
         w0, g = _eigenbasis_projections(v, r_true, steer)
-        ks = [k for k, _ in cells_of_pass]
-        p = _Pass(d, v, zs, ks, scenario.noise_power,
-                  [lr0_by_k[k] for k in ks] if needs_lr0 else None,
-                  np.array([log_lr0_by_k[k] for k in ks]) if needs_lr0 else None,
+        p = _Pass(d, v, zs, scenario.noise_power,
+                  np.array([log_lr0_by_k[k] for k, _ in cells_of_pass]) if needs_lr0 else None,
                   r_init, nmf_steering)
         # per estimator: (lambdas, constraints, seconds per cell) of its pass
         built = [_timed(spec, p) for spec in cfg.estimators]

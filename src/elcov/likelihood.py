@@ -12,7 +12,7 @@ cumulant generating function is closed form, and the median ``lr0`` and
 the stored quantiles are roots of a saddlepoint CDF (Lugannani & Rice
 1980): deterministic, with no draw and no seed.  A small text table can pin
 the values per ``(N, K)``.  All arithmetic runs in the log domain; at large
-``N`` the raw ratio underflows double precision.
+``N`` the raw ratio and ``lr0`` underflow double precision.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ import functools
 import math
 import os
 import statistics
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,12 +91,21 @@ def log_tail_lr(sample_lambdas, r: int, t: float) -> float:
 @dataclass
 class LRReference:
     """Invariant LR statistics for one ``(n, k)`` pair: the median ``lr0``
-    and the ``(probability, value)`` pairs at ``QUANTILE_PROBS``."""
+    and the ``(probability, value)`` pairs at ``QUANTILE_PROBS``.
+
+    ``log_lr0``, what a sweep reads, is ``log(lr0)`` wherever lr0 is a positive
+    double, whatever was given, else the computed log median (N = K >= 746).
+    """
 
     n: int
     k: int
     lr0: float
     quantiles: list[tuple[float, float]]
+    log_lr0: float = -math.inf
+
+    def __post_init__(self):
+        if self.lr0 > 0:
+            self.log_lr0 = math.log(self.lr0)
 
 
 # Bernoulli numbers B_2, B_4, ..., B_16 of the asymptotic polygamma series;
@@ -356,21 +364,16 @@ def lr0_reference(
     root of its Lugannani-Rice CDF; at ``N = 1`` it is the root of the exact
     CDF.  The median is ``lr0``.  The result is deterministic; ``trials``
     and ``seed``, the former draw's size and seed, are accepted and ignored.
+    At ``k < n``, where no reference is defined yet, it raises InputError.
     """
     del trials, seed  # the reference is exact
     if n < 1 or k < 1:
         raise InputError("n and k must be positive")
     if k < n:
-        warnings.warn(
-            f"lr0 reference with k={k} < n={n}: sample covariance is singular "
-            "and every LR value is zero",
-            stacklevel=2,
-        )
-        logs = [-math.inf] * len(QUANTILE_PROBS)
-    else:
-        logs = _log_lr_quantiles(n, k)
-    quantiles = [(p, math.exp(v)) for p, v in zip(QUANTILE_PROBS, logs)]
-    return LRReference(n=n, k=k, lr0=dict(quantiles)[0.5], quantiles=quantiles)
+        raise InputError(f"no lr0 for (n={n}, k={k}): k < n has no reference; pin one in a table")
+    logs = dict(zip(QUANTILE_PROBS, _log_lr_quantiles(n, k)))
+    quantiles = [(p, math.exp(v)) for p, v in logs.items()]
+    return LRReference(n, k, math.exp(logs[0.5]), quantiles, logs[0.5])
 
 
 _TABLE_HEADER = "LR0TABLE v1"
@@ -382,8 +385,11 @@ def lr0_store(ref: LRReference, path) -> None:
     A record is ``n k trials seed lr0 q05 q25 q50 q75 q95``; ``trials`` and
     ``seed`` are written as 0, columns kept from tables of the former Monte
     Carlo reference.  Records are keyed by ``(n, k)``; duplicates are
-    allowed in the file and resolved last-write-wins at load time.
+    allowed in the file and resolved last-write-wins at load time.  An lr0
+    outside ``(0, 1]`` raises :class:`InputError`, and nothing is written.
     """
+    if not 0 < ref.lr0 <= 1:
+        raise InputError(f"lr0 = {ref.lr0:g} for (n={ref.n}, k={ref.k}) is outside (0, 1]")
     qmap = dict(ref.quantiles)
     fields = [str(ref.n), str(ref.k), "0", "0", f"{ref.lr0:.17g}"]
     fields += [f"{qmap[p]:.17g}" for p in QUANTILE_PROBS]
@@ -439,31 +445,25 @@ def lr0_load(n: int, k: int, path) -> LRReference | None:
     return matches[-1] if matches else None
 
 
-def lr0_lookup(n: int, k: int, table, autocompute: bool = True) -> float:
-    """Reference median for ``(n, k)``: loaded from ``table``, else computed.
-
-    A missing entry is computed with :func:`lr0_reference` and appended to
-    ``table``; with no table it is computed and not stored.  Raises
-    :class:`InputError` instead of computing when ``autocompute`` is off or
-    ``k < n``, where no reference is defined yet (a pinned entry is still
-    read), and on a loaded lr0 outside ``(0, 1]``.
-    """
+def lr0_lookup(n: int, k: int, table, autocompute: bool = True) -> LRReference:
+    """Reference for ``(n, k)``: loaded from ``table``, else computed with
+    :func:`lr0_reference` and, while its lr0 is a positive double, appended
+    to ``table``.  Raises :class:`InputError` instead of computing when
+    ``autocompute`` is off or, as :func:`lr0_reference` does, at ``k < n`` (a
+    pinned entry is still read), and on a loaded lr0 outside ``(0, 1]``."""
     if table is not None:
         ref = lr0_load(n, k, table)
         if ref is not None:
             if not 0 < ref.lr0 <= 1:
                 raise InputError(f"lr0 table {table} holds lr0 = {ref.lr0:g} for (n={n}, k={k}), "
                                  "outside (0, 1]")
-            return ref.lr0
-    if k < n:
-        raise InputError(f"no lr0 for (n={n}, k={k}): k < n has no reference; "
-                         "pin one in an lr0 table")
+            return ref
     if not autocompute:
         raise InputError(f"no lr0 table entry for (n={n}, k={k}) and autocompute is disabled")
     ref = lr0_reference(n, k)
-    if table is not None:
+    if table is not None and ref.lr0 > 0:
         lr0_store(ref, table)
-    return ref.lr0
+    return ref
 
 
 class LambertBranch(enum.Enum):

@@ -25,7 +25,6 @@ __all__ = [
     "CorruptionSpec",
     "ScenarioConfig",
     "TrainingSet",
-    "draw_training",
     "generate_training",
     "jammer_covariance",
     "matrix_load",
@@ -184,7 +183,7 @@ def _draw_rows(factor, k: int, corruption: CorruptionSpec | None, rngs):
     Each generator draws its normals and then picks its columns; the
     corruption is added to all rows at once.  A row depends on its
     generator alone, bit for bit, whatever the stack, and
-    :func:`draw_training` is the one-row case.
+    :func:`generate_training` is the one-row case.
     """
     z = _sample_rows(factor, k, rngs)
     picks = [np.empty(0, dtype=int)] * len(rngs)
@@ -199,23 +198,16 @@ def _draw_rows(factor, k: int, corruption: CorruptionSpec | None, rngs):
     return z, picks
 
 
-def draw_training(
-    factor, k: int, corruption: CorruptionSpec | None, rng: np.random.Generator
+def generate_training(
+    r_true, k: int, corruption: CorruptionSpec | None, rng: np.random.Generator
 ) -> TrainingSet:
-    """Draw ``k`` training snapshots from a factor ``F F^H`` of the true covariance.
+    """Draw ``k`` training snapshots from ``r_true``, through its :func:`sqrt_factor`.
 
     With a corruption spec, exactly ``round(fraction * k)`` columns (chosen
     by the generator, half-up rounding) receive the target-like component.
     """
-    z, picks = _draw_rows(factor, k, corruption, [rng])
+    z, picks = _draw_rows(sqrt_factor(r_true), k, corruption, [rng])
     return TrainingSet(z=z[0], corrupted_indices=tuple(picks[0].tolist()))
-
-
-def generate_training(
-    r_true, k: int, corruption: CorruptionSpec | None, rng: np.random.Generator
-) -> TrainingSet:
-    """:func:`draw_training` from the :func:`sqrt_factor` of ``r_true``."""
-    return draw_training(sqrt_factor(r_true), k, corruption, rng)
 
 
 _CMAT_HEADER = "CMAT v1"

@@ -5,8 +5,8 @@ power, condition-number bound, or diagonal loading) so the likelihood ratio
 of the resulting estimate lands as close as possible to the precomputed
 invariant median ``lr0``.  The LR is monotone in each constraint, so each
 match is a closed form or one bracketed root.  The public selectors take
-``lr0``; the stacked cores behind them take each row's ``log lr0``, so a
-stack may mix sample counts.
+``lr0`` and check their input; the cores take each row's ``log lr0``, the
+joint core (:func:`_rank_sigma_row`) one row, the others a stack of rows.
 """
 
 from __future__ import annotations
@@ -162,20 +162,24 @@ def sigma_el_roots(sample_lambdas, r: int, lr0: float) -> NoiseRoots:
     if not 0 <= r < len(d):
         raise InputError(f"rank {r} outside [0, {len(d) - 1}]; the trailing mean needs r < N")
     tail = d[r:]
-    m = len(tail)
-    low = tail.min()
-    if not low > 0 and (tail < 0).any():
+    if not tail.min() > 0 and (tail < 0).any():
         raise InputError("trailing eigenvalues must be non-negative")
-    # the sum of a finite tail may overflow, and log warns on a zero ratio
-    with np.errstate(over="ignore", divide="ignore"):
-        b = float(tail.sum())
-        s_ml = b / m
-        if not s_ml < math.inf:  # NaN too
-            raise InputError("trailing eigenvalues and their sum must be finite")
-        if not s_ml > 0:
-            raise InputError("trailing eigenvalues sum to zero; noise power is unidentifiable")
+    with np.errstate(over="ignore"):  # the sum of a finite tail may overflow
+        s_ml = float(tail.sum()) / len(tail)
+    if not s_ml < math.inf:  # NaN too
+        raise InputError("trailing eigenvalues and their sum must be finite")
+    if not s_ml > 0:
+        raise InputError("trailing eigenvalues sum to zero; noise power is unidentifiable")
+    return _noise_roots(tail, math.log(lr0))
+
+
+def _noise_roots(tail: np.ndarray, log_lr0: float) -> NoiseRoots:
+    """:func:`sigma_el_roots` against a finite ``log lr0``, unchecked: the
+    trailing eigenvalues ``tail`` must be non-negative, with a positive, finite sum."""
+    m, b = len(tail), float(tail.sum())
+    s_ml = b / m
+    with np.errstate(divide="ignore"):  # a zero entry's log is -inf
         log_peak = float(np.log(tail / s_ml).sum() + m - b / s_ml)
-    log_lr0 = math.log(lr0)
     if abs(log_lr0 - log_peak) <= 1e-10:
         return NoiseRoots(count=1, roots=(s_ml,), sigma_ml=s_ml)
     if log_lr0 > log_peak:
@@ -192,12 +196,12 @@ def sigma_el_roots(sample_lambdas, r: int, lr0: float) -> NoiseRoots:
     return NoiseRoots(count=2, roots=roots, sigma_ml=s_ml)
 
 
-def _nmf_scorer(s_eig: EigenDecomposition, steering, training):
+def _nmf_scorer(v: np.ndarray, steering, training):
     """Mean matched filter statistic over the ``training`` columns of any
-    estimate on the basis ``V`` of ``s_eig``, as a function of its eigenvalues;
-    ``V^H s`` and ``V^H Z`` are projected once for all of them.  A ``(C, N)``
-    stack of eigenvalue rows is scored in one product, giving ``C`` means."""
-    v_h = s_eig.eigenvectors.conj().T
+    estimate on the basis ``V``, as a function of its eigenvalues; ``V^H s``
+    and ``V^H Z`` are projected once for all of them.  A ``(C, N)`` stack of
+    eigenvalue rows is scored in one product, giving ``C`` means."""
+    v_h = v.conj().T
     ws, w = v_h @ steering, v_h @ training
     ws_conj, ws2, w2 = ws.conj(), np.abs(ws) ** 2, np.abs(w) ** 2
 
@@ -235,29 +239,8 @@ def select_rank_sigma(
     spectrum, nonzero finite training columns and a unit-norm steering vector.
     ``r_init`` is clamped into ``[0, n - 1]``, not checked; the config loader
     and ``elcov select`` reject a value outside that range.
-
-    Each rank is climbed to the smallest rank at or above it whose noise
-    power roots exist (at most ``n - 1``): those whose tail-profile peak
-    ``sum_{i >= r} log d_i - (n - r) log sigma_ml(r)`` reaches ``log lr0``,
-    found for every rank in one pass over the tail prefix sums.  Starting
-    from the climbed ``r_init`` it repeats: set the noise power to the
-    trailing mean, re-select the rank at that noise power with
-    :func:`select_rank`'s suffix sums and climb it, until the climbed rank
-    stops falling.  It cannot rise (a climbed rank has roots, so its LR
-    reaches ``lr0`` and the re-selected rank is at most it), so this takes
-    at most ``n`` passes.
-
-    :func:`sigma_el_roots` then runs once, at the final rank.  The
-    noise-power candidates (the ML value plus up to two matching roots) are
-    scored by the mean matched filter statistic over the target-free
-    training columns: the RCML eigenvalues of every candidate form one
-    ``(C, N)`` stack, scored in one product against ``V^H Z``, which is
-    projected once.  The smallest mean wins, ties going to the earlier of
-    ML, EL1, EL2; at rank 0 every candidate is ``sigma2 I``, so the ML value
-    is the only one.
     """
-    n = s_eig.n
-    d = s_eig.eigenvalues
+    n, d = s_eig.n, s_eig.eigenvalues
     if n < 2:
         raise InputError("joint rank and noise selection needs dimension >= 2")
     if k < 1:
@@ -274,14 +257,45 @@ def select_rank_sigma(
     steering = np.asarray(steering, dtype=np.complex128)
     if steering.shape != (n,) or not abs(np.linalg.norm(steering) - 1.0) <= 1e-6:
         raise InputError("steering must be a unit-norm length-n vector")
+    return _rank_sigma_row(d, s_eig.eigenvectors, r_init, math.log(lr0), training, steering)
+
+
+def _rank_sigma_row(d, v, r_init: int, log_lr0: float, training, steering) -> JointSelection:
+    """The joint selection on one row's descending spectrum ``d``, basis ``v``,
+    ``log lr0`` (checked by the rank core), training and steering, checking
+    only what depends on the spectrum: ``n >= 2``, ``d_N > 0`` and positive,
+    finite candidates.
+
+    Each rank is climbed to the smallest rank at or above it whose noise
+    power roots exist (at most ``n - 1``): those whose tail-profile peak
+    ``sum_{i >= r} log d_i - (n - r) log sigma_ml(r)`` reaches ``log lr0``,
+    found for every rank in one pass over the tail prefix sums.  Starting
+    from the climbed ``r_init`` it repeats: set the noise power to the
+    trailing mean, re-select the rank at that noise power with
+    :func:`select_rank`'s suffix sums and climb it, until the climbed rank
+    stops falling.  It cannot rise (a climbed rank has roots, so its LR
+    reaches ``lr0`` and the re-selected rank is at most it), so this takes
+    at most ``n`` passes.
+
+    The noise-power roots (:func:`_noise_roots`) are then solved once, at
+    the final rank.  The candidates (the ML value plus up to two matching
+    roots) are scored by the mean matched filter statistic over the
+    target-free training columns: the RCML eigenvalues of every candidate
+    form one ``(C, N)`` stack, scored in one product against ``V^H Z``,
+    which is projected once.  The smallest mean wins, ties going to the
+    earlier of ML, EL1, EL2; at rank 0 every candidate is ``sigma2 I``, so
+    the ML value is the only one.
+    """
+    n = len(d)
+    if n < 2:
+        raise InputError("joint rank and noise selection needs dimension >= 2")
     if not d[-1] > 0:
         raise InputError("sample eigenvalues must be positive; noise power is unidentifiable")
 
-    log_lr0 = math.log(lr0)
     # over the m = n - r smallest entries, for r = 0..n-1
     asc, m = d[::-1], np.arange(n, 0, -1)
     peak = np.log(asc).cumsum()[::-1] - m * np.log(asc.cumsum()[::-1] / m)
-    # sigma_el_roots' own test for roots; rank n - 1 has them, its peak being 0
+    # _noise_roots' own test for roots; rank n - 1 has them, its peak being 0
     first = np.where(peak >= log_lr0 - 1e-10, np.arange(n), n - 1)
     climbed = np.minimum.accumulate(first[::-1])[::-1].tolist()
 
@@ -294,7 +308,7 @@ def select_rank_sigma(
             break
         r = r_new
 
-    roots = sigma_el_roots(d, r, lr0)
+    roots = _noise_roots(d[r:], log_lr0)
     labels, sigmas = ["ML"], [roots.sigma_ml]
     if roots.count == 2 and r > 0:
         labels += ["EL1", "EL2"]
@@ -305,7 +319,7 @@ def select_rank_sigma(
     sig = np.array(sigmas)[:, np.newaxis]
     lambdas = np.maximum(d, sig)
     lambdas[:, r:] = sig
-    best = int(np.argmin(_nmf_scorer(s_eig, steering, training)(lambdas)))
+    best = int(np.argmin(_nmf_scorer(v, steering, training)(lambdas)))
     return JointSelection(
         r_hat=r, sigma2_hat=sigmas[best], chosen_from=labels[best], iterations=iterations
     )

@@ -678,7 +678,7 @@ def select_rank_sigma_oracle(
 
 def draw_training_oracle(factor, k, corruption, rng):
     """The former per-trial training draw: ``sample_training`` and then the
-    corruption of ``draw_training``, one trial at a time."""
+    corruption of ``generate_training``, one trial at a time."""
     factor = np.asarray(factor, dtype=np.complex128)
     n = factor.shape[1]
     w = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))

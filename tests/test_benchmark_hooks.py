@@ -1,8 +1,16 @@
-"""Every function the benchmark's tracer hooks by name still exists."""
+"""Every function the benchmark's tracer hooks by name still exists, and the
+library calls that the benchmark makes directly still bind."""
 
+import configparser
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
+
+import numpy as np
+
+import elcov
+from elcov.harness import _CONFIG_SCHEMA
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -19,3 +27,34 @@ def test_every_hooked_name_is_callable():
         if not callable(getattr(importlib.import_module(f"elcov.{layer}"), name, None))
     ]
     assert missing == []
+
+
+def test_direct_library_calls_bind(tmp_path):
+    # the calls that perfbench/workloads.py makes, in the form it makes them
+    table = str(tmp_path / "t.txt")
+    for fn, args, kwargs in [
+        (elcov.select_rank_sigma, range(6), {}),
+        (elcov.lr0_reference, (4, 8), {"trials": 500, "seed": 1}),
+        (elcov.lr0_store, ("ref", table), {}),
+        (elcov.lr0_load, (4, 8, table), {}),
+        (elcov.generate_training, ("r_true", 8, None, "rng"), {}),
+        (elcov.SampleStats, (), {"n": 4, "k": 8, "s_eig": "eig", "sigma2": 1.0}),
+    ]:
+        inspect.signature(fn).bind(*args, **kwargs)
+    ref = elcov.lr0_reference(4, 8, trials=500, seed=1)
+    elcov.lr0_store(ref, table)
+    assert elcov.lr0_load(4, 8, table).lr0 == ref.lr0
+    rng = elcov.derive_rng(1, "joint", 8, 0)
+    assert elcov.generate_training(np.eye(4, dtype=complex), 8, None, rng).z.shape == (4, 8)
+
+
+def test_benchmark_configs_use_only_known_keys(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    for w in workloads.WORKLOADS.values():
+        runner = workloads.Runner(w, 1, tmp_path / w.name, tiny=True)
+        parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+        parser.read(runner.config_path(0))
+        unknown = [f"[{section}] {key}" for section in parser.sections() for key in parser[section]
+                   if key not in _CONFIG_SCHEMA.get(section, {})]
+        assert parser.has_section("experiment") and unknown == [], w.name

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -58,6 +59,16 @@ class TestLr0Command:
         assert code == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0] == "key,value"
+
+    @pytest.mark.parametrize("n, k, match", [
+        (6, 4, r"no lr0 for \(n=6, k=4\): k < n"),
+        (800, 800, r"lr0 = 0 for \(n=800, k=800\) is outside \(0, 1\]"),
+    ])
+    def test_refuses_what_no_table_can_hold(self, tmp_path, capsys, n, k, match):
+        table = tmp_path / "t.txt"
+        assert cli(["lr0", "--n", str(n), "--k", str(k), "--table", str(table)]) == 1
+        assert re.match("error: " + match, capsys.readouterr().err)
+        assert not table.exists()
 
     def test_module_entry_point_writes_table(self, tmp_path):
         # ``python -m elcov.cli`` runs the command, not just the import

@@ -33,6 +33,7 @@ from elcov import (
     derive_rng,
     eig_hermitian,
     fml,
+    generate_training,
     jammer_covariance,
     load_experiment_config,
     lr0_load,
@@ -43,13 +44,11 @@ from elcov import (
     sample_covariance,
     sample_training,
     smi,
-    sqrt_factor,
     steering_vector,
 )
 from elcov.cli import cli
 from elcov.harness import _eigenbasis_projections, _sinr_scorer, build_estimate
 from elcov.metrics import apply_inverse
-from elcov.scenario import draw_training
 
 
 def noise_only_config(tmp_path, **overrides):
@@ -595,7 +594,6 @@ class TestTrialBlocks:
         records = run_experiment(cfg)
 
         r_true = jammer_covariance(scenario)
-        factor = sqrt_factor(r_true)
         steer = np.column_stack([steering_vector(n, a) for a in default_steering_grid(scenario)])
         den_true = np.abs(np.sum(steer.conj() * apply_inverse(r_true, steer), axis=0))
         nmf = steering_vector(n, 0.0)
@@ -603,7 +601,7 @@ class TestTrialBlocks:
         for k in k_list:
             lr0 = lr0_load(n, k, table).lr0
             for t in range(trials):
-                z = draw_training(factor, k, corruption, derive_rng(1, "trial", k, t)).z
+                z = generate_training(r_true, k, corruption, derive_rng(1, "trial", k, t)).z
                 eig = eig_hermitian(sample_covariance(z))
                 stats = SampleStats(n=n, k=k, s_eig=eig, sigma2=1.0)
                 args = (*_eigenbasis_projections(eig.eigenvectors, r_true, steer), den_true)
@@ -922,8 +920,8 @@ class TestStackedEstimators:
             v = np.stack([eig_hermitian(random_hermitian(rng, n)).eigenvectors for _ in range(b)])
             z = [sample_training(v_i * np.sqrt(d_i), k, rng) for v_i, d_i, k in zip(v, d, ks)]
             nmf = steering_vector(n, float(rng.uniform(-90.0, 90.0)))
-            one_pass = harness._Pass(d, v, z, ks, sigma2, lr0s,
-                                     np.array([math.log(lr0) for lr0 in lr0s]), r_init, nmf)
+            one_pass = harness._Pass(d, v, z, sigma2, np.array([math.log(lr0) for lr0 in lr0s]),
+                                     r_init, nmf)
             specs = [EstimatorSpec.parse(t)
                      for t in ("SMI", "FML", f"RCML_FIXED({r})", "RCML_EL", "CNCML_ML", "LSMI_EL",
                                "CNCML_EL", f"CNCML_FIXED({kmax!r})", "RCML_EL_SIGMA")]
@@ -967,6 +965,67 @@ class TestStackedEstimators:
         if name == "RCML_EL_SIGMA":
             with pytest.raises(InputError, match="needs joint"):
                 build_estimate(spec, stats, 0.3)
+
+
+class TestOneLogLr0:
+    """A sweep holds each sample count's log lr0 and nothing else of lr0."""
+
+    def test_joint_rows_skip_the_public_selectors(self, tmp_path, monkeypatch):
+        import elcov.selection as selection
+
+        def refuse(*args):
+            raise AssertionError("a sweep called a public selector")
+
+        monkeypatch.setattr(selection, "select_rank_sigma", refuse)
+        monkeypatch.setattr(selection, "sigma_el_roots", refuse)
+        cfg = noise_only_config(
+            tmp_path, scenario=reference_scenario(), k_list=(20, 40), trials=3,
+            estimators=(EstimatorSpec.parse("RCML_EL_SIGMA"),),
+        )
+        records = run_experiment(cfg)
+        assert len(records) == 6 and all(rec.r_hat is not None for rec in records)
+
+    def test_underflowed_lr0_runs_and_is_not_stored(self, tmp_path):
+        # lr0(760, 760) underflows to 0: the sweep reads the computed log
+        # median, and a table never holds the record
+        table = tmp_path / "lr0.txt"
+        for path in (None, table):
+            cfg = noise_only_config(
+                tmp_path, scenario=ScenarioConfig(n=760), k_list=(760,),
+                estimators=(EstimatorSpec.parse("RCML_EL"),),
+                lr0_table_path=None if path is None else str(path),
+            )
+            (record,) = run_experiment(cfg)
+            assert record.r_hat is not None and math.isfinite(record.sinr_db)
+            assert (tmp_path / "out" / "summary.csv").exists()
+        assert lr0_load(760, 760, table) is None
+
+    @pytest.mark.parametrize("n, k", [(1, 2), (2, 6), (3, 6), (3, 9), (3, 12)])
+    def test_computed_and_stored_lr0_write_the_same_bytes(self, tmp_path, monkeypatch, n, k):
+        # at these pairs log(exp(x)) != x for the computed log median x; the
+        # sweep reads log(lr0), which a stored record reproduces
+        seen, inner = [], harness._rank_rows
+
+        def rank_rows(d, sigma2, log_lr0):
+            seen.append(log_lr0.tolist())
+            return inner(d, sigma2, log_lr0)
+
+        monkeypatch.setattr(harness, "_rank_rows", rank_rows)
+        names = ("RCML_EL", "CNCML_EL", "LSMI_EL") + (("RCML_EL_SIGMA",) if n > 1 else ())
+        table, outputs = tmp_path / "lr0.txt", []
+        # computed without a table, computed and stored, and read back
+        for run, path in enumerate((None, table, table)):
+            cfg = noise_only_config(
+                tmp_path, scenario=ScenarioConfig(n=n), k_list=(k,), trials=4,
+                estimators=tuple(EstimatorSpec.parse(t) for t in names),
+                lr0_table_path=None if path is None else str(path),
+                output_path=str(tmp_path / f"out{run}"),
+            )
+            run_experiment(cfg)
+            outputs.append([(tmp_path / f"out{run}" / name).read_bytes()
+                            for name in ("trials.csv", "summary.csv")])
+        assert outputs[0] == outputs[1] == outputs[2]
+        assert seen == [[math.log(lr0_load(n, k, table).lr0)] * 4] * 3
 
 
 def _random_estimates(rng, n):

@@ -183,10 +183,33 @@ class TestLr0Reference:
         b = lr0_reference(3, 9, trials=3000, seed=11)
         assert a.lr0 == b.lr0 and a.quantiles == b.quantiles
 
-    def test_warns_when_undersampled(self):
-        with pytest.warns(UserWarning, match="singular"):
-            ref = lr0_reference(4, 2)
-        assert ref.lr0 == 0.0 and all(v == 0.0 for _, v in ref.quantiles)
+    def test_rejects_undersampled(self):
+        with pytest.raises(InputError, match=r"no lr0 for \(n=4, k=2\): k < n"):
+            lr0_reference(4, 2)
+
+    @pytest.mark.parametrize("n, k, rounds", [
+        (1, 2, True), (2, 6, True), (3, 6, True), (3, 9, True), (3, 12, True),
+        (4, 8, False), (20, 40, False),
+    ])
+    def test_log_lr0_is_the_log_of_a_positive_lr0(self, tmp_path, n, k, rounds):
+        # where log(exp(x)) != x for the computed log median x, a sweep still
+        # reads log(lr0), the float a stored record gives
+        x = likelihood._log_lr_quantiles(n, k)[2]
+        ref = lr0_reference(n, k)
+        assert ref.lr0 == math.exp(x)
+        assert ref.log_lr0 == math.log(ref.lr0) and (ref.log_lr0 != x) == rounds
+        lr0_store(ref, tmp_path / "t.txt")
+        assert lr0_load(n, k, tmp_path / "t.txt").log_lr0 == ref.log_lr0
+
+    @pytest.mark.parametrize("n", [745, 746, 800])
+    def test_log_lr0_past_underflow_is_the_computed_log(self, n):
+        ref = lr0_reference(n, n)
+        x = likelihood._log_lr_quantiles(n, n)[2]
+        assert math.isfinite(x)
+        if n == 745:  # the last positive double
+            assert ref.lr0 == 5e-324 and ref.log_lr0 == math.log(5e-324) != x
+        else:
+            assert ref.lr0 == 0.0 and ref.log_lr0 == x
 
     def test_rejects_nonpositive_dimensions(self):
         for n, k in ((0, 4), (2, 0), (-1, 3)):
@@ -404,15 +427,16 @@ class TestLr0Table:
         path = tmp_path / "table.txt"
         with pytest.raises(InputError, match="autocompute is disabled"):
             lr0_lookup(3, 8, path, autocompute=False)
-        lr0 = lr0_lookup(3, 8, path)
-        assert lr0 == lr0_reference(3, 8).lr0
-        assert lr0_load(3, 8, path) == lr0_reference(3, 8)
-        assert lr0_lookup(3, 8, path, autocompute=False) == lr0
-        assert lr0_lookup(3, 8, None) == lr0
+        ref = lr0_lookup(3, 8, path)
+        assert ref == lr0_reference(3, 8)
+        assert lr0_load(3, 8, path) == ref
+        assert lr0_lookup(3, 8, path, autocompute=False) == ref
+        assert lr0_lookup(3, 8, None) == ref
         # a stored record wins over the computed value
         pinned = tmp_path / "pinned.txt"
         lr0_store(LRReference(3, 8, 0.25, [(p, 0.25) for p in QUANTILE_PROBS]), pinned)
-        assert lr0_lookup(3, 8, pinned, autocompute=False) == 0.25
+        assert lr0_lookup(3, 8, pinned, autocompute=False).lr0 == 0.25
+        assert lr0_lookup(3, 8, pinned).log_lr0 == math.log(0.25)
 
     def test_lookup_reads_but_never_computes_k_below_n(self, tmp_path):
         path = tmp_path / "table.txt"
@@ -421,12 +445,33 @@ class TestLr0Table:
                 lr0_lookup(6, 4, table)
         assert not path.exists()
         lr0_store(LRReference(6, 4, 0.3, [(p, 0.3) for p in QUANTILE_PROBS]), path)
-        assert lr0_lookup(6, 4, path) == 0.3
+        assert lr0_lookup(6, 4, path).lr0 == 0.3
+
+    def test_lookup_computes_but_never_stores_an_underflowed_lr0(self, tmp_path):
+        path = tmp_path / "table.txt"
+        ref = lr0_lookup(760, 760, path)
+        assert ref.lr0 == 0.0 and ref.log_lr0 == lr0_reference(760, 760).log_lr0
+        assert not path.exists()
+
+    @pytest.mark.parametrize("lr0", [0.0, 1.5, math.nan])
+    def test_store_refuses_an_lr0_outside_unit_interval(self, tmp_path, lr0):
+        path = tmp_path / "table.txt"
+        for ref in (LRReference(6, 8, lr0, [(p, lr0) for p in QUANTILE_PROBS]),
+                    lr0_reference(800, 800)):
+            with pytest.raises(InputError, match=r"for \(n=\d+, k=\d+\) is outside \(0, 1\]"):
+                lr0_store(ref, path)
+            assert not path.exists()
+        lr0_store(lr0_reference(6, 8), path)
+        before = path.read_bytes()
+        with pytest.raises(InputError):
+            lr0_store(LRReference(6, 8, lr0, [(p, lr0) for p in QUANTILE_PROBS]), path)
+        assert path.read_bytes() == before
 
     @pytest.mark.parametrize("lr0", [0.0, 1.5, math.nan])
     def test_lookup_rejects_a_stored_lr0_outside_unit_interval(self, tmp_path, lr0):
+        # written by hand, as lr0_store refuses such a record
         path = tmp_path / "table.txt"
-        lr0_store(LRReference(6, 4, lr0, [(p, lr0) for p in QUANTILE_PROBS]), path)
+        path.write_text("LR0TABLE v1\n6 4 0 0" + f" {lr0!r}" * 6 + "\n")
         with pytest.raises(InputError, match=r"holds lr0 = .* for \(n=6, k=4\), outside \(0, 1\]"):
             lr0_lookup(6, 4, path)
 

@@ -22,7 +22,7 @@ from elcov import (
     sqrt_factor,
     write_cmat,
 )
-from elcov.scenario import _draw_rows, draw_training
+from elcov.scenario import _draw_rows
 
 
 class TestScenarioConfig:
@@ -242,10 +242,10 @@ class TestDrawTraining:
         r_true = r_true @ r_true.conj().T + np.eye(n)
         spec = CorruptionSpec(fraction=fraction, amplitude=3.0, steering=steering_vector(n, 20.0))
         a = generate_training(r_true, k, spec, derive_rng(4, "draw", k))
-        b = draw_training(sqrt_factor(r_true), k, spec, derive_rng(4, "draw", k))
-        assert np.array_equal(a.z, b.z)
-        assert a.corrupted_indices == b.corrupted_indices
-        assert len(b.corrupted_indices) == round(fraction * k)
+        z, picks = _draw_rows(sqrt_factor(r_true), k, spec, [derive_rng(4, "draw", k)])
+        assert np.array_equal(a.z, z[0])
+        assert a.corrupted_indices == tuple(picks[0].tolist())
+        assert len(a.corrupted_indices) == round(fraction * k)
 
     @pytest.mark.parametrize("fraction", [0.0, 0.5, 1.0])
     @pytest.mark.parametrize("k", [1, 6, 12])
@@ -261,5 +261,6 @@ class TestDrawTraining:
             z_t, corrupted = draw_training_oracle(factor, k, spec, derive_rng(4, "draw", k, t))
             assert z[t].tobytes() == z_t.tobytes()
             assert tuple(picks[t].tolist()) == corrupted
-            one = draw_training(factor, k, spec, derive_rng(4, "draw", k, t))
-            assert one.z.tobytes() == z_t.tobytes() and one.corrupted_indices == corrupted
+            one, one_picks = _draw_rows(factor, k, spec, [derive_rng(4, "draw", k, t)])
+            assert one[0].tobytes() == z_t.tobytes()
+            assert tuple(one_picks[0].tolist()) == corrupted

@@ -269,7 +269,7 @@ def climb_rank_sigma(s_eig, k, r_init, lr0, training, steering):
     sigmas = {"ML": roots.sigma_ml}
     if roots.count == 2 and r > 0:
         sigmas.update(EL1=roots.roots[0], EL2=roots.roots[1])
-    mean_nmf = _nmf_scorer(s_eig, steering, training)
+    mean_nmf = _nmf_scorer(s_eig.eigenvectors, steering, training)
     scores = {label: mean_nmf(rcml(SampleStats(n=n, k=k, s_eig=s_eig, sigma2=sig), r).lambdas)
               for label, sig in sigmas.items()}
     label = min(scores, key=scores.get)
@@ -372,13 +372,13 @@ class TestSelectRankSigma:
     def test_one_root_solve_per_selection(self, rng, monkeypatch):
         import elcov.selection as selection
 
-        calls = []
+        calls, inner = [], selection._noise_roots
 
-        def roots(d, r, lr0):
-            calls.append(r)
-            return sigma_el_roots(d, r, lr0)
+        def roots(tail, log_lr0):
+            calls.append(len(d) - len(tail))  # the rank whose tail is solved
+            return inner(tail, log_lr0)
 
-        monkeypatch.setattr(selection, "sigma_el_roots", roots)
+        monkeypatch.setattr(selection, "_noise_roots", roots)
         for _ in range(100):
             n = int(rng.integers(2, 65))
             d = np.sort(np.exp(rng.uniform(np.log(0.05), np.log(1e3), n)))[::-1]
@@ -398,6 +398,7 @@ class TestSelectRankSigma:
 
         calls = {"stats": 0, "rcml": 0, "roots": 0, "project": 0, "score": []}
         post_init, scorer = SampleStats.__post_init__, selection._nmf_scorer
+        noise_roots = selection._noise_roots
 
         def counted(name, fn):
             def wrapper(*args):
@@ -406,8 +407,8 @@ class TestSelectRankSigma:
 
             return wrapper
 
-        def counted_scorer(s_eig, steering, training):
-            mean_nmf = scorer(s_eig, steering, training)
+        def counted_scorer(v, steering, training):
+            mean_nmf = scorer(v, steering, training)
 
             def score(lambdas):
                 calls["score"].append(np.shape(lambdas))
@@ -427,7 +428,7 @@ class TestSelectRankSigma:
         monkeypatch.setattr(SampleStats, "__post_init__", counted("stats", post_init))
         monkeypatch.setattr(estimators, "rcml", counted("rcml", rcml))
         monkeypatch.setattr(selection, "rcml", estimators.rcml, raising=False)
-        monkeypatch.setattr(selection, "sigma_el_roots", counted("roots", sigma_el_roots))
+        monkeypatch.setattr(selection, "_noise_roots", counted("roots", noise_roots))
         monkeypatch.setattr(selection, "_nmf_scorer", counted_scorer)
         for _ in range(60):
             n = int(rng.integers(2, 65))
@@ -480,7 +481,7 @@ class TestSelectRankSigma:
             k = int(rng.integers(1, 3 * n))
             z = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
             s = steering_vector(n, float(rng.uniform(-90.0, 90.0)))
-            mean_nmf = _nmf_scorer(eig, s, z)
+            mean_nmf = _nmf_scorer(eig.eigenvectors, s, z)
             for sigma2 in rng.uniform(0.05, 2.0, 3):
                 est = rcml(SampleStats(n=n, k=k, s_eig=eig, sigma2=float(sigma2)),
                            int(rng.integers(n + 1)))
@@ -493,7 +494,8 @@ class TestSelectRankSigma:
             eig = eig_hermitian(random_hermitian(rng, n))
             k = int(rng.integers(1, 3 * n))
             z = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
-            mean_nmf = _nmf_scorer(eig, steering_vector(n, float(rng.uniform(-90.0, 90.0))), z)
+            mean_nmf = _nmf_scorer(eig.eigenvectors, steering_vector(n, float(rng.uniform(-90.0, 90.0))),
+                                   z)
             lambdas = np.exp(rng.uniform(np.log(0.05), np.log(1e3), (int(rng.integers(1, 4)), n)))
             batched = mean_nmf(lambdas)
             assert batched.shape == (len(lambdas),)
@@ -657,6 +659,8 @@ class TestMatchesFormerJointPath:
             cases.append((eig, k, 1, lr0_bad, z, steering))
         cases.append((eig, 0, 1, lr0, z, steering))
         cases.append((spectrum([2.0]), k, 0, lr0, z[:1], steering[:1]))
+        for k_bad, lr0_bad in ((0, lr0), (k, 0.0)):  # n = 1 and a second fault
+            cases.append((spectrum([2.0]), k_bad, 0, lr0_bad, z, steering))
         assert isinstance(_outcome(select_rank_sigma, *good), JointSelection)
         for args in cases:
             raised = self._same(select_rank_sigma, select_rank_sigma_oracle, *args)
