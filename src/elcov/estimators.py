@@ -289,14 +289,10 @@ class _CnTable:
         # per entry: how many entries lie above and below its tie group
         change = np.ones((b, n + 1), dtype=bool)
         np.not_equal(x[:, 1:], x[:, :-1], out=change[:, 1:-1])
-        above, below = col, col[::-1]
-        ties = not change.all()
-        if ties:
-            above = np.maximum.accumulate(col * change[:, :-1], axis=1)
-            below = np.maximum.accumulate(col * change[:, :0:-1], axis=1)[:, ::-1]
+        above = np.maximum.accumulate(col * change[:, :-1], axis=1)
+        below = np.maximum.accumulate(col * change[:, :0:-1], axis=1)[:, ::-1]
         self.c1 = c1 = (x < 1.0).sum(axis=1)
         self.k_ml = k_ml = np.maximum(x[:, 0], 1.0)
-        zeros = not x[:, -1].all()
 
         with np.errstate(divide="ignore", invalid="ignore"):
             # each entry's lower-clip (h) and upper-clip (g) breakpoint; nothing
@@ -321,16 +317,14 @@ class _CnTable:
         ranked = s[:, 2:-1]
         ranked[:] = np.sort(np.concatenate((h, g), axis=1), axis=1)
         ok = np.empty(s.shape, dtype=bool)
-        ok[:, 0], ok[:, 1], ok[:, -1] = True, False, s_max > 0.0  # a flat spectrum has one point
+        ok[:, 0], ok[:, -1] = True, s_max > 0.0  # a flat spectrum has one point
         np.not_equal(ranked[:, 1:], ranked[:, :-1], out=ok[:, 2:-2])
         ok[:, -2] = True
         ok[:, 2:-1] &= (ranked > h1[:, np.newaxis]) & (ranked < s_max[:, np.newaxis])
-        lifted = 0
-        if zeros:  # entries above 1 whose lower-clip breakpoint is h(1), as only zeros allow
-            lifted = ((h == h1[:, np.newaxis]) & (x > 1.0)).sum(axis=1) * (x[:, -1] == 0.0)
-            ok[:, 1] = (lifted > 0) & (s_max > h1)
-        if not interior.all():
-            ok &= interior[:, np.newaxis]
+        # entries above 1 whose lower-clip breakpoint is h(1), as only zeros allow
+        lifted = ((h == h1[:, np.newaxis]) & (x > 1.0)).sum(axis=1) * (x[:, -1] == 0.0)
+        ok[:, 1] = (lifted > 0) & (s_max > h1)
+        ok &= interior[:, np.newaxis]
         # the counts clipped from the top and the bottom just above each row's
         # s (just under it in kmax), as g (for descending x) and h (for
         # ascending x) rank them.  Both are sorted unless the spectrum has
@@ -365,13 +359,10 @@ class _CnTable:
         edge[:, 0], edge[:, 1:] = k_ml, x
         bd = np.empty((b, n + 1), dtype=bool)
         np.greater(x, np.where(pin, kmax_b, np.inf)[:, np.newaxis], out=bd[:, 1:])
-        if ties:
-            bd[:, 1:] &= change[:, 1:]
+        bd[:, 1:] &= change[:, 1:]
         np.logical_not(bd[:, 1:].any(axis=1), out=bd[:, 0])
         # where the boundary reaches kmax = 1 without interior rows, U = tau = 1 there
-        unit = np.zeros((b, 1), dtype=bool)
-        if not interior.all():
-            unit[:, 0] = ~interior & (np.where(bd, edge, np.inf).min(axis=1) > 1.0)
+        unit = (~interior & (np.where(bd, edge, np.inf).min(axis=1) > 1.0))[:, np.newaxis]
 
         self.kmax = np.concatenate((edge, kmax, np.ones((b, 1))), axis=1)
         self.valid = np.concatenate((bd, ok, unit), axis=1)

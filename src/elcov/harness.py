@@ -112,14 +112,13 @@ def _cncml_el_rows(p: _Pass):
 
 def _joint_rows(p: _Pass):
     """RCML at each row's jointly selected rank and noise power, the joint
-    core running row by row on the row's basis, training and log lr0."""
+    core running row by row on the row's basis, training and log lr0 and
+    returning the row's estimate with its selection."""
     lambdas, constraints = np.empty_like(p.d), []
-    log_lr0 = np.broadcast_to(p.log_lr0, len(p.d)).tolist()
+    log_lr0 = np.full(len(p.d), p.log_lr0).tolist()
     for i, (d, v, z, row_lr0) in enumerate(zip(p.d, p.v, p.z, log_lr0)):
-        sel = _rank_sigma_row(d, v, p.r_init, row_lr0, z, p.nmf_steering)
-        lam, con = _rcml_rows(d[np.newaxis], sel.sigma2_hat, [sel.r_hat])
-        lambdas[i] = lam[0]
-        constraints += con
+        sel, lambdas[i] = _rank_sigma_row(d, v, p.r_init, row_lr0, z, p.nmf_steering)
+        constraints.append(ConstraintRecord(r=sel.r_hat, sigma2=sel.sigma2_hat))
     return lambdas, constraints
 
 
@@ -259,17 +258,22 @@ def default_steering_grid(scenario: ScenarioConfig) -> tuple[float, ...]:
     """19 angles uniform over [-90, 90] degrees, skipping jammer directions.
 
     Grid angles within one degree of a jammer's arrival direction are
-    dropped; radian-mode phase angles are mapped back to the equivalent
-    arrival angle for the comparison.
+    dropped.  A jammer's arrival direction is its in-range alias: an angle
+    past 90 degrees arrives as ``arcsin(sin angle)``, and a radian-mode phase
+    is wrapped into ``[-pi, pi]`` and mapped back to the equivalent arrival
+    angle.  Angles already in range are compared as given.
     """
     grid = np.linspace(-90.0, 90.0, 19)
-    if scenario.angle_mode == "degrees":
-        jam_arrivals = list(scenario.jammer_angles)
-    else:
-        jam_arrivals = [
-            float(np.rad2deg(np.arcsin(np.clip(phi / np.pi, -1.0, 1.0))))
-            for phi in scenario.jammer_angles
-        ]
+    jam_arrivals = []
+    for angle in scenario.jammer_angles:
+        if scenario.angle_mode == "degrees":
+            if abs(angle) > 90.0:
+                angle = float(np.rad2deg(np.arcsin(np.sin(np.deg2rad(angle)))))
+        else:
+            if abs(angle) > math.pi:
+                angle = math.remainder(angle, 2.0 * math.pi)
+            angle = float(np.rad2deg(np.arcsin(np.clip(angle / np.pi, -1.0, 1.0))))
+        jam_arrivals.append(angle)
     keep = [a for a in grid if all(abs(a - j) > 1.0 for j in jam_arrivals)]
     return tuple(float(a) for a in keep)
 
@@ -280,7 +284,8 @@ def build_estimate(
     """Estimate named by ``spec``, built as a pass of one trial; ``lr0``
     feeds the selectors and ``joint``, ``(r_init, training, nmf_steering)``,
     feeds ``RCML_EL_SIGMA`` only, taken as a sweep builds them.  Raises
-    :class:`InputError` when the estimator needs either and it is missing."""
+    :class:`InputError` when the estimator needs either and it is missing,
+    and on a given lr0 outside ``(0, 1]``, whether or not the estimator reads it."""
     if lr0 is None and _ESTIMATORS[spec.name].needs_lr0:
         raise InputError(f"estimator {spec} needs lr0")
     if joint is None and spec.name == "RCML_EL_SIGMA":
@@ -505,7 +510,7 @@ def _section(parser: configparser.ConfigParser, name: str, build, **given):
             field, convert = schema[key]
             given[field] = convert(text)
         return build(**given)
-    except ValueError as exc:
+    except (ValueError, configparser.Error) as exc:  # an interpolation error on a '%'
         raise InputError(f"bad [{name}] value: {exc}") from exc
 
 
@@ -520,8 +525,13 @@ def load_experiment_config(path) -> ExperimentConfig:
     takes its field's default, and one whose field has none is required.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    if not parser.read(path):
-        raise InputError(f"config file {path!r} not found or unreadable")
+    try:
+        if not parser.read(path, encoding="utf-8"):
+            raise InputError(f"config file {path!r} not found or unreadable")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"config file {path!r} is not UTF-8 text ({exc.reason})") from exc
+    except configparser.Error as exc:  # its messages span lines; the CLI prints one
+        raise InputError(f"config file {path!r}: {' '.join(str(exc).split())}") from exc
     for section in parser.sections():
         if section not in _CONFIG_SCHEMA:
             raise InputError(f"unknown config section [{section}]")

@@ -412,6 +412,8 @@ def _parse_table(path):
             lines = fh.read().splitlines()
     except FileNotFoundError:
         return []
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"not UTF-8 text ({exc.reason})", path=path) from exc
     if not lines or lines[0].strip() != _TABLE_HEADER:
         raise FormatError(f"expected header {_TABLE_HEADER!r}", path=path, line=1)
     records = []

@@ -235,8 +235,11 @@ def write_cmat(a, path) -> None:
 
 def read_cmat(path) -> np.ndarray:
     """Read a complex matrix written by :func:`write_cmat`."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"not UTF-8 text ({exc.reason})", path=path) from exc
     if not lines:
         raise FormatError("empty file", path=path, line=1)
     header = lines[0].split()

@@ -5,8 +5,9 @@ power, condition-number bound, or diagonal loading) so the likelihood ratio
 of the resulting estimate lands as close as possible to the precomputed
 invariant median ``lr0``.  The LR is monotone in each constraint, so each
 match is a closed form or one bracketed root.  The public selectors take
-``lr0`` and check their input; the cores take each row's ``log lr0``, the
-joint core (:func:`_rank_sigma_row`) one row, the others a stack of rows.
+``lr0`` and check their input, lr0 in :func:`_log`; the cores trust each
+row's ``log lr0``, the joint core (:func:`_rank_sigma_row`) one row, the
+others a stack of rows.
 """
 
 from __future__ import annotations
@@ -60,28 +61,11 @@ class RankSelection:
 
 
 def _log(lr0: float) -> float:
-    """A public selector's ``lr0`` as the cores take it, ``log lr0``; zero,
-    negative and NaN values map to ``-inf``, which the cores reject."""
-    return math.log(lr0) if lr0 > 0 else -math.inf
-
-
-def _log_lr0_rows(log_lr0, b: int, loading: bool = False):
-    """The ``b`` rows' ``log lr0``, given as one float for every row or a
-    ``(B,)`` array: shaped to broadcast against ``(B, M)`` tables (a float
-    stays a float, an array becomes a column), and as a list.  Each must lie
-    in ``(-inf, 0]``, as lr0 in ``(0, 1]``, and below 0 for ``loading``;
-    NaN fails every comparison."""
-    if isinstance(log_lr0, float):  # the one-row selectors' path, kept lean
-        column, rows = log_lr0, [log_lr0] * b
-        ok = -math.inf < log_lr0 < 0.0 or (log_lr0 == 0.0 and not loading)
-    else:
-        column, rows = log_lr0[:, np.newaxis], log_lr0.tolist()
-        ok = all(-math.inf < v < 0.0 or (v == 0.0 and not loading) for v in rows)
-    if not ok:
-        if loading:
-            raise InputError("lr0 must lie strictly inside (0, 1) for loading selection")
+    """A public entry's ``lr0`` as the cores take it, ``log lr0``, and the one
+    check of lr0: it must lie in ``(0, 1]``, which NaN fails."""
+    if not 0 < lr0 <= 1:
         raise InputError("lr0 must lie in (0, 1]")
-    return column, rows
+    return math.log(lr0)
 
 
 def _rank_rows(d: np.ndarray, sigma2: float, log_lr0):
@@ -92,7 +76,6 @@ def _rank_rows(d: np.ndarray, sigma2: float, log_lr0):
     per row.  Columns past a row's ``p`` are not candidates.  Raises
     :class:`InputError` on a negative or NaN entry, whose log has no
     meaning; zero entries are allowed."""
-    column = _log_lr0_rows(log_lr0, len(d))[0]
     if not (d >= 0).all():  # also catches NaN, for which `< 0` is false
         raise InputError("sample eigenvalues must be non-negative")
     b, n = d.shape
@@ -102,7 +85,7 @@ def _rank_rows(d: np.ndarray, sigma2: float, log_lr0):
         terms = np.log(x) + 1.0 - x
     log_lr = np.zeros((b, n + 1))
     log_lr[:, :n] = terms[:, ::-1].cumsum(axis=1)[:, ::-1]
-    miss = np.abs(log_lr - column)
+    miss = np.abs(log_lr - np.asarray(log_lr0).reshape(-1, 1))
     miss[np.arange(n + 1) > p[:, np.newaxis]] = np.inf
     return miss.argmin(axis=1), log_lr, p
 
@@ -156,8 +139,7 @@ def sigma_el_roots(sample_lambdas, r: int, lr0: float) -> NoiseRoots:
     non-negative and finite, with a finite sum; a zero among them sends the
     peak to ``-inf`` (no roots).
     """
-    if not 0 < lr0 <= 1:
-        raise InputError("lr0 must lie in (0, 1]")
+    log_lr0 = _log(lr0)
     d = np.asarray(sample_lambdas, dtype=float)
     if not 0 <= r < len(d):
         raise InputError(f"rank {r} outside [0, {len(d) - 1}]; the trailing mean needs r < N")
@@ -170,7 +152,7 @@ def sigma_el_roots(sample_lambdas, r: int, lr0: float) -> NoiseRoots:
         raise InputError("trailing eigenvalues and their sum must be finite")
     if not s_ml > 0:
         raise InputError("trailing eigenvalues sum to zero; noise power is unidentifiable")
-    return _noise_roots(tail, math.log(lr0))
+    return _noise_roots(tail, log_lr0)
 
 
 def _noise_roots(tail: np.ndarray, log_lr0: float) -> NoiseRoots:
@@ -245,8 +227,7 @@ def select_rank_sigma(
         raise InputError("joint rank and noise selection needs dimension >= 2")
     if k < 1:
         raise InputError("sample count k must be at least 1")
-    if not 0 < lr0 <= 1:
-        raise InputError("lr0 must lie in (0, 1]")
+    log_lr0 = _log(lr0)
     if (d[1:] > d[:-1]).any():
         raise InputError("sample eigenvalues must be sorted descending")
     training = np.asarray(training, dtype=np.complex128)
@@ -257,14 +238,15 @@ def select_rank_sigma(
     steering = np.asarray(steering, dtype=np.complex128)
     if steering.shape != (n,) or not abs(np.linalg.norm(steering) - 1.0) <= 1e-6:
         raise InputError("steering must be a unit-norm length-n vector")
-    return _rank_sigma_row(d, s_eig.eigenvectors, r_init, math.log(lr0), training, steering)
+    return _rank_sigma_row(d, s_eig.eigenvectors, r_init, log_lr0, training, steering)[0]
 
 
-def _rank_sigma_row(d, v, r_init: int, log_lr0: float, training, steering) -> JointSelection:
+def _rank_sigma_row(d, v, r_init: int, log_lr0: float, training, steering):
     """The joint selection on one row's descending spectrum ``d``, basis ``v``,
-    ``log lr0`` (checked by the rank core), training and steering, checking
-    only what depends on the spectrum: ``n >= 2``, ``d_N > 0`` and positive,
-    finite candidates.
+    ``log lr0``, training and steering, and the RCML estimate it selects,
+    the ``(N,)`` eigenvalues of the winning candidate.  The ``log lr0`` is
+    trusted, as the entry points check lr0; this checks only what depends on
+    the spectrum: ``n >= 2``, ``d_N > 0`` and positive, finite candidates.
 
     Each rank is climbed to the smallest rank at or above it whose noise
     power roots exist (at most ``n - 1``): those whose tail-profile peak
@@ -320,9 +302,7 @@ def _rank_sigma_row(d, v, r_init: int, log_lr0: float, training, steering) -> Jo
     lambdas = np.maximum(d, sig)
     lambdas[:, r:] = sig
     best = int(np.argmin(_nmf_scorer(v, steering, training)(lambdas)))
-    return JointSelection(
-        r_hat=r, sigma2_hat=sigmas[best], chosen_from=labels[best], iterations=iterations
-    )
+    return JointSelection(r, sigmas[best], labels[best], iterations), lambdas[best]
 
 
 @dataclass
@@ -381,19 +361,19 @@ def _kmax_rows(d: np.ndarray, sigma2: float, log_lr0) -> _KmaxRows:
     :class:`InputError` on a negative or NaN entry, as :func:`_rank_rows`
     does; zero entries are allowed.
     """
-    column, targets = _log_lr0_rows(log_lr0, len(d))
     if not (d >= 0).all():  # also catches NaN, for which `< 0` is false
         raise InputError("sample eigenvalues must be non-negative")
     x = d / sigma2
     table = _CnTable(x)
     log_lr, valid, cell_at = table.log_lr.ravel(), table.valid, table.cell_at
     first, last = valid.argmax(axis=1) + cell_at, table.prior[:, -1] + cell_at
-    closed = (x[:, 0] <= 1.0) | (log_lr.take(first) <= log_lr0)
-    at_one = ~closed & (log_lr.take(last) >= log_lr0)
+    targets = np.full(len(x), log_lr0)
+    closed = (x[:, 0] <= 1.0) | (log_lr.take(first) <= targets)
+    at_one = ~closed & (log_lr.take(last) >= targets)
     # the root lies in [kmax[i], kmax[i-1]]; at kmax = 1 it is the last segment.
     # A closed form's row is the first, which is also where no row is at or
     # below lr0.
-    below = valid & (table.log_lr <= column)
+    below = valid & (table.log_lr <= targets[:, np.newaxis])
     i = below.argmax(axis=1) + cell_at
     i = np.where(at_one, last, np.where(below.ravel().take(i), i, first))
     segment = table.rank.ravel().take(i)
@@ -406,32 +386,31 @@ def _kmax_rows(d: np.ndarray, sigma2: float, log_lr0) -> _KmaxRows:
     steps, final_step = np.zeros(len(x), dtype=int), [0.0] * len(x)
 
     newton = np.flatnonzero(~closed & ~at_one)
-    if len(newton):
-        # this segment's ends and counts, the flat one clipping nothing, and
-        # its [sum log x, sum x] over the top and the bottom entries
-        interior = (segment > table.switch) & (p + c > 0)
-        top, bottom = table.sums(p[:, np.newaxis], c[:, np.newaxis])
-        columns = np.stack((kmax.take(i), kmax.take(above), table.k_ml, interior, p, c,
-                            top[0, :, 0], top[1, :, 0], bottom[0, :, 0], bottom[1, :, 0]), axis=1)
-        hat, lr = kmax_hat.tolist(), hat_lr.tolist()
-        for j, row in zip(newton.tolist(), columns[newton].tolist()):
-            km, k_top, k_cap, inside, p_j, c_j, *sums = row
-            top, bottom, target = sums[:2], sums[2:], targets[j]
-            step, t_hi = 0.0, math.log(k_top)
-            for _ in range(_NEWTON_MAX_STEPS):
-                val, slope = _segment_log_lr(km, inside, p_j, c_j, top, bottom)
-                if val >= target or slope <= 0.0:
-                    break
-                dt = min((target - val) / slope, t_hi - math.log(km))
-                km_new = km * math.exp(dt)
-                step, km = km_new - km, km_new
-                steps[j] += 1
-                if dt <= _NEWTON_RTOL:
-                    break
-            hat[j] = min(max(km, 1.0), k_cap)
-            lr[j] = _segment_log_lr(hat[j], inside, p_j, c_j, top, bottom)[0]
-            final_step[j] = step
-        kmax_hat, hat_lr = np.array(hat), np.array(lr)
+    # this segment's ends and counts, the flat one clipping nothing, and its
+    # [sum log x, sum x] over the top and the bottom entries
+    interior = (segment > table.switch) & (p + c > 0)
+    top, bottom = table.sums(p[:, np.newaxis], c[:, np.newaxis])
+    columns = np.stack((kmax.take(i), kmax.take(above), table.k_ml, interior, p, c,
+                        top[0, :, 0], top[1, :, 0], bottom[0, :, 0], bottom[1, :, 0]), axis=1)
+    hat, lr, targets = kmax_hat.tolist(), hat_lr.tolist(), targets.tolist()
+    for j, row in zip(newton.tolist(), columns[newton].tolist()):
+        km, k_top, k_cap, inside, p_j, c_j, *sums = row
+        top, bottom, target = sums[:2], sums[2:], targets[j]
+        step, t_hi = 0.0, math.log(k_top)
+        for _ in range(_NEWTON_MAX_STEPS):
+            val, slope = _segment_log_lr(km, inside, p_j, c_j, top, bottom)
+            if val >= target or slope <= 0.0:
+                break
+            dt = min((target - val) / slope, t_hi - math.log(km))
+            km_new = km * math.exp(dt)
+            step, km = km_new - km, km_new
+            steps[j] += 1
+            if dt <= _NEWTON_RTOL:
+                break
+        hat[j] = min(max(km, 1.0), k_cap)
+        lr[j] = _segment_log_lr(hat[j], inside, p_j, c_j, top, bottom)[0]
+        final_step[j] = step
+    kmax_hat, hat_lr = np.array(hat), np.array(lr)
     lambdas = _cn_caps(d, sigma2, kmax_hat, *table.solve(kmax_hat))
     return _KmaxRows(kmax_hat, hat_lr, steps, lambdas, table, segment.tolist(), final_step)
 
@@ -480,10 +459,13 @@ def _loading_rows(d: np.ndarray, log_lr0) -> tuple[list[float], list[int]]:
     bracket and stop at ``|log lr - log lr0| <= 1e-9``.  Each step evaluates
     the log LR and its derivatives for all unconverged rows in one stacked
     pass; the bracket and the step itself are scalar per row.  Raises
+    :class:`InputError` unless every row's ``log lr0`` is below 0, and
     :class:`NoRootError` when a row's sample covariance is singular or no
     finite loading reaches its lr0.
     """
-    targets = _log_lr0_rows(log_lr0, len(d), loading=True)[1]
+    targets = np.full(len(d), log_lr0).tolist()
+    if not all(target < 0.0 for target in targets):
+        raise InputError("lr0 must lie strictly inside (0, 1) for loading selection")
     if not (d[:, -1] > 0).all():
         raise NoRootError("sample covariance is singular; the loaded LR is identically zero")
     b, n = d.shape

@@ -11,6 +11,7 @@ import pytest
 
 from conftest import stats_from_spectrum
 from elcov import (
+    InputError,
     LRReference,
     lr0_load,
     lr0_reference,
@@ -387,6 +388,62 @@ class TestExitCodes:
         code = cli(["select", "--input", str(tmp_path / "s.cmat"), "--k", "2",
                     "--mode", "loading", "--lr0", "0.5"])
         assert code == 2
+
+
+_GOOD_EXPERIMENT = b"[experiment]\nk_list = 4\ntrials = 1\nmaster_seed = 1\nestimators = SMI\n"
+
+
+class TestMalformedFiles:
+    """A malformed input file is an input error: exit 1 and one ``error:``
+    line naming the file, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b"[scenario]\nn = 4\nn = 5\n" + _GOOD_EXPERIMENT,
+            b"[scenario]\nn = 4\n[scenario]\nnoise_power = 1\n" + _GOOD_EXPERIMENT,
+            b"n = 4\n" + _GOOD_EXPERIMENT,
+            b"[scenario]\nn = 4 \xff\n" + _GOOD_EXPERIMENT,
+        ],
+        ids=["repeated-key", "repeated-section", "no-section-header", "not-utf8"],
+    )
+    def test_config(self, tmp_path, monkeypatch, capsys, content):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "exp.cfg").write_bytes(content + b"output = out\n")
+        assert cli(["simulate", "--config", "exp.cfg"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: config file 'exp.cfg'") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_config_value_with_a_bare_percent_sign(self, tmp_path, monkeypatch, capsys):
+        # configparser interpolates values, and a lone '%' fails as they are read
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "exp.cfg").write_bytes(b"[scenario]\nn = 4\n" + _GOOD_EXPERIMENT
+                                           + b"output = out%\n")
+        assert cli(["simulate", "--config", "exp.cfg"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad [experiment] value: '%'") and err.count("\n") == 1
+
+    def test_config_loader_raises_input_error(self, tmp_path):
+        path = tmp_path / "exp.cfg"
+        path.write_bytes(b"[scenario]\nn = 4\nn = 5\n" + _GOOD_EXPERIMENT)
+        with pytest.raises(InputError, match="already exists"):
+            load_experiment_config(path)
+
+    def test_cmat(self, tmp_path, capsys):
+        path = tmp_path / "s.cmat"
+        path.write_bytes(b"CMAT v1 1 1\n1 0 \xff\n")
+        assert cli(["estimate", "--input", str(path), "--k", "4", "--method", "smi"]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {path}: not UTF-8 text (invalid start byte)\n"
+
+    def test_lr0_table(self, sample_cov, tmp_path, capsys):
+        table = tmp_path / "lr0.txt"
+        table.write_bytes(b"\xfe\n")
+        assert cli(["select", "--input", str(sample_cov[0]), "--k", "8", "--mode", "rank",
+                    "--sigma2", "1.0", "--lr0-table", str(table)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {table}: not UTF-8 text (invalid start byte)\n"
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"

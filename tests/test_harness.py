@@ -107,6 +107,29 @@ class TestSteeringGrid:
         # the strongest jammer's phase maps back to about 19.5 degrees
         assert 20.0 not in grid
 
+    def test_excludes_the_alias_of_an_angle_past_endfire(self):
+        # 120 degrees arrives as 60: the two covariances agree to rounding
+        scenarios = [ScenarioConfig(n=8, jammer_powers=(10.0,), jammer_angles=(angle,),
+                                    jammer_bandwidths=(0.0,)) for angle in (120.0, 60.0)]
+        np.testing.assert_allclose(*map(jammer_covariance, scenarios), rtol=0, atol=1e-12)
+        grid = default_steering_grid(scenarios[0])
+        assert 60.0 not in grid and len(grid) == 18
+
+    @pytest.mark.parametrize(
+        "phase, dropped",
+        [(4.0, None), (2.0 * math.pi + math.pi * math.sin(math.radians(-50.0)), -50.0)],
+        ids=["between-grid-angles", "onto-a-grid-angle"],
+    )
+    def test_excludes_the_alias_of_a_phase_past_pi(self, phase, dropped):
+        # a phase is 2 pi periodic: 4.0 rad arrives as 4 - 2 pi, at -46.6
+        # degrees, and does not hide the endfire angle at 90
+        cfg = ScenarioConfig(n=8, jammer_powers=(10.0,), jammer_angles=(phase,),
+                             jammer_bandwidths=(0.0,), angle_mode="radians")
+        grid = default_steering_grid(cfg)
+        assert 90.0 in grid
+        expected = [a for a in np.linspace(-90.0, 90.0, 19).tolist() if a != dropped]
+        assert list(grid) == expected
+
 
 class TestRunExperiment:
     def test_smoke_noise_only(self, tmp_path):
@@ -903,6 +926,24 @@ class TestTrialBlocks:
 
 
 class TestStackedEstimators:
+    def test_joint_rows_build_each_estimate_once(self, tmp_path, monkeypatch):
+        """RCML_EL_SIGMA's rows are the joint core's winning candidates, not
+        rebuilt by the RCML map: a sweep gives the same records without it."""
+        cfg = noise_only_config(
+            tmp_path, scenario=reference_scenario(), k_list=(20, 30), trials=4,
+            estimators=(EstimatorSpec.parse("RCML_EL_SIGMA"),), r_init=3,
+        )
+        expected = run_experiment(cfg)
+
+        def rebuilt(*args):
+            raise AssertionError("RCML_EL_SIGMA rebuilt its rows")
+
+        monkeypatch.setattr(harness, "_rcml_rows", rebuilt)
+        got = run_experiment(cfg)
+        assert [(r.r_hat, r.sigma2_hat, r.sinr_db) for r in got] == [
+            (r.r_hat, r.sigma2_hat, r.sinr_db) for r in expected
+        ]
+
     def test_builds_equal_per_spectrum_estimators(self, rng):
         """Each estimator, built on one spectrum and row by row in a pass
         whose rows differ in sample count and lr0, equals the library

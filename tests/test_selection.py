@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -48,6 +49,7 @@ from elcov import (
     steering_vector,
 )
 from elcov.estimators import _cn_solution, _cncml_rows, _CnTable
+from elcov.harness import _ESTIMATORS, EstimatorSpec, build_estimate
 from elcov.likelihood import log_tail_lr, lr0_reference
 from elcov.selection import _kmax_rows, _loading_rows, _nmf_scorer, _rank_rows
 
@@ -1200,3 +1202,50 @@ class TestKmaxPath:
         assert sorted(set(kmaxes) - set(path.kmax.tolist())) == [sel.kmax_hat]
         assert dict(sel.visited)[sel.kmax_hat] == pytest.approx(math.log(lr0), abs=1e-9)
         assert 0.0 < sel.final_step <= 1e-9 * sel.kmax_hat
+
+
+def _lr0_entries():
+    """Every public entry that takes lr0, as ``name -> call(lr0)``, on one
+    well-posed N = 4, K = 8 draw: the five selectors and ``build_estimate``
+    for each estimator."""
+    z = sample_training(np.eye(4), 8, np.random.default_rng(5))
+    stats = SampleStats.from_sample_covariance(sample_covariance(z), k=8, sigma2=0.5)
+    steering = steering_vector(4, 0.0)
+    params = {"RCML_FIXED": 1.0, "CNCML_FIXED": 4.0}
+    entries = {
+        "select_rank": lambda lr0: select_rank(stats, lr0),
+        "select_kmax": lambda lr0: select_kmax(stats, lr0),
+        "select_loading": lambda lr0: select_loading(stats, lr0),
+        "sigma_el_roots": lambda lr0: sigma_el_roots(stats.d, 1, lr0),
+        "select_rank_sigma": lambda lr0: select_rank_sigma(stats.s_eig, 8, 1, lr0, z, steering),
+    }
+    for name in _ESTIMATORS:
+        spec = EstimatorSpec(name, params.get(name))
+        entries[f"build_estimate-{name}"] = functools.partial(
+            build_estimate, spec, stats, joint=(1, z, steering)
+        )
+    return entries
+
+
+_LR0_ENTRIES = _lr0_entries()
+
+
+class TestLr0CheckedWhereItEnters:
+    """lr0 is checked once, by each public entry; the cores trust its log."""
+
+    @pytest.mark.parametrize("lr0", [0.0, -0.5, 1.5, math.nan, math.inf])
+    @pytest.mark.parametrize("entry", list(_LR0_ENTRIES))
+    def test_lr0_outside_unit_interval_is_input_error(self, entry, lr0):
+        with pytest.raises(InputError, match=r"^lr0 must lie in \(0, 1\]$"):
+            _LR0_ENTRIES[entry](lr0)
+
+    @pytest.mark.parametrize("entry", ["select_loading", "build_estimate-LSMI_EL"])
+    def test_loading_at_lr0_one_keeps_the_strict_interior_message(self, entry):
+        with pytest.raises(InputError, match=r"strictly inside \(0, 1\) for loading selection"):
+            _LR0_ENTRIES[entry](1.0)
+
+    @pytest.mark.parametrize(
+        "entry", [e for e in _LR0_ENTRIES if e not in ("select_loading", "build_estimate-LSMI_EL")]
+    )
+    def test_lr0_one_is_accepted(self, entry):
+        _LR0_ENTRIES[entry](1.0)
