@@ -75,10 +75,12 @@ __all__ = [
 ]
 
 
-# Matrix elements of the training and bases that one pass holds, the sum of
-# N * (N + K) over its cells: at most 81 to 54 cells a pass at N = 20 and
+# Budget of a pass, counted as the matrix elements of its training and
+# bases: N * (N + K) a cell, so at most 81 to 54 cells a pass at N = 20 and
 # K = 20 to 40, 5 at N = 64 and K = 128 (so that the passes still share
-# numpy's fixed cost per call), and 16 at N = 4 and K = 1000.
+# numpy's fixed cost per call), and 16 at N = 4 and K = 1000.  A pass also
+# holds its (B, N, N) sample covariances, their concatenation, G and the
+# output of eigh, so at K near N its footprint is several times the count.
 _PASS_ELEMENTS = 2**16
 
 
@@ -258,10 +260,11 @@ def default_steering_grid(scenario: ScenarioConfig) -> tuple[float, ...]:
     """19 angles uniform over [-90, 90] degrees, skipping jammer directions.
 
     Grid angles within one degree of a jammer's arrival direction are
-    dropped.  A jammer's arrival direction is its in-range alias: an angle
-    past 90 degrees arrives as ``arcsin(sin angle)``, and a radian-mode phase
-    is wrapped into ``[-pi, pi]`` and mapped back to the equivalent arrival
-    angle.  Angles already in range are compared as given.
+    dropped, and +-90 degrees, which give one steering vector, count as one
+    direction.  A jammer's arrival direction is its in-range alias: an angle
+    past 90 degrees arrives as ``arcsin(sin angle)``, and a radian-mode
+    phase is wrapped into ``[-pi, pi]`` and mapped back to the equivalent
+    arrival angle.  Angles already in range are compared as given.
     """
     grid = np.linspace(-90.0, 90.0, 19)
     jam_arrivals = []
@@ -274,7 +277,8 @@ def default_steering_grid(scenario: ScenarioConfig) -> tuple[float, ...]:
                 angle = math.remainder(angle, 2.0 * math.pi)
             angle = float(np.rad2deg(np.arcsin(np.clip(angle / np.pi, -1.0, 1.0))))
         jam_arrivals.append(angle)
-    keep = [a for a in grid if all(abs(a - j) > 1.0 for j in jam_arrivals)]
+    keep = [a for a in grid if all(abs(a - j) > 1.0 and (abs(a) < 90.0 or abs(a + j) > 1.0)
+                                   for j in jam_arrivals)]
     return tuple(float(a) for a in keep)
 
 
@@ -538,6 +542,8 @@ def load_experiment_config(path) -> ExperimentConfig:
         for key in parser[section]:
             if key not in _CONFIG_SCHEMA[section]:
                 raise InputError(f"unknown key {key!r} in section [{section}]")
+            if "\n" in parser.get(section, key, raw=True):
+                raise InputError(f"value of {key!r} in section [{section}] spans lines")
     for required in ("scenario", "experiment"):
         if required not in parser:
             raise InputError(f"missing required config section [{required}]")

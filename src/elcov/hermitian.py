@@ -171,13 +171,16 @@ def sample_covariance(z) -> np.ndarray:
     """Sample covariance ``S = Z Z^H / K`` of training columns.
 
     A stack ``(..., N, K)`` of training matrices gives the stack of their
-    sample covariances, each equal to the one of its own matrix.
+    sample covariances, each equal to the one of its own matrix.  Non-finite
+    training or a product that overflows leaves ``S`` non-finite and raises.
     """
     z = np.asarray(z, dtype=np.complex128)
     if z.ndim < 2 or z.shape[-1] < 1:
         raise InputError("training matrix must be at least 2-D with at least one column")
-    if not np.isfinite(z).all():
-        raise InputError("training entries must be finite")
     k = z.shape[-1]
-    s = z @ z.conj().swapaxes(-1, -2) / k
-    return 0.5 * (s + s.conj().swapaxes(-1, -2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = z @ z.conj().swapaxes(-1, -2) / k
+        s = 0.5 * (s + s.conj().swapaxes(-1, -2))
+    if not np.isfinite(s).all():
+        raise InputError("training entries and their sample covariance must be finite")
+    return s

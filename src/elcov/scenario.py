@@ -13,7 +13,6 @@ appear in practice; the unnormalized form is the default.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,8 +32,6 @@ __all__ = [
     "steering_vector",
     "write_cmat",
 ]
-
-logger = logging.getLogger(__name__)
 
 SINC_CONVENTIONS = ("unnormalized", "normalized")
 ANGLE_MODES = ("degrees", "radians")
@@ -74,6 +71,8 @@ class ScenarioConfig:
             raise InputError("fractional bandwidths must lie in [0, 1)")
         if not 0 < self.noise_power < np.inf:
             raise InputError("noise power must be positive and finite")
+        if not np.isfinite(sum(self.jammer_powers) + self.noise_power):  # R's diagonal
+            raise InputError("jammer and noise powers must sum to a finite power")
         if self.sinc_convention not in SINC_CONVENTIONS:
             raise InputError(f"sinc_convention must be one of {SINC_CONVENTIONS}")
         if self.angle_mode not in ANGLE_MODES:
@@ -99,10 +98,10 @@ def _sinc(x: np.ndarray, convention: str) -> np.ndarray:
 def jammer_covariance(cfg: ScenarioConfig) -> np.ndarray:
     """Build the scenario's true covariance matrix.
 
-    The result is Hermitian Toeplitz with every diagonal entry equal to the
-    total jammer power plus the noise power.  Eigenvalues slightly below
-    zero (within ``1e-9`` of the largest) are clamped with a logged
-    warning; anything more negative is a modelling error and raises.
+    The result is exactly Hermitian Toeplitz, its diagonal the total jammer
+    power plus the noise power.  It is positive definite by construction; a
+    smallest eigenvalue that rounding leaves at or below zero, at an extreme
+    jammer-to-noise ratio, raises :class:`NumericalError`.
     """
     n = cfg.n
     # entry (i, j) depends on the lag i - j only: build the 2N - 1 lags
@@ -115,21 +114,11 @@ def jammer_covariance(cfg: ScenarioConfig) -> np.ndarray:
     idx = np.arange(n)
     r = column[idx[:, None] - idx[None, :] + (n - 1)]
     r[idx, idx] += cfg.noise_power
-    w = np.linalg.eigvalsh(r)
-    lam_min, lam_max = float(w[0]), float(w[-1])
-    if lam_min < -1e-9 * lam_max:
-        raise NumericalError(
-            f"jammer covariance is not PSD: eigenvalue {lam_min:.6e} below "
-            f"-1e-9 * {lam_max:.6e}"
-        )
-    if lam_min < 0.0:
-        logger.warning(
-            "clamping %d slightly negative eigenvalues of the jammer covariance",
-            int(np.count_nonzero(w < 0)),
-        )
-        vals, vecs = np.linalg.eigh(r)
-        r = (vecs * np.clip(vals, 0.0, None)) @ vecs.conj().T
-    return as_hermitian(r)
+    lam_min = float(np.linalg.eigvalsh(r)[0])
+    if not lam_min > 0.0:
+        raise NumericalError("true covariance is not positive definite at this jammer-to-noise"
+                             f" ratio (smallest eigenvalue {lam_min:.3e})")
+    return r
 
 
 def steering_vector(n: int, angle_deg: float = 0.0) -> np.ndarray:

@@ -334,6 +334,39 @@ class TestSimulateCommand:
         assert err.startswith("error:") and "Traceback" not in err
         assert "finite" in err
 
+    @pytest.mark.parametrize(
+        "scenario, corruption, code, message",
+        [
+            # 1e16 rather than 1e15: at 1e15 the sign of the rounded smallest
+            # eigenvalue depends on the BLAS kernel
+            ("jammer_powers = 1e16\njammer_angles = 20\njammer_bandwidths = 0.3", "", 2,
+             "numerical error: true covariance is not positive definite"),
+            ("noise_power = 1e-30\njammer_powers = 10, 100, 1000\n"
+             "jammer_angles = 0.349, 0.698, 1.047\njammer_bandwidths = 0.2, 0, 0.3\n"
+             "angle_mode = radians", "", 2,
+             "numerical error: true covariance is not positive definite"),
+            ("jammer_powers = 1e308, 1e308\njammer_angles = 10, 30\njammer_bandwidths = 0, 0",
+             "", 1, "error: bad [scenario] value: jammer and noise powers must sum to a finite"),
+            ("", "[corruption]\nfraction = 0.5\namplitude = 1e200\n", 1,
+             "error: training entries and their sample covariance must be finite"),
+        ],
+        ids=["jammer-power", "noise-power", "total-power", "corruption-amplitude"],
+    )
+    def test_unsound_covariance_ends_with_one_line(self, tmp_path, capsys, scenario, corruption,
+                                                   code, message):
+        # the suite turns a RuntimeWarning into an error, so none is raised
+        out = tmp_path / "out"
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(
+            f"[scenario]\nn = 20\n{scenario}\n\n"
+            "[experiment]\nk_list = 20\ntrials = 2\nmaster_seed = 7\n"
+            f"estimators = SMI\noutput = {out}\n\n{corruption}"
+        )
+        assert cli(["simulate", "--config", str(cfg)]) == code
+        err = capsys.readouterr().err
+        assert err.startswith(message) and err.count("\n") == 1
+        assert not out.exists()
+
 
 class TestExitCodes:
     def test_unknown_flag(self, capsys):
@@ -423,6 +456,16 @@ class TestMalformedFiles:
         assert cli(["simulate", "--config", "exp.cfg"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: bad [experiment] value: '%'") and err.count("\n") == 1
+
+    def test_config_value_spanning_lines(self, tmp_path, monkeypatch, capsys):
+        # configparser joins an indented line onto the value above it
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "exp.cfg").write_bytes(b"[scenario]\nn = 4\n" + _GOOD_EXPERIMENT
+                                           + b"output = o\n  bad continuation\n")
+        assert cli(["simulate", "--config", "exp.cfg"]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: value of 'output' in section [experiment] spans lines\n"
+        assert list(tmp_path.iterdir()) == [tmp_path / "exp.cfg"]
 
     def test_config_loader_raises_input_error(self, tmp_path):
         path = tmp_path / "exp.cfg"

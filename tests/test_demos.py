@@ -1,4 +1,5 @@
-"""Every demo script runs to completion against the current package."""
+"""Every demo script runs to completion against the current package, with
+every warning an error, as in the suite itself."""
 
 import os
 import subprocess
@@ -15,7 +16,8 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 def test_demo_exits_zero(demo, tmp_path):
     src = str(ROOT / "src")
     path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""), TMPDIR=str(tmp_path))
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""),
+               TMPDIR=str(tmp_path), PYTHONWARNINGS="error")
     proc = subprocess.run(
         [sys.executable, str(demo)], cwd=tmp_path, env=env,
         capture_output=True, text=True, timeout=300,

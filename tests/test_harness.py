@@ -130,6 +130,27 @@ class TestSteeringGrid:
         expected = [a for a in np.linspace(-90.0, 90.0, 19).tolist() if a != dropped]
         assert list(grid) == expected
 
+    @pytest.mark.parametrize(
+        "angle, mode",
+        [(90.0, "degrees"), (-90.0, "degrees"), (-89.5, "degrees"),
+         (math.pi, "radians"), (-math.pi, "radians")],
+    )
+    def test_excludes_both_endfire_angles(self, angle, mode):
+        # s(90) and s(-90) agree to rounding: |s(90)^H s(-90)| = 1 - 2e-16
+        assert abs(np.vdot(steering_vector(8, 90.0), steering_vector(8, -90.0))) > 1 - 1e-15
+        cfg = ScenarioConfig(n=8, jammer_powers=(10.0,), jammer_angles=(angle,),
+                             jammer_bandwidths=(0.0,), angle_mode=mode)
+        assert list(default_steering_grid(cfg)) == np.linspace(-80.0, 80.0, 17).tolist()
+
+    def test_grids_clear_of_endfire_keep_their_angles(self):
+        # the reference scenario and the N = 64 benchmark scenario
+        every = np.linspace(-90.0, 90.0, 19).tolist()
+        assert list(default_steering_grid(reference_scenario())) == [a for a in every if a != 20.0]
+        large = ScenarioConfig(n=64, jammer_powers=(10.0, 30.0, 100.0, 300.0, 1000.0, 3000.0),
+                               jammer_angles=(-47.0, -25.0, -8.0, 12.0, 33.0, 58.0),
+                               jammer_bandwidths=(0.05, 0.1, 0.15, 0.2, 0.25, 0.3))
+        assert list(default_steering_grid(large)) == every
+
 
 class TestRunExperiment:
     def test_smoke_noise_only(self, tmp_path):

@@ -226,6 +226,13 @@ class TestSampleCovariance:
         expected /= k
         assert np.max(np.abs(s - expected)) <= 1e-12 * max(1.0, np.max(np.abs(expected)))
 
+    def test_rejects_finite_training_whose_product_overflows(self):
+        z = np.full((3, 4), 1e200, dtype=complex)
+        with pytest.raises(InputError, match="finite"):
+            sample_covariance(z)
+        with pytest.raises(InputError, match="finite"):
+            sample_covariance(np.stack([np.ones((3, 4)), z]))
+
     def test_psd_floor(self, rng):
         z = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
         w = np.linalg.eigvalsh(sample_covariance(z))

@@ -11,7 +11,9 @@ from elcov import (
     CorruptionSpec,
     FormatError,
     InputError,
+    NumericalError,
     ScenarioConfig,
+    as_hermitian,
     derive_rng,
     generate_training,
     jammer_covariance,
@@ -49,6 +51,13 @@ class TestScenarioConfig:
         with pytest.raises(InputError, match="finite"):
             ScenarioConfig(n=4, jammer_powers=(1.0,), jammer_angles=(power,),
                            jammer_bandwidths=(0.0,))
+
+    @pytest.mark.parametrize("powers, noise", [((1e308, 1e308), 1.0), ((1e308,), 1e308)])
+    def test_rejects_an_infinite_total_power(self, powers, noise):
+        # each power is finite, but R's diagonal, their sum, is not
+        with pytest.raises(InputError, match="sum to a finite power"):
+            ScenarioConfig(n=4, jammer_powers=powers, jammer_angles=(0.0,) * len(powers),
+                           jammer_bandwidths=(0.0,) * len(powers), noise_power=noise)
 
 
 class TestJammerCovariance:
@@ -100,7 +109,7 @@ class TestJammerCovariance:
             j = int(rng.integers(0, 7))
             degrees = bool(rng.integers(0, 2))
             cfg = ScenarioConfig(
-                n=int(rng.integers(2, 130)),
+                n=int(rng.integers(1, 130)),
                 jammer_powers=tuple(float(p) for p in rng.uniform(0.5, 1e4, j)),
                 jammer_angles=tuple(float(a) for a in (rng.uniform(-80, 80, j) if degrees
                                                        else rng.uniform(-3.0, 3.0, j))),
@@ -109,7 +118,31 @@ class TestJammerCovariance:
                 sinc_convention=convention,
                 angle_mode="degrees" if degrees else "radians",
             )
-            assert jammer_covariance(cfg).tobytes() == jammer_covariance_oracle(cfg).tobytes()
+            r = jammer_covariance(cfg)
+            assert r.tobytes() == jammer_covariance_oracle(cfg).tobytes()
+            # exactly Hermitian, so the as_hermitian pass it once took changed no byte
+            assert r.tobytes() == as_hermitian(r).tobytes()
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            # 1e16 rather than 1e15: at 1e15 the sign of the rounded smallest
+            # eigenvalue depends on the BLAS kernel
+            ScenarioConfig(n=20, jammer_powers=(1e16,), jammer_angles=(20.0,),
+                           jammer_bandwidths=(0.3,)),
+            ScenarioConfig(n=20, jammer_powers=(10.0, 100.0, 1000.0),
+                           jammer_angles=(0.349, 0.698, 1.047), jammer_bandwidths=(0.2, 0.0, 0.3),
+                           angle_mode="radians", noise_power=1e-30),
+        ],
+        ids=["jammer-1e16", "noise-1e-30"],
+    )
+    def test_rounding_past_positive_definite_raises(self, cfg, monkeypatch):
+        eigvalsh, calls = np.linalg.eigvalsh, []
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(1) or eigvalsh(a))
+        monkeypatch.setattr(np.linalg, "eigh", None)  # no clamp-and-rebuild
+        with pytest.raises(NumericalError, match=r"not positive definite .*smallest eigenvalue -"):
+            jammer_covariance(cfg)
+        assert len(calls) == 1
 
     def test_toeplitz_exact(self):
         cfg = ScenarioConfig(n=10, jammer_powers=(100.0,), jammer_angles=(37.0,),
