@@ -4,8 +4,8 @@ The likelihood ratio of the TRUE covariance against the sample estimate has
 a distribution that depends only on the matrix dimension N and the sample
 count K, so its median can be computed once per (N, K) pair and reused.
 By the complex Bartlett decomposition (Goodman 1963) the log of that ratio
-is a sum of N + 1 independent terms, so its cumulant generating function is
-closed form and a saddlepoint CDF gives the median and quantiles with no
+is a sum of N + 1 independent terms, so its moment generating function is
+closed form; inverting it exactly gives the median and quantiles with no
 draw and no seed.
 """
 

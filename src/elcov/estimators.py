@@ -255,7 +255,8 @@ class _CnTable:
     ``valid`` marks the cells that are rows, ``rank`` numbers them and
     ``prior`` points at the last one at or before each cell.  Every column
     is filled in by the constructor except ``log_lr``, which is computed on
-    first use: only :func:`select_kmax` reads it.
+    first use: only the kmax selection reads it (``selection._kmax_rows``,
+    behind :func:`select_kmax` and the sweep's CNCML_EL rows).
 
     The stack is built in one pass: tie groups come from masks on the
     sorted rows, and the candidate breakpoints from one sort of each row's

@@ -7,18 +7,19 @@ a function of the eigenvalue ratios ``rho_i = d_i / lambda_i``::
 
 For the true covariance the distribution of ``lr`` depends only on the
 matrix dimension ``N`` and the sample count ``K``.  Its log is a sum of
-independent terms over the Bartlett factors (Goodman 1963), so its
-cumulant generating function is closed form, and the median ``lr0`` and
-the stored quantiles are roots of a saddlepoint CDF (Lugannani & Rice
-1980): deterministic, with no draw and no seed.  A small text table can pin
-the values per ``(N, K)``.  All arithmetic runs in the log domain; at large
-``N`` the raw ratio and ``lr0`` underflow double precision.
+independent terms over the Bartlett factors (Goodman 1963), so its moment
+generating function ``E[lr^s]`` is closed form, and the median ``lr0`` and
+the stored quantiles come from inverting it exactly: the fixed Talbot
+contour (Abate & Valko 2004) at small ``N``, the Gil-Pelaez (1951) formula
+on the characteristic function above.  They are deterministic, with no
+draw and no seed.  A small text table can pin the values per ``(N, K)``.
+All arithmetic runs in the log domain; at large ``N`` the raw ratio and
+``lr0`` underflow double precision.
 """
 
 from __future__ import annotations
 
 import enum
-import functools
 import math
 import os
 import statistics
@@ -42,7 +43,7 @@ __all__ = [
 ]
 
 QUANTILE_PROBS = (0.05, 0.25, 0.5, 0.75, 0.95)
-_NORMAL_QUANTILES = tuple(statistics.NormalDist().inv_cdf(p) for p in QUANTILE_PROBS)
+_NORMAL_QUANTILES = np.array([statistics.NormalDist().inv_cdf(p) for p in QUANTILE_PROBS])
 
 
 def log_lr_value(est_lambdas, sample_lambdas) -> float:
@@ -108,245 +109,144 @@ class LRReference:
             self.log_lr0 = math.log(self.lr0)
 
 
-# Bernoulli numbers B_2, B_4, ..., B_16 of the asymptotic polygamma series;
-# from x = 10 on, the first omitted term is below 1e-16 of the leading one
+# Bernoulli numbers B_2, B_4, ..., B_16 of Stirling's series; from |z| = 10 on,
+# the first omitted term is below 1e-16 of the leading one
 _BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510)
-_ASYMPTOTIC_FROM = 10.0
+_STIRLING = np.array([b / (2 * j * (2 * j - 1)) for j, b in enumerate(_BERNOULLI, start=1)])
 
 
-def _digamma(x: float) -> float:
-    """psi(x) for x > 0: the recurrence up to x >= 10, then the series."""
-    acc = 0.0
-    while x < _ASYMPTOTIC_FROM:
-        acc -= 1.0 / x
-        x += 1.0
-    inv2 = 1.0 / (x * x)
-    tail = 0.0
-    for j in range(len(_BERNOULLI), 0, -1):
-        tail = (tail + _BERNOULLI[j - 1] / (2 * j)) * inv2
-    return acc + math.log(x) - 0.5 / x - tail
+def _log1p(z: np.ndarray) -> np.ndarray:
+    """Complex ``ln(1 + z)`` to a relative error near eps also at small
+    ``|z|``, where numpy's complex ``log1p`` keeps only an absolute one."""
+    x, y = z.real, z.imag
+    return 0.5 * np.log1p(x * (2.0 + x) + y * y) + 1j * np.arctan2(y, 1.0 + x)
 
 
-@functools.cache
-def _polygamma_coefficients(n: int) -> tuple[int, float, tuple[float, ...]]:
-    series = tuple(_BERNOULLI[j - 1] * math.factorial(2 * j + n - 1) / math.factorial(2 * j)
-                   for j in range(1, len(_BERNOULLI) + 1))
-    return math.factorial(n), float(math.factorial(n - 1)), series
+def _stirling_rest(z: np.ndarray) -> np.ndarray:
+    """``lnG(z) - [(z - 1/2) ln z - z + ln(2 pi) / 2]`` (principal ``ln``) for
+    complex ``z`` off the poles, up to a multiple of ``2 pi i``: Stirling's
+    series, at ``z + 10`` with the recurrence if some ``|z| < 10``, written
+    so that nothing cancels at large ``|z|``.  Below ``Re z = 1/2`` it
+    reflects, ``lnG(z) = ln pi - ln sin(pi z) - lnG(1 - z)``, with
+    ``ln sin(pi z) = ln(i/2) - i pi z + ln(1 - e^(2 i pi z))`` at ``Im z >= 0``
+    (conjugated below)."""
+    reflect = z.real < 0.5
+    w = np.where(reflect, 1.0 - z, z)
+    v = w + 10.0 if (shift := np.abs(w).min() < 10.0) else w
+    powers = np.multiply.accumulate(np.repeat((1.0 / (v * v))[..., None], 8, axis=-1), axis=-1)
+    rest = v * (powers * _STIRLING).sum(-1)
+    if shift:
+        ratio = np.prod(w[..., None] + np.arange(10.0), axis=-1) / v**10
+        rest += (w - 0.5) * _log1p(10.0 / w) - 10.0 - np.log(ratio)
+    if reflect.any():
+        zr, below = z[reflect], z[reflect].imag < 0.0
+        upper = np.where(below, zr.conj(), zr)
+        log_sin = np.log(0.5j) - 1j * math.pi * upper + np.log1p(-np.exp(2j * math.pi * upper))
+        rest[reflect] = (1.0 - math.log(2.0) - np.where(below, log_sin.conj(), log_sin)
+                         - rest[reflect] - (zr - 0.5) * (np.log(zr) - np.log(w[reflect])))
+    return rest
 
 
-def _polygamma(n: int, x: float) -> float:
-    """psi^(n)(x) for n >= 1 and x > 0, built like :func:`_digamma`."""
-    fact, lead, series = _polygamma_coefficients(n)
-    acc = 0.0
-    while x < _ASYMPTOTIC_FROM:
-        acc += fact / x ** (n + 1)
-        x += 1.0
-    inv2 = 1.0 / (x * x)
-    tail = 0.0
-    for c in reversed(series):
-        tail = (tail + c) * inv2
-    acc += (lead + 0.5 * fact / x + tail) / x**n
-    return acc if n % 2 else -acc
+class _BartlettLaw:
+    """The law of ``log lr`` at the true covariance, ``K >= N``.  With the
+    Bartlett shapes ``a_i = K - i``, ``i < N`` (see :func:`lr0_reference`),
+    and ``m = K - N + 1`` the smallest, for ``Re s > -m``::
 
+        kappa(s) = log E[lr^s]
+                 = N s (1 - ln K) + sum_i [lnG(a_i + s) - lnG(a_i)] - N (K + s) ln(1 + s/K)
 
-class _BartlettCgf:
-    """Cumulant generating function of ``log lr`` at the true covariance.
-
-    For ``K >= N`` the Bartlett factors give ``log lr`` as a sum of
-    independent terms with shapes ``a_i = K - i``, ``i < N``, so::
-
-        kappa(t) = N t (1 - ln K) + sum_i [lnG(a_i + t) - lnG(a_i)] - N (K + t) ln(1 + t/K)
-
-    for ``t > -m``, ``m = K - N + 1`` the smallest shape.  The shapes are
-    consecutive, so ``sum_i f(m + t + i)`` for ``f = lnG, psi, psi', ...``
-    is ``N f(m + t)`` plus the recurrence steps ``f(y + 1) - f(y)`` at
-    ``y = m + t + l``, weighted by ``N - 1 - l``: one scalar function and
-    one length-N sum per order.
+    The shapes are consecutive, so the sum is ``N lnG(m + s)`` plus
+    ``ln(m + l + s)`` weighted by ``N - 1 - l``.  Stirling's leading terms
+    of ``lnG(m + s)``, each about ``|s| ln|s|`` on a contour, are merged with
+    the rest by hand.  The shapes are whole, so the mean ``sum_i psi(a_i) -
+    N ln K`` and variance ``sum_i psi'(a_i) - N/K`` are harmonic sums: with
+    ``psi(a) = -gamma + sum_(j<a) 1/j`` and ``psi'(a) = pi^2/6 - sum_(j<a)
+    1/j^2``, each ``j < K`` enters ``min(N, K - j)`` times.
     """
 
     def __init__(self, n: int, k: int):
-        self.n, self.k, self.m = n, k, k - n + 1
-        self._offsets = np.arange(n - 1, dtype=float)
-        self._inv_shapes = 1.0 / (self.m + self._offsets)
-        self._weights = np.arange(n - 1, 0, -1, dtype=float)
+        self.n, self.k, self.m = n, k, (m := k - n + 1)
+        # weights of ln(1 + s/a), a = m .. K: N - 1 - l, less N/2 at m and N(N - 1) at K
+        self._shapes = m + np.arange(n, dtype=float)
+        self._weights = np.arange(n - 1.0, -1.0, -1.0)
+        self._weights[0] -= 0.5 * n
+        self._weights[-1] -= n * (n - 1.0)
+        # Stirling's rest at m: its series from m = 10 on, where lgamma's rounding would show
+        rest = (sum(c / float(m) ** (2 * j + 1) for j, c in enumerate(_STIRLING)) if m >= 10
+                else math.lgamma(m) - (m - 0.5) * math.log(m) + m - 0.5 * math.log(2 * math.pi))
+        self._constant = m * math.log1p((n - 1) / m) - rest
+        j = np.arange(1.0, k)
+        count = np.minimum(n, k - j)
+        self.mean = float(np.sum(count / j)) - n * (np.euler_gamma + math.log(k))
+        self.sd = math.sqrt(n * math.pi**2 / 6 - float(np.sum(count / (j * j))) - n / k)
 
-    def derivatives(self, t: float, top: int) -> list[float]:
-        """``[kappa(t), kappa'(t), ..., kappa^(top)(t)]``, ``top >= 1``."""
-        n, k, m, w = self.n, self.k, self.m, self._weights
-        y = m + t
-        inv = 1.0 / (y + self._offsets)
-        out = [
-            n * t * (1.0 - math.log(k)) + n * (math.lgamma(y) - math.lgamma(m))
-            + float(w @ np.log1p(t * self._inv_shapes)) - n * (k + t) * math.log1p(t / k),
-            n * _digamma(y) + float(w @ inv) - n * math.log(k + t),
-        ]
-        power = inv
-        for order in range(1, top):
-            power = power * inv
-            # psi^(order)(y + 1) - psi^(order)(y) = (-1)^order order! / y^(order + 1)
-            step = (math.factorial(order) * float(w @ power)
-                    + n * math.factorial(order - 1) / (k + t) ** order)
-            out.append(n * _polygamma(order, y) + (-step if order % 2 else step))
-        return out
-
-
-_NEAR_MEAN = 0.1  # |z| below which the Lugannani-Rice form is taken from its series
-_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+    def kappa(self, s: np.ndarray) -> np.ndarray:
+        """``log E[lr^s]`` elementwise, at complex ``s`` off the real axis below ``-m``."""
+        n, ms = self.n, self.m + s
+        # the weighted log sum as _log1p takes it, each part summed before they join
+        x, y = s.real[..., None] / self._shapes, s.imag[..., None] / self._shapes
+        steps = (0.5 * (self._weights * np.log1p(x * (2.0 + x) + y * y)).sum(axis=-1)
+                 + 1j * (self._weights * np.arctan2(y, 1.0 + x)).sum(axis=-1))
+        return n * (_stirling_rest(ms) - ms * _log1p((n - 1) / ms) + self._constant) + steps
 
 
-def _taylor(coefficients, z: float) -> tuple[float, float]:
-    """Value and slope at ``z`` of the polynomial ``sum_i c_i z^i``."""
-    value = slope = 0.0
-    for c in reversed(coefficients):
-        slope = slope * z + value
-        value = value * z + c
-    return value, slope
+def _talbot(law: _BartlettLaw):
+    """CDF and density of ``log lr`` by the fixed Talbot inversion (Abate &
+    Valko 2004) of ``E[e^(-s y)] = e^(kappa(s))``, ``y = -log lr >= 0``: 32
+    nodes ``s = r (theta cot theta + i theta)``, ``theta = j pi / 32``,
+    ``r = 64 / (5y)``, wrap the poles and the cut of ``kappa`` on the negative
+    real axis; a weight is ``e^(s y) ds / (2 pi i)``, half at ``theta = 0``."""
+    theta = math.pi * np.arange(1, 32) / 32
+    cot = 1.0 / np.tan(theta)
+    nodes = np.append(1.0, theta * cot + 1j * theta)
+    slope = np.append(0.5, 1.0 + 1j * (theta + (theta * cot - 1.0) * cot))
+    weights = np.exp(12.8 * nodes) * slope / 32
+
+    def cdf(x):
+        r = 12.8 / -x
+        terms = np.exp(law.kappa(r[:, None] * nodes)) * weights
+        return 1.0 - (terms / nodes).real.sum(axis=1), r * terms.real.sum(axis=1)
+    return cdf
 
 
-class _Saddlepoint:
-    """Lugannani-Rice CDF of ``log lr`` at the saddlepoint ``t`` (N >= 2).
-
-    ``F = Phi(w) + phi(w) (1/w - 1/u)`` with ``w = sign(t) sqrt(2 (t x - kappa(t)))``,
-    ``u = t sqrt(kappa''(t))`` and ``x = kappa'(t)`` (Lugannani & Rice 1980).
-    Both ``1/w`` and ``1/u`` grow like ``1/z``, ``z = t sqrt(kappa''(0))``,
-    so near the mean the form cancels.  There ``w`` and ``1/w - 1/u`` come
-    from their Taylor series in ``z``, whose coefficients are polynomials in
-    the standardized cumulants ``l_r = kappa^(r)(0) / kappa''(0)^(r/2)``;
-    at ``z = 0`` the CDF is ``1/2 + l_3 / (6 sqrt(2 pi))``.
+def _gil_pelaez(law: _BartlettLaw):
+    """CDF and density of ``log lr`` by the Gil-Pelaez (1951) inversion of
+    ``e^(kappa(iu))``, centred on the mean: a midpoint rule with 80 nodes
+    ``(j + 1/2) h``, ``h = 2 pi / (40 sd)``.  Its wrap-around onto a period of
+    40 sd and its cut at ``u = 12.6 / sd`` fall below the rounding from N = 8.
     """
+    h = 2.0 * math.pi / (40.0 * law.sd)
+    u = h * (np.arange(80) + 0.5)
+    phi = np.exp(law.kappa(1j * u) - 1j * u * law.mean) * (h / math.pi)
 
-    def __init__(self, cgf: _BartlettCgf):
-        self.cgf = cgf
-        k2, *higher = cgf.derivatives(0.0, 6)[2:]
-        self.scale = math.sqrt(k2)
-        l3, l4, l5, l6 = (c / k2 ** (r / 2) for r, c in enumerate(higher, start=3))
-        self.w_series = (
-            1.0, l3 / 3, (9 * l4 - 4 * l3**2) / 72,
-            (20 * l3**3 - 45 * l3 * l4 + 36 * l5) / 1080,
-            -(400 * l3**4 - 1080 * l3**2 * l4 + 576 * l3 * l5 + 405 * l4**2 - 360 * l6) / 51840,
-        )
-        self.b_series = (
-            l3 / 6, (3 * l4 - 5 * l3**2) / 24,
-            (475 * l3**3 - 540 * l3 * l4 + 108 * l5) / 2160,
-            -(11375 * l3**4 - 18900 * l3**2 * l4 + 4752 * l3 * l5 + 3645 * l4**2
-              - 720 * l6) / 51840,
-        )
-
-    def __call__(self, t: float) -> tuple[float, float]:
-        """``(F, dF/dt)`` at the saddlepoint ``t``."""
-        # F = Phi(w) + phi(w) b with b = 1/w - 1/u, and dF/dt = phi(w) slope
-        z = t * self.scale
-        if abs(z) < _NEAR_MEAN:
-            p, dp = _taylor(self.w_series, z)
-            w = z * p
-            b, db = _taylor(self.b_series, z)
-            slope = ((p + z * dp) * (1.0 - w * b) + db) * self.scale
-        else:
-            k0, k1, k2, k3 = self.cgf.derivatives(t, 3)
-            w = math.copysign(math.sqrt(2.0 * (t * k1 - k0)), t)
-            root = math.sqrt(k2)
-            b = 1.0 / w - 1.0 / (t * root)
-            # from w dw/dt = t kappa''(t) and u = t sqrt(kappa''(t))
-            slope = root + 1.0 / (t * t * root) + k3 / (2.0 * t * k2 * root) - t * k2 / w**3
-        density = math.exp(-0.5 * w * w) * _INV_SQRT_2PI
-        return 0.5 * math.erfc(-w / math.sqrt(2.0)) + density * b, density * slope
+    def cdf(x):
+        terms = np.exp(-1j * np.multiply.outer(x - law.mean, u)) * phi
+        return 0.5 - (terms.imag / u).sum(axis=1), terms.real.sum(axis=1)
+    return cdf
 
 
-class _ScalarExact:
-    """Exact CDF of ``log lr = log y + 1 - y``, ``y = g/K``, ``g ~ Gamma(K)`` (N = 1).
-
-    ``log lr <= x`` where ``y`` lies outside the two roots
-    ``y = -W(-e^(x - 1))`` on the two real Lambert branches, so the CDF is
-    two gamma tails.  The saddlepoint is too coarse here at every ``K``
-    (``-2K log lr`` tends to a chi-square with one degree of freedom): its
-    quartiles miss by more than a 20 000-trial draw's standard error.
-    """
-
-    def __init__(self, cgf: _BartlettCgf):
-        self.cgf = cgf
-
-    def __call__(self, t: float) -> tuple[float, float]:
-        x, dx = self.cgf.derivatives(t, 2)[1:]
-        k = self.cgf.k
-        arg = -math.exp(x - 1.0)
-        lower = -lambert_w(LambertBranch.PRINCIPAL, arg)
-        upper = -lambert_w(LambertBranch.LOWER, arg)
-        cdf = 1.0 - _poisson_below(k, k * lower) + _poisson_below(k, k * upper)
-        # density of g at k y, times dg/dx = k y / |1 - y|
-        density = sum(math.exp(k * math.log(k * y) - k * y - math.lgamma(k)) / abs(1.0 - y)
-                      for y in (lower, upper) if 0.0 < y != 1.0)
-        return cdf, density * dx
-
-
-def _poisson_below(k: int, v: float) -> float:
-    """``P(Poisson(v) < k)``, that is ``P(Gamma(k) > v)`` for integer ``k``.
-
-    Sums the Poisson terms within 12 standard deviations of ``v`` plus 40;
-    the rest are below ``exp(-70)``.
-    """
-    if v <= 0.0:
-        return 1.0
-    spread = 12.0 * math.sqrt(v) + 40.0
-    first, stop = max(0, int(v - spread)), min(k, int(v + spread) + 1)
-    if first >= stop:
-        return 0.0 if first >= k else 1.0
-    j = np.arange(first, stop, dtype=float)
-    # ln j! = ln first! + the sum of ln i over first < i <= j
-    log_fact = math.lgamma(first + 1) + np.concatenate(([0.0], np.cumsum(np.log(j[1:]))))
-    return float(np.exp(j * math.log(v) - v - log_fact).sum())
-
-
-_MAX_STEPS = 100
-_STEP_TOL = 1e-10
-
-
-def _solve_quantile(cdf, m: int, p: float, t0: float) -> float:
-    """Saddlepoint ``t`` with ``cdf(t) = p``: a bracketed, safeguarded Newton.
-
-    Iterates on ``y = ln(m + t)``, which maps the domain ``t > -m`` onto the
-    real line, so no iterate leaves it.  A step is at most 1 in ``y``.  It
-    bisects the bracket when Newton leaves it or when a step does not halve
-    the one before, which ends the search also where rounding dominates the
-    CDF.
-    """
-    y = math.log(m + t0)
-    lo, hi, last = -math.inf, math.inf, math.inf
-    for _ in range(_MAX_STEPS):
-        t = math.exp(y) - m
-        value, slope = cdf(t)
-        gap = value - p
-        if gap == 0.0:
-            return t
-        if gap < 0.0:
-            lo = y
-        else:
-            hi = y
-        slope *= m + t  # dF/dy
-        step = max(-1.0, min(1.0, gap / slope)) if slope > 0.0 else math.copysign(1.0, gap)
-        if abs(step) <= _STEP_TOL:
-            return math.exp(y - step) - m
-        y_new = y - step
-        if math.isfinite(lo + hi) and (not lo < y_new < hi or abs(step) > 0.5 * last):
-            y_new = 0.5 * (lo + hi)
-        last = abs(y_new - y)
-        if last <= _STEP_TOL:
-            return math.exp(y_new) - m
-        y = y_new
-    raise NumericalError(f"lr0 quantile p={p} did not converge in {_MAX_STEPS} steps")
+def _solve_quantiles(law: _BartlettLaw, cdf) -> list[float]:
+    """Log-LR quantiles at ``QUANTILE_PROBS`` by one Newton solve on
+    ``v = ln(-x)``, which maps the support ``x < 0`` onto the real line.  It
+    starts at the normal quantiles, taken in ``v``, caps a step at 1 and stops
+    after a step below 1e-5 sd; the CDFs round at about 1e-10."""
+    v = math.log(-law.mean) + _NORMAL_QUANTILES * (law.sd / law.mean)
+    probs = np.array(QUANTILE_PROBS)
+    for _ in range(50):
+        x = -np.exp(v)
+        value, density = cdf(x)
+        # dF/dv = f x < 0; where rounding leaves no density, the step is the cap
+        step = np.clip((value - probs) / np.minimum(density * x, -1e-300), -1.0, 1.0)
+        v -= step
+        if np.max(np.abs(step * x)) <= 1e-5 * law.sd:
+            return (-np.exp(v)).tolist()
+    raise NumericalError(f"lr0 quantiles for (n={law.n}, k={law.k}) did not converge in 50 steps")
 
 
 def _log_lr_quantiles(n: int, k: int) -> list[float]:
-    """Log-LR quantiles at ``QUANTILE_PROBS`` for ``K >= N``: exact at
-    ``N = 1``, Lugannani-Rice otherwise."""
-    cgf = _BartlettCgf(n, k)
-    cdf = _ScalarExact(cgf) if n == 1 else _Saddlepoint(cgf)
-    sd = math.sqrt(cgf.derivatives(0.0, 2)[2])
-    logs = []
-    for p, z in zip(QUANTILE_PROBS, _NORMAL_QUANTILES):
-        # start at the normal approximation's saddlepoint, kept inside the domain
-        t = _solve_quantile(cdf, cgf.m, p, max(z / sd, -0.5 * cgf.m))
-        logs.append(cgf.derivatives(t, 1)[1])
-    return logs
+    """Log-LR quantiles at ``QUANTILE_PROBS`` for ``K >= N``."""
+    law = _BartlettLaw(n, k)
+    return _solve_quantiles(law, _talbot(law) if n <= 7 else _gil_pelaez(law))
 
 
 def lr0_reference(
@@ -359,12 +259,12 @@ def lr0_reference(
     independent ``|L_ii|^2 = g_i ~ Gamma(K - i)``, ``i = 0 .. N-1``, and the
     off-diagonal ``|L_ij|^2`` summing to one ``h ~ Gamma(N(N-1)/2)``.  So
     ``log lr = sum_i log(g_i / K) + N - (sum_i g_i + h) / K`` is a sum of
-    independent terms, and its cumulant generating function is closed form
-    (:class:`_BartlettCgf`).  Each quantile at 5/25/50/75/95 percent is the
-    root of its Lugannani-Rice CDF; at ``N = 1`` it is the root of the exact
-    CDF.  The median is ``lr0``.  The result is deterministic; ``trials``
-    and ``seed``, the former draw's size and seed, are accepted and ignored.
-    At ``k < n``, where no reference is defined yet, it raises InputError.
+    independent terms, and its moment generating function is closed form
+    (:class:`_BartlettLaw`).  Each quantile at 5/25/50/75/95 percent is the
+    root of the exact CDF, inverted from that transform to about 1e-10; the
+    median is ``lr0``.  The result is deterministic; ``trials`` and ``seed``,
+    the former draw's size and seed, are accepted and ignored.  At ``k < n``,
+    where no reference is defined yet, it raises InputError.
     """
     del trials, seed  # the reference is exact
     if n < 1 or k < 1:

@@ -272,20 +272,27 @@ def matrix_save(h, path) -> None:
 def matrix_load(path) -> np.ndarray:
     """Read a CMAT file and validate it as Hermitian.
 
-    Non-Hermitian content is rejected with the file location of the worst
-    offending entry.
+    A non-finite entry, or else non-Hermitian content, is rejected with the
+    file location of the first non-finite or the worst offending entry.
     """
     a = read_cmat(path)
     if a.shape[0] != a.shape[1]:
         raise FormatError(f"expected a square matrix, got {a.shape}", path=path, line=1)
     delta = np.abs(a - a.conj().T)
-    if np.max(delta) > 1e-12:
-        i, j = np.unravel_index(np.argmax(delta), delta.shape)
+    if not np.max(delta) <= 1e-12:  # a NaN or infinite entry fails too
+        # argmax stops at the first NaN; a non-finite entry makes its own
+        # delta and its mirror's non-finite
+        i, j = (int(v) for v in np.unravel_index(np.argmax(delta), delta.shape))
+        if not np.isfinite(delta[i, j]):
+            if np.isfinite(a[i, j]):
+                i, j = j, i
+            raise FormatError(f"matrix entry {a[i, j]} is not finite",
+                              path=path, line=i + 2, column=j + 1)
         raise FormatError(
             f"matrix is not Hermitian (mismatch {delta[i, j]:.3e} against entry "
-            f"({int(j) + 1}, {int(i) + 1}))",
+            f"({j + 1}, {i + 1}))",
             path=path,
-            line=int(i) + 2,
-            column=int(j) + 1,
+            line=i + 2,
+            column=j + 1,
         )
     return as_hermitian(a)

@@ -480,6 +480,13 @@ class TestMalformedFiles:
         err = capsys.readouterr().err
         assert err == f"error: {path}: not UTF-8 text (invalid start byte)\n"
 
+    def test_cmat_non_finite_entry(self, tmp_path, capsys):
+        path = tmp_path / "s.cmat"
+        path.write_text("CMAT v1 2 2\n1 0 0 0\n0 0 nan 0\n")
+        assert cli(["estimate", "--input", str(path), "--k", "4", "--method", "smi"]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {path}, line 3, column 2: matrix entry (nan+0j) is not finite\n"
+
     def test_lr0_table(self, sample_cov, tmp_path, capsys):
         table = tmp_path / "lr0.txt"
         table.write_bytes(b"\xfe\n")

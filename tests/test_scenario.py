@@ -245,6 +245,22 @@ class TestMatrixIo:
             matrix_load(path)
         assert err.value.line is not None and err.value.column is not None
 
+    @pytest.mark.parametrize("token, row, col", [
+        ("nan", 0, 0), ("inf", 1, 2), ("-inf", 2, 0), ("nan", 2, 1)])
+    def test_rejects_non_finite_entry_with_location(self, tmp_path, token, row, col):
+        # NaN compares false with everything, so a bare "max > tol" let it pass
+        a = np.eye(3, dtype=complex)
+        path = tmp_path / "bad.cmat"
+        write_cmat(a, path)
+        lines = path.read_text().splitlines()
+        parts = lines[row + 1].split()
+        parts[2 * col] = token
+        lines[row + 1] = " ".join(parts)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError, match="is not finite") as err:
+            matrix_load(path)
+        assert (err.value.line, err.value.column) == (row + 2, col + 1)
+
     def test_rejects_malformed_rows(self, tmp_path):
         path = tmp_path / "short.cmat"
         path.write_text("CMAT v1 2 2\n1 0 0 0\n1 0\n")
