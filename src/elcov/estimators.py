@@ -18,7 +18,6 @@ from __future__ import annotations
 import enum
 import functools
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -215,11 +214,6 @@ _CN_CASES = tuple(CnCase)
 _FML, _BOUNDARY, _INTERIOR = 1, 2, 3
 
 
-class _CnRow(NamedTuple):
-    kmax: np.ndarray
-    log_lr: np.ndarray
-
-
 class _CnTable:
     """The condition-number solution for every ``kmax``, as a breakpoint table
     for each row of a ``(B, N)`` stack of descending spectra.
@@ -252,11 +246,14 @@ class _CnTable:
     one point at ``k_ml`` (a row only when there is no boundary row), a
     boundary row at each entry, the ``h(1)`` row twice, a row at each
     entry's two breakpoints, the ``h(mean x)`` row and a row at ``kmax = 1``.
-    ``valid`` marks the cells that are rows, ``rank`` numbers them and
-    ``prior`` points at the last one at or before each cell.  Every column
-    is filled in by the constructor except ``log_lr``, which is computed on
-    first use: only the kmax selection reads it (``selection._kmax_rows``,
-    behind :func:`select_kmax` and the sweep's CNCML_EL rows).
+    ``valid`` marks the cells that are rows; ``first`` and ``last`` are each
+    spectrum's first and last row as flat cell indices.  Every path starts
+    at ``k_ml`` and ends at ``kmax = 1``.  Every column is filled in by the
+    constructor except ``log_lr``, which is computed on first use: only the
+    kmax selection reads it (``selection._kmax_rows``, behind
+    :func:`select_kmax` and the sweep's CNCML_EL rows).  Both queries, the
+    segment that holds a bound (:meth:`solve`) and the one that holds a
+    target log LR (``_kmax_rows``), are one lookup, :meth:`segment`.
 
     The stack is built in one pass: tie groups come from masks on the
     sorted rows, and the candidate breakpoints from one sort of each row's
@@ -285,7 +282,7 @@ class _CnTable:
         # offsets of each spectrum's row in the flattened sums, breakpoints and cells
         rows = np.arange(b)[:, np.newaxis]
         self._at = at = rows * (n + 1)
-        self.cell_at = rows[:, 0] * (3 * n + 5)
+        self._cells = rows[:, 0] * (3 * n + 5)
         top_sum, bottom_sum = self.top_sum.ravel(), self.bottom_sum.ravel()
         # per entry: how many entries lie above and below its tie group
         change = np.ones((b, n + 1), dtype=bool)
@@ -373,9 +370,11 @@ class _CnTable:
         self.bottom[:, : n + 1] = c1[:, np.newaxis]
         self.bottom[:, n + 1 : -1], self.bottom[:, -1] = bottom, c1
         self.switch = bd.sum(axis=1) * pin
-        self.rank = self.valid.cumsum(axis=1) - 1
-        cells = np.where(self.valid, np.arange(3 * n + 5), -1)
-        self.prior = np.maximum.accumulate(cells, axis=1)
+        # each cell's rank among the rows, and the last row at or before it
+        self._rank = self.valid.cumsum(axis=1) - 1
+        self._prior = np.maximum.accumulate(np.where(self.valid, np.arange(3 * n + 5), -1), axis=1)
+        self.first = self.valid.argmax(axis=1) + self._cells
+        self.last = self._prior[:, -1] + self._cells
 
     def sums(self, top: np.ndarray, bottom: np.ndarray):
         """``[sum log x, sum x]`` over the ``top`` largest and the ``bottom``
@@ -393,24 +392,27 @@ class _CnTable:
             u[:, : n + 1], u[:, n + 1 : -1] = self._edge, self._u
             return _clip_log_lr(*self.sums(self.top, self.bottom), self.top, self.bottom, tau, u)
 
-    def row(self, b: int) -> _CnRow:
-        """Spectrum ``b``'s breakpoints and their log LR."""
-        return _CnRow(self.kmax[b, self.valid[b]], self.log_lr[b, self.valid[b]])
+    def segment(self, column: np.ndarray, value: np.ndarray, at_last=False):
+        """The segment of each spectrum's path that holds its ``value`` on
+        ``column`` (``kmax`` or ``log_lr``, both falling along the rows): the
+        flat index of its lower end, the first row at or under ``value`` (the
+        last row where ``at_last``), that row's rank, and the flat index of
+        the row above it.  The first row's row above is the last, as a list
+        wraps index -1.  A bound of at least 1 always finds its row, as every
+        path ends at ``kmax = 1``."""
+        under = self.valid & (column <= value[:, np.newaxis])
+        i = np.where(at_last, self.last, under.argmax(axis=1) + self._cells)
+        rank = self._rank.ravel().take(i)
+        return i, rank, np.where(rank > 0, self._prior.ravel().take(i - 1) + self._cells, self.last)
 
     def solve(self, kmax: np.ndarray):
         """Case codes, ``u*`` and the counts clipped from the top and the bottom
-        at each spectrum's bound ``kmax >= 1``, read off the last row above it,
-        whose segment holds it.  At ``k_ml`` (row 0) and above it is the FML
+        at each spectrum's bound ``kmax >= 1``, read off the upper end of the
+        segment that holds it.  At ``k_ml`` (row 0) and above it is the FML
         case: nothing is clipped from above, and the entries below 1 are
         floored.  This is the one place a bound's case is decided."""
-        at, cell_at = self._at[:, 0], self.cell_at
-        under = self.valid & (self.kmax <= kmax[:, np.newaxis])
-        below = under.argmax(axis=1)
-        # no row at or under kmax (kmax is NaN) reads the last row, as a list
-        # wraps index -1
-        found = under.ravel().take(below + cell_at)
-        i = np.where(found, self.prior.ravel().take(below - 1 + cell_at), self.prior[:, -1])
-        i += cell_at
+        _, rank, i = self.segment(self.kmax, kmax)
+        at = self._at[:, 0]
         p, c = self.top.ravel().take(i), self.bottom.ravel().take(i)
         inv_k = 1.0 / kmax
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -419,7 +421,7 @@ class _CnTable:
         # the lower cap 1/(u kmax) stays at or above 1 where rounding crosses it
         u = np.where(inv_k < u, inv_k, u)
         u = np.where(p + c == 0, 1.0 / self.k_ml, u)  # the flat segment: nothing is clipped
-        boundary = np.where(found, self.rank.ravel().take(i), -1) < self.switch
+        boundary = rank <= self.switch
         u = np.where(boundary, inv_k, u)
         fml = kmax >= self.k_ml
         u = np.where(fml, 1.0 / self.k_ml, u)
@@ -432,17 +434,6 @@ def _cn_solve(x: np.ndarray, kmax: float):
     if not kmax >= 1:
         raise InputError("condition-number bound kmax must be at least 1")
     return _CnTable(x).solve(np.full(len(x), float(kmax)))
-
-
-def _cn_solution(stats: SampleStats, kmax: float) -> tuple[CnCase, float, int, int]:
-    """Case, ``u*`` and the counts clipped from the top and the bottom, off
-    the one-row table, which solves ``dbar_1 <= 1`` as the FML case; that is
-    reported as the scaled identity, ``u* = 1/kmax``, with the same cap map."""
-    x = stats.d / stats.sigma2
-    case, u, p, c = (column[0] for column in _cn_solve(x[np.newaxis], kmax))
-    if x[0] <= 1.0:
-        return CnCase.SCALED_IDENTITY, float(1.0 / kmax), int(p), int(c)
-    return _CN_CASES[case], float(u), int(p), int(c)
 
 
 def cncml_u_star(stats: SampleStats, kmax: float) -> CnCaseResult:
@@ -460,9 +451,13 @@ def cncml_u_star(stats: SampleStats, kmax: float) -> CnCaseResult:
     The case, ``u*`` and the clip counts are read off the breakpoint table
     (:class:`_CnTable`) that :func:`cncml` and :func:`select_kmax` read.
     """
-    case, u, p, c = _cn_solution(stats, kmax)
-    nbar = int(np.count_nonzero(stats.d / stats.sigma2 >= 1.0))
-    return CnCaseResult(case_id=case, u_star=u, p=p, q=stats.n - c, nbar=nbar)
+    x = stats.d / stats.sigma2
+    case, u, p, c = (column[0] for column in _cn_solve(x[np.newaxis], kmax))
+    # the table solves dbar_1 <= 1 as the FML case; that is reported as the
+    # scaled identity, u* = 1/kmax, with the same cap map
+    case, u = (CnCase.SCALED_IDENTITY, 1.0 / kmax) if x[0] <= 1.0 else (_CN_CASES[case], u)
+    nbar = int(np.count_nonzero(x >= 1.0))
+    return CnCaseResult(case_id=case, u_star=float(u), p=int(p), q=stats.n - int(c), nbar=nbar)
 
 
 def _cn_caps(d: np.ndarray, sigma2: float, kmax, case, u, p, c) -> np.ndarray:

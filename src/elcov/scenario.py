@@ -99,9 +99,12 @@ def jammer_covariance(cfg: ScenarioConfig) -> np.ndarray:
     """Build the scenario's true covariance matrix.
 
     The result is exactly Hermitian Toeplitz, its diagonal the total jammer
-    power plus the noise power.  It is positive definite by construction; a
-    smallest eigenvalue that rounding leaves at or below zero, at an extreme
-    jammer-to-noise ratio, raises :class:`NumericalError`.
+    power plus the noise power.  It is positive definite by construction,
+    but at an extreme jammer-to-noise ratio rounding can leave its smallest
+    eigenvalue within the eigensolver's own error, whose sign then depends
+    on the BLAS kernel.  So it must clear that error by a margin: a smallest
+    eigenvalue at or below ``eps`` times the largest, a condition number of
+    ``1/eps`` or more, raises :class:`NumericalError`.
     """
     n = cfg.n
     # entry (i, j) depends on the lag i - j only: build the 2N - 1 lags
@@ -114,10 +117,12 @@ def jammer_covariance(cfg: ScenarioConfig) -> np.ndarray:
     idx = np.arange(n)
     r = column[idx[:, None] - idx[None, :] + (n - 1)]
     r[idx, idx] += cfg.noise_power
-    lam_min = float(np.linalg.eigvalsh(r)[0])
-    if not lam_min > 0.0:
+    w = np.linalg.eigvalsh(r)
+    lam_min, lam_max = float(w[0]), float(w[-1])
+    if not lam_min > np.finfo(float).eps * lam_max:
         raise NumericalError("true covariance is not positive definite at this jammer-to-noise"
-                             f" ratio (smallest eigenvalue {lam_min:.3e})")
+                             f" ratio (smallest eigenvalue {lam_min:.3e} is not above machine"
+                             f" epsilon times the largest, {lam_max:.3e})")
     return r
 
 

@@ -216,15 +216,14 @@ def select_rank_sigma(
 ) -> JointSelection:
     """Alternating selection of rank and noise power, in one pass.
 
-    The inputs are checked once, up front: dimension at least 2 so the
-    trailing mean stays defined, ``k >= 1``, a descending and positive
-    spectrum, nonzero finite training columns and a unit-norm steering vector.
+    The inputs are checked once: ``k >= 1``, a descending spectrum, nonzero
+    finite training columns and a unit-norm steering vector up front, and
+    in the core, a dimension of at least 2 so the trailing mean stays
+    defined and a positive spectrum.
     ``r_init`` is clamped into ``[0, n - 1]``, not checked; the config loader
     and ``elcov select`` reject a value outside that range.
     """
     n, d = s_eig.n, s_eig.eigenvalues
-    if n < 2:
-        raise InputError("joint rank and noise selection needs dimension >= 2")
     if k < 1:
         raise InputError("sample count k must be at least 1")
     log_lr0 = _log(lr0)
@@ -353,8 +352,10 @@ def _kmax_rows(d: np.ndarray, sigma2: float, log_lr0) -> _KmaxRows:
     spectra at one noise power, against each row's ``log lr0`` (a float for
     every row, or ``(B,)``), from one breakpoint table for the stack.
 
-    Each row's closed forms (``k_ml`` or 1) and root segment come from masked
-    passes over the table's log-LR column.  The Newton steps stay scalar per
+    Each row's closed forms (``k_ml`` or 1) are read off its first and last
+    rows, and its root segment off the table's one lookup
+    (:meth:`_CnTable.segment`) on the log-LR column, the lookup that
+    :func:`cncml` makes on the ``kmax`` column.  The Newton steps stay scalar per
     row, with ``math.log`` and ``math.exp``, as numpy's vector ``log`` and
     ``exp`` can differ from them in the last bit.  The estimates are one cap
     map at the selected bounds, read off the same table.  Raises
@@ -365,20 +366,14 @@ def _kmax_rows(d: np.ndarray, sigma2: float, log_lr0) -> _KmaxRows:
         raise InputError("sample eigenvalues must be non-negative")
     x = d / sigma2
     table = _CnTable(x)
-    log_lr, valid, cell_at = table.log_lr.ravel(), table.valid, table.cell_at
-    first, last = valid.argmax(axis=1) + cell_at, table.prior[:, -1] + cell_at
+    log_lr = table.log_lr.ravel()
     targets = np.full(len(x), log_lr0)
-    closed = (x[:, 0] <= 1.0) | (log_lr.take(first) <= targets)
-    at_one = ~closed & (log_lr.take(last) >= targets)
-    # the root lies in [kmax[i], kmax[i-1]]; at kmax = 1 it is the last segment.
-    # A closed form's row is the first, which is also where no row is at or
-    # below lr0.
-    below = valid & (table.log_lr <= targets[:, np.newaxis])
-    i = below.argmax(axis=1) + cell_at
-    i = np.where(at_one, last, np.where(below.ravel().take(i), i, first))
-    segment = table.rank.ravel().take(i)
-    # the row above i; the first row's is the last, as a list wraps index -1
-    above = np.where(segment > 0, table.prior.ravel().take(i - 1) + cell_at, last)
+    closed = (x[:, 0] <= 1.0) | (log_lr.take(table.first) <= targets)
+    at_one = ~closed & (log_lr.take(table.last) >= targets)
+    # the root lies in [kmax[i], kmax[above]]; at kmax = 1 it is the last
+    # segment.  A closed form's row is the first: the first at or below lr0,
+    # or, where dbar_1 <= 1, the path's one row.
+    i, segment, above = table.segment(table.log_lr, targets, at_one)
     kmax = table.kmax.ravel()
     p, c = table.top.ravel().take(above), table.bottom.ravel().take(above)
     kmax_hat = np.minimum(np.maximum(kmax.take(i), 1.0), table.k_ml)
@@ -437,8 +432,9 @@ def select_kmax(stats: SampleStats, lr0: float) -> KmaxSelection:
     function lists the path in ``visited``.
     """
     sel = _kmax_rows(stats.d[np.newaxis], stats.sigma2, _log(lr0))
-    kmaxes, log_lr = sel.table.row(0)
-    visited = list(zip(kmaxes.tolist(), log_lr.tolist()))
+    rows = sel.table.valid[0]
+    kmaxes = sel.table.kmax[0, rows].tolist()
+    visited = list(zip(kmaxes, sel.table.log_lr[0, rows].tolist()))
     kmax_hat, i = float(sel.kmax_hat[0]), sel.segment[0]
     if 0 < i and kmaxes[i] < kmax_hat < kmaxes[i - 1]:
         visited.insert(i, (kmax_hat, float(sel.log_lr[0])))

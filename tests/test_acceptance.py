@@ -13,6 +13,7 @@ import time
 
 import numpy as np
 import pytest
+from scipy.special import digamma
 
 from conftest import (
     cn_lambda_map,
@@ -28,6 +29,7 @@ from elcov import (
     ExperimentConfig,
     LambertBranch,
     SampleStats,
+    ScenarioConfig,
     cncml,
     cncml_u_star,
     condition_number,
@@ -519,4 +521,38 @@ def test_criterion_14_simulate_determinism(tmp_path):
     for name in ("trials.csv", "summary.csv"):
         ok &= (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
     report(14, "identical config and seed give byte-identical CSVs", ok, started)
+    assert ok
+
+
+def test_criterion_15_smi_sinr_law(tmp_path):
+    """SMI's normalized SINR is ``Beta(K - N + 2, N - 1)`` for any true
+    covariance (Reed, Mallett & Brennan, 1974), so its mean in dB is
+    ``10/ln 10 (psi(K - N + 2) - psi(K + 1))`` at every steering angle, and
+    so is the mean of a trial's ``sinr_db``, its mean over the steering
+    grid.  Each cell's sweep mean must lie within three standard errors of
+    it, the standard error taken over the trials.  Drawing the training from
+    ``R`` itself instead of its square-root factor puts the jammer cells at
+    z = +7 to +40."""
+    started = time.time()
+    zs, ln10 = [], math.log(10.0)
+    for n, trials in ((4, 4000), (20, 2000), (64, 400)):
+        for jammer in ({}, dict(jammer_powers=(100.0,), jammer_angles=(25.0,),
+                                jammer_bandwidths=(0.1,))):
+            cfg = ExperimentConfig(
+                scenario=ScenarioConfig(n=n, **jammer),
+                k_list=(n, 2 * n),
+                trials=trials,
+                master_seed=2024,
+                estimators=(EstimatorSpec.parse("SMI"),),
+                output_path=str(tmp_path / f"{n}-{len(jammer)}"),
+            )
+            records = run_experiment(cfg)
+            for k in cfg.k_list:
+                sinr = np.array([rec.sinr_db for rec in records if rec.k == k])
+                law = 10.0 / ln10 * float(digamma(k - n + 2) - digamma(k + 1))
+                se = float(sinr.std(ddof=1)) / math.sqrt(len(sinr))
+                zs.append((f"{n}/{k}{'j' if jammer else ''}", (float(sinr.mean()) - law) / se))
+    ok = all(abs(z) <= 3.0 for _, z in zs)
+    report(15, "SMI's mean SINR follows its closed-form law", ok, started,
+           "z by N/K, j with the jammer: " + " ".join(f"{cell} {z:+.2f}" for cell, z in zs))
     assert ok

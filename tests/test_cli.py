@@ -313,6 +313,19 @@ class TestSimulateCommand:
         assert len(table.read_text().splitlines()) == 2  # the header and (6, 12)
         assert not out.exists()
 
+    def test_joint_selection_at_dimension_one_fails_without_csv(self, tmp_path, capsys):
+        # the joint core's own dimension check ends the sweep
+        table, out = tmp_path / "lr0.txt", tmp_path / "out"
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(
+            "[scenario]\nn = 1\n\n[experiment]\nk_list = 4\ntrials = 3\nmaster_seed = 1\n"
+            f"estimators = SMI, RCML_EL_SIGMA\nlr0_table = {table}\noutput = {out}\n"
+        )
+        assert cli(["simulate", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: joint rank and noise selection needs dimension >= 2")
+        assert not (out / "trials.csv").exists() and not (out / "summary.csv").exists()
+
     @pytest.mark.parametrize(
         "scenario",
         [
@@ -337,8 +350,8 @@ class TestSimulateCommand:
     @pytest.mark.parametrize(
         "scenario, corruption, code, message",
         [
-            # 1e16 rather than 1e15: at 1e15 the sign of the rounded smallest
-            # eigenvalue depends on the BLAS kernel
+            ("jammer_powers = 1e15\njammer_angles = 20\njammer_bandwidths = 0.3", "", 2,
+             "numerical error: true covariance is not positive definite"),
             ("jammer_powers = 1e16\njammer_angles = 20\njammer_bandwidths = 0.3", "", 2,
              "numerical error: true covariance is not positive definite"),
             ("noise_power = 1e-30\njammer_powers = 10, 100, 1000\n"
@@ -350,7 +363,8 @@ class TestSimulateCommand:
             ("", "[corruption]\nfraction = 0.5\namplitude = 1e200\n", 1,
              "error: training entries and their sample covariance must be finite"),
         ],
-        ids=["jammer-power", "noise-power", "total-power", "corruption-amplitude"],
+        ids=["jammer-power-1e15", "jammer-power", "noise-power", "total-power",
+             "corruption-amplitude"],
     )
     def test_unsound_covariance_ends_with_one_line(self, tmp_path, capsys, scenario, corruption,
                                                    code, message):

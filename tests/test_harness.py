@@ -1173,3 +1173,44 @@ class TestSinrScorer:
             lambdas[1, col] = np.nan
             with pytest.raises(SingularMatrixError, match="NaN"):
                 _sinr_scorer(lambdas, *args)
+
+
+class TestScaleEquivariance:
+    NAMES = ("SMI", "FML", "RCML_EL", "RCML_FIXED(5)", "RCML_EL_SIGMA", "CNCML_ML",
+             "CNCML_FIXED(8)", "CNCML_EL", "LSMI_EL")
+
+    def _sweep(self, tmp_path, c):
+        ref = reference_scenario()
+        scenario = ScenarioConfig(
+            n=ref.n, jammer_powers=tuple(c * p for p in ref.jammer_powers),
+            jammer_angles=ref.jammer_angles, jammer_bandwidths=ref.jammer_bandwidths,
+            noise_power=c * ref.noise_power, angle_mode=ref.angle_mode,
+        )
+        cfg = noise_only_config(
+            tmp_path, scenario=scenario, k_list=(20, 30, 40), trials=100,
+            estimators=tuple(EstimatorSpec.parse(t) for t in self.NAMES),
+            lr0_table_path=str(tmp_path / "lr0.txt"), output_path=str(tmp_path / f"out{c}"),
+        )
+        return run_experiment(cfg)
+
+    @pytest.mark.parametrize("c", [2.0**10, 2.0**-6], ids=["2^10", "2^-6"])
+    def test_scaling_every_power_scales_only_the_powers(self, tmp_path, c):
+        """Scaling the noise and jammer powers by ``c`` scales the true
+        covariance, its square-root factor (``c`` an even power of 2, so
+        exactly), the training and every sample spectrum by ``c``.  Each
+        estimator then picks the same constraints, its noise power and
+        loading scale by ``c``, and its SINR stays.  The estimators whose
+        selection is a comparison or a ratio do so bit for bit; the joint and
+        loading selectors take logs of the scaled spectrum, so to rounding."""
+        base, scaled = self._sweep(tmp_path, 1.0), self._sweep(tmp_path, c)
+        assert len(base) == len(scaled) == 300 * len(self.NAMES)
+        for one, two in zip(base, scaled):
+            key = (one.k, one.trial_index, one.estimator, one.r_hat, one.kmax_hat)
+            assert key == (two.k, two.trial_index, two.estimator, two.r_hat, two.kmax_hat)
+            if one.estimator in ("RCML_EL_SIGMA", "LSMI_EL"):
+                assert two.sinr_db == pytest.approx(one.sinr_db, rel=1e-12)
+                for a, b in ((one.sigma2_hat, two.sigma2_hat), (one.beta_hat, two.beta_hat)):
+                    assert a is b is None or b / c == pytest.approx(a, rel=1e-12)
+            else:
+                assert (two.sinr_db, two.beta_hat) == (one.sinr_db, None)
+                assert two.sigma2_hat == (None if one.sigma2_hat is None else c * one.sigma2_hat)

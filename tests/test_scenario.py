@@ -126,23 +126,35 @@ class TestJammerCovariance:
     @pytest.mark.parametrize(
         "cfg",
         [
-            # 1e16 rather than 1e15: at 1e15 the sign of the rounded smallest
-            # eigenvalue depends on the BLAS kernel
+            ScenarioConfig(n=20, jammer_powers=(1e15,), jammer_angles=(20.0,),
+                           jammer_bandwidths=(0.3,)),
             ScenarioConfig(n=20, jammer_powers=(1e16,), jammer_angles=(20.0,),
                            jammer_bandwidths=(0.3,)),
             ScenarioConfig(n=20, jammer_powers=(10.0, 100.0, 1000.0),
                            jammer_angles=(0.349, 0.698, 1.047), jammer_bandwidths=(0.2, 0.0, 0.3),
                            angle_mode="radians", noise_power=1e-30),
         ],
-        ids=["jammer-1e16", "noise-1e-30"],
+        ids=["jammer-1e15", "jammer-1e16", "noise-1e-30"],
     )
     def test_rounding_past_positive_definite_raises(self, cfg, monkeypatch):
         eigvalsh, calls = np.linalg.eigvalsh, []
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(1) or eigvalsh(a))
         monkeypatch.setattr(np.linalg, "eigh", None)  # no clamp-and-rebuild
-        with pytest.raises(NumericalError, match=r"not positive definite .*smallest eigenvalue -"):
+        with pytest.raises(NumericalError, match=r"not positive definite .*smallest eigenvalue "
+                           r"\S+ is not above machine epsilon times the largest, \d"):
             jammer_covariance(cfg)
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("power", [1e12, 1e13, 1e14])
+    def test_condition_number_below_one_over_eps_builds(self, power):
+        # at 1e14 the smallest eigenvalue still clears eps times the largest
+        # about twofold on the SkylakeX, Haswell and SandyBridge kernels; at
+        # 1e15 it is within rounding
+        for count in (1, 3):
+            cfg = ScenarioConfig(n=20, jammer_powers=(power, power / 10, power / 100)[:count],
+                                 jammer_angles=(20.0, 40.0, 60.0)[:count],
+                                 jammer_bandwidths=(0.3, 0.2, 0.1)[:count])
+            assert jammer_covariance(cfg).shape == (20, 20)
 
     def test_toeplitz_exact(self):
         cfg = ScenarioConfig(n=10, jammer_powers=(100.0,), jammer_angles=(37.0,),

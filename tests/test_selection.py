@@ -29,6 +29,7 @@ from elcov import (
     NoRootError,
     SampleStats,
     cncml,
+    cncml_u_star,
     derive_rng,
     eig_hermitian,
     generate_training,
@@ -48,7 +49,7 @@ from elcov import (
     sqrt_factor,
     steering_vector,
 )
-from elcov.estimators import _cn_solution, _cncml_rows, _CnTable
+from elcov.estimators import _cncml_rows, _CnTable
 from elcov.harness import _ESTIMATORS, EstimatorSpec, build_estimate
 from elcov.likelihood import log_tail_lr, lr0_reference
 from elcov.selection import _kmax_rows, _loading_rows, _nmf_scorer, _rank_rows
@@ -660,13 +661,20 @@ class TestMatchesFormerJointPath:
         for lr0_bad in (0.0, -0.5, 1.5, np.nan):
             cases.append((eig, k, 1, lr0_bad, z, steering))
         cases.append((eig, 0, 1, lr0, z, steering))
-        cases.append((spectrum([2.0]), k, 0, lr0, z[:1], steering[:1]))
-        for k_bad, lr0_bad in ((0, lr0), (k, 0.0)):  # n = 1 and a second fault
-            cases.append((spectrum([2.0]), k_bad, 0, lr0_bad, z, steering))
+        cases.append((spectrum([2.0]), k, 0, lr0, z[:1], steering_vector(1, 0.0)))
         assert isinstance(_outcome(select_rank_sigma, *good), JointSelection)
         for args in cases:
             raised = self._same(select_rank_sigma, select_rank_sigma_oracle, *args)
             assert raised[0] == "InputError"
+        # n = 1 with a second fault: the core checks the dimension, after the
+        # entry's own checks, so the second fault is the one reported
+        for args, message in (
+            ((spectrum([2.0]), k, 0, lr0, z[:1], steering[:1]),
+             "steering must be a unit-norm length-n vector"),
+            ((spectrum([2.0]), 0, 0, lr0, z, steering), "sample count k must be at least 1"),
+            ((spectrum([2.0]), k, 0, 0.0, z, steering), "lr0 must lie in (0, 1]"),
+        ):
+            assert _outcome(select_rank_sigma, *args) == ("InputError", message)
 
     def _roots(self, d, r, lr0):
         """``sigma_el_roots`` against the oracle, except on a valid call whose
@@ -954,6 +962,20 @@ class TestStackedCores:
                 d[row] = np.sort(d[row])[::-1]
             yield d, sigma2, lr0s
 
+    def test_every_path_runs_from_k_ml_to_one(self, rng):
+        """The invariant the table's lookup rests on: each spectrum's first row
+        is at ``k_ml`` and its last at ``kmax = 1``, so every bound of at
+        least 1 has a row at or under it; a spectrum at or under the noise
+        floor has the one row at cell 0."""
+        for d, sigma2, _ in self._cn_stacks(rng, 60):
+            x = d / sigma2
+            table = _CnTable(x)
+            kmax = table.kmax.ravel()
+            assert kmax.take(table.first).tobytes() == table.k_ml.tobytes()
+            assert (kmax.take(table.last) == 1.0).all()
+            low = x[:, 0] <= 1.0
+            assert (table.valid[low].sum(axis=1) == 1).all() and table.valid[low, 0].all()
+
     def test_kmax_rows_match_scalar_oracle(self, rng):
         for stack, sigma2, lr0s in self._cn_stacks(rng, 60):
             # a stack with a negative entry raises; its other rows are
@@ -1033,9 +1055,11 @@ class TestStackedCores:
                     assert lambdas[i].tobytes() == oracle.lambdas.tobytes()
                     assert repr(constraints[i]) == repr(oracle.constraints)
                     if len(d) == 1:
-                        case, u, p, c = _cn_solution(stats, kmax)
+                        res = cncml_u_star(stats, kmax)
                         o_case, o_u, o_p, o_c = scalar_cn_solution_oracle(stats, kmax)
-                        assert repr((case, u, p, c)) == repr((o_case, float(o_u), o_p, o_c))
+                        assert repr((res.case_id, res.u_star, res.p, stats.n - res.q)) == repr(
+                            (o_case, float(o_u), o_p, o_c)
+                        )
                         assert cncml(stats, kmax).lambdas.tobytes() == oracle.lambdas.tobytes()
 
 
@@ -1099,18 +1123,19 @@ class TestKmaxPath:
             d = _spectrum(rng, n, sigma2)
             stats = stats_from_spectrum(d, sigma2=sigma2)
             dbar = d / sigma2
-            path = _CnTable(dbar[np.newaxis]).row(0)
-            assert path.kmax[0] == max(dbar[0], 1.0)
-            assert path.kmax[-1] == 1.0
-            assert np.all(np.diff(path.kmax) <= 0.0)
+            table = _CnTable(dbar[np.newaxis])
+            kmaxes, log_lr = table.kmax[0, table.valid[0]], table.log_lr[0, table.valid[0]]
+            assert kmaxes[0] == max(dbar[0], 1.0)
+            assert kmaxes[-1] == 1.0
+            assert np.all(np.diff(kmaxes) <= 0.0)
             # an independent estimate at every breakpoint: the bisected u*, or
             # u = 1/kmax where dbar_1 <= kmax and the cap map gives max(dbar, 1)
-            _, u = bisect_u_oracle(dbar, path.kmax)
-            u = np.where(dbar[0] <= path.kmax, 1.0 / path.kmax, u)
-            for km, u_km, val in zip(path.kmax.tolist(), u.tolist(), path.log_lr.tolist()):
+            _, u = bisect_u_oracle(dbar, kmaxes)
+            u = np.where(dbar[0] <= kmaxes, 1.0 / kmaxes, u)
+            for km, u_km, val in zip(kmaxes.tolist(), u.tolist(), log_lr.tolist()):
                 lam = sigma2 / cn_lambda_map(u_km, dbar, km)
                 assert abs(val - log_lr_value(lam, d)) <= 1e-9
-            assert np.all(np.diff(path.log_lr) <= 1e-9)
+            assert np.all(np.diff(log_lr) <= 1e-9)
 
     def test_matches_illinois_oracle_on_random_spectra(self, rng):
         roots = 0
@@ -1196,10 +1221,10 @@ class TestKmaxPath:
         stats = stats_from_spectrum(d, sigma2=0.5)
         lr0 = _interior_lr0(rng, stats)
         sel = select_kmax(stats, lr0)
-        path = _CnTable((d / 0.5)[np.newaxis]).row(0)
+        table = _CnTable((d / 0.5)[np.newaxis])
         kmaxes = [k for k, _ in sel.visited]
         assert kmaxes == sorted(kmaxes, reverse=True)
-        assert sorted(set(kmaxes) - set(path.kmax.tolist())) == [sel.kmax_hat]
+        assert sorted(set(kmaxes) - set(table.kmax[0, table.valid[0]].tolist())) == [sel.kmax_hat]
         assert dict(sel.visited)[sel.kmax_hat] == pytest.approx(math.log(lr0), abs=1e-9)
         assert 0.0 < sel.final_step <= 1e-9 * sel.kmax_hat
 
