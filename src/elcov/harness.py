@@ -14,10 +14,12 @@ the projections onto each eigenbasis that SINR scoring needs.  Every
 estimator, its constraint selector included, runs as one map over the
 pass, which reads its ``(B, N)`` spectra, each row's ``log lr0`` (its
 sample count's log median, the one form of lr0 a sweep holds) and, for
-``RCML_EL_SIGMA``, each row's basis and training.  Each cell scores all its
-estimates in one call, by normalized SINR averaged over a steering grid in
-the trial's sample eigenbasis.  Every row of a pass equals the estimate
-built on its trial alone, bit for bit, so the passes change no output, and
+``RCML_EL_SIGMA``, each row's basis and training.  The pass then scores its
+estimates by normalized SINR averaged over a steering grid in each trial's
+sample eigenbasis, one call per block of a few consecutive cells, sized so
+that the call's temporaries stay in cache.  Every row of a pass equals the
+estimate built on its trial alone, and every score the score of that
+estimate alone, bit for bit, so the passes and blocks change no output, and
 identical configuration and master seed reproduce the output CSVs byte for
 byte.  For the same reason a pass raises exactly when one of its cells
 would raise alone; its error, from the first failing estimator in
@@ -82,6 +84,11 @@ __all__ = [
 # holds its (B, N, N) sample covariances, their concatenation, G and the
 # output of eigh, so at K near N its footprint is several times the count.
 _PASS_ELEMENTS = 2**16
+
+# Budget of one scoring call, counted as the elements of its (b, E, N, S)
+# filters y = w0 / lambdas: 3 cells a call at N = 20, seven estimators and
+# the 19-angle grid, 1 at N = 64, so that a call's temporaries stay in cache.
+_SCORE_ELEMENTS = 2**13
 
 
 class _Pass(NamedTuple):
@@ -238,11 +245,11 @@ class TrialRecord:
 
     ``wall_time`` is the estimator's share of its pass, that pass's time
     over its ``B`` cells, whatever their sample counts, plus an equal share
-    of the cell's one scoring call.  The pass's shared draws, ``eigh`` and
-    eigenbasis projections are not in it, nor is stacking its estimates
-    for scoring.  It is
-    informational only and kept out of the CSV files so reruns stay
-    byte-identical.
+    of the scoring call of the cell's block, that call's time over its
+    ``b`` cells times ``E`` estimators.  The pass's shared draws, ``eigh``
+    and eigenbasis projections are not in it, nor is stacking its estimates
+    for scoring.  It is informational only and kept out of the CSV files so
+    reruns stay byte-identical.
     """
 
     trial_index: int
@@ -332,23 +339,48 @@ def _eigenbasis_projections(v, r_true, steer):
 
 
 def _sinr_scorer(lambdas, w0, g, den_true) -> np.ndarray:
-    """Mean normalized SINR in dB over the steering grid of each row of an
-    ``(E, N)`` stack of estimate eigenvalues on one basis ``V``.
+    """Mean normalized SINR in dB over the steering grid of each estimate in
+    a ``(..., E, N)`` stack of estimate eigenvalues, the ``E`` estimates of
+    each cell on its one basis ``V``: a cell's ``(E, N)``, or a block's
+    ``(b, E, N)`` with ``(b, N, S)`` and ``(b, N, N)`` projections.
 
     With ``w0 = V^H s``, ``G = V^H R V`` and ``y = w0 / lambdas``, the filter
     ``x = V y`` has ``s^H x = sum |w0|^2 / lambdas`` and ``x^H R x = y^H G y``.
+    Each estimate's score equals its score alone, bit for bit, whatever the
+    stack.
     """
     if not (lambdas > 0).all():  # also catches NaN, for which `<= 0` is false
         raise SingularMatrixError("estimate has a non-positive or NaN eigenvalue")
     q = 1.0 / lambdas
+    w0, g = w0[..., np.newaxis, :, :], g[..., np.newaxis, :, :]  # broadcast over E
     w2 = np.abs(w0) ** 2
-    # a stack of (1, N) @ (N, S) products, one matvec per row: a single
-    # (E, N) @ (N, S) product rounds differently
-    num = (q[:, None, :] @ w2)[:, 0]
-    y = w0 * q[:, :, None]
-    den = (y.conj() * (g @ y)).sum(axis=1).real
+    # stacks of per-estimate products, one (1, N) @ (N, S) matvec for num and
+    # one (N, N) @ (N, S) gemm for G y: a single (E, N) @ (N, S) product, or
+    # one over a block's cells, rounds differently
+    num = (q[..., np.newaxis, :] @ w2)[..., 0, :]
+    y = w0 * q[..., np.newaxis]
+    den = (y.conj() * (g @ y)).sum(axis=-2).real
     db = 10.0 * np.log10(num**2 / (den * den_true))
-    return db.sum(axis=1) / db.shape[1]  # np.mean's sum and division, without its overhead
+    return db.sum(axis=-1) / db.shape[-1]  # np.mean's sum and division, without its overhead
+
+
+def _score_pass(estimates, w0, g, den_true) -> tuple[list[list[float]], list[float]]:
+    """Scores of a pass's ``(B, E, N)`` estimates, a list of each cell's
+    ``E``, one :func:`_sinr_scorer` call per block of cells, and each cell's
+    share of its block's time per estimate: the block's time over its
+    ``b E`` scores.  A block takes ``_SCORE_ELEMENTS // (E N S)`` cells, and
+    at least one."""
+    cells, e, n = estimates.shape
+    step = max(1, _SCORE_ELEMENTS // (e * n * len(den_true)))
+    sinr_db, shares = [], []
+    for lo in range(0, cells, step):
+        block = slice(lo, lo + step)
+        start = time.perf_counter()
+        db = _sinr_scorer(estimates[block], w0[block], g[block], den_true)
+        seconds = time.perf_counter() - start
+        sinr_db += db.tolist()
+        shares += [seconds / db.size] * len(db)
+    return sinr_db, shares
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[TrialRecord]:
@@ -395,14 +427,13 @@ def run_experiment(cfg: ExperimentConfig) -> list[TrialRecord]:
         # per estimator: (lambdas, constraints, seconds per cell) of its pass
         built = [_timed(spec, p) for spec in cfg.estimators]
         estimates = np.stack([lam for lam, _, _ in built], axis=1)  # (B, E, N)
-        for i, (k, trial) in enumerate(cells_of_pass):
-            start = time.perf_counter()
-            sinr_db = _sinr_scorer(estimates[i], w0[i], g[i], den_true).tolist()
-            score_share = (time.perf_counter() - start) / len(names)
-            for name, (_, constraints, build), sinr in zip(names, built, sinr_db):
+        sinr_db, score_shares = _score_pass(estimates, w0, g, den_true)
+        for i, ((k, trial), sinr_row, share) in enumerate(
+                zip(cells_of_pass, sinr_db, score_shares)):
+            for name, (_, constraints, build), sinr in zip(names, built, sinr_row):
                 con = constraints[i]
                 records.append(TrialRecord(trial, k, name, con.r, con.sigma2, con.kmax,
-                                           con.beta, sinr, build + score_share))
+                                           con.beta, sinr, build + share))
         # free this pass's arrays before the next pass allocates its own
         del p, zs, covariances, d, v, w0, g, estimates
     _write_outputs(cfg, records)

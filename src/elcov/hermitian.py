@@ -153,7 +153,9 @@ def _sample_rows(factor, k: int, rngs) -> np.ndarray:
     normals = np.empty((len(rngs), 2, factor.shape[1], k))
     for row, rng in zip(normals, rngs):
         rng.standard_normal(out=row)
-    w = normals[:, 0] + 1j * normals[:, 1]
+    # filled in place: no complex temporary for 1j times the imaginary parts
+    w = np.empty((len(rngs), factor.shape[1], k), dtype=np.complex128)
+    w.real, w.imag = normals[:, 0], normals[:, 1]
     w *= np.sqrt(0.5)
     return factor @ w
 

@@ -693,6 +693,31 @@ def draw_training_oracle(factor, k, corruption, rng):
     return z, corrupted
 
 
+def sample_rows_oracle(factor, k, rngs):
+    """The former ``hermitian._sample_rows``, which built the complex normals
+    as ``real + 1j * imag``, a full-size temporary."""
+    factor = np.asarray(factor, dtype=np.complex128)
+    normals = np.empty((len(rngs), 2, factor.shape[1], k))
+    for row, rng in zip(normals, rngs):
+        rng.standard_normal(out=row)
+    w = normals[:, 0] + 1j * normals[:, 1]
+    w *= np.sqrt(0.5)
+    return factor @ w
+
+
+def sinr_scorer_oracle(lambdas, w0, g, den_true) -> np.ndarray:
+    """The former per-cell ``harness._sinr_scorer``: mean normalized SINR in
+    dB of each row of one cell's ``(E, N)`` estimates on its one basis, with
+    ``w0`` ``(N, S)`` and ``g`` ``(N, N)``."""
+    q = 1.0 / lambdas
+    w2 = np.abs(w0) ** 2
+    num = (q[:, None, :] @ w2)[:, 0]
+    y = w0 * q[:, :, None]
+    den = (y.conj() * (g @ y)).sum(axis=1).real
+    db = 10.0 * np.log10(num**2 / (den * den_true))
+    return db.sum(axis=1) / db.shape[1]
+
+
 def jammer_covariance_oracle(cfg: ScenarioConfig) -> np.ndarray:
     """The former element-wise build of ``jammer_covariance``: the sinc and
     the complex exp taken per entry rather than per lag."""

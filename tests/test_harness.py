@@ -1,6 +1,8 @@
 import csv
 import hashlib
+import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from conftest import (
     scalar_loading_oracle,
     scalar_rank_oracle,
     select_rank_sigma_oracle,
+    sinr_scorer_oracle,
 )
 from elcov import (
     CorruptionSpec,
@@ -47,7 +50,7 @@ from elcov import (
     steering_vector,
 )
 from elcov.cli import cli
-from elcov.harness import _eigenbasis_projections, _sinr_scorer, build_estimate
+from elcov.harness import _eigenbasis_projections, _score_pass, _sinr_scorer, build_estimate
 from elcov.metrics import apply_inverse
 
 
@@ -652,13 +655,13 @@ class TestTrialBlocks:
                 for spec in specs:
                     est = build_estimate(spec, stats, lr0, (2, z, nmf))
                     con = est.constraints
-                    sinr = _sinr_scorer(est.lambdas[np.newaxis], *args)[0]
+                    sinr = sinr_scorer_oracle(est.lambdas[np.newaxis], *args)[0]
                     oracle.append((k, t, str(spec), con.r, con.sigma2, con.kmax, con.beta, sinr))
         got = [(r.k, r.trial_index, r.estimator, r.r_hat, r.sigma2_hat, r.kmax_hat, r.beta_hat,
                 r.sinr_db) for r in records]
         assert got == oracle
 
-    def test_one_stacked_eigh_per_pass_and_one_score_per_trial(self, tmp_path, monkeypatch):
+    def test_one_stacked_eigh_per_pass_and_one_score_per_block(self, tmp_path, monkeypatch):
         eigh_stacks, scored = [], []
         eigh_inner, score_inner = harness._eigh_desc, harness._sinr_scorer
 
@@ -689,7 +692,12 @@ class TestTrialBlocks:
         assert [len(p) for p in passes] == [81, 67, 54, 38]
         assert {k for k, _ in passes[1]} == {20, 40}
         assert eigh_stacks == [(len(p), n, n) for p in passes]
-        assert scored == [(2, n)] * (len(k_list) * trials)
+        # 18 grid angles: blocks of 8 192 // (2 * 20 * 18) = 11 cells, each
+        # pass's last block taking what is left of it: 81 = 7 * 11 + 4
+        assert len(default_steering_grid(reference_scenario())) == 18
+        blocks = [min(11, len(p) - lo) for p in passes for lo in range(0, len(p), 11)]
+        assert blocks[:9] == [11] * 7 + [4, 11]
+        assert scored == [(b, 2, n) for b in blocks]
 
     def test_one_kmax_pass_per_pass_and_no_per_trial_stats(self, tmp_path, monkeypatch):
         # every estimator is a map over a pass: eigh, the kmax core, the
@@ -1173,6 +1181,73 @@ class TestSinrScorer:
             lambdas[1, col] = np.nan
             with pytest.raises(SingularMatrixError, match="NaN"):
                 _sinr_scorer(lambdas, *args)
+
+
+class TestBlockedScoring:
+    """A pass scores its cells in blocks, one scoring call a block; each
+    score equals the former per-cell scorer's bit for bit, and each record
+    is charged its block's time over the block's scores."""
+
+    @pytest.mark.parametrize("s", [1, 16, 19])
+    @pytest.mark.parametrize("n", [4, 20, 64])
+    def test_blocks_equal_per_cell_oracle(self, rng, n, s):
+        cells = 81
+        h = rng.standard_normal((cells, n, n)) + 1j * rng.standard_normal((cells, n, n))
+        _, v = harness._eigh_desc(h + h.conj().swapaxes(-1, -2))
+        r_true = random_psd(rng, n) + 0.1 * np.eye(n)
+        steer = rng.standard_normal((n, s)) + 1j * rng.standard_normal((n, s))
+        steer /= np.linalg.norm(steer, axis=0)
+        den_true = np.abs(np.sum(steer.conj() * np.linalg.solve(r_true, steer), axis=0))
+        w0, g = _eigenbasis_projections(v, r_true, steer)
+        spectra = np.exp(rng.normal(0.0, 2.0, (cells, 9, n)))
+        for e in (1, 7, 9):
+            for b in (1, 5, 81):
+                estimates = np.ascontiguousarray(spectra[:b, :e])
+                sinr_db, _ = _score_pass(estimates, w0[:b], g[:b], den_true)
+                oracle = [sinr_scorer_oracle(estimates[i], w0[i], g[i], den_true)
+                          for i in range(b)]
+                assert np.shape(sinr_db) == (b, e)
+                assert np.array_equal(np.array(sinr_db).view(np.uint64),
+                                      np.array(oracle).view(np.uint64))
+
+    def test_wall_time_is_pass_share_plus_block_share(self, tmp_path, monkeypatch):
+        # a clock that ticks 1 s a call, so each estimator map and each
+        # scoring call takes 1 s
+        ticks = itertools.count()
+        monkeypatch.setattr(harness, "time",
+                            SimpleNamespace(perf_counter=lambda: float(next(ticks))))
+        scored, score_inner = [], harness._sinr_scorer
+
+        def score(lambdas, *args):
+            scored.append(len(lambdas))
+            return score_inner(lambdas, *args)
+
+        monkeypatch.setattr(harness, "_sinr_scorer", score)
+        n, k_list, trials, e = 20, (20, 30), 10, 3
+        # passes of 11 cells (k = 20's 10 and k = 30's first) and 9; blocks of
+        # 8 192 // (3 * 20 * 18) = 7 cells
+        monkeypatch.setattr(harness, "_PASS_ELEMENTS", 9 * n * (n + 30))
+        cfg = noise_only_config(
+            tmp_path, scenario=reference_scenario(), k_list=k_list, trials=trials,
+            estimators=tuple(EstimatorSpec.parse(t) for t in ("SMI", "FML", "CNCML_FIXED(8)")),
+        )
+        records = run_experiment(cfg)
+        passes = harness._passes(n, [(k, t) for k in k_list for t in range(trials)])
+        blocks = ([7, 4], [7, 2])
+        assert [len(p) for p in passes] == [11, 9]
+        assert scored == sum(blocks, [])
+        # each record: its estimator's map over its pass's cells, plus its
+        # block's scoring call over the block's b cells times E estimators
+        assert [r.wall_time for r in records] == [
+            1.0 / len(p) + 1.0 / (b * e) for p, sizes in zip(passes, blocks)
+            for b in sizes for _ in range(b * e)]
+        # a pass's records add up to its E estimator maps and its scoring calls
+        start = 0
+        for p, sizes in zip(passes, blocks):
+            rows = records[start : start + len(p) * e]
+            assert math.fsum(r.wall_time for r in rows) == pytest.approx(e + len(sizes), rel=1e-14)
+            start += len(rows)
+        assert start == len(records)
 
 
 class TestScaleEquivariance:

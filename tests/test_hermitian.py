@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from conftest import as_hermitian_oracle, eigh_desc_oracle, random_hermitian, random_psd
+from conftest import (
+    as_hermitian_oracle,
+    eigh_desc_oracle,
+    random_hermitian,
+    random_psd,
+    sample_rows_oracle,
+)
 from elcov import (
     InputError,
     NotPositiveSemidefiniteError,
@@ -14,7 +20,7 @@ from elcov import (
     sqrt_factor,
     ScenarioConfig,
 )
-from elcov.hermitian import _eigh_desc
+from elcov.hermitian import _eigh_desc, _sample_rows
 
 
 class TestAsHermitian:
@@ -95,6 +101,17 @@ class TestMatchesFormerCode:
             assert w.shape == w_former.shape and v.shape == v_former.shape
             assert w.tobytes() == w_former.tobytes()
             assert v.tobytes() == v_former.tobytes()
+
+    @pytest.mark.parametrize("b, n, k", [(1, 1, 1), (5, 64, 128), (54, 20, 30), (3, 7, 2)])
+    def test_sample_rows(self, rng, b, n, k):
+        factor = random_hermitian(rng, n)
+        for seed in (0, 1, 2024):
+            rngs = [derive_rng(seed, "trial", k, t) for t in range(b)]
+            former = [derive_rng(seed, "trial", k, t) for t in range(b)]
+            z = _sample_rows(factor, k, rngs)
+            assert z.shape == (b, n, k)
+            assert np.array_equal(z.view(np.uint64),
+                                  sample_rows_oracle(factor, k, former).view(np.uint64))
 
 
 class TestEig:
