@@ -10,9 +10,16 @@ corrupted columns, and the scale, the product with the covariance's
 square-root factor, the corruption and the sample covariances run once
 per run.  The pass then computes, in one stacked call each, the
 descending ``eigh`` with pinned phases of all its sample covariances and
-the projections onto each eigenbasis that SINR scoring needs.  Every
-estimator, its constraint selector included, runs as one map over the
-pass, which reads its ``(B, N)`` spectra, each row's ``log lr0`` (its
+the projections onto each eigenbasis that SINR scoring needs.  Where the
+process may run on two CPUs, a pass's ``eigh`` runs on a second core, in
+one worker thread, while the main thread draws the next pass (LAPACK
+releases the GIL).  The main thread waits for it before the projections
+and hands the worker the next pass's ``eigh`` only once this pass is
+recorded, so the timed estimator maps and scoring calls never overlap it.
+The last pass of a sweep decomposes on the main thread, and so does every
+pass of a one-pass sweep or of a one-CPU process, which start no thread.
+Every estimator, its constraint selector included, runs as one map over
+the pass, which reads its ``(B, N)`` spectra, each row's ``log lr0`` (its
 sample count's log median, the one form of lr0 a sweep holds) and, for
 ``RCML_EL_SIGMA``, each row's basis and training.  The pass then scores its
 estimates by normalized SINR averaged over a steering grid in each trial's
@@ -25,15 +32,21 @@ byte.  For the same reason a pass raises exactly when one of its cells
 would raise alone; its error, from the first failing estimator in
 configuration order, ends the sweep before the pass is scored, and no CSV
 is written.  Since a pass can span sample counts, that estimator may fail
-at a later sample count than another estimator's failure.
+at a later sample count than another estimator's failure.  Errors keep
+pass order: an error from drawing the next pass is raised only once this
+pass is scored, and one from this pass's ``eigh`` is raised, unchanged,
+before this pass is built.  The worker is joined before the sweep returns
+or raises.
 """
 
 from __future__ import annotations
 
 import configparser
+import contextlib
 import csv
 import itertools
 import math
+import os
 import time
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
@@ -87,7 +100,8 @@ _PASS_ELEMENTS = 2**16
 
 # Budget of one scoring call, counted as the elements of its (b, E, N, S)
 # filters y = w0 / lambdas: 3 cells a call at N = 20, seven estimators and
-# the 19-angle grid, 1 at N = 64, so that a call's temporaries stay in cache.
+# the reference scenario's 18-angle grid, 1 at N = 64, so that a call's
+# temporaries stay in cache.
 _SCORE_ELEMENTS = 2**13
 
 
@@ -248,7 +262,9 @@ class TrialRecord:
     of the scoring call of the cell's block, that call's time over its
     ``b`` cells times ``E`` estimators.  The pass's shared draws, ``eigh``
     and eigenbasis projections are not in it, nor is stacking its estimates
-    for scoring.  It is informational only and kept out of the CSV files so
+    for scoring.  A pass's ``eigh`` may run on a second core while the next
+    pass is drawn, but never while an estimator map or scoring call is
+    timed.  It is informational only and kept out of the CSV files so
     reruns stay byte-identical.
     """
 
@@ -330,6 +346,26 @@ def _passes(n: int, cells: list[tuple[int, int]]) -> list[list[tuple[int, int]]]
     return passes
 
 
+def _spare_core() -> bool:
+    """Whether this process may run on more than one CPU."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) > 1
+    return (os.cpu_count() or 1) > 1  # no affinity mask on this platform
+
+
+def _draw_pass(cfg: ExperimentConfig, factor, cells_of_pass):
+    """A pass's training, a list of each cell's ``(N, K)`` rows, and its
+    ``(B, N, N)`` sample covariances: one training draw and one stack of
+    sample covariances per run of one sample count."""
+    zs, covariances = [], []
+    for k, run in itertools.groupby(cells_of_pass, key=lambda cell: cell[0]):
+        rngs = [derive_rng(cfg.master_seed, "trial", k, trial) for _, trial in run]
+        z, _ = _draw_rows(factor, k, cfg.corruption, rngs)
+        zs += list(z)
+        covariances.append(sample_covariance(z))
+    return zs, np.concatenate(covariances)
+
+
 def _eigenbasis_projections(v, r_true, steer):
     """``W0 = V^H steer`` and the symmetrized ``G = V^H R V`` for a stack of
     bases ``V``."""
@@ -359,6 +395,9 @@ def _sinr_scorer(lambdas, w0, g, den_true) -> np.ndarray:
     # one over a block's cells, rounds differently
     num = (q[..., np.newaxis, :] @ w2)[..., 0, :]
     y = w0 * q[..., np.newaxis]
+    # the real part of the full complex product: the real-part form
+    # (y.real * Gy.real + y.imag * Gy.imag).sum(-2) moves the last bit of
+    # about 15 % of the scores of a sweep, and is slower
     den = (y.conj() * (g @ y)).sum(axis=-2).real
     db = 10.0 * np.log10(num**2 / (den * den_true))
     return db.sum(axis=-1) / db.shape[-1]  # np.mean's sum and division, without its overhead
@@ -409,33 +448,43 @@ def run_experiment(cfg: ExperimentConfig) -> list[TrialRecord]:
 
     names = [str(spec) for spec in cfg.estimators]
     records: list[TrialRecord] = []
-    cells = [(k, trial) for k in cfg.k_list for trial in range(cfg.trials)]
-    for cells_of_pass in _passes(n, cells):
-        # the pass's runs of one sample count: a training draw and its
-        # sample covariances each
-        zs, covariances = [], []
-        for k, run in itertools.groupby(cells_of_pass, key=lambda cell: cell[0]):
-            rngs = [derive_rng(cfg.master_seed, "trial", k, trial) for _, trial in run]
-            z, _ = _draw_rows(factor, k, cfg.corruption, rngs)
-            zs += list(z)
-            covariances.append(sample_covariance(z))
-        d, v = _eigh_desc(np.concatenate(covariances))
-        w0, g = _eigenbasis_projections(v, r_true, steer)
-        p = _Pass(d, v, zs, scenario.noise_power,
-                  np.array([log_lr0_by_k[k] for k, _ in cells_of_pass]) if needs_lr0 else None,
-                  r_init, nmf_steering)
-        # per estimator: (lambdas, constraints, seconds per cell) of its pass
-        built = [_timed(spec, p) for spec in cfg.estimators]
-        estimates = np.stack([lam for lam, _, _ in built], axis=1)  # (B, E, N)
-        sinr_db, score_shares = _score_pass(estimates, w0, g, den_true)
-        for i, ((k, trial), sinr_row, share) in enumerate(
-                zip(cells_of_pass, sinr_db, score_shares)):
-            for name, (_, constraints, build), sinr in zip(names, built, sinr_row):
-                con = constraints[i]
-                records.append(TrialRecord(trial, k, name, con.r, con.sigma2, con.kmax,
-                                           con.beta, sinr, build + share))
-        # free this pass's arrays before the next pass allocates its own
-        del p, zs, covariances, d, v, w0, g, estimates
+    passes = _passes(n, [(k, trial) for k in cfg.k_list for trial in range(cfg.trials)])
+    # one worker thread decomposes a pass while this thread draws the next;
+    # a one-pass sweep or a one-CPU process starts none
+    overlap = len(passes) > 1 and _spare_core()
+    if overlap:  # imported only here: it loads logging, 0.6 MB that other runs do without
+        from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(max_workers=1) if overlap else contextlib.nullcontext() as worker:
+        drawn = _draw_pass(cfg, factor, passes[0])
+        for i, cells_of_pass in enumerate(passes):
+            (zs, covariances), last = drawn, i + 1 == len(passes)
+            eigh = None if worker is None or last else worker.submit(_eigh_desc, covariances)
+            try:
+                drawn = None if last else _draw_pass(cfg, factor, passes[i + 1])
+            except Exception as exc:  # held until this pass is scored, to keep pass order
+                drawn = exc
+            # the worker is idle from here until the next pass is submitted,
+            # so no timed map or scoring call shares the CPU with it
+            d, v = _eigh_desc(covariances) if eigh is None else eigh.result()
+            del covariances
+            w0, g = _eigenbasis_projections(v, r_true, steer)
+            p = _Pass(d, v, zs, scenario.noise_power,
+                      np.array([log_lr0_by_k[k] for k, _ in cells_of_pass]) if needs_lr0 else None,
+                      r_init, nmf_steering)
+            # per estimator: (lambdas, constraints, seconds per cell) of its pass
+            built = [_timed(spec, p) for spec in cfg.estimators]
+            estimates = np.stack([lam for lam, _, _ in built], axis=1)  # (B, E, N)
+            sinr_db, score_shares = _score_pass(estimates, w0, g, den_true)
+            for j, ((k, trial), sinr_row, share) in enumerate(
+                    zip(cells_of_pass, sinr_db, score_shares)):
+                for name, (_, constraints, build), sinr in zip(names, built, sinr_row):
+                    con = constraints[j]
+                    records.append(TrialRecord(trial, k, name, con.r, con.sigma2, con.kmax,
+                                               con.beta, sinr, build + share))
+            # free this pass's arrays before the next pass builds its own
+            del p, zs, d, v, w0, g, estimates
+            if isinstance(drawn, Exception):
+                raise drawn
     _write_outputs(cfg, records)
     return records
 

@@ -2,6 +2,9 @@ import csv
 import hashlib
 import itertools
 import math
+import os
+import threading
+import time
 from types import SimpleNamespace
 
 import numpy as np
@@ -19,6 +22,7 @@ from conftest import (
     scalar_rank_oracle,
     select_rank_sigma_oracle,
     sinr_scorer_oracle,
+    six_jammer_scenario,
 )
 from elcov import (
     CorruptionSpec,
@@ -1248,6 +1252,248 @@ class TestBlockedScoring:
             assert math.fsum(r.wall_time for r in rows) == pytest.approx(e + len(sizes), rel=1e-14)
             start += len(rows)
         assert start == len(records)
+
+
+def _on_main_thread() -> bool:
+    return threading.current_thread() is threading.main_thread()
+
+
+def _logged(log, label, fn):
+    """``fn``, appending ``(label, on the main thread, start, end)`` to
+    ``log`` for each call, whether it returns or raises."""
+    def call(*args):
+        start = time.perf_counter()
+        try:
+            return fn(*args)
+        finally:
+            log.append((label, _on_main_thread(), start, time.perf_counter()))
+    return call
+
+
+class TestOverlappedEigh:
+    """A worker thread decomposes each pass but the last while the main
+    thread draws the next pass; the outputs, the errors and their order are
+    those of the inline sweep, and no timed work shares the CPU with it."""
+
+    # the README's scenario and sweep, with every estimator kind
+    README_SCENARIO = ScenarioConfig(
+        n=20, noise_power=1.0, jammer_powers=(10.0, 100.0, 1000.0),
+        jammer_angles=(0.349, 0.698, 1.047), jammer_bandwidths=(0.2, 0.0, 0.3),
+        angle_mode="radians",
+    )
+    NAMES = ("SMI", "FML", "RCML_EL", "RCML_EL_SIGMA", "RCML_FIXED(5)", "CNCML_ML",
+             "CNCML_FIXED(3)", "CNCML_EL", "LSMI_EL", "CNCML_FIXED(8)")
+
+    def _config(self, tmp_path, sweep, out):
+        if sweep == "large-n":
+            base = dict(scenario=six_jammer_scenario(64), k_list=(64, 128), trials=12)
+        else:
+            corruption = CorruptionSpec(fraction=0.5, amplitude=50.0,
+                                        steering=steering_vector(20, 0.0))
+            base = dict(scenario=self.README_SCENARIO, k_list=(20, 30, 40), trials=100,
+                        corruption=corruption if sweep == "corrupted" else None)
+        base.update(master_seed=2024, estimators=tuple(map(EstimatorSpec.parse, self.NAMES)),
+                    r_init=3, lr0_table_path=str(tmp_path / "lr0.txt"),
+                    output_path=str(tmp_path / out))
+        return ExperimentConfig(**base)
+
+    def _small(self, tmp_path):
+        # three passes of 4, 4 and 2 cells at k = 20 under small_passes
+        cfg = noise_only_config(
+            tmp_path, scenario=reference_scenario(), k_list=(20,), trials=10,
+            estimators=(EstimatorSpec.parse("SMI"), EstimatorSpec.parse("FML")))
+        return cfg, [4, 4, 2]
+
+    @pytest.fixture
+    def small_passes(self, monkeypatch):
+        monkeypatch.setattr(harness, "_PASS_ELEMENTS", 4 * 20 * (20 + 20))
+        assert [len(p) for p in harness._passes(20, [(20, t) for t in range(10)])] == [4, 4, 2]
+
+    @pytest.mark.parametrize("sweep", ["clean", "corrupted", "large-n"])
+    @pytest.mark.parametrize("budget", [harness._PASS_ELEMENTS, 1], ids=["default", "one-cell"])
+    def test_overlapped_and_inline_sweeps_write_the_same_bytes(
+        self, tmp_path, monkeypatch, sweep, budget
+    ):
+        monkeypatch.setattr(harness, "_PASS_ELEMENTS", budget)
+        log = []
+        monkeypatch.setattr(harness, "_eigh_desc", _logged(log, "eigh", harness._eigh_desc))
+        outputs = []
+        for overlap in (True, False):
+            monkeypatch.setattr(harness, "_spare_core", lambda: overlap)
+            out = tmp_path / f"out{overlap}"
+            run_experiment(self._config(tmp_path, sweep, out.name))
+            outputs.append([(out / name).read_bytes() for name in ("trials.csv", "summary.csv")])
+        assert outputs[0] == outputs[1]
+        # every pass but the last of the overlapped sweep ran on the worker,
+        # and every pass of the inline sweep on the main thread
+        passes = len(log) // 2
+        assert passes > 1
+        assert [main for _, main, _, _ in log] == [False] * (passes - 1) + [True] * (passes + 1)
+
+    def test_timed_work_never_overlaps_a_worker_eigh(self, tmp_path, monkeypatch, small_passes):
+        log = []
+        monkeypatch.setattr(harness, "_spare_core", lambda: True)
+        monkeypatch.setattr(harness, "_eigh_desc", _logged(log, "eigh", harness._eigh_desc))
+        monkeypatch.setattr(harness, "_draw_rows", _logged(log, "draw", harness._draw_rows))
+        monkeypatch.setattr(harness, "_sinr_scorer", _logged(log, "score", harness._sinr_scorer))
+        for name, estimator in harness._ESTIMATORS.items():
+            monkeypatch.setitem(harness._ESTIMATORS, name,
+                                estimator._replace(rows=_logged(log, "map", estimator.rows)))
+        cfg, sizes = self._small(tmp_path)
+        run_experiment(cfg)
+        worker = [(start, end) for label, main, start, end in log if label == "eigh" and not main]
+        timed = [(start, end) for label, _, start, end in log if label in ("map", "score")]
+        assert len(worker) == len(sizes) - 1
+        assert [main for label, main, _, _ in log if label == "eigh"] == [False, False, True]
+        assert len(timed) == 3 * 2 + 3  # two maps a pass and a scoring block a pass
+        assert all(end <= start or begin >= stop for begin, end in timed for start, stop in worker)
+        # each draw runs on the main thread, each but the first while the
+        # worker decomposes the pass before it: it starts after that pass's
+        # eigh was handed over, so before any of that pass's timed work
+        draws = [start for label, main, start, _ in log if label == "draw" and main]
+        builds = sorted(start for label, _, start, _ in log if label == "map")[::2]
+        assert len(draws) == len(builds) == len(sizes)
+        assert all(draw < build for draw, build in zip(draws[1:], builds))
+
+    @pytest.mark.parametrize("cpus, on_main", [({0}, [True] * 3), ({0, 1}, [False, False, True])])
+    def test_one_cpu_affinity_decomposes_inline(
+        self, tmp_path, monkeypatch, small_passes, cpus, on_main
+    ):
+        log = []
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        monkeypatch.setattr(harness, "_eigh_desc", _logged(log, "eigh", harness._eigh_desc))
+        threads = threading.active_count()
+        run_experiment(self._small(tmp_path)[0])
+        assert [main for _, main, _, _ in log] == on_main
+        assert threading.active_count() == threads
+
+    def test_one_pass_sweep_starts_no_thread(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(harness, "_spare_core", lambda: True)
+        seen, eigh_inner = [], harness._eigh_desc
+
+        def eigh(h):
+            seen.append((_on_main_thread(), threading.active_count()))
+            return eigh_inner(h)
+
+        monkeypatch.setattr(harness, "_eigh_desc", eigh)
+        threads = threading.active_count()
+        cfg, _ = self._small(tmp_path)
+        cfg.trials = 3
+        assert len(run_experiment(cfg)) == 6
+        assert seen == [(True, threads)]
+
+    @pytest.mark.parametrize("overlap", [True, False], ids=["overlapped", "inline"])
+    def test_draw_error_waits_for_the_pass_before_it(
+        self, tmp_path, monkeypatch, small_passes, overlap
+    ):
+        # pass 1's training overflows: its sample covariance raises once
+        # pass 0 has been built and scored, and nothing is written
+        monkeypatch.setattr(harness, "_spare_core", lambda: overlap)
+        draw_inner, calls, scored = harness._draw_rows, [], []
+
+        def draw_rows(factor, k, corruption, rngs):
+            z, picks = draw_inner(factor, k, corruption, rngs)
+            calls.append(len(rngs))
+            if len(calls) == 2:
+                z[0, 0, 0] = np.inf
+            return z, picks
+
+        monkeypatch.setattr(harness, "_draw_rows", draw_rows)
+        monkeypatch.setattr(harness, "_sinr_scorer",
+                            _logged(scored, "score", harness._sinr_scorer))
+        threads = threading.active_count()
+        cfg, _ = self._small(tmp_path)
+        with pytest.raises(InputError, match="sample covariance must be finite"):
+            run_experiment(cfg)
+        assert calls == [4, 4]
+        assert len(scored) == 1  # pass 0's one block of 4 cells
+        assert not (tmp_path / "out").exists()
+        assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("overlap", [True, False], ids=["overlapped", "inline"])
+    def test_failing_estimator_beats_the_next_pass_draw_error(
+        self, tmp_path, monkeypatch, small_passes, overlap
+    ):
+        # pass 1's draw fails, but FML fails on pass 0 first
+        monkeypatch.setattr(harness, "_spare_core", lambda: overlap)
+        draw_inner, draws = harness._draw_rows, []
+
+        def draw_rows(factor, k, corruption, rngs):
+            draws.append(len(rngs))
+            if len(draws) == 2:
+                raise InputError("training entries and their sample covariance must be finite")
+            return draw_inner(factor, k, corruption, rngs)
+
+        def failing(p, param):
+            raise NoRootError("FML fails on pass 0")
+
+        monkeypatch.setattr(harness, "_draw_rows", draw_rows)
+        monkeypatch.setitem(harness._ESTIMATORS, "FML",
+                            harness._ESTIMATORS["FML"]._replace(rows=failing))
+        threads = threading.active_count()
+        cfg, _ = self._small(tmp_path)
+        with pytest.raises(NoRootError, match="FML fails on pass 0"):
+            run_experiment(cfg)
+        # pass 1 was drawn, and failed, before pass 0 was built
+        assert draws == [4, 4]
+        assert not (tmp_path / "out").exists()
+        assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("overlap", [True, False], ids=["overlapped", "inline"])
+    @pytest.mark.parametrize("draw_fails", [False, True], ids=["draw-ok", "draw-fails"])
+    def test_eigh_error_surfaces_at_its_own_pass(
+        self, tmp_path, monkeypatch, small_passes, overlap, draw_fails
+    ):
+        # pass 1's eigh raises, on the worker when overlapped: the same error
+        # object ends the sweep before pass 1 is built, even when pass 2's
+        # draw, which ran meanwhile, fails too
+        monkeypatch.setattr(harness, "_spare_core", lambda: overlap)
+        error = np.linalg.LinAlgError("Eigenvalues did not converge")
+        eigh_inner, draw_inner, on_main, scored, draws = (
+            harness._eigh_desc, harness._draw_rows, [], [], [])
+
+        def eigh(h):
+            on_main.append(_on_main_thread())
+            if len(on_main) == 2:
+                raise error
+            return eigh_inner(h)
+
+        def draw_rows(factor, k, corruption, rngs):
+            draws.append(len(rngs))
+            if draw_fails and len(draws) == 3:
+                raise InputError("training entries and their sample covariance must be finite")
+            return draw_inner(factor, k, corruption, rngs)
+
+        monkeypatch.setattr(harness, "_eigh_desc", eigh)
+        monkeypatch.setattr(harness, "_draw_rows", draw_rows)
+        monkeypatch.setattr(harness, "_sinr_scorer",
+                            _logged(scored, "score", harness._sinr_scorer))
+        threads = threading.active_count()
+        cfg, _ = self._small(tmp_path)
+        with pytest.raises(np.linalg.LinAlgError) as caught:
+            run_experiment(cfg)
+        assert caught.value is error
+        assert on_main == [not overlap] * 2
+        assert len(scored) == 1  # pass 0 only
+        assert draws == [4, 4, 2]
+        assert not (tmp_path / "out").exists()
+        assert threading.active_count() == threads
+
+    def test_no_thread_left_after_a_sweep(self, tmp_path, monkeypatch, small_passes):
+        monkeypatch.setattr(harness, "_spare_core", lambda: True)
+        seen = []
+        eigh_inner = harness._eigh_desc
+
+        def eigh(h):
+            seen.append(threading.active_count())
+            return eigh_inner(h)
+
+        monkeypatch.setattr(harness, "_eigh_desc", eigh)
+        threads = threading.active_count()
+        cfg, _ = self._small(tmp_path)
+        assert len(run_experiment(cfg)) == 20
+        assert seen[0] == threads + 1  # the worker, while it runs
+        assert threading.active_count() == threads
 
 
 class TestScaleEquivariance:
