@@ -10,14 +10,13 @@ corrupted columns, and the scale, the product with the covariance's
 square-root factor, the corruption and the sample covariances run once
 per run.  The pass then computes, in one stacked call each, the
 descending ``eigh`` with pinned phases of all its sample covariances and
-the projections onto each eigenbasis that SINR scoring needs.  Where the
-process may run on two CPUs, a pass's ``eigh`` runs on a second core, in
-one worker thread, while the main thread draws the next pass (LAPACK
-releases the GIL).  The main thread waits for it before the projections
-and hands the worker the next pass's ``eigh`` only once this pass is
-recorded, so the timed estimator maps and scoring calls never overlap it.
-The last pass of a sweep decomposes on the main thread, and so does every
-pass of a one-pass sweep or of a one-CPU process, which start no thread.
+the projections onto each eigenbasis that SINR scoring needs.  A pass's
+``eigh`` runs on a second core, in one worker thread, while the main
+thread draws the next pass (LAPACK releases the GIL).  The main thread
+waits for it before the projections and hands the worker the next pass's
+``eigh`` only once this pass is recorded, so the timed estimator maps and
+scoring calls never overlap it.  The last pass of a sweep decomposes on
+the main thread, and a one-pass sweep starts no thread.
 Every estimator, its constraint selector included, runs as one map over
 the pass, which reads its ``(B, N)`` spectra, each row's ``log lr0`` (its
 sample count's log median, the one form of lr0 a sweep holds) and, for
@@ -46,7 +45,6 @@ import contextlib
 import csv
 import itertools
 import math
-import os
 import time
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
@@ -346,13 +344,6 @@ def _passes(n: int, cells: list[tuple[int, int]]) -> list[list[tuple[int, int]]]
     return passes
 
 
-def _spare_core() -> bool:
-    """Whether this process may run on more than one CPU."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0)) > 1
-    return (os.cpu_count() or 1) > 1  # no affinity mask on this platform
-
-
 def _draw_pass(cfg: ExperimentConfig, factor, cells_of_pass):
     """A pass's training, a list of each cell's ``(N, K)`` rows, and its
     ``(B, N, N)`` sample covariances: one training draw and one stack of
@@ -450,8 +441,8 @@ def run_experiment(cfg: ExperimentConfig) -> list[TrialRecord]:
     records: list[TrialRecord] = []
     passes = _passes(n, [(k, trial) for k in cfg.k_list for trial in range(cfg.trials)])
     # one worker thread decomposes a pass while this thread draws the next;
-    # a one-pass sweep or a one-CPU process starts none
-    overlap = len(passes) > 1 and _spare_core()
+    # a one-pass sweep starts none
+    overlap = len(passes) > 1
     if overlap:  # imported only here: it loads logging, 0.6 MB that other runs do without
         from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(max_workers=1) if overlap else contextlib.nullcontext() as worker:

@@ -1,8 +1,8 @@
+import concurrent.futures
 import csv
 import hashlib
 import itertools
 import math
-import os
 import threading
 import time
 from types import SimpleNamespace
@@ -1270,6 +1270,29 @@ def _logged(log, label, fn):
     return call
 
 
+class _InlineExecutor:
+    """A stand-in for ``ThreadPoolExecutor`` that runs each submitted call
+    at once, on the calling thread: the sweep then decomposes every pass
+    inline, as a one-pass sweep does."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return False
+
+    def submit(self, fn, *args):
+        future = concurrent.futures.Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
+
 class TestOverlappedEigh:
     """A worker thread decomposes each pass but the last while the main
     thread draws the next pass; the outputs, the errors and their order are
@@ -1319,7 +1342,8 @@ class TestOverlappedEigh:
         monkeypatch.setattr(harness, "_eigh_desc", _logged(log, "eigh", harness._eigh_desc))
         outputs = []
         for overlap in (True, False):
-            monkeypatch.setattr(harness, "_spare_core", lambda: overlap)
+            if not overlap:
+                monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _InlineExecutor)
             out = tmp_path / f"out{overlap}"
             run_experiment(self._config(tmp_path, sweep, out.name))
             outputs.append([(out / name).read_bytes() for name in ("trials.csv", "summary.csv")])
@@ -1331,16 +1355,23 @@ class TestOverlappedEigh:
         assert [main for _, main, _, _ in log] == [False] * (passes - 1) + [True] * (passes + 1)
 
     def test_timed_work_never_overlaps_a_worker_eigh(self, tmp_path, monkeypatch, small_passes):
-        log = []
-        monkeypatch.setattr(harness, "_spare_core", lambda: True)
-        monkeypatch.setattr(harness, "_eigh_desc", _logged(log, "eigh", harness._eigh_desc))
+        log, eigh_inner, threads_seen = [], harness._eigh_desc, []
+
+        def eigh(h):
+            threads_seen.append(threading.active_count())
+            return eigh_inner(h)
+
+        monkeypatch.setattr(harness, "_eigh_desc", _logged(log, "eigh", eigh))
         monkeypatch.setattr(harness, "_draw_rows", _logged(log, "draw", harness._draw_rows))
         monkeypatch.setattr(harness, "_sinr_scorer", _logged(log, "score", harness._sinr_scorer))
         for name, estimator in harness._ESTIMATORS.items():
             monkeypatch.setitem(harness._ESTIMATORS, name,
                                 estimator._replace(rows=_logged(log, "map", estimator.rows)))
         cfg, sizes = self._small(tmp_path)
+        threads = threading.active_count()
         run_experiment(cfg)
+        assert threads_seen[0] == threads + 1  # the worker, while it runs
+        assert threading.active_count() == threads
         worker = [(start, end) for label, main, start, end in log if label == "eigh" and not main]
         timed = [(start, end) for label, _, start, end in log if label in ("map", "score")]
         assert len(worker) == len(sizes) - 1
@@ -1355,20 +1386,7 @@ class TestOverlappedEigh:
         assert len(draws) == len(builds) == len(sizes)
         assert all(draw < build for draw, build in zip(draws[1:], builds))
 
-    @pytest.mark.parametrize("cpus, on_main", [({0}, [True] * 3), ({0, 1}, [False, False, True])])
-    def test_one_cpu_affinity_decomposes_inline(
-        self, tmp_path, monkeypatch, small_passes, cpus, on_main
-    ):
-        log = []
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
-        monkeypatch.setattr(harness, "_eigh_desc", _logged(log, "eigh", harness._eigh_desc))
-        threads = threading.active_count()
-        run_experiment(self._small(tmp_path)[0])
-        assert [main for _, main, _, _ in log] == on_main
-        assert threading.active_count() == threads
-
     def test_one_pass_sweep_starts_no_thread(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(harness, "_spare_core", lambda: True)
         seen, eigh_inner = [], harness._eigh_desc
 
         def eigh(h):
@@ -1382,13 +1400,11 @@ class TestOverlappedEigh:
         assert len(run_experiment(cfg)) == 6
         assert seen == [(True, threads)]
 
-    @pytest.mark.parametrize("overlap", [True, False], ids=["overlapped", "inline"])
     def test_draw_error_waits_for_the_pass_before_it(
-        self, tmp_path, monkeypatch, small_passes, overlap
+        self, tmp_path, monkeypatch, small_passes
     ):
         # pass 1's training overflows: its sample covariance raises once
         # pass 0 has been built and scored, and nothing is written
-        monkeypatch.setattr(harness, "_spare_core", lambda: overlap)
         draw_inner, calls, scored = harness._draw_rows, [], []
 
         def draw_rows(factor, k, corruption, rngs):
@@ -1410,12 +1426,10 @@ class TestOverlappedEigh:
         assert not (tmp_path / "out").exists()
         assert threading.active_count() == threads
 
-    @pytest.mark.parametrize("overlap", [True, False], ids=["overlapped", "inline"])
     def test_failing_estimator_beats_the_next_pass_draw_error(
-        self, tmp_path, monkeypatch, small_passes, overlap
+        self, tmp_path, monkeypatch, small_passes
     ):
         # pass 1's draw fails, but FML fails on pass 0 first
-        monkeypatch.setattr(harness, "_spare_core", lambda: overlap)
         draw_inner, draws = harness._draw_rows, []
 
         def draw_rows(factor, k, corruption, rngs):
@@ -1439,15 +1453,13 @@ class TestOverlappedEigh:
         assert not (tmp_path / "out").exists()
         assert threading.active_count() == threads
 
-    @pytest.mark.parametrize("overlap", [True, False], ids=["overlapped", "inline"])
     @pytest.mark.parametrize("draw_fails", [False, True], ids=["draw-ok", "draw-fails"])
     def test_eigh_error_surfaces_at_its_own_pass(
-        self, tmp_path, monkeypatch, small_passes, overlap, draw_fails
+        self, tmp_path, monkeypatch, small_passes, draw_fails
     ):
-        # pass 1's eigh raises, on the worker when overlapped: the same error
-        # object ends the sweep before pass 1 is built, even when pass 2's
-        # draw, which ran meanwhile, fails too
-        monkeypatch.setattr(harness, "_spare_core", lambda: overlap)
+        # pass 1's eigh raises on the worker: the same error object ends
+        # the sweep before pass 1 is built, even when pass 2's draw, which
+        # ran meanwhile, fails too
         error = np.linalg.LinAlgError("Eigenvalues did not converge")
         eigh_inner, draw_inner, on_main, scored, draws = (
             harness._eigh_desc, harness._draw_rows, [], [], [])
@@ -1473,26 +1485,10 @@ class TestOverlappedEigh:
         with pytest.raises(np.linalg.LinAlgError) as caught:
             run_experiment(cfg)
         assert caught.value is error
-        assert on_main == [not overlap] * 2
+        assert on_main == [False, False]
         assert len(scored) == 1  # pass 0 only
         assert draws == [4, 4, 2]
         assert not (tmp_path / "out").exists()
-        assert threading.active_count() == threads
-
-    def test_no_thread_left_after_a_sweep(self, tmp_path, monkeypatch, small_passes):
-        monkeypatch.setattr(harness, "_spare_core", lambda: True)
-        seen = []
-        eigh_inner = harness._eigh_desc
-
-        def eigh(h):
-            seen.append(threading.active_count())
-            return eigh_inner(h)
-
-        monkeypatch.setattr(harness, "_eigh_desc", eigh)
-        threads = threading.active_count()
-        cfg, _ = self._small(tmp_path)
-        assert len(run_experiment(cfg)) == 20
-        assert seen[0] == threads + 1  # the worker, while it runs
         assert threading.active_count() == threads
 
 
