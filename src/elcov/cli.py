@@ -106,8 +106,14 @@ def _cmd_select(args) -> int:
     if mode in ("rank", "kmax"):
         _require_sigma2(args, f"mode {mode}")
     stats = _load_stats(args)
-    if mode == "rank-sigma" and not 0 <= args.r_init < stats.n:
-        raise InputError(f"--r-init {args.r_init} outside [0, {stats.n - 1}]")
+    if mode == "rank-sigma":  # checked before the lr0 lookup, which may store a table
+        if not 0 <= args.r_init < stats.n:
+            raise InputError(f"--r-init {args.r_init} outside [0, {stats.n - 1}]")
+        if args.training is None:
+            raise InputError("--training is required for mode rank-sigma")
+        training = read_cmat(args.training)
+        if training.shape[1] != args.k:
+            raise InputError(f"--training has {training.shape[1]} columns, but --k is {args.k}")
     lr0 = args.lr0 if args.lr0 is not None else lr0_lookup(stats.n, args.k, args.lr0_table).lr0
     pairs = [("mode", mode), ("n", stats.n), ("k", stats.k), ("lr0", f"{lr0:.12g}")]
     if mode == "rank":
@@ -116,9 +122,6 @@ def _cmd_select(args) -> int:
         pairs.append(("visited_r", ",".join(str(r) for r, _ in sel.visited)))
         pairs.append(("visited_log_lr", _float_list(log_lr for _, log_lr in sel.visited)))
     elif mode == "rank-sigma":
-        if args.training is None:
-            raise InputError("--training is required for mode rank-sigma")
-        training = read_cmat(args.training)
         steering = steering_vector(stats.n, args.angle)
         joint = select_rank_sigma(stats.s_eig, args.k, args.r_init, lr0, training, steering)
         pairs.append(("r_hat", joint.r_hat))
@@ -197,7 +200,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sel.add_argument("--lr0", type=float, default=None, help="reference LR value")
     p_sel.add_argument("--lr0-table", default=None,
                        help="LR0TABLE file for lookup; a missing (n, k) is computed and appended")
-    p_sel.add_argument("--training", default=None, help="CMAT file with training columns")
+    p_sel.add_argument("--training", default=None,
+                       help="CMAT file with the n-by-k training, one column per sample")
     p_sel.add_argument("--angle", type=float, default=0.0, help="steering angle in degrees")
     p_sel.set_defaults(func=_cmd_select)
 

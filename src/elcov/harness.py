@@ -10,13 +10,12 @@ corrupted columns, and the scale, the product with the covariance's
 square-root factor, the corruption and the sample covariances run once
 per run.  The pass then computes, in one stacked call each, the
 descending ``eigh`` with pinned phases of all its sample covariances and
-the projections onto each eigenbasis that SINR scoring needs.  A pass's
-``eigh`` runs on a second core, in one worker thread, while the main
-thread draws the next pass (LAPACK releases the GIL).  The main thread
-waits for it before the projections and hands the worker the next pass's
-``eigh`` only once this pass is recorded, so the timed estimator maps and
-scoring calls never overlap it.  The last pass of a sweep decomposes on
-the main thread, and a one-pass sweep starts no thread.
+the projections onto each eigenbasis that SINR scoring needs.  While the
+main thread decomposes a pass, one worker thread draws the next on a
+second core (LAPACK releases the GIL).  The main thread waits for that
+draw before the projections, so the timed estimator maps and scoring
+calls never overlap it.  The first pass is drawn on the main thread, so a
+one-pass sweep starts no thread.
 Every estimator, its constraint selector included, runs as one map over
 the pass, which reads its ``(B, N)`` spectra, each row's ``log lr0`` (its
 sample count's log median, the one form of lr0 a sweep holds) and, for
@@ -32,16 +31,15 @@ would raise alone; its error, from the first failing estimator in
 configuration order, ends the sweep before the pass is scored, and no CSV
 is written.  Since a pass can span sample counts, that estimator may fail
 at a later sample count than another estimator's failure.  Errors keep
-pass order: an error from drawing the next pass is raised only once this
-pass is scored, and one from this pass's ``eigh`` is raised, unchanged,
-before this pass is built.  The worker is joined before the sweep returns
-or raises.
+pass order: an error from drawing a pass is raised, unchanged, only once
+the pass before it is recorded, and one from a pass's ``eigh`` before that
+pass is built, so it beats the pending draw's.  The worker is joined
+before the sweep returns or raises.
 """
 
 from __future__ import annotations
 
 import configparser
-import contextlib
 import csv
 import itertools
 import math
@@ -260,10 +258,10 @@ class TrialRecord:
     of the scoring call of the cell's block, that call's time over its
     ``b`` cells times ``E`` estimators.  The pass's shared draws, ``eigh``
     and eigenbasis projections are not in it, nor is stacking its estimates
-    for scoring.  A pass's ``eigh`` may run on a second core while the next
-    pass is drawn, but never while an estimator map or scoring call is
-    timed.  It is informational only and kept out of the CSV files so
-    reruns stay byte-identical.
+    for scoring.  The next pass may be drawn on a second core while a pass
+    decomposes, but never while an estimator map or scoring call is timed.
+    It is informational only and kept out of the CSV files so reruns stay
+    byte-identical.
     """
 
     trial_index: int
@@ -417,8 +415,12 @@ def run_experiment(cfg: ExperimentConfig) -> list[TrialRecord]:
     """Run the configured sweep and write trials.csv plus summary.csv.
 
     Returns the per-trial records.  Output lands under ``cfg.output_path``
-    (created if needed).
+    (created if needed); one that cannot be a directory fails before any pass.
     """
+    out_dir = Path(cfg.output_path)
+    existing = next(path for path in (out_dir, *out_dir.parents) if path.exists())
+    if not existing.is_dir():  # mkdir would reject it too, but only after every pass
+        raise InputError(f"output {cfg.output_path!r}: {str(existing)!r} is not a directory")
     scenario = cfg.scenario
     n = scenario.n
     r_true = jammer_covariance(scenario)
@@ -440,24 +442,21 @@ def run_experiment(cfg: ExperimentConfig) -> list[TrialRecord]:
     names = [str(spec) for spec in cfg.estimators]
     records: list[TrialRecord] = []
     passes = _passes(n, [(k, trial) for k in cfg.k_list for trial in range(cfg.trials)])
-    # one worker thread decomposes a pass while this thread draws the next;
-    # a one-pass sweep starts none
-    overlap = len(passes) > 1
-    if overlap:  # imported only here: it loads logging, 0.6 MB that other runs do without
-        from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=1) if overlap else contextlib.nullcontext() as worker:
-        drawn = _draw_pass(cfg, factor, passes[0])
+    # imported here, where only sweeps pay for the logging it loads (0.6 MB);
+    # the executor starts its thread at its first submit, so a one-pass
+    # sweep starts none
+    from concurrent.futures import ThreadPoolExecutor, wait
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        zs, covariances = _draw_pass(cfg, factor, passes[0])
         for i, cells_of_pass in enumerate(passes):
-            (zs, covariances), last = drawn, i + 1 == len(passes)
-            eigh = None if worker is None or last else worker.submit(_eigh_desc, covariances)
-            try:
-                drawn = None if last else _draw_pass(cfg, factor, passes[i + 1])
-            except Exception as exc:  # held until this pass is scored, to keep pass order
-                drawn = exc
-            # the worker is idle from here until the next pass is submitted,
-            # so no timed map or scoring call shares the CPU with it
-            d, v = _eigh_desc(covariances) if eigh is None else eigh.result()
+            # the next pass, if any, drawn on the worker while this pass decomposes
+            drawn = [worker.submit(_draw_pass, cfg, factor, cells)
+                     for cells in passes[i + 1:i + 2]]
+            d, v = _eigh_desc(covariances)
             del covariances
+            # wait does not raise; once it returns the worker is idle, so no
+            # timed map or scoring call shares the CPU with it
+            wait(drawn)
             w0, g = _eigenbasis_projections(v, r_true, steer)
             p = _Pass(d, v, zs, scenario.noise_power,
                       np.array([log_lr0_by_k[k] for k, _ in cells_of_pass]) if needs_lr0 else None,
@@ -474,8 +473,8 @@ def run_experiment(cfg: ExperimentConfig) -> list[TrialRecord]:
                                                con.beta, sinr, build + share))
             # free this pass's arrays before the next pass builds its own
             del p, zs, d, v, w0, g, estimates
-            if isinstance(drawn, Exception):
-                raise drawn
+            for future in drawn:  # a draw's error is raised here, once this pass is recorded
+                zs, covariances = future.result()
     _write_outputs(cfg, records)
     return records
 

@@ -197,6 +197,23 @@ class TestSelectCommand:
         assert code == 1
         assert "finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("columns", [4, 12])
+    def test_rank_sigma_rejects_training_of_another_sample_count(
+        self, tmp_path, capsys, rng, columns
+    ):
+        # select_rank_sigma reads k only as a count; the CLI checks the
+        # training against it before the lr0 lookup
+        s_path, z_path, table = tmp_path / "s.cmat", tmp_path / "z.cmat", tmp_path / "lr0.txt"
+        matrix_save(np.diag([9.0, 4.0, 0.6, 0.3]).astype(complex), s_path)
+        write_cmat(rng.standard_normal((4, columns)) + 0j, z_path)
+        code = cli(["select", "--input", str(s_path), "--k", "8", "--mode", "rank-sigma",
+                    "--r-init", "1", "--lr0-table", str(table), "--training", str(z_path)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --training has {columns} columns, but --k is 8\n"
+        assert not table.exists()
+
     @pytest.mark.parametrize("r_init", ["-1", "6"])
     def test_rank_sigma_rejects_r_init_out_of_range(self, tmp_path, capsys, rng, r_init):
         # select_rank_sigma clamps r_init into [0, n - 1]; the CLI rejects it

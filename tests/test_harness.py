@@ -270,6 +270,26 @@ class TestRunExperiment:
         assert text[0] == "LR0TABLE v1"
         assert len(text) == 2
 
+    @pytest.mark.parametrize("output", ["out", "out/sub"], ids=["file", "under-a-file"])
+    def test_output_path_blocked_by_a_file_fails_before_any_pass(
+        self, tmp_path, monkeypatch, output
+    ):
+        # mkdir would reject it only after every pass had run; the check
+        # runs first, before the lr0 table is computed and stored
+        (tmp_path / "out").write_text("not a directory\n")
+
+        def no_draw(*args):
+            raise AssertionError("a pass was drawn")
+
+        monkeypatch.setattr(harness, "_draw_pass", no_draw)
+        cfg = noise_only_config(
+            tmp_path, k_list=(8,), estimators=(EstimatorSpec.parse("RCML_EL"),),
+            lr0_table_path=str(tmp_path / "lr0.txt"), output_path=str(tmp_path / output))
+        with pytest.raises(InputError, match=f"{tmp_path / 'out'}' is not a directory"):
+            run_experiment(cfg)
+        assert list(tmp_path.iterdir()) == [tmp_path / "out"]
+        assert (tmp_path / "out").read_text() == "not a directory\n"
+
 
 CONFIG_TEXT = """
 [scenario]
@@ -1272,7 +1292,7 @@ def _logged(log, label, fn):
 
 class _InlineExecutor:
     """A stand-in for ``ThreadPoolExecutor`` that runs each submitted call
-    at once, on the calling thread: the sweep then decomposes every pass
+    at once, on the calling thread: the sweep then draws every pass
     inline, as a one-pass sweep does."""
 
     def __init__(self, max_workers):
@@ -1293,10 +1313,11 @@ class _InlineExecutor:
         return future
 
 
-class TestOverlappedEigh:
-    """A worker thread decomposes each pass but the last while the main
-    thread draws the next pass; the outputs, the errors and their order are
-    those of the inline sweep, and no timed work shares the CPU with it."""
+class TestOverlappedDraw:
+    """A worker thread draws each pass but the first while the main thread
+    decomposes the pass before it; the outputs, the errors and their order
+    are those of the inline sweep, and no timed work shares the CPU with
+    it."""
 
     # the README's scenario and sweep, with every estimator kind
     README_SCENARIO = ScenarioConfig(
@@ -1339,6 +1360,7 @@ class TestOverlappedEigh:
     ):
         monkeypatch.setattr(harness, "_PASS_ELEMENTS", budget)
         log = []
+        monkeypatch.setattr(harness, "_draw_pass", _logged(log, "draw", harness._draw_pass))
         monkeypatch.setattr(harness, "_eigh_desc", _logged(log, "eigh", harness._eigh_desc))
         outputs = []
         for overlap in (True, False):
@@ -1348,21 +1370,36 @@ class TestOverlappedEigh:
             run_experiment(self._config(tmp_path, sweep, out.name))
             outputs.append([(out / name).read_bytes() for name in ("trials.csv", "summary.csv")])
         assert outputs[0] == outputs[1]
-        # every pass but the last of the overlapped sweep ran on the worker,
-        # and every pass of the inline sweep on the main thread
-        passes = len(log) // 2
+        # every draw but the first of the overlapped sweep ran on the
+        # worker, every draw of the inline sweep on the main thread, and
+        # every eigh of both on the main thread
+        draws = [main for label, main, _, _ in log if label == "draw"]
+        passes = len(draws) // 2
         assert passes > 1
-        assert [main for _, main, _, _ in log] == [False] * (passes - 1) + [True] * (passes + 1)
+        assert draws == [True] + [False] * (passes - 1) + [True] * passes
+        assert [main for label, main, _, _ in log if label == "eigh"] == [True] * (2 * passes)
 
-    def test_timed_work_never_overlaps_a_worker_eigh(self, tmp_path, monkeypatch, small_passes):
-        log, eigh_inner, threads_seen = [], harness._eigh_desc, []
+    def test_timed_work_never_overlaps_a_worker_draw(self, tmp_path, monkeypatch, small_passes):
+        log, draw_inner, eigh_inner, threads_seen = [], harness._draw_pass, harness._eigh_desc, []
+        started = threading.Semaphore(0)  # released as each worker draw starts
+        eighs = []
+
+        def draw(*args):
+            threads_seen.append(threading.active_count())
+            if not _on_main_thread():
+                started.release()
+                time.sleep(0.02)  # long enough for timed work to overlap it, were it not held
+            return draw_inner(*args)
 
         def eigh(h):
-            threads_seen.append(threading.active_count())
+            # every eigh but the last waits until the next pass's draw has
+            # started, so an eigh that ran before that draw was submitted
+            # would time out here
+            eighs.append(len(eighs) == 2 or started.acquire(timeout=5.0))
             return eigh_inner(h)
 
+        monkeypatch.setattr(harness, "_draw_pass", _logged(log, "draw", draw))
         monkeypatch.setattr(harness, "_eigh_desc", _logged(log, "eigh", eigh))
-        monkeypatch.setattr(harness, "_draw_rows", _logged(log, "draw", harness._draw_rows))
         monkeypatch.setattr(harness, "_sinr_scorer", _logged(log, "score", harness._sinr_scorer))
         for name, estimator in harness._ESTIMATORS.items():
             monkeypatch.setitem(harness._ESTIMATORS, name,
@@ -1370,42 +1407,48 @@ class TestOverlappedEigh:
         cfg, sizes = self._small(tmp_path)
         threads = threading.active_count()
         run_experiment(cfg)
-        assert threads_seen[0] == threads + 1  # the worker, while it runs
+        # pass 0 is drawn before any thread starts, the others on the worker
+        assert threads_seen == [threads] + [threads + 1] * (len(sizes) - 1)
         assert threading.active_count() == threads
-        worker = [(start, end) for label, main, start, end in log if label == "eigh" and not main]
+        assert eighs == [True] * len(sizes)
+        assert [main for label, main, _, _ in log if label == "draw"] == [True, False, False]
+        assert [main for label, main, _, _ in log if label == "eigh"] == [True, True, True]
+        worker = [(start, end) for label, main, start, end in log if label == "draw" and not main]
         timed = [(start, end) for label, _, start, end in log if label in ("map", "score")]
-        assert len(worker) == len(sizes) - 1
-        assert [main for label, main, _, _ in log if label == "eigh"] == [False, False, True]
         assert len(timed) == 3 * 2 + 3  # two maps a pass and a scoring block a pass
         assert all(end <= start or begin >= stop for begin, end in timed for start, stop in worker)
-        # each draw runs on the main thread, each but the first while the
-        # worker decomposes the pass before it: it starts after that pass's
-        # eigh was handed over, so before any of that pass's timed work
-        draws = [start for label, main, start, _ in log if label == "draw" and main]
-        builds = sorted(start for label, _, start, _ in log if label == "map")[::2]
-        assert len(draws) == len(builds) == len(sizes)
-        assert all(draw < build for draw, build in zip(draws[1:], builds))
+        # each next-pass draw starts before the current pass's eigh ends
+        eigh_ends = [end for label, _, _, end in log if label == "eigh"]
+        assert all(start < end for (start, _), end in zip(worker, eigh_ends))
 
     def test_one_pass_sweep_starts_no_thread(self, tmp_path, monkeypatch):
-        seen, eigh_inner = [], harness._eigh_desc
+        seen, draw_inner, eigh_inner = [], harness._draw_pass, harness._eigh_desc
+
+        def draw(*args):
+            seen.append(("draw", _on_main_thread(), threading.active_count()))
+            return draw_inner(*args)
 
         def eigh(h):
-            seen.append((_on_main_thread(), threading.active_count()))
+            seen.append(("eigh", _on_main_thread(), threading.active_count()))
             return eigh_inner(h)
 
+        monkeypatch.setattr(harness, "_draw_pass", draw)
         monkeypatch.setattr(harness, "_eigh_desc", eigh)
         threads = threading.active_count()
         cfg, _ = self._small(tmp_path)
         cfg.trials = 3
         assert len(run_experiment(cfg)) == 6
-        assert seen == [(True, threads)]
+        assert seen == [("draw", True, threads), ("eigh", True, threads)]
+        assert threading.active_count() == threads
 
     def test_draw_error_waits_for_the_pass_before_it(
         self, tmp_path, monkeypatch, small_passes
     ):
-        # pass 1's training overflows: its sample covariance raises once
-        # pass 0 has been built and scored, and nothing is written
-        draw_inner, calls, scored = harness._draw_rows, [], []
+        # pass 1's training overflows: its sample covariance raises on the
+        # worker, and the same error ends the sweep once pass 0 has been
+        # built and scored; nothing is written
+        draw_inner, pass_inner, calls, scored, raised = (
+            harness._draw_rows, harness._draw_pass, [], [], [])
 
         def draw_rows(factor, k, corruption, rngs):
             z, picks = draw_inner(factor, k, corruption, rngs)
@@ -1414,13 +1457,22 @@ class TestOverlappedEigh:
                 z[0, 0, 0] = np.inf
             return z, picks
 
+        def draw_pass(*args):
+            try:
+                return pass_inner(*args)
+            except InputError as exc:
+                raised.append((_on_main_thread(), exc))
+                raise
+
         monkeypatch.setattr(harness, "_draw_rows", draw_rows)
+        monkeypatch.setattr(harness, "_draw_pass", draw_pass)
         monkeypatch.setattr(harness, "_sinr_scorer",
                             _logged(scored, "score", harness._sinr_scorer))
         threads = threading.active_count()
         cfg, _ = self._small(tmp_path)
-        with pytest.raises(InputError, match="sample covariance must be finite"):
+        with pytest.raises(InputError, match="sample covariance must be finite") as caught:
             run_experiment(cfg)
+        assert raised == [(False, caught.value)]
         assert calls == [4, 4]
         assert len(scored) == 1  # pass 0's one block of 4 cells
         assert not (tmp_path / "out").exists()
@@ -1457,9 +1509,9 @@ class TestOverlappedEigh:
     def test_eigh_error_surfaces_at_its_own_pass(
         self, tmp_path, monkeypatch, small_passes, draw_fails
     ):
-        # pass 1's eigh raises on the worker: the same error object ends
-        # the sweep before pass 1 is built, even when pass 2's draw, which
-        # ran meanwhile, fails too
+        # pass 1's eigh raises on the main thread: the same error object
+        # ends the sweep before pass 1 is built, even when pass 2's draw,
+        # which ran meanwhile on the worker, fails too
         error = np.linalg.LinAlgError("Eigenvalues did not converge")
         eigh_inner, draw_inner, on_main, scored, draws = (
             harness._eigh_desc, harness._draw_rows, [], [], [])
@@ -1485,7 +1537,7 @@ class TestOverlappedEigh:
         with pytest.raises(np.linalg.LinAlgError) as caught:
             run_experiment(cfg)
         assert caught.value is error
-        assert on_main == [False, False]
+        assert on_main == [True, True]
         assert len(scored) == 1  # pass 0 only
         assert draws == [4, 4, 2]
         assert not (tmp_path / "out").exists()
