@@ -19,10 +19,10 @@ import sys
 from .estimators import SampleStats, condition_number
 from .exceptions import InputError, NumericalError
 from .harness import EstimatorSpec, build_estimate, load_experiment_config, run_experiment
-from .likelihood import log_lr_value, lr0_lookup, lr0_reference, lr0_store
+from .likelihood import LRReference, log_lr_value, lr0_lookup, lr0_reference, lr0_store
 from .metrics import normalized_sinr
 from .scenario import matrix_load, read_cmat, steering_vector
-from .selection import select_kmax, select_loading, select_rank, select_rank_sigma
+from .selection import _log, select_kmax, select_loading, select_rank, select_rank_sigma
 
 __all__ = ["cli", "main"]
 
@@ -114,8 +114,13 @@ def _cmd_select(args) -> int:
         training = read_cmat(args.training)
         if training.shape[1] != args.k:
             raise InputError(f"--training has {training.shape[1]} columns, but --k is {args.k}")
-    lr0 = args.lr0 if args.lr0 is not None else lr0_lookup(stats.n, args.k, args.lr0_table).lr0
-    pairs = [("mode", mode), ("n", stats.n), ("k", stats.k), ("lr0", f"{lr0:.12g}")]
+    # the selectors take the reference itself, whose log lr0 stays finite
+    # where its lr0 underflows to 0
+    lr0 = args.lr0 if args.lr0 is not None else lr0_lookup(stats.n, args.k, args.lr0_table)
+    log_lr0 = _log(lr0)
+    shown = lr0.lr0 if isinstance(lr0, LRReference) else lr0
+    pairs = [("mode", mode), ("n", stats.n), ("k", stats.k), ("lr0", f"{shown:.12g}"),
+             ("log_lr0", f"{log_lr0:.12g}")]
     if mode == "rank":
         sel = select_rank(stats, lr0)
         pairs.append(("r_hat", sel.r_hat))

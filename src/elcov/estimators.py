@@ -113,16 +113,18 @@ class CovarianceEstimate:
 
 # Each map below works on a ``(B, N)`` stack of spectra, one estimate per row,
 # so a sweep builds all the trials of a pass in one call; the public
-# estimators are its one-row case.
+# estimators are its one-row case.  A map returns the ``(B, N)`` eigenvalues
+# and, in place of records, a length-B list per ConstraintRecord field it sets.
 
 
-def _one_row(stats: SampleStats, lambdas: np.ndarray, constraints: list) -> CovarianceEstimate:
+def _one_row(stats: SampleStats, lambdas: np.ndarray, columns: dict) -> CovarianceEstimate:
     """The estimate on ``stats``'s eigenbasis from a map of the stack ``stats.d[None]``."""
-    return CovarianceEstimate(lambdas[0], stats.s_eig.eigenvectors, constraints[0])
+    constraints = ConstraintRecord(**{name: column[0] for name, column in columns.items()})
+    return CovarianceEstimate(lambdas[0], stats.s_eig.eigenvectors, constraints)
 
 
 def _smi_rows(d: np.ndarray):
-    return d.copy(), [ConstraintRecord() for _ in range(len(d))]
+    return d.copy(), {}
 
 
 def smi(stats: SampleStats) -> CovarianceEstimate:
@@ -132,7 +134,7 @@ def smi(stats: SampleStats) -> CovarianceEstimate:
 
 def _fml_rows(d: np.ndarray, sigma2: float):
     ranks = (d > sigma2).sum(axis=1).tolist()
-    return np.maximum(d, sigma2), [ConstraintRecord(r=r, sigma2=sigma2) for r in ranks]
+    return np.maximum(d, sigma2), {"r": ranks, "sigma2": [sigma2] * len(d)}
 
 
 def fml(stats: SampleStats) -> CovarianceEstimate:
@@ -151,7 +153,7 @@ def _rcml_rows(d: np.ndarray, sigma2: float, ranks: list):
             raise InputError(f"rank {r} outside [0, {n}]")
     keep = np.arange(n) < np.array(ranks)[:, np.newaxis]
     lambdas = np.where(keep, np.maximum(d, sigma2), float(sigma2))
-    return lambdas, [ConstraintRecord(r=int(r), sigma2=sigma2) for r in ranks]
+    return lambdas, {"r": [int(r) for r in ranks], "sigma2": [sigma2] * len(ranks)}
 
 
 def rcml(stats: SampleStats, r: int) -> CovarianceEstimate:
@@ -168,7 +170,7 @@ def _lsmi_rows(d: np.ndarray, betas: list):
     for beta in betas:
         if beta < 0:
             raise InputError("loading factor beta must be non-negative")
-    return d + np.array(betas)[:, np.newaxis], [ConstraintRecord(beta=float(b)) for b in betas]
+    return d + np.array(betas)[:, np.newaxis], {"beta": [float(b) for b in betas]}
 
 
 def lsmi(stats: SampleStats, beta: float) -> CovarianceEstimate:
@@ -477,7 +479,7 @@ def _cncml_rows(d: np.ndarray, sigma2: float, kmax: float):
     """:func:`cncml` for each row of a ``(B, N)`` stack: the cap map of the
     stack's breakpoint table solved at ``kmax``, in every case."""
     lambdas = _cn_caps(d, sigma2, kmax, *_cn_solve(d / sigma2, kmax))
-    return lambdas, [ConstraintRecord(sigma2=sigma2, kmax=float(kmax)) for _ in range(len(d))]
+    return lambdas, {"sigma2": [sigma2] * len(d), "kmax": [float(kmax)] * len(d)}
 
 
 def cncml(stats: SampleStats, kmax: float) -> CovarianceEstimate:
@@ -496,9 +498,8 @@ def _cncml_ml_rows(d: np.ndarray, sigma2: float):
     That bound is case 1 or 2 of :func:`cncml_u_star`, where only the lower
     cap binds: the FML map, recorded with its ``kmax``.
     """
-    lambdas, _ = _fml_rows(d, sigma2)
     kmaxes = np.maximum(d[:, 0] / sigma2, 1.0).tolist()
-    return lambdas, [ConstraintRecord(sigma2=sigma2, kmax=k) for k in kmaxes]
+    return np.maximum(d, sigma2), {"sigma2": [sigma2] * len(d), "kmax": kmaxes}
 
 
 def condition_number(est: CovarianceEstimate) -> float:

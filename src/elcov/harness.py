@@ -19,7 +19,10 @@ one-pass sweep starts no thread.
 Every estimator, its constraint selector included, runs as one map over
 the pass, which reads its ``(B, N)`` spectra, each row's ``log lr0`` (its
 sample count's log median, the one form of lr0 a sweep holds) and, for
-``RCML_EL_SIGMA``, each row's basis and training.  The pass then scores its
+``RCML_EL_SIGMA``, each row's basis and training.  A map returns plain
+columns, the ``(B, N)`` eigenvalues and a list per constraint it records, so
+no per-row object is built inside a timed map; each :class:`TrialRecord` is
+filled from the columns after scoring.  The pass then scores its
 estimates by normalized SINR averaged over a steering grid in each trial's
 sample eigenbasis, one call per block of a few consecutive cells, sized so
 that the call's temporaries stay in cache.  Every row of a pass equals the
@@ -51,7 +54,6 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .estimators import (
-    ConstraintRecord,
     CovarianceEstimate,
     SampleStats,
     _cncml_ml_rows,
@@ -120,25 +122,25 @@ class _Pass(NamedTuple):
 class _Estimator(NamedTuple):
     takes_param: bool
     needs_lr0: bool
-    # (pass, param) -> (lambdas, constraints), one row of each per cell
-    rows: Callable[[_Pass, float | None], tuple[np.ndarray, list[ConstraintRecord]]]
+    # (pass, param) -> (lambdas, columns), a length-B column per constraint recorded
+    rows: Callable[[_Pass, float | None], tuple[np.ndarray, dict[str, list]]]
 
 
 def _cncml_el_rows(p: _Pass):
     sel = _kmax_rows(p.d, p.sigma2, p.log_lr0)
-    return sel.lambdas, [ConstraintRecord(sigma2=p.sigma2, kmax=k) for k in sel.kmax_hat.tolist()]
+    return sel.lambdas, {"sigma2": [p.sigma2] * len(p.d), "kmax": sel.kmax_hat.tolist()}
 
 
 def _joint_rows(p: _Pass):
     """RCML at each row's jointly selected rank and noise power, the joint
     core running row by row on the row's basis, training and log lr0 and
     returning the row's estimate with its selection."""
-    lambdas, constraints = np.empty_like(p.d), []
+    lambdas, selected = np.empty_like(p.d), []
     log_lr0 = np.full(len(p.d), p.log_lr0).tolist()
     for i, (d, v, z, row_lr0) in enumerate(zip(p.d, p.v, p.z, log_lr0)):
         sel, lambdas[i] = _rank_sigma_row(d, v, p.r_init, row_lr0, z, p.nmf_steering)
-        constraints.append(ConstraintRecord(r=sel.r_hat, sigma2=sel.sigma2_hat))
-    return lambdas, constraints
+        selected.append(sel)
+    return lambdas, {"r": [s.r_hat for s in selected], "sigma2": [s.sigma2_hat for s in selected]}
 
 
 # the one estimator dispatch; the CLI's estimate command uses it too
@@ -260,6 +262,8 @@ class TrialRecord:
     and eigenbasis projections are not in it, nor is stacking its estimates
     for scoring.  The next pass may be drawn on a second core while a pass
     decomposes, but never while an estimator map or scoring call is timed.
+    A timed map builds arrays and plain constraint lists, no per-row object;
+    the records are filled after scoring, outside any timed call.
     It is informational only and kept out of the CSV files so reruns stay
     byte-identical.
     """
@@ -323,8 +327,8 @@ def build_estimate(
 def _timed(spec: EstimatorSpec, p: _Pass):
     """``spec``'s map over the pass ``p``, and its time per row."""
     start = time.perf_counter()
-    lambdas, constraints = _ESTIMATORS[spec.name].rows(p, spec.param)
-    return lambdas, constraints, (time.perf_counter() - start) / len(p.d)
+    lambdas, columns = _ESTIMATORS[spec.name].rows(p, spec.param)
+    return lambdas, columns, (time.perf_counter() - start) / len(p.d)
 
 
 def _passes(n: int, cells: list[tuple[int, int]]) -> list[list[tuple[int, int]]]:
@@ -415,7 +419,8 @@ def run_experiment(cfg: ExperimentConfig) -> list[TrialRecord]:
     """Run the configured sweep and write trials.csv plus summary.csv.
 
     Returns the per-trial records.  Output lands under ``cfg.output_path``
-    (created if needed); one that cannot be a directory fails before any pass.
+    (created if needed); one that cannot be a directory, and a corruption
+    steering vector whose length is not ``n``, fail before the lr0 lookup.
     """
     out_dir = Path(cfg.output_path)
     existing = next(path for path in (out_dir, *out_dir.parents) if path.exists())
@@ -423,6 +428,10 @@ def run_experiment(cfg: ExperimentConfig) -> list[TrialRecord]:
         raise InputError(f"output {cfg.output_path!r}: {str(existing)!r} is not a directory")
     scenario = cfg.scenario
     n = scenario.n
+    # checked here, not at construction, so a corruption assigned later is caught
+    # too, before the lr0 lookup can store a table
+    if cfg.corruption is not None and len(cfg.corruption.steering) != n:
+        raise InputError("corruption steering length does not match the scenario size")
     r_true = jammer_covariance(scenario)
     factor = sqrt_factor(r_true)
     angles = default_steering_grid(scenario) if cfg.steering_grid is None else cfg.steering_grid
@@ -461,16 +470,17 @@ def run_experiment(cfg: ExperimentConfig) -> list[TrialRecord]:
             p = _Pass(d, v, zs, scenario.noise_power,
                       np.array([log_lr0_by_k[k] for k, _ in cells_of_pass]) if needs_lr0 else None,
                       r_init, nmf_steering)
-            # per estimator: (lambdas, constraints, seconds per cell) of its pass
+            # per estimator: (lambdas, columns, seconds per cell) of its pass
             built = [_timed(spec, p) for spec in cfg.estimators]
             estimates = np.stack([lam for lam, _, _ in built], axis=1)  # (B, E, N)
             sinr_db, score_shares = _score_pass(estimates, w0, g, den_true)
+            absent = [None] * len(cells_of_pass)
+            cons = [list(zip(*(columns.get(c, absent) for c in ("r", "sigma2", "kmax", "beta"))))
+                    for _, columns, _ in built]
             for j, ((k, trial), sinr_row, share) in enumerate(
                     zip(cells_of_pass, sinr_db, score_shares)):
-                for name, (_, constraints, build), sinr in zip(names, built, sinr_row):
-                    con = constraints[j]
-                    records.append(TrialRecord(trial, k, name, con.r, con.sigma2, con.kmax,
-                                               con.beta, sinr, build + share))
+                for name, con, (_, _, build), sinr in zip(names, cons, built, sinr_row):
+                    records.append(TrialRecord(trial, k, name, *con[j], sinr, build + share))
             # free this pass's arrays before the next pass builds its own
             del p, zs, d, v, w0, g, estimates
             for future in drawn:  # a draw's error is raised here, once this pass is recorded

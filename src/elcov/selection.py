@@ -5,7 +5,8 @@ power, condition-number bound, or diagonal loading) so the likelihood ratio
 of the resulting estimate lands as close as possible to the precomputed
 invariant median ``lr0``.  The LR is monotone in each constraint, so each
 match is a closed form or one bracketed root.  The public selectors take
-``lr0`` and check their input, lr0 in :func:`_log`; the cores trust each
+``lr0``, a float or an :class:`LRReference`, and check their input, lr0 in
+:func:`_log`; the cores trust each
 row's ``log lr0``, the joint core (:func:`_rank_sigma_row`) one row, the
 others a stack of rows.
 """
@@ -20,7 +21,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .estimators import (
-    ConstraintRecord,
     CovarianceEstimate,
     SampleStats,
     _clip_log_lr,
@@ -32,6 +32,7 @@ from .exceptions import InputError, NoRootError, NumericalError
 from .hermitian import EigenDecomposition
 from .likelihood import (
     LambertBranch,
+    LRReference,
     _BRANCH_POINT,
     lambert_w,
 )
@@ -57,15 +58,21 @@ class RankSelection:
 
     r_hat: int
     visited: list[tuple[int, float]]
-    lr0: float
+    lr0: float | LRReference  # as given
 
 
-def _log(lr0: float) -> float:
+def _log(lr0: float | LRReference) -> float:
     """A public entry's ``lr0`` as the cores take it, ``log lr0``, and the one
-    check of lr0: it must lie in ``(0, 1]``, which NaN fails."""
-    if not 0 < lr0 <= 1:
+    check of lr0: it must lie in ``(0, 1]``, which NaN fails.  A reference
+    gives its ``log_lr0``, which stays finite where its lr0 underflows to 0
+    (N = K >= 746)."""
+    if isinstance(lr0, LRReference):
+        log_lr0 = lr0.log_lr0
+    else:
+        log_lr0 = math.log(lr0) if 0 < lr0 <= 1 else math.nan
+    if not -math.inf < log_lr0 <= 0:  # NaN fails too
         raise InputError("lr0 must lie in (0, 1]")
-    return math.log(lr0)
+    return log_lr0
 
 
 def _rank_rows(d: np.ndarray, sigma2: float, log_lr0):
@@ -90,7 +97,7 @@ def _rank_rows(d: np.ndarray, sigma2: float, log_lr0):
     return miss.argmin(axis=1), log_lr, p
 
 
-def select_rank(stats: SampleStats, lr0: float) -> RankSelection:
+def select_rank(stats: SampleStats, lr0: float | LRReference) -> RankSelection:
     """Pick the rank whose constrained-estimate LR is closest to ``lr0``.
 
     Ranks at or above ``p = #{d_i > sigma2}`` all give the FML estimate.  For
@@ -130,7 +137,7 @@ class NoiseRoots:
     sigma_ml: float
 
 
-def sigma_el_roots(sample_lambdas, r: int, lr0: float) -> NoiseRoots:
+def sigma_el_roots(sample_lambdas, r: int, lr0: float | LRReference) -> NoiseRoots:
     """Closed-form noise-power roots of ``lr(t) = lr0`` for a fixed rank.
 
     The tail-profile LR peaks at the trailing-mean noise power; when two
@@ -210,7 +217,7 @@ def select_rank_sigma(
     s_eig: EigenDecomposition,
     k: int,
     r_init: int,
-    lr0: float,
+    lr0: float | LRReference,
     training: np.ndarray,
     steering: np.ndarray,
 ) -> JointSelection:
@@ -410,7 +417,7 @@ def _kmax_rows(d: np.ndarray, sigma2: float, log_lr0) -> _KmaxRows:
     return _KmaxRows(kmax_hat, hat_lr, steps, lambdas, table, segment.tolist(), final_step)
 
 
-def select_kmax(stats: SampleStats, lr0: float) -> KmaxSelection:
+def select_kmax(stats: SampleStats, lr0: float | LRReference) -> KmaxSelection:
     """Tune the condition-number bound so the estimate's LR matches ``lr0``.
 
     The LR is non-decreasing in ``kmax``.  The ML bound ``k_ml = d_1 / sigma2``
@@ -438,7 +445,7 @@ def select_kmax(stats: SampleStats, lr0: float) -> KmaxSelection:
     kmax_hat, i = float(sel.kmax_hat[0]), sel.segment[0]
     if 0 < i and kmaxes[i] < kmax_hat < kmaxes[i - 1]:
         visited.insert(i, (kmax_hat, float(sel.log_lr[0])))
-    estimate = _one_row(stats, sel.lambdas, [ConstraintRecord(sigma2=stats.sigma2, kmax=kmax_hat)])
+    estimate = _one_row(stats, sel.lambdas, {"sigma2": [stats.sigma2], "kmax": [kmax_hat]})
     active = bool(sel.table.x[0, 0] > 1.0)
     return KmaxSelection(kmax_hat, estimate, visited, sel.final_step[0], active)
 
@@ -522,7 +529,7 @@ def _loading_rows(d: np.ndarray, log_lr0) -> tuple[list[float], list[int]]:
     raise NumericalError("loading search failed to reach the log-LR tolerance")
 
 
-def select_loading(stats: SampleStats, lr0: float) -> float:
+def select_loading(stats: SampleStats, lr0: float | LRReference) -> float:
     """Diagonal loading factor whose loaded-sample LR matches ``lr0``.
 
     The one-row case of the stacked Halley search :func:`_loading_rows`.

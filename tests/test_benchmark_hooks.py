@@ -2,14 +2,19 @@
 library calls that the benchmark makes directly still bind."""
 
 import configparser
+import contextlib
 import importlib
 import importlib.util
 import inspect
+import io
+import itertools
+import math
 from pathlib import Path
 
 import numpy as np
 
 import elcov
+import elcov.cli
 from elcov.harness import _CONFIG_SCHEMA
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -58,3 +63,33 @@ def test_benchmark_configs_use_only_known_keys(tmp_path, monkeypatch):
         unknown = [f"[{section}] {key}" for section in parser.sections() for key in parser[section]
                    if key not in _CONFIG_SCHEMA.get(section, {})]
         assert parser.has_section("experiment") and unknown == [], w.name
+
+
+def test_sweep_records_are_what_the_benchmark_reads(tmp_path, monkeypatch):
+    # perfbench wraps elcov.cli.run_experiment, runs `elcov simulate` and
+    # reads the record count and each record's wall_time
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    for w in workloads.WORKLOADS.values():
+        if not w.estimators:
+            continue
+        runner = workloads.Runner(w, 1, tmp_path / w.name, tiny=True)
+        for k in w.k_list:
+            elcov.lr0_store(elcov.lr0_reference(w.n, k), runner.table)
+        records = []
+        inner = elcov.cli.run_experiment
+
+        def capture(cfg):
+            result = inner(cfg)
+            records.extend(result)
+            return result
+
+        monkeypatch.setattr(elcov.cli, "run_experiment", capture)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert elcov.cli.cli(["simulate", "--config", str(runner.config_path(0))]) == 0
+        monkeypatch.setattr(elcov.cli, "run_experiment", inner)
+        cells = sorted((r.k, r.trial_index, r.estimator) for r in records)
+        names = sorted(str(elcov.EstimatorSpec.parse(t)) for t in w.estimators)
+        assert cells == list(itertools.product(w.k_list, range(runner.chunk_size), names)), w.name
+        assert all(type(r.wall_time) is float and 0 <= r.wall_time < math.inf
+                   for r in records), w.name

@@ -235,6 +235,23 @@ class TestSelectCommand:
         assert kv(capsys)["lr0"] == f"{lr0_reference(4, 8).lr0:.12g}"
         assert list(path.parent.iterdir()) == [path]
 
+    def test_runs_where_the_reference_lr0_underflows(self, tmp_path, capsys, rng):
+        # at N = K = 800 lr0 underflows to 0, but its log is finite: the
+        # selector takes the reference, not its linear lr0
+        n = 800
+        d = np.sort(rng.uniform(0.5, 2.0, n))[::-1]
+        d[:3] = 50.0, 20.0, 10.0
+        path = tmp_path / "s.cmat"
+        matrix_save(np.diag(d).astype(complex), path)
+        ref = lr0_reference(n, n)
+        assert ref.lr0 == 0.0 and math.isfinite(ref.log_lr0)
+        assert cli(["select", "--input", str(path), "--k", str(n), "--mode", "rank",
+                    "--sigma2", "1.0"]) == 0
+        pairs = kv(capsys)
+        assert (pairs["lr0"], pairs["log_lr0"]) == ("0", f"{ref.log_lr0:.12g}")
+        assert int(pairs["r_hat"]) == select_rank(stats_from_spectrum(d, k=n), ref).r_hat
+        assert list(tmp_path.iterdir()) == [path]
+
 
 class TestSinrCommand:
     def test_matches_library(self, tmp_path, capsys, rng):

@@ -25,6 +25,7 @@ from conftest import (
     six_jammer_scenario,
 )
 from elcov import (
+    ConstraintRecord,
     CorruptionSpec,
     CovarianceEstimate,
     EigenDecomposition,
@@ -289,6 +290,24 @@ class TestRunExperiment:
             run_experiment(cfg)
         assert list(tmp_path.iterdir()) == [tmp_path / "out"]
         assert (tmp_path / "out").read_text() == "not a directory\n"
+
+    @pytest.mark.parametrize("assigned", [False, True], ids=["constructed", "assigned"])
+    def test_corruption_steering_of_another_size_fails_before_the_lr0_lookup(
+        self, tmp_path, assigned
+    ):
+        # the draw would reject it only at the first pass, after the lr0
+        # lookup had stored a table; a loaded config assigns its corruption
+        # after construction, so the check cannot live in __post_init__
+        corruption = CorruptionSpec(fraction=0.5, amplitude=50.0, steering=steering_vector(4, 0.0))
+        cfg = noise_only_config(
+            tmp_path, scenario=ScenarioConfig(n=8, noise_power=1.0), k_list=(16,),
+            estimators=(EstimatorSpec.parse("RCML_EL"),), lr0_table_path=str(tmp_path / "lr0.txt"),
+            corruption=None if assigned else corruption)
+        if assigned:
+            cfg.corruption = corruption
+        with pytest.raises(InputError, match="corruption steering length does not match"):
+            run_experiment(cfg)
+        assert list(tmp_path.iterdir()) == []
 
 
 CONFIG_TEXT = """
@@ -979,6 +998,31 @@ class TestTrialBlocks:
 
 
 class TestStackedEstimators:
+    def test_sweep_builds_no_constraint_record(self, tmp_path, monkeypatch):
+        """Every map returns its constraints as columns: a sweep with every
+        estimator fills its records from them and constructs no
+        ConstraintRecord, inside a timed map or out of it."""
+        built = []
+        inner = ConstraintRecord.__init__
+
+        def init(record, *args, **kwargs):
+            built.append(record)
+            inner(record, *args, **kwargs)
+
+        names = ("SMI", "FML", "RCML_EL", "RCML_EL_SIGMA", "RCML_FIXED(5)", "CNCML_ML",
+                 "CNCML_FIXED(8)", "CNCML_EL", "LSMI_EL")
+        assert {EstimatorSpec.parse(t).name for t in names} == set(harness._ESTIMATORS)
+        cfg = noise_only_config(
+            tmp_path, scenario=reference_scenario(), k_list=(20, 30), trials=3,
+            estimators=tuple(EstimatorSpec.parse(t) for t in names), r_init=3,
+            lr0_table_path=str(tmp_path / "lr0.txt"))
+        monkeypatch.setattr(ConstraintRecord, "__init__", init)
+        assert len(run_experiment(cfg)) == len(names) * 2 * 3
+        assert built == []
+        # the counter sees a record built where one is still built
+        smi(SampleStats.from_sample_covariance(np.eye(4), 8, 1.0))
+        assert len(built) == 1
+
     def test_joint_rows_build_each_estimate_once(self, tmp_path, monkeypatch):
         """RCML_EL_SIGMA's rows are the joint core's winning candidates, not
         rebuilt by the RCML map: a sweep gives the same records without it."""
@@ -1020,7 +1064,8 @@ class TestStackedEstimators:
                      for t in ("SMI", "FML", f"RCML_FIXED({r})", "RCML_EL", "CNCML_ML", "LSMI_EL",
                                "CNCML_EL", f"CNCML_FIXED({kmax!r})", "RCML_EL_SIGMA")]
             for spec in specs:
-                lambdas, constraints = harness._ESTIMATORS[spec.name].rows(one_pass, spec.param)
+                lambdas, columns = harness._ESTIMATORS[spec.name].rows(one_pass, spec.param)
+                assert [len(column) for column in columns.values()] == [b] * len(columns)
                 for i, (row, k, lr0) in enumerate(zip(d, ks, lr0s)):
                     basis = v[i]
                     eig = EigenDecomposition(eigenvalues=row.copy(), eigenvectors=basis)
@@ -1043,7 +1088,9 @@ class TestStackedEstimators:
                         "RCML_EL_SIGMA": joint,
                     }[spec.name]()
                     one = build_estimate(spec, stats, lr0, (r_init, z[i], nmf))
-                    for est in (one, CovarianceEstimate(lambdas[i], basis, constraints[i])):
+                    row_constraints = ConstraintRecord(
+                        **{name: column[i] for name, column in columns.items()})
+                    for est in (one, CovarianceEstimate(lambdas[i], basis, row_constraints)):
                         assert est.lambdas.tobytes() == expected.lambdas.tobytes()
                         assert repr(est.constraints) == repr(expected.constraints)
                         assert est.basis is basis

@@ -23,6 +23,7 @@ from conftest import (
     stats_from_spectrum,
 )
 from elcov import (
+    ConstraintRecord,
     EigenDecomposition,
     InputError,
     JointSelection,
@@ -1048,12 +1049,14 @@ class TestStackedCores:
             bounds = [1.0, float(np.exp(rng.uniform(0.0, 10.0))), float(x[0, 0]), float(x[-1, 0]),
                       float(rng.choice(x[0]))]
             for kmax in [k for k in bounds if k >= 1.0]:
-                lambdas, constraints = _cncml_rows(d, sigma2, kmax)
+                lambdas, columns = _cncml_rows(d, sigma2, kmax)
+                assert [len(column) for column in columns.values()] == [len(d)] * len(columns)
                 for i, row in enumerate(d):
                     stats = stats_from_spectrum(row, sigma2=sigma2)
                     oracle = scalar_cncml_oracle(stats, kmax)
                     assert lambdas[i].tobytes() == oracle.lambdas.tobytes()
-                    assert repr(constraints[i]) == repr(oracle.constraints)
+                    row_constraints = {name: column[i] for name, column in columns.items()}
+                    assert repr(ConstraintRecord(**row_constraints)) == repr(oracle.constraints)
                     if len(d) == 1:
                         res = cncml_u_star(stats, kmax)
                         o_case, o_u, o_p, o_c = scalar_cn_solution_oracle(stats, kmax)
