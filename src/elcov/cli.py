@@ -106,7 +106,7 @@ def _cmd_select(args) -> int:
     if mode in ("rank", "kmax"):
         _require_sigma2(args, f"mode {mode}")
     stats = _load_stats(args)
-    if mode == "rank-sigma":  # checked before the lr0 lookup, which may store a table
+    if mode == "rank-sigma":  # select_rank_sigma clamps r_init; the CLI rejects it here
         if not 0 <= args.r_init < stats.n:
             raise InputError(f"--r-init {args.r_init} outside [0, {stats.n - 1}]")
         if args.training is None:
@@ -204,7 +204,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sel.add_argument("--r-init", type=int, default=0, help="initial rank for rank-sigma")
     p_sel.add_argument("--lr0", type=float, default=None, help="reference LR value")
     p_sel.add_argument("--lr0-table", default=None,
-                       help="LR0TABLE file for lookup; a missing (n, k) is computed and appended")
+                       help="LR0TABLE file to read; a missing (n, k) is computed, not stored")
     p_sel.add_argument("--training", default=None,
                        help="CMAT file with the n-by-k training, one column per sample")
     p_sel.add_argument("--angle", type=float, default=0.0, help="steering angle in degrees")

@@ -429,7 +429,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[TrialRecord]:
     scenario = cfg.scenario
     n = scenario.n
     # checked here, not at construction, so a corruption assigned later is caught
-    # too, before the lr0 lookup can store a table
+    # too; the draw checks it only at a positive fraction
     if cfg.corruption is not None and len(cfg.corruption.steering) != n:
         raise InputError("corruption steering length does not match the scenario size")
     r_true = jammer_covariance(scenario)

@@ -349,10 +349,10 @@ def lr0_load(n: int, k: int, path) -> LRReference | None:
 
 def lr0_lookup(n: int, k: int, table, autocompute: bool = True) -> LRReference:
     """Reference for ``(n, k)``: loaded from ``table``, else computed with
-    :func:`lr0_reference` and, while its lr0 is a positive double, appended
-    to ``table``.  Raises :class:`InputError` instead of computing when
-    ``autocompute`` is off or, as :func:`lr0_reference` does, at ``k < n`` (a
-    pinned entry is still read), and on a loaded lr0 outside ``(0, 1]``."""
+    :func:`lr0_reference`; ``table`` is only read.  Raises
+    :class:`InputError` instead of computing when ``autocompute`` is off or,
+    as :func:`lr0_reference` does, at ``k < n`` (a pinned entry is still
+    read), and on a loaded lr0 outside ``(0, 1]``."""
     if table is not None:
         ref = lr0_load(n, k, table)
         if ref is not None:
@@ -362,10 +362,7 @@ def lr0_lookup(n: int, k: int, table, autocompute: bool = True) -> LRReference:
             return ref
     if not autocompute:
         raise InputError(f"no lr0 table entry for (n={n}, k={k}) and autocompute is disabled")
-    ref = lr0_reference(n, k)
-    if table is not None and ref.lr0 > 0:
-        lr0_store(ref, table)
-    return ref
+    return lr0_reference(n, k)
 
 
 class LambertBranch(enum.Enum):

@@ -214,21 +214,23 @@ def write_cmat(a, path) -> None:
     per row holding ``re im`` pairs at 17 significant digits (lossless for
     doubles).
     """
-    a = np.asarray(a, dtype=np.complex128)
+    a = np.ascontiguousarray(a, dtype=np.complex128)
     if a.ndim != 2:
         raise InputError("only 2-D matrices can be written")
     rows, cols = a.shape
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{_CMAT_HEADER} {rows} {cols}\n")
-        for i in range(rows):
-            parts = []
-            for j in range(cols):
-                parts.append(f"{a[i, j].real:.17g} {a[i, j].imag:.17g}")
-            fh.write(" ".join(parts) + "\n")
+        for row in a.view(np.float64).tolist():  # re, im interleaved
+            fh.write(" ".join(map("{:.17g}".format, row)) + "\n")
 
 
 def read_cmat(path) -> np.ndarray:
     """Read a complex matrix written by :func:`write_cmat`."""
+    return _read_cmat(path)[0]
+
+
+def _read_cmat(path) -> tuple[np.ndarray, list[int]]:
+    """The matrix of a CMAT file and the file line number of each of its rows."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.read().splitlines()
@@ -245,17 +247,17 @@ def read_cmat(path) -> np.ndarray:
         raise FormatError(f"unparseable dimensions: {exc}", path=path, line=1) from exc
     if rows < 1 or cols < 1:
         raise FormatError("dimensions must be positive", path=path, line=1)
-    body = [ln for ln in lines[1:] if ln.strip()]
+    body = [(lineno, ln) for lineno, ln in enumerate(lines[1:], start=2) if ln.strip()]
     if len(body) != rows:
         raise FormatError(
             f"expected {rows} data rows, found {len(body)}", path=path, line=len(lines)
         )
     out = np.empty((rows, cols), dtype=np.complex128)
-    for i, raw in enumerate(body):
+    for i, (lineno, raw) in enumerate(body):
         parts = raw.split()
         if len(parts) != 2 * cols:
             raise FormatError(
-                f"expected {2 * cols} numbers, found {len(parts)}", path=path, line=i + 2
+                f"expected {2 * cols} numbers, found {len(parts)}", path=path, line=lineno
             )
         for j in range(cols):
             try:
@@ -263,10 +265,10 @@ def read_cmat(path) -> np.ndarray:
                 im = float(parts[2 * j + 1])
             except ValueError as exc:
                 raise FormatError(
-                    f"unparseable entry: {exc}", path=path, line=i + 2, column=j + 1
+                    f"unparseable entry: {exc}", path=path, line=lineno, column=j + 1
                 ) from exc
             out[i, j] = complex(re, im)
-    return out
+    return out, [lineno for lineno, _ in body]
 
 
 def matrix_save(h, path) -> None:
@@ -280,7 +282,7 @@ def matrix_load(path) -> np.ndarray:
     A non-finite entry, or else non-Hermitian content, is rejected with the
     file location of the first non-finite or the worst offending entry.
     """
-    a = read_cmat(path)
+    a, row_lines = _read_cmat(path)
     if a.shape[0] != a.shape[1]:
         raise FormatError(f"expected a square matrix, got {a.shape}", path=path, line=1)
     delta = np.abs(a - a.conj().T)
@@ -292,12 +294,12 @@ def matrix_load(path) -> np.ndarray:
             if np.isfinite(a[i, j]):
                 i, j = j, i
             raise FormatError(f"matrix entry {a[i, j]} is not finite",
-                              path=path, line=i + 2, column=j + 1)
+                              path=path, line=row_lines[i], column=j + 1)
         raise FormatError(
             f"matrix is not Hermitian (mismatch {delta[i, j]:.3e} against entry "
             f"({j + 1}, {i + 1}))",
             path=path,
-            line=i + 2,
+            line=row_lines[i],
             column=j + 1,
         )
     return as_hermitian(a)

@@ -133,13 +133,22 @@ class TestSelectCommand:
         assert int(pairs["r_hat"]) == expected
         assert len(pairs["visited_r"].split(",")) == len(pairs["visited_log_lr"].split(","))
 
-    def test_rank_with_table_autocompute(self, sample_cov, capsys, tmp_path):
+    @pytest.mark.parametrize("mode", ["rank", "kmax"])
+    def test_table_autocompute_leaves_the_table_as_it_was(self, sample_cov, capsys, tmp_path,
+                                                          mode):
+        # a missing (n, k) is computed, not stored: an absent table stays
+        # absent, and one without the (n, k) keeps its bytes
         path, _ = sample_cov
         table = tmp_path / "t.txt"
-        code = cli(["select", "--input", str(path), "--k", "8", "--mode", "rank",
-                    "--sigma2", "1.0", "--lr0-table", str(table)])
-        assert code == 0
-        assert lr0_load(4, 8, table) is not None
+        argv = ["select", "--input", str(path), "--k", "8", "--mode", mode,
+                "--sigma2", "1.0", "--lr0-table", str(table)]
+        shown = f"{lr0_reference(4, 8).lr0:.12g}"
+        assert cli(argv) == 0 and kv(capsys)["lr0"] == shown
+        assert not table.exists()
+        lr0_store(lr0_reference(4, 16), table)
+        before = table.read_bytes()
+        assert cli(argv) == 0 and kv(capsys)["lr0"] == shown
+        assert table.read_bytes() == before
 
     def test_uses_the_stored_table_entry(self, sample_cov, capsys, tmp_path):
         path, _ = sample_cov
@@ -332,20 +341,22 @@ class TestSimulateCommand:
 
     def test_undersampled_sweep_stores_no_lr0_and_fails_without_csv(self, tmp_path, capsys):
         # an lr0 reference for k < n is not defined: the lookup refuses to
-        # compute one, where it used to store an lr0 of 0 that every rerun
-        # read back
+        # compute one, and the (6, 12) computed before it is not stored
         table, out = tmp_path / "lr0.txt", tmp_path / "out"
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(
             "[scenario]\nn = 6\n\n[experiment]\nk_list = 12, 4\ntrials = 3\nmaster_seed = 1\n"
             f"estimators = FML, RCML_EL\nlr0_table = {table}\noutput = {out}\n"
         )
-        assert cli(["simulate", "--config", str(cfg)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: no lr0 for (n=6, k=4): k < n")
-        assert lr0_load(6, 12, table) is not None and lr0_load(6, 4, table) is None
-        assert len(table.read_text().splitlines()) == 2  # the header and (6, 12)
-        assert not out.exists()
+        for pinned in (False, True):
+            if pinned:
+                lr0_store(lr0_reference(6, 8), table)
+            before = table.read_bytes() if pinned else None
+            assert cli(["simulate", "--config", str(cfg)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: no lr0 for (n=6, k=4): k < n")
+            assert (table.read_bytes() if table.exists() else None) == before
+            assert not out.exists()
 
     def test_joint_selection_at_dimension_one_fails_without_csv(self, tmp_path, capsys):
         # the joint core's own dimension check ends the sweep

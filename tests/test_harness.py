@@ -45,6 +45,8 @@ from elcov import (
     jammer_covariance,
     load_experiment_config,
     lr0_load,
+    lr0_reference,
+    lr0_store,
     lsmi,
     normalized_sinr,
     rcml,
@@ -257,7 +259,9 @@ class TestRunExperiment:
         with pytest.raises(InputError, match="autocompute"):
             run_experiment(cfg)
 
-    def test_lr0_computed_and_stored(self, tmp_path):
+    def test_lr0_computed_and_not_stored(self, tmp_path):
+        # a sweep only reads its table: an absent one stays absent, and one
+        # without the (n, k) keeps its bytes
         table = tmp_path / "lr0.txt"
         cfg = noise_only_config(
             tmp_path,
@@ -266,17 +270,19 @@ class TestRunExperiment:
             lr0_table_path=str(table),
         )
         run_experiment(cfg)
-        assert table.exists()
-        text = table.read_text().splitlines()
-        assert text[0] == "LR0TABLE v1"
-        assert len(text) == 2
+        assert not table.exists()
+        lr0_store(lr0_reference(4, 16), table)
+        before = table.read_bytes()
+        run_experiment(cfg)
+        assert table.read_bytes() == before
+        assert lr0_load(4, 8, table) is None
 
     @pytest.mark.parametrize("output", ["out", "out/sub"], ids=["file", "under-a-file"])
     def test_output_path_blocked_by_a_file_fails_before_any_pass(
         self, tmp_path, monkeypatch, output
     ):
         # mkdir would reject it only after every pass had run; the check
-        # runs first, before the lr0 table is computed and stored
+        # runs first, before the lr0 lookup
         (tmp_path / "out").write_text("not a directory\n")
 
         def no_draw(*args):
@@ -291,14 +297,16 @@ class TestRunExperiment:
         assert list(tmp_path.iterdir()) == [tmp_path / "out"]
         assert (tmp_path / "out").read_text() == "not a directory\n"
 
+    @pytest.mark.parametrize("fraction", [0.0, 0.5])
     @pytest.mark.parametrize("assigned", [False, True], ids=["constructed", "assigned"])
     def test_corruption_steering_of_another_size_fails_before_the_lr0_lookup(
-        self, tmp_path, assigned
+        self, tmp_path, assigned, fraction
     ):
-        # the draw would reject it only at the first pass, after the lr0
-        # lookup had stored a table; a loaded config assigns its corruption
-        # after construction, so the check cannot live in __post_init__
-        corruption = CorruptionSpec(fraction=0.5, amplitude=50.0, steering=steering_vector(4, 0.0))
+        # the draw would reject it only at the first pass, and at fraction 0
+        # not at all; a loaded config assigns its corruption after
+        # construction, so the check cannot live in __post_init__
+        corruption = CorruptionSpec(fraction=fraction, amplitude=50.0,
+                                    steering=steering_vector(4, 0.0))
         cfg = noise_only_config(
             tmp_path, scenario=ScenarioConfig(n=8, noise_power=1.0), k_list=(16,),
             estimators=(EstimatorSpec.parse("RCML_EL"),), lr0_table_path=str(tmp_path / "lr0.txt"),
@@ -676,10 +684,9 @@ class TestTrialBlocks:
         corruption = CorruptionSpec(fraction=0.5, amplitude=50.0,
                                     steering=steering_vector(n, 0.0))
         specs = tuple(EstimatorSpec.parse(t) for t in ("RCML_EL_SIGMA", "CNCML_EL", "LSMI_EL"))
-        table = str(tmp_path / "lr0.txt")
         cfg = noise_only_config(
             tmp_path, scenario=scenario, k_list=k_list, trials=trials, estimators=specs,
-            lr0_table_path=table, r_init=2, corruption=corruption,
+            r_init=2, corruption=corruption,
         )
         records = run_experiment(cfg)
 
@@ -689,7 +696,7 @@ class TestTrialBlocks:
         nmf = steering_vector(n, 0.0)
         oracle = []
         for k in k_list:
-            lr0 = lr0_load(n, k, table).lr0
+            lr0 = lr0_reference(n, k).lr0
             for t in range(trials):
                 z = generate_training(r_true, k, corruption, derive_rng(1, "trial", k, t)).z
                 eig = eig_hermitian(sample_covariance(z))
@@ -1128,7 +1135,7 @@ class TestOneLogLr0:
 
     def test_underflowed_lr0_runs_and_is_not_stored(self, tmp_path):
         # lr0(760, 760) underflows to 0: the sweep reads the computed log
-        # median, and a table never holds the record
+        # median, and the absent table stays absent
         table = tmp_path / "lr0.txt"
         for path in (None, table):
             cfg = noise_only_config(
@@ -1139,7 +1146,7 @@ class TestOneLogLr0:
             (record,) = run_experiment(cfg)
             assert record.r_hat is not None and math.isfinite(record.sinr_db)
             assert (tmp_path / "out" / "summary.csv").exists()
-        assert lr0_load(760, 760, table) is None
+        assert not table.exists()
 
     @pytest.mark.parametrize("n, k", [(1, 2), (2, 6), (3, 6), (3, 9), (3, 12)])
     def test_computed_and_stored_lr0_write_the_same_bytes(self, tmp_path, monkeypatch, n, k):
@@ -1154,8 +1161,12 @@ class TestOneLogLr0:
         monkeypatch.setattr(harness, "_rank_rows", rank_rows)
         names = ("RCML_EL", "CNCML_EL", "LSMI_EL") + (("RCML_EL_SIGMA",) if n > 1 else ())
         table, outputs = tmp_path / "lr0.txt", []
-        # computed without a table, computed and stored, and read back
+        # computed without a table, computed with an absent one, and read
+        # back once elcov lr0's lr0_store has pinned it
         for run, path in enumerate((None, table, table)):
+            if run == 2:
+                assert not table.exists()
+                lr0_store(lr0_reference(n, k), table)
             cfg = noise_only_config(
                 tmp_path, scenario=ScenarioConfig(n=n), k_list=(k,), trials=4,
                 estimators=tuple(EstimatorSpec.parse(t) for t in names),

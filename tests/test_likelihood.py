@@ -447,16 +447,18 @@ class TestLr0Table:
         lr0_store(ref, path)
         assert lr0_load(2, 4, path).lr0 == ref.lr0
 
-    def test_lookup_computes_once_then_loads(self, tmp_path):
+    def test_lookup_computes_without_storing_then_loads(self, tmp_path):
         path = tmp_path / "table.txt"
         with pytest.raises(InputError, match="autocompute is disabled"):
             lr0_lookup(3, 8, path, autocompute=False)
         ref = lr0_lookup(3, 8, path)
-        assert ref == lr0_reference(3, 8)
-        assert lr0_load(3, 8, path) == ref
+        assert ref == lr0_reference(3, 8) == lr0_lookup(3, 8, None)
+        assert not path.exists()
+        with pytest.raises(InputError, match="autocompute is disabled"):
+            lr0_lookup(3, 8, path, autocompute=False)
+        # a record that lr0_store pinned is read back, and wins over the computed value
+        lr0_store(ref, path)
         assert lr0_lookup(3, 8, path, autocompute=False) == ref
-        assert lr0_lookup(3, 8, None) == ref
-        # a stored record wins over the computed value
         pinned = tmp_path / "pinned.txt"
         lr0_store(LRReference(3, 8, 0.25, [(p, 0.25) for p in QUANTILE_PROBS]), pinned)
         assert lr0_lookup(3, 8, pinned, autocompute=False).lr0 == 0.25
@@ -471,11 +473,13 @@ class TestLr0Table:
         lr0_store(LRReference(6, 4, 0.3, [(p, 0.3) for p in QUANTILE_PROBS]), path)
         assert lr0_lookup(6, 4, path).lr0 == 0.3
 
-    def test_lookup_computes_but_never_stores_an_underflowed_lr0(self, tmp_path):
+    def test_lookup_computes_an_underflowed_lr0_and_leaves_the_table_as_it_was(self, tmp_path):
         path = tmp_path / "table.txt"
+        lr0_store(lr0_reference(3, 8), path)
+        before = path.read_bytes()
         ref = lr0_lookup(760, 760, path)
         assert ref.lr0 == 0.0 and ref.log_lr0 == lr0_reference(760, 760).log_lr0
-        assert not path.exists()
+        assert path.read_bytes() == before
 
     @pytest.mark.parametrize("lr0", [0.0, 1.5, math.nan])
     def test_store_refuses_an_lr0_outside_unit_interval(self, tmp_path, lr0):

@@ -280,6 +280,36 @@ class TestMatrixIo:
             read_cmat(path)
         assert err.value.line == 3
 
+    def test_writes_each_entry_at_17_digits(self, tmp_path):
+        path = tmp_path / "pin.cmat"
+        write_cmat(np.array([[complex(-0.0, 5e-324), complex(1.7976931348623157e308, -0.0)],
+                             [complex(0.1, -1.0), complex(1 / 3, 1.5e-323)]]), path)
+        assert path.read_bytes() == (
+            b"CMAT v1 2 2\n-0 4.9406564584124654e-324 1.7976931348623157e+308 -0\n"
+            b"0.10000000000000001 -1 0.33333333333333331 1.4821969375237396e-323\n")
+
+    def test_read_error_names_the_file_line_after_a_blank_line(self, tmp_path):
+        path = tmp_path / "gap.cmat"
+        path.write_text("CMAT v1 2 1\n\n1 0\nx 0\n")
+        with pytest.raises(FormatError) as err:
+            read_cmat(path)
+        assert (err.value.line, err.value.column) == (4, 1)
+        path.write_text("CMAT v1 2 2\n\n1 0 0 0\n1 0\n")
+        with pytest.raises(FormatError, match="expected 4 numbers") as err:
+            read_cmat(path)
+        assert err.value.line == 4
+
+    @pytest.mark.parametrize("body, line, col", [
+        ("\n1 0 2 0\n3 0 1 0\n", 3, 2),         # off-diagonal mismatch in the first row
+        ("1 0 0 0\n\n\n0 0 1 1\n", 5, 2),       # complex diagonal in the second row
+        ("\n1 0 0 0\n\n0 0 nan 0\n", 5, 2)])    # non-finite entry
+    def test_load_error_names_the_file_line_after_a_blank_line(self, tmp_path, body, line, col):
+        path = tmp_path / "gap.cmat"
+        path.write_text("CMAT v1 2 2\n" + body)
+        with pytest.raises(FormatError) as err:
+            matrix_load(path)
+        assert (err.value.line, err.value.column) == (line, col)
+
     def test_rejects_bad_header(self, tmp_path):
         path = tmp_path / "hdr.cmat"
         path.write_text("WRONG 2 2\n")
