@@ -19,7 +19,7 @@ import sys
 from .estimators import SampleStats, condition_number
 from .exceptions import InputError, NumericalError
 from .harness import EstimatorSpec, build_estimate, load_experiment_config, run_experiment
-from .likelihood import LRReference, log_lr_value, lr0_lookup, lr0_reference, lr0_store
+from .likelihood import LRReference, log_lr_value, lr0_reference, lr0_store
 from .metrics import normalized_sinr
 from .scenario import matrix_load, read_cmat, steering_vector
 from .selection import _log, select_kmax, select_loading, select_rank, select_rank_sigma
@@ -116,7 +116,7 @@ def _cmd_select(args) -> int:
             raise InputError(f"--training has {training.shape[1]} columns, but --k is {args.k}")
     # the selectors take the reference itself, whose log lr0 stays finite
     # where its lr0 underflows to 0
-    lr0 = args.lr0 if args.lr0 is not None else lr0_lookup(stats.n, args.k, args.lr0_table)
+    lr0 = args.lr0 if args.lr0 is not None else lr0_reference(stats.n, args.k)
     log_lr0 = _log(lr0)
     shown = lr0.lr0 if isinstance(lr0, LRReference) else lr0
     pairs = [("mode", mode), ("n", stats.n), ("k", stats.k), ("lr0", f"{shown:.12g}"),
@@ -203,8 +203,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sel.add_argument("--sigma2", type=float, default=None)
     p_sel.add_argument("--r-init", type=int, default=0, help="initial rank for rank-sigma")
     p_sel.add_argument("--lr0", type=float, default=None, help="reference LR value")
-    p_sel.add_argument("--lr0-table", default=None,
-                       help="LR0TABLE file to read; a missing (n, k) is computed, not stored")
     p_sel.add_argument("--training", default=None,
                        help="CMAT file with the n-by-k training, one column per sample")
     p_sel.add_argument("--angle", type=float, default=0.0, help="steering angle in degrees")

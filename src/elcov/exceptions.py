@@ -1,4 +1,4 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and its data-file reader.
 
 Two families matter operationally: :class:`InputError` covers bad arguments,
 domains, and malformed files (CLI exit code 1), while :class:`NumericalError`
@@ -30,6 +30,24 @@ class FormatError(InputError):
         self.path = path
         self.line = line
         self.column = column
+
+
+def _read_records(path, header: str) -> tuple[list[str], list[tuple[int, str]], int]:
+    """Read a line-oriented UTF-8 data file (CMAT, LR0TABLE): the words of line 1,
+    which must match ``header`` word for word (a ``<placeholder>`` matches any
+    word), each later non-blank line with its file line number (the caller
+    splits it, so a large file's fields are never all held at once), and the
+    file's line count."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"not UTF-8 text ({exc.reason})", path=path) from exc
+    words, first = header.split(), lines[0].split() if lines else []
+    if len(first) != len(words) or any(w != f for w, f in zip(words, first) if w[0] != "<"):
+        raise FormatError(f"expected header {header!r}", path=path, line=1)
+    records = [(lineno, text) for lineno, text in enumerate(lines[1:], start=2) if text.strip()]
+    return first, records, len(lines)
 
 
 class NumericalError(ElcovError, RuntimeError):

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimators import SampleStats, rcml
-from .exceptions import FormatError, InputError, NumericalError
+from .exceptions import FormatError, InputError, NumericalError, _read_records
 
 __all__ = [
     "LambertBranch",
@@ -270,7 +270,7 @@ def lr0_reference(
     if n < 1 or k < 1:
         raise InputError("n and k must be positive")
     if k < n:
-        raise InputError(f"no lr0 for (n={n}, k={k}): k < n has no reference; pin one in a table")
+        raise InputError(f"no lr0 for (n={n}, k={k}): k < n has no reference")
     logs = dict(zip(QUANTILE_PROBS, _log_lr_quantiles(n, k)))
     quantiles = [(p, math.exp(v)) for p, v in logs.items()]
     return LRReference(n, k, math.exp(logs[0.5]), quantiles, logs[0.5])
@@ -288,6 +288,9 @@ def lr0_store(ref: LRReference, path) -> None:
     allowed in the file and resolved last-write-wins at load time.  An lr0
     outside ``(0, 1]`` raises :class:`InputError`, and nothing is written.
     """
+    if ref.lr0 == 0 and math.isfinite(ref.log_lr0):
+        raise InputError(f"the median for (n={ref.n}, k={ref.k}) underflows to lr0 = 0 "
+                         f"(log_lr0 = {ref.log_lr0:.12g}); {_TABLE_HEADER} holds linear values")
     if not 0 < ref.lr0 <= 1:
         raise InputError(f"lr0 = {ref.lr0:g} for (n={ref.n}, k={ref.k}) is outside (0, 1]")
     qmap = dict(ref.quantiles)
@@ -306,21 +309,13 @@ def lr0_store(ref: LRReference, path) -> None:
         fh.write(line.encode("utf-8"))
 
 
-def _parse_table(path):
+def _parse_table(path) -> list[LRReference]:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
+        _, records, _ = _read_records(path, _TABLE_HEADER)
     except FileNotFoundError:
         return []
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"not UTF-8 text ({exc.reason})", path=path) from exc
-    if not lines or lines[0].strip() != _TABLE_HEADER:
-        raise FormatError(f"expected header {_TABLE_HEADER!r}", path=path, line=1)
-    records = []
-    for lineno, raw in enumerate(lines[1:], start=2):
-        text = raw.strip()
-        if not text:
-            continue
+    refs = []
+    for lineno, text in records:
         parts = text.split()
         if len(parts) != 5 + len(QUANTILE_PROBS):
             raise FormatError(
@@ -334,32 +329,32 @@ def _parse_table(path):
             values = [float(v) for v in parts[4:]]
         except ValueError as exc:
             raise FormatError(f"unparseable numeric field: {exc}", path=path, line=lineno) from exc
-        records.append(LRReference(n, k, values[0], list(zip(QUANTILE_PROBS, values[1:]))))
-    return records
+        if not 0 < values[0] <= 1:
+            raise FormatError(f"record holds lr0 = {values[0]:g} for (n={n}, k={k}), "
+                              "outside (0, 1]", path=path, line=lineno)
+        refs.append(LRReference(n, k, values[0], list(zip(QUANTILE_PROBS, values[1:]))))
+    return refs
 
 
 def lr0_load(n: int, k: int, path) -> LRReference | None:
     """Look up the reference for ``(n, k)``; None when absent.
 
-    If the file holds several records for the key, the last one wins.
+    If the file holds several records for the key, the last one wins.  A
+    record whose lr0 lies outside ``(0, 1]``, whatever its key, raises
+    :class:`~elcov.exceptions.FormatError` at its line.
     """
     matches = [rec for rec in _parse_table(path) if rec.n == n and rec.k == k]
     return matches[-1] if matches else None
 
 
 def lr0_lookup(n: int, k: int, table, autocompute: bool = True) -> LRReference:
-    """Reference for ``(n, k)``: loaded from ``table``, else computed with
-    :func:`lr0_reference`; ``table`` is only read.  Raises
+    """Reference for ``(n, k)``: loaded from ``table`` by :func:`lr0_load`,
+    else computed with :func:`lr0_reference`; ``table`` is only read.  Raises
     :class:`InputError` instead of computing when ``autocompute`` is off or,
     as :func:`lr0_reference` does, at ``k < n`` (a pinned entry is still
-    read), and on a loaded lr0 outside ``(0, 1]``."""
-    if table is not None:
-        ref = lr0_load(n, k, table)
-        if ref is not None:
-            if not 0 < ref.lr0 <= 1:
-                raise InputError(f"lr0 table {table} holds lr0 = {ref.lr0:g} for (n={n}, k={k}), "
-                                 "outside (0, 1]")
-            return ref
+    read)."""
+    if table is not None and (ref := lr0_load(n, k, table)) is not None:
+        return ref
     if not autocompute:
         raise InputError(f"no lr0 table entry for (n={n}, k={k}) and autocompute is disabled")
     return lr0_reference(n, k)

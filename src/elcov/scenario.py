@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import FormatError, InputError, NumericalError
+from .exceptions import FormatError, InputError, NumericalError, _read_records
 from .hermitian import _sample_rows, as_hermitian, sqrt_factor
 
 __all__ = [
@@ -231,44 +231,32 @@ def read_cmat(path) -> np.ndarray:
 
 def _read_cmat(path) -> tuple[np.ndarray, list[int]]:
     """The matrix of a CMAT file and the file line number of each of its rows."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"not UTF-8 text ({exc.reason})", path=path) from exc
-    if not lines:
-        raise FormatError("empty file", path=path, line=1)
-    header = lines[0].split()
-    if len(header) != 4 or " ".join(header[:2]) != _CMAT_HEADER:
-        raise FormatError(f"expected header '{_CMAT_HEADER} <rows> <cols>'", path=path, line=1)
+    header, body, end = _read_records(path, _CMAT_HEADER + " <rows> <cols>")
     try:
         rows, cols = int(header[2]), int(header[3])
     except ValueError as exc:
         raise FormatError(f"unparseable dimensions: {exc}", path=path, line=1) from exc
     if rows < 1 or cols < 1:
         raise FormatError("dimensions must be positive", path=path, line=1)
-    body = [(lineno, ln) for lineno, ln in enumerate(lines[1:], start=2) if ln.strip()]
     if len(body) != rows:
-        raise FormatError(
-            f"expected {rows} data rows, found {len(body)}", path=path, line=len(lines)
-        )
-    out = np.empty((rows, cols), dtype=np.complex128)
-    for i, (lineno, raw) in enumerate(body):
-        parts = raw.split()
+        raise FormatError(f"expected {rows} data rows, found {len(body)}", path=path, line=end)
+    out = np.empty((rows, 2 * cols))  # re, im interleaved
+    for i, (lineno, text) in enumerate(body):
+        parts = text.split()
         if len(parts) != 2 * cols:
             raise FormatError(
                 f"expected {2 * cols} numbers, found {len(parts)}", path=path, line=lineno
             )
-        for j in range(cols):
-            try:
-                re = float(parts[2 * j])
-                im = float(parts[2 * j + 1])
-            except ValueError as exc:
-                raise FormatError(
-                    f"unparseable entry: {exc}", path=path, line=lineno, column=j + 1
-                ) from exc
-            out[i, j] = complex(re, im)
-    return out, [lineno for lineno, _ in body]
+        try:
+            out[i] = list(map(float, parts))
+        except ValueError:
+            for j, part in enumerate(parts):  # the entry that failed, for its column
+                try:
+                    float(part)
+                except ValueError as exc:
+                    raise FormatError(f"unparseable entry: {exc}", path=path, line=lineno,
+                                      column=j // 2 + 1) from exc
+    return out.view(np.complex128), [lineno for lineno, _ in body]
 
 
 def matrix_save(h, path) -> None:

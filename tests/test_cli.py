@@ -1,3 +1,4 @@
+import importlib
 import math
 import os
 import re
@@ -62,9 +63,10 @@ class TestLr0Command:
         assert lines[0] == "key,value"
 
     @pytest.mark.parametrize("n, k, match", [
-        (6, 4, r"no lr0 for \(n=6, k=4\): k < n"),
-        (800, 800, r"lr0 = 0 for \(n=800, k=800\) is outside \(0, 1\]"),
-    ])
+        (6, 4, r"no lr0 for \(n=6, k=4\): k < n has no reference\n"),
+        (800, 800, r"the median for \(n=800, k=800\) underflows to lr0 = 0 "
+                   r"\(log_lr0 = -799\.43\d*\); LR0TABLE v1 holds linear values\n"),
+    ], ids=["k-below-n", "median-underflows"])
     def test_refuses_what_no_table_can_hold(self, tmp_path, capsys, n, k, match):
         table = tmp_path / "t.txt"
         assert cli(["lr0", "--n", str(n), "--k", str(k), "--table", str(table)]) == 1
@@ -82,6 +84,21 @@ class TestLr0Command:
         )
         assert proc.returncode == 0, proc.stderr[-2000:]
         assert lr0_load(2, 4, tmp_path / "t") is not None
+
+    def test_console_script_writes_table(self, tmp_path, monkeypatch, capsys):
+        # the ``elcov`` command that pyproject.toml installs, called as its wrapper calls it
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+        target = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["scripts"]
+        module, _, name = target["elcov"].partition(":")
+        table = tmp_path / "t"
+        monkeypatch.setattr(sys, "argv", ["elcov", "lr0", "--n", "2", "--k", "4",
+                                          "--table", str(table)])
+        with pytest.raises(SystemExit) as exc:
+            getattr(importlib.import_module(module), name)()
+        assert exc.value.code == 0
+        assert kv(capsys)["table"] == str(table)
+        assert lr0_load(2, 4, table) is not None
 
 
 class TestEstimateCommand:
@@ -120,6 +137,10 @@ class TestEstimateCommand:
         assert float(pairs["lr"]) == pytest.approx(1.0)
 
 
+def _no_lr0_work(*args, **kwargs):
+    pytest.fail("lr0_reference was called")
+
+
 class TestSelectCommand:
     def test_rank_matches_library(self, sample_cov, capsys):
         path, d = sample_cov
@@ -132,34 +153,6 @@ class TestSelectCommand:
         pairs = kv(capsys)
         assert int(pairs["r_hat"]) == expected
         assert len(pairs["visited_r"].split(",")) == len(pairs["visited_log_lr"].split(","))
-
-    @pytest.mark.parametrize("mode", ["rank", "kmax"])
-    def test_table_autocompute_leaves_the_table_as_it_was(self, sample_cov, capsys, tmp_path,
-                                                          mode):
-        # a missing (n, k) is computed, not stored: an absent table stays
-        # absent, and one without the (n, k) keeps its bytes
-        path, _ = sample_cov
-        table = tmp_path / "t.txt"
-        argv = ["select", "--input", str(path), "--k", "8", "--mode", mode,
-                "--sigma2", "1.0", "--lr0-table", str(table)]
-        shown = f"{lr0_reference(4, 8).lr0:.12g}"
-        assert cli(argv) == 0 and kv(capsys)["lr0"] == shown
-        assert not table.exists()
-        lr0_store(lr0_reference(4, 16), table)
-        before = table.read_bytes()
-        assert cli(argv) == 0 and kv(capsys)["lr0"] == shown
-        assert table.read_bytes() == before
-
-    def test_uses_the_stored_table_entry(self, sample_cov, capsys, tmp_path):
-        path, _ = sample_cov
-        table = tmp_path / "t.txt"
-        lr0_store(LRReference(4, 8, 0.25, [(q, 0.25) for q in QUANTILE_PROBS]), table)
-        before = table.read_bytes()
-        code = cli(["select", "--input", str(path), "--k", "8", "--mode", "rank",
-                    "--sigma2", "1.0", "--lr0-table", str(table)])
-        assert code == 0
-        assert float(kv(capsys)["lr0"]) == 0.25
-        assert table.read_bytes() == before
 
     def test_kmax_mode(self, sample_cov, capsys):
         path, _ = sample_cov
@@ -208,33 +201,34 @@ class TestSelectCommand:
 
     @pytest.mark.parametrize("columns", [4, 12])
     def test_rank_sigma_rejects_training_of_another_sample_count(
-        self, tmp_path, capsys, rng, columns
+        self, tmp_path, capsys, rng, monkeypatch, columns
     ):
         # select_rank_sigma reads k only as a count; the CLI checks the
-        # training against it before the lr0 lookup
-        s_path, z_path, table = tmp_path / "s.cmat", tmp_path / "z.cmat", tmp_path / "lr0.txt"
+        # training against it before any lr0 work
+        monkeypatch.setattr("elcov.cli.lr0_reference", _no_lr0_work)
+        s_path, z_path = tmp_path / "s.cmat", tmp_path / "z.cmat"
         matrix_save(np.diag([9.0, 4.0, 0.6, 0.3]).astype(complex), s_path)
         write_cmat(rng.standard_normal((4, columns)) + 0j, z_path)
         code = cli(["select", "--input", str(s_path), "--k", "8", "--mode", "rank-sigma",
-                    "--r-init", "1", "--lr0-table", str(table), "--training", str(z_path)])
+                    "--r-init", "1", "--training", str(z_path)])
         assert code == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: --training has {columns} columns, but --k is 8\n"
-        assert not table.exists()
 
     @pytest.mark.parametrize("r_init", ["-1", "6"])
-    def test_rank_sigma_rejects_r_init_out_of_range(self, tmp_path, capsys, rng, r_init):
+    def test_rank_sigma_rejects_r_init_out_of_range(self, tmp_path, capsys, rng, monkeypatch,
+                                                    r_init):
         # select_rank_sigma clamps r_init into [0, n - 1]; the CLI rejects it
-        # before the lr0 lookup
-        s_path, z_path, table = tmp_path / "s.cmat", tmp_path / "z.cmat", tmp_path / "lr0.txt"
+        # before any lr0 work
+        monkeypatch.setattr("elcov.cli.lr0_reference", _no_lr0_work)
+        s_path, z_path = tmp_path / "s.cmat", tmp_path / "z.cmat"
         matrix_save(np.diag([40.0, 15.0, 1.05, 1.0, 0.95, 0.9]).astype(complex), s_path)
         write_cmat(rng.standard_normal((6, 24)) + 1j * rng.standard_normal((6, 24)), z_path)
         code = cli(["select", "--input", str(s_path), "--k", "24", "--mode", "rank-sigma",
-                    "--r-init", r_init, "--lr0-table", str(table), "--training", str(z_path)])
+                    "--r-init", r_init, "--training", str(z_path)])
         assert code == 1
         assert capsys.readouterr().err.startswith(f"error: --r-init {r_init} outside [0, 5]")
-        assert not table.exists()
 
     def test_computes_reference_without_lr0_or_table(self, sample_cov, capsys, monkeypatch):
         path, _ = sample_cov
@@ -444,9 +438,10 @@ class TestExitCodes:
             ["select", "--input", "s.cmat", "--k", "8", "--mode", "rank", "--lr0-table", "t",
              "--no-autocompute"],
             ["simulate", "--config", "exp.cfg", "--no-autocompute"],
+            ["select", "--input", "s.cmat", "--k", "8", "--mode", "rank", "--lr0-table", "t"],
         ],
         ids=["lr0-trials", "lr0-seed", "select-lr0-trials", "select-seed",
-             "select-no-autocompute", "simulate-no-autocompute"],
+             "select-no-autocompute", "simulate-no-autocompute", "select-lr0-table"],
     )
     def test_removed_flags_are_unknown(self, tmp_path, monkeypatch, capsys, argv):
         monkeypatch.chdir(tmp_path)
@@ -546,13 +541,16 @@ class TestMalformedFiles:
         err = capsys.readouterr().err
         assert err == f"error: {path}, line 3, column 2: matrix entry (nan+0j) is not finite\n"
 
-    def test_lr0_table(self, sample_cov, tmp_path, capsys):
-        table = tmp_path / "lr0.txt"
-        table.write_bytes(b"\xfe\n")
-        assert cli(["select", "--input", str(sample_cov[0]), "--k", "8", "--mode", "rank",
-                    "--sigma2", "1.0", "--lr0-table", str(table)]) == 1
+    def test_lr0_table(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "lr0.txt").write_bytes(b"\xfe\n")
+        (tmp_path / "exp.cfg").write_bytes(
+            b"[scenario]\nn = 4\n" + _GOOD_EXPERIMENT.replace(b"= SMI", b"= RCML_EL")
+            + b"lr0_table = lr0.txt\noutput = out\n")
+        assert cli(["simulate", "--config", "exp.cfg"]) == 1
         err = capsys.readouterr().err
-        assert err == f"error: {table}: not UTF-8 text (invalid start byte)\n"
+        assert err == "error: lr0.txt: not UTF-8 text (invalid start byte)\n"
+        assert not (tmp_path / "out").exists()
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"

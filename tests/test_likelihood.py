@@ -484,9 +484,14 @@ class TestLr0Table:
     @pytest.mark.parametrize("lr0", [0.0, 1.5, math.nan])
     def test_store_refuses_an_lr0_outside_unit_interval(self, tmp_path, lr0):
         path = tmp_path / "table.txt"
-        for ref in (LRReference(6, 8, lr0, [(p, lr0) for p in QUANTILE_PROBS]),
-                    lr0_reference(800, 800)):
-            with pytest.raises(InputError, match=r"for \(n=\d+, k=\d+\) is outside \(0, 1\]"):
+        # a median that underflows to 0 is named as such, with its finite log
+        for ref, match in (
+            (LRReference(6, 8, lr0, [(p, lr0) for p in QUANTILE_PROBS]),
+             r"lr0 = \S+ for \(n=6, k=8\) is outside \(0, 1\]"),
+            (lr0_reference(800, 800), r"the median for \(n=800, k=800\) underflows to lr0 = 0 "
+             r"\(log_lr0 = -799\.43\d*\); LR0TABLE v1 holds linear values"),
+        ):
+            with pytest.raises(InputError, match=match):
                 lr0_store(ref, path)
             assert not path.exists()
         lr0_store(lr0_reference(6, 8), path)
@@ -499,9 +504,16 @@ class TestLr0Table:
     def test_lookup_rejects_a_stored_lr0_outside_unit_interval(self, tmp_path, lr0):
         # written by hand, as lr0_store refuses such a record
         path = tmp_path / "table.txt"
-        path.write_text("LR0TABLE v1\n6 4 0 0" + f" {lr0!r}" * 6 + "\n")
+        lr0_store(lr0_reference(3, 8), path)
+        with path.open("a") as fh:
+            fh.write("\n6 4 0 0" + f" {lr0!r}" * 6 + "\n")
         with pytest.raises(InputError, match=r"holds lr0 = .* for \(n=6, k=4\), outside \(0, 1\]"):
             lr0_lookup(6, 4, path)
+        # the load checks every record: the table fails for any key, at that record's line
+        for n, k in ((3, 8), (6, 4), (5, 5)):
+            with pytest.raises(FormatError) as err:
+                lr0_load(n, k, path)
+            assert err.value.line == 4
 
 
 class TestLambertW:

@@ -323,6 +323,25 @@ class TestMatrixIo:
         with pytest.raises(FormatError) as err:
             read_cmat(path)
         assert err.value.line == 2 and err.value.column == 2
+        # an imaginary part names its entry's column too
+        for row, column in (("1 x 0 0", 1), ("1 0 0 1e", 2)):
+            path.write_text(f"CMAT v1 1 2\n{row}\n")
+            with pytest.raises(FormatError, match="unparseable entry") as err:
+                read_cmat(path)
+            assert (err.value.line, err.value.column) == (2, column)
+
+    def test_large_round_trip_is_bit_exact(self, rng, tmp_path):
+        # each row is converted at once: every entry comes back with its bits,
+        # -0.0, subnormals and infinities included
+        parts = rng.standard_normal((800, 1600)) * 10.0 ** rng.integers(-300, 300, (800, 1600))
+        special = np.array([-0.0, 5e-324, -2.5e-320, 2.2250738585072009e-308, np.inf, -np.inf])
+        parts.flat[rng.choice(parts.size, 20_000, replace=False)] = rng.choice(special, 20_000)
+        z = parts.view(np.complex128)
+        path = tmp_path / "big.cmat"
+        write_cmat(z, path)
+        back = read_cmat(path)
+        assert back.shape == (800, 800)
+        assert np.array_equal(back.view(np.uint64), z.view(np.uint64))
 
 
 class TestDrawTraining:
