@@ -65,27 +65,14 @@ def _require_sigma2(args, context: str) -> None:
         raise InputError(f"--sigma2 is required for {context}")
 
 
-# --method -> (estimator name, option holding its parameter)
-_METHODS = {
-    "smi": ("SMI", None),
-    "fml": ("FML", None),
-    "rcml": ("RCML_FIXED", "rank"),
-    "cncml": ("CNCML_FIXED", "kmax"),
-}
-
-
 def _cmd_estimate(args) -> int:
-    method = args.method
-    if method != "smi":
-        _require_sigma2(args, f"method {method}")
+    spec = EstimatorSpec.parse(args.estimator)
+    if spec.name != "SMI":
+        _require_sigma2(args, f"estimator {spec}")
     stats = _load_stats(args)
-    name, option = _METHODS[method]
-    param = getattr(args, option) if option else None
-    if option and param is None:
-        raise InputError(f"--{option} is required for method {method}")
-    est = build_estimate(EstimatorSpec(name, param), stats)
+    est = build_estimate(spec, stats)
     log_lr = log_lr_value(est.lambdas, stats.d)
-    pairs = [("method", method), ("n", stats.n), ("k", stats.k)]
+    pairs = [("estimator", spec), ("n", stats.n), ("k", stats.k)]
     con = est.constraints
     if con.r is not None:
         pairs.append(("rank", con.r))
@@ -191,9 +178,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("--input", required=True, help="CMAT file holding the sample covariance")
     p_est.add_argument("--k", type=int, required=True, help="sample count behind the input")
     p_est.add_argument("--sigma2", type=float, default=None, help="noise power")
-    p_est.add_argument("--method", required=True, choices=("smi", "fml", "rcml", "cncml"))
-    p_est.add_argument("--rank", type=int, default=None)
-    p_est.add_argument("--kmax", type=float, default=None)
+    p_est.add_argument("--estimator", required=True,
+                       help="estimator spec as a config names it, e.g. FML or RCML_FIXED(5)")
     p_est.set_defaults(func=_cmd_estimate)
 
     p_sel = sub.add_parser("select", help="select constraints by likelihood-ratio matching")

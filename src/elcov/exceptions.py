@@ -1,4 +1,4 @@
-"""Exception hierarchy shared across the package, and its data-file reader.
+"""Exception hierarchy shared across the package, and its data-file and number readers.
 
 Two families matter operationally: :class:`InputError` covers bad arguments,
 domains, and malformed files (CLI exit code 1), while :class:`NumericalError`
@@ -48,6 +48,15 @@ def _read_records(path, header: str) -> tuple[list[str], list[tuple[int, str]], 
         raise FormatError(f"expected header {header!r}", path=path, line=1)
     records = [(lineno, text) for lineno, text in enumerate(lines[1:], start=2) if text.strip()]
     return first, records, len(lines)
+
+
+def _number(text: str, convert=float):
+    """``convert(text)`` for a number spelled as the package writes one: ASCII,
+    without ``_`` (Python's ``int`` and ``float`` also take digit separators and
+    non-ASCII digits); raises :class:`ValueError` otherwise."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"{text!r} is not an ASCII number without '_'")
+    return convert(text)
 
 
 class NumericalError(ElcovError, RuntimeError):

@@ -64,7 +64,7 @@ from .estimators import (
     _rcml_rows,
     _smi_rows,
 )
-from .exceptions import InputError, SingularMatrixError
+from .exceptions import InputError, SingularMatrixError, _number
 from .hermitian import _eigh_desc, derive_rng, sample_covariance, sqrt_factor
 from .likelihood import lr0_lookup
 from .metrics import apply_inverse
@@ -182,7 +182,7 @@ class EstimatorSpec:
                 raise InputError(f"malformed estimator spec {text!r}")
             token, arg = token[:-1].split("(", 1)
             try:
-                param = float(arg)
+                param = _number(arg)
             except ValueError as exc:
                 raise InputError(f"malformed estimator parameter in {text!r}") from exc
         name = token.strip().upper()
@@ -521,9 +521,13 @@ def _write_outputs(cfg: ExperimentConfig, records: list[TrialRecord]) -> None:
                 writer.writerow([k, str(spec), len(cell), _fmt(mean)])
 
 
+def _int(text: str) -> int:
+    return _number(text, int)
+
+
 def _floats(text: str) -> tuple[float, ...]:
     items = [tok.strip() for tok in text.split(",")]
-    return tuple(float(tok) for tok in items if tok)
+    return tuple(_number(tok) for tok in items if tok)
 
 
 def _sample_counts(text: str) -> tuple[int, ...]:
@@ -554,21 +558,21 @@ def _corruption(n: int, fraction: float, amplitude: float, **angle) -> Corruptio
 # section -> key -> (the field it sets, its conversion from the file's text)
 _CONFIG_SCHEMA = {
     "scenario": {
-        "n": ("n", int), "noise_power": ("noise_power", float),
+        "n": ("n", _int), "noise_power": ("noise_power", _number),
         "jammer_powers": ("jammer_powers", _floats), "jammer_angles": ("jammer_angles", _floats),
         "jammer_bandwidths": ("jammer_bandwidths", _floats),
         "sinc_convention": ("sinc_convention", str), "angle_mode": ("angle_mode", str),
     },
     "experiment": {
-        "k_list": ("k_list", _sample_counts), "trials": ("trials", int),
-        "master_seed": ("master_seed", int), "estimators": ("estimators", _specs),
+        "k_list": ("k_list", _sample_counts), "trials": ("trials", _int),
+        "master_seed": ("master_seed", _int), "estimators": ("estimators", _specs),
         "output": ("output_path", str), "lr0_table": ("lr0_table_path", str),
         "autocompute": ("autocompute_lr0", _boolean), "steering_grid": ("steering_grid", _floats),
-        "nmf_angle": ("nmf_angle", float), "r_init": ("r_init", int),
+        "nmf_angle": ("nmf_angle", _number), "r_init": ("r_init", _int),
     },
     # angle is no field: _corruption turns it into the steering vector
-    "corruption": {"fraction": ("fraction", float), "amplitude": ("amplitude", float),
-                   "angle": ("angle_deg", float)},
+    "corruption": {"fraction": ("fraction", _number), "amplitude": ("amplitude", _number),
+                   "angle": ("angle_deg", _number)},
 }
 
 # the keys each section must set: those whose field has no default
@@ -592,7 +596,10 @@ def _section(parser: configparser.ConfigParser, name: str, build, **given):
     try:
         for key, text in section.items():
             field, convert = schema[key]
-            given[field] = convert(text)
+            try:
+                given[field] = convert(text)
+            except ValueError as exc:  # InputError too: the message names the key
+                raise ValueError(f"{key} = {text}: {exc}") from exc
         return build(**given)
     except (ValueError, configparser.Error) as exc:  # an interpolation error on a '%'
         raise InputError(f"bad [{name}] value: {exc}") from exc

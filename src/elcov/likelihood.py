@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimators import SampleStats, rcml
-from .exceptions import FormatError, InputError, NumericalError, _read_records
+from .exceptions import FormatError, InputError, NumericalError, _number, _read_records
 
 __all__ = [
     "LambertBranch",
@@ -325,8 +325,8 @@ def _parse_table(path) -> list[LRReference]:
             )
         try:
             # trials and seed (parts 2 and 3) must parse but are not kept
-            n, k, _, _ = (int(parts[i]) for i in range(4))
-            values = [float(v) for v in parts[4:]]
+            n, k, _, _ = (_number(parts[i], int) for i in range(4))
+            values = [_number(v) for v in parts[4:]]
         except ValueError as exc:
             raise FormatError(f"unparseable numeric field: {exc}", path=path, line=lineno) from exc
         if not 0 < values[0] <= 1:

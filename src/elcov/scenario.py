@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import FormatError, InputError, NumericalError, _read_records
+from .exceptions import FormatError, InputError, NumericalError, _number, _read_records
 from .hermitian import _sample_rows, as_hermitian, sqrt_factor
 
 __all__ = [
@@ -233,7 +233,7 @@ def _read_cmat(path) -> tuple[np.ndarray, list[int]]:
     """The matrix of a CMAT file and the file line number of each of its rows."""
     header, body, end = _read_records(path, _CMAT_HEADER + " <rows> <cols>")
     try:
-        rows, cols = int(header[2]), int(header[3])
+        rows, cols = _number(header[2], int), _number(header[3], int)
     except ValueError as exc:
         raise FormatError(f"unparseable dimensions: {exc}", path=path, line=1) from exc
     if rows < 1 or cols < 1:
@@ -248,11 +248,13 @@ def _read_cmat(path) -> tuple[np.ndarray, list[int]]:
                 f"expected {2 * cols} numbers, found {len(parts)}", path=path, line=lineno
             )
         try:
+            if not text.isascii() or "_" in text:  # one test a line; _number finds the entry
+                raise ValueError
             out[i] = list(map(float, parts))
         except ValueError:
-            for j, part in enumerate(parts):  # the entry that failed, for its column
+            for j, part in enumerate(parts):  # entry by entry, to name the one that fails
                 try:
-                    float(part)
+                    out[i, j] = _number(part)
                 except ValueError as exc:
                     raise FormatError(f"unparseable entry: {exc}", path=path, line=lineno,
                                       column=j // 2 + 1) from exc

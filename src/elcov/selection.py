@@ -144,7 +144,8 @@ def sigma_el_roots(sample_lambdas, r: int, lr0: float | LRReference) -> NoiseRoo
     roots exist they are obtained from the two real Lambert W branches of
     the transformed equation.  The trailing eigenvalues ``d[r:]`` must be
     non-negative and finite, with a finite sum; a zero among them sends the
-    peak to ``-inf`` (no roots).
+    peak to ``-inf`` (no roots).  A closed form that overflows the double
+    range raises :class:`~elcov.exceptions.NumericalError`.
     """
     log_lr0 = _log(lr0)
     d = np.asarray(sample_lambdas, dtype=float)
@@ -176,11 +177,15 @@ def _noise_roots(tail: np.ndarray, log_lr0: float) -> NoiseRoots:
 
     a = float(-m)
     c = log_lr0 - float(np.log(tail).sum()) + a
-    z = (b / a) * math.exp(-c / a)
-    # rounding can push z a hair below the branch point when lr0 ~ peak
-    z = max(z, _BRANCH_POINT)
-    hi = math.exp(lambert_w(LambertBranch.PRINCIPAL, z) + c / a)
-    lo = math.exp(lambert_w(LambertBranch.LOWER, z) + c / a)
+    try:
+        z = (b / a) * math.exp(-c / a)
+        # rounding can push z a hair below the branch point when lr0 ~ peak
+        z = max(z, _BRANCH_POINT)
+        hi = math.exp(lambert_w(LambertBranch.PRINCIPAL, z) + c / a)
+        lo = math.exp(lambert_w(LambertBranch.LOWER, z) + c / a)
+    except OverflowError as exc:
+        raise NumericalError("the noise-power roots' closed form overflows the double "
+                             f"range at log lr0 = {log_lr0:.12g}") from exc
     roots = (min(lo, hi), max(lo, hi))
     return NoiseRoots(count=2, roots=roots, sigma_ml=s_ml)
 

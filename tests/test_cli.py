@@ -24,7 +24,7 @@ from elcov import (
     write_cmat,
 )
 from elcov.cli import _build_parser, cli
-from elcov.harness import _CONFIG_SCHEMA, load_experiment_config
+from elcov.harness import _CONFIG_SCHEMA, EstimatorSpec, build_estimate, load_experiment_config
 from elcov.likelihood import QUANTILE_PROBS
 
 
@@ -105,10 +105,10 @@ class TestEstimateCommand:
     def test_fml(self, sample_cov, capsys):
         path, d = sample_cov
         code = cli(["estimate", "--input", str(path), "--k", "8",
-                    "--sigma2", "1.0", "--method", "fml"])
+                    "--sigma2", "1.0", "--estimator", "FML"])
         assert code == 0
         pairs = kv(capsys)
-        assert pairs["method"] == "fml"
+        assert pairs["estimator"] == "FML"
         eigs = [float(x) for x in pairs["eigenvalues"].split(",")]
         assert eigs == pytest.approx([9.0, 4.0, 1.0, 1.0])
         assert 0.0 < float(pairs["lr"]) <= 1.0
@@ -116,9 +116,9 @@ class TestEstimateCommand:
     def test_rcml_requires_rank(self, sample_cov, capsys):
         path, _ = sample_cov
         assert cli(["estimate", "--input", str(path), "--k", "8",
-                    "--sigma2", "1.0", "--method", "rcml"]) == 1
+                    "--sigma2", "1.0", "--estimator", "RCML_FIXED"]) == 1
         assert cli(["estimate", "--input", str(path), "--k", "8",
-                    "--sigma2", "1.0", "--method", "rcml", "--rank", "1"]) == 0
+                    "--sigma2", "1.0", "--estimator", "RCML_FIXED(1)"]) == 0
         pairs = kv(capsys)
         eigs = [float(x) for x in pairs["eigenvalues"].split(",")]
         assert eigs == pytest.approx([9.0, 1.0, 1.0, 1.0])
@@ -126,15 +126,70 @@ class TestEstimateCommand:
     def test_cncml_reports_condition_number(self, sample_cov, capsys):
         path, _ = sample_cov
         assert cli(["estimate", "--input", str(path), "--k", "8",
-                    "--sigma2", "1.0", "--method", "cncml", "--kmax", "4"]) == 0
+                    "--sigma2", "1.0", "--estimator", "CNCML_FIXED(4)"]) == 0
         pairs = kv(capsys)
         assert float(pairs["condition_number"]) == pytest.approx(4.0, abs=1e-9)
 
     def test_smi_without_sigma2(self, sample_cov, capsys):
         path, d = sample_cov
-        assert cli(["estimate", "--input", str(path), "--k", "8", "--method", "smi"]) == 0
+        assert cli(["estimate", "--input", str(path), "--k", "8", "--estimator", "SMI"]) == 0
         pairs = kv(capsys)
         assert float(pairs["lr"]) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("fmt, first", [("kv", ["estimator=RCML_FIXED(2)"]),
+                                            ("csv", ["key,value", "estimator,RCML_FIXED(2)"])])
+    def test_names_the_estimator_as_trials_csv_does(self, sample_cov, capsys, fmt, first):
+        path, _ = sample_cov
+        assert cli(["estimate", "--input", str(path), "--k", "8", "--sigma2", "1.0",
+                    "--estimator", " rcml_fixed(2.0) ", "--format", fmt]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:len(first)] == first
+        assert str(EstimatorSpec.parse("rcml_fixed(2.0)")) == "RCML_FIXED(2)"
+
+    @pytest.mark.parametrize("text", ["SMI", "FML", "RCML_FIXED(1)", "CNCML_ML",
+                                      "CNCML_FIXED(4)"])
+    def test_prints_what_build_estimate_returns(self, sample_cov, capsys, text):
+        path, d = sample_cov
+        assert cli(["estimate", "--input", str(path), "--k", "8", "--sigma2", "0.5",
+                    "--estimator", text]) == 0
+        stats = stats_from_spectrum(d, k=8, sigma2=0.5)
+        expected = build_estimate(EstimatorSpec.parse(text), stats).lambdas
+        assert kv(capsys)["eigenvalues"] == ",".join(f"{v:.12g}" for v in expected)
+
+    @pytest.mark.parametrize("text", ["RCML_EL", "RCML_EL_SIGMA", "CNCML_EL", "LSMI_EL"])
+    def test_estimator_needing_lr0_is_input_error(self, sample_cov, capsys, text):
+        path, _ = sample_cov
+        assert cli(["estimate", "--input", str(path), "--k", "8", "--sigma2", "1.0",
+                    "--estimator", text]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: estimator {text} needs lr0\n")
+
+    @pytest.mark.parametrize("text, message", [
+        ("RCML_FIXED(1.5)", "rank in 'RCML_FIXED(1.5)' must be a finite whole number"),
+        ("RCML_FIXED(1_0)", "malformed estimator parameter in 'RCML_FIXED(1_0)'"),
+        ("RCML_FIXED(5", "malformed estimator spec 'RCML_FIXED(5'"),
+        ("CNCML_FIXED", "estimator CNCML_FIXED requires a parameter, e.g. CNCML_FIXED(5)"),
+        ("FML(2)", "estimator FML takes no parameter"),
+        ("RCML_FIXED(9)", "rank 9 outside [0, 4]"),
+        ("CNCML_FIXED(0.5)", "condition-number bound kmax must be at least 1"),
+        ("MVDR", "unknown estimator 'MVDR'; known: SMI, FML, RCML_FIXED, RCML_EL, "
+                 "RCML_EL_SIGMA, CNCML_ML, CNCML_FIXED, CNCML_EL, LSMI_EL"),
+    ])
+    def test_rejects_what_a_config_rejects(self, sample_cov, capsys, text, message):
+        path, _ = sample_cov
+        assert cli(["estimate", "--input", str(path), "--k", "8", "--sigma2", "1.0",
+                    "--estimator", text]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+    @pytest.mark.parametrize("text", ["FML", "RCML_FIXED(1)", "RCML_EL", "RCML_EL_SIGMA",
+                                      "CNCML_ML", "CNCML_FIXED(4)", "CNCML_EL", "LSMI_EL"])
+    def test_sigma2_is_required_but_for_smi(self, sample_cov, capsys, text):
+        path, _ = sample_cov
+        assert cli(["estimate", "--input", str(path), "--k", "8", "--estimator", text]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", f"error: --sigma2 is required for estimator {text}\n")
 
 
 def _no_lr0_work(*args, **kwargs):
@@ -230,6 +285,35 @@ class TestSelectCommand:
         assert code == 1
         assert capsys.readouterr().err.startswith(f"error: --r-init {r_init} outside [0, 5]")
 
+    @pytest.mark.parametrize("mode", ["rank", "kmax"])
+    def test_sigma2_is_required(self, sample_cov, capsys, mode):
+        path, _ = sample_cov
+        assert cli(["select", "--input", str(path), "--k", "8", "--mode", mode,
+                    "--lr0", "0.5"]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", f"error: --sigma2 is required for mode {mode}\n")
+
+    def test_rank_sigma_requires_training(self, sample_cov, capsys, monkeypatch):
+        monkeypatch.setattr("elcov.cli.lr0_reference", _no_lr0_work)
+        path, _ = sample_cov
+        assert cli(["select", "--input", str(path), "--k", "8", "--mode", "rank-sigma"]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", "error: --training is required for mode rank-sigma\n")
+
+    def test_rank_sigma_overflowing_root_is_numerical_error(self, tmp_path, capsys, rng):
+        # the larger noise-power root at lr0 = 1e-300 lies beyond the double range
+        s_path, z_path = tmp_path / "s.cmat", tmp_path / "z.cmat"
+        matrix_save(np.diag([1e307, 1e306, 1e305, 1e304]).astype(complex), s_path)
+        write_cmat(rng.standard_normal((4, 8)) + 1j * rng.standard_normal((4, 8)), z_path)
+        assert cli(["select", "--input", str(s_path), "--k", "8", "--mode", "rank-sigma",
+                    "--r-init", "0", "--lr0", "1e-300", "--training", str(z_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("numerical error: the noise-power roots' closed form overflows "
+                                "the double range at log lr0 = -690.775527898\n")
+
     def test_computes_reference_without_lr0_or_table(self, sample_cov, capsys, monkeypatch):
         path, _ = sample_cov
         monkeypatch.chdir(path.parent)
@@ -270,6 +354,15 @@ class TestSinrCommand:
         expected = normalized_sinr(r_hat, r_true, steering_vector(4, 25.0))
         assert float(pairs["eta"]) == pytest.approx(expected, rel=1e-9)
         assert float(pairs["sinr_db"]) == pytest.approx(10 * math.log10(expected), rel=1e-9)
+
+    def test_dimension_mismatch_is_input_error(self, tmp_path, capsys):
+        matrix_save(np.eye(4, dtype=complex), tmp_path / "rhat.cmat")
+        matrix_save(np.eye(2, dtype=complex), tmp_path / "rtrue.cmat")
+        assert cli(["sinr", "--rhat", str(tmp_path / "rhat.cmat"),
+                    "--rtrue", str(tmp_path / "rtrue.cmat"), "--angle", "0"]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", "error: estimate and true covariance dimensions differ\n")
 
     @pytest.mark.parametrize("angle", ["nan", "inf"])
     def test_non_finite_angle_is_input_error(self, tmp_path, capsys, angle):
@@ -439,9 +532,16 @@ class TestExitCodes:
              "--no-autocompute"],
             ["simulate", "--config", "exp.cfg", "--no-autocompute"],
             ["select", "--input", "s.cmat", "--k", "8", "--mode", "rank", "--lr0-table", "t"],
+            ["estimate", "--input", "s.cmat", "--k", "8", "--estimator", "SMI",
+             "--method", "smi"],
+            ["estimate", "--input", "s.cmat", "--k", "8", "--estimator", "RCML_FIXED(1)",
+             "--rank", "1"],
+            ["estimate", "--input", "s.cmat", "--k", "8", "--estimator", "CNCML_FIXED(4)",
+             "--kmax", "4"],
         ],
         ids=["lr0-trials", "lr0-seed", "select-lr0-trials", "select-seed",
-             "select-no-autocompute", "simulate-no-autocompute", "select-lr0-table"],
+             "select-no-autocompute", "simulate-no-autocompute", "select-lr0-table",
+             "estimate-method", "estimate-rank", "estimate-kmax"],
     )
     def test_removed_flags_are_unknown(self, tmp_path, monkeypatch, capsys, argv):
         monkeypatch.chdir(tmp_path)
@@ -460,14 +560,14 @@ class TestExitCodes:
     def test_non_finite_sigma2_is_input_error(self, sample_cov, capsys, sigma2):
         path, _ = sample_cov
         assert cli(["estimate", "--input", str(path), "--k", "8", "--sigma2", sigma2,
-                    "--method", "fml"]) == 1
+                    "--estimator", "FML"]) == 1
         captured = capsys.readouterr()
         assert captured.err.startswith("error:") and "Traceback" not in captured.err
         assert "eigenvalues" not in captured.out
 
     def test_missing_file_is_input_error(self, tmp_path):
         assert cli(["estimate", "--input", str(tmp_path / "nope.cmat"), "--k", "4",
-                    "--sigma2", "1.0", "--method", "fml"]) == 1
+                    "--sigma2", "1.0", "--estimator", "FML"]) == 1
 
     def test_numerical_error_exit_code(self, tmp_path):
         # singular sample covariance cannot support loading selection
@@ -521,6 +621,68 @@ class TestMalformedFiles:
         assert err == "error: value of 'output' in section [experiment] spans lines\n"
         assert list(tmp_path.iterdir()) == [tmp_path / "exp.cfg"]
 
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("estimators", "RCML_FIXED(5",
+             "bad [experiment] value: estimators = RCML_FIXED(5: "
+             "malformed estimator spec 'RCML_FIXED(5'"),
+            ("estimators", "RCML_FIXED(x)",
+             "bad [experiment] value: estimators = RCML_FIXED(x): "
+             "malformed estimator parameter in 'RCML_FIXED(x)'"),
+            ("estimators", "RCML_FIXED(1_0)",
+             "bad [experiment] value: estimators = RCML_FIXED(1_0): "
+             "malformed estimator parameter in 'RCML_FIXED(1_0)'"),
+            ("estimators", "", "bad [experiment] value: estimator list must not be empty"),
+            ("k_list", "", "bad [experiment] value: k_list must not be empty"),
+            ("k_list", "1_0, \u0668",
+             "bad [experiment] value: k_list = 1_0, \u0668: '1_0' is not an ASCII number "
+             "without '_'"),
+            ("k_list", "4, \u0668",
+             "bad [experiment] value: k_list = 4, \u0668: '\u0668' is not an ASCII number "
+             "without '_'"),
+            ("trials", "0", "bad [experiment] value: trials must be at least 1"),
+            ("trials", "1_0",
+             "bad [experiment] value: trials = 1_0: '1_0' is not an ASCII number without '_'"),
+            ("nmf_angle", "\uff10",
+             "bad [experiment] value: nmf_angle = \uff10: '\uff10' is not an ASCII number "
+             "without '_'"),
+            ("autocompute", "maybe",
+             "bad [experiment] value: autocompute = maybe: Not a boolean: maybe"),
+        ],
+        ids=["spec-unclosed", "spec-parameter", "spec-separator", "no-estimators", "no-k-list",
+             "k-list-separator", "k-list-arabic-indic", "no-trials", "trials-separator",
+             "nmf-angle-fullwidth", "autocompute"],
+    )
+    def test_config_value(self, tmp_path, monkeypatch, capsys, key, value, message):
+        monkeypatch.chdir(tmp_path)
+        lines = [line for line in _GOOD_EXPERIMENT.decode().splitlines()
+                 if not line.startswith(key + " ")]
+        (tmp_path / "exp.cfg").write_text("[scenario]\nn = 4\n" + "\n".join(lines)
+                                          + f"\n{key} = {value}\noutput = out\n",
+                                          encoding="utf-8")
+        assert cli(["simulate", "--config", "exp.cfg"]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
+        assert list(tmp_path.iterdir()) == [tmp_path / "exp.cfg"]
+
+    @pytest.mark.parametrize("content, message", [
+        (b"[scenario]\nn = 4\n", "missing required config section [experiment]"),
+        (b"[scenario]\nn = 1_0\n" + _GOOD_EXPERIMENT + b"output = out\n",
+         "bad [scenario] value: n = 1_0: '1_0' is not an ASCII number without '_'"),
+        ("[scenario]\nn = 4\nnoise_power = \u0661\n".encode() + _GOOD_EXPERIMENT
+         + b"output = out\n",
+         "bad [scenario] value: noise_power = \u0661: '\u0661' is not an ASCII number "
+         "without '_'"),
+    ], ids=["no-experiment", "n-separator", "noise-power-arabic-indic"])
+    def test_config_scenario(self, tmp_path, monkeypatch, capsys, content, message):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "exp.cfg").write_bytes(content)
+        assert cli(["simulate", "--config", "exp.cfg"]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
+        assert list(tmp_path.iterdir()) == [tmp_path / "exp.cfg"]
+
     def test_config_loader_raises_input_error(self, tmp_path):
         path = tmp_path / "exp.cfg"
         path.write_bytes(b"[scenario]\nn = 4\nn = 5\n" + _GOOD_EXPERIMENT)
@@ -530,14 +692,14 @@ class TestMalformedFiles:
     def test_cmat(self, tmp_path, capsys):
         path = tmp_path / "s.cmat"
         path.write_bytes(b"CMAT v1 1 1\n1 0 \xff\n")
-        assert cli(["estimate", "--input", str(path), "--k", "4", "--method", "smi"]) == 1
+        assert cli(["estimate", "--input", str(path), "--k", "4", "--estimator", "SMI"]) == 1
         err = capsys.readouterr().err
         assert err == f"error: {path}: not UTF-8 text (invalid start byte)\n"
 
     def test_cmat_non_finite_entry(self, tmp_path, capsys):
         path = tmp_path / "s.cmat"
         path.write_text("CMAT v1 2 2\n1 0 0 0\n0 0 nan 0\n")
-        assert cli(["estimate", "--input", str(path), "--k", "4", "--method", "smi"]) == 1
+        assert cli(["estimate", "--input", str(path), "--k", "4", "--estimator", "SMI"]) == 1
         err = capsys.readouterr().err
         assert err == f"error: {path}, line 3, column 2: matrix entry (nan+0j) is not finite\n"
 

@@ -438,6 +438,26 @@ class TestLr0Table:
             lr0_load(3, 12, path)
         assert err.value.line == 2
 
+    @pytest.mark.parametrize("field, value, reason", [
+        (0, "x", "invalid literal for int() with base 10: 'x'"),
+        (5, "0.5e", "could not convert string to float: '0.5e'"),
+        (1, "1_2", "'1_2' is not an ASCII number without '_'"),         # int() reads 12
+        (4, "0.3_1", "'0.3_1' is not an ASCII number without '_'"),
+        (0, "\u0663", "'\u0663' is not an ASCII number without '_'"),  # Arabic-Indic 3
+        (6, "\uff10.5", "'\uff10.5' is not an ASCII number without '_'"),  # fullwidth 0
+    ])
+    def test_unparseable_field_reports_line(self, tmp_path, field, value, reason):
+        path = tmp_path / "table.txt"
+        lr0_store(LRReference(3, 12, 0.3, [(p, 0.1 + p) for p in QUANTILE_PROBS]), path)
+        record = path.read_text().splitlines()[1].split()
+        record[field] = value
+        with path.open("a", encoding="utf-8") as fh:
+            fh.write("\n" + " ".join(record) + "\n")
+        with pytest.raises(FormatError) as err:
+            lr0_load(3, 12, path)
+        assert str(err.value) == f"{path}, line 4: unparseable numeric field: {reason}"
+        assert err.value.line == 4
+
     def test_lossless_floats(self, tmp_path):
         path = tmp_path / "table.txt"
         ref = LRReference(

@@ -330,6 +330,54 @@ class TestMatrixIo:
                 read_cmat(path)
             assert (err.value.line, err.value.column) == (2, column)
 
+    @pytest.mark.parametrize("text, line, message", [
+        ("CMAT v1 x 1\n1 0\n", 1,
+         "unparseable dimensions: invalid literal for int() with base 10: 'x'"),
+        ("CMAT v1 1_0 1\n1 0\n", 1,
+         "unparseable dimensions: '1_0' is not an ASCII number without '_'"),
+        ("CMAT v1 1 \u0661\n1 0\n", 1,
+         "unparseable dimensions: '\u0661' is not an ASCII number without '_'"),
+        ("CMAT v1 0 1\n", 1, "dimensions must be positive"),
+        ("CMAT v1 1 -1\n1 0\n", 1, "dimensions must be positive"),
+        ("CMAT v1 3 1\n1 0\n\n2 0\n", 4, "expected 3 data rows, found 2"),
+    ], ids=["letter", "separator", "arabic-indic", "zero-rows", "negative-cols", "rows-missing"])
+    def test_rejects_bad_dimensions(self, tmp_path, text, line, message):
+        path = tmp_path / "dims.cmat"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(FormatError) as err:
+            read_cmat(path)
+        assert str(err.value) == f"{path}, line {line}: {message}"
+        assert (err.value.line, err.value.column) == (line, None)
+
+    @pytest.mark.parametrize("row, column, entry", [
+        ("1_0 -0", 1, "1_0"),                        # float() reads it as 10
+        ("1 0 0 0_5", 2, "0_5"),                     # an imaginary part
+        ("1 0 \u0661\u0662 0", 2, "\u0661\u0662"),  # float() reads Arabic-Indic 12
+        ("1 0 \uff11 0", 2, "\uff11"),              # a fullwidth digit
+    ])
+    def test_rejects_number_spellings_no_writer_makes(self, tmp_path, row, column, entry):
+        cols = len(row.split()) // 2
+        path = tmp_path / "spell.cmat"
+        path.write_text(f"CMAT v1 2 {cols}\n{' '.join(['0'] * 2 * cols)}\n\n{row}\n",
+                        encoding="utf-8")
+        with pytest.raises(FormatError) as err:
+            read_cmat(path)
+        assert str(err.value) == (f"{path}, line 4, column {column}: unparseable entry: "
+                                  f"{entry!r} is not an ASCII number without '_'")
+
+    def test_non_ascii_whitespace_still_separates_entries(self, tmp_path):
+        # str.split takes it, as before; the row is converted entry by entry
+        path = tmp_path / "nbsp.cmat"
+        path.write_text("CMAT v1 2 1\n1.5\u00a0-0\n2 0\n", encoding="utf-8")
+        np.testing.assert_array_equal(read_cmat(path), [[1.5], [2.0]])
+
+    def test_load_rejects_a_non_square_matrix(self, tmp_path):
+        path = tmp_path / "wide.cmat"
+        write_cmat(np.ones((1, 2), dtype=complex), path)
+        with pytest.raises(FormatError) as err:
+            matrix_load(path)
+        assert str(err.value) == f"{path}, line 1: expected a square matrix, got (1, 2)"
+
     def test_large_round_trip_is_bit_exact(self, rng, tmp_path):
         # each row is converted at once: every entry comes back with its bits,
         # -0.0, subnormals and infinities included

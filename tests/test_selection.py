@@ -28,6 +28,7 @@ from elcov import (
     InputError,
     JointSelection,
     NoRootError,
+    NumericalError,
     SampleStats,
     cncml,
     cncml_u_star,
@@ -231,6 +232,17 @@ class TestSigmaElRoots:
         assert roots.count == 0
         assert roots.roots == ()
         assert roots.sigma_ml == 2.0
+
+    @pytest.mark.parametrize("d, lr0, log_lr0", [
+        ([1e300, 1e300], 1e-300, "-690.775527898"),  # the larger root exceeds the double range
+        ([1.0, 5e-324], 0.3, "-1.20397280433"),      # exp(-c / a) overflows for a subnormal tail
+    ])
+    def test_overflowing_closed_form_is_a_numerical_error(self, d, lr0, log_lr0):
+        # math.exp raised OverflowError, which no CLI handler catches
+        with pytest.raises(NumericalError) as err:
+            sigma_el_roots(d, 1, lr0)
+        assert str(err.value) == ("the noise-power roots' closed form overflows the double "
+                                  f"range at log lr0 = {log_lr0}")
 
     def test_unimodal_profile(self, rng):
         # increasing below the trailing mean, decreasing above
