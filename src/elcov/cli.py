@@ -14,10 +14,11 @@ import csv
 import functools
 import io
 import math
+import os
 import sys
 
 from .estimators import SampleStats, condition_number
-from .exceptions import InputError, NumericalError
+from .exceptions import InputError, NumericalError, _number
 from .harness import EstimatorSpec, build_estimate, load_experiment_config, run_experiment
 from .likelihood import LRReference, log_lr_value, lr0_reference, lr0_store
 from .metrics import normalized_sinr
@@ -160,6 +161,18 @@ def _cmd_sinr(args) -> int:
     return 0
 
 
+def _read_as(convert):
+    """An argparse type reading a number as a data file or config does
+    (:func:`_number`); argparse names it as ``convert`` in a usage error."""
+    def read(text):
+        return _number(text, convert)
+    read.__name__ = convert.__name__
+    return read
+
+
+_INT, _FLOAT = _read_as(int), _read_as(float)
+
+
 @functools.cache  # parse_args leaves the parser as it was, so one serves every call
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -169,29 +182,29 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_lr0 = sub.add_parser("lr0", help="compute and store an invariant LR reference")
-    p_lr0.add_argument("--n", type=int, required=True)
-    p_lr0.add_argument("--k", type=int, required=True)
+    p_lr0.add_argument("--n", type=_INT, required=True)
+    p_lr0.add_argument("--k", type=_INT, required=True)
     p_lr0.add_argument("--table", required=True, help="LR0TABLE file to append to")
     p_lr0.set_defaults(func=_cmd_lr0)
 
     p_est = sub.add_parser("estimate", help="run one estimator on a stored sample covariance")
     p_est.add_argument("--input", required=True, help="CMAT file holding the sample covariance")
-    p_est.add_argument("--k", type=int, required=True, help="sample count behind the input")
-    p_est.add_argument("--sigma2", type=float, default=None, help="noise power")
+    p_est.add_argument("--k", type=_INT, required=True, help="sample count behind the input")
+    p_est.add_argument("--sigma2", type=_FLOAT, default=None, help="noise power")
     p_est.add_argument("--estimator", required=True,
                        help="estimator spec as a config names it, e.g. FML or RCML_FIXED(5)")
     p_est.set_defaults(func=_cmd_estimate)
 
     p_sel = sub.add_parser("select", help="select constraints by likelihood-ratio matching")
     p_sel.add_argument("--input", required=True, help="CMAT file holding the sample covariance")
-    p_sel.add_argument("--k", type=int, required=True)
+    p_sel.add_argument("--k", type=_INT, required=True)
     p_sel.add_argument("--mode", required=True, choices=("rank", "rank-sigma", "kmax", "loading"))
-    p_sel.add_argument("--sigma2", type=float, default=None)
-    p_sel.add_argument("--r-init", type=int, default=0, help="initial rank for rank-sigma")
-    p_sel.add_argument("--lr0", type=float, default=None, help="reference LR value")
+    p_sel.add_argument("--sigma2", type=_FLOAT, default=None)
+    p_sel.add_argument("--r-init", type=_INT, default=0, help="initial rank for rank-sigma")
+    p_sel.add_argument("--lr0", type=_FLOAT, default=None, help="reference LR value")
     p_sel.add_argument("--training", default=None,
                        help="CMAT file with the n-by-k training, one column per sample")
-    p_sel.add_argument("--angle", type=float, default=0.0, help="steering angle in degrees")
+    p_sel.add_argument("--angle", type=_FLOAT, default=0.0, help="steering angle in degrees")
     p_sel.set_defaults(func=_cmd_select)
 
     p_sim = sub.add_parser("simulate", help="run a Monte Carlo experiment from a config file")
@@ -201,7 +214,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sinr = sub.add_parser("sinr", help="normalized SINR of one estimate vs the truth")
     p_sinr.add_argument("--rhat", required=True, help="CMAT file with the estimate")
     p_sinr.add_argument("--rtrue", required=True, help="CMAT file with the true covariance")
-    p_sinr.add_argument("--angle", type=float, required=True, help="steering angle in degrees")
+    p_sinr.add_argument("--angle", type=_FLOAT, required=True, help="steering angle in degrees")
     p_sinr.set_defaults(func=_cmd_sinr)
 
     for sp in (p_lr0, p_est, p_sel, p_sim, p_sinr):
@@ -211,7 +224,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def cli(argv) -> int:
-    """Entry point returning an exit code instead of raising SystemExit."""
+    """Entry point returning an exit code instead of raising SystemExit.
+    A closed stdout raises :class:`BrokenPipeError`, which :func:`main` handles."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -226,13 +240,23 @@ def cli(argv) -> int:
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
+    except BrokenPipeError:  # not an input error: the reader of stdout is gone
+        raise
+    except OSError as exc:  # an unreadable input file
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
 
 def main() -> None:
-    sys.exit(cli(sys.argv[1:]))
+    try:
+        code = cli(sys.argv[1:])
+        sys.stdout.flush()  # so that a closed stdout raises here, not at exit
+    except BrokenPipeError:
+        # as Python's signal docs advise on EPIPE: point fd 1 at devnull, so
+        # that the flush at exit writes nowhere and reports nothing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import InputError
+from .exceptions import InputError, _numeral
 from .hermitian import EigenDecomposition, eig_hermitian
 
 __all__ = [
@@ -115,6 +115,7 @@ class CovarianceEstimate:
 # so a sweep builds all the trials of a pass in one call; the public
 # estimators are its one-row case.  A map returns the ``(B, N)`` eigenvalues
 # and, in place of records, a length-B list per ConstraintRecord field it sets.
+# A map that takes a rank, bound or loading is that parameter's one check.
 
 
 def _one_row(stats: SampleStats, lambdas: np.ndarray, columns: dict) -> CovarianceEstimate:
@@ -148,12 +149,14 @@ def fml(stats: SampleStats) -> CovarianceEstimate:
 
 def _rcml_rows(d: np.ndarray, sigma2: float, ranks: list):
     n = d.shape[1]
-    for r in ranks:
+    for r in set(ranks):  # once per distinct rank
         if not 0 <= r <= n:
-            raise InputError(f"rank {r} outside [0, {n}]")
+            raise InputError(f"rank {_numeral(r)} outside [0, {n}]")
+        if r % 1:
+            raise InputError(f"rank {_numeral(r)} is not a whole number")
     keep = np.arange(n) < np.array(ranks)[:, np.newaxis]
     lambdas = np.where(keep, np.maximum(d, sigma2), float(sigma2))
-    return lambdas, {"r": [int(r) for r in ranks], "sigma2": [sigma2] * len(ranks)}
+    return lambdas, {"r": list(map(int, ranks)), "sigma2": [sigma2] * len(ranks)}
 
 
 def rcml(stats: SampleStats, r: int) -> CovarianceEstimate:
@@ -161,20 +164,21 @@ def rcml(stats: SampleStats, r: int) -> CovarianceEstimate:
 
     Kept eigenvalues are still clipped at ``sigma2``, so ranks beyond the
     count of eigenvalues above the floor all produce the same estimate.
-    ``r = 0`` is allowed and returns ``sigma2 * I``.
+    ``r`` must be a whole number in ``[0, N]``; ``r = 0`` returns ``sigma2 * I``.
     """
     return _one_row(stats, *_rcml_rows(stats.d[np.newaxis], stats.sigma2, [r]))
 
 
 def _lsmi_rows(d: np.ndarray, betas: list):
+    inf = np.inf  # a local: per row, looking up np.inf costs more than the comparison
     for beta in betas:
-        if beta < 0:
-            raise InputError("loading factor beta must be non-negative")
-    return d + np.array(betas)[:, np.newaxis], {"beta": [float(b) for b in betas]}
+        if not 0 <= beta < inf:
+            raise InputError("loading factor beta must be finite and non-negative")
+    return d + np.array(betas)[:, np.newaxis], {"beta": list(map(float, betas))}
 
 
 def lsmi(stats: SampleStats, beta: float) -> CovarianceEstimate:
-    """Diagonally loaded sample covariance ``beta * I + S``."""
+    """Diagonally loaded sample covariance ``beta * I + S``, for a finite ``beta >= 0``."""
     return _one_row(stats, *_lsmi_rows(stats.d[np.newaxis], [beta]))
 
 
@@ -433,8 +437,8 @@ class _CnTable:
 
 def _cn_solve(x: np.ndarray, kmax: float):
     """The table's solution for each row of a stack ``x = d/sigma2`` at one bound."""
-    if not kmax >= 1:
-        raise InputError("condition-number bound kmax must be at least 1")
+    if not 1 <= kmax < np.inf:
+        raise InputError("condition-number bound kmax must be finite and at least 1")
     return _CnTable(x).solve(np.full(len(x), float(kmax)))
 
 
@@ -485,9 +489,9 @@ def _cncml_rows(d: np.ndarray, sigma2: float, kmax: float):
 def cncml(stats: SampleStats, kmax: float) -> CovarianceEstimate:
     """Condition-number constrained ML estimate.
 
-    The cap map of the solution behind :func:`cncml_u_star`; the resulting
-    condition number is exactly 1, ``d_1/sigma2``, ``kmax`` and ``kmax`` in
-    its four cases respectively.
+    The cap map of the solution behind :func:`cncml_u_star`, for a finite
+    bound ``kmax >= 1``; the resulting condition number is exactly 1,
+    ``d_1/sigma2``, ``kmax`` and ``kmax`` in its four cases respectively.
     """
     return _one_row(stats, *_cncml_rows(stats.d[np.newaxis], stats.sigma2, kmax))
 

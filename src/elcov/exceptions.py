@@ -59,6 +59,13 @@ def _number(text: str, convert=float):
     return convert(text)
 
 
+def _numeral(value: float) -> str:
+    """``value`` spelled as :func:`_number` reads it back: ``:g`` when that
+    keeps every digit, else in full."""
+    short = f"{value:g}"
+    return short if float(short) == value else str(value)
+
+
 class NumericalError(ElcovError, RuntimeError):
     """Numerical failure while evaluating an otherwise valid request."""
 

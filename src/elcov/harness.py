@@ -64,7 +64,7 @@ from .estimators import (
     _rcml_rows,
     _smi_rows,
 )
-from .exceptions import InputError, SingularMatrixError, _number
+from .exceptions import InputError, SingularMatrixError, _number, _numeral
 from .hermitian import _eigh_desc, derive_rng, sample_covariance, sqrt_factor
 from .likelihood import lr0_lookup
 from .metrics import apply_inverse
@@ -148,7 +148,7 @@ _ESTIMATORS = {
     "SMI": _Estimator(False, False, lambda p, _: _smi_rows(p.d)),
     "FML": _Estimator(False, False, lambda p, _: _fml_rows(p.d, p.sigma2)),
     "RCML_FIXED": _Estimator(
-        True, False, lambda p, rank: _rcml_rows(p.d, p.sigma2, [int(rank)] * len(p.d))
+        True, False, lambda p, rank: _rcml_rows(p.d, p.sigma2, [rank] * len(p.d))
     ),
     "RCML_EL": _Estimator(
         False, True,
@@ -193,14 +193,12 @@ class EstimatorSpec:
             raise InputError(f"estimator {name} requires a parameter, e.g. {name}(5)")
         if not takes_param and param is not None:
             raise InputError(f"estimator {name} takes no parameter")
-        if name == "RCML_FIXED" and not param.is_integer():
-            raise InputError(f"rank in {text!r} must be a finite whole number")
         return cls(name=name, param=param)
 
     def __str__(self) -> str:
         if self.param is None:
             return self.name
-        return f"{self.name}({self.param:g})"
+        return f"{self.name}({_numeral(self.param)})"
 
 
 @dataclass
@@ -238,11 +236,14 @@ class ExperimentConfig:
             repeated = sorted({str(x) for x in items if items.count(x) > 1})
             if repeated:
                 raise InputError(f"{what} repeats {', '.join(repeated)}")
-        for spec in self.estimators:
-            if spec.name == "RCML_FIXED" and not 0 <= spec.param <= self.scenario.n:
-                raise InputError(f"rank in {spec} outside [0, {self.scenario.n}]")
-            if spec.name == "CNCML_FIXED" and not 1 <= spec.param < math.inf:
-                raise InputError(f"bound in {spec} must be finite and at least 1")
+        # a parameter's one check is its map's, run here once on a flat spectrum
+        sigma2 = self.scenario.noise_power
+        flat = _Pass(np.full((1, self.scenario.n), sigma2), None, None, sigma2, None, None, None)
+        for spec in [spec for spec in self.estimators if spec.param is not None]:
+            try:
+                _ESTIMATORS[spec.name].rows(flat, spec.param)
+            except InputError as exc:
+                raise InputError(f"estimator {spec}: {exc}") from exc
         if self.r_init is not None and not 0 <= self.r_init < self.scenario.n:
             raise InputError(f"r_init {self.r_init} outside [0, {self.scenario.n - 1}]")
         needing = [str(spec) for spec in self.estimators if _ESTIMATORS[spec.name].needs_lr0]

@@ -37,6 +37,13 @@ def kv(capsys):
     return pairs
 
 
+def _src_env():
+    """The environment with this checkout's ``src`` first on PYTHONPATH."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+
+
 @pytest.fixture
 def sample_cov(tmp_path, rng):
     d = np.array([9.0, 4.0, 0.6, 0.3])
@@ -75,12 +82,9 @@ class TestLr0Command:
 
     def test_module_entry_point_writes_table(self, tmp_path):
         # ``python -m elcov.cli`` runs the command, not just the import
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        path = os.environ.get("PYTHONPATH")
-        env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
         proc = subprocess.run(
             [sys.executable, "-m", "elcov.cli", "lr0", "--n", "2", "--k", "4", "--table", "t"],
-            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+            cwd=tmp_path, env=_src_env(), capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr[-2000:]
         assert lr0_load(2, 4, tmp_path / "t") is not None
@@ -165,13 +169,13 @@ class TestEstimateCommand:
         assert (captured.out, captured.err) == ("", f"error: estimator {text} needs lr0\n")
 
     @pytest.mark.parametrize("text, message", [
-        ("RCML_FIXED(1.5)", "rank in 'RCML_FIXED(1.5)' must be a finite whole number"),
+        ("RCML_FIXED(1.5)", "rank 1.5 is not a whole number"),
         ("RCML_FIXED(1_0)", "malformed estimator parameter in 'RCML_FIXED(1_0)'"),
         ("RCML_FIXED(5", "malformed estimator spec 'RCML_FIXED(5'"),
         ("CNCML_FIXED", "estimator CNCML_FIXED requires a parameter, e.g. CNCML_FIXED(5)"),
         ("FML(2)", "estimator FML takes no parameter"),
         ("RCML_FIXED(9)", "rank 9 outside [0, 4]"),
-        ("CNCML_FIXED(0.5)", "condition-number bound kmax must be at least 1"),
+        ("CNCML_FIXED(0.5)", "condition-number bound kmax must be finite and at least 1"),
         ("MVDR", "unknown estimator 'MVDR'; known: SMI, FML, RCML_FIXED, RCML_EL, "
                  "RCML_EL_SIGMA, CNCML_ML, CNCML_FIXED, CNCML_EL, LSMI_EL"),
     ])
@@ -564,6 +568,52 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.err.startswith("error:") and "Traceback" not in captured.err
         assert "eigenvalues" not in captured.out
+
+    @pytest.mark.parametrize("spelling", ["1_6", "\u0661\u0666"], ids=["separator", "arabic"])
+    @pytest.mark.parametrize("command, option, kind", [
+        ("lr0", "--n", "int"), ("lr0", "--k", "int"),
+        ("estimate", "--k", "int"), ("estimate", "--sigma2", "float"),
+        ("select", "--k", "int"), ("select", "--sigma2", "float"), ("select", "--r-init", "int"),
+        ("select", "--lr0", "float"), ("select", "--angle", "float"),
+        ("sinr", "--angle", "float"),
+    ])
+    def test_numbers_are_spelled_as_in_files(
+        self, tmp_path, monkeypatch, capsys, spelling, command, option, kind
+    ):
+        # argparse's int and float read both spellings as 16; the options
+        # follow the data files' rule instead, and reject them before any work
+        monkeypatch.chdir(tmp_path)
+        required = {
+            "lr0": ["--n", "4", "--k", "16", "--table", "t"],
+            "estimate": ["--input", "s.cmat", "--k", "16", "--sigma2", "1", "--estimator", "FML"],
+            "select": ["--input", "s.cmat", "--k", "16", "--mode", "rank", "--sigma2", "1"],
+            "sinr": ["--rhat", "r.cmat", "--rtrue", "t.cmat", "--angle", "0"],
+        }
+        assert cli([command, *required[command], option, spelling]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("usage: ")
+        assert f"argument {option}: invalid {kind} value: '{spelling}'" in captured.err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_closed_stdout_is_no_input_error(self, sample_cov, tmp_path):
+        # a pipe whose read end is closed fails every write with EPIPE: the
+        # command exits 1 and reports nothing, not even at interpreter exit;
+        # an unreadable input is still reported
+        path, _ = sample_cov
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            runs = [subprocess.run(
+                [sys.executable, "-m", "elcov.cli", "estimate", "--input", str(source),
+                 "--k", "8", "--sigma2", "1.0", "--estimator", "FML"],
+                stdout=write_end, stderr=subprocess.PIPE, env=_src_env(), text=True,
+                timeout=120,
+            ) for source in (path, tmp_path / "nope.cmat")]
+        finally:
+            os.close(write_end)
+        assert [run.returncode for run in runs] == [1, 1]
+        assert runs[0].stderr == ""
+        assert runs[1].stderr.startswith("error: [Errno 2] No such file or directory")
 
     def test_missing_file_is_input_error(self, tmp_path):
         assert cli(["estimate", "--input", str(tmp_path / "nope.cmat"), "--k", "4",

@@ -23,6 +23,7 @@ from conftest import (
     select_rank_sigma_oracle,
     sinr_scorer_oracle,
     six_jammer_scenario,
+    stats_from_spectrum,
 )
 from elcov import (
     ConstraintRecord,
@@ -37,6 +38,7 @@ from elcov import (
     ScenarioConfig,
     SingularMatrixError,
     cncml,
+    cncml_u_star,
     default_steering_grid,
     derive_rng,
     eig_hermitian,
@@ -48,6 +50,7 @@ from elcov import (
     lr0_reference,
     lr0_store,
     lsmi,
+    matrix_save,
     normalized_sinr,
     rcml,
     run_experiment,
@@ -91,13 +94,101 @@ class TestEstimatorSpec:
         with pytest.raises(InputError):
             EstimatorSpec.parse("SMI(3)")
 
-    @pytest.mark.parametrize("rank", ["2.7", "1e400", "-inf", "nan"])
-    def test_rejects_non_integer_and_non_finite_rank(self, rank):
-        with pytest.raises(InputError, match="whole number"):
-            EstimatorSpec.parse(f"RCML_FIXED({rank})")
+    @pytest.mark.parametrize("rank, message", [
+        ("2.7", "rank 2.7 is not a whole number"),
+        ("1e400", "rank inf outside [0, 4]"),
+        ("-inf", "rank -inf outside [0, 4]"),
+        ("nan", "rank nan outside [0, 4]"),
+    ], ids=["2.7", "1e400", "-inf", "nan"])
+    def test_rejects_non_integer_and_non_finite_rank(self, rank, message):
+        # the spec parses; the rank map, which every build reaches, rejects it
+        spec = EstimatorSpec.parse(f"RCML_FIXED({rank})")
+        with pytest.raises(InputError) as exc:
+            build_estimate(spec, stats_from_spectrum([4.0, 3.0, 2.0, 1.0]))
+        assert str(exc.value) == message
 
     def test_accepts_integer_valued_rank(self):
         assert EstimatorSpec.parse("RCML_FIXED(5.0)") == EstimatorSpec("RCML_FIXED", 5.0)
+
+    @pytest.mark.parametrize("text, label", [
+        ("RCML_FIXED(5)", "RCML_FIXED(5)"),
+        ("CNCML_FIXED(8)", "CNCML_FIXED(8)"),
+        ("CNCML_FIXED(1000000)", "CNCML_FIXED(1e+06)"),
+        ("CNCML_FIXED(2.0000001)", "CNCML_FIXED(2.0000001)"),
+        ("CNCML_FIXED(2.0000002)", "CNCML_FIXED(2.0000002)"),
+        ("CNCML_FIXED(1.23456789)", "CNCML_FIXED(1.23456789)"),
+    ])
+    def test_label_reads_back_as_the_spec(self, text, label):
+        # short where :g keeps every digit, in full where it would drop some
+        spec = EstimatorSpec.parse(text)
+        assert str(spec) == label
+        assert EstimatorSpec.parse(str(spec)) == spec
+
+
+# n = 4: each bad parameter, the public functions that take it, and the
+# message of the one map that checks it
+_BOUND = "condition-number bound kmax must be finite and at least 1"
+_BAD_PARAMETERS = [
+    ("RCML_FIXED(9)", (rcml,), 9, "rank 9 outside [0, 4]"),
+    ("RCML_FIXED(-1)", (rcml,), -1, "rank -1 outside [0, 4]"),
+    ("RCML_FIXED(1.5)", (rcml,), 1.5, "rank 1.5 is not a whole number"),
+    ("CNCML_FIXED(0.5)", (cncml, cncml_u_star), 0.5, _BOUND),
+    ("CNCML_FIXED(nan)", (cncml, cncml_u_star), math.nan, _BOUND),
+    ("CNCML_FIXED(inf)", (cncml, cncml_u_star), math.inf, _BOUND),
+]
+
+
+class TestParameterChecks:
+    """Each rank and bound is checked once, by the map that takes it; every
+    entry point reaches that check and reports its message."""
+
+    @pytest.mark.parametrize("text, public, param, message", _BAD_PARAMETERS,
+                             ids=[row[0] for row in _BAD_PARAMETERS])
+    def test_every_entry_point_reports_the_map_message(
+        self, tmp_path, capsys, text, public, param, message
+    ):
+        d = [9.0, 4.0, 0.6, 0.3]
+        stats = stats_from_spectrum(d)
+        spec = EstimatorSpec.parse(text)
+        raised = [pytest.raises(InputError, f, stats, param) for f in public]
+        raised.append(pytest.raises(InputError, build_estimate, spec, stats))
+        assert [str(exc.value) for exc in raised] == [message] * len(raised)
+        path = tmp_path / "exp.cfg"
+        path.write_text(f"[scenario]\nn = 4\n[experiment]\nk_list = 8\ntrials = 1\n"
+                        f"master_seed = 1\nestimators = SMI, {text}\noutput = out\n")
+        with pytest.raises(InputError) as exc:
+            load_experiment_config(path)
+        assert str(exc.value) == f"bad [experiment] value: estimator {text}: {message}"
+        cmat = tmp_path / "s.cmat"
+        matrix_save(np.diag(d).astype(complex), cmat)
+        assert cli(["estimate", "--input", str(cmat), "--k", "8", "--sigma2", "1.0",
+                    "--estimator", text]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    @pytest.mark.parametrize("estimator, param, message", [
+        (rcml, 2.5, "rank 2.5 is not a whole number"),
+        (lsmi, math.nan, "loading factor beta must be finite and non-negative"),
+        (lsmi, math.inf, "loading factor beta must be finite and non-negative"),
+        (lsmi, -0.1, "loading factor beta must be finite and non-negative"),
+    ], ids=["rcml-2.5", "lsmi-nan", "lsmi-inf", "lsmi-negative"])
+    def test_public_estimator_rejects_what_its_map_rejects(self, estimator, param, message):
+        # a fractional rank once kept ceil(r) eigenvalues and recorded int(r),
+        # and a NaN or infinite loading built a NaN or infinite estimate
+        with pytest.raises(InputError) as exc:
+            estimator(stats_from_spectrum([9.0, 4.0, 0.6, 0.3]), param)
+        assert str(exc.value) == message
+
+    def test_labels_differing_past_six_digits_are_two_columns(self, tmp_path):
+        path = tmp_path / "exp.cfg"
+        path.write_text("[scenario]\nn = 4\n[experiment]\nk_list = 8\ntrials = 2\n"
+                        f"master_seed = 1\noutput = {tmp_path / 'out'}\n"
+                        "estimators = CNCML_FIXED(2.0000001), CNCML_FIXED(2.0000002), "
+                        "CNCML_FIXED(1.23456789)\n")
+        run_experiment(load_experiment_config(path))
+        with open(tmp_path / "out" / "summary.csv", encoding="utf-8") as fh:
+            labels = [row["estimator"] for row in csv.DictReader(fh)]
+        assert labels == ["CNCML_FIXED(2.0000001)", "CNCML_FIXED(2.0000002)",
+                          "CNCML_FIXED(1.23456789)"]
 
 
 class TestSteeringGrid:
@@ -795,7 +886,9 @@ class TestTrialBlocks:
         )
         assert len(run_experiment(cfg)) == len(specs) * trials
         assert eigh_stacks == [5, 5, 4]
-        assert kmax_stacks == fixed_stacks == joint_stacks == [(5, n), (5, n), (4, n)]
+        assert kmax_stacks == joint_stacks == [(5, n), (5, n), (4, n)]
+        # the fixed-bound map also ran once at load, on one flat row, to check its bound
+        assert fixed_stacks == [(1, n)] + kmax_stacks
         assert stats_built == []
 
     @pytest.mark.parametrize("corrupted", [False, True])
