@@ -75,7 +75,14 @@ from .scenario import (
     jammer_covariance,
     steering_vector,
 )
-from .selection import _kmax_rows, _loading_rows, _log, _rank_rows, _rank_sigma_row
+from .selection import (
+    _joint_inputs,
+    _kmax_rows,
+    _loading_rows,
+    _log,
+    _rank_rows,
+    _rank_sigma_row,
+)
 
 __all__ = [
     "EstimatorSpec",
@@ -122,6 +129,7 @@ class _Pass(NamedTuple):
 class _Estimator(NamedTuple):
     takes_param: bool
     needs_lr0: bool
+    reads_sigma2: bool  # whether its map reads the pass's noise power
     # (pass, param) -> (lambdas, columns), a length-B column per constraint recorded
     rows: Callable[[_Pass, float | None], tuple[np.ndarray, dict[str, list]]]
 
@@ -145,23 +153,23 @@ def _joint_rows(p: _Pass):
 
 # the one estimator dispatch; the CLI's estimate command uses it too
 _ESTIMATORS = {
-    "SMI": _Estimator(False, False, lambda p, _: _smi_rows(p.d)),
-    "FML": _Estimator(False, False, lambda p, _: _fml_rows(p.d, p.sigma2)),
+    "SMI": _Estimator(False, False, False, lambda p, _: _smi_rows(p.d)),
+    "FML": _Estimator(False, False, True, lambda p, _: _fml_rows(p.d, p.sigma2)),
     "RCML_FIXED": _Estimator(
-        True, False, lambda p, rank: _rcml_rows(p.d, p.sigma2, [rank] * len(p.d))
+        True, False, True, lambda p, rank: _rcml_rows(p.d, p.sigma2, [rank] * len(p.d))
     ),
     "RCML_EL": _Estimator(
-        False, True,
+        False, True, True,
         lambda p, _: _rcml_rows(p.d, p.sigma2, _rank_rows(p.d, p.sigma2, p.log_lr0)[0].tolist()),
     ),
-    "RCML_EL_SIGMA": _Estimator(False, True, lambda p, _: _joint_rows(p)),
-    "CNCML_ML": _Estimator(False, False, lambda p, _: _cncml_ml_rows(p.d, p.sigma2)),
+    "RCML_EL_SIGMA": _Estimator(False, True, False, lambda p, _: _joint_rows(p)),
+    "CNCML_ML": _Estimator(False, False, True, lambda p, _: _cncml_ml_rows(p.d, p.sigma2)),
     "CNCML_FIXED": _Estimator(
-        True, False, lambda p, kmax: _cncml_rows(p.d, p.sigma2, float(kmax))
+        True, False, True, lambda p, kmax: _cncml_rows(p.d, p.sigma2, float(kmax))
     ),
-    "CNCML_EL": _Estimator(False, True, lambda p, _: _cncml_el_rows(p)),
+    "CNCML_EL": _Estimator(False, True, True, lambda p, _: _cncml_el_rows(p)),
     "LSMI_EL": _Estimator(
-        False, True, lambda p, _: _lsmi_rows(p.d, _loading_rows(p.d, p.log_lr0)[0])
+        False, True, False, lambda p, _: _lsmi_rows(p.d, _loading_rows(p.d, p.log_lr0)[0])
     ),
 }
 
@@ -313,14 +321,18 @@ def build_estimate(
     feeds the selectors and ``joint``, ``(r_init, training, nmf_steering)``,
     feeds ``RCML_EL_SIGMA`` only, taken as a sweep builds them.  Raises
     :class:`InputError` when the estimator needs either and it is missing,
-    and on a given lr0 outside ``(0, 1]``, whether or not the estimator reads it."""
+    and on a given lr0 outside ``(0, 1]`` or a given training or steering
+    that :func:`select_rank_sigma` would reject, whether or not the
+    estimator reads them."""
     if lr0 is None and _ESTIMATORS[spec.name].needs_lr0:
         raise InputError(f"estimator {spec} needs lr0")
     if joint is None and spec.name == "RCML_EL_SIGMA":
         raise InputError(f"estimator {spec} needs joint = (r_init, training, nmf_steering)")
     r_init, z, nmf_steering = joint if joint is not None else (None, None, None)
+    if joint is not None:
+        z, nmf_steering = _joint_inputs(stats.n, z, nmf_steering)
     one = _Pass(stats.d[np.newaxis], stats.s_eig.eigenvectors[np.newaxis],
-                None if z is None else [np.asarray(z)], stats.sigma2,
+                None if z is None else [z], stats.sigma2,
                 None if lr0 is None else _log(lr0), r_init, nmf_steering)
     return _one_row(stats, *_ESTIMATORS[spec.name].rows(one, spec.param))
 

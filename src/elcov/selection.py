@@ -228,19 +228,29 @@ def select_rank_sigma(
 ) -> JointSelection:
     """Alternating selection of rank and noise power, in one pass.
 
-    The inputs are checked once: ``k >= 1``, a descending spectrum, nonzero
-    finite training columns and a unit-norm steering vector up front, and
-    in the core, a dimension of at least 2 so the trailing mean stays
-    defined and a positive spectrum.
+    The inputs are checked once: ``k >= 1``, a descending spectrum, and the
+    training and steering (:func:`_joint_inputs`) up front, and in the core,
+    a dimension of at least 2 so the trailing mean stays defined and a
+    positive spectrum.
     ``r_init`` is clamped into ``[0, n - 1]``, not checked; the config loader
-    and ``elcov select`` reject a value outside that range.
+    and ``elcov estimate`` reject a value outside that range.
     """
-    n, d = s_eig.n, s_eig.eigenvalues
+    d = s_eig.eigenvalues
     if k < 1:
         raise InputError("sample count k must be at least 1")
     log_lr0 = _log(lr0)
     if (d[1:] > d[:-1]).any():
         raise InputError("sample eigenvalues must be sorted descending")
+    training, steering = _joint_inputs(s_eig.n, training, steering)
+    return _rank_sigma_row(d, s_eig.eigenvectors, r_init, log_lr0, training, steering)[0]
+
+
+def _joint_inputs(n: int, training, steering) -> tuple[np.ndarray, np.ndarray]:
+    """The joint selection's training and steering as complex arrays, and
+    the one check of both, made by each public entry: an ``n``-row training
+    with at least one column, every column nonzero and finite, and a
+    unit-norm length-``n`` steering vector.  A sweep draws its training
+    and steering, so its map (:func:`_rank_sigma_row`) skips this."""
     training = np.asarray(training, dtype=np.complex128)
     if training.ndim != 2 or training.shape[0] != n or training.shape[1] < 1:
         raise InputError("training must be an n-by-k matrix with at least one column")
@@ -249,7 +259,7 @@ def select_rank_sigma(
     steering = np.asarray(steering, dtype=np.complex128)
     if steering.shape != (n,) or not abs(np.linalg.norm(steering) - 1.0) <= 1e-6:
         raise InputError("steering must be a unit-norm length-n vector")
-    return _rank_sigma_row(d, s_eig.eigenvectors, r_init, log_lr0, training, steering)[0]
+    return training, steering
 
 
 def _rank_sigma_row(d, v, r_init: int, log_lr0: float, training, steering):

@@ -14,12 +14,18 @@ from conftest import stats_from_spectrum
 from elcov import (
     InputError,
     LRReference,
+    SampleStats,
     lr0_load,
     lr0_reference,
     lr0_store,
+    matrix_load,
     matrix_save,
     normalized_sinr,
+    read_cmat,
+    select_kmax,
+    select_loading,
     select_rank,
+    select_rank_sigma,
     steering_vector,
     write_cmat,
 )
@@ -152,21 +158,17 @@ class TestEstimateCommand:
 
     @pytest.mark.parametrize("text", ["SMI", "FML", "RCML_FIXED(1)", "CNCML_ML",
                                       "CNCML_FIXED(4)"])
-    def test_prints_what_build_estimate_returns(self, sample_cov, capsys, text):
+    def test_prints_what_build_estimate_returns(self, sample_cov, capsys, monkeypatch, text):
+        # an estimator that reads no lr0 computes none and prints none
+        monkeypatch.setattr("elcov.cli.lr0_reference", _no_lr0_work)
         path, d = sample_cov
         assert cli(["estimate", "--input", str(path), "--k", "8", "--sigma2", "0.5",
                     "--estimator", text]) == 0
         stats = stats_from_spectrum(d, k=8, sigma2=0.5)
         expected = build_estimate(EstimatorSpec.parse(text), stats).lambdas
-        assert kv(capsys)["eigenvalues"] == ",".join(f"{v:.12g}" for v in expected)
-
-    @pytest.mark.parametrize("text", ["RCML_EL", "RCML_EL_SIGMA", "CNCML_EL", "LSMI_EL"])
-    def test_estimator_needing_lr0_is_input_error(self, sample_cov, capsys, text):
-        path, _ = sample_cov
-        assert cli(["estimate", "--input", str(path), "--k", "8", "--sigma2", "1.0",
-                    "--estimator", text]) == 1
-        captured = capsys.readouterr()
-        assert (captured.out, captured.err) == ("", f"error: estimator {text} needs lr0\n")
+        pairs = kv(capsys)
+        assert pairs["eigenvalues"] == ",".join(f"{v:.12g}" for v in expected)
+        assert "lr0" not in pairs and "log_lr0" not in pairs
 
     @pytest.mark.parametrize("text, message", [
         ("RCML_FIXED(1.5)", "rank 1.5 is not a whole number"),
@@ -186,91 +188,57 @@ class TestEstimateCommand:
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", f"error: {message}\n")
 
-    @pytest.mark.parametrize("text", ["FML", "RCML_FIXED(1)", "RCML_EL", "RCML_EL_SIGMA",
-                                      "CNCML_ML", "CNCML_FIXED(4)", "CNCML_EL", "LSMI_EL"])
-    def test_sigma2_is_required_but_for_smi(self, sample_cov, capsys, text):
+    @pytest.mark.parametrize("text, key, select", [
+        ("RCML_EL", "rank", lambda stats, lr0: str(select_rank(stats, lr0).r_hat)),
+        ("CNCML_EL", "kmax", lambda stats, lr0: f"{select_kmax(stats, lr0).kmax_hat:.12g}"),
+        ("LSMI_EL", "beta", lambda stats, lr0: f"{select_loading(stats, lr0):.12g}"),
+    ])
+    def test_selector_matches_library(self, sample_cov, capsys, text, key, select):
         path, _ = sample_cov
-        assert cli(["estimate", "--input", str(path), "--k", "8", "--estimator", text]) == 1
-        captured = capsys.readouterr()
-        assert (captured.out, captured.err) == (
-            "", f"error: --sigma2 is required for estimator {text}\n")
-
-
-def _no_lr0_work(*args, **kwargs):
-    pytest.fail("lr0_reference was called")
-
-
-class TestSelectCommand:
-    def test_rank_matches_library(self, sample_cov, capsys):
-        path, d = sample_cov
-        stats = stats_from_spectrum(d, k=8)
-        lr0 = 0.4
-        expected = select_rank(stats, lr0).r_hat
-        code = cli(["select", "--input", str(path), "--k", "8", "--mode", "rank",
-                    "--sigma2", "1.0", "--r-init", "0", "--lr0", str(lr0)])
-        assert code == 0
+        stats = SampleStats.from_sample_covariance(matrix_load(path), k=8, sigma2=1.0)
+        assert cli(["estimate", "--input", str(path), "--k", "8", "--sigma2", "1.0",
+                    "--estimator", text, "--lr0", "0.4"]) == 0
         pairs = kv(capsys)
-        assert int(pairs["r_hat"]) == expected
-        assert len(pairs["visited_r"].split(",")) == len(pairs["visited_log_lr"].split(","))
+        assert pairs[key] == select(stats, 0.4)
+        assert (pairs["lr0"], pairs["log_lr0"]) == ("0.4", f"{math.log(0.4):.12g}")
 
-    def test_kmax_mode(self, sample_cov, capsys):
+    def test_selected_loading_meets_lr0(self, sample_cov, capsys):
         path, _ = sample_cov
-        code = cli(["select", "--input", str(path), "--k", "8", "--mode", "kmax",
-                    "--sigma2", "1.0", "--lr0", "0.3"])
-        assert code == 0
-        pairs = kv(capsys)
-        assert float(pairs["kmax_hat"]) >= 1.0
-        assert float(pairs["final_step"]) < 1e-4
+        assert cli(["estimate", "--input", str(path), "--k", "8", "--estimator", "LSMI_EL",
+                    "--lr0", "0.5"]) == 0
+        assert float(kv(capsys)["lr"]) == pytest.approx(0.5, abs=1e-6)
 
-    def test_loading_mode(self, sample_cov, capsys):
-        path, _ = sample_cov
-        code = cli(["select", "--input", str(path), "--k", "8", "--mode", "loading",
-                    "--lr0", "0.5"])
-        assert code == 0
+    def test_rank_sigma_matches_library(self, tmp_path, capsys, rng):
+        s_path, z_path = _joint_files(tmp_path, rng, [40.0, 15.0, 1.05, 1.0, 0.95, 0.9], 24)
+        assert cli(["estimate", "--input", str(s_path), "--k", "24", "--estimator",
+                    "RCML_EL_SIGMA", "--r-init", "2", "--lr0", "0.95", "--training", str(z_path),
+                    "--angle", "12.0"]) == 0
         pairs = kv(capsys)
-        assert float(pairs["lr_at_beta"]) == pytest.approx(0.5, abs=1e-6)
-
-    def test_rank_sigma_mode(self, tmp_path, capsys, rng):
-        d = np.array([40.0, 15.0, 1.05, 1.0, 0.95, 0.9])
-        s_path = tmp_path / "s.cmat"
-        matrix_save(np.diag(d).astype(complex), s_path)
-        z = (rng.standard_normal((6, 24)) + 1j * rng.standard_normal((6, 24))) / np.sqrt(2)
-        z_path = tmp_path / "z.cmat"
-        write_cmat(z, z_path)
-        code = cli(["select", "--input", str(s_path), "--k", "24", "--mode", "rank-sigma",
-                    "--r-init", "2", "--lr0", "0.95", "--training", str(z_path),
-                    "--angle", "12.0"])
-        assert code == 0
-        pairs = kv(capsys)
-        assert pairs["chosen_from"] in {"ML", "EL1", "EL2"}
-        assert float(pairs["sigma2_hat"]) > 0
+        stats = SampleStats.from_sample_covariance(matrix_load(s_path), k=24, sigma2=1.0)
+        joint = select_rank_sigma(stats.s_eig, 24, 2, 0.95, read_cmat(z_path),
+                                  steering_vector(6, 12.0))
+        assert (pairs["rank"], pairs["sigma2"]) == (str(joint.r_hat), f"{joint.sigma2_hat:.12g}")
 
     def test_rank_sigma_rejects_nan_training(self, tmp_path, capsys, rng):
-        d = np.array([40.0, 15.0, 1.05, 1.0, 0.95, 0.9])
-        s_path = tmp_path / "s.cmat"
-        matrix_save(np.diag(d).astype(complex), s_path)
-        z = (rng.standard_normal((6, 24)) + 1j * rng.standard_normal((6, 24))) / np.sqrt(2)
+        s_path, z_path = _joint_files(tmp_path, rng, [40.0, 15.0, 1.05, 1.0, 0.95, 0.9], 24)
+        z = read_cmat(z_path)
         z[2, 5] = np.nan
-        z_path = tmp_path / "z.cmat"
         write_cmat(z, z_path)
-        code = cli(["select", "--input", str(s_path), "--k", "24", "--mode", "rank-sigma",
-                    "--r-init", "2", "--lr0", "0.95", "--training", str(z_path)])
-        assert code == 1
+        assert cli(["estimate", "--input", str(s_path), "--k", "24", "--estimator",
+                    "RCML_EL_SIGMA", "--r-init", "2", "--lr0", "0.95",
+                    "--training", str(z_path)]) == 1
         assert "finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize("columns", [4, 12])
     def test_rank_sigma_rejects_training_of_another_sample_count(
         self, tmp_path, capsys, rng, monkeypatch, columns
     ):
-        # select_rank_sigma reads k only as a count; the CLI checks the
+        # the joint selection reads k only as a count; the CLI checks the
         # training against it before any lr0 work
         monkeypatch.setattr("elcov.cli.lr0_reference", _no_lr0_work)
-        s_path, z_path = tmp_path / "s.cmat", tmp_path / "z.cmat"
-        matrix_save(np.diag([9.0, 4.0, 0.6, 0.3]).astype(complex), s_path)
-        write_cmat(rng.standard_normal((4, columns)) + 0j, z_path)
-        code = cli(["select", "--input", str(s_path), "--k", "8", "--mode", "rank-sigma",
-                    "--r-init", "1", "--training", str(z_path)])
-        assert code == 1
+        s_path, z_path = _joint_files(tmp_path, rng, [9.0, 4.0, 0.6, 0.3], columns)
+        assert cli(["estimate", "--input", str(s_path), "--k", "8", "--estimator",
+                    "RCML_EL_SIGMA", "--r-init", "1", "--training", str(z_path)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: --training has {columns} columns, but --k is 8\n"
@@ -278,51 +246,59 @@ class TestSelectCommand:
     @pytest.mark.parametrize("r_init", ["-1", "6"])
     def test_rank_sigma_rejects_r_init_out_of_range(self, tmp_path, capsys, rng, monkeypatch,
                                                     r_init):
-        # select_rank_sigma clamps r_init into [0, n - 1]; the CLI rejects it
-        # before any lr0 work
+        # the joint selection clamps r_init into [0, n - 1]; the CLI rejects
+        # it before any lr0 work
         monkeypatch.setattr("elcov.cli.lr0_reference", _no_lr0_work)
-        s_path, z_path = tmp_path / "s.cmat", tmp_path / "z.cmat"
-        matrix_save(np.diag([40.0, 15.0, 1.05, 1.0, 0.95, 0.9]).astype(complex), s_path)
-        write_cmat(rng.standard_normal((6, 24)) + 1j * rng.standard_normal((6, 24)), z_path)
-        code = cli(["select", "--input", str(s_path), "--k", "24", "--mode", "rank-sigma",
-                    "--r-init", r_init, "--training", str(z_path)])
-        assert code == 1
+        s_path, z_path = _joint_files(tmp_path, rng, [40.0, 15.0, 1.05, 1.0, 0.95, 0.9], 24)
+        assert cli(["estimate", "--input", str(s_path), "--k", "24", "--estimator",
+                    "RCML_EL_SIGMA", "--r-init", r_init, "--training", str(z_path)]) == 1
         assert capsys.readouterr().err.startswith(f"error: --r-init {r_init} outside [0, 5]")
-
-    @pytest.mark.parametrize("mode", ["rank", "kmax"])
-    def test_sigma2_is_required(self, sample_cov, capsys, mode):
-        path, _ = sample_cov
-        assert cli(["select", "--input", str(path), "--k", "8", "--mode", mode,
-                    "--lr0", "0.5"]) == 1
-        captured = capsys.readouterr()
-        assert (captured.out, captured.err) == (
-            "", f"error: --sigma2 is required for mode {mode}\n")
 
     def test_rank_sigma_requires_training(self, sample_cov, capsys, monkeypatch):
         monkeypatch.setattr("elcov.cli.lr0_reference", _no_lr0_work)
         path, _ = sample_cov
-        assert cli(["select", "--input", str(path), "--k", "8", "--mode", "rank-sigma"]) == 1
+        assert cli(["estimate", "--input", str(path), "--k", "8",
+                    "--estimator", "RCML_EL_SIGMA"]) == 1
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == (
-            "", "error: --training is required for mode rank-sigma\n")
+            "", "error: --training is required for estimator RCML_EL_SIGMA\n")
 
     def test_rank_sigma_overflowing_root_is_numerical_error(self, tmp_path, capsys, rng):
         # the larger noise-power root at lr0 = 1e-300 lies beyond the double range
-        s_path, z_path = tmp_path / "s.cmat", tmp_path / "z.cmat"
-        matrix_save(np.diag([1e307, 1e306, 1e305, 1e304]).astype(complex), s_path)
-        write_cmat(rng.standard_normal((4, 8)) + 1j * rng.standard_normal((4, 8)), z_path)
-        assert cli(["select", "--input", str(s_path), "--k", "8", "--mode", "rank-sigma",
-                    "--r-init", "0", "--lr0", "1e-300", "--training", str(z_path)]) == 2
+        s_path, z_path = _joint_files(tmp_path, rng, [1e307, 1e306, 1e305, 1e304], 8)
+        assert cli(["estimate", "--input", str(s_path), "--k", "8", "--estimator",
+                    "RCML_EL_SIGMA", "--lr0", "1e-300", "--training", str(z_path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == ("numerical error: the noise-power roots' closed form overflows "
                                 "the double range at log lr0 = -690.775527898\n")
 
+    @pytest.mark.parametrize("text", ["RCML_EL", "RCML_EL_SIGMA", "CNCML_EL", "LSMI_EL"])
+    def test_estimator_needing_lr0_is_input_error(self, tmp_path, capsys, rng, text):
+        # it computes the reference unless --lr0 is given, and K < N has none
+        s_path, z_path = _joint_files(tmp_path, rng, [9.0, 4.0, 0.6, 0.3], 2)
+        argv = ["estimate", "--input", str(s_path), "--k", "2", "--sigma2", "1.0",
+                "--estimator", text, "--training", str(z_path)]
+        assert cli(argv) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", "error: no lr0 for (n=4, k=2): k < n has no reference\n")
+        assert cli([*argv, "--lr0", "0.3"]) == 0
+        assert kv(capsys)["lr0"] == "0.3"
+
+    @pytest.mark.parametrize("lr0", ["0", "1.5", "nan"])
+    def test_lr0_outside_unit_interval_is_input_error(self, sample_cov, capsys, lr0):
+        path, _ = sample_cov
+        assert cli(["estimate", "--input", str(path), "--k", "8", "--sigma2", "1.0",
+                    "--estimator", "RCML_EL", "--lr0", lr0]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: lr0 must lie in (0, 1]\n")
+
     def test_computes_reference_without_lr0_or_table(self, sample_cov, capsys, monkeypatch):
         path, _ = sample_cov
         monkeypatch.chdir(path.parent)
-        assert cli(["select", "--input", str(path), "--k", "8", "--mode", "rank",
-                    "--sigma2", "1.0"]) == 0
+        assert cli(["estimate", "--input", str(path), "--k", "8", "--sigma2", "1.0",
+                    "--estimator", "RCML_EL"]) == 0
         assert kv(capsys)["lr0"] == f"{lr0_reference(4, 8).lr0:.12g}"
         assert list(path.parent.iterdir()) == [path]
 
@@ -336,12 +312,48 @@ class TestSelectCommand:
         matrix_save(np.diag(d).astype(complex), path)
         ref = lr0_reference(n, n)
         assert ref.lr0 == 0.0 and math.isfinite(ref.log_lr0)
-        assert cli(["select", "--input", str(path), "--k", str(n), "--mode", "rank",
-                    "--sigma2", "1.0"]) == 0
+        assert cli(["estimate", "--input", str(path), "--k", str(n), "--sigma2", "1.0",
+                    "--estimator", "RCML_EL"]) == 0
         pairs = kv(capsys)
         assert (pairs["lr0"], pairs["log_lr0"]) == ("0", f"{ref.log_lr0:.12g}")
-        assert int(pairs["r_hat"]) == select_rank(stats_from_spectrum(d, k=n), ref).r_hat
+        assert int(pairs["rank"]) == select_rank(stats_from_spectrum(d, k=n), ref).r_hat
         assert list(tmp_path.iterdir()) == [path]
+
+    @pytest.mark.parametrize("text, required", [
+        ("SMI", False), ("FML", True), ("RCML_FIXED(1)", True), ("RCML_EL", True),
+        ("RCML_EL_SIGMA", False), ("CNCML_ML", True), ("CNCML_FIXED(4)", True),
+        ("CNCML_EL", True), ("LSMI_EL", False),
+    ])
+    def test_sigma2_is_required_where_the_map_reads_it(self, tmp_path, capsys, rng, text,
+                                                        required):
+        # a map that reads no noise power prints the same whatever --sigma2 says
+        s_path, z_path = _joint_files(tmp_path, rng, [9.0, 4.0, 0.6, 0.3], 8)
+        argv = ["estimate", "--input", str(s_path), "--k", "8", "--estimator", text,
+                "--lr0", "0.3", "--training", str(z_path)]
+        if required:
+            assert cli(argv) == 1
+            captured = capsys.readouterr()
+            assert (captured.out, captured.err) == (
+                "", f"error: --sigma2 is required for estimator {text}\n")
+        else:
+            assert cli(argv) == 0
+            out = capsys.readouterr().out
+            assert cli([*argv, "--sigma2", "7.0"]) == 0
+            assert capsys.readouterr().out == out
+
+
+def _no_lr0_work(*args, **kwargs):
+    pytest.fail("lr0_reference was called")
+
+
+def _joint_files(tmp_path, rng, d, columns):
+    """A sample covariance ``diag(d)`` and an ``n``-by-``columns`` training, as CMAT files."""
+    s_path, z_path = tmp_path / "s.cmat", tmp_path / "z.cmat"
+    matrix_save(np.diag(d).astype(complex), s_path)
+    n = len(d)
+    write_cmat((rng.standard_normal((n, columns)) + 1j * rng.standard_normal((n, columns)))
+               / np.sqrt(2), z_path)
+    return s_path, z_path
 
 
 class TestSinrCommand:
@@ -528,14 +540,7 @@ class TestExitCodes:
         [
             ["lr0", "--n", "2", "--k", "4", "--table", "t", "--trials", "10"],
             ["lr0", "--n", "2", "--k", "4", "--table", "t", "--seed", "1"],
-            ["select", "--input", "s.cmat", "--k", "8", "--mode", "loading", "--lr0", "0.5",
-             "--lr0-trials", "10"],
-            ["select", "--input", "s.cmat", "--k", "8", "--mode", "loading", "--lr0", "0.5",
-             "--seed", "1"],
-            ["select", "--input", "s.cmat", "--k", "8", "--mode", "rank", "--lr0-table", "t",
-             "--no-autocompute"],
             ["simulate", "--config", "exp.cfg", "--no-autocompute"],
-            ["select", "--input", "s.cmat", "--k", "8", "--mode", "rank", "--lr0-table", "t"],
             ["estimate", "--input", "s.cmat", "--k", "8", "--estimator", "SMI",
              "--method", "smi"],
             ["estimate", "--input", "s.cmat", "--k", "8", "--estimator", "RCML_FIXED(1)",
@@ -543,15 +548,25 @@ class TestExitCodes:
             ["estimate", "--input", "s.cmat", "--k", "8", "--estimator", "CNCML_FIXED(4)",
              "--kmax", "4"],
         ],
-        ids=["lr0-trials", "lr0-seed", "select-lr0-trials", "select-seed",
-             "select-no-autocompute", "simulate-no-autocompute", "select-lr0-table",
-             "estimate-method", "estimate-rank", "estimate-kmax"],
+        ids=["lr0-trials", "lr0-seed", "simulate-no-autocompute", "estimate-method",
+             "estimate-rank", "estimate-kmax"],
     )
     def test_removed_flags_are_unknown(self, tmp_path, monkeypatch, capsys, argv):
         monkeypatch.chdir(tmp_path)
         assert cli(argv) == 1
         assert "unrecognized arguments" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    def test_select_is_an_unknown_command(self, tmp_path, monkeypatch, capsys):
+        # estimate runs each selecting estimator spec that select --mode named
+        monkeypatch.chdir(tmp_path)
+        matrix_save(np.eye(4, dtype=complex), tmp_path / "s.cmat")
+        assert cli(["select", "--input", "s.cmat", "--k", "8", "--mode", "rank",
+                    "--sigma2", "1.0", "--lr0", "0.5"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("usage: ")
+        assert "invalid choice: 'select'" in captured.err
+        assert list(tmp_path.iterdir()) == [tmp_path / "s.cmat"]
 
     def test_unknown_command(self, capsys):
         assert cli(["frobnicate"]) == 1
@@ -573,9 +588,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("command, option, kind", [
         ("lr0", "--n", "int"), ("lr0", "--k", "int"),
         ("estimate", "--k", "int"), ("estimate", "--sigma2", "float"),
-        ("select", "--k", "int"), ("select", "--sigma2", "float"), ("select", "--r-init", "int"),
-        ("select", "--lr0", "float"), ("select", "--angle", "float"),
-        ("sinr", "--angle", "float"),
+        ("estimate", "--r-init", "int"), ("estimate", "--lr0", "float"),
+        ("estimate", "--angle", "float"), ("sinr", "--angle", "float"),
     ])
     def test_numbers_are_spelled_as_in_files(
         self, tmp_path, monkeypatch, capsys, spelling, command, option, kind
@@ -586,7 +600,6 @@ class TestExitCodes:
         required = {
             "lr0": ["--n", "4", "--k", "16", "--table", "t"],
             "estimate": ["--input", "s.cmat", "--k", "16", "--sigma2", "1", "--estimator", "FML"],
-            "select": ["--input", "s.cmat", "--k", "16", "--mode", "rank", "--sigma2", "1"],
             "sinr": ["--rhat", "r.cmat", "--rtrue", "t.cmat", "--angle", "0"],
         }
         assert cli([command, *required[command], option, spelling]) == 1
@@ -615,6 +628,26 @@ class TestExitCodes:
         assert runs[0].stderr == ""
         assert runs[1].stderr.startswith("error: [Errno 2] No such file or directory")
 
+    def test_stdout_closed_at_start_is_no_input_error(self, sample_cov, tmp_path):
+        # with fd 1 closed at start Python has no sys.stdout: the command runs,
+        # then exits 1 as on EPIPE and reports nothing; its table is written,
+        # and an unreadable input is still reported
+        path, _ = sample_cov
+        table = tmp_path / "t.txt"
+        runs = [subprocess.run(
+            ["sh", "-c", 'exec "$0" "$@" >&-', sys.executable, "-m", "elcov.cli", *argv],
+            stderr=subprocess.PIPE, env=_src_env(), text=True, timeout=120,
+        ) for argv in (
+            ["estimate", "--input", str(path), "--k", "8", "--sigma2", "1.0", "--estimator", "FML"],
+            ["lr0", "--n", "2", "--k", "4", "--table", str(table)],
+            ["estimate", "--input", str(tmp_path / "nope.cmat"), "--k", "8", "--sigma2", "1.0",
+             "--estimator", "FML"],
+        )]
+        assert [run.returncode for run in runs] == [1, 1, 1]
+        assert [run.stderr for run in runs[:2]] == ["", ""]
+        assert lr0_load(2, 4, table) is not None
+        assert runs[2].stderr.startswith("error: [Errno 2] No such file or directory")
+
     def test_missing_file_is_input_error(self, tmp_path):
         assert cli(["estimate", "--input", str(tmp_path / "nope.cmat"), "--k", "4",
                     "--sigma2", "1.0", "--estimator", "FML"]) == 1
@@ -622,8 +655,8 @@ class TestExitCodes:
     def test_numerical_error_exit_code(self, tmp_path):
         # singular sample covariance cannot support loading selection
         matrix_save(np.diag([1.0, 0.0]).astype(complex), tmp_path / "s.cmat")
-        code = cli(["select", "--input", str(tmp_path / "s.cmat"), "--k", "2",
-                    "--mode", "loading", "--lr0", "0.5"])
+        code = cli(["estimate", "--input", str(tmp_path / "s.cmat"), "--k", "2",
+                    "--estimator", "LSMI_EL", "--lr0", "0.5"])
         assert code == 2
 
 
@@ -779,7 +812,7 @@ def readme_commands():
 class TestReadme:
     def test_command_line_examples_parse(self):
         commands = readme_commands()
-        assert {argv[0] for argv in commands} == {"lr0", "estimate", "select", "simulate", "sinr"}
+        assert {argv[0] for argv in commands} == {"lr0", "estimate", "simulate", "sinr"}
         for argv in commands:
             try:
                 _build_parser().parse_args(argv)

@@ -56,6 +56,7 @@ from elcov import (
     run_experiment,
     sample_covariance,
     sample_training,
+    select_rank_sigma,
     smi,
     steering_vector,
 )
@@ -1206,6 +1207,25 @@ class TestStackedEstimators:
         if name == "RCML_EL_SIGMA":
             with pytest.raises(InputError, match="needs joint"):
                 build_estimate(spec, stats, 0.3)
+
+    @pytest.mark.parametrize("spoil, message", [
+        (lambda z, s: (np.where(z == z[2, 5], np.nan, z), s),
+         "training columns must be nonzero and finite"),
+        (lambda z, s: (z * (np.arange(24) != 5), s), "training columns must be nonzero and finite"),
+        (lambda z, s: (z[:5], s), "training must be an n-by-k matrix with at least one column"),
+        (lambda z, s: (z, 2.0 * s), "steering must be a unit-norm length-n vector"),
+    ], ids=["nan-entry", "zero-column", "row-count", "steering-norm"])
+    def test_joint_input_is_checked_as_select_rank_sigma_checks_it(self, rng, spoil, message):
+        # a sweep's map trusts the training it draws; a given one is checked,
+        # where unchecked it gave a result, a divide warning or a numpy error
+        stats = stats_from_spectrum([40.0, 15.0, 1.05, 1.0, 0.95, 0.9], k=24)
+        z = (rng.standard_normal((6, 24)) + 1j * rng.standard_normal((6, 24))) / np.sqrt(2)
+        z, steering = spoil(z, steering_vector(6, 0.0))
+        with pytest.raises(InputError) as built:
+            build_estimate(EstimatorSpec.parse("RCML_EL_SIGMA"), stats, 0.95, (2, z, steering))
+        with pytest.raises(InputError) as selected:
+            select_rank_sigma(stats.s_eig, 24, 2, 0.95, z, steering)
+        assert str(built.value) == str(selected.value) == message
 
 
 class TestOneLogLr0:
