@@ -29,7 +29,7 @@ from .harness import (
 from .likelihood import LRReference, log_lr_value, lr0_reference, lr0_store
 from .metrics import normalized_sinr
 from .scenario import matrix_load, read_cmat, steering_vector
-from .selection import _log
+from .selection import _joint_inputs, _log
 
 __all__ = ["cli", "main"]
 
@@ -71,15 +71,11 @@ def _cmd_estimate(args) -> int:
     sigma2 = args.sigma2 if args.sigma2 is not None else 1.0  # unread where not required
     stats = SampleStats.from_sample_covariance(matrix_load(args.input), k=args.k, sigma2=sigma2)
     joint = None
-    if spec.name == "RCML_EL_SIGMA":  # the joint selection clamps r_init; the CLI rejects it
-        if not 0 <= args.r_init < stats.n:
-            raise InputError(f"--r-init {args.r_init} outside [0, {stats.n - 1}]")
+    if spec.name == "RCML_EL_SIGMA":  # checked here, before any lr0 work
         if args.training is None:
             raise InputError(f"--training is required for estimator {spec}")
-        training = read_cmat(args.training)
-        if training.shape[1] != args.k:
-            raise InputError(f"--training has {training.shape[1]} columns, but --k is {args.k}")
-        joint = (args.r_init, training, steering_vector(stats.n, args.angle))
+        joint = _joint_inputs(stats.n, stats.k, args.r_init, read_cmat(args.training),
+                              steering_vector(stats.n, args.angle))
     # the selectors take the reference itself, whose log lr0 stays finite
     # where its lr0 underflows to 0
     lr0 = args.lr0

@@ -82,6 +82,7 @@ from .selection import (
     _log,
     _rank_rows,
     _rank_sigma_row,
+    _start_rank,
 )
 
 __all__ = [
@@ -252,8 +253,7 @@ class ExperimentConfig:
                 _ESTIMATORS[spec.name].rows(flat, spec.param)
             except InputError as exc:
                 raise InputError(f"estimator {spec}: {exc}") from exc
-        if self.r_init is not None and not 0 <= self.r_init < self.scenario.n:
-            raise InputError(f"r_init {self.r_init} outside [0, {self.scenario.n - 1}]")
+        self.r_init = None if self.r_init is None else _start_rank(self.scenario.n, self.r_init)
         needing = [str(spec) for spec in self.estimators if _ESTIMATORS[spec.name].needs_lr0]
         if needing and self.lr0_table_path is None and not self.autocompute_lr0:
             raise InputError(f"{', '.join(needing)} need lr0, but autocompute is disabled "
@@ -321,16 +321,15 @@ def build_estimate(
     feeds the selectors and ``joint``, ``(r_init, training, nmf_steering)``,
     feeds ``RCML_EL_SIGMA`` only, taken as a sweep builds them.  Raises
     :class:`InputError` when the estimator needs either and it is missing,
-    and on a given lr0 outside ``(0, 1]`` or a given training or steering
-    that :func:`select_rank_sigma` would reject, whether or not the
-    estimator reads them."""
+    and on a given lr0 outside ``(0, 1]`` or a given joint that
+    :func:`select_rank_sigma` would reject (:func:`_joint_inputs`, at the
+    stats' ``k``), whether or not the estimator reads them."""
     if lr0 is None and _ESTIMATORS[spec.name].needs_lr0:
         raise InputError(f"estimator {spec} needs lr0")
     if joint is None and spec.name == "RCML_EL_SIGMA":
         raise InputError(f"estimator {spec} needs joint = (r_init, training, nmf_steering)")
-    r_init, z, nmf_steering = joint if joint is not None else (None, None, None)
-    if joint is not None:
-        z, nmf_steering = _joint_inputs(stats.n, z, nmf_steering)
+    r_init, z, nmf_steering = (None, None, None) if joint is None else _joint_inputs(
+        stats.n, stats.k, *joint)
     one = _Pass(stats.d[np.newaxis], stats.s_eig.eigenvectors[np.newaxis],
                 None if z is None else [z], stats.sigma2,
                 None if lr0 is None else _log(lr0), r_init, nmf_steering)
@@ -432,8 +431,9 @@ def run_experiment(cfg: ExperimentConfig) -> list[TrialRecord]:
     """Run the configured sweep and write trials.csv plus summary.csv.
 
     Returns the per-trial records.  Output lands under ``cfg.output_path``
-    (created if needed); one that cannot be a directory, and a corruption
-    steering vector whose length is not ``n``, fail before the lr0 lookup.
+    (created if needed); one that cannot be a directory, a corruption
+    steering vector whose length is not ``n`` and an ``r_init`` that
+    :func:`_start_rank` rejects fail before the lr0 lookup.
     """
     out_dir = Path(cfg.output_path)
     existing = next(path for path in (out_dir, *out_dir.parents) if path.exists())
@@ -441,10 +441,11 @@ def run_experiment(cfg: ExperimentConfig) -> list[TrialRecord]:
         raise InputError(f"output {cfg.output_path!r}: {str(existing)!r} is not a directory")
     scenario = cfg.scenario
     n = scenario.n
-    # checked here, not at construction, so a corruption assigned later is caught
-    # too; the draw checks it only at a positive fraction
+    # checked here, so that a corruption or r_init assigned after construction is
+    # caught too; the draw checks the corruption only at a positive fraction
     if cfg.corruption is not None and len(cfg.corruption.steering) != n:
         raise InputError("corruption steering length does not match the scenario size")
+    r_init = _start_rank(n, min(scenario.jammer_count, n - 1) if cfg.r_init is None else cfg.r_init)
     r_true = jammer_covariance(scenario)
     factor = sqrt_factor(r_true)
     angles = default_steering_grid(scenario) if cfg.steering_grid is None else cfg.steering_grid
@@ -458,7 +459,6 @@ def run_experiment(cfg: ExperimentConfig) -> list[TrialRecord]:
     log_lr0_by_k = {k: lr0_lookup(n, k, cfg.lr0_table_path, cfg.autocompute_lr0).log_lr0
                     for k in cfg.k_list if needs_lr0}
 
-    r_init = cfg.r_init if cfg.r_init is not None else scenario.jammer_count
     nmf_steering = steering_vector(n, cfg.nmf_angle)
 
     names = [str(spec) for spec in cfg.estimators]

@@ -267,29 +267,24 @@ def matrix_save(h, path) -> None:
 
 
 def matrix_load(path) -> np.ndarray:
-    """Read a CMAT file and validate it as Hermitian.
-
-    A non-finite entry, or else non-Hermitian content, is rejected with the
-    file location of the first non-finite or the worst offending entry.
-    """
+    """Read a CMAT file and validate it as Hermitian by :func:`as_hermitian`'s
+    rule; a non-finite entry, or else non-Hermitian content, is rejected with
+    the file location of the first non-finite or the worst offending entry."""
     a, row_lines = _read_cmat(path)
     if a.shape[0] != a.shape[1]:
         raise FormatError(f"expected a square matrix, got {a.shape}", path=path, line=1)
-    delta = np.abs(a - a.conj().T)
-    if not np.max(delta) <= 1e-12:  # a NaN or infinite entry fails too
+    try:
+        return as_hermitian(a)
+    except InputError:
         # argmax stops at the first NaN; a non-finite entry makes its own
         # delta and its mirror's non-finite
+        delta = np.abs(a - a.conj().T)
         i, j = (int(v) for v in np.unravel_index(np.argmax(delta), delta.shape))
         if not np.isfinite(delta[i, j]):
             if np.isfinite(a[i, j]):
                 i, j = j, i
             raise FormatError(f"matrix entry {a[i, j]} is not finite",
-                              path=path, line=row_lines[i], column=j + 1)
-        raise FormatError(
-            f"matrix is not Hermitian (mismatch {delta[i, j]:.3e} against entry "
-            f"({j + 1}, {i + 1}))",
-            path=path,
-            line=row_lines[i],
-            column=j + 1,
-        )
-    return as_hermitian(a)
+                              path=path, line=row_lines[i], column=j + 1) from None
+        raise FormatError(f"matrix is not Hermitian (mismatch {delta[i, j]:.3e} against entry "
+                          f"({j + 1}, {i + 1}))", path=path, line=row_lines[i],
+                          column=j + 1) from None

@@ -14,6 +14,7 @@ others a stack of rows.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -226,48 +227,55 @@ def select_rank_sigma(
     training: np.ndarray,
     steering: np.ndarray,
 ) -> JointSelection:
-    """Alternating selection of rank and noise power, in one pass.
-
-    The inputs are checked once: ``k >= 1``, a descending spectrum, and the
-    training and steering (:func:`_joint_inputs`) up front, and in the core,
-    a dimension of at least 2 so the trailing mean stays defined and a
-    positive spectrum.
-    ``r_init`` is clamped into ``[0, n - 1]``, not checked; the config loader
-    and ``elcov estimate`` reject a value outside that range.
-    """
+    """Alternating selection of rank and noise power, in one pass.  The
+    inputs are checked once: lr0, a descending spectrum and the joint inputs
+    (:func:`_joint_inputs`) up front, and in the core, a dimension of at
+    least 2 so the trailing mean stays defined and a positive spectrum."""
     d = s_eig.eigenvalues
-    if k < 1:
-        raise InputError("sample count k must be at least 1")
     log_lr0 = _log(lr0)
     if (d[1:] > d[:-1]).any():
         raise InputError("sample eigenvalues must be sorted descending")
-    training, steering = _joint_inputs(s_eig.n, training, steering)
+    r_init, training, steering = _joint_inputs(s_eig.n, k, r_init, training, steering)
     return _rank_sigma_row(d, s_eig.eigenvectors, r_init, log_lr0, training, steering)[0]
 
 
-def _joint_inputs(n: int, training, steering) -> tuple[np.ndarray, np.ndarray]:
-    """The joint selection's training and steering as complex arrays, and
-    the one check of both, made by each public entry: an ``n``-row training
-    with at least one column, every column nonzero and finite, and a
-    unit-norm length-``n`` steering vector.  A sweep draws its training
-    and steering, so its map (:func:`_rank_sigma_row`) skips this."""
+def _start_rank(n: int, r_init) -> int:
+    """``r_init`` as an ``int``, and its one check: a real whole number in ``[0, n - 1]``."""
+    if not isinstance(r_init, numbers.Real) or r_init % 1:  # NaN % 1 is NaN, true
+        raise InputError(f"r_init must be a whole number, got {r_init}")
+    if not 0 <= r_init < n:
+        raise InputError(f"r_init {int(r_init)} outside [0, {n - 1}]")
+    return int(r_init)
+
+
+def _joint_inputs(n: int, k: int, r_init, training, steering):
+    """The joint selection's start rank, training and steering, and the one
+    check of them and ``k``, made by each public entry: ``k >= 1``, an
+    ``r_init`` that :func:`_start_rank` takes, an ``n``-by-``k`` training of
+    nonzero, finite columns and a unit-norm length-``n`` steering.  A sweep
+    checks ``r_init`` at load and draws the rest, so its map skips this."""
+    if k < 1:
+        raise InputError("sample count k must be at least 1")
+    r_init = _start_rank(n, r_init)
     training = np.asarray(training, dtype=np.complex128)
-    if training.ndim != 2 or training.shape[0] != n or training.shape[1] < 1:
+    if training.ndim != 2 or training.shape[0] != n:
         raise InputError("training must be an n-by-k matrix with at least one column")
+    if training.shape[1] != k:
+        raise InputError(f"training has {training.shape[1]} columns, but k is {k}")
     if not (training.any(axis=0).all() and np.isfinite(training).all()):
         raise InputError("training columns must be nonzero and finite")
     steering = np.asarray(steering, dtype=np.complex128)
     if steering.shape != (n,) or not abs(np.linalg.norm(steering) - 1.0) <= 1e-6:
         raise InputError("steering must be a unit-norm length-n vector")
-    return training, steering
+    return r_init, training, steering
 
 
 def _rank_sigma_row(d, v, r_init: int, log_lr0: float, training, steering):
     """The joint selection on one row's descending spectrum ``d``, basis ``v``,
     ``log lr0``, training and steering, and the RCML estimate it selects,
-    the ``(N,)`` eigenvalues of the winning candidate.  The ``log lr0`` is
-    trusted, as the entry points check lr0; this checks only what depends on
-    the spectrum: ``n >= 2``, ``d_N > 0`` and positive, finite candidates.
+    the ``(N,)`` eigenvalues of the winning candidate.  It trusts ``log lr0``
+    and ``r_init``, which the entry points check, and checks only what depends
+    on the spectrum: ``n >= 2``, ``d_N > 0`` and positive, finite candidates.
 
     Each rank is climbed to the smallest rank at or above it whose noise
     power roots exist (at most ``n - 1``): those whose tail-profile peak
@@ -302,7 +310,7 @@ def _rank_sigma_row(d, v, r_init: int, log_lr0: float, training, steering):
     first = np.where(peak >= log_lr0 - 1e-10, np.arange(n), n - 1)
     climbed = np.minimum.accumulate(first[::-1])[::-1].tolist()
 
-    r = climbed[min(max(int(r_init), 0), n - 1)]
+    r = climbed[r_init]
     for iterations in range(1, n + 1):
         # the trailing mean, rounded as sigma_ml's np.mean rounds it
         r_hat = int(_rank_rows(d[np.newaxis], float(d[r:].sum()) / (n - r), log_lr0)[0][0])

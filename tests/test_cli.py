@@ -233,26 +233,33 @@ class TestEstimateCommand:
     def test_rank_sigma_rejects_training_of_another_sample_count(
         self, tmp_path, capsys, rng, monkeypatch, columns
     ):
-        # the joint selection reads k only as a count; the CLI checks the
-        # training against it before any lr0 work
+        # the joint selection's one input check compares the training's width
+        # with k; the CLI makes it before any lr0 work
         monkeypatch.setattr("elcov.cli.lr0_reference", _no_lr0_work)
         s_path, z_path = _joint_files(tmp_path, rng, [9.0, 4.0, 0.6, 0.3], columns)
         assert cli(["estimate", "--input", str(s_path), "--k", "8", "--estimator",
                     "RCML_EL_SIGMA", "--r-init", "1", "--training", str(z_path)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"error: --training has {columns} columns, but --k is 8\n"
+        assert captured.err == f"error: training has {columns} columns, but k is 8\n"
 
     @pytest.mark.parametrize("r_init", ["-1", "6"])
     def test_rank_sigma_rejects_r_init_out_of_range(self, tmp_path, capsys, rng, monkeypatch,
                                                     r_init):
-        # the joint selection clamps r_init into [0, n - 1]; the CLI rejects
-        # it before any lr0 work
+        # the joint selection's one input check rejects r_init outside
+        # [0, n - 1]; the CLI makes it before any lr0 work
         monkeypatch.setattr("elcov.cli.lr0_reference", _no_lr0_work)
         s_path, z_path = _joint_files(tmp_path, rng, [40.0, 15.0, 1.05, 1.0, 0.95, 0.9], 24)
         assert cli(["estimate", "--input", str(s_path), "--k", "24", "--estimator",
                     "RCML_EL_SIGMA", "--r-init", r_init, "--training", str(z_path)]) == 1
-        assert capsys.readouterr().err.startswith(f"error: --r-init {r_init} outside [0, 5]")
+        assert capsys.readouterr().err.startswith(f"error: r_init {r_init} outside [0, 5]")
+
+    def test_rank_sigma_reports_missing_training_before_bad_r_init(self, sample_cov, capsys):
+        path, _ = sample_cov
+        assert cli(["estimate", "--input", str(path), "--k", "8", "--estimator",
+                    "RCML_EL_SIGMA", "--r-init", "99"]) == 1
+        assert capsys.readouterr().err == (
+            "error: --training is required for estimator RCML_EL_SIGMA\n")
 
     def test_rank_sigma_requires_training(self, sample_cov, capsys, monkeypatch):
         monkeypatch.setattr("elcov.cli.lr0_reference", _no_lr0_work)

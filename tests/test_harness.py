@@ -651,6 +651,68 @@ class TestConfigFile:
         noise_only_config(tmp_path, estimators=(EstimatorSpec.parse(spec),))
 
 
+class TestDefaultStartRank:
+    """The sweep's default start rank is the jammer count, at most ``n - 1``;
+    an explicit ``r_init`` outside ``[0, n - 1]`` fails at load."""
+
+    @staticmethod
+    def _config(tmp_path, name, **experiment):
+        return write_config(tmp_path / name, {
+            "scenario": {"n": "3", "jammer_powers": "100, 50, 20, 10",
+                         "jammer_angles": "-40, -10, 20, 50",
+                         "jammer_bandwidths": "0, 0, 0.1, 0"},
+            "experiment": {"k_list": "6, 12", "trials": "20", "master_seed": "7",
+                           "estimators": "RCML_EL_SIGMA, FML",
+                           "lr0_table": tmp_path / name / "lr0.txt",
+                           "output": tmp_path / name / "out", **experiment},
+        })
+
+    def test_four_jammers_at_n_3_start_at_rank_2(self, tmp_path, capsys):
+        outputs = []
+        for name, experiment in (("default", {}), ("explicit", {"r_init": "2"})):
+            (tmp_path / name).mkdir()
+            path = self._config(tmp_path, name, **experiment)
+            assert cli(["simulate", "--config", str(path)]) == 0
+            outputs.append([(tmp_path / name / "out" / f).read_bytes()
+                            for f in ("trials.csv", "summary.csv")])
+        assert outputs[0] == outputs[1]
+        assert b"RCML_EL_SIGMA" in outputs[0][0]
+        assert capsys.readouterr().err == ""
+
+    def test_explicit_r_init_past_n_fails_at_load(self, tmp_path, capsys):
+        (tmp_path / "cfg").mkdir()
+        path = self._config(tmp_path, "cfg", r_init="4")
+        message = "bad [experiment] value: r_init 4 outside [0, 2]"
+        with pytest.raises(InputError) as err:
+            load_experiment_config(path)
+        assert str(err.value) == message
+        assert cli(["simulate", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert sorted(p.name for p in (tmp_path / "cfg").iterdir()) == ["exp.cfg"]
+
+    @pytest.mark.parametrize("r_init, message", [
+        (-1, "r_init -1 outside [0, 3]"), (4, "r_init 4 outside [0, 3]"),
+        (None, None), (2.5, "r_init must be a whole number, got 2.5")])
+    def test_r_init_assigned_after_construction_fails_before_lr0(
+        self, tmp_path, monkeypatch, r_init, message
+    ):
+        # the joint map trusts its start rank, so the sweep checks what it
+        # hands over; a default of None is the jammer count, here 4, at most 3
+        cfg = noise_only_config(tmp_path, scenario=ScenarioConfig(
+            n=4, jammer_powers=(9.0,) * 4, jammer_angles=(-40.0, -10.0, 20.0, 50.0),
+            jammer_bandwidths=(0.0,) * 4), k_list=(8,),
+            estimators=(EstimatorSpec.parse("RCML_EL_SIGMA"),), r_init=1)
+        cfg.r_init = r_init
+        if message is None:
+            assert len(run_experiment(cfg)) == 1
+            return
+        monkeypatch.setattr(harness, "lr0_lookup", lambda *a: pytest.fail("lr0 looked up"))
+        with pytest.raises(InputError) as err:
+            run_experiment(cfg)
+        assert str(err.value) == message
+        assert not (tmp_path / "out").exists()
+
+
 class TestWriteOutputs:
     def test_exact_bytes(self, tmp_path):
         cfg = noise_only_config(

@@ -15,6 +15,7 @@ from elcov import (
     ScenarioConfig,
     as_hermitian,
     derive_rng,
+    eig_hermitian,
     generate_training,
     jammer_covariance,
     matrix_load,
@@ -256,6 +257,22 @@ class TestMatrixIo:
         with pytest.raises(FormatError) as err:
             matrix_load(path)
         assert err.value.line is not None and err.value.column is not None
+
+    def test_loads_what_as_hermitian_takes(self, tmp_path):
+        # each component of the mismatch is 0.9e-12, within as_hermitian's
+        # 1e-12, though its modulus, 1.27e-12, is not: one rule for a file
+        # and an array
+        a = np.eye(3, dtype=complex)
+        a[0, 1] = complex(0.9e-12, 0.9e-12)
+        eig_hermitian(a)
+        path = tmp_path / "near.cmat"
+        write_cmat(a, path)
+        assert matrix_load(path).tobytes() == as_hermitian(a).tobytes()
+        a[0, 1] = complex(1.1e-12, 0.0)  # one component past it
+        write_cmat(a, path)
+        with pytest.raises(FormatError, match="mismatch 1.100e-12") as err:
+            matrix_load(path)
+        assert (err.value.line, err.value.column) == (2, 2)
 
     @pytest.mark.parametrize("token, row, col", [
         ("nan", 0, 0), ("inf", 1, 2), ("-inf", 2, 0), ("nan", 2, 1)])

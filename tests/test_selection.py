@@ -582,6 +582,58 @@ class TestSelectRankSigma:
             select_rank_sigma(eig, 32, 1, 0.5, z, steering_vector(8, 0.0))
 
 
+class TestJointInputContract:
+    """``select_rank_sigma`` and ``build_estimate`` check the joint inputs
+    in one place: ``r_init`` a whole number in ``[0, n - 1]``, and a
+    training of exactly ``k`` columns."""
+
+    N, K = 8, 16
+
+    def _inputs(self, rng):
+        d = np.sort(np.exp(rng.uniform(np.log(0.05), np.log(1e3), self.N)))[::-1]
+        basis = eig_hermitian(random_hermitian(rng, self.N)).eigenvectors
+        z = sample_training(basis * np.sqrt(d), self.K, rng)
+        return EigenDecomposition(eigenvalues=d, eigenvectors=basis), z
+
+    def _call(self, entry, eig, r_init, z):
+        steering = steering_vector(self.N, 10.0)
+        if entry == "select_rank_sigma":
+            return select_rank_sigma(eig, self.K, r_init, 0.5, z, steering)
+        stats = SampleStats(n=self.N, k=self.K, s_eig=eig, sigma2=1.0)
+        return build_estimate(EstimatorSpec.parse(entry), stats, 0.5, (r_init, z, steering))
+
+    @pytest.mark.parametrize("entry", ["select_rank_sigma", "RCML_EL_SIGMA", "FML"])
+    @pytest.mark.parametrize("r_init, message", [
+        (None, "r_init must be a whole number, got None"),
+        (2.7, "r_init must be a whole number, got 2.7"),
+        (np.nan, "r_init must be a whole number, got nan"),
+        (-np.inf, "r_init must be a whole number, got -inf"),
+        (-5, "r_init -5 outside [0, 7]"),
+        (-1, "r_init -1 outside [0, 7]"),
+        (8, "r_init 8 outside [0, 7]"),
+        (99, "r_init 99 outside [0, 7]"),
+        (99.0, "r_init 99 outside [0, 7]")])
+    def test_rejects_r_init(self, rng, entry, r_init, message):
+        eig, z = self._inputs(rng)
+        assert _outcome(self._call, entry, eig, r_init, z) == ("InputError", message)
+
+    @pytest.mark.parametrize("entry", ["select_rank_sigma", "RCML_EL_SIGMA", "FML"])
+    @pytest.mark.parametrize("columns", [K - 1, K + 1])
+    def test_rejects_training_of_another_width(self, rng, entry, columns):
+        eig, z = self._inputs(rng)
+        z = np.concatenate([z, z], axis=1)[:, :columns]
+        assert _outcome(self._call, entry, eig, 1, z) == (
+            "InputError", f"training has {columns} columns, but k is 16")
+
+    @pytest.mark.parametrize("entry", ["select_rank_sigma", "RCML_EL_SIGMA"])
+    def test_takes_whole_numbers_at_both_ends(self, rng, entry):
+        eig, z = self._inputs(rng)
+        for r_init in (0, self.N - 1):
+            one = self._call(entry, eig, r_init, z)
+            for same in (float(r_init), np.int64(r_init), np.float64(r_init)):
+                assert repr(self._call(entry, eig, same, z)) == repr(one)
+
+
 class TestMatchesFormerJointPath:
     """The one-call joint path (``eig_hermitian``, ``select_rank_sigma`` with
     ``sigma_el_roots``, ``rcml``) returns, repr for repr and byte for byte,
@@ -593,6 +645,16 @@ class TestMatchesFormerJointPath:
         mine = _outcome(fn, *args)
         assert repr(mine) == repr(_outcome(oracle, *args))
         return mine
+
+    def _same_joint(self, *args):
+        """``select_rank_sigma`` against the oracle at an ``r_init`` in
+        ``[0, n - 1]``; outside it, where the oracle clamps, the one input
+        check's error."""
+        n, r_init = args[0].n, args[2]
+        if 0 <= r_init < n:
+            return self._same(select_rank_sigma, select_rank_sigma_oracle, *args)
+        assert _outcome(select_rank_sigma, *args) == (
+            "InputError", f"r_init {r_init} outside [0, {n - 1}]")
 
     def _joint(self, rng, d, k=None):
         """Arguments of ``select_rank_sigma`` for the spectrum ``d`` on a random
@@ -613,15 +675,15 @@ class TestMatchesFormerJointPath:
             args = self._joint(rng, d)
             for lr0 in (args[3], 1.0, 1e-300):
                 args[3] = lr0
-                joint = self._same(select_rank_sigma, select_rank_sigma_oracle, *args)
-                assert isinstance(joint, JointSelection)
+                joint = self._same_joint(*args)
+                assert joint is None or isinstance(joint, JointSelection)
 
     def test_tie_heavy_spectra(self, rng):
         for i in range(150):
             n = int(rng.integers(2, 65))
             levels = np.exp(rng.uniform(np.log(0.05), np.log(1e3), int(rng.integers(1, 4))))
             d = np.sort(rng.choice(levels, n))[::-1]
-            self._same(select_rank_sigma, select_rank_sigma_oracle, *self._joint(rng, d))
+            self._same_joint(*self._joint(rng, d))
             for r in range(n):
                 lr0 = math.exp(log_tail_lr(d, r, sigma_ml(d, r)))  # a peak, up to rounding
                 self._same(sigma_el_roots, sigma_el_roots_oracle, d, r, lr0)
@@ -661,7 +723,7 @@ class TestMatchesFormerJointPath:
         z_zero = z.copy()
         z_zero[:, 5] = 0.0
         cases.append((eig, k, 1, lr0, z_zero, steering))
-        for wrong in (z.T, z[:, :0], z[0], z[:4]):
+        for wrong in (z.T, z[0], z[:4]):
             cases.append((eig, k, 1, lr0, wrong, steering))
         unsorted = d.copy()
         unsorted[[2, 5]] = unsorted[[5, 2]]
@@ -688,6 +750,9 @@ class TestMatchesFormerJointPath:
             ((spectrum([2.0]), k, 0, 0.0, z, steering), "lr0 must lie in (0, 1]"),
         ):
             assert _outcome(select_rank_sigma, *args) == ("InputError", message)
+        # a training of another width than k, which the oracle took
+        assert _outcome(select_rank_sigma, eig, k, 1, lr0, z[:, :0], steering) == (
+            "InputError", "training has 0 columns, but k is 16")
 
     def _roots(self, d, r, lr0):
         """``sigma_el_roots`` against the oracle, except on a valid call whose
