@@ -26,7 +26,7 @@ from .harness import (
     load_experiment_config,
     run_experiment,
 )
-from .likelihood import LRReference, log_lr_value, lr0_reference, lr0_store
+from .likelihood import QUANTILE_PROBS, LRReference, log_lr_value, lr0_reference, lr0_store
 from .metrics import normalized_sinr
 from .scenario import matrix_load, read_cmat, steering_vector
 from .selection import _joint_inputs, _log
@@ -57,7 +57,8 @@ def _cmd_lr0(args) -> int:
     ref = lr0_reference(args.n, args.k)
     lr0_store(ref, args.table)
     pairs = [("n", ref.n), ("k", ref.k), ("lr0", f"{ref.lr0:.12g}")]
-    pairs += [(f"q{int(100 * p):02d}", f"{v:.12g}") for p, v in ref.quantiles]
+    pairs += [(f"log_q{int(100 * p):02d}", f"{v:.12g}")
+              for p, v in zip(QUANTILE_PROBS, ref.log_quantiles)]
     pairs.append(("table", args.table))
     _emit(args.format, pairs)
     return 0

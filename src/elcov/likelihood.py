@@ -12,9 +12,9 @@ generating function ``E[lr^s]`` is closed form, and the median ``lr0`` and
 the stored quantiles come from inverting it exactly: the fixed Talbot
 contour (Abate & Valko 2004) at small ``N``, the Gil-Pelaez (1951) formula
 on the characteristic function above.  They are deterministic, with no
-draw and no seed.  A small text table can pin the values per ``(N, K)``.
+draw and no seed.  A small text table can pin the log values per ``(N, K)``.
 All arithmetic runs in the log domain; at large ``N`` the raw ratio and
-``lr0`` underflow double precision.
+``lr0`` underflow double precision, while their logs stay finite.
 """
 
 from __future__ import annotations
@@ -28,7 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimators import SampleStats, rcml
-from .exceptions import FormatError, InputError, NumericalError, _number, _read_records
+from .exceptions import FormatError, InputError, NumericalError
+from .exceptions import _header_words, _number, _read_records
 
 __all__ = [
     "LambertBranch",
@@ -89,24 +90,31 @@ def log_tail_lr(sample_lambdas, r: int, t: float) -> float:
     return float(np.sum(log_tail) + len(tail) - np.sum(tail) / t)
 
 
-@dataclass
+@dataclass(frozen=True)
 class LRReference:
-    """Invariant LR statistics for one ``(n, k)`` pair: the median ``lr0``
-    and the ``(probability, value)`` pairs at ``QUANTILE_PROBS``.
-
-    ``log_lr0``, what a sweep reads, is ``log(lr0)`` wherever lr0 is a positive
-    double, whatever was given, else the computed log median (N = K >= 746).
+    """Invariant LR law at one ``(n, k)`` pair: its log-LR quantiles at
+    ``QUANTILE_PROBS``, ``log_quantiles``, whose middle one is the log median
+    ``log_lr0`` that a sweep reads.  Making a reference is its one check: five
+    values, each in ``(-inf, 0]`` (NaN fails), else :class:`InputError`.
     """
 
     n: int
     k: int
-    lr0: float
-    quantiles: list[tuple[float, float]]
-    log_lr0: float = -math.inf
+    log_quantiles: tuple[float, ...]
 
     def __post_init__(self):
-        if self.lr0 > 0:
-            self.log_lr0 = math.log(self.lr0)
+        values = self.log_quantiles
+        if len(values) != len(QUANTILE_PROBS) or not all(-math.inf < v <= 0 for v in values):
+            raise InputError(f"a reference for (n={self.n}, k={self.k}) holds "
+                             f"{len(QUANTILE_PROBS)} log quantiles in (-inf, 0], not {values!r}")
+
+    @property
+    def log_lr0(self) -> float:
+        return self.log_quantiles[2]
+
+    @property
+    def lr0(self) -> float:  # 0.0 where it underflows (N = K >= 746)
+        return math.exp(self.log_lr0)
 
 
 # Bernoulli numbers B_2, B_4, ..., B_16 of Stirling's series; from |z| = 10 on,
@@ -252,7 +260,7 @@ def _log_lr_quantiles(n: int, k: int) -> list[float]:
 def lr0_reference(
     n: int, k: int, trials: int | None = None, seed: int | None = None
 ) -> LRReference:
-    """Median and quantiles of the invariant LR distribution, without a draw.
+    """Log quantiles of the invariant LR distribution, without a draw.
 
     For ``S = Z Z^H / K`` with ``Z`` unit circular complex Gaussian, the
     complex Bartlett decomposition (Goodman 1963) gives ``K S = L L^H`` with
@@ -261,98 +269,84 @@ def lr0_reference(
     ``log lr = sum_i log(g_i / K) + N - (sum_i g_i + h) / K`` is a sum of
     independent terms, and its moment generating function is closed form
     (:class:`_BartlettLaw`).  Each quantile at 5/25/50/75/95 percent is the
-    root of the exact CDF, inverted from that transform to about 1e-10; the
-    median is ``lr0``.  The result is deterministic; ``trials`` and ``seed``,
-    the former draw's size and seed, are accepted and ignored.  At ``k < n``,
-    where no reference is defined yet, it raises InputError.
+    root of the exact CDF, inverted from that transform to about 1e-10, and
+    is kept as the log-LR value itself; the median is ``log_lr0``, finite
+    where ``lr0`` underflows.  The result is deterministic; ``trials`` and
+    ``seed``, the former draw's size and seed, are accepted and ignored.  At
+    ``k < n``, where no reference is defined yet, it raises InputError.
     """
     del trials, seed  # the reference is exact
     if n < 1 or k < 1:
         raise InputError("n and k must be positive")
     if k < n:
         raise InputError(f"no lr0 for (n={n}, k={k}): k < n has no reference")
-    logs = dict(zip(QUANTILE_PROBS, _log_lr_quantiles(n, k)))
-    quantiles = [(p, math.exp(v)) for p, v in logs.items()]
-    return LRReference(n, k, math.exp(logs[0.5]), quantiles, logs[0.5])
+    return LRReference(n, k, tuple(_log_lr_quantiles(n, k)))
 
 
-_TABLE_HEADER = "LR0TABLE v1"
+_TABLE_HEADER = "LR0TABLE v2"
 
 
 def lr0_store(ref: LRReference, path) -> None:
     """Append a reference record to a line-oriented table file.
 
-    A record is ``n k trials seed lr0 q05 q25 q50 q75 q95``; ``trials`` and
-    ``seed`` are written as 0, columns kept from tables of the former Monte
-    Carlo reference.  Records are keyed by ``(n, k)``; duplicates are
-    allowed in the file and resolved last-write-wins at load time.  An lr0
-    outside ``(0, 1]`` raises :class:`InputError`, and nothing is written.
+    A record is ``n k log_q05 log_q25 log_q50 log_q75 log_q95``, the log
+    quantiles at 17 significant digits, so that :func:`lr0_load` gives back
+    the same floats.  Records are keyed by ``(n, k)``; duplicates are allowed
+    in the file and resolved last-write-wins at load time.  A non-empty file
+    whose first line is not the table header raises
+    :class:`~elcov.exceptions.FormatError` at line 1, and nothing is written.
     """
-    if ref.lr0 == 0 and math.isfinite(ref.log_lr0):
-        raise InputError(f"the median for (n={ref.n}, k={ref.k}) underflows to lr0 = 0 "
-                         f"(log_lr0 = {ref.log_lr0:.12g}); {_TABLE_HEADER} holds linear values")
-    if not 0 < ref.lr0 <= 1:
-        raise InputError(f"lr0 = {ref.lr0:g} for (n={ref.n}, k={ref.k}) is outside (0, 1]")
-    qmap = dict(ref.quantiles)
-    fields = [str(ref.n), str(ref.k), "0", "0", f"{ref.lr0:.17g}"]
-    fields += [f"{qmap[p]:.17g}" for p in QUANTILE_PROBS]
-    line = " ".join(fields) + "\n"
+    line = " ".join([str(ref.n), str(ref.k)] + [f"{v:.17g}" for v in ref.log_quantiles]) + "\n"
     # append in place: stored records are never rewritten, so a failed write
     # can lose at most the record being added
     with open(path, "ab+") as fh:
         if fh.seek(0, os.SEEK_END) == 0:
             line = _TABLE_HEADER + "\n" + line
-        else:
+        else:  # line 1 as the reader splits it, so a store's cost is the same at any size
+            fh.seek(0)
+            first = fh.readline().decode("utf-8", "replace").splitlines()[0]
+            _header_words(first, _TABLE_HEADER, path)
             fh.seek(-1, os.SEEK_END)
             if fh.read(1) != b"\n":
                 line = "\n" + line
         fh.write(line.encode("utf-8"))
 
 
-def _parse_table(path) -> list[LRReference]:
-    try:
-        _, records, _ = _read_records(path, _TABLE_HEADER)
-    except FileNotFoundError:
-        return []
-    refs = []
-    for lineno, text in records:
-        parts = text.split()
-        if len(parts) != 5 + len(QUANTILE_PROBS):
-            raise FormatError(
-                f"expected {5 + len(QUANTILE_PROBS)} fields, found {len(parts)}",
-                path=path,
-                line=lineno,
-            )
-        try:
-            # trials and seed (parts 2 and 3) must parse but are not kept
-            n, k, _, _ = (_number(parts[i], int) for i in range(4))
-            values = [_number(v) for v in parts[4:]]
-        except ValueError as exc:
-            raise FormatError(f"unparseable numeric field: {exc}", path=path, line=lineno) from exc
-        if not 0 < values[0] <= 1:
-            raise FormatError(f"record holds lr0 = {values[0]:g} for (n={n}, k={k}), "
-                              "outside (0, 1]", path=path, line=lineno)
-        refs.append(LRReference(n, k, values[0], list(zip(QUANTILE_PROBS, values[1:]))))
-    return refs
-
-
 def lr0_load(n: int, k: int, path) -> LRReference | None:
     """Look up the reference for ``(n, k)``; None when absent.
 
-    If the file holds several records for the key, the last one wins.  A
-    record whose lr0 lies outside ``(0, 1]``, whatever its key, raises
-    :class:`~elcov.exceptions.FormatError` at its line.
+    If the file holds several records for the key, the last one wins.  Every
+    record, whatever its key, must parse and make a reference
+    (:class:`LRReference`'s check), else
+    :class:`~elcov.exceptions.FormatError` is raised at its line.
     """
-    matches = [rec for rec in _parse_table(path) if rec.n == n and rec.k == k]
-    return matches[-1] if matches else None
+    try:
+        _, records, _ = _read_records(path, _TABLE_HEADER)
+    except FileNotFoundError:
+        return None
+    found, width = None, 2 + len(QUANTILE_PROBS)
+    for lineno, text in records:
+        if len(parts := text.split()) != width:
+            raise FormatError(f"expected {width} fields, found {len(parts)}",
+                              path=path, line=lineno)
+        try:
+            ref = LRReference(_number(parts[0], int), _number(parts[1], int),
+                              tuple(_number(v) for v in parts[2:]))
+        except InputError as exc:
+            raise FormatError(str(exc), path=path, line=lineno) from exc
+        except ValueError as exc:
+            raise FormatError(f"unparseable numeric field: {exc}", path=path, line=lineno) from exc
+        if ref.n == n and ref.k == k:
+            found = ref
+    return found
 
 
 def lr0_lookup(n: int, k: int, table, autocompute: bool = True) -> LRReference:
     """Reference for ``(n, k)``: loaded from ``table`` by :func:`lr0_load`,
-    else computed with :func:`lr0_reference`; ``table`` is only read.  Raises
-    :class:`InputError` instead of computing when ``autocompute`` is off or,
-    as :func:`lr0_reference` does, at ``k < n`` (a pinned entry is still
-    read)."""
+    else computed with :func:`lr0_reference`, the same floats either way;
+    ``table`` is only read.  Raises :class:`InputError` instead of computing
+    when ``autocompute`` is off or, as :func:`lr0_reference` does, at
+    ``k < n`` (a pinned entry is still read)."""
     if table is not None and (ref := lr0_load(n, k, table)) is not None:
         return ref
     if not autocompute:

@@ -64,16 +64,14 @@ class RankSelection:
 
 def _log(lr0: float | LRReference) -> float:
     """A public entry's ``lr0`` as the cores take it, ``log lr0``, and the one
-    check of lr0: it must lie in ``(0, 1]``, which NaN fails.  A reference
-    gives its ``log_lr0``, which stays finite where its lr0 underflows to 0
-    (N = K >= 746)."""
+    check of a float lr0: it must lie in ``(0, 1]``, which NaN fails.  A
+    reference, checked where it was made, gives its ``log_lr0``, which stays
+    finite where its lr0 underflows to 0 (N = K >= 746)."""
     if isinstance(lr0, LRReference):
-        log_lr0 = lr0.log_lr0
-    else:
-        log_lr0 = math.log(lr0) if 0 < lr0 <= 1 else math.nan
-    if not -math.inf < log_lr0 <= 0:  # NaN fails too
+        return lr0.log_lr0
+    if not 0 < lr0 <= 1:  # NaN fails too
         raise InputError("lr0 must lie in (0, 1]")
-    return log_lr0
+    return math.log(lr0)
 
 
 def _rank_rows(d: np.ndarray, sigma2: float, log_lr0):

@@ -53,6 +53,16 @@ def test_direct_library_calls_bind(tmp_path):
     assert elcov.generate_training(np.eye(4, dtype=complex), 8, None, rng).z.shape == (4, 8)
 
 
+def test_joint_select_reads_the_exp_of_the_log_median(tmp_path):
+    # joint-select hands select_rank_sigma lr0_load(...).lr0: the exp of the
+    # computed log median, the float a table of linear medians held before
+    table = tmp_path / "t.txt"
+    for k in (20, 30, 40):
+        elcov.lr0_store(elcov.lr0_reference(20, k), table)
+    for k in (20, 30, 40):
+        assert elcov.lr0_load(20, k, table).lr0 == math.exp(elcov.lr0_reference(20, k).log_lr0)
+
+
 def test_benchmark_configs_use_only_known_keys(tmp_path, monkeypatch):
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     workloads = importlib.import_module("workloads")

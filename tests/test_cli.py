@@ -1,7 +1,6 @@
 import importlib
 import math
 import os
-import re
 import shlex
 import subprocess
 import sys
@@ -31,7 +30,6 @@ from elcov import (
 )
 from elcov.cli import _build_parser, cli
 from elcov.harness import _CONFIG_SCHEMA, EstimatorSpec, build_estimate, load_experiment_config
-from elcov.likelihood import QUANTILE_PROBS
 
 
 def kv(capsys):
@@ -65,8 +63,12 @@ class TestLr0Command:
         assert code == 0
         pairs = kv(capsys)
         ref = lr0_load(4, 16, table)
-        assert ref is not None
-        assert float(pairs["lr0"]) == pytest.approx(ref.lr0, rel=1e-10)
+        assert ref == lr0_reference(4, 16)
+        assert list(pairs) == ["n", "k", "lr0", "log_q05", "log_q25", "log_q50", "log_q75",
+                               "log_q95", "table"]
+        assert pairs["lr0"] == f"{ref.lr0:.12g}"
+        assert [pairs[f"log_q{p}"] for p in ("05", "25", "50", "75", "95")] == [
+            f"{v:.12g}" for v in ref.log_quantiles]
 
     def test_csv_format(self, tmp_path, capsys):
         code = cli(["lr0", "--n", "2", "--k", "8", "--table", str(tmp_path / "t.txt"),
@@ -75,16 +77,30 @@ class TestLr0Command:
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0] == "key,value"
 
-    @pytest.mark.parametrize("n, k, match", [
-        (6, 4, r"no lr0 for \(n=6, k=4\): k < n has no reference\n"),
-        (800, 800, r"the median for \(n=800, k=800\) underflows to lr0 = 0 "
-                   r"\(log_lr0 = -799\.43\d*\); LR0TABLE v1 holds linear values\n"),
-    ], ids=["k-below-n", "median-underflows"])
-    def test_refuses_what_no_table_can_hold(self, tmp_path, capsys, n, k, match):
+    def test_refuses_k_below_n(self, tmp_path, capsys):
         table = tmp_path / "t.txt"
-        assert cli(["lr0", "--n", str(n), "--k", str(k), "--table", str(table)]) == 1
-        assert re.match("error: " + match, capsys.readouterr().err)
+        assert cli(["lr0", "--n", "6", "--k", "4", "--table", str(table)]) == 1
+        assert capsys.readouterr().err == "error: no lr0 for (n=6, k=4): k < n has no reference\n"
         assert not table.exists()
+
+    def test_stores_a_median_that_underflows(self, tmp_path, capsys):
+        # at N = K = 800 lr0 underflows to 0; the table holds its finite log
+        table = tmp_path / "t.txt"
+        assert cli(["lr0", "--n", "800", "--k", "800", "--table", str(table)]) == 0
+        pairs = kv(capsys)
+        ref = lr0_reference(800, 800)
+        assert (pairs["lr0"], pairs["log_q50"]) == ("0", f"{ref.log_lr0:.12g}")
+        assert pairs["log_q50"].startswith("-799.43")
+        assert lr0_load(800, 800, table) == ref
+
+    def test_refuses_to_append_to_a_cmat_file(self, sample_cov, capsys):
+        path, d = sample_cov
+        before = path.read_bytes()
+        assert cli(["lr0", "--n", "4", "--k", "8", "--table", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}, line 1: expected header 'LR0TABLE v2'\n")
+        assert path.read_bytes() == before
+        assert np.array_equal(matrix_load(path), np.diag(d))
 
     def test_module_entry_point_writes_table(self, tmp_path):
         # ``python -m elcov.cli`` runs the command, not just the import
@@ -419,7 +435,7 @@ class TestSimulateCommand:
         # entries near -1e-16, which rank selection rejects instead of
         # writing r = 0 for every trial
         table, out = tmp_path / "lr0.txt", tmp_path / "out"
-        lr0_store(LRReference(20, 10, 0.3, [(q, 0.3) for q in QUANTILE_PROBS]), table)
+        lr0_store(LRReference(20, 10, (math.log(0.3),) * 5), table)
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(
             "[scenario]\nn = 20\nnoise_power = 1.0\njammer_powers = 10, 100, 1000\n"
@@ -436,7 +452,7 @@ class TestSimulateCommand:
         # as above, for CNCML_EL: a kmax selected from those entries lies in
         # the thousands and scores exactly as FML
         table, out = tmp_path / "lr0.txt", tmp_path / "out"
-        lr0_store(LRReference(20, 10, 0.3, [(q, 0.3) for q in QUANTILE_PROBS]), table)
+        lr0_store(LRReference(20, 10, (math.log(0.3),) * 5), table)
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(
             "[scenario]\nn = 20\nnoise_power = 1.0\njammer_powers = 10, 100, 1000\n"

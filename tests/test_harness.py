@@ -748,12 +748,14 @@ class TestWriteOutputs:
         )
 
 
+# each log median is the log of the linear median that the digests were
+# recorded with, so the sweep reads the float it read then
 GOLDEN_LR0_TABLE = (
-    "LR0TABLE v1\n"
-    "20 20 0 0 3.9091407407572326e-09 1.2833478922876895e-10 1.0775703112049912e-09 "
-    "3.9091407407572326e-09 1.2672553829686553e-08 5.889731075476079e-08\n"
-    "20 40 0 0 0.0021892422421553636 0.0010328203796812056 0.0016203938402552037 "
-    "0.0021892422421553636 0.00292894212482658 0.004377745420568691\n"
+    "LR0TABLE v2\n"
+    "20 20 -22.776378725733466 -20.648557042061043 -19.3599482464969 "
+    "-18.183827297835172 -16.64747040514513\n"
+    "20 40 -6.875461986169896 -6.425086048015956 -6.1241998031765945 "
+    "-5.833113970694484 -5.431221431282438\n"
 )
 
 # sha256 of (trials.csv, summary.csv) for the golden sweep below.  They hold
@@ -850,7 +852,7 @@ class TestTrialBlocks:
         nmf = steering_vector(n, 0.0)
         oracle = []
         for k in k_list:
-            lr0 = lr0_reference(n, k).lr0
+            lr0 = lr0_reference(n, k)
             for t in range(trials):
                 z = generate_training(r_true, k, corruption, derive_rng(1, "trial", k, t)).z
                 eig = eig_hermitian(sample_covariance(z))
@@ -1310,23 +1312,29 @@ class TestOneLogLr0:
 
     def test_underflowed_lr0_runs_and_is_not_stored(self, tmp_path):
         # lr0(760, 760) underflows to 0: the sweep reads the computed log
-        # median, and the absent table stays absent
-        table = tmp_path / "lr0.txt"
-        for path in (None, table):
+        # median, and the absent table stays absent; pinned through a table
+        # that lr0_store wrote, the sweep writes the computed run's bytes
+        table, outputs = tmp_path / "lr0.txt", []
+        for run, path in enumerate((None, table, table)):
+            if run == 2:
+                assert not table.exists()
+                lr0_store(lr0_reference(760, 760), table)
             cfg = noise_only_config(
                 tmp_path, scenario=ScenarioConfig(n=760), k_list=(760,),
                 estimators=(EstimatorSpec.parse("RCML_EL"),),
                 lr0_table_path=None if path is None else str(path),
+                autocompute_lr0=run < 2, output_path=str(tmp_path / f"out{run}"),
             )
             (record,) = run_experiment(cfg)
             assert record.r_hat is not None and math.isfinite(record.sinr_db)
-            assert (tmp_path / "out" / "summary.csv").exists()
-        assert not table.exists()
+            outputs.append([(tmp_path / f"out{run}" / name).read_bytes()
+                            for name in ("trials.csv", "summary.csv")])
+        assert outputs[0] == outputs[1] == outputs[2]
 
-    @pytest.mark.parametrize("n, k", [(1, 2), (2, 6), (3, 6), (3, 9), (3, 12)])
+    @pytest.mark.parametrize("n, k", [(1, 2), (2, 6), (3, 11), (4, 30), (6, 20)])
     def test_computed_and_stored_lr0_write_the_same_bytes(self, tmp_path, monkeypatch, n, k):
         # at these pairs log(exp(x)) != x for the computed log median x; the
-        # sweep reads log(lr0), which a stored record reproduces
+        # sweep reads x itself, which a stored record reproduces
         seen, inner = [], harness._rank_rows
 
         def rank_rows(d, sigma2, log_lr0):
@@ -1352,7 +1360,10 @@ class TestOneLogLr0:
             outputs.append([(tmp_path / f"out{run}" / name).read_bytes()
                             for name in ("trials.csv", "summary.csv")])
         assert outputs[0] == outputs[1] == outputs[2]
-        assert seen == [[math.log(lr0_load(n, k, table).lr0)] * 4] * 3
+        log_lr0 = lr0_reference(n, k).log_lr0
+        assert math.log(math.exp(log_lr0)) != log_lr0
+        assert seen == [[log_lr0] * 4] * 3
+        assert lr0_load(n, k, table).log_lr0 == log_lr0
 
 
 def _random_estimates(rng, n):

@@ -160,9 +160,8 @@ class TestLr0Reference:
     def test_in_unit_interval(self):
         ref = lr0_reference(4, 16, trials=2000, seed=1)
         assert 0.0 < ref.lr0 < 1.0
-        probs = [p for p, _ in ref.quantiles]
-        vals = [v for _, v in ref.quantiles]
-        assert probs == [0.05, 0.25, 0.5, 0.75, 0.95]
+        vals = ref.log_quantiles
+        assert len(vals) == len(QUANTILE_PROBS) and vals[2] == ref.log_lr0
         assert all(v2 >= v1 for v1, v2 in zip(vals, vals[1:]))
 
     def test_scalar_oracle(self):
@@ -182,7 +181,7 @@ class TestLr0Reference:
     def test_deterministic(self):
         a = lr0_reference(3, 9, trials=3000, seed=11)
         b = lr0_reference(3, 9, trials=3000, seed=11)
-        assert a.lr0 == b.lr0 and a.quantiles == b.quantiles
+        assert a == b
 
     def test_rejects_undersampled(self):
         with pytest.raises(InputError, match=r"no lr0 for \(n=4, k=2\): k < n"):
@@ -192,25 +191,23 @@ class TestLr0Reference:
         (1, 2, True), (1, 4, True), (2, 6, True), (3, 6, False), (3, 9, False),
         (3, 12, False), (4, 8, False), (20, 40, False),
     ])
-    def test_log_lr0_is_the_log_of_a_positive_lr0(self, tmp_path, n, k, rounds):
-        # where log(exp(x)) != x for the computed log median x, a sweep still
-        # reads log(lr0), the float a stored record gives
+    def test_log_lr0_is_the_computed_log_median(self, tmp_path, n, k, rounds):
+        # also where log(exp(x)) != x for the computed log median x: a sweep
+        # reads x itself, and so does a stored record
         x = likelihood._log_lr_quantiles(n, k)[2]
         ref = lr0_reference(n, k)
-        assert ref.lr0 == math.exp(x)
-        assert ref.log_lr0 == math.log(ref.lr0) and (ref.log_lr0 != x) == rounds
+        assert ref.log_lr0 == x and ref.lr0 == math.exp(x)
+        assert (math.log(ref.lr0) != x) == rounds
         lr0_store(ref, tmp_path / "t.txt")
-        assert lr0_load(n, k, tmp_path / "t.txt").log_lr0 == ref.log_lr0
+        assert lr0_load(n, k, tmp_path / "t.txt").log_lr0 == x
 
     @pytest.mark.parametrize("n", [745, 746, 800])
     def test_log_lr0_past_underflow_is_the_computed_log(self, n):
         ref = lr0_reference(n, n)
         x = likelihood._log_lr_quantiles(n, n)[2]
-        assert math.isfinite(x)
-        if n == 745:  # the last positive double
-            assert ref.lr0 == 5e-324 and ref.log_lr0 == math.log(5e-324) != x
-        else:
-            assert ref.lr0 == 0.0 and ref.log_lr0 == x
+        assert math.isfinite(x) and ref.log_lr0 == x
+        # 745 gives the last positive double
+        assert ref.lr0 == (5e-324 if n == 745 else 0.0)
 
     def test_rejects_nonpositive_dimensions(self):
         for n, k in ((0, 4), (2, 0), (-1, 3)):
@@ -225,8 +222,9 @@ class TestLr0Reference:
             lr0_store(lr0_reference(20, 30, trials=trials, seed=seed), path)
             tables.append(path.read_bytes())
         assert tables[1:] == tables[:1] * 3
-        # the table's trial-count and seed columns hold 0
-        assert tables[0].split(b"\n")[1].split()[2:4] == [b"0", b"0"]
+        # a record holds n, k and the five log quantiles, nothing of the draw
+        assert tables[0].split(b"\n")[1].split()[:2] == [b"20", b"30"]
+        assert len(tables[0].split(b"\n")[1].split()) == 2 + len(QUANTILE_PROBS)
 
     @pytest.mark.parametrize(
         "n, k",
@@ -239,14 +237,14 @@ class TestLr0Reference:
         gen = derive_rng(17, "bartlett-oracle", n, k)
         logs = np.sort(bartlett_log_lr(gen, n, k, oracle_trials))
         ref = lr0_reference(n, k)
-        assert ref.quantiles[2] == (0.5, ref.lr0)
-        for p, value in ref.quantiles:
+        assert ref.log_quantiles[2] == ref.log_lr0
+        for p, value in zip(QUANTILE_PROBS, ref.log_quantiles):
             # density at the quantile from the oracle's quantile spacing
             h = 0.01
             spacing = float(np.quantile(logs, p + h) - np.quantile(logs, p - h)) / (2 * h)
             se_oracle, se_draw = (
                 math.sqrt(p * (1 - p) / m) * spacing for m in (oracle_trials, 20_000))
-            diff = math.log(value) - float(np.quantile(logs, p))
+            diff = value - float(np.quantile(logs, p))
             assert abs(diff) <= 3.0 * math.sqrt(se_oracle**2 + se_draw**2), (p, diff)
 
     def test_log_mean_matches_analytic(self):
@@ -266,12 +264,12 @@ class TestLr0Reference:
         # (4, 4) has K = N, where the last diagonal gamma shape is 1
         trials = 20_000
         ref = lr0_reference(n, k, trials=trials, seed=131)
-        qmap = dict(ref.quantiles)
-        se_ref = median_se(math.log(qmap[0.75]) - math.log(qmap[0.25]), trials)
+        log_q = dict(zip(QUANTILE_PROBS, ref.log_quantiles))
+        se_ref = median_se(log_q[0.75] - log_q[0.25], trials)
         logs = gram_log_lr(derive_rng(131, "gram-oracle", n, k), n, k, oracle_trials, chunk=250)
         iqr = float(np.quantile(logs, 0.75) - np.quantile(logs, 0.25))
         se_oracle = median_se(iqr, oracle_trials)
-        diff = math.log(ref.lr0) - float(np.median(logs))
+        diff = ref.log_lr0 - float(np.median(logs))
         assert abs(diff) <= 3.0 * math.sqrt(se_ref**2 + se_oracle**2)
 
     def test_invariance_small(self, rng):
@@ -378,13 +376,45 @@ class TestExactReference:
         assert abs(lr0_reference(n, k).log_lr0 - oracle) <= 3.0 * se
 
 
+def _ref(n, k, *log_quantiles):
+    """A reference of the given log quantiles, one value repeated if only one is given."""
+    return LRReference(n, k, log_quantiles * (5 if len(log_quantiles) == 1 else 1))
+
+
+class TestLRReference:
+    @pytest.mark.parametrize("values", [
+        (math.nan,), (0.1,), (-math.inf,), (math.inf,),
+        (-0.9, -0.8, math.nan, -0.6, -0.5), (-0.9, -0.8, -0.7, -0.6, 0.1),
+    ], ids=["nan", "positive", "minus-inf", "inf", "nan-median", "positive-q95"])
+    def test_rejects_a_log_quantile_outside_minus_inf_to_zero(self, values):
+        with pytest.raises(InputError, match=r"a reference for \(n=3, k=8\) holds 5 log "
+                                             r"quantiles in \(-inf, 0\], not \("):
+            _ref(3, 8, *values)
+
+    @pytest.mark.parametrize("count", [0, 4, 6])
+    def test_rejects_a_count_other_than_five(self, count):
+        with pytest.raises(InputError, match="holds 5 log quantiles"):
+            LRReference(3, 8, (-0.5,) * count)
+
+    def test_median_and_its_exp(self):
+        ref = _ref(3, 8, -0.9, -0.8, -0.7, -0.6, 0.0)
+        assert ref.log_lr0 == -0.7 and ref.lr0 == math.exp(-0.7)
+        assert _ref(3, 8, 0.0).lr0 == 1.0
+        with pytest.raises(AttributeError):
+            ref.log_quantiles = (-0.5,) * 5
+
+
 class TestLr0Table:
-    def test_round_trip(self, tmp_path):
+    @pytest.mark.parametrize("n, k", [(1, 1), (1, 2), (2, 6), (3, 12), (20, 40), (800, 800)])
+    def test_round_trip(self, tmp_path, n, k):
+        # all five log quantiles bit for bit, also at N = K = 800, where the
+        # linear median underflows to 0
         path = tmp_path / "table.txt"
-        ref = lr0_reference(3, 12, trials=2000, seed=2)
+        ref = lr0_reference(n, k, trials=2000, seed=2)
         lr0_store(ref, path)
-        loaded = lr0_load(3, 12, path)
+        loaded = lr0_load(n, k, path)
         assert loaded == ref
+        assert [v.hex() for v in loaded.log_quantiles] == [v.hex() for v in ref.log_quantiles]
 
     def test_absent_key(self, tmp_path):
         path = tmp_path / "table.txt"
@@ -393,17 +423,12 @@ class TestLr0Table:
         assert lr0_load(3, 12, tmp_path / "missing.txt") is None
 
     def test_last_write_wins(self, tmp_path):
-        # records as the former Monte Carlo reference wrote them, two seeds:
-        # the last one wins, and its trial count and seed are not read
+        # two records for one key, written by hand: the last one wins
         path = tmp_path / "table.txt"
-        first, second = (
-            LRReference(n=3, k=12, lr0=lr0, quantiles=[(p, lr0 * (0.5 + p)) for p in QUANTILE_PROBS])
-            for lr0 in (0.31, 0.32)
-        )
-        record = "3 12 2000 {} {:.17g} " + " ".join("{:.17g}" for _ in QUANTILE_PROBS) + "\n"
-        path.write_text("LR0TABLE v1\n" + "".join(
-            record.format(seed, ref.lr0, *(v for _, v in ref.quantiles))
-            for seed, ref in ((1, first), (9, second))
+        first, second = (_ref(3, 12, *(median + p for p in (-0.4, -0.2, 0.0, 0.2, 0.4)))
+                         for median in (-1.17, -1.14))
+        path.write_text("LR0TABLE v2\n" + "".join(
+            "3 12 " + " ".join(repr(v) for v in ref.log_quantiles) + "\n" for ref in (first, second)
         ))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -415,13 +440,13 @@ class TestLr0Table:
         ref = lr0_reference(3, 12, trials=2000, seed=2)
         lr0_store(ref, path)
         record = path.read_bytes().split(b"\n", 1)[1]
-        assert path.read_bytes() == b"LR0TABLE v1\n" + record
+        assert path.read_bytes() == b"LR0TABLE v2\n" + record
         # stored bytes stay as they are, and a missing final newline is added once
-        path.write_bytes(b"LR0TABLE v1\r\n" + record.rstrip(b"\n"))
+        path.write_bytes(b"LR0TABLE v2\r\n" + record.rstrip(b"\n"))
         lr0_store(ref, path)
-        assert path.read_bytes() == b"LR0TABLE v1\r\n" + record + record
+        assert path.read_bytes() == b"LR0TABLE v2\r\n" + record + record
         lr0_store(ref, path)
-        assert path.read_bytes() == b"LR0TABLE v1\r\n" + record * 3
+        assert path.read_bytes() == b"LR0TABLE v2\r\n" + record * 3
         assert lr0_load(3, 12, path) == ref
 
     def test_malformed_header(self, tmp_path):
@@ -431,10 +456,32 @@ class TestLr0Table:
             lr0_load(1, 1, path)
         assert err.value.line == 1
 
+    def test_v1_table_fails_at_load(self, tmp_path):
+        # a table of linear values, as the former format held them
+        path = tmp_path / "v1.txt"
+        path.write_text("LR0TABLE v1\n4 16 0 0" + " 0.59" * 6 + "\n")
+        with pytest.raises(FormatError, match=r"line 1: expected header 'LR0TABLE v2'") as err:
+            lr0_load(4, 16, path)
+        assert err.value.line == 1
+
+    @pytest.mark.parametrize("text", [
+        "LR0TABLE v1\n4 16 0 0" + " 0.59" * 6 + "\n",
+        "CMAT v1 1 1\n2 0\n",
+        "notes\n",
+    ], ids=["v1-table", "cmat", "text"])
+    def test_store_refuses_a_file_that_is_not_a_table(self, tmp_path, text):
+        path = tmp_path / "file.txt"
+        path.write_text(text)
+        before = path.read_bytes()
+        with pytest.raises(FormatError, match=r"line 1: expected header 'LR0TABLE v2'") as err:
+            lr0_store(lr0_reference(4, 16), path)
+        assert err.value.line == 1
+        assert path.read_bytes() == before
+
     def test_malformed_record_reports_line(self, tmp_path):
         path = tmp_path / "bad.txt"
-        path.write_text("LR0TABLE v1\n3 12 2000 1 0.5\n")
-        with pytest.raises(FormatError) as err:
+        path.write_text("LR0TABLE v2\n3 12 -0.5\n")
+        with pytest.raises(FormatError, match="expected 7 fields, found 3") as err:
             lr0_load(3, 12, path)
         assert err.value.line == 2
 
@@ -442,13 +489,13 @@ class TestLr0Table:
         (0, "x", "invalid literal for int() with base 10: 'x'"),
         (5, "0.5e", "could not convert string to float: '0.5e'"),
         (1, "1_2", "'1_2' is not an ASCII number without '_'"),         # int() reads 12
-        (4, "0.3_1", "'0.3_1' is not an ASCII number without '_'"),
+        (4, "-0.3_1", "'-0.3_1' is not an ASCII number without '_'"),
         (0, "\u0663", "'\u0663' is not an ASCII number without '_'"),  # Arabic-Indic 3
-        (6, "\uff10.5", "'\uff10.5' is not an ASCII number without '_'"),  # fullwidth 0
+        (6, "-\uff10.5", "'-\uff10.5' is not an ASCII number without '_'"),  # fullwidth 0
     ])
     def test_unparseable_field_reports_line(self, tmp_path, field, value, reason):
         path = tmp_path / "table.txt"
-        lr0_store(LRReference(3, 12, 0.3, [(p, 0.1 + p) for p in QUANTILE_PROBS]), path)
+        lr0_store(_ref(3, 12, *(math.log(0.1 + 0.8 * p) for p in QUANTILE_PROBS)), path)
         record = path.read_text().splitlines()[1].split()
         record[field] = value
         with path.open("a", encoding="utf-8") as fh:
@@ -460,12 +507,9 @@ class TestLr0Table:
 
     def test_lossless_floats(self, tmp_path):
         path = tmp_path / "table.txt"
-        ref = LRReference(
-            n=2, k=4, lr0=1.0 / 3.0,
-            quantiles=[(p, 1.0 / 7.0 + p) for p in (0.05, 0.25, 0.5, 0.75, 0.95)],
-        )
+        ref = _ref(2, 4, *(-1.0 / 7.0 - p for p in QUANTILE_PROBS))
         lr0_store(ref, path)
-        assert lr0_load(2, 4, path).lr0 == ref.lr0
+        assert lr0_load(2, 4, path) == ref
 
     def test_lookup_computes_without_storing_then_loads(self, tmp_path):
         path = tmp_path / "table.txt"
@@ -480,8 +524,8 @@ class TestLr0Table:
         lr0_store(ref, path)
         assert lr0_lookup(3, 8, path, autocompute=False) == ref
         pinned = tmp_path / "pinned.txt"
-        lr0_store(LRReference(3, 8, 0.25, [(p, 0.25) for p in QUANTILE_PROBS]), pinned)
-        assert lr0_lookup(3, 8, pinned, autocompute=False).lr0 == 0.25
+        lr0_store(_ref(3, 8, math.log(0.25)), pinned)
+        assert lr0_lookup(3, 8, pinned, autocompute=False).log_lr0 == math.log(0.25)
         assert lr0_lookup(3, 8, pinned).log_lr0 == math.log(0.25)
 
     def test_lookup_reads_but_never_computes_k_below_n(self, tmp_path):
@@ -490,8 +534,8 @@ class TestLr0Table:
             with pytest.raises(InputError, match=r"\(n=6, k=4\): k < n"):
                 lr0_lookup(6, 4, table)
         assert not path.exists()
-        lr0_store(LRReference(6, 4, 0.3, [(p, 0.3) for p in QUANTILE_PROBS]), path)
-        assert lr0_lookup(6, 4, path).lr0 == 0.3
+        lr0_store(_ref(6, 4, math.log(0.3)), path)
+        assert lr0_lookup(6, 4, path).log_lr0 == math.log(0.3)
 
     def test_lookup_computes_an_underflowed_lr0_and_leaves_the_table_as_it_was(self, tmp_path):
         path = tmp_path / "table.txt"
@@ -501,33 +545,15 @@ class TestLr0Table:
         assert ref.lr0 == 0.0 and ref.log_lr0 == lr0_reference(760, 760).log_lr0
         assert path.read_bytes() == before
 
-    @pytest.mark.parametrize("lr0", [0.0, 1.5, math.nan])
-    def test_store_refuses_an_lr0_outside_unit_interval(self, tmp_path, lr0):
-        path = tmp_path / "table.txt"
-        # a median that underflows to 0 is named as such, with its finite log
-        for ref, match in (
-            (LRReference(6, 8, lr0, [(p, lr0) for p in QUANTILE_PROBS]),
-             r"lr0 = \S+ for \(n=6, k=8\) is outside \(0, 1\]"),
-            (lr0_reference(800, 800), r"the median for \(n=800, k=800\) underflows to lr0 = 0 "
-             r"\(log_lr0 = -799\.43\d*\); LR0TABLE v1 holds linear values"),
-        ):
-            with pytest.raises(InputError, match=match):
-                lr0_store(ref, path)
-            assert not path.exists()
-        lr0_store(lr0_reference(6, 8), path)
-        before = path.read_bytes()
-        with pytest.raises(InputError):
-            lr0_store(LRReference(6, 8, lr0, [(p, lr0) for p in QUANTILE_PROBS]), path)
-        assert path.read_bytes() == before
-
-    @pytest.mark.parametrize("lr0", [0.0, 1.5, math.nan])
-    def test_lookup_rejects_a_stored_lr0_outside_unit_interval(self, tmp_path, lr0):
-        # written by hand, as lr0_store refuses such a record
+    @pytest.mark.parametrize("value", ["0.1", "nan", "-inf", "inf"])
+    def test_load_rejects_a_record_outside_minus_inf_to_zero(self, tmp_path, value):
+        # written by hand, as no reference holds such a value
         path = tmp_path / "table.txt"
         lr0_store(lr0_reference(3, 8), path)
         with path.open("a") as fh:
-            fh.write("\n6 4 0 0" + f" {lr0!r}" * 6 + "\n")
-        with pytest.raises(InputError, match=r"holds lr0 = .* for \(n=6, k=4\), outside \(0, 1\]"):
+            fh.write(f"\n6 4 -0.9 -0.8 -0.7 -0.6 {value}\n")
+        with pytest.raises(InputError, match=r"line 4: a reference for \(n=6, k=4\) holds 5 log "
+                                             r"quantiles in \(-inf, 0\]"):
             lr0_lookup(6, 4, path)
         # the load checks every record: the table fails for any key, at that record's line
         for n, k in ((3, 8), (6, 4), (5, 5)):
